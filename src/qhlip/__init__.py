@@ -18,7 +18,7 @@ from .lipclass import (
     similar,
     symbol_of,
 )
-from .polyalg import BiPoly, Rat, UniPoly, is_cxd, rat, resultant, x_multiplicity, y_divides
+from .polyalg import BiPoly, UniPoly, is_cxd, resultant, x_multiplicity, y_divides
 from .qhdecide import (
     BetaInference,
     Certificate,
@@ -38,7 +38,6 @@ from .witness import (
     GridSpec,
     InverseBetaTransform,
     VerificationReport,
-    eval_transform,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,
@@ -55,7 +54,6 @@ from .zygothety import (
     identity,
     inverse,
     is_beta_regular,
-    limit_slope,
     make_regular,
 )
 

@@ -12,6 +12,7 @@ used when converting exact values to floats.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .qhdecide import (
     DegreeMismatchError,
     NotQuasihomogeneousError,
     QHPoly,
+    Verdict2D,
     decide,
     infer_beta,
     validate_qh,
@@ -43,7 +45,20 @@ EXIT_NOT_EQUIVALENT = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
-_VERDICT_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 2}
+_VERDICT_EXIT = {
+    "equivalent": EXIT_EQUIVALENT,
+    "not_equivalent": EXIT_NOT_EQUIVALENT,
+    "unknown": EXIT_UNKNOWN,
+}
+
+#: error code reported for each expected failure; anything else is "internal"
+_ERROR_CODES = {
+    ParseError: "parse_error",
+    NotQuasihomogeneousError: "not_quasihomogeneous",
+    BetaRangeError: "beta_out_of_range",
+    BetaMismatchError: "beta_mismatch",
+    DegreeMismatchError: "degree_mismatch",
+}
 
 
 class CliError(Exception):
@@ -56,8 +71,8 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _fail(exc: Exception, code: str) -> int:
-    print(json.dumps({"error": {"code": code, "message": str(exc)}}), file=sys.stderr)
+def _fail(message: str, code: str) -> int:
+    print(json.dumps({"error": {"code": code, "message": message}}), file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -128,7 +143,8 @@ def cmd_classify1(args) -> int:
     return EXIT_EQUIVALENT if verdict.equivalent else EXIT_NOT_EQUIVALENT
 
 
-def cmd_classify2(args) -> int:
+def _classify2(args) -> tuple[QHPoly, QHPoly, Verdict2D, dict]:
+    """Decide the pair F, G; returns it with the verdict and its JSON view."""
     bindings = _parse_lets(args.let)
     F = _qh_from_args(args.F, args, bindings)
     G = _qh_from_args(args.G, args, bindings)
@@ -140,22 +156,17 @@ def cmd_classify2(args) -> int:
         "degree": F.d,
     }
     out.update(jsonio.verdict2_json(verdict))
+    return F, G, verdict, out
+
+
+def cmd_classify2(args) -> int:
+    _, _, verdict, out = _classify2(args)
     _emit(out)
     return _VERDICT_EXIT[verdict.kind]
 
 
 def cmd_witness(args) -> int:
-    bindings = _parse_lets(args.let)
-    F = _qh_from_args(args.F, args, bindings)
-    G = _qh_from_args(args.G, args, bindings)
-    verdict = decide(F, G)
-    out = {
-        "F": print_bi(F.poly),
-        "G": print_bi(G.poly),
-        "beta": f"{F.r}/{F.s}",
-        "degree": F.d,
-    }
-    out.update(jsonio.verdict2_json(verdict))
+    F, G, verdict, out = _classify2(args)
     if verdict.kind == "equivalent":
         T = InverseBetaTransform(verdict.certificate.zygothety, F.r, F.s)
         x_count = max(1, args.samples // (2 * 100))
@@ -164,15 +175,8 @@ def cmd_witness(args) -> int:
         rmin, rmax = verify_lipschitz(T, samples=2000, delta=args.delta)
         rep.lipschitz_ratio_min = rmin
         rep.lipschitz_ratio_max = rmax
-        lam_est, k_est, tail = verify_asymptotic(verdict.certificate.zygothety.phi1)
-        shell4, shell6 = asymptotic_shell_decay(verdict.certificate.zygothety.phi1)
-        rep.asymptotic = {
-            "lambda_est": lam_est,
-            "k_est": k_est,
-            "alpha_tail_max": tail,
-            "shell_1e4": shell4,
-            "shell_1e6": shell6,
-        }
+        phi1 = verdict.certificate.zygothety.phi1
+        rep.asymptotic = verify_asymptotic(phi1) + asymptotic_shell_decay(phi1)
         out["report"] = jsonio.report_json(rep)
         _emit(out)
         return EXIT_EQUIVALENT if rep.conjugacy_pass else EXIT_ERROR
@@ -211,12 +215,9 @@ def cmd_scan(args) -> int:
     partition = sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
     # all-pairs decisions double as a transitivity check of the engine
     for cls in partition:
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                if verdicts[(cls[a], cls[b])] != "equivalent":
-                    raise AssertionError(
-                        "equivalence relation from decide() is not transitive"
-                    )
+        for pair in itertools.combinations(cls, 2):
+            if verdicts[pair] != "equivalent":
+                raise AssertionError("equivalence relation from decide() is not transitive")
     unknown_pairs = sorted(k for k, v in verdicts.items() if v == "unknown")
     _emit(
         {
@@ -299,18 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(exc, "parse_error")
-    except (NotQuasihomogeneousError,) as exc:
-        return _fail(exc, "not_quasihomogeneous")
-    except (BetaRangeError,) as exc:
-        return _fail(exc, "beta_out_of_range")
-    except (BetaMismatchError,) as exc:
-        return _fail(exc, "beta_mismatch")
-    except (DegreeMismatchError,) as exc:
-        return _fail(exc, "degree_mismatch")
     except CliError as exc:
-        return _fail(exc, exc.code)
+        return _fail(str(exc), exc.code)
+    except Exception as exc:  # a crash must never read as a verdict
+        for kind, code in _ERROR_CODES.items():
+            if isinstance(exc, kind):
+                return _fail(str(exc), code)
+        return _fail(f"{type(exc).__name__}: {exc}", "internal")
 
 
 if __name__ == "__main__":

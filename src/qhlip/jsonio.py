@@ -1,64 +1,130 @@
 """JSON views of verdicts, certificates and reports.
 
-All dictionaries are built in a fixed key order and rationals are rendered
-as exact strings, so serialized output is byte-deterministic for fixed
-inputs.
+This is the only module that knows the JSON format.  All dictionaries are
+built in a fixed key order and rationals are rendered as exact strings, so
+serialized output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .lipclass import Verdict1D
-from .qhdecide import Certificate, NEReason, UnknownReason, Verdict2D
+from .lipclass import CritData, Pairing1D, Verdict1D
+from .qhdecide import (
+    Certificate,
+    CxdTrace,
+    NecessityCondition,
+    NEReason,
+    PairingFailure,
+    UnknownReason,
+    Verdict2D,
+)
 from .realalg import RealAlg
 from .witness import VerificationReport
-from .zygothety import Zygothety
-
-
-def frac_str(x: Fraction) -> str:
-    return str(x)
+from .zygothety import Affine, BranchMap, Compose, Neg, NegConj, PLMap, Zygothety
 
 
 def alg_json(a: RealAlg) -> dict:
     if a.is_rational:
-        return {"rational": frac_str(a.lo), "approx": a.to_float()}
+        return {"rational": str(a.lo), "approx": a.to_float()}
     return {
-        "defpoly": [frac_str(c) for c in a.defpoly.coeffs],
-        "interval": [frac_str(a.lo), frac_str(a.hi)],
+        "defpoly": [str(c) for c in a.defpoly.coeffs],
+        "interval": [str(a.lo), str(a.hi)],
         "approx": a.to_float(),
     }
+
+
+def map_json(m: PLMap) -> dict:
+    """A line map as a tagged tree: affine | branch | neg | neg_conj | compose."""
+    if isinstance(m, Affine):
+        return {"kind": "affine", "a": str(m.a), "b": str(m.b)}
+    if isinstance(m, BranchMap):
+        return {
+            "kind": "branch",
+            "c": alg_json(m.c),
+            "orientation": "increasing" if m.increasing else "decreasing",
+            "f": [str(c) for c in m.f.coeffs],
+            "g": [str(c) for c in m.g.coeffs],
+            "crits_f": [alg_json(x) for x in m.crits_f],
+            "crits_g": [alg_json(x) for x in m.crits_g],
+        }
+    if isinstance(m, Neg):
+        return {"kind": "neg", "inner": map_json(m.inner)}
+    if isinstance(m, NegConj):
+        return {"kind": "neg_conj", "inner": map_json(m.inner)}
+    if isinstance(m, Compose):
+        return {"kind": "compose", "outer": map_json(m.outer), "inner": map_json(m.inner)}
+    raise TypeError(f"no JSON form for {type(m).__name__}")
 
 
 def zygothety_json(z: Zygothety) -> dict:
     return {
         "lambda1": alg_json(z.lam1),
         "lambda2": alg_json(z.lam2),
-        "phi1": z.phi1.json_dict(),
-        "phi2": z.phi2.json_dict(),
+        "phi1": map_json(z.phi1),
+        "phi2": map_json(z.phi2),
+    }
+
+
+def _sign_str(lambda_sign: int) -> str:
+    return "+" if lambda_sign > 0 else "-"
+
+
+def pairing_json(p: Pairing1D) -> dict:
+    return {
+        "orientation": p.orientation.value,
+        "c": alg_json(p.c_set.c) if p.c_set.is_unique else "any_positive",
     }
 
 
 def certificate_json(cert: Certificate) -> dict:
+    trace = cert.pairing_trace
+    if isinstance(trace, CxdTrace):
+        trace_json = {"map": "x -> (a/b)^(1/d) * x, y -> y", "a": str(trace.a), "b": str(trace.b)}
+    else:
+        trace_json = {
+            "lambda_sign": _sign_str(trace.option.lambda_sign),
+            "plus_side": pairing_json(trace.option.plus),
+            "minus_side": pairing_json(trace.option.minus),
+            "action_spot_check_residual": trace.residual,
+        }
     return {
         "theorem": cert.theorem_tag.value,
         "zygothety": zygothety_json(cert.zygothety),
-        "pairing_trace": cert.pairing_trace,
+        "pairing_trace": trace_json,
     }
 
 
 def verdict1_json(v: Verdict1D) -> dict:
     out: dict = {"verdict": "Equivalent" if v.equivalent else "NotEquivalent"}
     if v.equivalent:
-        out["pairings"] = [
-            {
-                "orientation": p.orientation.value,
-                "c": alg_json(p.c_set.c) if p.c_set.is_unique else "any_positive",
-            }
-            for p in v.pairings
-        ]
+        out["pairings"] = [pairing_json(p) for p in v.pairings]
     else:
         out["reason"] = v.reason.value
+    return out
+
+
+def _necessity_json(cond: NecessityCondition) -> dict:
+    out: dict = {"condition": cond.condition, "zero_side": cond.zero_side, "zeros": list(cond.zeros)}
+    if cond.condition == "a":
+        out["x_free_side"] = "G" if cond.zero_side == "F" else "F"
+    return out
+
+
+def _symbol_json(data: CritData) -> dict:
+    return {"values": [alg_json(v) for v in data.values], "mults": list(data.mults)}
+
+
+def _failure_json(failure: PairingFailure) -> dict:
+    sides = (
+        ("plus_side", failure.plus, failure.plus_symbols),
+        ("minus_side", failure.minus, failure.minus_symbols),
+    )
+    out: dict = {"lambda_sign": _sign_str(failure.lambda_sign)}
+    for tag, v, _ in sides:
+        out[tag] = "Equivalent" if v.equivalent else v.reason.value
+    for tag, _, symbols in sides:
+        if symbols is not None:
+            left, right = symbols
+            out[tag + "_symbols"] = {"left": _symbol_json(left), "right": _symbol_json(right)}
     return out
 
 
@@ -74,8 +140,8 @@ def verdict2_json(v: Verdict2D) -> dict:
     if isinstance(v.reason, NEReason):
         out["reason"] = {
             "kind": v.reason.kind.value,
-            "necessity_conditions": list(v.reason.necessity),
-            "pairing_failures": list(v.reason.pairing_failures),
+            "necessity_conditions": [_necessity_json(c) for c in v.reason.necessity],
+            "pairing_failures": [_failure_json(f) for f in v.reason.pairing_failures],
         }
     elif isinstance(v.reason, UnknownReason):
         out["reason"] = {"kind": v.reason.kind.value, "detail": v.reason.detail}
@@ -92,7 +158,8 @@ def report_json(rep: VerificationReport) -> dict:
         out["lipschitz_ratio_min"] = rep.lipschitz_ratio_min
         out["lipschitz_ratio_max"] = rep.lipschitz_ratio_max
     if rep.asymptotic is not None:
-        out["asymptotic"] = rep.asymptotic
+        keys = ("lambda_est", "k_est", "alpha_tail_max", "shell_1e4", "shell_1e6")
+        out["asymptotic"] = dict(zip(keys, rep.asymptotic))
     out["samples"] = rep.samples
     if rep.delta is not None:
         out["delta"] = rep.delta

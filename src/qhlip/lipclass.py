@@ -22,13 +22,6 @@ class Orientation(enum.Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
 
-    def flip(self) -> "Orientation":
-        return (
-            Orientation.DECREASING
-            if self is Orientation.INCREASING
-            else Orientation.INCREASING
-        )
-
 
 class Reason1D(enum.Enum):
     DEGREE_MISMATCH = "DegreeMismatch"

@@ -13,13 +13,7 @@ from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
-
-
-def rat(num: RatLike, den: RatLike = 1) -> Fraction:
-    """Build a rational scalar in canonical form."""
-    return Fraction(num) / Fraction(den)
 
 
 def sign(x: RatLike) -> int:

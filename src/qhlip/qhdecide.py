@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import zygothety as zyg
-from .lipclass import Pairing1D, classify_pair, critical_data
+from .lipclass import CritData, Pairing1D, Verdict1D, classify_pair, critical_data
 from .polyalg import BiPoly, UniPoly, is_cxd, sign, x_multiplicity, y_divides
 from .realalg import RealAlg, isolate_real_roots, nth_root_pos
 
@@ -50,14 +50,6 @@ class QHPoly:
     d: int
     e: int  # multiplicity of X as a factor
     n: int  # top index of the quasihomogeneous expansion
-
-    @property
-    def beta(self) -> Fraction:
-        return Fraction(self.r, self.s)
-
-    @property
-    def is_cxd(self) -> bool:
-        return self.n == 0
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,27 @@ class PairingOption:
     minus: Pairing1D
 
 
+@dataclass(frozen=True)
+class PairingFailure:
+    """Why one scale sign pairs no heights: the 1-D verdict of each side, and
+    both sides' critical data where their multiplicity symbols were compared.
+    """
+
+    lambda_sign: int
+    plus: Verdict1D
+    minus: Verdict1D
+    plus_symbols: Optional[tuple[CritData, CritData]] = None
+    minus_symbols: Optional[tuple[CritData, CritData]] = None
+
+
+@dataclass(frozen=True)
+class PairingSearch:
+    """The pairing options of (F, G), or why each scale sign has none."""
+
+    options: tuple[PairingOption, ...]
+    failures: tuple[PairingFailure, ...] = ()  # one per sign, only when no option exists
+
+
 def _require_same_family(F: QHPoly, G: QHPoly) -> None:
     if (F.r, F.s) != (G.r, G.s):
         raise BetaMismatchError("polynomials have different beta")
@@ -166,27 +179,52 @@ def _require_same_family(F: QHPoly, G: QHPoly) -> None:
         raise DegreeMismatchError("polynomials have different degree")
 
 
-def pairing_search(F: QHPoly, G: QHPoly) -> list[PairingOption]:
-    """Enumerate height pairings, straight-sign options first."""
+def _symbols(f: UniPoly, g: UniPoly, v: Verdict1D) -> Optional[tuple[CritData, CritData]]:
+    """Critical data of both sides when their symbols decided a failed pairing."""
+    if v.equivalent or f.is_constant or g.is_constant or f.degree != g.degree:
+        return None
+    df, dg = critical_data(f), critical_data(g)
+    return (df, dg) if df.count == dg.count and df.count >= 2 else None
+
+
+def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
+    """Enumerate height pairings, straight-sign options first.
+
+    Each height pair is classified at most once; when no option exists the
+    verdicts explain, per scale sign, why.
+    """
     _require_same_family(F, G)
     hf, hg = heights(F), heights(G)
     options: list[PairingOption] = []
+    trials = []
     for lam_sign, g_for_plus, g_for_minus in (
         (1, hg.f_plus, hg.f_minus),
         (-1, hg.f_minus, hg.f_plus),
     ):
         v_plus = classify_pair(hf.f_plus, g_for_plus)
-        if not v_plus.equivalent:
-            continue
-        v_minus = classify_pair(hf.f_minus, g_for_minus)
-        if not v_minus.equivalent:
-            continue
-        for p1 in v_plus.pairings:
-            for p2 in v_minus.pairings:
-                options.append(PairingOption(lam_sign, p1, p2))
+        v_minus = classify_pair(hf.f_minus, g_for_minus) if v_plus.equivalent else None
+        trials.append((lam_sign, g_for_plus, g_for_minus, v_plus, v_minus))
+        if v_minus is not None and v_minus.equivalent:
+            for p1 in v_plus.pairings:
+                for p2 in v_minus.pairings:
+                    options.append(PairingOption(lam_sign, p1, p2))
     if options:
         assert F.e == G.e, "pairable heights must share the X-multiplicity"
-    return options
+        return PairingSearch(tuple(options))
+    failures = []
+    for lam_sign, g_for_plus, g_for_minus, v_plus, v_minus in trials:
+        if v_minus is None:
+            v_minus = classify_pair(hf.f_minus, g_for_minus)
+        failures.append(
+            PairingFailure(
+                lam_sign,
+                v_plus,
+                v_minus,
+                _symbols(hf.f_plus, g_for_plus, v_plus),
+                _symbols(hf.f_minus, g_for_minus, v_minus),
+            )
+        )
+    return PairingSearch((), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +254,47 @@ class UnknownKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class OptionTrace:
+    """The pairing a certificate realizes, with the float residual of the
+    action spot-check."""
+
+    option: PairingOption
+    residual: float
+
+
+@dataclass(frozen=True)
+class CxdTrace:
+    """F = a X^d and G = b X^d, paired by x -> (a/b)^(1/d) x, y -> y."""
+
+    a: Fraction
+    b: Fraction
+
+
+@dataclass(frozen=True)
 class Certificate:
     theorem_tag: TheoremTag
     zygothety: zyg.Zygothety
-    pairing_trace: dict
+    pairing_trace: OptionTrace | CxdTrace
+
+
+@dataclass(frozen=True)
+class NecessityCondition:
+    """A quoted zero condition that licenses non-equivalence.
+
+    (a): both heights of `zero_side` have a real zero and X does not divide
+    the other polynomial; (b): both have two distinct real zeros.
+    """
+
+    condition: str  # "a" | "b"
+    zero_side: str  # "F" | "G"
+    zeros: tuple[int, int]  # distinct real zeros of the (+) and (-) heights
 
 
 @dataclass(frozen=True)
 class NEReason:
     kind: NEKind
-    necessity: tuple[dict, ...] = ()  # which quoted conditions licensed it
-    pairing_failures: tuple[dict, ...] = ()
+    necessity: tuple[NecessityCondition, ...] = ()  # which conditions licensed it
+    pairing_failures: tuple[PairingFailure, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -239,11 +307,7 @@ class UnknownReason:
 class Verdict2D:
     kind: str  # "equivalent" | "not_equivalent" | "unknown"
     certificate: Optional[Certificate] = None
-    reason: object = None
-
-    @property
-    def is_equivalent(self) -> bool:
-        return self.kind == "equivalent"
+    reason: NEReason | UnknownReason | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -251,73 +315,20 @@ class Verdict2D:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_real_zeros(f: UniPoly) -> int:
-    if f.is_constant:
-        return 0
-    return len(isolate_real_roots(f))
-
-
-def _necessity_conditions(F: QHPoly, G: QHPoly) -> tuple[dict, ...]:
+def _necessity_conditions(F: QHPoly, G: QHPoly) -> tuple[NecessityCondition, ...]:
     """Quoted hypotheses licensing non-equivalence from unpairable heights.
 
-    (a) each height of one polynomial has a real zero and X does not divide
-    the other; (b) each height of one polynomial has two distinct real
-    zeros.  Both orientations are checked.
+    Both orientations are checked; see NecessityCondition.
     """
     satisfied = []
     for name, P, Q in (("F", F, G), ("G", G, F)):
         hp = heights(P)
-        z_plus = _distinct_real_zeros(hp.f_plus)
-        z_minus = _distinct_real_zeros(hp.f_minus)
-        if min(z_plus, z_minus) >= 1 and Q.e == 0:
-            satisfied.append(
-                {
-                    "condition": "a",
-                    "zero_side": name,
-                    "zeros": [z_plus, z_minus],
-                    "x_free_side": "G" if name == "F" else "F",
-                }
-            )
-        if min(z_plus, z_minus) >= 2:
-            satisfied.append({"condition": "b", "zero_side": name, "zeros": [z_plus, z_minus]})
+        zeros = (len(isolate_real_roots(hp.f_plus)), len(isolate_real_roots(hp.f_minus)))
+        if min(zeros) >= 1 and Q.e == 0:
+            satisfied.append(NecessityCondition("a", name, zeros))
+        if min(zeros) >= 2:
+            satisfied.append(NecessityCondition("b", name, zeros))
     return tuple(satisfied)
-
-
-def _pairing_failures(F: QHPoly, G: QHPoly) -> tuple[dict, ...]:
-    hf, hg = heights(F), heights(G)
-    out = []
-    for lam_sign, g_plus, g_minus in (
-        (1, hg.f_plus, hg.f_minus),
-        (-1, hg.f_minus, hg.f_plus),
-    ):
-        entry: dict = {"lambda_sign": "+" if lam_sign > 0 else "-"}
-        v1 = classify_pair(hf.f_plus, g_plus)
-        v2 = classify_pair(hf.f_minus, g_minus)
-        entry["plus_side"] = "Equivalent" if v1.equivalent else v1.reason.value
-        entry["minus_side"] = "Equivalent" if v2.equivalent else v2.reason.value
-        for tag, f, g, v in (
-            ("plus_side", hf.f_plus, g_plus, v1),
-            ("minus_side", hf.f_minus, g_minus, v2),
-        ):
-            if not v.equivalent and not f.is_constant and not g.is_constant:
-                if f.degree == g.degree:
-                    df, dg = critical_data(f), critical_data(g)
-                    if df.count == dg.count and df.count >= 2:
-                        entry[tag + "_symbols"] = {
-                            "left": _symbol_json(df),
-                            "right": _symbol_json(dg),
-                        }
-        out.append(entry)
-    return tuple(out)
-
-
-def _symbol_json(data) -> dict:
-    from .jsonio import alg_json
-
-    return {
-        "values": [alg_json(v) for v in data.values],
-        "mults": list(data.mults),
-    }
 
 
 def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
@@ -329,28 +340,13 @@ def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
 
 def _certify(option: PairingOption, F: QHPoly, G: QHPoly, tag: TheoremTag) -> Verdict2D:
     z = zyg.make_regular(option, F, G)
-    assert zyg.is_beta_regular(z, F.r, F.s)
     hf, hg = heights(F), heights(G)
     residual = zyg.action_residual(
         z, F.d, hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus
     )
     assert residual <= 1e-6, f"action spot-check failed: {residual}"
-    trace = {
-        "lambda_sign": "+" if option.lambda_sign > 0 else "-",
-        "plus_side": _pairing_json(option.plus),
-        "minus_side": _pairing_json(option.minus),
-        "action_spot_check_residual": residual,
-    }
+    trace = OptionTrace(option, residual)
     return Verdict2D("equivalent", certificate=Certificate(tag, z, trace))
-
-
-def _pairing_json(p: Pairing1D) -> dict:
-    from .jsonio import alg_json
-
-    return {
-        "orientation": p.orientation.value,
-        "c": alg_json(p.c_set.c) if p.c_set.is_unique else "any_positive",
-    }
 
 
 def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
@@ -369,9 +365,9 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
             )
         z = _cxd_zygothety(a, b, d)
         assert zyg.is_beta_regular(z, F.r, F.s)
-        trace = {"map": "x -> (a/b)^(1/d) * x, y -> y", "a": str(a), "b": str(b)}
         return Verdict2D(
-            "equivalent", certificate=Certificate(TheoremTag.CXD_CASE, z, trace)
+            "equivalent",
+            certificate=Certificate(TheoremTag.CXD_CASE, z, CxdTrace(a, b)),
         )
     if (cf is None) != (cg is None):
         return Verdict2D(
@@ -383,14 +379,14 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
             ),
         )
 
-    options = pairing_search(F, G)
+    search = pairing_search(F, G)
+    options = search.options
     if not options:
         necessity = _necessity_conditions(F, G)
-        failures = _pairing_failures(F, G)
         if necessity:
             return Verdict2D(
                 "not_equivalent",
-                reason=NEReason(NEKind.HEIGHTS_NOT_PAIRABLE, necessity, failures),
+                reason=NEReason(NEKind.HEIGHTS_NOT_PAIRABLE, necessity, search.failures),
             )
         return Verdict2D(
             "unknown",
@@ -412,26 +408,21 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
     # r odd, s even from here on
     if F.e == 0 and G.e == 0:
         return _certify(options[0], F, G, TheoremTag.SUFF_C_NO_X_FACTOR)
+    # the remaining constructions need one option whose sides share a constant
     if not y_divides(F.poly) and not y_divides(G.poly):
         # scales are forced equal; every option must carry matching constants
-        for option in options:
-            if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
-                return _certify(
-                    option, F, G, TheoremTag.COR_R_ODD_S_EVEN_NO_Y_FACTOR
-                )
-        raise AssertionError(
-            "no Y factor forces equal scales, yet no option admits a common constant"
-        )
-    if min(crit_counts) == 1:
-        for option in options:
-            if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
-                return _certify(option, F, G, TheoremTag.COR_R_ODD_S_EVEN_ONE_CRIT)
-        raise AssertionError(
-            "a single-critical-point height has value zero, so a side must be free"
-        )
+        tag = TheoremTag.COR_R_ODD_S_EVEN_NO_Y_FACTOR
+        invariant = "no Y factor forces equal scales, yet no option admits a common constant"
+    elif min(crit_counts) == 1:
+        tag = TheoremTag.COR_R_ODD_S_EVEN_ONE_CRIT
+        invariant = "a single-critical-point height has value zero, so a side must be free"
+    else:
+        tag, invariant = TheoremTag.SUFF_B_EQUAL_LAMBDA, None
     for option in options:
         if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
-            return _certify(option, F, G, TheoremTag.SUFF_B_EQUAL_LAMBDA)
+            return _certify(option, F, G, tag)
+    if invariant is not None:
+        raise AssertionError(invariant)
     return Verdict2D(
         "unknown",
         reason=UnknownReason(

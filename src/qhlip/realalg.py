@@ -112,13 +112,13 @@ class RealAlg:
         if self.is_rational or self.hi - self.lo <= width:
             return self
         lo, hi = self.lo, self.hi
-        chain_ok = _count_cached(self.defpoly, lo, hi)  # sanity: exactly one
+        chain_ok = _count_pair(self.defpoly, lo, hi)  # sanity: exactly one
         assert chain_ok == 1
         while hi - lo > width:
             mid = (lo + hi) / 2
             if self.defpoly(mid) == 0:
                 return RealAlg.from_rational(mid)
-            if _count_cached(self.defpoly, lo, mid) == 1:
+            if _count_pair(self.defpoly, lo, mid) == 1:
                 hi = mid
             else:
                 lo = mid
@@ -213,10 +213,6 @@ def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
     return count_roots_between(defpoly, lo, hi)
 
 
-def _count_cached(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    return _count_pair(defpoly, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Certified construction from a candidate defining polynomial + enclosure
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
     if lo == hi:
         return RealAlg.from_rational(lo)
     D = _strip_endpoint_roots(D, lo, hi)
-    n = _count_cached(D, lo, hi)
+    n = _count_pair(D, lo, hi)
     if n == 0:
         raise ArithmeticError("enclosure lost the root; internal bug")
     if n > 1:
@@ -252,7 +248,7 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
         cand = simplest_between(lo, hi)
         if D(cand) == 0:
             return RealAlg.from_rational(cand)
-        if _count_cached(D, lo, cand) == 1:
+        if _count_pair(D, lo, cand) == 1:
             hi = cand
         else:
             lo = cand
@@ -277,7 +273,7 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     roots: list[RealAlg] = []
 
     def split(lo: Fraction, hi: Fraction) -> None:
-        n = _count_cached(q, lo, hi)
+        n = _count_pair(q, lo, hi)
         if n == 0:
             return
         if n == 1:
@@ -292,7 +288,7 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
             while (
                 q(mid - eps) == 0
                 or q(mid + eps) == 0
-                or _count_cached(q, mid - eps, mid + eps) != 1
+                or _count_pair(q, mid - eps, mid + eps) != 1
             ):
                 eps /= 2
             split(lo, mid - eps)
@@ -320,18 +316,18 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     # roots of g lie among the roots of defpoly, so the interval endpoints
     # are never roots of g and the count below is well-posed
     g = poly_gcd(a.defpoly, p)
-    if g.degree >= 1 and _count_cached(g, a.lo, a.hi) == 1:
+    if g.degree >= 1 and _count_pair(g, a.lo, a.hi) == 1:
         return 0
     q = square_free_part(p)
     lo, hi = a.lo, a.hi
     while True:
-        if q(lo) != 0 and q(hi) != 0 and _count_cached(q, lo, hi) == 0:
+        if q(lo) != 0 and q(hi) != 0 and _count_pair(q, lo, hi) == 0:
             mid = (lo + hi) / 2
             return sign(p(mid))
         mid = (lo + hi) / 2
         if a.defpoly(mid) == 0:
             return sign(p(mid))  # a turned out to be the rational mid
-        if _count_cached(a.defpoly, lo, mid) == 1:
+        if _count_pair(a.defpoly, lo, mid) == 1:
             hi = mid
         else:
             lo = mid

@@ -41,7 +41,8 @@ class VerificationReport:
     conjugacy_pass: Optional[bool] = None
     lipschitz_ratio_min: Optional[float] = None
     lipschitz_ratio_max: Optional[float] = None
-    asymptotic: Optional[dict] = None
+    # (lambda_est, k_est, alpha_tail_max, shell_1e4, shell_1e6)
+    asymptotic: Optional[tuple[float, float, float, float, float]] = None
     samples: int = 0
     delta: Optional[float] = None
 
@@ -72,9 +73,6 @@ class InverseBetaTransform:
     def beta(self) -> float:
         return self._f[0]
 
-    def __call__(self, point: tuple[float, float]) -> tuple[float, float]:
-        return self.eval(point)
-
     def eval(self, point: tuple[float, float]) -> tuple[float, float]:
         x, y = point
         beta, lam1, lam2, axis_slope = self._f
@@ -93,10 +91,6 @@ class InverseBetaTransform:
             t = y / ax_b
             y_out = scale * phi.eval_float(t) * ax_b
         return (lam * x, y_out)
-
-
-def eval_transform(T: InverseBetaTransform, point: tuple[float, float]) -> tuple[float, float]:
-    return T.eval(point)
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
@@ -254,7 +248,3 @@ def asymptotic_shell_decay(m: PLMap) -> tuple[float, float]:
 def _shell_points(inner: float, outer: float) -> list[float]:
     pts = _log_spaced(inner, outer, _SHELL_POINTS)
     return pts + [-t for t in pts]
-
-
-def transform_from_certificate(cert, r: int, s: int) -> InverseBetaTransform:
-    return InverseBetaTransform(cert.zygothety, r, s)

@@ -40,9 +40,6 @@ class PLMap:
     def eval_float(self, t: float) -> float:
         raise NotImplementedError
 
-    def json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Affine(PLMap):
@@ -65,9 +62,6 @@ class Affine(PLMap):
 
     def eval_exact(self, t: Fraction) -> Fraction:
         return self.a * t + self.b
-
-    def json_dict(self) -> dict:
-        return {"kind": "affine", "a": str(self.a), "b": str(self.b)}
 
 
 def identity_map() -> Affine:
@@ -133,19 +127,6 @@ class BranchMap(PLMap):
         y = cflt * self.f.eval_float(t)
         return _invert_on_branch(self.g, cg, j, y)
 
-    def json_dict(self) -> dict:
-        from .jsonio import alg_json
-
-        return {
-            "kind": "branch",
-            "c": alg_json(self.c),
-            "orientation": "increasing" if self.increasing else "decreasing",
-            "f": [str(c) for c in self.f.coeffs],
-            "g": [str(c) for c in self.g.coeffs],
-            "crits_f": [alg_json(x) for x in self.crits_f],
-            "crits_g": [alg_json(x) for x in self.crits_g],
-        }
-
 
 def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
     """Solve g(u) = y for u in the j-th branch interval, bisecting on u."""
@@ -164,16 +145,24 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
     for _ in range(600):
         if flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0:
             break
+        # y can sit a rounding error outside the image of the branch; as g
+        # is monotone there, that shows as a critical (finite) end nearer to
+        # y than the other end, and that end is the answer
+        if not (unbounded_lo or unbounded_hi):
+            return lo if abs(flo) <= abs(fhi) else hi
+        if not unbounded_lo and abs(flo) < abs(fhi):
+            return lo
+        if not unbounded_hi and abs(fhi) < abs(flo):
+            return hi
         if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
             lo -= step
             flo = g.eval_float(lo) - y
-        elif unbounded_hi:
+        else:
             hi += step
             fhi = g.eval_float(hi) - y
-        else:
-            # bounded branch: y can sit a rounding error outside the image
-            return lo if abs(flo) <= abs(fhi) else hi
         step *= 2.0
+    else:
+        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -212,9 +201,6 @@ class Neg(PLMap):
     def eval_float(self, t: float) -> float:
         return -self.inner.eval_float(t)
 
-    def json_dict(self) -> dict:
-        return {"kind": "neg", "inner": self.inner.json_dict()}
-
 
 @dataclass(frozen=True)
 class NegConj(PLMap):
@@ -233,9 +219,6 @@ class NegConj(PLMap):
 
     def eval_float(self, t: float) -> float:
         return -self.inner.eval_float(-t)
-
-    def json_dict(self) -> dict:
-        return {"kind": "neg_conj", "inner": self.inner.json_dict()}
 
 
 @dataclass(frozen=True)
@@ -256,13 +239,6 @@ class Compose(PLMap):
 
     def eval_float(self, t: float) -> float:
         return self.outer.eval_float(self.inner.eval_float(t))
-
-    def json_dict(self) -> dict:
-        return {
-            "kind": "compose",
-            "outer": self.outer.json_dict(),
-            "inner": self.inner.json_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +298,6 @@ def inverse(z: Zygothety) -> Zygothety:
         z.phi2.inverse(),
         z.phi1.inverse(),
     )
-
-
-def limit_slope(m: PLMap) -> RealAlg:
-    return m.limit_slope()
 
 
 def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:

@@ -1,0 +1,43 @@
+"""Byte-for-byte pins of the CLI's JSON output.
+
+Each file under tests/golden/ is the exact stdout of one command.  A change
+to the JSON layer must leave these bytes alone unless it means to change
+the schema; regenerate a file with
+
+    PYTHONPATH=src python -m qhlip.cli <argv...> > tests/golden/<name>.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qhlip.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    # the pure X-power certificate
+    ("cxd_x4", 0, ["classify2", "X^4", "2*X^4", "--beta", "2/1"]),
+    # NotEquivalent: necessity conditions and multiplicity symbols
+    (
+        "hp_not_equivalent",
+        1,
+        ["classify2", "X^6-3*X^4*Y+Y^3", "X^6-12*X^4*Y+Y^3", "--beta", "2/1"],
+    ),
+    # a SuffA certificate whose maps are branch maps
+    (
+        "suffa_branch",
+        0,
+        ["classify2", "X^4-3*X^2*Y+Y^2", "16*X^4-12*X^2*Y+Y^2", "--beta", "2/1"],
+    ),
+    # a 1-D verdict with an explicit pairing
+    ("classify1_decreasing", 0, ["classify1", "t^3 - 3*t", "-t^3 + 3*t"]),
+]
+
+
+@pytest.mark.parametrize("name,exit_code,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden(capsys, name, exit_code, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

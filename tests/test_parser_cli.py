@@ -235,6 +235,16 @@ class TestCli:
         assert code == 3
         assert json.loads(err)["error"]["code"] == "parse_error"
 
+    def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
+        def broken(F, G):
+            raise AssertionError("injected")
+
+        monkeypatch.setattr("qhlip.cli.decide", broken)
+        code, out, err = run_cli_capture(capsys, "classify2", HP, HP, "--beta", "2/1", "--let", "l=1")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {"code": "internal", "message": "AssertionError: injected"}
+
     def test_unknown_exit_code(self, capsys):
         code, out, _ = run_cli_capture(
             capsys,

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhlip import qhdecide
+from qhlip.lipclass import Reason1D
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import (
     BetaMismatchError,
@@ -95,7 +97,7 @@ class TestHeights:
 
 class TestPairingSearch:
     def test_negative_members_pair(self):
-        opts = pairing_search(hp(-1), hp(-2))
+        opts = pairing_search(hp(-1), hp(-2)).options
         assert opts
         assert any(o.lambda_sign == 1 for o in opts)
         assert all(
@@ -103,10 +105,12 @@ class TestPairingSearch:
         )
 
     def test_moduli_pair_is_empty(self):
-        assert pairing_search(hp(1), hp(4)) == []
+        search = pairing_search(hp(1), hp(4))
+        assert search.options == ()
+        assert [f.lambda_sign for f in search.failures] == [1, -1]
 
     def test_identity_pairing_exists(self):
-        assert pairing_search(hp(2), hp(2))
+        assert pairing_search(hp(2), hp(2)).options
 
     def test_beta_mismatch_rejected(self):
         other = validate_qh(BiPoly({(6, 0): 1, (0, 2): 1}), 3, 1)
@@ -124,12 +128,26 @@ class TestDecide:
         v = decide(hp(1), hp(4))
         assert v.kind == "not_equivalent"
         assert v.reason.kind is NEKind.HEIGHTS_NOT_PAIRABLE
-        conditions = {entry["condition"] for entry in v.reason.necessity}
+        conditions = {entry.condition for entry in v.reason.necessity}
         assert "a" in conditions
         failures = v.reason.pairing_failures
         assert any(
-            entry.get("plus_side") == "SymbolNotSimilar" for entry in failures
+            entry.plus.reason is Reason1D.SYMBOL_NOT_SIMILAR for entry in failures
         )
+
+    def test_not_equivalent_classifies_each_height_pair_once(self, monkeypatch):
+        calls = []
+        real = qhdecide.classify_pair
+
+        def counting(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(qhdecide, "classify_pair", counting)
+        v = decide(hp(1), hp(4))
+        assert v.kind == "not_equivalent"
+        # (+,+) and (+,-) in the search, then the two (-) sides it skipped
+        assert len(calls) == 4
 
     def test_hp_negative_equivalent(self):
         v = decide(hp(-1), hp(-2))
@@ -195,7 +213,7 @@ class TestDecide:
             a, b = rand_qhpoly(rng), rand_qhpoly(rng)
             if (a.r, a.s, a.d) != (b.r, b.s, b.d):
                 continue
-            if pairing_search(a, b):
+            if pairing_search(a, b).options:
                 assert a.e == b.e
 
     def test_suffc_tag_for_x_free_r_odd_s_even(self):

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from qhlip.cli import main
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import decide, validate_qh
 from qhlip.realalg import RealAlg
@@ -11,7 +13,6 @@ from qhlip.witness import (
     GridSpec,
     InverseBetaTransform,
     asymptotic_shell_decay,
-    eval_transform,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,
@@ -37,15 +38,15 @@ def scaling_transform() -> InverseBetaTransform:
 class TestEvalTransform:
     def test_identity(self):
         T = InverseBetaTransform(identity(), 2, 1)
-        assert eval_transform(T, (0.3, -0.5)) == pytest.approx((0.3, -0.5), abs=1e-14)
-        assert eval_transform(T, (0.0, 0.7)) == pytest.approx((0.0, 0.7), abs=1e-14)
+        assert T.eval((0.3, -0.5)) == pytest.approx((0.3, -0.5), abs=1e-14)
+        assert T.eval((0.0, 0.7)) == pytest.approx((0.0, 0.7), abs=1e-14)
 
     def test_pure_scaling(self):
         T = scaling_transform()
-        assert eval_transform(T, (1.0, 3.0)) == (2.0, 12.0)
-        assert eval_transform(T, (0.0, 5.0)) == (0.0, 20.0)
+        assert T.eval((1.0, 3.0)) == (2.0, 12.0)
+        assert T.eval((0.0, 5.0)) == (0.0, 20.0)
         # x < 0 goes through the second map with |x|^beta
-        px, py = eval_transform(T, (-1.0, 3.0))
+        px, py = T.eval((-1.0, 3.0))
         assert (px, py) == (-2.0, 12.0)
 
     def test_halfplane_preservation(self):
@@ -54,13 +55,13 @@ class TestEvalTransform:
         for _ in range(50):
             x = rng.uniform(-2, 2)
             y = rng.uniform(-2, 2)
-            px, _ = eval_transform(T, (x, y))
+            px, _ = T.eval((x, y))
             assert px == 0 if x == 0 else px * x > 0
 
     def test_negative_scale_flips_halfplanes(self):
         z = Zygothety(ra(-1), ra(-1), Affine(F(1), F(0)), Affine(F(1), F(0)))
         T = InverseBetaTransform(z, 2, 1)
-        px, _ = eval_transform(T, (0.5, 0.25))
+        px, _ = T.eval((0.5, 0.25))
         assert px == -0.5
 
     def test_homogeneity_consistency(self):
@@ -72,8 +73,8 @@ class TestEvalTransform:
             x = rng.uniform(0.05, 1.0) * rng.choice([-1.0, 1.0])
             y = rng.uniform(-2.0, 2.0) * abs(x) ** beta
             tau = rng.uniform(0.3, 1.7)
-            p1 = eval_transform(T, (tau * x, tau**beta * y))
-            p0 = eval_transform(T, (x, y))
+            p1 = T.eval((tau * x, tau**beta * y))
+            p0 = T.eval((x, y))
             assert p1[0] == pytest.approx(tau * p0[0], rel=1e-9, abs=1e-12)
             assert p1[1] == pytest.approx(tau**beta * p0[1], rel=1e-9, abs=1e-12)
 
@@ -88,7 +89,7 @@ class TestEvalTransform:
             if abs(x) < 1e-3:
                 continue
             y = rng.uniform(-2.0, 2.0) * abs(x) ** 2
-            q = eval_transform(Ti, eval_transform(T, (x, y)))
+            q = Ti.eval(T.eval((x, y)))
             assert q[0] == pytest.approx(x, rel=1e-8, abs=1e-8)
             assert q[1] == pytest.approx(y, rel=1e-8, abs=1e-8)
 
@@ -214,3 +215,22 @@ class TestRandomWitnesses:
             rep = verify_conjugacy(q, g, T, GridSpec(x_count=20, t_count=40), tol=1e-8)
             assert rep.conjugacy_pass, (q, g, rep.max_rel_residual)
             done += 1
+
+
+class TestBranchInversionAtCriticalEnd:
+    def test_witness_past_extremum_reproducer(self, capsys):
+        # an evaluation point lands a rounding error past the extremum at the
+        # finite end of an unbounded branch; this used to raise OverflowError
+        code = main(
+            [
+                "witness",
+                "X^10 + 3*X^4*Y^2 + X*Y^3",
+                "(1024/59049)*X^10 + (16/27)*X^4*Y^2 - (2/3)*X*Y^3",
+                "--beta",
+                "3/1",
+            ]
+        )
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert code == 0
+        assert report["conjugacy_pass"]
+        assert report["max_rel_residual"] < 1e-12

@@ -14,13 +14,13 @@ from qhlip.zygothety import (
     Neg,
     NegConj,
     Zygothety,
+    _invert_on_branch,
     action_residual,
     compose,
     identity,
     identity_map,
     inverse,
     is_beta_regular,
-    limit_slope,
     make_regular,
 )
 
@@ -100,27 +100,27 @@ class TestGroupOps:
 
 class TestLimitSlope:
     def test_affine(self):
-        assert limit_slope(Affine(F(3), F(7))) == ra(3)
+        assert Affine(F(3), F(7)).limit_slope() == ra(3)
 
     def test_identity_branch(self):
         f = UniPoly([1, -3, 0, 1])
-        assert limit_slope(branch_identity(f)) == ra(1)
+        assert branch_identity(f).limit_slope() == ra(1)
 
     def test_scaled_cubic_branch(self):
         phi = BranchMap(ra(8), True, UniPoly([1, 3, 0, 1]), UniPoly([1, 6, 0, 1]), (), ())
-        assert limit_slope(phi) == ra(2)
+        assert phi.limit_slope() == ra(2)
 
     def test_wrappers(self):
         m = Affine(F(3), F(1))
-        assert limit_slope(Neg(m)) == ra(-3)
-        assert limit_slope(NegConj(m)) == ra(3)
-        assert limit_slope(Compose(m, m)) == ra(9)
+        assert Neg(m).limit_slope() == ra(-3)
+        assert NegConj(m).limit_slope() == ra(3)
+        assert Compose(m, m).limit_slope() == ra(9)
 
     def test_inverse_slope_is_reciprocal(self):
         phi = BranchMap(ra(8), True, UniPoly([1, 3, 0, 1]), UniPoly([1, 6, 0, 1]), (), ())
         for m in (phi, Affine(F(-5, 3), F(2)), Compose(phi, Affine(F(2), F(0)))):
-            s = limit_slope(m)
-            si = limit_slope(m.inverse())
+            s = m.limit_slope()
+            si = m.inverse().limit_slope()
             assert compare(s * si, ra(1)) == 0
 
 
@@ -151,7 +151,7 @@ class TestBetaRegular:
 class TestMakeRegular:
     def test_hp_negative_pair(self):
         Fq, Gq = hp(-1), hp(-2)
-        option = pairing_search(Fq, Gq)[0]
+        option = pairing_search(Fq, Gq).options[0]
         z = make_regular(option, Fq, Gq)
         assert is_beta_regular(z, 2, 1)
         hf, hg = heights(Fq), heights(Gq)
@@ -160,7 +160,7 @@ class TestMakeRegular:
 
     def test_self_pair_is_identity_like(self):
         Fq = hp(2)
-        option = pairing_search(Fq, Fq)[0]
+        option = pairing_search(Fq, Fq).options[0]
         z = make_regular(option, Fq, Fq)
         assert z.lam1 == ra(1)
         for t in (-1.5, 0.0, 2.25):
@@ -169,7 +169,7 @@ class TestMakeRegular:
     def test_r_even_duplicates_components(self):
         Fq = hp(3)
         Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
-        option = pairing_search(Fq, Gq)[0]
+        option = pairing_search(Fq, Gq).options[0]
         z = make_regular(option, Fq, Gq)
         assert compare(z.lam1, z.lam2) == 0
         assert z.phi1 is z.phi2
@@ -185,7 +185,7 @@ class TestMakeRegular:
                 F(rng.choice([-3, -2, -1, 1, 2, 3])),
             )
             g = validate_qh(g_poly, q.r, q.s)
-            options = pairing_search(q, g)
+            options = pairing_search(q, g).options
             if not options:
                 continue
             v = decide(q, g)
@@ -243,3 +243,17 @@ class TestClosureProperties:
             assert g.eval_float(phi.eval_float(t)) == pytest.approx(
                 f.eval_float(t), rel=1e-9, abs=1e-9
             )
+
+
+class TestInvertOnBranch:
+    def test_value_past_the_extremum_clamps_to_the_critical_point(self):
+        # g = t^2 has its minimum 0 at t = 0; y sits just below it
+        g = UniPoly([0, 0, 1])
+        assert _invert_on_branch(g, [0.0], 1, -1e-17) == 0.0
+        assert _invert_on_branch(g, [0.0], 0, -1e-17) == 0.0
+        assert _invert_on_branch(g, [0.0], 1, 4.0) == pytest.approx(2.0)
+        assert _invert_on_branch(g, [0.0], 0, 4.0) == pytest.approx(-2.0)
+
+    def test_no_preimage_raises(self):
+        with pytest.raises(ArithmeticError):
+            _invert_on_branch(UniPoly([1]), [], 0, 5.0)
