@@ -292,8 +292,9 @@ def count_roots_between(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("empty interval")
     if lo == hi:
         return 0
+    if p(lo) == 0 or p(hi) == 0:
+        raise ArithmeticError("endpoint is a root; internal bug")
     chain = sturm_sequence(p)
-    assert chain[0](lo) != 0 and chain[0](hi) != 0, "endpoint is a root"
     va = sign_variations([q(lo) for q in chain])
     vb = sign_variations([q(hi) for q in chain])
     return va - vb

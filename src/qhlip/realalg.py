@@ -5,6 +5,12 @@ an isolating rational interval: either lo == hi and the number is the
 rational lo (with defpoly t - lo), or the defpoly has exactly one real root
 in (lo, hi) and neither endpoint is a root.  Equality and sign tests are
 exact (gcd plus Sturm counts); intervals are refined on demand.
+
+Because the defpoly is square-free with one root in the box, it takes
+opposite signs at the two endpoints, so every bisection of an isolating
+box decides by the sign of the defpoly at the midpoint: one evaluation per
+step, no Sturm chain.  `refine` checks the invariant (one Sturm count and
+the endpoint signs) once on entry and raises ArithmeticError when it fails.
 """
 
 from __future__ import annotations
@@ -111,18 +117,22 @@ class RealAlg:
             raise ValueError("width must be positive")
         if self.is_rational or self.hi - self.lo <= width:
             return self
-        lo, hi = self.lo, self.hi
-        chain_ok = _count_pair(self.defpoly, lo, hi)  # sanity: exactly one
-        assert chain_ok == 1
+        p, lo, hi = self.defpoly, self.lo, self.hi
+        if _count_pair(p, lo, hi) != 1:
+            raise ArithmeticError("isolating interval does not hold exactly one root; internal bug")
+        s_lo = sign(p(lo))
+        if s_lo == sign(p(hi)):
+            raise ArithmeticError("defpoly has no sign change on its isolating interval; internal bug")
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if self.defpoly(mid) == 0:
+            s_mid = sign(p(mid))
+            if s_mid == 0:
                 return RealAlg.from_rational(mid)
-            if _count_pair(self.defpoly, lo, mid) == 1:
-                hi = mid
-            else:
+            if s_mid == s_lo:
                 lo = mid
-        return RealAlg(self.defpoly, lo, hi)
+            else:
+                hi = mid
+        return RealAlg(p, lo, hi)
 
     def to_float(self) -> float:
         """Round to double after refining the interval below 2**-precision."""
@@ -244,14 +254,16 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
     if n > 1:
         return None
     # exactly one root: hunt for a small rational before settling
+    s_lo = sign(D(lo))
     for _ in range(_RATIONAL_PROBE_ROUNDS):
         cand = simplest_between(lo, hi)
-        if D(cand) == 0:
+        s_cand = sign(D(cand))
+        if s_cand == 0:
             return RealAlg.from_rational(cand)
-        if _count_pair(D, lo, cand) == 1:
-            hi = cand
-        else:
+        if s_cand == s_lo:
             lo = cand
+        else:
+            hi = cand
     return RealAlg(D, lo, hi)
 
 
@@ -278,7 +290,8 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
             return
         if n == 1:
             made = _try_make(q, lo, hi)
-            assert made is not None
+            if made is None:
+                raise ArithmeticError("one-root interval failed to certify; internal bug")
             roots.append(made)
             return
         mid = (lo + hi) / 2
@@ -302,6 +315,21 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     return roots
 
 
+def count_real_roots(p: UniPoly) -> int:
+    """Number of distinct real roots of p: one Sturm count over the Cauchy
+    bound of its square-free part, the same count isolate_real_roots opens
+    with."""
+    if p.is_zero:
+        raise ValueError("cannot count roots of the zero polynomial")
+    if p.degree == 0:
+        return 0
+    q = square_free_part(p)
+    if q.degree == 0:
+        return 0
+    bound = cauchy_root_bound(q)
+    return _count_pair(q, -bound, bound)
+
+
 # ---------------------------------------------------------------------------
 # Exact sign and order
 # ---------------------------------------------------------------------------
@@ -319,18 +347,19 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     if g.degree >= 1 and _count_pair(g, a.lo, a.hi) == 1:
         return 0
     q = square_free_part(p)
-    lo, hi = a.lo, a.hi
+    D, lo, hi = a.defpoly, a.lo, a.hi
+    s_lo = sign(D(lo))
     while True:
-        if q(lo) != 0 and q(hi) != 0 and _count_pair(q, lo, hi) == 0:
-            mid = (lo + hi) / 2
-            return sign(p(mid))
         mid = (lo + hi) / 2
-        if a.defpoly(mid) == 0:
+        if q(lo) != 0 and q(hi) != 0 and _count_pair(q, lo, hi) == 0:
+            return sign(p(mid))
+        s_mid = sign(D(mid))
+        if s_mid == 0:
             return sign(p(mid))  # a turned out to be the rational mid
-        if _count_pair(a.defpoly, lo, mid) == 1:
-            hi = mid
-        else:
+        if s_mid == s_lo:
             lo = mid
+        else:
+            hi = mid
 
 
 def compare(a: RealAlg, b: RealAlg) -> int:
@@ -373,17 +402,15 @@ def compare(a: RealAlg, b: RealAlg) -> int:
 
 
 def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
-    """sign(b - r)."""
-    if b.defpoly(r) == 0 and b.lo < r < b.hi:
-        return 0
-    rb = b
-    while rb.lo < r < rb.hi:
-        rb = rb.refine((rb.hi - rb.lo) / 2)
-        if rb.is_rational:
-            return sign(rb.lo - r)
-    if r <= rb.lo:
+    """sign(b - r) for an irrational b."""
+    if r <= b.lo:
         return 1
-    return -1
+    if r >= b.hi:
+        return -1
+    s_r = sign(b.defpoly(r))
+    if s_r == 0:
+        return 0
+    return 1 if s_r == sign(b.defpoly(b.lo)) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +605,8 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
             return RealAlg.from_rational(Fraction(np_, dp_))
         D = UniPoly((-v,) + (0,) * (n - 1) + (1,))  # x**n - v
         made = _try_make(D, *_root_bracket(v, v, n))
-        assert made is not None
+        if made is None:
+            raise ArithmeticError("x**n - v has two roots in its bracket; internal bug")
         return made
     ra = _avoid_zero(a)  # positive interval, defpoly nonzero at 0
     if ra.is_rational:

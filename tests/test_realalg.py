@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from qhlip.polyalg import UniPoly, count_roots_between
+import qhlip
+from qhlip import realalg
+from qhlip.polyalg import UniPoly, count_roots_between, sign, square_free_part
 from qhlip.realalg import (
     RealAlg,
     compare,
+    count_real_roots,
     eval_alg,
     isolate_real_roots,
     nth_root_pos,
@@ -231,3 +239,166 @@ class TestSimplestBetween:
         got = simplest_between(lo, hi)
         assert got == expected
         assert lo < got < hi
+
+
+def sturm_refine(a, width):
+    """Reference refinement: bisect a's box by Sturm counts on each half."""
+    lo, hi = a.lo, a.hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if a.defpoly(mid) == 0:
+            return mid, mid
+        if count_roots_between(a.defpoly, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def sturm_sign_minus(a, r):
+    """Reference sign(a - r) for an irrational a: one Sturm count on (lo, r)."""
+    if r <= a.lo:
+        return 1
+    if r >= a.hi:
+        return -1
+    if a.defpoly(r) == 0:
+        return 0
+    return -1 if count_roots_between(a.defpoly, a.lo, r) == 1 else 1
+
+
+def rand_squarefree(rng, max_deg):
+    while True:
+        q = square_free_part(rand_unipoly(rng, max_deg))
+        if q.degree >= 1:
+            return q
+
+
+def probe_points(a):
+    """Rationals inside, on and just outside a's isolating box."""
+    lo, hi = a.lo, a.hi
+    w = hi - lo
+    inside = [lo + w * k / 7 for k in range(1, 7)]
+    return inside + [(lo + hi) / 2, simplest_between(lo, hi), lo, hi, lo - w, hi + w]
+
+
+class TestSignBisection:
+    def test_refine_matches_sturm_bisection(self):
+        rng = random.Random(106)
+        width = F(1, 2**100)
+        checked = 0
+        for _ in range(40):
+            for root in isolate_real_roots(rand_squarefree(rng, 7)):
+                if root.is_rational:
+                    continue
+                got = root.refine(width)
+                assert (got.lo, got.hi) == sturm_refine(root, width)
+                assert got.defpoly == root.defpoly
+                checked += 1
+        assert checked >= 20
+
+    def test_compare_and_sign_at_rational_points(self):
+        rng = random.Random(107)
+        t = UniPoly((0, 1))
+        checked = 0
+        for _ in range(30):
+            q = rand_squarefree(rng, 6)
+            for root in isolate_real_roots(q):
+                if root.is_rational:
+                    continue
+                dq = root.defpoly.derivative()
+                s_lo = sign(root.defpoly(root.lo))
+                # a simple root crossing from s_lo to -s_lo
+                assert sign_at(dq, root) == -s_lo
+                assert sign_at(root.defpoly, root) == 0
+                for r in probe_points(root):
+                    want = sturm_sign_minus(root, r)
+                    assert compare(root, RealAlg.from_rational(r)) == want
+                    assert compare(RealAlg.from_rational(r), root) == -want
+                    assert sign_at(t - UniPoly.constant(r), root) == want
+                    checked += 1
+        assert checked >= 200
+
+    def test_compare_with_rational_roots_in_box(self):
+        # (t - 1/3)(t^2 - 2); the box (0, 1) isolates the rational root 1/3
+        p = P(F(2, 3), -2, F(-1, 3), 1)
+        roots = isolate_real_roots(p)
+        assert [r.is_rational for r in roots] == [False, True, False]
+        assert roots[1].as_fraction() == F(1, 3)
+        wide = RealAlg(p, F(0), F(1))
+        assert compare(wide, RealAlg.from_rational(F(1, 3))) == 0
+        assert compare(wide, RealAlg.from_rational(F(1, 4))) == 1
+        assert compare(wide, RealAlg.from_rational(F(1, 2))) == -1
+
+    def test_count_real_roots_matches_oracle(self):
+        rng = random.Random(108)
+        t = UniPoly((0, 1))
+        for k in range(60):
+            p = rand_unipoly(rng, 5)
+            if k % 3 == 1:
+                p = p * p * rand_unipoly(rng, 2)  # repeated roots
+            elif k % 3 == 2:
+                a = F(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3)):
+                    p = p * (t - UniPoly.constant(a))  # rational root, maybe repeated
+            assert count_real_roots(p) == brute_force_real_root_count(p)
+
+    def test_count_real_roots_edge_cases(self):
+        assert count_real_roots(P(5)) == 0
+        assert count_real_roots(P(-1, 0, 1) * P(-1, 0, 1) * P(-1, 0, 1)) == 2
+        with pytest.raises(ValueError):
+            count_real_roots(UniPoly.zero())
+
+    def test_to_float_makes_at_most_one_sturm_count(self, monkeypatch):
+        root = isolate_real_roots(P(1, -3, 0, 1))[0]
+        assert not root.is_rational
+        realalg._count_pair.cache_clear()
+        calls = []
+        inner = realalg.count_roots_between
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(realalg, "count_roots_between", counted)
+        value = root.to_float()
+        assert len(calls) <= 1
+        # a comparison with a rational inside the box is one sign test
+        mid = (root.lo + root.hi) / 2
+        assert compare(root, RealAlg.from_rational(mid)) in (-1, 1)
+        assert len(calls) <= 1
+        assert abs(root.defpoly.eval_float(value)) < 1e-9
+
+
+def test_invariants_hold_under_python_O():
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from qhlip.polyalg import UniPoly, count_roots_between
+        from qhlip.realalg import RealAlg
+        print("debug", __debug__)
+        boxes = [
+            RealAlg(UniPoly((-2, 0, 1)), Fraction(-2), Fraction(2)),  # two roots
+            RealAlg(UniPoly((1, -2, 1)), Fraction(0), Fraction(2)),  # double root
+        ]
+        for a in boxes:
+            try:
+                a.refine(Fraction(1, 8))
+            except ArithmeticError as exc:
+                print("raised", exc)
+            else:
+                print("accepted", a)
+        try:
+            count_roots_between(UniPoly((-1, 0, 1)), Fraction(-1), Fraction(2))
+        except ArithmeticError as exc:
+            print("raised", exc)
+        else:
+            print("accepted endpoint root")
+        """
+    )
+    src = str(Path(qhlip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 3, out.stdout
