@@ -1,0 +1,112 @@
+"""Differential check of qhlip's exact kernel against sympy.
+
+Compares, on seeded random inputs:
+
+* ``polyalg.resultant`` on pairs of polynomials in t with coefficients in
+  x against ``sympy.resultant`` (up to sign: for example sympy gives
+  ``resultant(t, t**3 + 1, t) == -1`` where the Sylvester determinant, and
+  qhlip, give 1);
+* ``realalg.count_real_roots`` against the Sturm count of sympy's
+  square-free part;
+* ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
+  increasing, each rational root a root of p and each isolating interval
+  holding exactly one root of p by sympy's count.
+
+Not part of the test suite; needs sympy.  Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/fuzz_sympy.py --cases 200 --seed 1
+
+Exits 1 on the first mismatch, 0 when every case agrees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+
+import sympy
+
+from qhlip.polyalg import TPoly, UniPoly, resultant
+from qhlip.realalg import count_real_roots, isolate_real_roots
+
+X, T = sympy.symbols("x t")
+
+
+def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
+    """Nonconstant integer polynomial, sometimes with a repeated factor."""
+    while True:
+        p = UniPoly(rng.randint(-6, 6) for _ in range(rng.randint(2, max_deg + 1)))
+        if p.degree >= 1:
+            break
+    if rng.random() < 0.3:
+        q = UniPoly((rng.randint(-3, 3), rng.choice((-1, 1, 2))))
+        p = p * q * q
+    return p
+
+
+def rand_tpoly(rng: random.Random) -> TPoly:
+    """Polynomial in t of degree 0-4 with integer coefficients in x of degree 0-2."""
+
+    def coeff() -> UniPoly:
+        return UniPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
+
+    lead = coeff()
+    while lead.is_zero:
+        lead = coeff()
+    return TPoly([coeff() for _ in range(rng.randint(0, 4))] + [lead])
+
+
+def uni_expr(p: UniPoly, var: sympy.Symbol) -> sympy.Expr:
+    return sum(sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(p.coeffs))
+
+
+def tpoly_expr(A: TPoly) -> sympy.Expr:
+    return sum(uni_expr(c, X) * T**k for k, c in enumerate(A.coeffs))
+
+
+def check_resultant(A: TPoly, B: TPoly) -> str | None:
+    ours = uni_expr(resultant(A, B), X)
+    theirs = sympy.resultant(tpoly_expr(A), tpoly_expr(B), T)
+    if sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0:
+        return None
+    return f"resultant of {A.coeffs} and {B.coeffs}: qhlip {ours}, sympy {theirs}"
+
+
+def check_roots(p: UniPoly) -> str | None:
+    sqf = sympy.Poly(uni_expr(p, T), T).sqf_part()
+    want = sqf.count_roots()
+    if count_real_roots(p) != want:
+        return f"count_real_roots({p}) = {count_real_roots(p)}, sympy {want}"
+    roots = isolate_real_roots(p)
+    if len(roots) != want:
+        return f"isolate_real_roots({p}) gave {len(roots)} roots, sympy counts {want}"
+    for prev, cur in zip(roots, roots[1:]):
+        if not prev.hi <= cur.lo:
+            return f"isolate_real_roots({p}): {prev} and {cur} overlap or are out of order"
+    for r in roots:
+        lo, hi = sympy.Rational(str(r.lo)), sympy.Rational(str(r.hi))
+        if r.is_rational and sqf.eval(lo) != 0:
+            return f"isolate_real_roots({p}): {r.lo} is not a root"
+        if not r.is_rational and sqf.count_roots(lo, hi) != 1:
+            return f"isolate_real_roots({p}): ({r.lo}, {r.hi}) does not isolate one root"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--cases", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    rng = random.Random(args.seed)
+    for i in range(args.cases):
+        problem = check_resultant(rand_tpoly(rng), rand_tpoly(rng)) or check_roots(rand_uni(rng, 8))
+        if problem:
+            print(f"case {i}: MISMATCH {problem}")
+            return 1
+    print(f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

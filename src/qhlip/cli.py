@@ -4,9 +4,7 @@ Subcommands classify pairs of polynomials, materialize and verify witness
 maps, and scan one-parameter families.  Output is deterministic JSON on
 stdout; errors are machine-readable JSON on stderr.  Exit codes for the
 classification commands encode the verdict: 0 equivalent, 1 not equivalent,
-2 unknown, 3 and above for errors.  The environment variable
-QHLIP_PRECISION_BITS overrides the default interval refinement (80 bits)
-used when converting exact values to floats.
+2 unknown, 3 and above for errors.
 """
 
 from __future__ import annotations

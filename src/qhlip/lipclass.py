@@ -124,8 +124,10 @@ def critical_data(f: UniPoly) -> CritData:
     """Critical points of f (roots of f'), their multiplicities and values."""
     if f.is_constant:
         raise ValueError("critical_data of a constant function")
-    points = tuple(isolate_real_roots(f.derivative()))
-    mults = tuple(multiplicity_at(f, p) for p in points)
+    df = f.derivative()
+    points = tuple(isolate_real_roots(df))
+    # each point is a root of f', so its first nonzero derivative is f'' or later
+    mults = tuple(1 + multiplicity_at(df, p) for p in points)
     values = tuple(eval_alg(f, p) for p in points)
     assert all(m >= 2 for m in mults)
     return CritData(points, mults, values, f.degree, sign(f.leading))

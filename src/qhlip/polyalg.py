@@ -35,7 +35,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -458,7 +458,7 @@ def is_cxd(F: BiPoly) -> tuple[Fraction, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Resultants via the subresultant pseudo-remainder sequence
+# Resultants by evaluation and interpolation
 # ---------------------------------------------------------------------------
 
 
@@ -486,6 +486,10 @@ class TPoly:
         return len(self.coeffs) - 1
 
     @property
+    def x_degree(self) -> int:
+        return max(c.degree for c in self.coeffs)
+
+    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -495,112 +499,65 @@ class TPoly:
             raise ValueError("zero polynomial")
         return self.coeffs[-1]
 
-    def shift(self, k: int) -> "TPoly":
-        if self.is_zero:
-            return self
-        return TPoly((UniPoly(),) * k + self.coeffs)
-
-    def scale(self, c: UniPoly) -> "TPoly":
-        if c.is_zero:
-            return TPoly()
-        return TPoly(tuple(a * c for a in self.coeffs))
-
-    def divexact_scalar(self, c: UniPoly) -> "TPoly":
-        return TPoly(tuple(a.divexact(c) for a in self.coeffs))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        a, b = list(self.coeffs), other.coeffs
-        if len(a) < len(b):
-            a += [UniPoly()] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            a[i] = a[i] - c
-        return TPoly(a)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        if self.is_zero or other.is_zero:
-            return TPoly()
-        out = [UniPoly() for _ in range(self.degree + other.degree + 1)]
-        for i, ci in enumerate(self.coeffs):
-            if not ci.is_zero:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + ci * cj
-        return TPoly(out)
+    def at(self, x: RatLike) -> UniPoly:
+        """The polynomial in t obtained by setting x to a rational value."""
+        return UniPoly(tuple(c(x) for c in self.coeffs))
 
 
-def _pseudo_rem(A: TPoly, B: TPoly) -> TPoly:
-    """prem(A, B): lc(B)**(deg A - deg B + 1) * A reduced mod B."""
-    d = B.leading
-    delta = A.degree - B.degree
-    R = A
-    steps = delta + 1
-    while not R.is_zero and R.degree >= B.degree:
-        R = R.scale(d) - B.scale(R.leading).shift(R.degree - B.degree)
-        steps -= 1
-    if steps > 0:
-        mult = d
-        for _ in range(steps - 1):
-            mult = mult * d
-        R = R.scale(mult)
-    return R
+def _resultant_q(p: UniPoly, q: UniPoly) -> Fraction:
+    """Res(p, q) over Q for nonzero p and q, by the Euclidean rule
+    Res(p, q) = (-1)**(deg p * deg q) * lc(q)**(deg p - deg r) * Res(q, r)
+    with r = p mod q."""
+    acc = Fraction(1)
+    while q.degree > 0:
+        r = p % q
+        if r.is_zero:
+            return Fraction(0)
+        if p.degree * q.degree % 2:
+            acc = -acc
+        acc *= q.leading ** (p.degree - r.degree)
+        p, q = q, r
+    return acc * q.leading**p.degree
+
+
+def _interpolate(xs: Sequence[int], values: Sequence[Fraction]) -> UniPoly:
+    """The polynomial of degree below len(xs) through (xs[i], values[i])."""
+    c = list(values)
+    n = len(c)
+    for j in range(1, n):  # Newton divided differences, in place
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    out = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):  # out = out * (x - xs[k]) + c[k]
+        for i in range(n - 1, 0, -1):
+            out[i] = out[i - 1] - xs[k] * out[i]
+        out[0] = c[k] - xs[k] * out[0]
+    return UniPoly(out)
 
 
 def resultant(p: UniPoly | TPoly, q: UniPoly | TPoly) -> UniPoly:
-    """Resultant with respect to t, exact, via the subresultant PRS.
+    """Resultant with respect to t, exact, by evaluation and interpolation.
 
     Inputs are polynomials in t; coefficients may involve one extra variable
     x (TPoly).  Plain UniPoly arguments are read as polynomials in t with
     constant coefficients.  The result is a UniPoly in x.
+
+    x runs over 0, 1, 2, ..., skipping every point where a leading
+    coefficient in t vanishes, so that taking the resultant commutes with
+    evaluation there (Collins, JACM 18, 1971); the values at
+    deg_t A * deg_x B + deg_t B * deg_x A + 1 such points determine it.
     """
     A = p if isinstance(p, TPoly) else TPoly.from_unipoly_in_t(p)
     B = q if isinstance(q, TPoly) else TPoly.from_unipoly_in_t(q)
     if A.is_zero or B.is_zero:
         raise ValueError("resultant of a zero polynomial")
-    s = 1
-    if A.degree < B.degree:
-        if (A.degree * B.degree) % 2 == 1:
-            s = -s
-        A, B = B, A
-    if B.degree == 0:
-        out = UniPoly.one()
-        for _ in range(A.degree):
-            out = out * B.leading
-        return out if s == 1 else -out
-    g = UniPoly.one()
-    h = UniPoly.one()
-    while True:
-        dA, dB = A.degree, B.degree
-        delta = dA - dB
-        if dA % 2 == 1 and dB % 2 == 1:
-            s = -s
-        R = _pseudo_rem(A, B)
-        A = B
-        if R.is_zero:
-            return UniPoly.zero()
-        divisor = g
-        for _ in range(delta):
-            divisor = divisor * h
-        B = R.divexact_scalar(divisor)
-        g = A.leading
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
-        else:
-            num = g
-            for _ in range(delta - 1):
-                num = num * g
-            den = h
-            for _ in range(delta - 2):
-                den = den * h
-            h = num.divexact(den)
-        if B.degree == 0:
-            break
-    # deg A >= 1 here; fold the last constant into the subresultant scale
-    num = B.leading
-    for _ in range(A.degree - 1):
-        num = num * B.leading
-    den = UniPoly.one()
-    for _ in range(A.degree - 1):
-        den = den * h
-    out = num.divexact(den)
-    return out if s == 1 else -out
+    points = A.degree * B.x_degree + B.degree * A.x_degree + 1
+    xs: list[int] = []
+    values: list[Fraction] = []
+    x = 0
+    while len(xs) < points:
+        if A.leading(x) != 0 and B.leading(x) != 0:
+            xs.append(x)
+            values.append(_resultant_q(A.at(x), B.at(x)))
+        x += 1
+    return _interpolate(xs, values)

@@ -15,10 +15,10 @@ the endpoint signs) once on entry and raises ArithmeticError when it fails.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from math import comb
+from typing import Callable, Optional
 
 from .polyalg import (
     RatLike,
@@ -33,22 +33,12 @@ from .polyalg import (
     square_free_part,
 )
 
-DEFAULT_PRECISION_BITS = 80
-_PRECISION_ENV = "QHLIP_PRECISION_BITS"
+#: to_float refines the isolating interval below this width
+_FLOAT_WIDTH = Fraction(1, 2**80)
 
 #: probe rounds spent looking for a small-denominator rational in a fresh
 #: isolating interval; catches every rational of modest height
 _RATIONAL_PROBE_ROUNDS = 4
-
-
-def precision_bits() -> int:
-    raw = os.environ.get(_PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    bits = int(raw)
-    if bits < 8:
-        raise ValueError(f"{_PRECISION_ENV} must be >= 8")
-    return bits
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -135,10 +125,10 @@ class RealAlg:
         return RealAlg(p, lo, hi)
 
     def to_float(self) -> float:
-        """Round to double after refining the interval below 2**-precision."""
+        """Round to double after refining the interval below 2**-80."""
         if self.is_rational:
             return float(self.lo)
-        r = self.refine(Fraction(1, 2**precision_bits()))
+        r = self.refine(_FLOAT_WIDTH)
         if r.is_rational:
             return float(r.lo)
         return float((r.lo + r.hi) / 2)
@@ -265,6 +255,27 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
         else:
             hi = cand
     return RealAlg(D, lo, hi)
+
+
+def _certified_image(
+    D: UniPoly,
+    enclose: Callable[..., tuple[Fraction, Fraction]],
+    fallback: Callable[..., RealAlg],
+    *sources: RealAlg,
+) -> RealAlg:
+    """The root of D inside enclose(*sources), certified by _try_make.
+
+    Every source box is halved until the enclosure isolates one root of D;
+    once a source refines to a rational, fallback(*sources) computes the
+    value instead.
+    """
+    while True:
+        made = _try_make(D, *enclose(*sources))
+        if made is not None:
+            return made
+        sources = tuple(s.refine((s.hi - s.lo) / 2) for s in sources)
+        if any(s.is_rational for s in sources):
+            return fallback(*sources)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +432,12 @@ def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
 @lru_cache(maxsize=None)
 def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a+b: Res_t(A(t), B(x - t))."""
-    x_minus_t = TPoly((UniPoly((0, 1)), UniPoly((-1,))))
-    acc = TPoly((UniPoly.one(),))
-    powers = [acc]
-    for _ in range(B.degree):
-        acc = acc * x_minus_t
-        powers.append(acc)
-    comp = TPoly()
-    for j, c in enumerate(B.coeffs):
-        if c:
-            comp = comp - powers[j].scale(UniPoly.constant(-c))
+    n = B.degree
+    # coefficient of t^k in B(x - t) is sum_i (-1)^k C(k+i, k) b_(k+i) x^i
+    comp = TPoly(
+        UniPoly((-1) ** k * comb(k + i, k) * B.coeff(k + i) for i in range(n - k + 1))
+        for k in range(n + 1)
+    )
     return square_free_part(resultant(A, comp))
 
 
@@ -497,15 +504,7 @@ def add(a: RealAlg, b: RealAlg) -> RealAlg:
         D = a.defpoly.compose(shift)  # roots move by +r
         return RealAlg(D.monic(), a.lo + r, a.hi + r)
     D = _sum_defpoly(a.defpoly, b.defpoly)
-    ra, rb = a, b
-    while True:
-        made = _try_make(D, ra.lo + rb.lo, ra.hi + rb.hi)
-        if made is not None:
-            return made
-        ra = ra.refine((ra.hi - ra.lo) / 2)
-        rb = rb.refine((rb.hi - rb.lo) / 2)
-        if ra.is_rational or rb.is_rational:
-            return add(ra, rb)
+    return _certified_image(D, lambda ra, rb: (ra.lo + rb.lo, ra.hi + rb.hi), add, a, b)
 
 
 def mul(a: RealAlg, b: RealAlg) -> RealAlg:
@@ -528,17 +527,12 @@ def mul(a: RealAlg, b: RealAlg) -> RealAlg:
     b = _avoid_zero(b)
     if b.is_rational:
         return mul(a, b)
-    D = _product_defpoly(a.defpoly, b.defpoly)
-    ra, rb = a, b
-    while True:
-        cands = (ra.lo * rb.lo, ra.lo * rb.hi, ra.hi * rb.lo, ra.hi * rb.hi)
-        made = _try_make(D, min(cands), max(cands))
-        if made is not None:
-            return made
-        ra = ra.refine((ra.hi - ra.lo) / 2)
-        rb = rb.refine((rb.hi - rb.lo) / 2)
-        if ra.is_rational or rb.is_rational:
-            return mul(ra, rb)
+    return _certified_image(_product_defpoly(a.defpoly, b.defpoly), _product_box, mul, a, b)
+
+
+def _product_box(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return min(cands), max(cands)
 
 
 def inverse(b: RealAlg) -> RealAlg:
@@ -565,17 +559,7 @@ def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:
     if p.is_constant:
         return RealAlg.from_rational(p.coeff(0))
     D = _eval_defpoly(a.defpoly, p)
-    ra = a
-    while True:
-        lo, hi = interval_eval(p, ra.lo, ra.hi)
-        if lo == hi:
-            return RealAlg.from_rational(lo)
-        made = _try_make(D, lo, hi)
-        if made is not None:
-            return made
-        ra = ra.refine((ra.hi - ra.lo) / 2)
-        if ra.is_rational:
-            return eval_alg(p, ra)
+    return _certified_image(D, lambda r: interval_eval(p, r.lo, r.hi), partial(eval_alg, p), a)
 
 
 def _exact_int_nth_root(n: int, k: int) -> Optional[int]:
@@ -611,14 +595,12 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
     ra = _avoid_zero(a)  # positive interval, defpoly nonzero at 0
     if ra.is_rational:
         return nth_root_pos(ra, n)
-    D = ra.defpoly.stretch(n)
-    while True:
-        made = _try_make(D, *_root_bracket(ra.lo, ra.hi, n))
-        if made is not None:
-            return made
-        ra = ra.refine((ra.hi - ra.lo) / 2)
-        if ra.is_rational:
-            return nth_root_pos(ra, n)
+    return _certified_image(
+        ra.defpoly.stretch(n),
+        lambda r: _root_bracket(r.lo, r.hi, n),
+        lambda r: nth_root_pos(r, n),
+        ra,
+    )
 
 
 def _root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:

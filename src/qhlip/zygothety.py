@@ -17,8 +17,6 @@ from .lipclass import Orientation, Pairing1D, critical_data
 from .polyalg import UniPoly
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
 
-_BRACKET_REFINE = Fraction(1, 2**64)
-
 
 class ConstructionUnavailable(Exception):
     """No known construction upgrades this pairing to a regular zygothety."""
@@ -114,8 +112,8 @@ class BranchMap(PLMap):
 
     def _floats(self):
         if self._flt is None:
-            cf = [x.refine(_BRACKET_REFINE).to_float() for x in self.crits_f]
-            cg = [x.refine(_BRACKET_REFINE).to_float() for x in self.crits_g]
+            cf = [x.to_float() for x in self.crits_f]
+            cg = [x.to_float() for x in self.crits_g]
             self._flt = (self.c.to_float(), cf, cg)
         return self._flt
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
-from qhlip.polyalg import BiPoly, UniPoly, cauchy_root_bound, square_free_part
+from qhlip.polyalg import BiPoly, TPoly, UniPoly, cauchy_root_bound, square_free_part
 from qhlip.qhdecide import QHPoly, validate_qh
 
 
@@ -15,6 +16,51 @@ def rand_unipoly(rng: random.Random, max_deg: int = 6, coeff_bound: int = 5) -> 
     cs = [Fraction(rng.randint(-coeff_bound, coeff_bound)) for _ in range(d)]
     lc = Fraction(rng.choice([x for x in range(-coeff_bound, coeff_bound + 1) if x != 0]))
     return UniPoly(cs + [lc])
+
+
+def rand_tpoly(rng: random.Random, max_t: int = 3, max_x: int = 2, bound: int = 4) -> TPoly:
+    """Random polynomial in t with integer polynomial coefficients in x.
+
+    The t-degree may be 0; the leading coefficient in t is a nonzero
+    polynomial in x.
+    """
+
+    def coeff() -> UniPoly:
+        return UniPoly(rng.randint(-bound, bound) for _ in range(rng.randint(1, max_x + 1)))
+
+    lead = coeff()
+    while lead.is_zero:
+        lead = coeff()
+    return TPoly([coeff() for _ in range(rng.randint(0, max_t))] + [lead])
+
+
+def sylvester_resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+    """Res(p, q) as the determinant of the Sylvester matrix.
+
+    p[i] and q[i] are the coefficients of t**i, and the formal degrees are
+    len(p) - 1 and len(q) - 1, so a zero leading coefficient still counts.
+    The determinant is taken by Fraction Gaussian elimination.
+    """
+    m, n = len(p) - 1, len(q) - 1
+    top_p = [Fraction(c) for c in reversed(p)]
+    top_q = [Fraction(c) for c in reversed(q)]
+    zero = [Fraction(0)]
+    rows = [zero * i + top_p + zero * (n - 1 - i) for i in range(n)]
+    rows += [zero * i + top_q + zero * (m - 1 - i) for i in range(m)]
+    det = Fraction(1)
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, m + n):
+            f = rows[r][col] / rows[col][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
 
 
 def rand_nonzero_rational(rng: random.Random, num_bound: int = 4, den_bound: int = 4) -> Fraction:

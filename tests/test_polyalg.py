@@ -18,7 +18,7 @@ from qhlip.polyalg import (
     y_divides,
 )
 
-from helpers import brute_force_real_root_count, rand_unipoly
+from helpers import brute_force_real_root_count, rand_tpoly, rand_unipoly, sylvester_resultant
 
 T = UniPoly.var()
 
@@ -190,6 +190,62 @@ class TestResultant:
     def test_zero_input_rejected(self):
         with pytest.raises(ValueError):
             resultant(UniPoly.zero(), P(1, 1))
+
+    @staticmethod
+    def sylvester_at(A, B, x0):
+        return sylvester_resultant([c(x0) for c in A.coeffs], [c(x0) for c in B.coeffs])
+
+    def test_matches_sylvester_at_rational_points(self):
+        rng = random.Random(48)
+        for _ in range(60):
+            A, B = rand_tpoly(rng), rand_tpoly(rng)
+            res = resultant(A, B)
+            assert res.degree <= A.degree * B.x_degree + B.degree * A.x_degree
+            for x0 in (F(0), F(1), F(2), F(-3, 2), F(rng.randint(-9, 9), rng.randint(1, 9))):
+                assert res(x0) == self.sylvester_at(A, B, x0)
+
+    def test_leading_coefficients_vanishing_at_first_points(self):
+        # x(x - 1)(x - 2) and 3(x - 1) vanish at the first evaluation points,
+        # which must be skipped; the formal Sylvester determinant still holds
+        # there
+        rng = random.Random(49)
+        lead_a = P(0, 2, -3, 1)
+        lead_b = P(-3, 3)
+        for _ in range(30):
+            A = TPoly(rand_tpoly(rng, max_t=2).coeffs + (lead_a,))
+            B = TPoly(rand_tpoly(rng, max_t=2).coeffs + (rng.choice((lead_a, lead_b)),))
+            res = resultant(A, B)
+            for x0 in (F(0), F(1), F(2), F(3), F(5, 2), F(-7, 3)):
+                assert res(x0) == self.sylvester_at(A, B, x0)
+
+    def test_degree_zero_operands(self):
+        rng = random.Random(50)
+        for _ in range(20):
+            a = TPoly((P(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, -2))),))
+            B = rand_tpoly(rng)
+            power = P(1)
+            for _ in range(B.degree):
+                power = power * a.leading
+            assert resultant(a, B) == power
+            assert resultant(B, a) == power
+            for x0 in (F(0), F(1), F(7, 2)):
+                assert resultant(B, a)(x0) == self.sylvester_at(B, a, x0)
+        assert resultant(P(3), P(5)) == P(1)
+        assert resultant(P(3), P(1, 1, 1)) == P(9)
+        assert resultant(P(1, 1, 1), P(-3)) == P(9)
+        assert resultant(TPoly((P(0, 1),)), P(-1, 0, 1)) == P(0, 0, 1)
+
+    def test_sign_convention(self):
+        # the Sylvester determinant: Res(t, t^3 + 1) = 1, and swapping the
+        # operands multiplies by (-1)^(deg p deg q)
+        assert resultant(T, P(1, 0, 0, 1)) == P(1)
+        assert resultant(P(1, 0, 0, 1), T) == P(-1)
+        assert resultant(P(0, 0, 1), P(-2, 1)) == P(4)
+        rng = random.Random(51)
+        for _ in range(30):
+            A, B = rand_tpoly(rng), rand_tpoly(rng)
+            swapped = resultant(B, A)
+            assert swapped == (resultant(A, B) if A.degree * B.degree % 2 == 0 else -resultant(A, B))
 
 
 class TestStructureQueries:

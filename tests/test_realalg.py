@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qhlip
 from qhlip import realalg
@@ -23,7 +24,7 @@ from qhlip.realalg import (
     simplest_between,
 )
 
-from helpers import brute_force_real_root_count, rand_unipoly
+from helpers import brute_force_real_root_count, rand_nonzero_rational, rand_unipoly
 
 
 def P(*coeffs):
@@ -217,11 +218,6 @@ class TestRefineAndFloat:
     def test_float_of_sqrt2(self):
         assert sqrt2().to_float() == pytest.approx(2**0.5, abs=5e-16)
 
-    def test_precision_env_override(self, monkeypatch):
-        monkeypatch.setenv("QHLIP_PRECISION_BITS", "30")
-        r = sqrt2().refine(F(1, 2**30))
-        assert abs(r.to_float() - 2**0.5) < 1e-8
-
 
 class TestSimplestBetween:
     @pytest.mark.parametrize(
@@ -402,3 +398,64 @@ def test_invariants_hold_under_python_O():
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
     assert [line.split()[0] for line in lines[1:]] == ["raised"] * 3, out.stdout
+
+
+def from_roots(roots):
+    out = UniPoly.one()
+    for r in roots:
+        out = out * UniPoly((-r, 1))
+    return out
+
+
+class TestResultantDefpolys:
+    """The sum, product and image defpolys of numbers with known rational
+    roots are the monic products of (x - value) over the distinct values."""
+
+    def test_sum_product_and_image_defpolys(self):
+        rng = random.Random(120)
+        for _ in range(20):
+            ra = [rand_nonzero_rational(rng, 5, 3) for _ in range(rng.randint(1, 3))]
+            rb = [rand_nonzero_rational(rng, 5, 3) for _ in range(rng.randint(1, 3))]
+            A, B = from_roots(ra), from_roots(rb)
+            p = rand_unipoly(rng, 3)
+            assert realalg._sum_defpoly(A, B) == from_roots({x + y for x in ra for y in rb})
+            assert realalg._product_defpoly(A, B) == from_roots({x * y for x in ra for y in rb})
+            assert realalg._eval_defpoly(A, p) == from_roots({p(x) for x in ra})
+
+    def test_sum_of_square_roots(self):
+        s2, s3 = sqrt2(), nth_root_pos(RealAlg.from_rational(3), 2)
+        assert realalg._sum_defpoly(s2.defpoly, s3.defpoly) == P(1, 0, -10, 0, 1)
+        total = s2 + s3
+        assert total.to_float() == pytest.approx(2**0.5 + 3**0.5, abs=1e-15)
+        assert total - s3 == s2
+
+
+@st.composite
+def real_algs(draw):
+    """A real root of a random integer quadratic."""
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+    assume(coeffs[-1] != 0)
+    roots = isolate_real_roots(UniPoly(coeffs))
+    assume(roots)
+    return roots[draw(st.integers(0, len(roots) - 1))]
+
+
+#: few, reproducible examples: each one runs exact resultant arithmetic
+few_examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestFieldLawsProperty:
+    @few_examples
+    @given(real_algs(), st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    def test_eval_alg_matches_horner(self, a, coeffs):
+        p = UniPoly(coeffs)
+        acc = RealAlg.from_rational(0)
+        for c in reversed(p.coeffs):
+            acc = acc * a + c
+        assert eval_alg(p, a) == acc
+
+    @few_examples
+    @given(real_algs(), real_algs())
+    def test_product_then_quotient(self, a, b):
+        assume(b.sign() != 0)
+        assert (a * b) / b == a
