@@ -10,7 +10,12 @@ Compares, on seeded random inputs:
   square-free part;
 * ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
   increasing, each rational root a root of p and each isolating interval
-  holding exactly one root of p by sympy's count.
+  holding exactly one root of p by sympy's count;
+* ``realalg.compare`` on the roots of two polynomials, which share a
+  factor in about half the pairs, against the order of the same roots
+  among sympy's sorted real roots of the square-free part of the product
+  (sympy 1.14 canonicalises shared factors, so
+  ``CRootOf((t**2 - 2)*(t**2 - 3), 2) == CRootOf(t**2 - 2, 1)``).
 
 Not part of the test suite; needs sympy.  Run from the repository root:
 
@@ -28,7 +33,7 @@ import sys
 import sympy
 
 from qhlip.polyalg import TPoly, UniPoly, resultant
-from qhlip.realalg import count_real_roots, isolate_real_roots
+from qhlip.realalg import compare, count_real_roots, isolate_real_roots
 
 X, T = sympy.symbols("x t")
 
@@ -93,6 +98,31 @@ def check_roots(p: UniPoly) -> str | None:
     return None
 
 
+def check_compare(p: UniPoly, q: UniPoly) -> str | None:
+    def real_roots(f: UniPoly) -> list[sympy.Expr]:
+        return sympy.Poly(uni_expr(f, T), T).sqf_part().real_roots()
+
+    # position of each of p's and q's roots among the sorted roots of p*q
+    both = real_roots(p * q)
+    at_p = [both.index(r) for r in real_roots(p)]
+    at_q = [both.index(r) for r in real_roots(q)]
+    for i, a in enumerate(isolate_real_roots(p)):
+        for j, b in enumerate(isolate_real_roots(q)):
+            want = (at_p[i] > at_q[j]) - (at_p[i] < at_q[j])
+            if compare(a, b) != want:
+                return f"compare(root {i} of {p}, root {j} of {q}) = {compare(a, b)}, sympy {want}"
+    return None
+
+
+def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
+    """Two polynomials that share a random factor about half the time."""
+    p, q = rand_uni(rng, 5), rand_uni(rng, 5)
+    if rng.random() < 0.5:
+        shared = rand_uni(rng, 3)
+        p, q = p * shared, q * shared
+    return p, q
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200)
@@ -100,7 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     for i in range(args.cases):
-        problem = check_resultant(rand_tpoly(rng), rand_tpoly(rng)) or check_roots(rand_uni(rng, 8))
+        problem = (
+            check_resultant(rand_tpoly(rng), rand_tpoly(rng))
+            or check_roots(rand_uni(rng, 8))
+            or check_compare(*rand_pair(rng))
+        )
         if problem:
             print(f"case {i}: MISMATCH {problem}")
             return 1

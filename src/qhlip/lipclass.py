@@ -44,7 +44,8 @@ class CSet:
 
     @staticmethod
     def unique(c: RealAlg) -> "CSet":
-        assert c.sign() > 0
+        if c.sign() <= 0:
+            raise ArithmeticError("scaling constant is not positive; internal bug")
         return CSet(c)
 
     @property
@@ -79,7 +80,8 @@ class Verdict1D:
     reason: Optional[Reason1D] = None
 
     def __post_init__(self):
-        assert self.equivalent == bool(self.pairings)
+        if self.equivalent != bool(self.pairings):
+            raise ArithmeticError("a verdict is equivalent exactly when it has pairings; internal bug")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def multiplicity_at(f: UniPoly, point: RealAlg) -> int:
             return k
         d = d.derivative()
         k += 1
-    raise AssertionError("nonconstant polynomial with all derivatives zero")
+    raise ArithmeticError("nonconstant polynomial with all derivatives zero; internal bug")
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +131,8 @@ def critical_data(f: UniPoly) -> CritData:
     # each point is a root of f', so its first nonzero derivative is f'' or later
     mults = tuple(1 + multiplicity_at(df, p) for p in points)
     values = tuple(eval_alg(f, p) for p in points)
-    assert all(m >= 2 for m in mults)
+    if any(m < 2 for m in mults):
+        raise ArithmeticError("critical point of multiplicity below 2; internal bug")
     return CritData(points, mults, values, f.degree, sign(f.leading))
 
 
@@ -155,24 +158,19 @@ class Similarity:
 def _proportional(avals: tuple[RealAlg, ...], bvals: tuple[RealAlg, ...]) -> Optional[CSet]:
     """CSet with b = c*a for some c > 0, or None.
 
-    The constant comes from the first nonzero entry; the other entries are
-    cross-checked through the exact identities b_j * a_i = a_j * b_i, which
-    avoids committing to a division per entry.
+    Zero entries must match; each nonzero entry gives one ratio b_j / a_j,
+    and every ratio must equal the first, which is c.
     """
     signs_a = [v.sign() for v in avals]
-    signs_b = [v.sign() for v in bvals]
-    if signs_a != signs_b:
+    if signs_a != [v.sign() for v in bvals]:
         return None
-    try:
-        i0 = next(i for i, s in enumerate(signs_a) if s != 0)
-    except StopIteration:
+    ratios = (b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0)
+    c = next(ratios, None)
+    if c is None:
         return CSet.any_positive()
-    for j in range(len(avals)):
-        if j == i0 or signs_a[j] == 0:
-            continue
-        if compare(bvals[j] * avals[i0], avals[j] * bvals[i0]) != 0:
-            return None
-    return CSet.unique(bvals[i0] / avals[i0])
+    if any(compare(r, c) != 0 for r in ratios):
+        return None
+    return CSet.unique(c)
 
 
 def similar(A: MultSymbol, B: MultSymbol) -> Similarity:
@@ -186,16 +184,12 @@ def similar(A: MultSymbol, B: MultSymbol) -> Similarity:
     return Similarity(direct, reverse)
 
 
-def _constant_value_sign(f: UniPoly) -> int:
-    return sign(f.coeff(0))
-
-
 def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
     """Full Lipschitz-equivalence decision for two polynomial functions."""
     if f.is_constant or g.is_constant:
         if not (f.is_constant and g.is_constant):
             return Verdict1D(False, reason=Reason1D.DEGREE_MISMATCH)
-        if _constant_value_sign(f) != _constant_value_sign(g):
+        if sign(f.coeff(0)) != sign(g.coeff(0)):
             return Verdict1D(False, reason=Reason1D.CONSTANT_SIGN_MISMATCH)
         free = CSet.any_positive()
         return Verdict1D(
@@ -212,7 +206,8 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
 
     if p == 0:
         # both are monotone homeomorphisms of the line (d is necessarily odd)
-        assert d % 2 == 1, "even-degree polynomial cannot be critical-point-free"
+        if d % 2 == 0:
+            raise ArithmeticError("even-degree polynomial without critical points; internal bug")
         orient = (
             Orientation.INCREASING
             if df.leading_sign == dg.leading_sign
@@ -231,11 +226,7 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
             # extremum; its type is the sign of the leading coefficient
             if df.leading_sign != dg.leading_sign:
                 return Verdict1D(False, reason=Reason1D.EXTREMUM_TYPE_MISMATCH)
-        c_set = (
-            CSet.unique(dg.values[0] / df.values[0])
-            if sf != 0
-            else CSet.any_positive()
-        )
+        c_set = _proportional(df.values, dg.values)
         if d % 2 == 1:
             orient = (
                 Orientation.INCREASING
@@ -259,6 +250,4 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
         pairings.append(Pairing1D(Orientation.DECREASING, sim.reverse))
     if not pairings:
         return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR)
-    verdict = Verdict1D(True, tuple(pairings))
-    assert df.degree == dg.degree and df.count == dg.count
-    return verdict
+    return Verdict1D(True, tuple(pairings))

@@ -3,8 +3,15 @@
 A number is stored as a square-free monic defining polynomial together with
 an isolating rational interval: either lo == hi and the number is the
 rational lo (with defpoly t - lo), or the defpoly has exactly one real root
-in (lo, hi) and neither endpoint is a root.  Equality and sign tests are
-exact (gcd plus Sturm counts); intervals are refined on demand.
+in (lo, hi) and neither endpoint is a root.  Intervals are refined on
+demand.
+
+Equality and sign tests are exact.  Two irrationals with overlapping boxes
+are equal exactly when the gcd of their defpolys has a root on the
+overlap: one gcd and one Sturm count.  p(a) is zero exactly when
+gcd(defpoly, p) has a root in a's box; otherwise its sign is read from the
+interval extension of p once bisection has narrowed the box so that the
+extension excludes 0.
 
 Because the defpoly is square-free with one root in the box, it takes
 opposite signs at the two endpoints, so every bisection of an isolating
@@ -357,13 +364,17 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     g = poly_gcd(a.defpoly, p)
     if g.degree >= 1 and _count_pair(g, a.lo, a.hi) == 1:
         return 0
-    q = square_free_part(p)
+    # p(a) != 0: bisect by the defpoly's sign until p's interval extension
+    # over the box excludes 0
     D, lo, hi = a.defpoly, a.lo, a.hi
     s_lo = sign(D(lo))
     while True:
+        p_lo, p_hi = interval_eval(p, lo, hi)
+        if p_lo > 0:
+            return 1
+        if p_hi < 0:
+            return -1
         mid = (lo + hi) / 2
-        if q(lo) != 0 and q(hi) != 0 and _count_pair(q, lo, hi) == 0:
-            return sign(p(mid))
         s_mid = sign(D(mid))
         if s_mid == 0:
             return sign(p(mid))  # a turned out to be the rational mid
@@ -386,30 +397,21 @@ def compare(a: RealAlg, b: RealAlg) -> int:
         return -1
     if b.hi <= a.lo:
         return 1
-    if sign_at(b.defpoly, a) != 0:
-        # definitely distinct; separate the intervals
-        ra, rb = a, b
-        while True:
-            if ra.hi <= rb.lo:
-                return -1
-            if rb.hi <= ra.lo:
-                return 1
-            ra = ra.refine((ra.hi - ra.lo) / 2)
-            rb = rb.refine((rb.hi - rb.lo) / 2)
-            if ra.is_rational or rb.is_rational:
-                return compare(ra, rb)
-    # a is a root of b's defpoly; decide whether it is *the* root in b's box
-    ra = a
+    # a == b exactly when gcd(Da, Db) has a root on the overlap of the boxes;
+    # its endpoints are box endpoints, so never roots of the gcd
+    g = poly_gcd(a.defpoly, b.defpoly)
+    if g.degree >= 1 and _count_pair(g, max(a.lo, b.lo), min(a.hi, b.hi)) == 1:
+        return 0
+    # distinct: separate the intervals
     while True:
-        if b.lo < ra.lo and ra.hi < b.hi:
-            return 0
-        if ra.hi <= b.lo:
+        a = a.refine((a.hi - a.lo) / 2)
+        b = b.refine((b.hi - b.lo) / 2)
+        if a.is_rational or b.is_rational:
+            return compare(a, b)
+        if a.hi <= b.lo:
             return -1
-        if b.hi <= ra.lo:
+        if b.hi <= a.lo:
             return 1
-        ra = ra.refine((ra.hi - ra.lo) / 2)
-        if ra.is_rational:
-            return compare(ra, b)
 
 
 def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
@@ -566,11 +568,14 @@ def _exact_int_nth_root(n: int, k: int) -> Optional[int]:
     """Integer k-th root of n >= 0 when exact, else None."""
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    # Newton's method on integers, from 2**ceil(bits/k) > n**(1/k) down to
+    # floor(n**(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def nth_root_pos(a: RealAlg, n: int) -> RealAlg:

@@ -14,7 +14,7 @@ from qhlip.lipclass import (
     symbol_of,
 )
 from qhlip.polyalg import UniPoly
-from qhlip.realalg import RealAlg, compare
+from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
 
 from helpers import affine_conjugate, rand_nonzero_rational, rand_unipoly
 
@@ -91,6 +91,51 @@ class TestSimilar:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             similar(MultSymbol((ra(1),), (2,)), MultSymbol((ra(1), ra(2)), (2, 2)))
+
+
+def cross_products_agree(A, B):
+    """b_j * a_i == a_j * b_i for every pair of entries, by exact products."""
+    pairs = list(zip(A.values, B.values))
+    return all(compare(bj * ai, aj * bi) == 0 for ai, bi in pairs for aj, bj in pairs)
+
+
+class TestSimilarIrrationalConstant:
+    """B = c*A for an irrational c: the ratios b_j / a_j all equal c."""
+
+    A = MultSymbol(
+        (ra(3), nth_root_pos(ra(3), 2), ra(0), ra(F(-1, 2))),
+        (2, 3, 2, 2),  # not a palindrome, so only direct similarity can hold
+    )
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            nth_root_pos(ra(2), 2),
+            isolate_real_roots(P(1, -3, 0, 1))[2],  # largest root of t^3 - 3t + 1
+        ],
+        ids=["sqrt2", "cubic_root"],
+    )
+    def test_direct_constant_and_perturbations(self, c):
+        assert not c.is_rational
+        B = MultSymbol(tuple(mul(c, a) for a in self.A.values), self.A.mults)
+        out = similar(self.A, B)
+        assert out.direct is not None and out.direct.c == c
+        assert out.reverse is None
+        assert cross_products_agree(self.A, B)
+        for j, a in enumerate(self.A.values):
+            if a.sign() == 0:
+                continue
+            values = list(B.values)
+            values[j] = mul(values[j], ra(F(1001, 1000)))
+            bent = MultSymbol(tuple(values), B.mults)
+            assert similar(self.A, bent).direct is None
+            assert not cross_products_agree(self.A, bent)
+
+    def test_zero_entries_must_match(self):
+        c = nth_root_pos(ra(2), 2)
+        values = [mul(c, a) for a in self.A.values]
+        values[2] = ra(1)
+        assert similar(self.A, MultSymbol(tuple(values), self.A.mults)).direct is None
 
 
 class TestClassifyPair:

@@ -135,6 +135,11 @@ class TestCli:
         data = json.loads(out)
         assert data["certificate"]["theorem"] == "Cor_NoCritPoints"
 
+    def test_classify2_coefficient_beyond_float_range(self, capsys):
+        code, out, _ = run_cli_capture(capsys, "classify2", "(10^400)*X^3", "X^3", "--beta", "2/1")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Equivalent"
+
     def test_classify1(self, capsys):
         code, out, _ = run_cli_capture(
             capsys, "classify1", "t^3 + 3*t + 1", "t^3 + 6*t + 1"

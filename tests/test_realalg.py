@@ -110,6 +110,31 @@ class TestCompare:
             assert compare(values[i], values[j]) <= 0
 
 
+class TestCompareOverlap:
+    """Two irrational boxes that overlap: equal exactly when the gcd of the
+    defpolys has a root on the overlap."""
+
+    def test_equal_values_partly_overlapping_boxes(self):
+        a = RealAlg(P(-2, 0, 1), F(1), F(29, 20))  # sqrt2 on (1, 1.45)
+        b = RealAlg(P(6, 0, -5, 0, 1), F(13, 10), F(3, 2))  # (t^2-2)(t^2-3), sqrt2 on (1.3, 1.5)
+        assert compare(a, b) == 0
+        assert compare(b, a) == 0
+        assert a == b
+
+    def test_shared_root_outside_the_overlap(self):
+        # gcd t^2 - 2 has the root sqrt2 in a's box (1, 1.5) but not on the
+        # overlap (1.45, 1.5) with b's box around sqrt3
+        a = RealAlg(P(-2, 0, 1), F(1), F(3, 2))
+        b = RealAlg(P(6, 0, -5, 0, 1), F(29, 20), F(9, 5))
+        assert compare(a, b) == -1
+        assert compare(b, a) == 1
+        # and the other way round: the shared root sqrt3 lies in b's box only
+        c = RealAlg(P(-3, 0, 1), F(3, 2), F(2))
+        d = RealAlg(P(6, 0, -5, 0, 1), F(13, 10), F(8, 5))
+        assert compare(d, c) == -1
+        assert compare(c, d) == 1
+
+
 class TestSignAt:
     def test_positive(self):
         assert sign_at(P(-3, 0, 3), sqrt2()) == 1
@@ -120,6 +145,22 @@ class TestSignAt:
     def test_second_derivative_at_critical_point(self):
         minus_one = isolate_real_roots(P(-3, 0, 3))[0]
         assert sign_at(P(0, 6), minus_one) == -1
+
+    def test_nonzero_sign_makes_no_sturm_count(self, monkeypatch):
+        a = isolate_real_roots(P(6, 0, -5, 0, 1))[3]  # sqrt3
+        calls = []
+        inner = realalg.count_roots_between
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(realalg, "count_roots_between", counted)
+        realalg._count_pair.cache_clear()
+        assert sign_at(P(-3, 1), a) == -1  # gcd 1: no count at all
+        assert calls == []
+        assert sign_at(P(-2, 0, 1) * P(-17, 10), a) == 1  # the gcd's one count
+        assert len(calls) == 1
 
 
 class TestEvalAlg:
@@ -176,6 +217,23 @@ class TestFieldOps:
             n = rng.randint(2, 4)
             root = nth_root_pos(v, n)
             assert pow_int(root, n) == v
+
+    def test_nth_root_of_huge_integers(self):
+        # far above the float range, where n ** (1/k) overflows
+        assert nth_root_pos(RealAlg.from_rational(10**402), 3).as_fraction() == 10**134
+        exact = nth_root_pos(RealAlg.from_rational(F(3**500, 7**300)), 100)
+        assert exact.as_fraction() == F(3**5, 7**3)
+        root = nth_root_pos(RealAlg.from_rational(10**400), 3)
+        assert not root.is_rational
+        assert pow_int(root, 3) == RealAlg.from_rational(10**400)
+
+    def test_exact_int_nth_root(self):
+        for k in range(1, 6):
+            powers = {x**k: x for x in range(2000)}
+            for n in range(2000):
+                assert realalg._exact_int_nth_root(n, k) == powers.get(n)
+        assert realalg._exact_int_nth_root(2**1000 + 1, 2) is None
+        assert realalg._exact_int_nth_root((10**300 + 7) ** 4, 4) == 10**300 + 7
 
     def test_nonpositive_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -370,6 +428,7 @@ def test_invariants_hold_under_python_O():
         """
         from fractions import Fraction
         from qhlip.polyalg import UniPoly, count_roots_between
+        from qhlip.lipclass import CSet, Verdict1D
         from qhlip.realalg import RealAlg
         print("debug", __debug__)
         boxes = [
@@ -389,6 +448,13 @@ def test_invariants_hold_under_python_O():
             print("raised", exc)
         else:
             print("accepted endpoint root")
+        for build in (lambda: CSet.unique(RealAlg.from_rational(-1)), lambda: Verdict1D(True)):
+            try:
+                build()
+            except ArithmeticError as exc:
+                print("raised", exc)
+            else:
+                print("accepted", build)
         """
     )
     src = str(Path(qhlip.__file__).resolve().parents[1])
@@ -397,7 +463,7 @@ def test_invariants_hold_under_python_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 3, out.stdout
+    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 5, out.stdout
 
 
 def from_roots(roots):
@@ -442,6 +508,35 @@ def real_algs(draw):
 
 #: few, reproducible examples: each one runs exact resultant arithmetic
 few_examples = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def monic_quadratics(draw):
+    """t^2 + b*t + c with small integer b, c."""
+    return UniPoly((draw(st.integers(-5, 5)), draw(st.integers(-4, 4)), 1))
+
+
+class TestSignAtProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        monic_quadratics(),
+        monic_quadratics(),
+        st.integers(0, 3),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        st.booleans(),
+        st.sampled_from([F(0), F(1, 1000), F(-1, 1000)]),
+    )
+    def test_sign_at_matches_eval_alg(self, q1, q2, k, coeffs, share, eps):
+        # a is an irrational root of q1*q2, and p may share the factor q1
+        # with a's defpoly, whether or not a is a root of q1; the shift eps
+        # turns a zero p(a) into a small nonzero one, which the bisection
+        # must narrow the box to see
+        roots = isolate_real_roots(q1 * q2)
+        assume(roots)
+        a = roots[k % len(roots)]
+        assume(not a.is_rational)
+        p = (UniPoly(coeffs) * q1 if share else UniPoly(coeffs)) + UniPoly.constant(eps)
+        assert sign_at(p, a) == eval_alg(p, a).sign()
 
 
 class TestFieldLawsProperty:
