@@ -32,13 +32,17 @@ class UniPoly:
     degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_flt")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # float coefficients, highest power first; filled by eval_float,
+        # never here, so exact work on coefficients beyond the float range
+        # does not raise OverflowError
+        self._flt: tuple[float, ...] | None = None
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -129,9 +133,12 @@ class UniPoly:
         return acc
 
     def eval_float(self, x: float) -> float:
+        flt = self._flt
+        if flt is None:
+            flt = self._flt = tuple(float(c) for c in reversed(self.coeffs))
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in flt:
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "UniPoly":
@@ -326,7 +333,7 @@ def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
 class BiPoly:
     """Sparse polynomial in X, Y; maps exponent pairs to nonzero Fractions."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ("terms", "_key", "_flt")
 
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] = ()):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -345,6 +352,8 @@ class BiPoly:
                 clean[key] = c
         self.terms: dict[tuple[int, int], Fraction] = clean
         self._key = tuple(sorted(clean.items()))
+        # (float(c), i, j) in _key order; filled lazily as in UniPoly
+        self._flt: tuple[tuple[float, int, int], ...] | None = None
 
     @staticmethod
     def zero() -> "BiPoly":
@@ -398,7 +407,10 @@ class BiPoly:
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
 
     def eval_float(self, x: float, y: float) -> float:
-        return sum(float(c) * x**i * y**j for (i, j), c in self._key)
+        flt = self._flt
+        if flt is None:
+            flt = self._flt = tuple((float(c), i, j) for (i, j), c in self._key)
+        return sum(c * x**i * y**j for c, i, j in flt)
 
     def substitute_y(self, x_value: RatLike) -> UniPoly:
         """F(x_value, t) as a univariate polynomial in t."""

@@ -91,12 +91,14 @@ class BranchMap(PLMap):
 
     def limit_slope(self) -> RealAlg:
         deg = self.f.degree
-        assert deg == self.g.degree and deg >= 1
+        if deg != self.g.degree or deg < 1:
+            raise ArithmeticError("branch map between heights of different or zero degree; internal bug")
         ratio = self.c * Fraction(self.f.leading, self.g.leading)
         if deg % 2 == 1:
-            assert (ratio.sign() > 0) == self.increasing
-        else:
-            assert ratio.sign() > 0
+            if (ratio.sign() > 0) != self.increasing:
+                raise ArithmeticError("odd branch map against the sign of c*lc(f)/lc(g); internal bug")
+        elif ratio.sign() <= 0:
+            raise ArithmeticError("even branch map with c*lc(f)/lc(g) not positive; internal bug")
         mag = nth_root_pos(abs_alg(ratio), deg)
         return mag if self.increasing else -mag
 
@@ -141,7 +143,7 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
     fhi = g.eval_float(hi) - y
     step = max(1.0, abs(lo), abs(hi))
     for _ in range(600):
-        if flo == 0.0 or fhi == 0.0 or flo * fhi < 0.0:
+        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
             break
         # y can sit a rounding error outside the image of the branch; as g
         # is monotone there, that shows as a critical (finite) end nearer to
@@ -165,6 +167,9 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
         return lo
     if fhi == 0.0:
         return hi
+    # decide by signs: the product of two tiny values underflows to -0.0
+    # and would keep the wrong half
+    lo_negative = flo < 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
@@ -172,11 +177,12 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
         fmid = g.eval_float(mid) - y
         if fmid == 0.0:
             return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
+        if (fmid < 0.0) == lo_negative:
+            lo = mid
         else:
-            lo, flo = mid, fmid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            hi = mid
+        width = hi - lo
+        if width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi):
             break
     return 0.5 * (lo + hi)
 
@@ -252,7 +258,8 @@ class Zygothety:
     phi2: PLMap
 
     def __post_init__(self):
-        assert self.lam1.sign() * self.lam2.sign() > 0, "scales must share a sign"
+        if self.lam1.sign() * self.lam2.sign() <= 0:
+            raise ArithmeticError("zygothety scales do not share a sign; internal bug")
 
     @property
     def lam_sign(self) -> int:
@@ -375,7 +382,8 @@ def make_regular(option, F, G) -> Zygothety:
             # preserves its pairing identity while fixing coherence
             phi2 = Neg(phi2)
         z = Zygothety(_lambda_from_c(c1, d, sgn), _lambda_from_c(c2, d, sgn), phi1, phi2)
-    assert is_beta_regular(z, r, s)
+    if not is_beta_regular(z, r, s):
+        raise ArithmeticError("constructed zygothety is not beta-regular; internal bug")
     return z
 
 
@@ -404,7 +412,7 @@ def action_residual(
             scale = abs(lam.as_fraction()) ** d
             for t in pts:
                 if scale * gg(phi.eval_exact(t)) != ff(t):
-                    raise AssertionError("exact action identity failed")
+                    raise ArithmeticError("exact action identity failed; internal bug")
             continue
         scale = abs(lam.to_float()) ** d
         for t in pts:

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhlip.polyalg import (
     BiPoly,
@@ -277,3 +279,60 @@ class TestIntervalEval:
             a, b = interval_eval(p, lo, hi)
             for x in (lo, hi, F(0), F(1, 3)):
                 assert a <= p(x) <= b
+
+
+fractions_ = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+#: finite floats small enough that no power up to degree 6 overflows
+floats_ = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def same_float(a, b):
+    """Equal values, and equal signs when both are zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestEvalFloat:
+    """eval_float converts the coefficients once and caches them; its results
+    are the bits of converting every coefficient on every call."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(fractions_, max_size=7), floats_)
+    def test_unipoly_matches_per_call_conversion(self, coeffs, x):
+        p = UniPoly(coeffs)
+        ref = 0.0
+        for c in reversed(p.coeffs):
+            ref = ref * x + float(c)
+        assert same_float(p.eval_float(x), ref)
+        assert same_float(p.eval_float(x), ref)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), fractions_, max_size=6),
+        floats_,
+        floats_,
+    )
+    def test_bipoly_matches_per_call_conversion(self, terms, x, y):
+        p = BiPoly(terms)
+        ref = sum(float(c) * x**i * y**j for (i, j), c in p.monomials())
+        assert same_float(p.eval_float(x, y), ref)
+        assert same_float(p.eval_float(x, y), ref)
+
+    def test_filled_cache_keeps_equality_and_hash(self):
+        p, q = P(1, F(1, 3), -2), P(1, F(1, 3), -2)
+        p.eval_float(0.5)
+        assert p == q and hash(p) == hash(q)
+        B, C = BiPoly({(2, 1): F(1, 3), (0, 3): 1}), BiPoly({(2, 1): F(1, 3), (0, 3): 1})
+        B.eval_float(0.5, -2.0)
+        assert B == C and hash(B) == hash(C)
+
+    def test_coefficient_beyond_float_range(self):
+        # construction and exact evaluation never convert to float
+        huge = 10**400
+        p = P(huge, 1)
+        assert p(2) == huge + 2
+        B = BiPoly({(3, 0): huge, (0, 1): 1})
+        assert B(1, 2) == huge + 2
+        with pytest.raises(OverflowError):
+            p.eval_float(2.0)
+        with pytest.raises(OverflowError):
+            B.eval_float(1.0, 2.0)

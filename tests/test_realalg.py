@@ -430,6 +430,7 @@ def test_invariants_hold_under_python_O():
         from qhlip.polyalg import UniPoly, count_roots_between
         from qhlip.lipclass import CSet, Verdict1D
         from qhlip.realalg import RealAlg
+        from qhlip.zygothety import BranchMap, Zygothety, identity_map
         print("debug", __debug__)
         boxes = [
             RealAlg(UniPoly((-2, 0, 1)), Fraction(-2), Fraction(2)),  # two roots
@@ -448,7 +449,15 @@ def test_invariants_hold_under_python_O():
             print("raised", exc)
         else:
             print("accepted endpoint root")
-        for build in (lambda: CSet.unique(RealAlg.from_rational(-1)), lambda: Verdict1D(True)):
+        one = RealAlg.from_rational(1)
+        ident = identity_map()
+        cubic, square = UniPoly((0, 0, 0, 1)), UniPoly((0, 0, 1))
+        for build in (
+            lambda: CSet.unique(RealAlg.from_rational(-1)),
+            lambda: Verdict1D(True),
+            lambda: Zygothety(one, -one, ident, ident),
+            lambda: BranchMap(one, True, cubic, square, (), ()).limit_slope(),
+        ):
             try:
                 build()
             except ArithmeticError as exc:
@@ -463,7 +472,7 @@ def test_invariants_hold_under_python_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 5, out.stdout
+    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 7, out.stdout
 
 
 def from_roots(roots):

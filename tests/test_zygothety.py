@@ -94,7 +94,7 @@ class TestGroupOps:
         assert w.phi1.eval_float(3.0) == pytest.approx(1.0)
 
     def test_scale_sign_invariant_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ArithmeticError):
             Zygothety(ra(1), ra(-1), identity_map(), identity_map())
 
 
@@ -253,6 +253,14 @@ class TestInvertOnBranch:
         assert _invert_on_branch(g, [0.0], 0, -1e-17) == 0.0
         assert _invert_on_branch(g, [0.0], 1, 4.0) == pytest.approx(2.0)
         assert _invert_on_branch(g, [0.0], 0, 4.0) == pytest.approx(-2.0)
+
+    def test_tiny_value_bisects_by_sign(self):
+        # near the root g(u) - y is of order 1e-170 on both sides, so the
+        # product of two such values underflows to -0.0 and cannot tell
+        # which half holds the root, about 3.5e-16
+        g = UniPoly([0] * 11 + [1])
+        u = _invert_on_branch(g, [0.0], 1, 1e-170)
+        assert abs(u - 1e-170 ** (1 / 11)) <= 1e-15
 
     def test_no_preimage_raises(self):
         with pytest.raises(ArithmeticError):
