@@ -15,7 +15,12 @@ Compares, on seeded random inputs:
   factor in about half the pairs, against the order of the same roots
   among sympy's sorted real roots of the square-free part of the product
   (sympy 1.14 canonicalises shared factors, so
-  ``CRootOf((t**2 - 2)*(t**2 - 3), 2) == CRootOf(t**2 - 2, 1)``).
+  ``CRootOf((t**2 - 2)*(t**2 - 3), 2) == CRootOf(t**2 - 2, 1)``);
+* ``UniPoly.sign_at`` at seeded rationals (zero, integers, small
+  fractions, denominators above 2**200, and the polynomial's own rational
+  roots) against the sign of sympy's exact value;
+* ``RealAlg.to_float`` of every isolated root against
+  ``CRootOf(...).evalf(40)``: at most one ulp apart.
 
 Not part of the test suite; needs sympy.  Run from the repository root:
 
@@ -27,10 +32,13 @@ Exits 1 on the first mismatch, 0 when every case agrees.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
 import sympy
+
+from fractions import Fraction
 
 from qhlip.polyalg import TPoly, UniPoly, resultant
 from qhlip.realalg import compare, count_real_roots, isolate_real_roots
@@ -98,6 +106,39 @@ def check_roots(p: UniPoly) -> str | None:
     return None
 
 
+def rand_points(rng: random.Random, p: UniPoly) -> list[Fraction]:
+    """Zero, an integer, a small fraction, a huge-denominator rational, and
+    p's roots among k/2 for |k| <= 6 (where rand_uni plants its repeated
+    factors)."""
+    points = [
+        Fraction(0),
+        Fraction(rng.randint(-9, 9)),
+        Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+        Fraction(rng.randint(-(2**300), 2**300), rng.randint(2**200, 2**260)),
+    ]
+    points += [Fraction(k, 2) for k in range(-6, 7) if p(Fraction(k, 2)) == 0]
+    return points
+
+
+def check_sign_at(p: UniPoly, points: list[Fraction]) -> str | None:
+    expr = uni_expr(p, T)
+    for x in points:
+        want = sympy.sign(expr.subs(T, sympy.Rational(x.numerator, x.denominator)))
+        if p.sign_at(x) != want:
+            return f"{p}.sign_at({x}) = {p.sign_at(x)}, sympy {want}"
+    return None
+
+
+def check_floats(p: UniPoly) -> str | None:
+    sqf = sympy.Poly(uni_expr(p, T), T).sqf_part()
+    for i, r in enumerate(isolate_real_roots(p)):
+        ours = r.to_float()
+        exact = sympy.CRootOf(sqf.as_expr(), i).evalf(40)
+        if abs(sympy.Float(ours, 40) - exact) > math.ulp(ours):
+            return f"root {i} of {p}: to_float {ours!r}, sympy {exact}"
+    return None
+
+
 def check_compare(p: UniPoly, q: UniPoly) -> str | None:
     def real_roots(f: UniPoly) -> list[sympy.Expr]:
         return sympy.Poly(uni_expr(f, T), T).sqf_part().real_roots()
@@ -130,9 +171,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     for i in range(args.cases):
+        A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
-            check_resultant(rand_tpoly(rng), rand_tpoly(rng))
-            or check_roots(rand_uni(rng, 8))
+            check_resultant(A, B)
+            or check_roots(p)
+            or check_sign_at(p, rand_points(rng, p))
+            or check_floats(p)
             or check_compare(*rand_pair(rng))
         )
         if problem:

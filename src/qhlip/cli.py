@@ -215,7 +215,7 @@ def cmd_scan(args) -> int:
     for cls in partition:
         for pair in itertools.combinations(cls, 2):
             if verdicts[pair] != "equivalent":
-                raise AssertionError("equivalence relation from decide() is not transitive")
+                raise ArithmeticError("equivalence relation from decide() is not transitive; internal bug")
     unknown_pairs = sorted(k for k, v in verdicts.items() if v == "unknown")
     _emit(
         {

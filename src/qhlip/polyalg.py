@@ -3,7 +3,8 @@
 Univariate polynomials are dense (the degrees in play stay small), bivariate
 polynomials are sparse (quasihomogeneous supports are thin).  Everything is
 immutable and every operation is a pure function, so values can be shared and
-cached freely.
+cached freely.  Signs at rational points are found in integers
+(`UniPoly.sign_at`), which is all that Sturm counting and bisection need.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class UniPoly:
     degree -1.
     """
 
-    __slots__ = ("coeffs", "_flt")
+    __slots__ = ("coeffs", "_flt", "_int")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -43,6 +44,9 @@ class UniPoly:
         # never here, so exact work on coefficients beyond the float range
         # does not raise OverflowError
         self._flt: tuple[float, ...] | None = None
+        # a positive integer multiple of the coefficients, highest power
+        # first; filled by sign_at
+        self._int: tuple[int, ...] | None = None
 
     @staticmethod
     def zero() -> "UniPoly":
@@ -131,6 +135,42 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def sign_at(self, x: RatLike) -> int:
+        """sign(self(x)) for a rational x, with no Fraction built."""
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def sign_at_ratio(self, a: int, b: int) -> int:
+        """sign(self(a/b)) for integers a and b > 0, not necessarily coprime.
+
+        b**n * self(a/b) = sum c_i a**i b**(n-i) has the sign of self(a/b);
+        over integer coefficients Horner's rule on that sum is
+        acc = acc*a + c_i*b**(n-i), highest power first (Yap, Fundamental
+        Problems of Algorithmic Algebra, ch. 3).
+        """
+        ints = self._int
+        if ints is None:
+            den = 1
+            for c in self.coeffs:
+                den = _int_lcm(den, c.denominator)
+            # den == 1 (a primitive Sturm polynomial, say): share the
+            # numerators' int objects instead of copying them
+            ints = self._int = tuple(
+                c.numerator if den == 1 else c.numerator * (den // c.denominator)
+                for c in reversed(self.coeffs)
+            )
+        if not ints:
+            return 0
+        acc = ints[0]
+        if b == 1:
+            for c in ints[1:]:
+                acc = acc * a + c
+        else:
+            bk = 1
+            for c in ints[1:]:
+                bk *= b
+                acc = acc * a + c * bk
+        return (acc > 0) - (acc < 0)
 
     def eval_float(self, x: float) -> float:
         flt = self._flt
@@ -277,11 +317,11 @@ def sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
     return tuple(chain)
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
+def sign_variations(signs: Iterable[int]) -> int:
+    """Sign changes along a sequence of signs (-1, 0, 1), zeros skipped."""
     count = 0
     prev = 0
-    for v in values:
-        s = sign(v)
+    for s in signs:
         if s == 0:
             continue
         if prev != 0 and s != prev:
@@ -299,12 +339,12 @@ def count_roots_between(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("empty interval")
     if lo == hi:
         return 0
-    if p(lo) == 0 or p(hi) == 0:
-        raise ArithmeticError("endpoint is a root; internal bug")
     chain = sturm_sequence(p)
-    va = sign_variations([q(lo) for q in chain])
-    vb = sign_variations([q(hi) for q in chain])
-    return va - vb
+    at_lo = [q.sign_at(lo) for q in chain]
+    at_hi = [q.sign_at(hi) for q in chain]
+    if at_lo[0] == 0 or at_hi[0] == 0:
+        raise ArithmeticError("endpoint is a root; internal bug")
+    return sign_variations(at_lo) - sign_variations(at_hi)
 
 
 def cauchy_root_bound(p: UniPoly) -> Fraction:
@@ -568,7 +608,7 @@ def resultant(p: UniPoly | TPoly, q: UniPoly | TPoly) -> UniPoly:
     values: list[Fraction] = []
     x = 0
     while len(xs) < points:
-        if A.leading(x) != 0 and B.leading(x) != 0:
+        if A.leading.sign_at(x) and B.leading.sign_at(x):
             xs.append(x)
             values.append(_resultant_q(A.at(x), B.at(x)))
         x += 1

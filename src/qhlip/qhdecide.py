@@ -79,7 +79,8 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
             raise NotQuasihomogeneousError(
                 f"Y-exponent {j} is not a multiple of s={s}"
             )
-    assert d_times_s is not None
+    if d_times_s is None:
+        raise ArithmeticError("nonzero polynomial without monomials; internal bug")
     if d_times_s % s != 0:
         raise NotQuasihomogeneousError("degree d is not an integer")
     d = d_times_s // s
@@ -87,7 +88,8 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
         raise NotQuasihomogeneousError("degree d must be a positive integer")
     n = max(j // s for (_, j), _ in F.monomials())
     e = x_multiplicity(F)
-    assert e == d - r * n
+    if e != d - r * n:
+        raise ArithmeticError("X-multiplicity is not d - r*n; internal bug")
     return QHPoly(F, r, s, d, e, n)
 
 
@@ -126,10 +128,13 @@ def _heights_cached(F: BiPoly) -> HeightPair:
 def heights(Q: QHPoly) -> HeightPair:
     pair = _heights_cached(Q.poly)
     expected = Q.s * Q.n
-    assert pair.f_plus.degree == expected or (Q.n == 0 and pair.f_plus.is_constant)
-    assert pair.f_minus.degree == pair.f_plus.degree or (
-        pair.f_plus.is_constant and pair.f_minus.is_constant
-    )
+    if not (pair.f_plus.degree == expected or (Q.n == 0 and pair.f_plus.is_constant)):
+        raise ArithmeticError("right height degree is not s*n; internal bug")
+    if not (
+        pair.f_minus.degree == pair.f_plus.degree
+        or (pair.f_plus.is_constant and pair.f_minus.is_constant)
+    ):
+        raise ArithmeticError("heights of different degree; internal bug")
     return pair
 
 
@@ -209,7 +214,8 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
                 for p2 in v_minus.pairings:
                     options.append(PairingOption(lam_sign, p1, p2))
     if options:
-        assert F.e == G.e, "pairable heights must share the X-multiplicity"
+        if F.e != G.e:
+            raise ArithmeticError("pairable heights must share the X-multiplicity; internal bug")
         return PairingSearch(tuple(options))
     failures = []
     for lam_sign, g_for_plus, g_for_minus, v_plus, v_minus in trials:
@@ -344,7 +350,8 @@ def _certify(option: PairingOption, F: QHPoly, G: QHPoly, tag: TheoremTag) -> Ve
     residual = zyg.action_residual(
         z, F.d, hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus
     )
-    assert residual <= 1e-6, f"action spot-check failed: {residual}"
+    if not residual <= 1e-6:
+        raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
     trace = OptionTrace(option, residual)
     return Verdict2D("equivalent", certificate=Certificate(tag, z, trace))
 
@@ -364,7 +371,8 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
                 reason=NEReason(NEKind.CXD_SIGN_MISMATCH),
             )
         z = _cxd_zygothety(a, b, d)
-        assert zyg.is_beta_regular(z, F.r, F.s)
+        if not zyg.is_beta_regular(z, F.r, F.s):
+            raise ArithmeticError("X-power zygothety is not beta-regular; internal bug")
         return Verdict2D(
             "equivalent",
             certificate=Certificate(TheoremTag.CXD_CASE, z, CxdTrace(a, b)),
@@ -422,7 +430,7 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
             return _certify(option, F, G, tag)
     if invariant is not None:
-        raise AssertionError(invariant)
+        raise ArithmeticError(f"{invariant}; internal bug")
     return Verdict2D(
         "unknown",
         reason=UnknownReason(

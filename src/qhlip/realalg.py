@@ -17,14 +17,21 @@ Because the defpoly is square-free with one root in the box, it takes
 opposite signs at the two endpoints, so every bisection of an isolating
 box decides by the sign of the defpoly at the midpoint: one evaluation per
 step, no Sturm chain.  `refine` checks the invariant (one Sturm count and
-the endpoint signs) once on entry and raises ArithmeticError when it fails.
+the endpoint signs) once on entry and raises ArithmeticError when it fails,
+then bisects in integers over a common denominator.  Every sign or zero
+test at a rational point is `UniPoly.sign_at`, integer Horner with no
+Fraction built.
+
+`to_float` refines a copy of the box below 2**-80 and rounds its midpoint
+once per number; the float is kept in a lazily filled slot, and lo and hi
+stay as they were, since the JSON renders the interval from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb
+from math import comb, lcm as _int_lcm
 from typing import Callable, Optional
 
 from .polyalg import (
@@ -70,7 +77,7 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 class RealAlg:
     """A real algebraic number with a certified isolating interval."""
 
-    __slots__ = ("defpoly", "lo", "hi")
+    __slots__ = ("defpoly", "lo", "hi", "_flt")
 
     def __init__(self, defpoly: UniPoly, lo: Fraction, hi: Fraction):
         # Internal constructor; use from_rational / isolate_real_roots /
@@ -78,6 +85,9 @@ class RealAlg:
         self.defpoly = defpoly
         self.lo = lo
         self.hi = hi
+        # the rounded value; filled by to_float, which leaves lo and hi as
+        # they are
+        self._flt: float | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -117,28 +127,33 @@ class RealAlg:
         p, lo, hi = self.defpoly, self.lo, self.hi
         if _count_pair(p, lo, hi) != 1:
             raise ArithmeticError("isolating interval does not hold exactly one root; internal bug")
-        s_lo = sign(p(lo))
-        if s_lo == sign(p(hi)):
+        s_lo = p.sign_at(lo)
+        if s_lo == p.sign_at(hi):
             raise ArithmeticError("defpoly has no sign change on its isolating interval; internal bug")
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            s_mid = sign(p(mid))
+        # bisect over a common denominator, lo = a/m and hi = c/m, so that
+        # each step is integer work; Fractions are built only at the end
+        m = _int_lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (m // lo.denominator)
+        c = hi.numerator * (m // hi.denominator)
+        wn, wd = width.numerator, width.denominator
+        while (c - a) * wd > wn * m:
+            mid, m = a + c, 2 * m
+            s_mid = p.sign_at_ratio(mid, m)
             if s_mid == 0:
-                return RealAlg.from_rational(mid)
+                return RealAlg.from_rational(Fraction(mid, m))
             if s_mid == s_lo:
-                lo = mid
+                a, c = mid, 2 * c
             else:
-                hi = mid
-        return RealAlg(p, lo, hi)
+                a, c = 2 * a, mid
+        return RealAlg(p, Fraction(a, m), Fraction(c, m))
 
     def to_float(self) -> float:
-        """Round to double after refining the interval below 2**-80."""
-        if self.is_rational:
-            return float(self.lo)
-        r = self.refine(_FLOAT_WIDTH)
-        if r.is_rational:
-            return float(r.lo)
-        return float((r.lo + r.hi) / 2)
+        """Round to double after refining the interval below 2**-80, once."""
+        flt = self._flt
+        if flt is None:
+            r = self if self.is_rational else self.refine(_FLOAT_WIDTH)
+            flt = self._flt = float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
+        return flt
 
     __float__ = to_float
 
@@ -229,9 +244,9 @@ def _strip_endpoint_roots(D: UniPoly, lo: Fraction, hi: Fraction) -> UniPoly:
     # The target value is strictly interior, so rational roots sitting on the
     # enclosure endpoints belong to other conjugates and can be divided out.
     t = UniPoly.var()
-    while D(lo) == 0:
+    while D.sign_at(lo) == 0:
         D = D.divexact(t - UniPoly.constant(lo))
-    while D(hi) == 0:
+    while D.sign_at(hi) == 0:
         D = D.divexact(t - UniPoly.constant(hi))
     return D
 
@@ -251,10 +266,10 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
     if n > 1:
         return None
     # exactly one root: hunt for a small rational before settling
-    s_lo = sign(D(lo))
+    s_lo = D.sign_at(lo)
     for _ in range(_RATIONAL_PROBE_ROUNDS):
         cand = simplest_between(lo, hi)
-        s_cand = sign(D(cand))
+        s_cand = D.sign_at(cand)
         if s_cand == 0:
             return RealAlg.from_rational(cand)
         if s_cand == s_lo:
@@ -313,12 +328,12 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
             roots.append(made)
             return
         mid = (lo + hi) / 2
-        if q(mid) == 0:
+        if q.sign_at(mid) == 0:
             roots.append(RealAlg.from_rational(mid))
             eps = (hi - lo) / 4
             while (
-                q(mid - eps) == 0
-                or q(mid + eps) == 0
+                q.sign_at(mid - eps) == 0
+                or q.sign_at(mid + eps) == 0
                 or _count_pair(q, mid - eps, mid + eps) != 1
             ):
                 eps /= 2
@@ -358,7 +373,7 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     if p.is_zero:
         return 0
     if a.is_rational:
-        return sign(p(a.lo))
+        return p.sign_at(a.lo)
     # roots of g lie among the roots of defpoly, so the interval endpoints
     # are never roots of g and the count below is well-posed
     g = poly_gcd(a.defpoly, p)
@@ -367,7 +382,7 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     # p(a) != 0: bisect by the defpoly's sign until p's interval extension
     # over the box excludes 0
     D, lo, hi = a.defpoly, a.lo, a.hi
-    s_lo = sign(D(lo))
+    s_lo = D.sign_at(lo)
     while True:
         p_lo, p_hi = interval_eval(p, lo, hi)
         if p_lo > 0:
@@ -375,9 +390,9 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
         if p_hi < 0:
             return -1
         mid = (lo + hi) / 2
-        s_mid = sign(D(mid))
+        s_mid = D.sign_at(mid)
         if s_mid == 0:
-            return sign(p(mid))  # a turned out to be the rational mid
+            return p.sign_at(mid)  # a turned out to be the rational mid
         if s_mid == s_lo:
             lo = mid
         else:
@@ -420,10 +435,10 @@ def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
         return 1
     if r >= b.hi:
         return -1
-    s_r = sign(b.defpoly(r))
+    s_r = b.defpoly.sign_at(r)
     if s_r == 0:
         return 0
-    return 1 if s_r == sign(b.defpoly(b.lo)) else -1
+    return 1 if s_r == b.defpoly.sign_at(b.lo) else -1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qhlip.polyalg import (
     is_cxd,
     poly_gcd,
     resultant,
+    sign,
     square_free_part,
     sturm_sequence,
     x_multiplicity,
@@ -336,3 +337,67 @@ class TestEvalFloat:
             p.eval_float(2.0)
         with pytest.raises(OverflowError):
             B.eval_float(1.0, 2.0)
+
+
+#: rationals with numerators up to 2**300 and denominators above 2**200
+big_rationals = st.builds(F, st.integers(-(2**300), 2**300), st.integers(2**200, 2**260))
+points_ = st.one_of(st.integers(-50, 50), fractions_, big_rationals)
+
+
+class TestSignAt:
+    """sign_at is sign(p(x)), found by Horner's rule on integers over a
+    positive multiple of the coefficients."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(fractions_, max_size=8), points_)
+    def test_matches_exact_evaluation(self, coeffs, x):
+        p = UniPoly(coeffs)
+        assert p.sign_at(x) == sign(p(x))
+        assert p.sign_at(x) == sign(p(x))  # second call on the filled slot
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(fractions_, min_size=1, max_size=6), fractions_)
+    def test_zero_at_a_planted_root(self, coeffs, r):
+        p = UniPoly(coeffs) * P(-r, 1)
+        assert p.sign_at(r) == 0
+
+    def test_zero_and_constant_polynomials(self):
+        for x in (0, F(-7, 3), F(1, 2**201 + 1)):
+            assert UniPoly.zero().sign_at(x) == 0
+            assert P(F(-2, 3)).sign_at(x) == -1
+            assert P(5).sign_at(x) == 1
+
+    def test_zero_and_negative_points(self):
+        p = P(F(1, 3), -2, 0, 5)
+        for x in (0, F(0), -3, F(-7, 2), F(-1, 2**201 + 1)):
+            assert p.sign_at(x) == sign(p(x))
+        assert P(0, 1).sign_at(0) == 0
+        assert P(0, 0, 1).sign_at(F(-1, 3)) == 1
+
+    def test_coefficient_of_10_to_the_400(self):
+        # roots at ±10**200, far beyond the float range
+        p = P(-(10**400), 0, 1)
+        assert p.sign_at(10**200) == 0 and p.sign_at(-(10**200)) == 0
+        assert p.sign_at(0) == -1
+        below = F(10**200 * 2**201 - 1, 2**201)
+        assert p.sign_at(below) == -1 and p.sign_at(-below) == -1
+        assert p.sign_at(F(10**200 + 1)) == 1
+
+    def test_large_denominator_next_to_a_root(self):
+        r = F(3, 2**211 + 5)
+        p = P(-r, 1) * P(1, 0, 1)
+        eps = F(1, 2**300)
+        assert p.sign_at(r) == 0
+        assert p.sign_at(r + eps) == 1
+        assert p.sign_at(r - eps) == -1
+
+    def test_ratio_form_ignores_common_factors(self):
+        p = P(F(-1, 2), F(1, 3), 0, 1)
+        for k in (1, 2, 3, 2**100):
+            for a, b in ((3, 7), (-5, 4), (0, 1), (7, 9)):
+                assert p.sign_at_ratio(a * k, b * k) == sign(p(F(a, b)))
+
+    def test_integer_slot_keeps_equality_and_hash(self):
+        p, q = P(1, F(1, 3), -2), P(1, F(1, 3), -2)
+        p.sign_at(F(1, 2))
+        assert p == q and hash(p) == hash(q)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qhlip
-from qhlip import realalg
+from qhlip import jsonio, realalg
 from qhlip.polyalg import UniPoly, count_roots_between, sign, square_free_part
 from qhlip.realalg import (
     RealAlg,
@@ -23,6 +23,7 @@ from qhlip.realalg import (
     sign_at,
     simplest_between,
 )
+from qhlip.zygothety import BranchMap
 
 from helpers import brute_force_real_root_count, rand_nonzero_rational, rand_unipoly
 
@@ -277,6 +278,71 @@ class TestRefineAndFloat:
         assert sqrt2().to_float() == pytest.approx(2**0.5, abs=5e-16)
 
 
+def refined_float(a):
+    """to_float's rule on a fresh refinement, with nothing remembered."""
+    r = a.refine(F(1, 2**80))
+    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
+
+
+def count_refines(monkeypatch):
+    """Record the number each RealAlg.refine call is made on."""
+    calls = []
+    inner = RealAlg.refine
+
+    def counted(self, width):
+        calls.append(self)
+        return inner(self, width)
+
+    monkeypatch.setattr(RealAlg, "refine", counted)
+    return calls
+
+
+class TestFloatMemo:
+    """to_float refines and rounds once per number and keeps lo and hi."""
+
+    def test_two_calls_make_one_refine(self, monkeypatch):
+        root = isolate_real_roots(P(1, -3, 0, 1))[0]
+        calls = count_refines(monkeypatch)
+        first = root.to_float()
+        assert float(root).hex() == first.hex() == root.to_float().hex()
+        assert calls == [root]
+
+    def test_memo_matches_a_fresh_number(self):
+        rng = random.Random(109)
+        checked = 0
+        for _ in range(30):
+            for root in isolate_real_roots(rand_squarefree(rng, 6)):
+                fresh = RealAlg(root.defpoly, root.lo, root.hi)
+                want = refined_float(root)
+                assert fresh.to_float().hex() == want.hex()
+                assert root.to_float().hex() == want.hex()
+                assert root.to_float().hex() == want.hex()
+                checked += not root.is_rational
+        assert checked >= 20
+
+    def test_lo_and_hi_unchanged(self):
+        root = sqrt2()
+        lo, hi = root.lo, root.hi
+        assert hi - lo > F(1, 2**80)
+        root.to_float()
+        assert (root.lo, root.hi) == (lo, hi)
+        assert jsonio.alg_json(root)["interval"] == [str(lo), str(hi)]
+
+    def test_branch_map_and_inverse_refine_shared_points_once(self, monkeypatch):
+        # t^3 - 2t and t^3 - 5t: critical points ±sqrt(2/3) and ±sqrt(5/3),
+        # fresh numbers that no earlier test has rounded
+        f, g = P(0, -2, 0, 1), P(0, -5, 0, 1)
+        cf, cg = tuple(isolate_real_roots(f.derivative())), tuple(isolate_real_roots(g.derivative()))
+        assert not any(x.is_rational for x in cf + cg)
+        m = BranchMap(RealAlg.from_rational(1), True, f, g, cf, cg)
+        calls = count_refines(monkeypatch)
+        for t in (-2.0, 0.25, 3.0):
+            m.eval_float(t)
+            m.inverse().eval_float(t)
+        for x in cf + cg:
+            assert sum(c is x for c in calls) == 1
+
+
 class TestSimplestBetween:
     @pytest.mark.parametrize(
         "lo,hi,expected",
@@ -426,9 +492,15 @@ class TestSignBisection:
 def test_invariants_hold_under_python_O():
     script = textwrap.dedent(
         """
+        import contextlib
+        import dataclasses
+        import io
         from fractions import Fraction
-        from qhlip.polyalg import UniPoly, count_roots_between
+        from qhlip import cli
+        from qhlip.parser import parse_bi
+        from qhlip.polyalg import BiPoly, UniPoly, count_roots_between
         from qhlip.lipclass import CSet, Verdict1D
+        from qhlip.qhdecide import QHPoly, TheoremTag, _certify, heights, pairing_search, validate_qh
         from qhlip.realalg import RealAlg
         from qhlip.zygothety import BranchMap, Zygothety, identity_map
         print("debug", __debug__)
@@ -452,11 +524,21 @@ def test_invariants_hold_under_python_O():
         one = RealAlg.from_rational(1)
         ident = identity_map()
         cubic, square = UniPoly((0, 0, 0, 1)), UniPoly((0, 0, 1))
+        F = validate_qh(parse_bi("X^6-3*X^4*Y+Y^3"), 2, 1)
+        option = pairing_search(F, F).options[0]
+        # c = 2 maps the middle branch of t^3 - 3t + 1 past its image
+        wrong_c = dataclasses.replace(
+            option, plus=dataclasses.replace(option.plus, c_set=CSet.unique(RealAlg.from_rational(2)))
+        )
         for build in (
             lambda: CSet.unique(RealAlg.from_rational(-1)),
             lambda: Verdict1D(True),
             lambda: Zygothety(one, -one, ident, ident),
             lambda: BranchMap(one, True, cubic, square, (), ()).limit_slope(),
+            lambda: heights(dataclasses.replace(F, n=2)),
+            lambda: heights(QHPoly(BiPoly({(1, 1): 1, (0, 1): 1}), 2, 1, 3, 0, 1)),
+            lambda: pairing_search(F, dataclasses.replace(F, e=F.e + 1)),
+            lambda: _certify(wrong_c, F, F, TheoremTag.SUFF_A_PARITY),
         ):
             try:
                 build()
@@ -464,6 +546,21 @@ def test_invariants_hold_under_python_O():
                 print("raised", exc)
             else:
                 print("accepted", build)
+
+        # scan's transitivity check, fed verdicts that are not transitive
+        class Kind:
+            def __init__(self, kind):
+                self.kind = kind
+
+        kinds = iter(["equivalent", "not_equivalent", "equivalent"])
+        cli.decide = lambda f, g: Kind(next(kinds))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["scan", "X^6-3*l*X^4*Y+Y^3", "--param", "l", "--values=1,2,3", "--beta", "2/1"])
+        if code == 3 and "ArithmeticError" in err.getvalue():
+            print("raised", err.getvalue().strip())
+        else:
+            print("accepted", code, err.getvalue())
         """
     )
     src = str(Path(qhlip.__file__).resolve().parents[1])
@@ -472,7 +569,7 @@ def test_invariants_hold_under_python_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 7, out.stdout
+    assert [line.split()[0] for line in lines[1:]] == ["raised"] * 12, out.stdout
 
 
 def from_roots(roots):
