@@ -6,6 +6,9 @@ Compares, on seeded random inputs:
   x against ``sympy.resultant`` (up to sign: for example sympy gives
   ``resultant(t, t**3 + 1, t) == -1`` where the Sylvester determinant, and
   qhlip, give 1);
+* ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
+  ``sympy.gcd`` and ``sympy.sqf_part``, both made monic, on pairs of
+  rational polynomials that share a factor, sometimes a repeated one;
 * ``realalg.count_real_roots`` against the Sturm count of sympy's
   square-free part;
 * ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
@@ -40,7 +43,7 @@ import sympy
 
 from fractions import Fraction
 
-from qhlip.polyalg import TPoly, UniPoly, resultant
+from qhlip.polyalg import TPoly, UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import compare, count_real_roots, isolate_real_roots
 
 X, T = sympy.symbols("x t")
@@ -84,6 +87,37 @@ def check_resultant(A: TPoly, B: TPoly) -> str | None:
     if sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0:
         return None
     return f"resultant of {A.coeffs} and {B.coeffs}: qhlip {ours}, sympy {theirs}"
+
+
+def monic_expr(p: sympy.Expr) -> sympy.Expr:
+    return sympy.Poly(p, T).monic().as_expr()
+
+
+def check_gcd(p: UniPoly, q: UniPoly) -> str | None:
+    pe, qe = uni_expr(p, T), uni_expr(q, T)
+    ours, theirs = uni_expr(poly_gcd(p, q), T), monic_expr(sympy.gcd(pe, qe))
+    if sympy.expand(ours - theirs) != 0:
+        return f"poly_gcd({p}, {q}) = {ours}, sympy {theirs}"
+    for f, fe in ((p, pe), (q, qe)):
+        ours, theirs = uni_expr(square_free_part(f), T), monic_expr(sympy.sqf_part(fe))
+        if sympy.expand(ours - theirs) != 0:
+            return f"square_free_part({f}) = {ours}, sympy {theirs}"
+    return None
+
+
+def rand_rational_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
+    """Two polynomials with rational coefficients, times a shared factor
+    that is squared a third of the time."""
+
+    def rat_poly(max_deg: int) -> UniPoly:
+        """Degree 1 to max_deg, leading coefficient of either sign."""
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, max_deg))]
+        return UniPoly(cs + [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))])
+
+    shared = rat_poly(2)
+    if rng.random() < 1 / 3:
+        shared = shared * shared
+    return rat_poly(4) * shared, rat_poly(3) * shared
 
 
 def check_roots(p: UniPoly) -> str | None:
@@ -174,6 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
             check_resultant(A, B)
+            or check_gcd(*rand_rational_pair(rng))
             or check_roots(p)
             or check_sign_at(p, rand_points(rng, p))
             or check_floats(p)

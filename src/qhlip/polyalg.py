@@ -5,6 +5,10 @@ polynomials are sparse (quasihomogeneous supports are thin).  Everything is
 immutable and every operation is a pure function, so values can be shared and
 cached freely.  Signs at rational points are found in integers
 (`UniPoly.sign_at`), which is all that Sturm counting and bisection need.
+
+Remainders and gcds run in Z[x] on primitive integer multiples (`_zx`), by
+pseudo-remainders that scale by |lc| > 0 only (`_prem`; Collins, JACM 14,
+1967), so every remainder is a positive multiple of the one over Q.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ class UniPoly:
         # never here, so exact work on coefficients beyond the float range
         # does not raise OverflowError
         self._flt: tuple[float, ...] | None = None
-        # a positive integer multiple of the coefficients, highest power
-        # first; filled by sign_at
+        # the coefficients scaled to coprime integers, lowest power first;
+        # filled by _zx
         self._int: tuple[int, ...] | None = None
 
     @staticmethod
@@ -148,26 +152,16 @@ class UniPoly:
         acc = acc*a + c_i*b**(n-i), highest power first (Yap, Fundamental
         Problems of Algorithmic Algebra, ch. 3).
         """
-        ints = self._int
-        if ints is None:
-            den = 1
-            for c in self.coeffs:
-                den = _int_lcm(den, c.denominator)
-            # den == 1 (a primitive Sturm polynomial, say): share the
-            # numerators' int objects instead of copying them
-            ints = self._int = tuple(
-                c.numerator if den == 1 else c.numerator * (den // c.denominator)
-                for c in reversed(self.coeffs)
-            )
+        ints = _zx(self)
         if not ints:
             return 0
-        acc = ints[0]
+        acc = ints[-1]
         if b == 1:
-            for c in ints[1:]:
+            for c in ints[-2::-1]:
                 acc = acc * a + c
         else:
             bk = 1
-            for c in ints[1:]:
+            for c in ints[-2::-1]:
                 bk *= b
                 acc = acc * a + c * bk
         return (acc > 0) - (acc < 0)
@@ -203,9 +197,6 @@ class UniPoly:
                 rem[k + j] -= q * c
         return UniPoly(quo), UniPoly(rem)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -226,15 +217,7 @@ class UniPoly:
         Positive scaling preserves signs everywhere, which is what Sturm
         chains rely on.
         """
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = _int_lcm(den, c.denominator)
-        num = 0
-        for c in self.coeffs:
-            num = _int_gcd(num, abs(c.numerator * (den // c.denominator)))
-        return self.scale(Fraction(den, num))
+        return UniPoly(_zx(self))
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(t)), exact."""
@@ -277,43 +260,102 @@ class UniPoly:
         return "UniPoly(" + " + ".join(parts) + ")"
 
 
+def _primitive(cs: list[int]) -> tuple[list[int], int]:
+    """(cs / g, g) for the content g = gcd(cs) >= 0; cs itself when g <= 1."""
+    g = _int_gcd(*cs)
+    return (cs if g <= 1 else [c // g for c in cs]), g
+
+
+def _zx(p: UniPoly) -> tuple[int, ...]:
+    """p's coefficients, lowest power first, scaled by a positive rational
+    to coprime integers; kept in p's slot."""
+    ints = p._int
+    if ints is None:
+        den = _int_lcm(*(c.denominator for c in p.coeffs))
+        # den == 1 (a Sturm polynomial, say): the numerators' int objects
+        # are shared, not copied
+        cs = [c.numerator if den == 1 else c.numerator * (den // c.denominator) for c in p.coeffs]
+        ints = p._int = tuple(_primitive(cs)[0])
+    return ints
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int, int]:
+    """Primitive pseudo-remainder of a by a nonzero b in Z[x], lowest power
+    first: (r, g, steps) with |lc b|**steps * (a mod b) == g * r, r primitive
+    (empty when b divides a)."""
+    r, db, lc, steps = list(a), len(b) - 1, b[-1], 0
+    m = abs(lc)
+    for k in range(len(r) - 1 - db, -1, -1):
+        top = r.pop()  # coefficient of t**(k + db), eliminated by top * t**k * b
+        if not top:
+            continue
+        if lc < 0:
+            top = -top
+        if m != 1:
+            r = [m * c for c in r]
+            steps += 1
+        for j in range(db):
+            r[k + j] -= top * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return (*_primitive(r), steps)
+
+
+def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """A primitive gcd in Z[x], up to sign, by the primitive remainder sequence."""
+    while b:
+        a, b = b, _prem(a, b)[0]
+    return a
+
+
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor; both-zero input is an error."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.primitive()
-    return a.monic()
+    return UniPoly(_zx_gcd(_zx(p), _zx(q))).monic()
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p'), monic."""
+    """p / gcd(p, p'), monic; the primitive gcd divides p's primitive
+    integer multiple exactly over Z (Gauss's lemma)."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return UniPoly.one()
-    g = poly_gcd(p, p.derivative())
-    return p.divexact(g).monic()
+    a = list(_zx(p))
+    g = _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0])
+    # exact division of a by g over Z, highest power first
+    quo = [0] * (len(a) - len(g) + 1)
+    dg = len(g) - 1
+    for k in range(len(quo) - 1, -1, -1):
+        c, rem = divmod(a.pop(), g[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k] = c
+        for j in range(dg):
+            a[k + j] -= c * g[j]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return UniPoly(quo).monic()
 
 
 @lru_cache(maxsize=None)
 def sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
     """Standard Sturm chain p, p', -rem, ... for a square-free p.
 
-    Content is stripped (by positive factors only) between steps to control
-    coefficient growth; that keeps every sign evaluation unchanged.
+    Each later element is the negated primitive pseudo-remainder, a
+    positive multiple of -rem over Q, so every sign is the textbook one.
     """
     if p.is_zero:
         raise ValueError("Sturm sequence of the zero polynomial")
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero:
+    a, b = _zx(p), _zx(chain[1])
+    while b:
+        r = _prem(a, b)[0]
+        if not r:
             break
-        chain.append(r.primitive())
+        a, b = b, [-c for c in r]
+        chain.append(UniPoly(b))
     return tuple(chain)
 
 
@@ -558,18 +600,27 @@ class TPoly:
 
 def _resultant_q(p: UniPoly, q: UniPoly) -> Fraction:
     """Res(p, q) over Q for nonzero p and q, by the Euclidean rule
-    Res(p, q) = (-1)**(deg p * deg q) * lc(q)**(deg p - deg r) * Res(q, r)
-    with r = p mod q."""
-    acc = Fraction(1)
-    while q.degree > 0:
-        r = p % q
-        if r.is_zero:
+    Res(P, Q) = (-1)**(deg P * deg Q) * lc(Q)**(deg P - deg R) * Res(Q, R)
+    with R = P mod Q on the primitive integer multiples P, Q of p, q, times
+    (lc p / lc P)**deg q * (lc q / lc Q)**deg p.  P mod Q is g / |lc Q|**steps
+    times the primitive pseudo-remainder, so g**deg Q joins the integer
+    numerator and |lc Q|**(steps * deg Q) the denominator; one Fraction is
+    built."""
+    P, Q = _zx(p), _zx(q)
+    lp, lq = p.leading, q.leading
+    num = lp.numerator ** q.degree * lq.numerator ** p.degree
+    den = (lp.denominator * P[-1]) ** q.degree * (lq.denominator * Q[-1]) ** p.degree
+    while len(Q) > 1:
+        R, g, steps = _prem(P, Q)
+        if not R:
             return Fraction(0)
-        if p.degree * q.degree % 2:
-            acc = -acc
-        acc *= q.leading ** (p.degree - r.degree)
-        p, q = q, r
-    return acc * q.leading**p.degree
+        dP, dQ = len(P) - 1, len(Q) - 1
+        if dP * dQ % 2:
+            num = -num
+        num *= Q[-1] ** (dP - len(R) + 1) * g**dQ
+        den *= abs(Q[-1]) ** (steps * dQ)
+        P, Q = Q, R
+    return Fraction(num * Q[-1] ** (len(P) - 1), den)
 
 
 def _interpolate(xs: Sequence[int], values: Sequence[Fraction]) -> UniPoly:

@@ -56,22 +56,28 @@ _RATIONAL_PROBE_ROUNDS = 4
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in the open interval (lo, hi)."""
+    """The rational with the smallest denominator in the open interval (lo, hi).
+
+    For 0 <= lo < hi it is floor(lo) + 1 when that is below hi, else
+    floor(lo) + 1/x for x the answer on (1/(hi - floor lo), 1/(lo - floor lo)),
+    whose upper end is infinite (d == 0) when lo is an integer.  The loop runs
+    on the integers of lo = a/b and hi = c/d and folds the convergent h/k as
+    it goes; one Fraction is built.
+    """
     if lo >= hi:
         raise ValueError("empty interval")
     if lo < 0 < hi:
         return Fraction(0)
     if hi <= 0:
         return -simplest_between(-hi, -lo)
-    fl = lo.numerator // lo.denominator
-    if lo == fl:
-        if hi > fl + 1:
-            return Fraction(fl + 1)
-        inv = 1 / (hi - fl)
-        return fl + Fraction(1, inv.numerator // inv.denominator + 1)
-    if hi > fl + 1:
-        return Fraction(fl + 1)
-    return fl + 1 / simplest_between(1 / (hi - fl), 1 / (lo - fl))
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    h, h_, k, k_ = 1, 0, 0, 1  # the convergent h/k so far, and the one before
+    while True:
+        fl = a // b
+        if c > (fl + 1) * d:
+            return Fraction((fl + 1) * h + h_, (fl + 1) * k + k_)
+        h, h_, k, k_ = fl * h + h_, h, fl * k + k_, k
+        a, b, c, d = d, c - fl * d, b, a - fl * b
 
 
 class RealAlg:

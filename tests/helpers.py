@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from qhlip.polyalg import BiPoly, TPoly, UniPoly, cauchy_root_bound, square_free_part
@@ -137,3 +138,91 @@ def brute_force_real_root_count(p: UniPoly) -> int:
         if cur == last:
             return cur
         last = cur
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel over Fraction: remainders by exact rational division
+# ---------------------------------------------------------------------------
+
+
+def frac_primitive(p: UniPoly) -> UniPoly:
+    """p scaled by a positive rational to coprime integer coefficients."""
+    if p.is_zero:
+        return p
+    den = 1
+    for c in p.coeffs:
+        den = lcm(den, c.denominator)
+    num = 0
+    for c in p.coeffs:
+        num = gcd(num, abs(c.numerator * (den // c.denominator)))
+    return p.scale(Fraction(den, num))
+
+
+def frac_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd by the Euclidean algorithm over Q."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, (a % b)
+        if not b.is_zero:
+            b = frac_primitive(b)
+    return a.monic()
+
+
+def frac_square_free_part(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p') over Q, monic."""
+    if p.is_zero:
+        raise ValueError("square-free part of the zero polynomial")
+    if p.degree == 0:
+        return UniPoly.one()
+    return p.divexact(frac_gcd(p, p.derivative())).monic()
+
+
+def frac_sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
+    """Sturm chain p, p', then the primitive part of -rem over Q."""
+    if p.is_zero:
+        raise ValueError("Sturm sequence of the zero polynomial")
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero:
+        r = -(chain[-2] % chain[-1])
+        if r.is_zero:
+            break
+        chain.append(frac_primitive(r))
+    return tuple(chain)
+
+
+def frac_resultant(p: UniPoly, q: UniPoly) -> Fraction:
+    """Res(p, q) over Q for nonzero p and q by the Euclidean rule
+    Res(p, q) = (-1)**(deg p * deg q) * lc(q)**(deg p - deg r) * Res(q, r)
+    with r = p mod q."""
+    acc = Fraction(1)
+    while q.degree > 0:
+        r = p % q
+        if r.is_zero:
+            return Fraction(0)
+        if p.degree * q.degree % 2:
+            acc = -acc
+        acc *= q.leading ** (p.degree - r.degree)
+        p, q = q, r
+    return acc * q.leading**p.degree
+
+
+def frac_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the smallest denominator in (lo, hi), by the
+    continued-fraction recursion on Fractions."""
+    if lo >= hi:
+        raise ValueError("empty interval")
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -frac_simplest_between(-hi, -lo)
+    fl = lo.numerator // lo.denominator
+    if lo == fl:
+        if hi > fl + 1:
+            return Fraction(fl + 1)
+        inv = 1 / (hi - fl)
+        return fl + Fraction(1, inv.numerator // inv.denominator + 1)
+    if hi > fl + 1:
+        return Fraction(fl + 1)
+    return fl + 1 / frac_simplest_between(1 / (hi - fl), 1 / (lo - fl))

@@ -5,10 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhlip import polyalg
 from qhlip.polyalg import (
     BiPoly,
     TPoly,
     UniPoly,
+    _resultant_q,
     count_roots_between,
     interval_eval,
     is_cxd,
@@ -21,7 +23,16 @@ from qhlip.polyalg import (
     y_divides,
 )
 
-from helpers import brute_force_real_root_count, rand_tpoly, rand_unipoly, sylvester_resultant
+from helpers import (
+    brute_force_real_root_count,
+    frac_gcd,
+    frac_resultant,
+    frac_square_free_part,
+    frac_sturm_sequence,
+    rand_tpoly,
+    rand_unipoly,
+    sylvester_resultant,
+)
 
 T = UniPoly.var()
 
@@ -401,3 +412,112 @@ class TestSignAt:
         p, q = P(1, F(1, 3), -2), P(1, F(1, 3), -2)
         p.sign_at(F(1, 2))
         assert p == q and hash(p) == hash(q)
+
+
+#: zeros (sparse polynomials give remainders that skip degrees, where a
+#: pseudo-remainder takes an odd number of steps), small integers, small
+#: rationals, and integers of either sign near 10**400
+kernel_coeffs = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(lambda s, k: s * (10**400 + k), st.sampled_from((-1, 1)), st.integers(-5, 5)),
+)
+
+
+def kernel_polys(min_size=0, max_size=5):
+    """Polynomials with the coefficients above: zero and constants
+    included, leading coefficients of either sign."""
+    return st.lists(kernel_coeffs, min_size=min_size, max_size=max_size).map(UniPoly)
+
+
+nonzero_polys = kernel_polys(min_size=1).filter(lambda p: not p.is_zero)
+
+kernel_examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerKernel:
+    """The remainder kernel over Z returns exactly what remainders over Q
+    return: the same monic gcd and square-free part, the same Sturm chain
+    element by element, and the same resultant."""
+
+    @kernel_examples
+    @given(kernel_polys(), kernel_polys(), kernel_polys(max_size=3))
+    def test_gcd_matches_fraction_reference(self, a, b, c):
+        p, q = a * c, b * c  # c is a common factor
+        if p.is_zero and q.is_zero:
+            with pytest.raises(ValueError):
+                poly_gcd(p, q)
+            return
+        assert poly_gcd(p, q) == frac_gcd(p, q)
+        assert poly_gcd(q, p) == frac_gcd(p, q)
+
+    def test_gcd_with_zero_and_constants(self):
+        p = P(F(-3, 2), 0, F(3, 4))
+        assert poly_gcd(p, UniPoly.zero()) == P(-2, 0, 1)
+        assert poly_gcd(UniPoly.zero(), p) == P(-2, 0, 1)
+        assert poly_gcd(UniPoly.zero(), P(F(-5, 7))) == P(1)
+        assert poly_gcd(p, P(-4)) == P(1)
+
+    @kernel_examples
+    @given(nonzero_polys, kernel_polys(min_size=2, max_size=3), st.integers(1, 3))
+    def test_square_free_part_matches_fraction_reference(self, a, c, e):
+        p = a
+        for _ in range(e):
+            p = p * c  # c**e is a repeated factor when e >= 2
+        if p.is_zero:
+            return
+        assert square_free_part(p) == frac_square_free_part(p)
+
+    @kernel_examples
+    @given(nonzero_polys, kernel_polys(max_size=3), st.booleans())
+    def test_sturm_chain_matches_fraction_reference(self, a, c, square):
+        p = a * c * c if square and not c.is_zero else a
+        assert sturm_sequence(p) == frac_sturm_sequence(p)
+
+    def test_sturm_chain_with_odd_pseudo_remainder_steps(self):
+        # negative leading coefficients where a remainder skips a degree:
+        # one step of |lc| scaling, which a signed lc would turn into a sign
+        # flip of the chain element
+        for p in (P(1, 0, -1), P(-1, 3, 0, 0, -1), P(0, 1, 0, F(-1, 2)), P(2, 0, 0, -5)):
+            assert sturm_sequence(p) == frac_sturm_sequence(p)
+        assert sturm_sequence(P(1, 0, -1))[2] == P(-1)
+
+    @kernel_examples
+    @given(nonzero_polys, nonzero_polys, kernel_polys(max_size=2))
+    def test_resultant_matches_references(self, a, b, c):
+        # a shared factor c makes the resultant 0 when c is not constant
+        p, q = (a * c, b * c) if not c.is_zero else (a, b)
+        res = _resultant_q(p, q)
+        assert type(res) is F
+        assert res == frac_resultant(p, q)
+        assert res == sylvester_resultant(p.coeffs, q.coeffs)
+
+    def test_resultant_negative_leading_coefficients(self):
+        # Res(-2t^2 + 1, -3t^3 + t) by the Sylvester determinant
+        p, q = P(1, 0, -2), P(0, 1, 0, -3)
+        assert _resultant_q(p, q) == sylvester_resultant(p.coeffs, q.coeffs) == frac_resultant(p, q)
+        assert _resultant_q(P(F(-1, 2), 0, F(-2, 3)), P(3, F(-5, 4))) == frac_resultant(
+            P(F(-1, 2), 0, F(-2, 3)), P(3, F(-5, 4))
+        )
+
+    def test_coefficients_of_10_to_the_400(self):
+        big = 10**400
+        p = P(-big, 0, 1) * P(1, 1)  # (t^2 - 10^400)(t + 1)
+        q = P(big, 1) * P(1, 1)
+        assert poly_gcd(p, q) == P(1, 1)
+        assert square_free_part(p * P(1, 1)) == p
+        assert sturm_sequence(p) == frac_sturm_sequence(p)
+        assert count_roots_between(p, F(-(10**201)), F(10**201)) == 3
+        assert _resultant_q(P(-big, 0, 1), P(big, 1)) == big**2 - big
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # square_free_part divides by the gcd exactly over Z; a wrong gcd
+        # must not pass unnoticed, whether a quotient coefficient or the
+        # final remainder is where the division fails
+        monkeypatch.setattr(polyalg, "_zx_gcd", lambda a, b: [0, 2])
+        with pytest.raises(ArithmeticError, match="inexact"):
+            square_free_part(P(0, 0, 1))
+        monkeypatch.setattr(polyalg, "_zx_gcd", lambda a, b: [1, 1])
+        with pytest.raises(ArithmeticError, match="inexact"):
+            square_free_part(P(1, 0, 1))

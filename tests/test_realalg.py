@@ -25,7 +25,12 @@ from qhlip.realalg import (
 )
 from qhlip.zygothety import BranchMap
 
-from helpers import brute_force_real_root_count, rand_nonzero_rational, rand_unipoly
+from helpers import (
+    brute_force_real_root_count,
+    frac_simplest_between,
+    rand_nonzero_rational,
+    rand_unipoly,
+)
 
 
 def P(*coeffs):
@@ -358,6 +363,29 @@ class TestSimplestBetween:
     def test_examples(self, lo, hi, expected):
         got = simplest_between(lo, hi)
         assert got == expected
+        assert lo < got < hi
+
+    #: integer, small rational and huge-denominator endpoints of either sign
+    endpoints = st.one_of(
+        st.integers(-20, 20).map(F),
+        st.fractions(min_value=-20, max_value=20, max_denominator=50),
+        st.builds(F, st.integers(-(2**90), 2**90), st.integers(2**80, 2**85)),
+    )
+    widths = st.one_of(
+        st.integers(1, 5).map(F),
+        st.fractions(min_value=F(1, 10**6), max_value=3),
+        st.builds(F, st.integers(1, 9), st.integers(2**80, 2**90)),
+    )
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(endpoints, widths, st.booleans())
+    def test_matches_fraction_recursion(self, lo, width, from_integer):
+        if from_integer:
+            lo = F(lo.numerator // lo.denominator)
+        hi = lo + width
+        got = simplest_between(lo, hi)
+        assert type(got) is F
+        assert got == frac_simplest_between(lo, hi)
         assert lo < got < hi
 
 
