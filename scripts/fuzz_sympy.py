@@ -2,10 +2,10 @@
 
 Compares, on seeded random inputs:
 
-* ``polyalg.resultant`` on pairs of polynomials in t with coefficients in
-  x against ``sympy.resultant`` (up to sign: for example sympy gives
-  ``resultant(t, t**3 + 1, t) == -1`` where the Sylvester determinant, and
-  qhlip, give 1);
+* ``polyalg.resultant`` on pairs of polynomials in t with integer or
+  rational coefficients in x against ``sympy.resultant`` (up to sign: for
+  example sympy gives ``resultant(t, t**3 + 1, t) == -1`` where the
+  Sylvester determinant, and qhlip, give 1);
 * ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
   ``sympy.gcd`` and ``sympy.sqf_part``, both made monic, on pairs of
   rational polynomials that share a factor, sometimes a repeated one;
@@ -43,7 +43,7 @@ import sympy
 
 from fractions import Fraction
 
-from qhlip.polyalg import TPoly, UniPoly, poly_gcd, resultant, square_free_part
+from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import compare, count_real_roots, isolate_real_roots
 
 X, T = sympy.symbols("x t")
@@ -61,32 +61,37 @@ def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
     return p
 
 
-def rand_tpoly(rng: random.Random) -> TPoly:
-    """Polynomial in t of degree 0-4 with integer coefficients in x of degree 0-2."""
+def rand_tpoly(rng: random.Random) -> tuple[UniPoly, ...]:
+    """Polynomial in t of degree 0-4, as its coefficients lowest power first,
+    each a polynomial in x of degree 0-2 whose coefficients are integers or,
+    a third of the time, fractions with denominators up to 6."""
+
+    def value() -> Fraction:
+        return Fraction(rng.randint(-5, 5), 1 if rng.random() < 2 / 3 else rng.randint(2, 6))
 
     def coeff() -> UniPoly:
-        return UniPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
+        return UniPoly(value() for _ in range(rng.randint(1, 3)))
 
     lead = coeff()
     while lead.is_zero:
         lead = coeff()
-    return TPoly([coeff() for _ in range(rng.randint(0, 4))] + [lead])
+    return tuple(coeff() for _ in range(rng.randint(0, 4))) + (lead,)
 
 
 def uni_expr(p: UniPoly, var: sympy.Symbol) -> sympy.Expr:
     return sum(sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(p.coeffs))
 
 
-def tpoly_expr(A: TPoly) -> sympy.Expr:
-    return sum(uni_expr(c, X) * T**k for k, c in enumerate(A.coeffs))
+def tpoly_expr(A: tuple[UniPoly, ...]) -> sympy.Expr:
+    return sum(uni_expr(c, X) * T**k for k, c in enumerate(A))
 
 
-def check_resultant(A: TPoly, B: TPoly) -> str | None:
+def check_resultant(A: tuple[UniPoly, ...], B: tuple[UniPoly, ...]) -> str | None:
     ours = uni_expr(resultant(A, B), X)
     theirs = sympy.resultant(tpoly_expr(A), tpoly_expr(B), T)
     if sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0:
         return None
-    return f"resultant of {A.coeffs} and {B.coeffs}: qhlip {ours}, sympy {theirs}"
+    return f"resultant of {A} and {B}: qhlip {ours}, sympy {theirs}"
 
 
 def monic_expr(p: sympy.Expr) -> sympy.Expr:

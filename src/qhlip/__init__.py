@@ -27,6 +27,7 @@ from .qhdecide import (
     QHPoly,
     TheoremTag,
     Verdict2D,
+    VerdictKind,
     decide,
     heights,
     infer_beta,

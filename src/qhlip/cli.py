@@ -25,6 +25,7 @@ from .qhdecide import (
     NotQuasihomogeneousError,
     QHPoly,
     Verdict2D,
+    VerdictKind,
     decide,
     infer_beta,
     validate_qh,
@@ -32,7 +33,6 @@ from .qhdecide import (
 from .witness import (
     GridSpec,
     InverseBetaTransform,
-    asymptotic_shell_decay,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,
@@ -44,9 +44,9 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 _VERDICT_EXIT = {
-    "equivalent": EXIT_EQUIVALENT,
-    "not_equivalent": EXIT_NOT_EQUIVALENT,
-    "unknown": EXIT_UNKNOWN,
+    VerdictKind.EQUIVALENT: EXIT_EQUIVALENT,
+    VerdictKind.NOT_EQUIVALENT: EXIT_NOT_EQUIVALENT,
+    VerdictKind.UNKNOWN: EXIT_UNKNOWN,
 }
 
 #: error code reported for each expected failure; anything else is "internal"
@@ -165,7 +165,7 @@ def cmd_classify2(args) -> int:
 
 def cmd_witness(args) -> int:
     F, G, verdict, out = _classify2(args)
-    if verdict.kind == "equivalent":
+    if verdict.kind == VerdictKind.EQUIVALENT:
         T = InverseBetaTransform(verdict.certificate.zygothety, F.r, F.s)
         x_count = max(1, args.samples // (2 * 100))
         grid = GridSpec(x_count=x_count, t_count=100, delta=args.delta)
@@ -173,8 +173,7 @@ def cmd_witness(args) -> int:
         rmin, rmax = verify_lipschitz(T, samples=2000, delta=args.delta)
         rep.lipschitz_ratio_min = rmin
         rep.lipschitz_ratio_max = rmax
-        phi1 = verdict.certificate.zygothety.phi1
-        rep.asymptotic = verify_asymptotic(phi1) + asymptotic_shell_decay(phi1)
+        rep.asymptotic = verify_asymptotic(verdict.certificate.zygothety.phi1)
         out["report"] = jsonio.report_json(rep)
         _emit(out)
         return EXIT_EQUIVALENT if rep.conjugacy_pass else EXIT_ERROR
@@ -191,7 +190,7 @@ def cmd_scan(args) -> int:
         bindings[args.param] = v
         polys.append(_qh_from_args(args.family, args, bindings))
     n = len(polys)
-    verdicts: dict[tuple[int, int], str] = {}
+    verdicts: dict[tuple[int, int], VerdictKind] = {}
     for i in range(n):
         for j in range(i + 1, n):
             verdicts[(i, j)] = decide(polys[i], polys[j]).kind
@@ -205,7 +204,7 @@ def cmd_scan(args) -> int:
         return i
 
     for (i, j), kind in verdicts.items():
-        if kind == "equivalent":
+        if kind == VerdictKind.EQUIVALENT:
             parent[find(i)] = find(j)
     classes: dict[int, list[int]] = {}
     for i in range(n):
@@ -214,9 +213,9 @@ def cmd_scan(args) -> int:
     # all-pairs decisions double as a transitivity check of the engine
     for cls in partition:
         for pair in itertools.combinations(cls, 2):
-            if verdicts[pair] != "equivalent":
+            if verdicts[pair] != VerdictKind.EQUIVALENT:
                 raise ArithmeticError("equivalence relation from decide() is not transitive; internal bug")
-    unknown_pairs = sorted(k for k, v in verdicts.items() if v == "unknown")
+    unknown_pairs = sorted(k for k, v in verdicts.items() if v == VerdictKind.UNKNOWN)
     _emit(
         {
             "family": args.family,

@@ -16,6 +16,7 @@ from .qhdecide import (
     PairingFailure,
     UnknownReason,
     Verdict2D,
+    VerdictKind,
 )
 from .realalg import RealAlg
 from .witness import VerificationReport
@@ -128,13 +129,15 @@ def _failure_json(failure: PairingFailure) -> dict:
     return out
 
 
+_VERDICT_NAMES = {
+    VerdictKind.EQUIVALENT: "Equivalent",
+    VerdictKind.NOT_EQUIVALENT: "NotEquivalent",
+    VerdictKind.UNKNOWN: "Unknown",
+}
+
+
 def verdict2_json(v: Verdict2D) -> dict:
-    kind_names = {
-        "equivalent": "Equivalent",
-        "not_equivalent": "NotEquivalent",
-        "unknown": "Unknown",
-    }
-    out: dict = {"verdict": kind_names[v.kind]}
+    out: dict = {"verdict": _VERDICT_NAMES[v.kind]}
     if v.certificate is not None:
         out["certificate"] = certificate_json(v.certificate)
     if isinstance(v.reason, NEReason):

@@ -6,9 +6,11 @@ immutable and every operation is a pure function, so values can be shared and
 cached freely.  Signs at rational points are found in integers
 (`UniPoly.sign_at`), which is all that Sturm counting and bisection need.
 
-Remainders and gcds run in Z[x] on primitive integer multiples (`_zx`), by
-pseudo-remainders that scale by |lc| > 0 only (`_prem`; Collins, JACM 14,
-1967), so every remainder is a positive multiple of the one over Q.
+Remainders, gcds and exact divisions run in Z[x] on primitive integer
+multiples (`_zx`), by pseudo-remainders that scale by |lc| > 0 only (`_prem`;
+Collins, JACM 14, 1967), so every remainder is a positive multiple of the one
+over Q.  Resultants are computed in Z at integer points and interpolated in
+Z; a Fraction is built only for each coefficient of the result.
 """
 
 from __future__ import annotations
@@ -178,34 +180,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lc = other.leading
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            q = top / lc
-            quo[k] = q
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] -= q * c
-        return UniPoly(quo), UniPoly(rem)
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def divexact(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -315,6 +289,23 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return UniPoly(_zx_gcd(_zx(p), _zx(q))).monic()
 
 
+def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
+    """a / b in Z[x], lowest power first, for b dividing a exactly; raises
+    ArithmeticError when it does not.  Consumes a."""
+    quo = [0] * (len(a) - len(b) + 1)
+    db = len(b) - 1
+    for k in range(len(quo) - 1, -1, -1):  # highest power first
+        c, rem = divmod(a.pop(), b[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k] = c
+        for j in range(db):
+            a[k + j] -= c * b[j]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return quo
+
+
 def square_free_part(p: UniPoly) -> UniPoly:
     """p / gcd(p, p'), monic; the primitive gcd divides p's primitive
     integer multiple exactly over Z (Gauss's lemma)."""
@@ -324,19 +315,7 @@ def square_free_part(p: UniPoly) -> UniPoly:
         return UniPoly.one()
     a = list(_zx(p))
     g = _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0])
-    # exact division of a by g over Z, highest power first
-    quo = [0] * (len(a) - len(g) + 1)
-    dg = len(g) - 1
-    for k in range(len(quo) - 1, -1, -1):
-        c, rem = divmod(a.pop(), g[-1])
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        quo[k] = c
-        for j in range(dg):
-            a[k + j] -= c * g[j]
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return UniPoly(quo).monic()
+    return UniPoly(_zx_quotient(a, g)).monic()
 
 
 @lru_cache(maxsize=None)
@@ -552,115 +531,99 @@ def is_cxd(F: BiPoly) -> tuple[Fraction, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Resultants by evaluation and interpolation
+# Resultants by evaluation and interpolation, over Z
 # ---------------------------------------------------------------------------
 
 
-class TPoly:
-    """Polynomial in t whose coefficients are UniPoly values in x.
-
-    This is the two-level representation the resultant kernel works in:
-    the eliminated variable is t, the surviving variable is x.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[UniPoly] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs: tuple[UniPoly, ...] = tuple(cs)
-
-    @staticmethod
-    def from_unipoly_in_t(p: UniPoly) -> "TPoly":
-        return TPoly(tuple(UniPoly.constant(c) for c in p.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def x_degree(self) -> int:
-        return max(c.degree for c in self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> UniPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
-
-    def at(self, x: RatLike) -> UniPoly:
-        """The polynomial in t obtained by setting x to a rational value."""
-        return UniPoly(tuple(c(x) for c in self.coeffs))
+def _zx_rows(p: UniPoly | Sequence[UniPoly]) -> tuple[list[list[int]], int]:
+    """(rows, den): p's coefficients in t, each a polynomial in x (constant
+    for a UniPoly p), scaled by the lcm den of all their denominators to
+    integer lists, lowest power first."""
+    rows = [(c,) for c in p.coeffs] if isinstance(p, UniPoly) else [c.coeffs for c in p]
+    while rows and not rows[-1]:
+        rows.pop()
+    den = _int_lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
 
 
-def _resultant_q(p: UniPoly, q: UniPoly) -> Fraction:
-    """Res(p, q) over Q for nonzero p and q, by the Euclidean rule
+def _horner(cs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _resultant_q(P: list[int], Q: list[int]) -> int:
+    """Res(P, Q) for integer coefficient lists, lowest power first, with
+    nonzero leading coefficients, by the Euclidean rule
     Res(P, Q) = (-1)**(deg P * deg Q) * lc(Q)**(deg P - deg R) * Res(Q, R)
-    with R = P mod Q on the primitive integer multiples P, Q of p, q, times
-    (lc p / lc P)**deg q * (lc q / lc Q)**deg p.  P mod Q is g / |lc Q|**steps
-    times the primitive pseudo-remainder, so g**deg Q joins the integer
-    numerator and |lc Q|**(steps * deg Q) the denominator; one Fraction is
-    built."""
-    P, Q = _zx(p), _zx(q)
-    lp, lq = p.leading, q.leading
-    num = lp.numerator ** q.degree * lq.numerator ** p.degree
-    den = (lp.denominator * P[-1]) ** q.degree * (lq.denominator * Q[-1]) ** p.degree
+    with R = P mod Q, on the primitive parts.  P mod Q is g / |lc Q|**steps
+    times the primitive pseudo-remainder, so g**deg Q joins the numerator
+    and |lc Q|**(steps * deg Q) the denominator, which divides the numerator
+    exactly at the end."""
+    (P, cp), (Q, cq) = _primitive(P), _primitive(Q)
+    num, den = cp ** (len(Q) - 1) * cq ** (len(P) - 1), 1
     while len(Q) > 1:
         R, g, steps = _prem(P, Q)
         if not R:
-            return Fraction(0)
+            return 0
         dP, dQ = len(P) - 1, len(Q) - 1
         if dP * dQ % 2:
             num = -num
         num *= Q[-1] ** (dP - len(R) + 1) * g**dQ
         den *= abs(Q[-1]) ** (steps * dQ)
         P, Q = Q, R
-    return Fraction(num * Q[-1] ** (len(P) - 1), den)
+    return num * Q[-1] ** (len(P) - 1) // den
 
 
-def _interpolate(xs: Sequence[int], values: Sequence[Fraction]) -> UniPoly:
-    """The polynomial of degree below len(xs) through (xs[i], values[i])."""
+def _interpolate(xs: Sequence[int], values: Sequence[int]) -> list[int]:
+    """The integer coefficients, lowest power first, of the integer
+    polynomial of degree below len(xs) through (xs[i], values[i]).  Divided
+    differences of an integer polynomial at integer nodes are integers, so
+    every division is exact."""
     c = list(values)
     n = len(c)
     for j in range(1, n):  # Newton divided differences, in place
         for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    out = [Fraction(0)] * n
+            c[i], rem = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if rem:
+                raise ArithmeticError("inexact divided difference; internal bug")
+    out = [0] * n
     for k in range(n - 1, -1, -1):  # out = out * (x - xs[k]) + c[k]
         for i in range(n - 1, 0, -1):
             out[i] = out[i - 1] - xs[k] * out[i]
         out[0] = c[k] - xs[k] * out[0]
-    return UniPoly(out)
+    return out
 
 
-def resultant(p: UniPoly | TPoly, q: UniPoly | TPoly) -> UniPoly:
+def resultant(p: UniPoly | Sequence[UniPoly], q: UniPoly | Sequence[UniPoly]) -> UniPoly:
     """Resultant with respect to t, exact, by evaluation and interpolation.
 
-    Inputs are polynomials in t; coefficients may involve one extra variable
-    x (TPoly).  Plain UniPoly arguments are read as polynomials in t with
-    constant coefficients.  The result is a UniPoly in x.
+    Each operand is a polynomial in t: a sequence of UniPoly coefficients in
+    one extra variable x, lowest power of t first, or a UniPoly read as a
+    polynomial in t with constant coefficients.  The result is a UniPoly in
+    x, with the sign of the Sylvester determinant.
 
+    Each operand is scaled once to Z[x][t] by the lcm of its denominators.
     x runs over 0, 1, 2, ..., skipping every point where a leading
     coefficient in t vanishes, so that taking the resultant commutes with
-    evaluation there (Collins, JACM 18, 1971); the values at
+    evaluation there (Collins, JACM 18, 1971); the integer values at
     deg_t A * deg_x B + deg_t B * deg_x A + 1 such points determine it.
+    Interpolation runs in Z, and one Fraction is built per coefficient.
     """
-    A = p if isinstance(p, TPoly) else TPoly.from_unipoly_in_t(p)
-    B = q if isinstance(q, TPoly) else TPoly.from_unipoly_in_t(q)
-    if A.is_zero or B.is_zero:
+    (A, da), (B, db) = _zx_rows(p), _zx_rows(q)
+    if not A or not B:
         raise ValueError("resultant of a zero polynomial")
-    points = A.degree * B.x_degree + B.degree * A.x_degree + 1
+    m, n = len(A) - 1, len(B) - 1
+    points = m * (max(map(len, B)) - 1) + n * (max(map(len, A)) - 1) + 1
     xs: list[int] = []
-    values: list[Fraction] = []
+    values: list[int] = []
     x = 0
     while len(xs) < points:
-        if A.leading.sign_at(x) and B.leading.sign_at(x):
+        a, b = [_horner(r, x) for r in A], [_horner(r, x) for r in B]
+        if a[-1] and b[-1]:
             xs.append(x)
-            values.append(_resultant_q(A.at(x), B.at(x)))
+            values.append(_resultant_q(a, b))
         x += 1
-    return _interpolate(xs, values)
+    den = da**n * db**m
+    return UniPoly(Fraction(c, den) for c in _interpolate(xs, values))

@@ -248,6 +248,15 @@ class TheoremTag(enum.Enum):
     COR_R_ODD_S_EVEN_ONE_CRIT = "Cor_rOdd_sEven_OneCrit"
 
 
+class VerdictKind(str, enum.Enum):
+    """Compares and hashes equal to its value; render it through a table
+    keyed by the member, since str() gives the member name."""
+
+    EQUIVALENT = "equivalent"
+    NOT_EQUIVALENT = "not_equivalent"
+    UNKNOWN = "unknown"
+
+
 class NEKind(enum.Enum):
     CXD_SIGN_MISMATCH = "CxdSignMismatch"
     HEIGHTS_NOT_PAIRABLE = "HeightsNotPairable"
@@ -311,7 +320,7 @@ class UnknownReason:
 
 @dataclass(frozen=True)
 class Verdict2D:
-    kind: str  # "equivalent" | "not_equivalent" | "unknown"
+    kind: VerdictKind
     certificate: Optional[Certificate] = None
     reason: NEReason | UnknownReason | None = None
 
@@ -353,7 +362,7 @@ def _certify(option: PairingOption, F: QHPoly, G: QHPoly, tag: TheoremTag) -> Ve
     if not residual <= 1e-6:
         raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
     trace = OptionTrace(option, residual)
-    return Verdict2D("equivalent", certificate=Certificate(tag, z, trace))
+    return Verdict2D(VerdictKind.EQUIVALENT, certificate=Certificate(tag, z, trace))
 
 
 def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
@@ -367,19 +376,19 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         a, b = cf[0], cg[0]
         if d % 2 == 0 and sign(a) != sign(b):
             return Verdict2D(
-                "not_equivalent",
+                VerdictKind.NOT_EQUIVALENT,
                 reason=NEReason(NEKind.CXD_SIGN_MISMATCH),
             )
         z = _cxd_zygothety(a, b, d)
         if not zyg.is_beta_regular(z, F.r, F.s):
             raise ArithmeticError("X-power zygothety is not beta-regular; internal bug")
         return Verdict2D(
-            "equivalent",
+            VerdictKind.EQUIVALENT,
             certificate=Certificate(TheoremTag.CXD_CASE, z, CxdTrace(a, b)),
         )
     if (cf is None) != (cg is None):
         return Verdict2D(
-            "unknown",
+            VerdictKind.UNKNOWN,
             reason=UnknownReason(
                 UnknownKind.MIXED_CXD_CASE,
                 "exactly one polynomial is a pure X-power; the necessity "
@@ -393,11 +402,11 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         necessity = _necessity_conditions(F, G)
         if necessity:
             return Verdict2D(
-                "not_equivalent",
+                VerdictKind.NOT_EQUIVALENT,
                 reason=NEReason(NEKind.HEIGHTS_NOT_PAIRABLE, necessity, search.failures),
             )
         return Verdict2D(
-            "unknown",
+            VerdictKind.UNKNOWN,
             reason=UnknownReason(
                 UnknownKind.NECESSITY_CONDITIONS_UNAVAILABLE,
                 "heights are not pairable but no quoted zero condition applies",
@@ -432,7 +441,7 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
     if invariant is not None:
         raise ArithmeticError(f"{invariant}; internal bug")
     return Verdict2D(
-        "unknown",
+        VerdictKind.UNKNOWN,
         reason=UnknownReason(
             UnknownKind.SUFFICIENCY_GAP,
             "r odd, s even, X and Y divide the polynomials, every height has "

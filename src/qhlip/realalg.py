@@ -36,8 +36,9 @@ from typing import Callable, Optional
 
 from .polyalg import (
     RatLike,
-    TPoly,
     UniPoly,
+    _zx,
+    _zx_quotient,
     cauchy_root_bound,
     count_roots_between,
     interval_eval,
@@ -248,12 +249,12 @@ def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
 
 def _strip_endpoint_roots(D: UniPoly, lo: Fraction, hi: Fraction) -> UniPoly:
     # The target value is strictly interior, so rational roots sitting on the
-    # enclosure endpoints belong to other conjugates and can be divided out.
-    t = UniPoly.var()
-    while D.sign_at(lo) == 0:
-        D = D.divexact(t - UniPoly.constant(lo))
-    while D.sign_at(hi) == 0:
-        D = D.divexact(t - UniPoly.constant(hi))
+    # enclosure endpoints belong to other conjugates and can be divided out:
+    # b*t - a, for an endpoint a/b, divides D's primitive integer multiple
+    # exactly over Z (Gauss's lemma).
+    for r in (lo, hi):
+        while D.sign_at(r) == 0:
+            D = UniPoly(_zx_quotient(list(_zx(D)), (-r.numerator, r.denominator))).monic()
     return D
 
 
@@ -457,10 +458,10 @@ def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a+b: Res_t(A(t), B(x - t))."""
     n = B.degree
     # coefficient of t^k in B(x - t) is sum_i (-1)^k C(k+i, k) b_(k+i) x^i
-    comp = TPoly(
+    comp = [
         UniPoly((-1) ** k * comb(k + i, k) * B.coeff(k + i) for i in range(n - k + 1))
         for k in range(n + 1)
-    )
+    ]
     return square_free_part(resultant(A, comp))
 
 
@@ -473,8 +474,7 @@ def _product_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
         # coefficient of t^(n-k) is b_k x^k
         b = B.coeff(k)
         coeffs.append(UniPoly((0,) * k + (b,)) if b else UniPoly())
-    comp = TPoly(tuple(reversed(coeffs)))
-    return square_free_part(resultant(A, comp))
+    return square_free_part(resultant(A, coeffs[::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -482,7 +482,7 @@ def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
     """Polynomial vanishing at P(a): Res_t(A(t), x - P(t))."""
     coeffs = [UniPoly((-c,)) for c in P.coeffs]
     coeffs[0] = UniPoly((-P.coeff(0), 1))
-    return square_free_part(resultant(A, TPoly(tuple(coeffs))))
+    return square_free_part(resultant(A, coeffs))
 
 
 def _avoid_zero(a: RealAlg) -> RealAlg:
@@ -495,8 +495,7 @@ def _avoid_zero(a: RealAlg) -> RealAlg:
         r = r.refine((r.hi - r.lo) / 2)
     D = r.defpoly
     if not r.is_rational and D.coeff(0) == 0:
-        D = D.divexact(UniPoly((0, 1)))
-        r = RealAlg(D, r.lo, r.hi)
+        r = RealAlg(UniPoly(D.coeffs[1:]), r.lo, r.hi)
     return r
 
 

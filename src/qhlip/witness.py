@@ -209,12 +209,13 @@ _SHELL_OUTER = 1e6
 _SHELL_POINTS = 25
 
 
-def verify_asymptotic(m: PLMap) -> tuple[float, float, float]:
+def verify_asymptotic(m: PLMap) -> tuple[float, float, float, float, float]:
     """Estimate the straight-line shape of a map at infinity.
 
-    Returns (lambda_est, k_est, alpha_tail_max): the exact limit slope
-    rounded to a double, the offset estimated at |t| = 1e6, and the largest
-    deviation from the line over |t| in [1e4, 1e6].
+    Returns (lambda_est, k_est, alpha_tail_max, shell_1e4, shell_1e6): the
+    exact limit slope rounded to a double, the offset estimated at
+    |t| = 1e6, the largest deviation from the line over |t| in [1e4, 1e6],
+    and the deviations on the two shells (asymptotic_shell_decay).
     """
     lam = m.limit_slope().to_float()
     k_est = 0.5 * (
@@ -224,16 +225,12 @@ def verify_asymptotic(m: PLMap) -> tuple[float, float, float]:
     tail = 0.0
     for t in _shell_points(_SHELL_INNER, _SHELL_OUTER):
         tail = max(tail, abs(m.eval_float(t) - lam * t - k_est))
-    return (lam, k_est, tail)
+    return (lam, k_est, tail, *asymptotic_shell_decay(m, lam, k_est))
 
 
-def asymptotic_shell_decay(m: PLMap) -> tuple[float, float]:
-    """Max |phi(t) - lambda t - k| on the |t|=1e4 and |t|=1e6 shells."""
-    lam = m.limit_slope().to_float()
-    k_est = 0.5 * (
-        (m.eval_float(_SHELL_OUTER) - lam * _SHELL_OUTER)
-        + (m.eval_float(-_SHELL_OUTER) + lam * _SHELL_OUTER)
-    )
+def asymptotic_shell_decay(m: PLMap, lam: float, k_est: float) -> tuple[float, float]:
+    """Max |phi(t) - lam t - k_est| on the |t|=1e4 and |t|=1e6 shells, for
+    the slope and offset that verify_asymptotic estimated."""
 
     def shell_max(radius: float) -> float:
         worst = 0.0

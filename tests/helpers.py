@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qhlip.polyalg import BiPoly, TPoly, UniPoly, cauchy_root_bound, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, cauchy_root_bound, square_free_part
 from qhlip.qhdecide import QHPoly, validate_qh
 
 
@@ -19,20 +19,28 @@ def rand_unipoly(rng: random.Random, max_deg: int = 6, coeff_bound: int = 5) -> 
     return UniPoly(cs + [lc])
 
 
-def rand_tpoly(rng: random.Random, max_t: int = 3, max_x: int = 2, bound: int = 4) -> TPoly:
-    """Random polynomial in t with integer polynomial coefficients in x.
+def rand_tpoly(
+    rng: random.Random, max_t: int = 3, max_x: int = 2, bound: int = 4
+) -> tuple[UniPoly, ...]:
+    """Random polynomial in t, as its coefficients lowest power first, each
+    a polynomial in x whose coefficients are integers or, about half the
+    time, fractions with denominators up to 6.
 
     The t-degree may be 0; the leading coefficient in t is a nonzero
     polynomial in x.
     """
 
+    def value() -> Fraction:
+        den = 1 if rng.random() < 0.5 else rng.randint(2, 6)
+        return Fraction(rng.randint(-bound, bound), den)
+
     def coeff() -> UniPoly:
-        return UniPoly(rng.randint(-bound, bound) for _ in range(rng.randint(1, max_x + 1)))
+        return UniPoly(value() for _ in range(rng.randint(1, max_x + 1)))
 
     lead = coeff()
     while lead.is_zero:
         lead = coeff()
-    return TPoly([coeff() for _ in range(rng.randint(0, max_t))] + [lead])
+    return tuple(coeff() for _ in range(rng.randint(0, max_t))) + (lead,)
 
 
 def sylvester_resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
@@ -145,6 +153,20 @@ def brute_force_real_root_count(p: UniPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
+def frac_divmod(p: UniPoly, q: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(quotient, remainder) of p by a nonzero q, by long division over Q."""
+    if q.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    quo = [Fraction(0)] * max(len(rem) - q.degree, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + q.degree] / q.leading
+        quo[k] = c
+        for j, b in enumerate(q.coeffs):
+            rem[k + j] -= c * b
+    return UniPoly(quo), UniPoly(rem)
+
+
 def frac_primitive(p: UniPoly) -> UniPoly:
     """p scaled by a positive rational to coprime integer coefficients."""
     if p.is_zero:
@@ -164,7 +186,7 @@ def frac_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         raise ValueError("gcd(0, 0) is undefined")
     a, b = p, q
     while not b.is_zero:
-        a, b = b, (a % b)
+        a, b = b, frac_divmod(a, b)[1]
         if not b.is_zero:
             b = frac_primitive(b)
     return a.monic()
@@ -176,7 +198,10 @@ def frac_square_free_part(p: UniPoly) -> UniPoly:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return UniPoly.one()
-    return p.divexact(frac_gcd(p, p.derivative())).monic()
+    q, r = frac_divmod(p, frac_gcd(p, p.derivative()))
+    if not r.is_zero:
+        raise ArithmeticError("inexact polynomial division")
+    return q.monic()
 
 
 def frac_sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
@@ -185,7 +210,7 @@ def frac_sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
         raise ValueError("Sturm sequence of the zero polynomial")
     chain = [p, p.derivative()]
     while not chain[-1].is_zero:
-        r = -(chain[-2] % chain[-1])
+        r = -frac_divmod(chain[-2], chain[-1])[1]
         if r.is_zero:
             break
         chain.append(frac_primitive(r))
@@ -198,7 +223,7 @@ def frac_resultant(p: UniPoly, q: UniPoly) -> Fraction:
     with r = p mod q."""
     acc = Fraction(1)
     while q.degree > 0:
-        r = p % q
+        r = frac_divmod(p, q)[1]
         if r.is_zero:
             return Fraction(0)
         if p.degree * q.degree % 2:

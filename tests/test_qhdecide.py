@@ -14,6 +14,7 @@ from qhlip.qhdecide import (
     NotQuasihomogeneousError,
     TheoremTag,
     UnknownKind,
+    VerdictKind,
     decide,
     heights,
     infer_beta,
@@ -175,6 +176,18 @@ class TestDecide:
         v = decide(a, b)
         assert v.kind == "unknown"
         assert v.reason.kind is UnknownKind.MIXED_CXD_CASE
+
+    def test_verdict_kinds_are_typed(self):
+        # a kind is a VerdictKind, and still equals and hashes as its value,
+        # which is how callers outside the package compare and count kinds
+        a = validate_qh(BiPoly({(4, 0): 2}), 2, 1)
+        b = validate_qh(BiPoly({(4, 0): -3}), 2, 1)
+        c = validate_qh(BiPoly({(4, 0): 1, (2, 1): 1}), 2, 1)
+        cases = ((a, VerdictKind.EQUIVALENT), (b, VerdictKind.NOT_EQUIVALENT), (c, VerdictKind.UNKNOWN))
+        for g, kind in cases:
+            v = decide(a, g)
+            assert v.kind is kind
+            assert v.kind == kind.value and hash(v.kind) == hash(kind.value)
 
     def test_reflexive_on_random(self):
         rng = random.Random(300)

@@ -12,7 +12,6 @@ from qhlip.realalg import RealAlg
 from qhlip.witness import (
     GridSpec,
     InverseBetaTransform,
-    asymptotic_shell_decay,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,
@@ -149,7 +148,7 @@ class TestVerifyLipschitz:
 
 class TestVerifyAsymptotic:
     def test_affine(self):
-        lam, k, tail = verify_asymptotic(Affine(F(3), F(7)))
+        lam, k, tail, _, _ = verify_asymptotic(Affine(F(3), F(7)))
         assert lam == 3.0
         assert k == pytest.approx(7.0, abs=1e-9)
         assert tail <= 1e-6
@@ -160,24 +159,23 @@ class TestVerifyAsymptotic:
 
         crits = critical_data(f).points
         m = BranchMap(ra(1), True, f, f, crits, crits)
-        lam, k, tail = verify_asymptotic(m)
+        lam, k, tail, _, _ = verify_asymptotic(m)
         assert lam == 1.0
         assert k == pytest.approx(0.0, abs=1e-6)
         assert tail <= 1e-5
 
     def test_scaled_cubic(self):
         m = BranchMap(ra(8), True, UniPoly([1, 3, 0, 1]), UniPoly([1, 6, 0, 1]), (), ())
-        lam, k, tail = verify_asymptotic(m)
+        lam, k, tail, shell4, shell6 = verify_asymptotic(m)
         assert lam == 2.0  # exact eighth root of 8 cubed
         assert math.isfinite(k)
-        shell4, shell6 = asymptotic_shell_decay(m)
         assert shell6 <= shell4 / 10 or shell6 <= 1e-6
 
     def test_shell_decay_on_certificates(self):
         for pair in ((hp(-1), hp(-2)), (hp(2), hp(2))):
             v = decide(*pair)
             for m in (v.certificate.zygothety.phi1, v.certificate.zygothety.phi2):
-                shell4, shell6 = asymptotic_shell_decay(m)
+                shell4, shell6 = verify_asymptotic(m)[3:]
                 assert shell6 <= shell4 / 10 or shell6 <= 1e-6
 
 
