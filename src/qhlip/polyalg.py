@@ -471,7 +471,12 @@ class BiPoly:
         flt = self._flt
         if flt is None:
             flt = self._flt = tuple((float(c), i, j) for (i, j), c in self._key)
-        return sum(c * x**i * y**j for c, i, j in flt)
+        # left to right, uncompensated: the bits do not depend on how a
+        # Python version's sum() adds floats
+        acc = 0.0
+        for c, i, j in flt:
+            acc += c * x**i * y**j
+        return acc
 
     def substitute_y(self, x_value: RatLike) -> UniPoly:
         """F(x_value, t) as a univariate polynomial in t."""
