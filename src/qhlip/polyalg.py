@@ -177,6 +177,17 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
+    def eval_float_d(self, x: float) -> tuple[float, float]:
+        """(p(x), p'(x)) in one Horner pass; p(x) has eval_float's bits."""
+        flt = self._flt
+        if flt is None:
+            flt = self._flt = tuple(float(c) for c in reversed(self.coeffs))
+        v = d = 0.0
+        for c in flt:
+            d = d * x + v
+            v = v * x + c
+        return v, d
+
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 

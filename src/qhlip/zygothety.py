@@ -72,7 +72,8 @@ class BranchMap(PLMap):
     The i-th interval cut out of the line by the critical points of f maps
     onto the matching interval of g: the i-th one for an increasing map, the
     mirror one for a decreasing map.  Inversion of g on a monotone branch is
-    numeric (bracketing plus bisection) with exact interval endpoints.
+    numeric (bracketing, then Newton safeguarded by bisection) with exact
+    interval endpoints.
     """
 
     __slots__ = ("c", "increasing", "f", "g", "crits_f", "crits_g", "_flt")
@@ -129,7 +130,12 @@ class BranchMap(PLMap):
 
 
 def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
-    """Solve g(u) = y for u in the j-th branch interval, bisecting on u."""
+    """Solve g(u) = y for u in the j-th branch interval.
+
+    Brackets the root by signs, then iterates Newton safeguarded by
+    bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
+    section 9.4), with g and g' from one Horner pass per iterate.
+    """
     p = len(crit_floats)
     if p == 0:
         lo, hi = -1.0, 1.0
@@ -170,21 +176,37 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
     # decide by signs: the product of two tiny values underflows to -0.0
     # and would keep the wrong half
     lo_negative = flo < 0.0
+    x = 0.5 * (lo + hi)
+    step = hi - lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        fmid = g.eval_float(mid) - y
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == lo_negative:
-            lo = mid
+        v, d = g.eval_float_d(x)
+        v -= y
+        if v == 0.0:
+            return x
+        if (v < 0.0) == lo_negative:
+            lo = x
         else:
-            hi = mid
+            hi = x
         width = hi - lo
         if width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi):
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+        # Newton's step only if it stays strictly inside the bracket and at
+        # least halves the previous step; near a multiple root it shrinks
+        # slowly, so the bracket width, not the step, decides the stop
+        if d != 0.0:
+            nx = x - v / d
+            if nx == x:
+                return x
+            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(step):
+                step = nx - x
+                x = nx
+                continue
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return x
+        step = mid - x
+        x = mid
+    return x
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import BiPoly, UniPoly
@@ -265,3 +266,48 @@ class TestInvertOnBranch:
     def test_no_preimage_raises(self):
         with pytest.raises(ArithmeticError):
             _invert_on_branch(UniPoly([1]), [], 0, 5.0)
+
+
+@st.composite
+def branch_inversions(draw):
+    """(g, critical point floats, branch j, y): an integer g of degree 1-7 and
+    y = g(u0) rounded to a float, for a float u0 inside the j-th branch."""
+    deg = draw(st.integers(1, 7))
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(deg)]
+    coeffs.append(draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1))))
+    g = UniPoly(coeffs)
+    crits = [c.to_float() for c in critical_data(g).points]
+    p = len(crits)
+    j = draw(st.integers(0, p))
+    s = draw(st.integers(1, 63)) / 64
+    if p == 0:
+        u0 = 16 * s - 8
+    elif j == 0:
+        u0 = crits[0] - 8 * s
+    elif j == p:
+        u0 = crits[-1] + 8 * s
+    else:
+        u0 = crits[j - 1] + s * (crits[j] - crits[j - 1])
+    return g, crits, j, float(g(F(u0)))
+
+
+class TestInvertOnBranchProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_inversions())
+    def test_solves_within_the_stopping_width_or_rounding(self, case):
+        g, crits, j, y = case
+        u = _invert_on_branch(g, crits, j, y)
+        lo = crits[j - 1] if j >= 1 else float("-inf")
+        hi = crits[j] if j < len(crits) else float("inf")
+        assert lo <= u <= hi
+        # exact: g - y changes sign within the stopping width of u (clipped
+        # to the branch, past whose ends g turns), or g(u) is y up to
+        # Horner's rounding bound gamma_2n * sum |c_i| |u|^i
+        w = 2e-15 * max(1.0, abs(u))
+        U, Y = F(u), F(y)
+        a, b = F(max(u - w, lo)), F(min(u + w, hi))
+        changes_sign = (g(a) - Y) * (g(b) - Y) <= 0
+        unit = F(1, 2**53)
+        gamma = 2 * g.degree * unit / (1 - 2 * g.degree * unit)
+        bound = gamma * sum(abs(c) * abs(U) ** i for i, c in enumerate(g.coeffs))
+        assert changes_sign or abs(g(U) - Y) <= bound
