@@ -23,7 +23,15 @@ Compares, on seeded random inputs:
   fractions, denominators above 2**200, and the polynomial's own rational
   roots) against the sign of sympy's exact value;
 * ``RealAlg.to_float`` of every isolated root against
-  ``CRootOf(...).evalf(40)``: at most one ulp apart.
+  ``CRootOf(...).evalf(40)``: at most one ulp apart;
+* ``zygothety._invert_on_branch(g, crits, j, y)`` for a float (so rational)
+  y = g(u0) rounded, with u0 inside the j-th branch of g between its
+  critical points: within the stopping width 2e-15 * max(1, |u|) of the
+  root of g - y that sympy's ``real_roots`` puts in that branch, evaluated
+  to 30 digits.  Where g is so flat that float evaluation cannot tell g
+  from y over a wider interval, |g(u) - y| must instead be within Horner's
+  rounding bound gamma_2n * sum |c_i| |u|^i (exact); the last line counts
+  these ill-conditioned inversions.
 
 Not part of the test suite; needs sympy.  Run from the repository root:
 
@@ -43,8 +51,10 @@ import sympy
 
 from fractions import Fraction
 
+from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import compare, count_real_roots, isolate_real_roots
+from qhlip.zygothety import _invert_on_branch
 
 X, T = sympy.symbols("x t")
 
@@ -194,6 +204,38 @@ def check_compare(p: UniPoly, q: UniPoly) -> str | None:
     return None
 
 
+def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
+    crits = [c.to_float() for c in critical_data(g).points]
+    p = len(crits)
+    j = rng.randint(0, p)
+    s = rng.randint(1, 63) / 64
+    lo = crits[j - 1] if j >= 1 else -math.inf
+    hi = crits[j] if j < p else math.inf
+    if p == 0:
+        u0 = 16 * s - 8
+    elif j == 0:
+        u0 = hi - 8 * s
+    elif j == p:
+        u0 = lo + 8 * s
+    else:
+        u0 = lo + s * (hi - lo)
+    y = float(g(Fraction(u0)))
+    u = _invert_on_branch(g, crits, j, y)
+    Y = Fraction(y)
+    roots = sympy.real_roots(uni_expr(g, T) - sympy.Rational(Y.numerator, Y.denominator))
+    inside = [r.evalf(30) for r in roots if lo <= r.evalf(30) <= hi]
+    if len(set(inside)) != 1:
+        return f"g = {g}, y = {y!r}: sympy finds {inside} on branch {j} ({lo}, {hi})"
+    if abs(sympy.Float(u, 30) - inside[0]) <= 2e-15 * max(1.0, abs(u)):
+        return None
+    U, unit = Fraction(u), Fraction(1, 2**53)
+    gamma = 2 * g.degree * unit / (1 - 2 * g.degree * unit)
+    if abs(g(U) - Y) <= gamma * sum(abs(c) * abs(U) ** i for i, c in enumerate(g.coeffs)):
+        flat.append(1)
+        return None
+    return f"_invert_on_branch({g}, {crits}, {j}, {y!r}) = {u!r}, sympy {inside[0]}"
+
+
 def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     """Two polynomials that share a random factor about half the time."""
     p, q = rand_uni(rng, 5), rand_uni(rng, 5)
@@ -209,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
+    flat: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
@@ -218,11 +261,15 @@ def main(argv: list[str] | None = None) -> int:
             or check_sign_at(p, rand_points(rng, p))
             or check_floats(p)
             or check_compare(*rand_pair(rng))
+            or check_inversion(rng, p, flat)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")
             return 1
-    print(f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed})")
+    print(
+        f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed}; "
+        f"{len(flat)} inversions within the rounding bound, not the width)"
+    )
     return 0
 
 

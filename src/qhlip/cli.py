@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .lipclass import classify_pair
-from .parser import ParseError, parse_bi, parse_rational, parse_uni, print_bi, print_uni
+from .parser import InputTooLargeError, ParseError, parse_bi, parse_rational, parse_uni, print_bi, print_uni
 from .qhdecide import (
     BetaMismatchError,
     BetaRangeError,
@@ -49,8 +49,10 @@ _VERDICT_EXIT = {
     VerdictKind.UNKNOWN: EXIT_UNKNOWN,
 }
 
-#: error code reported for each expected failure; anything else is "internal"
+#: error code reported for each expected failure; anything else is "internal".
+#: The first matching class wins, so a subclass comes before its base.
 _ERROR_CODES = {
+    InputTooLargeError: "input_too_large",
     ParseError: "parse_error",
     NotQuasihomogeneousError: "not_quasihomogeneous",
     BetaRangeError: "beta_out_of_range",

@@ -5,6 +5,11 @@ Grammar: integers, rationals p/q, variables X and Y (bivariate) or t
 parentheses.  Whitespace is ignored.  Other identifiers are parameters and
 must be bound to rationals before parsing.  Decimal literals are rejected;
 inputs are exact by contract.
+
+Every literal and every value built while parsing stays within MAX_DEGREE
+and MAX_COEFF_BITS, and a product or power whose degree would exceed
+MAX_DEGREE is refused before it is expanded, so a huge input fails at once
+with InputTooLargeError instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -17,12 +22,48 @@ from .polyalg import BiPoly, UniPoly
 
 Poly = Union[UniPoly, BiPoly]
 
+#: largest (total) degree of any polynomial the parser builds
+MAX_DEGREE = 100
+#: largest bit length of a numerator or denominator of any coefficient
+MAX_COEFF_BITS = 4096
+_MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.message = message
         self.position = position
+
+
+class InputTooLargeError(ParseError):
+    """The input would build a polynomial beyond MAX_DEGREE or MAX_COEFF_BITS."""
+
+
+def _int_literal(digits: str, position: int) -> int:
+    # the length is checked before int(), which refuses 4,300 digits and more
+    if len(digits) > _MAX_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
+        raise InputTooLargeError(f"integer literal above {MAX_COEFF_BITS} bits", position)
+    return int(digits)
+
+
+def _degree(p: Poly) -> int:
+    if isinstance(p, UniPoly):
+        return p.degree
+    return max((i + j for i, j in p.terms), default=-1)
+
+
+def _coeff_bits(p: Poly) -> int:
+    coeffs = p.coeffs if isinstance(p, UniPoly) else p.terms.values()
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+
+
+def _checked(p: Poly, position: int) -> Poly:
+    if _degree(p) > MAX_DEGREE:
+        raise InputTooLargeError(f"polynomial of degree above {MAX_DEGREE}", position)
+    if _coeff_bits(p) > MAX_COEFF_BITS:
+        raise InputTooLargeError(f"coefficient above {MAX_COEFF_BITS} bits", position)
+    return p
 
 
 _TOKEN_RE = re.compile(
@@ -94,11 +135,11 @@ class _Parser:
     def expr(self) -> Poly:
         value = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+                value = _checked(value + rhs if val == "+" else value - rhs, pos)
             else:
                 return value
 
@@ -108,7 +149,10 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                value = value * self.unary()
+                rhs = self.unary()
+                if _degree(value) + _degree(rhs) > MAX_DEGREE:
+                    raise InputTooLargeError(f"product of degree above {MAX_DEGREE}", pos)
+                value = _checked(value * rhs, pos)
             elif kind == "op" and val == "/":
                 raise ParseError(
                     "'/' is only allowed between integer literals (rational p/q)", pos
@@ -134,26 +178,36 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.advance()
-            exp = int(val)
+            exp = _int_literal(val, pos)
+            if _degree(base) * exp > MAX_DEGREE:
+                raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
+            # square and multiply, so a constant base with a large exponent
+            # takes log2(exp) products; each factor is a power of base of at
+            # most exp, so one above the limits means the result is too
             out = self.one
-            for _ in range(exp):
-                out = out * base
+            while exp:
+                if exp & 1:
+                    out = _checked(out * base, pos)
+                exp >>= 1
+                if exp:
+                    base = _checked(base * base, pos)
             return out
         return base
 
     def atom(self) -> Poly:
         kind, val, pos = self.advance()
         if kind == "num":
-            value = Fraction(int(val))
+            value = Fraction(_int_literal(val, pos))
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.advance()
                 k3, v3, p3 = self.advance()
                 if k3 != "num":
                     raise ParseError("rational literal needs an integer denominator", p3)
-                if int(v3) == 0:
+                den = _int_literal(v3, p3)
+                if den == 0:
                     raise ParseError("zero denominator", p3)
-                value /= int(v3)
+                value /= den
             return self.one * value
         if kind == "ident":
             if val in self.variables:
@@ -198,8 +252,8 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(
             "expected an exact rational like -3 or 5/2 (decimals are not supported)", 0
         )
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _int_literal(m.group(1), 0)
+    den = _int_literal(m.group(2), 0) if m.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator", 0)
     return Fraction(num, den)

@@ -2,12 +2,14 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from qhlip.cli import main
 from qhlip.parser import (
+    InputTooLargeError,
     ParseError,
     parse_bi,
     parse_rational,
@@ -239,6 +241,36 @@ class TestCli:
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify1", "t^100000000", "t"],
+            ["classify1", "1" * 5000 + "*t", "t"],
+            ["classify1", "(t^60)*(t^60)", "t"],
+            ["classify1", "2^100000000*t", "t"],
+            ["classify1", "(10^1000)^5*t", "t"],
+            ["classify2", HP, HP, "--beta", "2/1", "--let", "l=" + "7" * 5000],
+        ],
+        ids=["power_degree", "long_literal", "product_degree", "constant_power", "coefficient_power", "long_binding"],
+    )
+    def test_huge_input_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "input_too_large"
+
+    def test_inputs_at_the_limits_parse(self):
+        assert parse_uni("t^100").degree == 100
+        assert parse_uni("(t + 1)^50*(t - 1)^50").degree == 100
+        assert parse_uni("2^4095") == UniPoly([2**4095])
+        assert parse_uni("1^100000000 * t") == UniPoly([0, 1])
+        with pytest.raises(InputTooLargeError):
+            parse_uni("2^4096")
+        with pytest.raises(InputTooLargeError):
+            parse_bi("X^50*Y^51")
 
     def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
         def broken(F, G):
