@@ -181,10 +181,15 @@ class _Parser:
             exp = _int_literal(val, pos)
             if _degree(base) * exp > MAX_DEGREE:
                 raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
-            # square and multiply, so a constant base with a large exponent
-            # takes log2(exp) products; each factor is a power of base of at
-            # most exp, so one above the limits means the result is too
             out = self.one
+            if _degree(base) >= 1:
+                # at most MAX_DEGREE products, each by the (often sparse) base
+                for _ in range(exp):
+                    out = _checked(out * base, pos)
+                return out
+            # a constant, whose exponent can be large: square and multiply;
+            # each factor is a power of base of at most exp, so one above the
+            # limits means the result is too
             while exp:
                 if exp & 1:
                     out = _checked(out * base, pos)

@@ -177,7 +177,7 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
     # and would keep the wrong half
     lo_negative = flo < 0.0
     x = 0.5 * (lo + hi)
-    step = hi - lo
+    last_dx = hi - lo
     for _ in range(200):
         v, d = g.eval_float_d(x)
         v -= y
@@ -197,14 +197,14 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
             nx = x - v / d
             if nx == x:
                 return x
-            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(step):
-                step = nx - x
+            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
+                last_dx = nx - x
                 x = nx
                 continue
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             return x
-        step = mid - x
+        last_dx = mid - x
         x = mid
     return x
 
