@@ -67,6 +67,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as CliError, for main to report as JSON with exit
+    code 3: argparse's own exit code 2 would read as the Unknown verdict."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}", "usage_error")
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -246,7 +254,7 @@ def cmd_infer_beta(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="qhlip",
         description=(
             "Exact Lipschitz classification of univariate polynomial functions "
@@ -295,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         return _fail(str(exc), exc.code)

@@ -6,8 +6,8 @@ parentheses.  Whitespace is ignored.  Other identifiers are parameters and
 must be bound to rationals before parsing.  Decimal literals are rejected;
 inputs are exact by contract.
 
-Every literal and every value built while parsing stays within MAX_DEGREE
-and MAX_COEFF_BITS, and a product or power whose degree would exceed
+Every literal and every value built while parsing stays within MAX_DEGREE,
+MAX_TERMS and MAX_COEFF_BITS, and a product or power whose degree would exceed
 MAX_DEGREE is refused before it is expanded, so a huge input fails at once
 with InputTooLargeError instead of running for minutes.
 """
@@ -24,6 +24,9 @@ Poly = Union[UniPoly, BiPoly]
 
 #: largest (total) degree of any polynomial the parser builds
 MAX_DEGREE = 100
+#: most terms of any bivariate polynomial the parser builds; one that is
+#: quasihomogeneous of degree at most MAX_DEGREE has at most this many
+MAX_TERMS = MAX_DEGREE + 1
 #: largest bit length of a numerator or denominator of any coefficient
 MAX_COEFF_BITS = 4096
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
@@ -37,7 +40,7 @@ class ParseError(ValueError):
 
 
 class InputTooLargeError(ParseError):
-    """The input would build a polynomial beyond MAX_DEGREE or MAX_COEFF_BITS."""
+    """The input would build a polynomial beyond MAX_DEGREE, MAX_TERMS or MAX_COEFF_BITS."""
 
 
 def _int_literal(digits: str, position: int) -> int:
@@ -61,6 +64,8 @@ def _coeff_bits(p: Poly) -> int:
 def _checked(p: Poly, position: int) -> Poly:
     if _degree(p) > MAX_DEGREE:
         raise InputTooLargeError(f"polynomial of degree above {MAX_DEGREE}", position)
+    if isinstance(p, BiPoly) and len(p.terms) > MAX_TERMS:
+        raise InputTooLargeError(f"polynomial of more than {MAX_TERMS} terms", position)
     if _coeff_bits(p) > MAX_COEFF_BITS:
         raise InputTooLargeError(f"coefficient above {MAX_COEFF_BITS} bits", position)
     return p

@@ -148,12 +148,14 @@ class PairingOption:
     """One way to pair the height functions through the group action.
 
     lambda_sign +1 pairs (+) with (+) and (-) with (-); -1 crosses them.
-    `plus` pairs F's right height with its partner, `minus` the left one.
+    `plus` pairs F's right height with its partner, `minus` the left one;
+    `sides` holds the two (F height, G height) pairs in the same order.
     """
 
     lambda_sign: int
     plus: Pairing1D
     minus: Pairing1D
+    sides: tuple[tuple[UniPoly, UniPoly], tuple[UniPoly, UniPoly]]
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,10 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
         v_minus = classify_pair(hf.f_minus, g_for_minus) if v_plus.equivalent else None
         trials.append((lam_sign, g_for_plus, g_for_minus, v_plus, v_minus))
         if v_minus is not None and v_minus.equivalent:
+            sides = ((hf.f_plus, g_for_plus), (hf.f_minus, g_for_minus))
             for p1 in v_plus.pairings:
                 for p2 in v_minus.pairings:
-                    options.append(PairingOption(lam_sign, p1, p2))
+                    options.append(PairingOption(lam_sign, p1, p2, sides))
     if options:
         if F.e != G.e:
             raise ArithmeticError("pairable heights must share the X-multiplicity; internal bug")
@@ -353,12 +356,9 @@ def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
     return zyg.Zygothety(lam, lam, zyg.identity_map(), zyg.identity_map())
 
 
-def _certify(option: PairingOption, F: QHPoly, G: QHPoly, tag: TheoremTag) -> Verdict2D:
-    z = zyg.make_regular(option, F, G)
-    hf, hg = heights(F), heights(G)
-    residual = zyg.action_residual(
-        z, F.d, hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus
-    )
+def _certify(option: PairingOption, F: QHPoly, tag: TheoremTag) -> Verdict2D:
+    z = zyg.make_regular(option, F)
+    residual = zyg.action_residual(z, F.d, option.sides)
     if not residual <= 1e-6:
         raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
     trace = OptionTrace(option, residual)
@@ -414,17 +414,16 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         )
 
     r, s = F.r, F.s
-    hf, hg = heights(F), heights(G)
-    all_heights = (hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus)
-    crit_counts = [critical_data(h).count for h in all_heights]
+    # every option's sides hold all four heights
+    crit_counts = [critical_data(h).count for side in options[0].sides for h in side]
 
     if min(crit_counts) == 0:
-        return _certify(options[0], F, G, TheoremTag.COR_NO_CRIT_POINTS)
+        return _certify(options[0], F, TheoremTag.COR_NO_CRIT_POINTS)
     if r % 2 == 0 or s % 2 == 1:
-        return _certify(options[0], F, G, TheoremTag.SUFF_A_PARITY)
+        return _certify(options[0], F, TheoremTag.SUFF_A_PARITY)
     # r odd, s even from here on
     if F.e == 0 and G.e == 0:
-        return _certify(options[0], F, G, TheoremTag.SUFF_C_NO_X_FACTOR)
+        return _certify(options[0], F, TheoremTag.SUFF_C_NO_X_FACTOR)
     # the remaining constructions need one option whose sides share a constant
     if not y_divides(F.poly) and not y_divides(G.poly):
         # scales are forced equal; every option must carry matching constants
@@ -437,7 +436,7 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         tag, invariant = TheoremTag.SUFF_B_EQUAL_LAMBDA, None
     for option in options:
         if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
-            return _certify(option, F, G, tag)
+            return _certify(option, F, tag)
     if invariant is not None:
         raise ArithmeticError(f"{invariant}; internal bug")
     return Verdict2D(

@@ -10,13 +10,13 @@ Lipschitz ratios, and the asymptotic shape of the one-dimensional maps.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .qhdecide import QHPoly
-from .realalg import RealAlg
-from .zygothety import Affine, PLMap, Zygothety, is_beta_regular
+from .zygothety import PLMap, Zygothety, is_beta_regular
 
 
 @dataclass(frozen=True)
@@ -48,54 +48,41 @@ class VerificationReport:
 
 
 class InverseBetaTransform:
-    """The plane map built fiberwise from a beta-regular zygothety."""
+    """The plane map built fiberwise from a beta-regular zygothety; beta,
+    lam1, lam2 and axis_slope (|lam_i|^beta * L_i, the slope the vertical
+    axis moves by) are floats."""
 
-    __slots__ = ("z", "r", "s", "L1", "L2", "_f")
+    __slots__ = ("z", "beta", "lam1", "lam2", "axis_slope")
 
     def __init__(self, z: Zygothety, r: int, s: int):
         if not is_beta_regular(z, r, s):
             raise ValueError("zygothety is not beta-regular")
         self.z = z
-        self.r = r
-        self.s = s
-        self.L1: RealAlg = z.phi1.limit_slope()
-        self.L2: RealAlg = z.phi2.limit_slope()
-        beta = r / s
-        lam1 = z.lam1.to_float()
-        lam2 = z.lam2.to_float()
+        self.beta = r / s
+        self.lam1 = z.lam1.to_float()
+        self.lam2 = z.lam2.to_float()
         # |lam1|^beta * L1 == |lam2|^beta * L2; float both sides and average
         # out the last-bit disagreement for the axis slope
-        v1 = abs(lam1) ** beta * self.L1.to_float()
-        v2 = abs(lam2) ** beta * self.L2.to_float()
-        self._f = (beta, lam1, lam2, 0.5 * (v1 + v2))
+        v1 = abs(self.lam1) ** self.beta * z.phi1.limit_slope().to_float()
+        v2 = abs(self.lam2) ** self.beta * z.phi2.limit_slope().to_float()
+        self.axis_slope = 0.5 * (v1 + v2)
 
-    @property
-    def beta(self) -> float:
-        return self._f[0]
+    def on_fiber(self, x: float, ax_b: float, phi_t: float) -> tuple[float, float]:
+        """The image of a point (x, t * ax_b) with x != 0 and ax_b = |x|^beta,
+        given phi_t, the fiber parameter t pushed through x's map."""
+        lam = self.lam1 if x > 0.0 else self.lam2
+        return (lam * x, abs(lam) ** self.beta * phi_t * ax_b)
 
     def eval(self, point: tuple[float, float]) -> tuple[float, float]:
         x, y = point
-        beta, lam1, lam2, axis_slope = self._f
         if x == 0.0:
-            return (0.0, axis_slope * y)
-        if x > 0.0:
-            lam, phi = lam1, self.z.phi1
-        else:
-            lam, phi = lam2, self.z.phi2
-        ax_b = abs(x) ** beta
-        scale = abs(lam) ** beta
-        if isinstance(phi, Affine):
-            # phi(y/|x|^beta) * |x|^beta collapses exactly
-            y_out = scale * (float(phi.a) * y + float(phi.b) * ax_b)
-        else:
-            t = y / ax_b
-            y_out = scale * phi.eval_float(t) * ax_b
-        return (lam * x, y_out)
+            return (0.0, self.axis_slope * y)
+        phi = self.z.phi1 if x > 0.0 else self.z.phi2
+        ax_b = abs(x) ** self.beta
+        return self.on_fiber(x, ax_b, phi.eval_float(y / ax_b))
 
 
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
-    import math
-
     if count == 1:
         return [hi]
     ratio = math.log(hi / lo)
@@ -124,20 +111,14 @@ def verify_conjugacy(
     ts = _linear(-grid.t_window, grid.t_window, grid.t_count)
     worst = 0.0
     count = 0
-    for sgn in (1.0, -1.0):
-        phi = T.z.phi1 if sgn > 0 else T.z.phi2
-        phi_vals = None
-        if not isinstance(phi, Affine):
-            phi_vals = [phi.eval_float(t) for t in ts]
+    for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
+        phi_vals = [phi.eval_float(t) for t in ts]
         for xi in xs:
             x = sgn * xi
             ax_b = xi**beta
-            for k, t in enumerate(ts):
-                y = t * ax_b
-                px, py = T.eval((x, y)) if phi_vals is None else _eval_cached(
-                    T, x, ax_b, phi_vals[k]
-                )
-                fv = fp.eval_float(x, y)
+            for t, phi_t in zip(ts, phi_vals):
+                px, py = T.on_fiber(x, ax_b, phi_t)
+                fv = fp.eval_float(x, t * ax_b)
                 gv = gp.eval_float(px, py)
                 err = abs(gv - fv) / max(1.0, abs(fv))
                 worst = max(worst, err)
@@ -155,14 +136,6 @@ def verify_conjugacy(
         samples=count,
         delta=grid.delta,
     )
-
-
-def _eval_cached(
-    T: InverseBetaTransform, x: float, ax_b: float, phi_t: float
-) -> tuple[float, float]:
-    beta, lam1, lam2, _ = T._f
-    lam = lam1 if x > 0 else lam2
-    return (lam * x, abs(lam) ** beta * phi_t * ax_b)
 
 
 def verify_lipschitz(

@@ -13,7 +13,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from .lipclass import Orientation, Pairing1D, critical_data
+from .lipclass import Orientation, critical_data
 from .polyalg import UniPoly
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
 
@@ -24,9 +24,6 @@ class ConstructionUnavailable(Exception):
 
 class PLMap:
     """Monotone bijection of the reals, described symbolically."""
-
-    def orientation(self) -> int:
-        raise NotImplementedError
 
     def limit_slope(self) -> RealAlg:
         """The common two-sided limit of m(t)/t, exact."""
@@ -46,9 +43,6 @@ class Affine(PLMap):
     a: Fraction
     b: Fraction
 
-    def orientation(self) -> int:
-        return 1 if self.a > 0 else -1
-
     def limit_slope(self) -> RealAlg:
         return RealAlg.from_rational(self.a)
 
@@ -57,9 +51,6 @@ class Affine(PLMap):
 
     def eval_float(self, t: float) -> float:
         return float(self.a) * t + float(self.b)
-
-    def eval_exact(self, t: Fraction) -> Fraction:
-        return self.a * t + self.b
 
 
 def identity_map() -> Affine:
@@ -86,9 +77,6 @@ class BranchMap(PLMap):
         self.crits_f: tuple[RealAlg, ...] = tuple(crits_f)
         self.crits_g: tuple[RealAlg, ...] = tuple(crits_g)
         self._flt = None
-
-    def orientation(self) -> int:
-        return 1 if self.increasing else -1
 
     def limit_slope(self) -> RealAlg:
         deg = self.f.degree
@@ -215,9 +203,6 @@ class Neg(PLMap):
 
     inner: PLMap
 
-    def orientation(self) -> int:
-        return -self.inner.orientation()
-
     def limit_slope(self) -> RealAlg:
         return -self.inner.limit_slope()
 
@@ -233,9 +218,6 @@ class NegConj(PLMap):
     """t -> -inner(-t); preserves orientation and limit slope."""
 
     inner: PLMap
-
-    def orientation(self) -> int:
-        return self.inner.orientation()
 
     def limit_slope(self) -> RealAlg:
         return self.inner.limit_slope()
@@ -253,9 +235,6 @@ class Compose(PLMap):
 
     outer: PLMap
     inner: PLMap
-
-    def orientation(self) -> int:
-        return self.outer.orientation() * self.inner.orientation()
 
     def limit_slope(self) -> RealAlg:
         return self.outer.limit_slope() * self.inner.limit_slope()
@@ -361,28 +340,24 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
     )
 
 
-def make_regular(option, F, G) -> Zygothety:
+def make_regular(option, F) -> Zygothety:
     """Build a beta-regular zygothety realizing a pairing option for (F, G).
 
-    The pairing option supplies an admissible scale sign and one 1-D pairing
-    per side; the parity of (r, s) picks the construction.  Raises
-    ConstructionUnavailable when the sides force incompatible constants.
+    The pairing option supplies an admissible scale sign, the (F height,
+    G height) pair of each side and one 1-D pairing per side; the parity of
+    (r, s) picks the construction.  Raises ConstructionUnavailable when the
+    sides force incompatible constants.
     """
-    from .qhdecide import heights
-
     r, s, d, e = F.r, F.s, F.d, F.e
-    hf, hg = heights(F), heights(G)
     sgn = option.lambda_sign
-    g_for_plus = hg.f_plus if sgn > 0 else hg.f_minus
-    g_for_minus = hg.f_minus if sgn > 0 else hg.f_plus
-    p1: Pairing1D = option.plus
-    p2: Pairing1D = option.minus
+    (f1, g1), (f2, g2) = option.sides
+    p1, p2 = option.plus, option.minus
 
     if r % 2 == 0 or s % 2 == 1:
         # duplicate the (+)-side data; the (-)-side identity follows from
         # the parity relations between the height functions
         c1 = p1.c_set.pick()
-        phi1 = _branch_map(c1, p1.orientation, hf.f_plus, g_for_plus)
+        phi1 = _branch_map(c1, p1.orientation, f1, g1)
         lam1 = _lambda_from_c(c1, d, sgn)
         phi2 = phi1 if r % 2 == 0 else NegConj(phi1)
         z = Zygothety(lam1, lam1, phi1, phi2)
@@ -397,8 +372,8 @@ def make_regular(option, F, G) -> Zygothety:
                     "sides force distinct constants while X divides the polynomials"
                 )
             c1 = c2 = common
-        phi1 = _branch_map(c1, p1.orientation, hf.f_plus, g_for_plus)
-        phi2 = _branch_map(c2, p2.orientation, hf.f_minus, g_for_minus)
+        phi1 = _branch_map(c1, p1.orientation, f1, g1)
+        phi2 = _branch_map(c2, p2.orientation, f2, g2)
         if p1.orientation is not p2.orientation:
             # height functions are even here, so flipping the second map
             # preserves its pairing identity while fixing coherence
@@ -409,38 +384,26 @@ def make_regular(option, F, G) -> Zygothety:
     return z
 
 
-def action_residual(
-    z: Zygothety,
-    d: int,
-    f_plus: UniPoly,
-    f_minus: UniPoly,
-    g_plus: UniPoly,
-    g_minus: UniPoly,
-    samples: int = 50,
-    seed: int = 20240901,
-) -> float:
-    """Spot-check |lam_i|^d * g(phi_i(t)) = f_i(t) on random points.
+#: sample points of the action spot-check, and the seed that draws them
+RESIDUAL_SAMPLES = 50
+RESIDUAL_SEED = 20240901
 
-    Exact verification when the maps and scales are rational; otherwise the
-    maximum relative float residual over the sample set is returned.
+
+def action_residual(z: Zygothety, d: int, sides: tuple[tuple[UniPoly, UniPoly], ...]) -> float:
+    """Spot-check |lam_i|^d * g_i(phi_i(t)) = f_i(t) on random points.
+
+    `sides` holds the (f_i, g_i) height pair of each component, as a
+    pairing option carries it; returns the maximum relative float residual
+    over the sample set.
     """
-    sgn = z.lam_sign
-    g1, g2 = (g_plus, g_minus) if sgn > 0 else (g_minus, g_plus)
-    rng = random.Random(seed)
-    pts = [Fraction(rng.randint(-300, 300), 100) for _ in range(samples)]
+    rng = random.Random(RESIDUAL_SEED)
+    pts = [rng.randint(-300, 300) / 100 for _ in range(RESIDUAL_SAMPLES)]
     worst = 0.0
-    for lam, phi, gg, ff in ((z.lam1, z.phi1, g1, f_plus), (z.lam2, z.phi2, g2, f_minus)):
-        if isinstance(phi, Affine) and lam.is_rational:
-            scale = abs(lam.as_fraction()) ** d
-            for t in pts:
-                if scale * gg(phi.eval_exact(t)) != ff(t):
-                    raise ArithmeticError("exact action identity failed; internal bug")
-            continue
+    for lam, phi, (ff, gg) in zip((z.lam1, z.lam2), (z.phi1, z.phi2), sides):
         scale = abs(lam.to_float()) ** d
         for t in pts:
-            tf = float(t)
-            lhs = scale * gg.eval_float(phi.eval_float(tf))
-            rhs = ff.eval_float(tf)
+            lhs = scale * gg.eval_float(phi.eval_float(t))
+            rhs = ff.eval_float(t)
             err = abs(lhs - rhs) / max(1.0, abs(rhs))
             worst = max(worst, err)
     return worst

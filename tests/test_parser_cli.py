@@ -251,8 +251,19 @@ class TestCli:
             ["classify1", "2^100000000*t", "t"],
             ["classify1", "(10^1000)^5*t", "t"],
             ["classify2", HP, HP, "--beta", "2/1", "--let", "l=" + "7" * 5000],
+            ["classify2", "(X+Y+1)^100", "X^100", "--beta", "2/1"],
+            ["classify2", "(X+Y+1)^50*(X+Y+1)^50", "X^100", "--beta", "2/1"],
         ],
-        ids=["power_degree", "long_literal", "product_degree", "constant_power", "coefficient_power", "long_binding"],
+        ids=[
+            "power_degree",
+            "long_literal",
+            "product_degree",
+            "constant_power",
+            "coefficient_power",
+            "long_binding",
+            "dense_power",
+            "dense_product",
+        ],
     )
     def test_huge_input_fails_fast(self, capsys, argv):
         start = time.perf_counter()
@@ -271,6 +282,36 @@ class TestCli:
             parse_uni("2^4096")
         with pytest.raises(InputTooLargeError):
             parse_bi("X^50*Y^51")
+        assert len(parse_bi("(X^2 + Y)^50").terms) == 51
+        with pytest.raises(InputTooLargeError):
+            parse_bi("(X + Y + 1)^13")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify1", "-t^3", "t"],
+            ["classify2", "X^4", "2*X^4", "--beta", "2/1", "--bogus"],
+            ["witness", "X^4", "X^4", "--beta", "2/1", "--samples", "many"],
+            [],
+        ],
+        ids=["leading_minus", "unknown_flag", "bad_flag_value", "no_command"],
+    )
+    def test_usage_error_is_not_a_verdict(self, capsys, argv):
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "usage_error"
+
+    def test_leading_minus_after_double_dash(self, capsys):
+        code, out, _ = run_cli_capture(capsys, "classify1", "--", "-t^3", "t^3")
+        assert code == 0
+        assert json.loads(out)["f"] == "-t^3"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify2", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qhlip classify2")
 
     def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
         def broken(F, G):

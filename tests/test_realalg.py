@@ -566,7 +566,7 @@ def test_invariants_hold_under_python_O():
             lambda: heights(dataclasses.replace(F, n=2)),
             lambda: heights(QHPoly(BiPoly({(1, 1): 1, (0, 1): 1}), 2, 1, 3, 0, 1)),
             lambda: pairing_search(F, dataclasses.replace(F, e=F.e + 1)),
-            lambda: _certify(wrong_c, F, F, TheoremTag.SUFF_A_PARITY),
+            lambda: _certify(wrong_c, F, TheoremTag.SUFF_A_PARITY),
         ):
             try:
                 build()

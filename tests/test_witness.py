@@ -119,8 +119,7 @@ class TestVerifyConjugacy:
         a, b = hp(-1), hp(-2)
         v = decide(a, b)
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
-        beta, lam1, lam2, axis = T._f
-        T._f = (beta, lam1 * 1.01, lam2, axis)
+        T.lam1 *= 1.01
         rep = verify_conjugacy(a, b, T, GridSpec(), tol=1e-8)
         assert not rep.conjugacy_pass
         assert rep.max_rel_residual > 1e-3

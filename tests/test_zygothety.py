@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import BiPoly, UniPoly
-from qhlip.qhdecide import decide, heights, pairing_search, validate_qh
+from qhlip.qhdecide import VerdictKind, decide, heights, pairing_search, validate_qh
 from qhlip.realalg import RealAlg, compare
+from qhlip.witness import GridSpec, InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
     Affine,
     BranchMap,
@@ -153,16 +154,15 @@ class TestMakeRegular:
     def test_hp_negative_pair(self):
         Fq, Gq = hp(-1), hp(-2)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq, Gq)
+        z = make_regular(option, Fq)
         assert is_beta_regular(z, 2, 1)
-        hf, hg = heights(Fq), heights(Gq)
-        res = action_residual(z, 6, hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus)
+        res = action_residual(z, 6, option.sides)
         assert res < 1e-9
 
     def test_self_pair_is_identity_like(self):
         Fq = hp(2)
         option = pairing_search(Fq, Fq).options[0]
-        z = make_regular(option, Fq, Fq)
+        z = make_regular(option, Fq)
         assert z.lam1 == ra(1)
         for t in (-1.5, 0.0, 2.25):
             assert z.phi1.eval_float(t) == pytest.approx(t, abs=1e-9)
@@ -171,7 +171,7 @@ class TestMakeRegular:
         Fq = hp(3)
         Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq, Gq)
+        z = make_regular(option, Fq)
         assert compare(z.lam1, z.lam2) == 0
         assert z.phi1 is z.phi2
         assert is_beta_regular(z, 2, 1)
@@ -193,10 +193,50 @@ class TestMakeRegular:
             if v.kind != "equivalent":
                 continue
             z = v.certificate.zygothety
-            hf, hg = heights(q), heights(g)
-            res = action_residual(z, q.d, hf.f_plus, hf.f_minus, hg.f_plus, hg.f_minus)
+            res = action_residual(z, q.d, v.certificate.pairing_trace.option.sides)
             assert res < 1e-6
             checked += 1
+
+
+@st.composite
+def negative_x_scale_pairs(draw):
+    """(F, G) with G = F(-a X, b Y) for a random quasihomogeneous F, a > 0
+    and b != 0: a pair whose certificate may need a negative scale."""
+    q = rand_qhpoly(random.Random(draw(st.integers(0, 2**32))))
+    a = F(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    b = F(draw(st.sampled_from((-2, -1, 1, 2))))
+    return q, validate_qh(q.poly.scale_vars(-a, b), q.r, q.s)
+
+
+def lambda_sign(pair) -> int:
+    v = decide(*pair)
+    return v.certificate.zygothety.lam_sign if v.kind == VerdictKind.EQUIVALENT else 0
+
+
+few_pairs = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestNegativeScaleProperty:
+    @few_pairs
+    @given(negative_x_scale_pairs())
+    def test_certificate_pairs_crossed_heights(self, pair):
+        q, g = pair
+        v = decide(q, g)
+        assert v.kind == VerdictKind.EQUIVALENT
+        z, trace = v.certificate.zygothety, v.certificate.pairing_trace
+        option = trace.option
+        assert trace.residual == action_residual(z, q.d, option.sides)
+        hf, hg = heights(q), heights(g)
+        if z.lam_sign < 0:
+            assert option.sides == ((hf.f_plus, hg.f_minus), (hf.f_minus, hg.f_plus))
+        else:
+            assert option.sides == ((hf.f_plus, hg.f_plus), (hf.f_minus, hg.f_minus))
+        T = InverseBetaTransform(z, q.r, q.s)
+        assert verify_conjugacy(q, g, T, GridSpec(x_count=5, t_count=10)).conjugacy_pass
+
+    def test_negative_scale_occurs(self):
+        pair = find(negative_x_scale_pairs(), lambda pair: lambda_sign(pair) < 0, settings=few_pairs)
+        assert lambda_sign(pair) < 0
 
 
 class TestClosureProperties:
