@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import jsonio
 from .lipclass import classify_pair
-from .parser import InputTooLargeError, ParseError, parse_bi, parse_rational, parse_uni, print_bi, print_uni
+from .parser import InputTooLargeError, ParseError, parse_bi, parse_rational, parse_uni
 from .qhdecide import (
     BetaMismatchError,
     BetaRangeError,
@@ -76,7 +77,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    try:
+        print(json.dumps(obj, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader has left: the rest, and the flush at exit, go to the null device
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _fail(message: str, code: str) -> int:
@@ -143,8 +149,8 @@ def cmd_classify1(args) -> int:
     g = parse_uni(args.g, bindings)
     verdict = classify_pair(f, g)
     out = {
-        "f": print_uni(f),
-        "g": print_uni(g),
+        "f": str(f),
+        "g": str(g),
     }
     out.update(jsonio.verdict1_json(verdict))
     _emit(out)
@@ -158,8 +164,8 @@ def _classify2(args) -> tuple[QHPoly, QHPoly, Verdict2D, dict]:
     G = _qh_from_args(args.G, args, bindings)
     verdict = decide(F, G)
     out = {
-        "F": print_bi(F.poly),
-        "G": print_bi(G.poly),
+        "F": str(F.poly),
+        "G": str(G.poly),
         "beta": f"{F.r}/{F.s}",
         "degree": F.d,
     }
@@ -243,7 +249,7 @@ def cmd_infer_beta(args) -> int:
     inf = infer_beta(F)
     _emit(
         {
-            "F": print_bi(F),
+            "F": str(F),
             "matches": [
                 {"beta": f"{r}/{s}", "degree": d} for (r, s, d) in inf.matches
             ],

@@ -115,16 +115,13 @@ def _symbol_json(data: CritData) -> dict:
 
 
 def _failure_json(failure: PairingFailure) -> dict:
-    sides = (
-        ("plus_side", failure.plus, failure.plus_symbols),
-        ("minus_side", failure.minus, failure.minus_symbols),
-    )
+    sides = (("plus_side", failure.plus), ("minus_side", failure.minus))
     out: dict = {"lambda_sign": _sign_str(failure.lambda_sign)}
-    for tag, v, _ in sides:
+    for tag, v in sides:
         out[tag] = "Equivalent" if v.equivalent else v.reason.value
-    for tag, _, symbols in sides:
-        if symbols is not None:
-            left, right = symbols
+    for tag, v in sides:
+        if v.symbols is not None:
+            left, right = v.symbols
             out[tag + "_symbols"] = {"left": _symbol_json(left), "right": _symbol_json(right)}
     return out
 

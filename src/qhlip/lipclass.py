@@ -78,6 +78,8 @@ class Verdict1D:
     equivalent: bool
     pairings: tuple[Pairing1D, ...] = ()
     reason: Optional[Reason1D] = None
+    # the critical data of (f, g) when their multiplicity symbols refuted it
+    symbols: Optional[tuple[CritData, CritData]] = None
 
     def __post_init__(self):
         if self.equivalent != bool(self.pairings):
@@ -203,16 +205,17 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
         return Verdict1D(False, reason=Reason1D.CRIT_COUNT_MISMATCH)
     p = df.count
     d = f.degree
+    # the one orientation for odd d: increasing exactly when the leading signs agree
+    orient = (
+        Orientation.INCREASING
+        if df.leading_sign == dg.leading_sign
+        else Orientation.DECREASING
+    )
 
     if p == 0:
         # both are monotone homeomorphisms of the line (d is necessarily odd)
         if d % 2 == 0:
             raise ArithmeticError("even-degree polynomial without critical points; internal bug")
-        orient = (
-            Orientation.INCREASING
-            if df.leading_sign == dg.leading_sign
-            else Orientation.DECREASING
-        )
         return Verdict1D(True, (Pairing1D(orient, CSet.any_positive()),))
 
     if p == 1:
@@ -228,11 +231,6 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
                 return Verdict1D(False, reason=Reason1D.EXTREMUM_TYPE_MISMATCH)
         c_set = _proportional(df.values, dg.values)
         if d % 2 == 1:
-            orient = (
-                Orientation.INCREASING
-                if df.leading_sign == dg.leading_sign
-                else Orientation.DECREASING
-            )
             return Verdict1D(True, (Pairing1D(orient, c_set),))
         return Verdict1D(
             True,
@@ -249,5 +247,5 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
     if sim.reverse is not None:
         pairings.append(Pairing1D(Orientation.DECREASING, sim.reverse))
     if not pairings:
-        return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR)
+        return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR, symbols=(df, dg))
     return Verdict1D(True, tuple(pairings))

@@ -1,4 +1,4 @@
-"""Polynomial expression parser and printer.
+"""Polynomial expression parser.
 
 Grammar: integers, rationals p/q, variables X and Y (bivariate) or t
 (univariate), operators + - * ^ with non-negative integer exponents, and
@@ -267,50 +267,3 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ParseError("zero denominator", 0)
     return Fraction(num, den)
-
-
-def _coeff_prefix(c: Fraction, monomial: str) -> str:
-    if monomial == "":
-        return str(c)
-    if c == 1:
-        return monomial
-    if c == -1:
-        return "-" + monomial
-    return f"{c}*{monomial}"
-
-
-def print_uni(p: UniPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c == 0:
-            continue
-        mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-        parts.append(_coeff_prefix(c, mono))
-    return _join_signed(parts)
-
-
-def print_bi(p: BiPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.terms.items(), reverse=True):
-        factors = []
-        if i:
-            factors.append("X" if i == 1 else f"X^{i}")
-        if j:
-            factors.append("Y" if j == 1 else f"Y^{j}")
-        parts.append(_coeff_prefix(c, "*".join(factors)))
-    return _join_signed(parts)
-
-
-def _join_signed(parts: list[str]) -> str:
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out

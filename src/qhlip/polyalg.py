@@ -126,9 +126,6 @@ class UniPoly:
                     out[i + j] += ci * cj
         return UniPoly(out)
 
-    def __rmul__(self, other: RatLike) -> "UniPoly":
-        return self.scale(other)
-
     def scale(self, c: RatLike) -> "UniPoly":
         c = Fraction(c)
         if c == 0:
@@ -228,21 +225,42 @@ class UniPoly:
             raise ValueError("reversal needs a nonzero constant term")
         return UniPoly(tuple(reversed(self.coeffs)))
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "UniPoly(0)"
+    def __str__(self) -> str:
+        """The polynomial as text in t that parse_uni reads back."""
         parts = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
             if c == 0:
                 continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return "UniPoly(" + " + ".join(parts) + ")"
+            mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
+            parts.append(_coeff_prefix(c, mono))
+        return _join_signed(parts)
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self})"
+
+
+def _coeff_prefix(c: Fraction, monomial: str) -> str:
+    if monomial == "":
+        return str(c)
+    if c == 1:
+        return monomial
+    if c == -1:
+        return "-" + monomial
+    return f"{c}*{monomial}"
+
+
+def _join_signed(parts: list[str]) -> str:
+    """The terms joined by + and -; "0" for none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
 
 
 def _primitive(cs: list[int]) -> tuple[list[int], int]:
@@ -428,10 +446,6 @@ class BiPoly:
         self._flt: tuple[tuple[float, int, int], ...] | None = None
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
     def monomial(i: int, j: int, c: RatLike = 1) -> "BiPoly":
         return BiPoly({(i, j): c})
 
@@ -466,9 +480,6 @@ class BiPoly:
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return BiPoly(out)
-
-    def __rmul__(self, other: RatLike) -> "BiPoly":
-        return self.scale(other)
 
     def scale(self, c: RatLike) -> "BiPoly":
         c = Fraction(c)
@@ -506,18 +517,20 @@ class BiPoly:
     def monomials(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         return iter(self._key)
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "BiPoly(0)"
+    def __str__(self) -> str:
+        """The polynomial as text in X, Y that parse_bi reads back."""
         parts = []
-        for (i, j), c in sorted(self.terms.items(), reverse=True):
-            piece = str(c)
+        for (i, j), c in reversed(self._key):
+            factors = []
             if i:
-                piece += f"*X^{i}" if i > 1 else "*X"
+                factors.append("X" if i == 1 else f"X^{i}")
             if j:
-                piece += f"*Y^{j}" if j > 1 else "*Y"
-            parts.append(piece)
-        return "BiPoly(" + " + ".join(parts) + ")"
+                factors.append("Y" if j == 1 else f"Y^{j}")
+            parts.append(_coeff_prefix(c, "*".join(factors)))
+        return _join_signed(parts)
+
+    def __repr__(self) -> str:
+        return f"BiPoly({self})"
 
 
 def x_multiplicity(F: BiPoly) -> int:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import zygothety as zyg
-from .lipclass import CritData, Pairing1D, Verdict1D, classify_pair, critical_data
+from .lipclass import Pairing1D, Verdict1D, classify_pair, critical_data
 from .polyalg import BiPoly, UniPoly, is_cxd, sign, x_multiplicity, y_divides
 from .realalg import RealAlg, count_real_roots, nth_root_pos
 
@@ -160,15 +160,11 @@ class PairingOption:
 
 @dataclass(frozen=True)
 class PairingFailure:
-    """Why one scale sign pairs no heights: the 1-D verdict of each side, and
-    both sides' critical data where their multiplicity symbols were compared.
-    """
+    """Why one scale sign pairs no heights: the 1-D verdict of each side."""
 
     lambda_sign: int
     plus: Verdict1D
     minus: Verdict1D
-    plus_symbols: Optional[tuple[CritData, CritData]] = None
-    minus_symbols: Optional[tuple[CritData, CritData]] = None
 
 
 @dataclass(frozen=True)
@@ -184,14 +180,6 @@ def _require_same_family(F: QHPoly, G: QHPoly) -> None:
         raise BetaMismatchError("polynomials have different beta")
     if F.d != G.d:
         raise DegreeMismatchError("polynomials have different degree")
-
-
-def _symbols(f: UniPoly, g: UniPoly, v: Verdict1D) -> Optional[tuple[CritData, CritData]]:
-    """Critical data of both sides when their symbols decided a failed pairing."""
-    if v.equivalent or f.is_constant or g.is_constant or f.degree != g.degree:
-        return None
-    df, dg = critical_data(f), critical_data(g)
-    return (df, dg) if df.count == dg.count and df.count >= 2 else None
 
 
 def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
@@ -224,15 +212,7 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
     for lam_sign, g_for_plus, g_for_minus, v_plus, v_minus in trials:
         if v_minus is None:
             v_minus = classify_pair(hf.f_minus, g_for_minus)
-        failures.append(
-            PairingFailure(
-                lam_sign,
-                v_plus,
-                v_minus,
-                _symbols(hf.f_plus, g_for_plus, v_plus),
-                _symbols(hf.f_minus, g_for_minus, v_minus),
-            )
-        )
+        failures.append(PairingFailure(lam_sign, v_plus, v_minus))
     return PairingSearch((), tuple(failures))
 
 
@@ -356,8 +336,8 @@ def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
     return zyg.Zygothety(lam, lam, zyg.identity_map(), zyg.identity_map())
 
 
-def _certify(option: PairingOption, F: QHPoly, tag: TheoremTag) -> Verdict2D:
-    z = zyg.make_regular(option, F)
+def _certify(option: PairingOption, F: QHPoly, tag: TheoremTag, common: Optional[RealAlg]) -> Verdict2D:
+    z = zyg.make_regular(option, F, common)
     residual = zyg.action_residual(z, F.d, option.sides)
     if not residual <= 1e-6:
         raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
@@ -416,29 +396,32 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
     r, s = F.r, F.s
     # every option's sides hold all four heights
     crit_counts = [critical_data(h).count for side in options[0].sides for h in side]
+    # with r odd and s even, the two sides share one constant unless X
+    # divides neither polynomial (pairable heights give F and G the same e)
+    shared = r % 2 == 1 and s % 2 == 0 and F.e != 0
 
     if min(crit_counts) == 0:
-        return _certify(options[0], F, TheoremTag.COR_NO_CRIT_POINTS)
-    if r % 2 == 0 or s % 2 == 1:
-        return _certify(options[0], F, TheoremTag.SUFF_A_PARITY)
-    # r odd, s even from here on
-    if F.e == 0 and G.e == 0:
-        return _certify(options[0], F, TheoremTag.SUFF_C_NO_X_FACTOR)
-    # the remaining constructions need one option whose sides share a constant
-    if not y_divides(F.poly) and not y_divides(G.poly):
-        # scales are forced equal; every option must carry matching constants
+        # a height without critical points leaves its side's constant free
+        tag = TheoremTag.COR_NO_CRIT_POINTS
+    elif not shared:
+        parity = r % 2 == 0 or s % 2 == 1
+        tag = TheoremTag.SUFF_A_PARITY if parity else TheoremTag.SUFF_C_NO_X_FACTOR
+    elif not y_divides(F.poly) and not y_divides(G.poly):
+        # no Y factor forces equal scales, so every option has matching constants
         tag = TheoremTag.COR_R_ODD_S_EVEN_NO_Y_FACTOR
-        invariant = "no Y factor forces equal scales, yet no option admits a common constant"
     elif min(crit_counts) == 1:
+        # a single-critical-point height has value zero, so a side is free
         tag = TheoremTag.COR_R_ODD_S_EVEN_ONE_CRIT
-        invariant = "a single-critical-point height has value zero, so a side must be free"
     else:
-        tag, invariant = TheoremTag.SUFF_B_EQUAL_LAMBDA, None
+        tag = TheoremTag.SUFF_B_EQUAL_LAMBDA
+    if not shared:
+        return _certify(options[0], F, tag, None)
     for option in options:
-        if option.plus.c_set.compatible_common_value(option.minus.c_set) is not None:
-            return _certify(option, F, tag)
-    if invariant is not None:
-        raise ArithmeticError(f"{invariant}; internal bug")
+        common = option.plus.c_set.compatible_common_value(option.minus.c_set)
+        if common is not None:
+            return _certify(option, F, tag, common)
+    if tag is not TheoremTag.SUFF_B_EQUAL_LAMBDA:
+        raise ArithmeticError(f"{tag.value} found no option with a common constant; internal bug")
     return Verdict2D(
         VerdictKind.UNKNOWN,
         reason=UnknownReason(

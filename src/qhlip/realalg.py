@@ -109,11 +109,6 @@ class RealAlg:
     def is_rational(self) -> bool:
         return self.lo == self.hi
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a known rational")
-        return self.lo
-
     def interval(self) -> tuple[Fraction, Fraction]:
         return self.lo, self.hi
 
@@ -169,27 +164,10 @@ class RealAlg:
     def sign(self) -> int:
         return compare(self, _ZERO)
 
-    def compare(self, other: "RealAlg") -> int:
-        return compare(self, other)
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RealAlg.from_rational(other)
-        if not isinstance(other, RealAlg):
+        if not isinstance(other, (RealAlg, int, Fraction)):
             return NotImplemented
-        return compare(self, other) == 0
-
-    def __lt__(self, other: "RealAlg") -> bool:
-        return compare(self, _coerce(other)) < 0
-
-    def __le__(self, other: "RealAlg") -> bool:
-        return compare(self, _coerce(other)) <= 0
-
-    def __gt__(self, other: "RealAlg") -> bool:
-        return compare(self, _coerce(other)) > 0
-
-    def __ge__(self, other: "RealAlg") -> bool:
-        return compare(self, _coerce(other)) >= 0
+        return compare(self, _coerce(other)) == 0
 
     __hash__ = None  # semantic equality is not hash-compatible
 
@@ -198,26 +176,14 @@ class RealAlg:
     def __add__(self, other) -> "RealAlg":
         return add(self, _coerce(other))
 
-    def __radd__(self, other) -> "RealAlg":
-        return add(_coerce(other), self)
-
     def __sub__(self, other) -> "RealAlg":
         return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other) -> "RealAlg":
-        return add(_coerce(other), neg(self))
 
     def __mul__(self, other) -> "RealAlg":
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other) -> "RealAlg":
-        return mul(_coerce(other), self)
-
     def __truediv__(self, other) -> "RealAlg":
         return div(self, _coerce(other))
-
-    def __rtruediv__(self, other) -> "RealAlg":
-        return div(_coerce(other), self)
 
     def __neg__(self) -> "RealAlg":
         return neg(self)
@@ -319,8 +285,6 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     if p.degree == 0:
         return []
     q = square_free_part(p)
-    if q.degree == 0:
-        return []
     bound = cauchy_root_bound(q)
     roots: list[RealAlg] = []
 
@@ -364,8 +328,6 @@ def count_real_roots(p: UniPoly) -> int:
     if p.degree == 0:
         return 0
     q = square_free_part(p)
-    if q.degree == 0:
-        return 0
     bound = cauchy_root_bound(q)
     return _count_pair(q, -bound, bound)
 

@@ -18,6 +18,12 @@ from typing import Optional
 from .qhdecide import QHPoly
 from .zygothety import PLMap, Zygothety, is_beta_regular
 
+#: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW]
+T_WINDOW = 2.0
+#: the smallest |x| of the conjugacy grid, and the seed of verify_lipschitz's point pairs
+X_MIN = 1e-6
+LIPSCHITZ_SEED = 20240901
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -26,8 +32,6 @@ class GridSpec:
     x_count: int = 50
     t_count: int = 100
     delta: float = 1.0
-    t_window: float = 2.0
-    x_min: float = 1e-6
 
     @property
     def total_samples(self) -> int:
@@ -107,8 +111,8 @@ def verify_conjugacy(
     beta = T.beta
     fp = F.poly
     gp = G.poly
-    xs = _log_spaced(grid.x_min, grid.delta, grid.x_count)
-    ts = _linear(-grid.t_window, grid.t_window, grid.t_count)
+    xs = _log_spaced(X_MIN, grid.delta, grid.x_count)
+    ts = _linear(-T_WINDOW, T_WINDOW, grid.t_count)
     worst = 0.0
     count = 0
     for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
@@ -142,20 +146,18 @@ def verify_lipschitz(
     T: InverseBetaTransform,
     samples: int = 2000,
     delta: float = 1.0,
-    t_window: float = 2.0,
-    seed: int = 20240901,
 ) -> tuple[float, float]:
     """Empirical bi-Lipschitz ratios over random point pairs in the strip."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    rng = random.Random(seed)
+    rng = random.Random(LIPSCHITZ_SEED)
     beta = T.beta
 
     def sample_point() -> tuple[float, float]:
         x = 0.0
         while abs(x) < 1e-9:
             x = rng.uniform(-delta, delta)
-        t = rng.uniform(-t_window, t_window)
+        t = rng.uniform(-T_WINDOW, T_WINDOW)
         return (x, t * abs(x) ** beta)
 
     ratio_min = float("inf")

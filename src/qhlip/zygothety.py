@@ -18,10 +18,6 @@ from .polyalg import UniPoly
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
 
 
-class ConstructionUnavailable(Exception):
-    """No known construction upgrades this pairing to a regular zygothety."""
-
-
 class PLMap:
     """Monotone bijection of the reals, described symbolically."""
 
@@ -340,13 +336,14 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
     )
 
 
-def make_regular(option, F) -> Zygothety:
+def make_regular(option, F, common: RealAlg | None) -> Zygothety:
     """Build a beta-regular zygothety realizing a pairing option for (F, G).
 
     The pairing option supplies an admissible scale sign, the (F height,
     G height) pair of each side and one 1-D pairing per side; the parity of
-    (r, s) picks the construction.  Raises ConstructionUnavailable when the
-    sides force incompatible constants.
+    (r, s) picks the construction.  `common` is the constant both sides
+    share, or None for each side to pick its own; with r odd, s even and X
+    dividing F, the construction needs it and raises ValueError without it.
     """
     r, s, d, e = F.r, F.s, F.d, F.e
     sgn = option.lambda_sign
@@ -363,15 +360,12 @@ def make_regular(option, F) -> Zygothety:
         z = Zygothety(lam1, lam1, phi1, phi2)
     else:
         # r odd, s even: scales must agree unless X divides neither side
-        if e == 0:
-            c1, c2 = p1.c_set.pick(), p2.c_set.pick()
-        else:
-            common = p1.c_set.compatible_common_value(p2.c_set)
-            if common is None:
-                raise ConstructionUnavailable(
-                    "sides force distinct constants while X divides the polynomials"
-                )
+        if common is not None:
             c1 = c2 = common
+        elif e != 0:
+            raise ValueError("X divides the polynomials, so both sides need one common constant")
+        else:
+            c1, c2 = p1.c_set.pick(), p2.c_set.pick()
         phi1 = _branch_map(c1, p1.orientation, f1, g1)
         phi2 = _branch_map(c2, p2.orientation, f2, g2)
         if p1.orientation is not p2.orientation:

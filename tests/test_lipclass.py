@@ -35,9 +35,10 @@ def hp_height(lam):
 class TestCriticalData:
     def test_family_at_one(self):
         data = critical_data(hp_height(1))
-        assert [p.as_fraction() for p in data.points] == [-1, 1]
+        assert all(a.is_rational for a in data.points + data.values)
+        assert [p.lo for p in data.points] == [-1, 1]
         assert data.mults == (2, 2)
-        assert [v.as_fraction() for v in data.values] == [3, -1]
+        assert [v.lo for v in data.values] == [3, -1]
 
     def test_no_critical_points(self):
         data = critical_data(hp_height(-1))
@@ -46,9 +47,9 @@ class TestCriticalData:
     def test_quartic_power(self):
         data = critical_data(P(0, 0, 0, 0, 1))
         assert data.count == 1
-        assert data.points[0].as_fraction() == 0
+        assert data.points[0].is_rational and data.points[0].lo == 0
         assert data.mults == (4,)
-        assert data.values[0].as_fraction() == 0
+        assert data.values[0].is_rational and data.values[0].lo == 0
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +144,14 @@ class TestClassifyPair:
         v = classify_pair(hp_height(1), hp_height(4))
         assert not v.equivalent
         assert v.reason is Reason1D.SYMBOL_NOT_SIMILAR
+        assert v.symbols == (critical_data(hp_height(1)), critical_data(hp_height(4)))
+
+    def test_single_crit_multiplicity_mismatch(self):
+        # t^4 has one critical point of multiplicity 4, t^4 + t^2 one of 2
+        v = classify_pair(P(0, 0, 0, 0, 1), P(0, 0, 1, 0, 1))
+        assert not v.equivalent
+        assert v.reason is Reason1D.SYMBOL_NOT_SIMILAR
+        assert v.symbols is None
 
     def test_no_critical_points_equivalent(self):
         v = classify_pair(P(1, 3, 0, 1), P(1, 6, 0, 1))

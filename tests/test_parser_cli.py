@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,8 +15,6 @@ from qhlip.parser import (
     parse_bi,
     parse_rational,
     parse_uni,
-    print_bi,
-    print_uni,
 )
 from qhlip.polyalg import BiPoly, UniPoly
 
@@ -72,7 +71,7 @@ class TestParse:
         rng = random.Random(600)
         for _ in range(25):
             p = rand_unipoly(rng, 7)
-            assert parse_uni(print_uni(p)) == p
+            assert parse_uni(str(p)) == p
 
     def test_round_trip_bi(self):
         rng = random.Random(601)
@@ -84,7 +83,7 @@ class TestParse:
                 for _ in range(4)
             }
             p = BiPoly(terms)
-            assert parse_bi(print_bi(p)) == p
+            assert parse_bi(str(p)) == p
 
 
 def run_cli(*argv):
@@ -334,6 +333,43 @@ class TestCli:
         )
         assert code == 2
         assert json.loads(out)["verdict"] == "Unknown"
+
+    @pytest.mark.parametrize(
+        "F, G, beta, kind",
+        [
+            ("X^8 + Y^4", "X^8 - X^4*Y^2 + Y^4", "2/1", "NecessityConditionsUnavailable"),
+            (
+                "X^2*Y^6 - 3*X^5*Y^4 - 3*X^8*Y^2",
+                "X^2*Y^6 - 3*X^5*Y^4 - 2*X^8*Y^2",
+                "3/2",
+                "SufficiencyGap",
+            ),
+        ],
+    )
+    def test_unknown_reasons(self, capsys, F, G, beta, kind):
+        code, out, _ = run_cli_capture(capsys, "classify2", F, G, "--beta", beta)
+        assert code == 2
+        assert json.loads(out)["reason"]["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify1", "--", "-t^3", "t"],
+            ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1", "--let", "l=1", "--let", "m=4"],
+        ],
+        ids=["classify1", "classify2"],
+    )
+    def test_closed_stdout_keeps_the_verdict_exit_code(self, argv):
+        cmd = [sys.executable, "-m", "qhlip.cli", *argv]
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader has left before the first write
+        try:
+            closed = subprocess.run(cmd, stdout=writer, stderr=subprocess.PIPE)
+        finally:
+            os.close(writer)
+        opened = subprocess.run(cmd, capture_output=True)
+        assert closed.returncode == opened.returncode
+        assert closed.stderr == b""
 
     def test_byte_deterministic_output(self):
         cmd = [

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from qhlip.lipclass import critical_data
+from qhlip.jsonio import map_json
+from qhlip.lipclass import Orientation, critical_data
+from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import VerdictKind, decide, heights, pairing_search, validate_qh
 from qhlip.realalg import RealAlg, compare
@@ -154,7 +156,7 @@ class TestMakeRegular:
     def test_hp_negative_pair(self):
         Fq, Gq = hp(-1), hp(-2)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq)
+        z = make_regular(option, Fq, None)
         assert is_beta_regular(z, 2, 1)
         res = action_residual(z, 6, option.sides)
         assert res < 1e-9
@@ -162,7 +164,7 @@ class TestMakeRegular:
     def test_self_pair_is_identity_like(self):
         Fq = hp(2)
         option = pairing_search(Fq, Fq).options[0]
-        z = make_regular(option, Fq)
+        z = make_regular(option, Fq, None)
         assert z.lam1 == ra(1)
         for t in (-1.5, 0.0, 2.25):
             assert z.phi1.eval_float(t) == pytest.approx(t, abs=1e-9)
@@ -171,7 +173,7 @@ class TestMakeRegular:
         Fq = hp(3)
         Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq)
+        z = make_regular(option, Fq, None)
         assert compare(z.lam1, z.lam2) == 0
         assert z.phi1 is z.phi2
         assert is_beta_regular(z, 2, 1)
@@ -196,6 +198,45 @@ class TestMakeRegular:
             res = action_residual(z, q.d, v.certificate.pairing_trace.option.sides)
             assert res < 1e-6
             checked += 1
+
+
+def crossed_orientation_option(Fq, Gq):
+    """The first pairing option of (F, G) whose (+) side is increasing and
+    whose (-) side is decreasing."""
+    return next(
+        o
+        for o in pairing_search(Fq, Gq).options
+        if o.plus.orientation is Orientation.INCREASING
+        and o.minus.orientation is Orientation.DECREASING
+    )
+
+
+class TestNegConstruction:
+    """make_regular's Neg branch: with s even the heights are even functions,
+    so both orientations of a side admit the same constant and decide always
+    takes the (increasing, increasing) option, which comes first; the crossed
+    orientations are reached only by calling make_regular directly."""
+
+    @pytest.mark.parametrize(
+        "f_text, g_text, shared",
+        [("X^6 + Y^4", "2*X^6 + 3*Y^4", False), ("X^2*Y^4 - X^8", "X^2*Y^4 - X^8", True)],
+    )
+    def test_crossed_orientations_negate_the_second_map(self, f_text, g_text, shared):
+        Fq, Gq = validate_qh(parse_bi(f_text), 3, 2), validate_qh(parse_bi(g_text), 3, 2)
+        assert (Fq.e != 0) == shared
+        option = crossed_orientation_option(Fq, Gq)
+        common = option.plus.c_set.compatible_common_value(option.minus.c_set) if shared else None
+        z = make_regular(option, Fq, common)
+        assert is_beta_regular(z, 3, 2)
+        assert action_residual(z, Fq.d, option.sides) <= 1e-6
+        T = InverseBetaTransform(z, 3, 2)
+        assert verify_conjugacy(Fq, Gq, T, GridSpec(x_count=5, t_count=10)).conjugacy_pass
+        assert map_json(z.phi2)["kind"] == "neg"
+
+    def test_missing_common_constant_is_refused(self):
+        Fq = validate_qh(parse_bi("X^2*Y^4 - X^8"), 3, 2)
+        with pytest.raises(ValueError):
+            make_regular(crossed_orientation_option(Fq, Fq), Fq, None)
 
 
 @st.composite
