@@ -9,6 +9,10 @@ Compares, on seeded random inputs:
 * ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
   ``sympy.gcd`` and ``sympy.sqf_part``, both made monic, on pairs of
   rational polynomials that share a factor, sometimes a repeated one;
+* ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
+  ``sympy.gcd`` and ``sympy.sqf_part`` on integer polynomials of degree
+  20 to 31 with a shared factor of degree 5 to 8 and coefficients above
+  2**100, the sizes where the heuristic gcd's evaluation points are large;
 * ``realalg.count_real_roots`` against the Sturm count of sympy's
   square-free part;
 * ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
@@ -117,6 +121,30 @@ def check_gcd(p: UniPoly, q: UniPoly) -> str | None:
         ours, theirs = uni_expr(square_free_part(f), T), monic_expr(sympy.sqf_part(fe))
         if sympy.expand(ours - theirs) != 0:
             return f"square_free_part({f}) = {ours}, sympy {theirs}"
+    return None
+
+
+def rand_big_pair(rng: random.Random) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(p, q, shared): p and q of degree 20 to 31 share the factor shared of
+    degree 5 to 8, whose coefficients reach above 2**100."""
+
+    def big_poly(lo: int, hi: int, bits: int) -> UniPoly:
+        cs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(lo, hi))]
+        return UniPoly(cs + [rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2**bits)])
+
+    shared = big_poly(5, 8, 110)
+    return big_poly(15, 23, 40) * shared, big_poly(15, 23, 40) * shared, shared
+
+
+def check_big_gcd(p: UniPoly, q: UniPoly, shared: UniPoly) -> str | None:
+    pe, qe = uni_expr(p, T), uni_expr(q, T)
+    ours, theirs = poly_gcd(p, q), sympy.Poly(sympy.gcd(pe, qe), T)
+    if theirs.degree() < shared.degree or sympy.expand(uni_expr(ours, T) - theirs.monic().as_expr()) != 0:
+        return f"degree-{p.degree} poly_gcd: qhlip {ours}, sympy {theirs.as_expr()}"
+    f = p * shared  # shared is a repeated factor of f
+    ours, theirs = square_free_part(f), sympy.Poly(sympy.sqf_part(uni_expr(f, T)), T).monic()
+    if sympy.expand(uni_expr(ours, T) - theirs.as_expr()) != 0:
+        return f"degree-{f.degree} square_free_part: qhlip {ours}, sympy {theirs.as_expr()}"
     return None
 
 
@@ -262,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_floats(p)
             or check_compare(*rand_pair(rng))
             or check_inversion(rng, p, flat)
+            or check_big_gcd(*rand_big_pair(rng))
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

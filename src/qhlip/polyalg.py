@@ -7,10 +7,10 @@ cached freely.  Signs at rational points are found in integers
 (`UniPoly.sign_at`), which is all that Sturm counting and bisection need.
 
 Remainders, gcds and exact divisions run in Z[x] on primitive integer
-multiples (`_zx`), by pseudo-remainders that scale by |lc| > 0 only (`_prem`;
-Collins, JACM 14, 1967), so every remainder is a positive multiple of the one
-over Q.  Resultants are computed in Z at integer points and interpolated in
-Z; a Fraction is built only for each coefficient of the result.
+multiples (`_zx`).  Gcds are heuristic, proved by exact division; Sturm chains
+take pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14,
+1967), positive multiples of the remainders over Q.  Resultants are computed
+in Z at integer points and interpolated in Z, one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RatLike = Union[Fraction, int]
+_HEU_ROUNDS = 6  # evaluation points _zx_gcd tries before its fallback
 
 
 def sign(x: RatLike) -> int:
@@ -305,7 +306,28 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int, int]:
 
 
 def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """A primitive gcd in Z[x], up to sign, by the primitive remainder sequence."""
+    """A primitive gcd in Z[x], up to sign, for primitive a and b, by the
+    heuristic gcd (GCDHEU; Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989):
+    the primitive part g of the symmetric xi-adic lift of gcd(a(xi), b(xi)).
+    For xi >= 2 * min(|a|_inf, |b|_inf) + 2, g is the gcd if it divides a and
+    b exactly (Geddes, Czapor and Labahn 1992, Thm 7.7).  After _HEU_ROUNDS
+    points it falls back to the primitive remainder sequence."""
+    if len(a) == 1 or len(b) == 1:  # a nonzero constant operand
+        return [1]
+    if a and b:
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        for _ in range(_HEU_ROUNDS):
+            h, lift = _int_gcd(_horner(a, xi), _horner(b, xi)), []
+            while h:  # h = xi * h' + d with -xi/2 <= d < xi/2
+                h, d = divmod(h + xi // 2, xi)
+                lift.append(d - xi // 2)
+            g = _primitive(lift)[0]
+            try:
+                _zx_quotient(list(a), g)
+                _zx_quotient(list(b), g)
+                return g
+            except ArithmeticError:
+                xi = xi * 73794 // 27011  # the growth of sympy's dup_zz_heu_gcd
     while b:
         a, b = b, _prem(a, b)[0]
     return a

@@ -610,11 +610,9 @@ def _root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fractio
 
 
 def pow_int(a: RealAlg, k: int) -> RealAlg:
-    """a**k for integer k (k < 0 requires a != 0)."""
-    if k == 0:
-        return RealAlg.from_rational(1)
-    if k < 0:
-        return inverse(pow_int(a, -k))
+    """a**k for an integer k >= 1."""
+    if k < 1:
+        raise ValueError("pow_int needs an exponent k >= 1")
     if a.is_rational:
         return RealAlg.from_rational(a.lo**k)
     return eval_alg(UniPoly((0,) * k + (1,)), a)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qhlip.polyalg import BiPoly, UniPoly, cauchy_root_bound, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, _prem, cauchy_root_bound, square_free_part
 from qhlip.qhdecide import QHPoly, validate_qh
 
 
@@ -190,6 +190,14 @@ def frac_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         if not b.is_zero:
             b = frac_primitive(b)
     return a.monic()
+
+
+def prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """A primitive gcd in Z[x], up to sign, by the primitive remainder
+    sequence: integer coefficient lists, lowest power first."""
+    while b:
+        a, b = b, _prem(a, b)[0]
+    return a
 
 
 def frac_square_free_part(p: UniPoly) -> UniPoly:

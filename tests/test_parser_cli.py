@@ -221,6 +221,31 @@ class TestCli:
         data = json.loads(out)
         assert data["matches"] == [{"beta": "2/1", "degree": 6}]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--let", "l=-1", "--let", "m=-2"],
+            ["witness", HP, "X^6 - 3*m*X^4*Y + Y^3", "--let", "l=-1", "--let", "m=-2", "--samples", "400"],
+            ["scan", HP, "--param", "l", "--values=-1,-2,1,4"],
+        ],
+        ids=["classify2", "witness", "scan"],
+    )
+    def test_infer_beta_flag_matches_explicit_beta(self, capsys, argv):
+        inferred = run_cli_capture(capsys, *argv, "--infer-beta")
+        assert inferred == run_cli_capture(capsys, *argv, "--beta", "2/1")
+        assert inferred[0] == 0 and inferred[2] == ""
+
+    @pytest.mark.parametrize("command", ["classify2", "witness", "scan"])
+    @pytest.mark.parametrize(
+        "F, error", [("X^4", "beta_ambiguous"), ("X^2 + Y^2", "beta_unavailable")], ids=["monomial", "no_beta"]
+    )
+    def test_infer_beta_flag_failures(self, capsys, command, F, error):
+        argv = [command, F, "--param", "l", "--values", "1,2"] if command == "scan" else [command, F, F]
+        code, out, err = run_cli_capture(capsys, *argv, "--infer-beta")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == error
+
     def test_parse_error_json_on_stderr(self, capsys):
         code, out, err = run_cli_capture(capsys, "classify1", "t +", "t")
         assert code == 3

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhlip import polyalg
 from qhlip.polyalg import (
@@ -28,6 +28,7 @@ from helpers import (
     frac_resultant,
     frac_square_free_part,
     frac_sturm_sequence,
+    prs_gcd,
     rand_tpoly,
     rand_unipoly,
     sylvester_resultant,
@@ -539,3 +540,79 @@ class TestIntegerKernel:
         monkeypatch.setattr(polyalg, "_zx_gcd", lambda a, b: [1, 1])
         with pytest.raises(ArithmeticError, match="inexact"):
             square_free_part(P(1, 0, 1))
+
+
+#: small integers, where the heuristic gcd's first point is small and its
+#: integer gcd often holds spurious factors, and integers up to 2**64
+zx_coeffs = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64))
+
+
+def zx_polys(max_degree):
+    """Nonzero integer polynomials of degree up to max_degree."""
+    return st.lists(zx_coeffs, min_size=1, max_size=max_degree + 1).filter(any).map(UniPoly)
+
+
+def same_up_to_sign(g, h):
+    return list(g) in (list(h), [-c for c in h])
+
+
+def refuse(*args):
+    raise AssertionError("called")
+
+
+class TestHeuristicGcd:
+    """_zx_gcd, the heuristic gcd, against the primitive remainder sequence
+    it falls back to, on a = g*u and b = g*v."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(zx_polys(10), zx_polys(20), zx_polys(20))
+    @example(UniPoly([5]), UniPoly([3]), UniPoly([1, 2, 3]))  # a constant operand
+    @example(UniPoly([1]), UniPoly([1, 1]), UniPoly([2, 1]))  # coprime operands
+    @example(UniPoly([-3, 0, 2]), UniPoly([7]), UniPoly([1, 0, 1]))  # a divides b
+    def test_matches_remainder_sequence(self, g, u, v):
+        p, q = g * u, g * v
+        a, b = polyalg._zx(p), polyalg._zx(q)
+        want = prs_gcd(a, b)
+        assert same_up_to_sign(polyalg._zx_gcd(a, b), want)
+        assert same_up_to_sign(polyalg._zx_gcd(b, a), want)
+        assert poly_gcd(p, q) == UniPoly(want).monic()
+        r = g * g * u  # g is a repeated factor
+        c = polyalg._zx(r)
+        d = prs_gcd(c, polyalg._primitive([i * x for i, x in enumerate(c)][1:])[0])
+        assert square_free_part(r) == UniPoly(polyalg._zx_quotient(list(c), d)).monic()
+
+    def test_constant_operand_takes_no_remainder_step(self, monkeypatch):
+        monkeypatch.setattr(polyalg, "_prem", refuse)
+        monkeypatch.setattr(polyalg, "_horner", refuse)
+        assert polyalg._zx_gcd([5], [1, 2, 3]) == [1]
+        assert polyalg._zx_gcd([-1, 0, 1], [-2]) == [1]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([-1, 3, -4, 2], [1, 1]),  # the first lift, x + 1, divides b only
+            ([1, -1], [2, 0, -2, -3]),  # the first lift, x - 1, divides a only
+        ],
+    )
+    def test_lift_must_divide_both_operands(self, a, b):
+        assert polyalg._zx_gcd(a, b) in ([1], [-1])
+        assert polyalg._zx_gcd(b, a) in ([1], [-1])
+
+    def test_spurious_factor_grows_xi(self, monkeypatch):
+        # at the first point, xi = 2 * min(10, 12) + 2 = 22, the integer gcd
+        # holds a factor of the cofactors' values too, and its lift divides
+        # neither operand; a larger point finds the gcd 2x^2 + 3x + 2
+        a, b = [-8, -10, -9, -8, -10, -4], [-2, -9, -11, 2, 12, 8]
+        points = []
+        horner = polyalg._horner
+        monkeypatch.setattr(polyalg, "_horner", lambda cs, x: points.append(x) or horner(cs, x))
+        monkeypatch.setattr(polyalg, "_prem", refuse)
+        assert same_up_to_sign(polyalg._zx_gcd(a, b), [2, 3, 2])
+        assert points[0] == 22 and points[-1] > 22
+
+    def test_falls_back_to_remainder_sequence(self, monkeypatch):
+        monkeypatch.setattr(polyalg, "_HEU_ROUNDS", 0)
+        monkeypatch.setattr(polyalg, "_horner", refuse)
+        a, b = [-8, -10, -9, -8, -10, -4], [-2, -9, -11, 2, 12, 8]
+        assert same_up_to_sign(polyalg._zx_gcd(a, b), [2, 3, 2])
+        assert poly_gcd(UniPoly(a), UniPoly(b)) == P(1, F(3, 2), 1)

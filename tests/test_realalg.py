@@ -236,6 +236,13 @@ class TestFieldOps:
         assert not root.is_rational
         assert pow_int(root, 3) == RealAlg.from_rational(10**400)
 
+    def test_pow_int_needs_a_positive_exponent(self):
+        root = nth_root_pos(RealAlg.from_rational(2), 2)
+        for x in (root, RealAlg.from_rational(3)):
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="k >= 1"):
+                    pow_int(x, k)
+
     def test_exact_int_nth_root(self):
         for k in range(1, 6):
             powers = {x**k: x for x in range(2000)}

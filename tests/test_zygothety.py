@@ -128,6 +128,33 @@ class TestLimitSlope:
             assert compare(s * si, ra(1)) == 0
 
 
+class TestWrapperInverse:
+    @pytest.mark.parametrize("wrap", [Neg, NegConj])
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            Affine(F(-5, 3), F(2)),
+            BranchMap(ra(8), True, UniPoly([1, 3, 0, 1]), UniPoly([1, 6, 0, 1]), (), ()),
+        ],
+        ids=["affine", "branch"],
+    )
+    def test_inverse_is_two_sided(self, wrap, inner):
+        m = wrap(inner)
+        mi = m.inverse()
+        for t in (-3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.5):
+            assert mi.eval_float(m.eval_float(t)) == pytest.approx(t, abs=1e-9)
+            assert m.eval_float(mi.eval_float(t)) == pytest.approx(t, abs=1e-9)
+        assert m.limit_slope() * mi.limit_slope() == ra(1)
+
+    def test_neg_inverse_renders_as_compose(self):
+        # (-(2t + 1))^-1 = (s -> s/2 - 1/2) o (s -> -s)
+        assert map_json(Neg(Affine(F(2), F(1))).inverse()) == {
+            "kind": "compose",
+            "outer": {"kind": "affine", "a": "1/2", "b": "-1/2"},
+            "inner": {"kind": "affine", "a": "-1", "b": "0"},
+        }
+
+
 class TestBetaRegular:
     def test_identity(self):
         assert is_beta_regular(identity(), 2, 1)
