@@ -13,8 +13,8 @@ Compares, on seeded random inputs:
   ``sympy.gcd`` and ``sympy.sqf_part`` on integer polynomials of degree
   20 to 31 with a shared factor of degree 5 to 8 and coefficients above
   2**100, the sizes where the heuristic gcd's evaluation points are large;
-* ``realalg.count_real_roots`` against the Sturm count of sympy's
-  square-free part;
+* ``lipclass.critical_data(p).zero_count``, read off the signs of the
+  critical values, against the Sturm count of sympy's square-free part;
 * ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
   increasing, each rational root a root of p and each isolating interval
   holding exactly one root of p by sympy's count;
@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
-from qhlip.realalg import compare, count_real_roots, isolate_real_roots
+from qhlip.realalg import compare, isolate_real_roots
 from qhlip.zygothety import _invert_on_branch
 
 X, T = sympy.symbols("x t")
@@ -166,8 +166,9 @@ def rand_rational_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
 def check_roots(p: UniPoly) -> str | None:
     sqf = sympy.Poly(uni_expr(p, T), T).sqf_part()
     want = sqf.count_roots()
-    if count_real_roots(p) != want:
-        return f"count_real_roots({p}) = {count_real_roots(p)}, sympy {want}"
+    got = critical_data(p).zero_count
+    if got != want:
+        return f"critical_data({p}).zero_count = {got}, sympy {want}"
     roots = isolate_real_roots(p)
     if len(roots) != want:
         return f"isolate_real_roots({p}) gave {len(roots)} roots, sympy counts {want}"

@@ -100,6 +100,16 @@ class CritData:
     def count(self) -> int:
         return len(self.points)
 
+    @property
+    def zero_count(self) -> int:
+        """Distinct real zeros of f: f is strictly monotone between critical
+        points, so each stretch between them (and out to -oo and +oo) holds
+        one exactly when f changes sign strictly across it; each critical
+        value 0 is one more."""
+        signs = [v.sign() for v in self.values]
+        ends = [self.leading_sign * (-1) ** self.degree, *signs, self.leading_sign]
+        return signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
+
 
 @dataclass(frozen=True)
 class MultSymbol:
@@ -180,9 +190,7 @@ def similar(A: MultSymbol, B: MultSymbol) -> Similarity:
     if len(A.values) != len(B.values):
         raise ValueError("multiplicity symbols must have the same length")
     direct = _proportional(A.values, B.values) if A.mults == B.mults else None
-    rev_vals = tuple(reversed(A.values))
-    rev_mults = tuple(reversed(A.mults))
-    reverse = _proportional(rev_vals, B.values) if rev_mults == B.mults else None
+    reverse = _proportional(A.values[::-1], B.values) if A.mults[::-1] == B.mults else None
     return Similarity(direct, reverse)
 
 

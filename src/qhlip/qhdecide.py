@@ -21,7 +21,7 @@ from typing import Optional
 from . import zygothety as zyg
 from .lipclass import Pairing1D, Verdict1D, classify_pair, critical_data
 from .polyalg import BiPoly, UniPoly, is_cxd, sign, x_multiplicity, y_divides
-from .realalg import RealAlg, count_real_roots, nth_root_pos
+from .realalg import RealAlg, nth_root_pos
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -321,7 +321,7 @@ def _necessity_conditions(F: QHPoly, G: QHPoly) -> tuple[NecessityCondition, ...
     satisfied = []
     for name, P, Q in (("F", F, G), ("G", G, F)):
         hp = heights(P)
-        zeros = (count_real_roots(hp.f_plus), count_real_roots(hp.f_minus))
+        zeros = tuple(critical_data(h).zero_count for h in (hp.f_plus, hp.f_minus))
         if min(zeros) >= 1 and Q.e == 0:
             satisfied.append(NecessityCondition("a", name, zeros))
         if min(zeros) >= 2:

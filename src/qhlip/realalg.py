@@ -230,8 +230,6 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
     Returns None when the enclosure still contains more than one root of D;
     the caller then refines its sources and retries with a smaller enclosure.
     """
-    if lo == hi:
-        return RealAlg.from_rational(lo)
     D = _strip_endpoint_roots(D, lo, hi)
     n = _count_pair(D, lo, hi)
     if n == 0:
@@ -317,19 +315,6 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     split(-bound, bound)
     roots.sort(key=lambda r: (r.lo + r.hi) / 2)
     return roots
-
-
-def count_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of p: one Sturm count over the Cauchy
-    bound of its square-free part, the same count isolate_real_roots opens
-    with."""
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    if p.degree == 0:
-        return 0
-    q = square_free_part(p)
-    bound = cauchy_root_bound(q)
-    return _count_pair(q, -bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +583,20 @@ def _root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fractio
     u = max(Fraction(1), hi)
     while u**n <= hi:
         u *= 2
+    # bisect in integers over a common denominator, l = a/m and u = c/m
+    m = _int_lcm(l.denominator, u.denominator)
+    a = l.numerator * (m // l.denominator)
+    c = u.numerator * (m // u.denominator)
     for _ in range(64):
-        m = (l + u) / 2
-        if m**n < lo:
-            l = m
-        elif m**n > hi:
-            u = m
+        mid, den = a + c, 2 * m
+        mid_n, den_n = mid**n, den**n
+        if mid_n * lo.denominator < lo.numerator * den_n:
+            a, c, m = mid, 2 * c, den
+        elif mid_n * hi.denominator > hi.numerator * den_n:
+            a, c, m = 2 * a, mid, den
         else:
             break
-    return l, u
+    return Fraction(a, m), Fraction(c, m)
 
 
 def pow_int(a: RealAlg, k: int) -> RealAlg:

@@ -259,3 +259,23 @@ def frac_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     if hi > fl + 1:
         return Fraction(fl + 1)
     return fl + 1 / frac_simplest_between(1 / (hi - fl), 1 / (lo - fl))
+
+
+def frac_root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Positive bracket (l, u) with l**n < lo <= hi < u**n: bisection on
+    Fractions, the same midpoints and 64-round limit as realalg._root_bracket."""
+    l = min(Fraction(1), lo)
+    while l**n >= lo:
+        l /= 2
+    u = max(Fraction(1), hi)
+    while u**n <= hi:
+        u *= 2
+    for _ in range(64):
+        m = (l + u) / 2
+        if m**n < lo:
+            l = m
+        elif m**n > hi:
+            u = m
+        else:
+            break
+    return l, u

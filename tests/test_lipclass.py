@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhlip.lipclass import (
     MultSymbol,
@@ -139,6 +140,25 @@ class TestSimilarIrrationalConstant:
         assert similar(self.A, MultSymbol(tuple(values), self.A.mults)).direct is None
 
 
+def small_polys(degree):
+    """Polynomials of the given degree with small coefficients."""
+    coeffs = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=3)
+    lead = coeffs.filter(bool)
+    return st.tuples(st.lists(coeffs, min_size=degree, max_size=degree), lead).map(
+        lambda cl: UniPoly(cl[0] + [cl[1]])
+    )
+
+
+degrees = st.integers(0, 4)
+
+
+law_examples = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def verdict_of(v):
+    return v.equivalent, v.reason, {p.orientation for p in v.pairings}
+
+
 class TestClassifyPair:
     def test_hp_positive_moduli(self):
         v = classify_pair(hp_height(1), hp_height(4))
@@ -201,6 +221,20 @@ class TestClassifyPair:
         for _ in range(15):
             f = rand_unipoly(rng, 6)
             assert classify_pair(f, f).equivalent
+
+    @law_examples
+    @given(degrees.flatmap(small_polys))
+    def test_reflexive_law(self, f):
+        v = classify_pair(f, f)
+        assert v.equivalent
+        assert Orientation.INCREASING in {p.orientation for p in v.pairings}
+
+    @law_examples
+    @given(degrees.flatmap(lambda d: st.tuples(small_polys(d), small_polys(d))))
+    def test_symmetric_law(self, pair):
+        # one degree for both, so that every pair gets past the degree test
+        f, g = pair
+        assert verdict_of(classify_pair(f, g)) == verdict_of(classify_pair(g, f))
 
     def test_symmetric_with_reciprocal_constant(self):
         rng = random.Random(201)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qhlip import qhdecide
-from qhlip.lipclass import Reason1D
+from qhlip.lipclass import Reason1D, critical_data
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import (
     BetaMismatchError,
@@ -149,6 +149,23 @@ class TestDecide:
         assert v.kind == "not_equivalent"
         # (+,+) and (+,-) in the search, then the two (-) sides it skipped
         assert len(calls) == 4
+
+    def test_necessity_counts_zeros_of_unclassified_heights(self):
+        # heights 1 + t^2 against 1 + t: both sides fail with DegreeMismatch,
+        # so the search never built the critical data the zero count reads
+        a = validate_qh(BiPoly({(4, 0): 1, (0, 2): 1}), 2, 1)
+        b = validate_qh(BiPoly({(4, 0): 1, (2, 1): 1}), 2, 1)
+        critical_data.cache_clear()
+        pairing_search(a, b)
+        assert critical_data.cache_info().currsize == 0
+        v = decide(a, b)
+        assert v.kind == "not_equivalent"
+        assert v.reason.kind is NEKind.HEIGHTS_NOT_PAIRABLE
+        reasons = {f.plus.reason for f in v.reason.pairing_failures}
+        assert reasons == {Reason1D.DEGREE_MISMATCH}
+        assert critical_data.cache_info().currsize == 2  # 1 + t^2 and 1 + t
+        [cond] = v.reason.necessity
+        assert (cond.condition, cond.zero_side, cond.zeros) == ("a", "G", (1, 1))
 
     def test_hp_negative_equivalent(self):
         v = decide(hp(-1), hp(-2))

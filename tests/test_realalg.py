@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qhlip
 from qhlip import jsonio, realalg
+from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, count_roots_between, sign, square_free_part
 from qhlip.realalg import (
     RealAlg,
     compare,
-    count_real_roots,
     eval_alg,
     isolate_real_roots,
     nth_root_pos,
@@ -27,6 +27,7 @@ from qhlip.zygothety import BranchMap
 
 from helpers import (
     brute_force_real_root_count,
+    frac_root_bracket,
     frac_simplest_between,
     rand_nonzero_rational,
     rand_unipoly,
@@ -236,6 +237,17 @@ class TestFieldOps:
         assert not root.is_rational
         assert pow_int(root, 3) == RealAlg.from_rational(10**400)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.fractions(min_value=F(1, 10**6), max_value=10**6),
+        st.fractions(min_value=0, max_value=1),
+        st.integers(2, 7),
+    )
+    def test_root_bracket_matches_fraction_bisection(self, lo, gap, n):
+        # a rational radicand (gap 0) and an interval of radicands
+        for hi in (lo, lo + gap):
+            assert realalg._root_bracket(lo, hi, n) == frac_root_bracket(lo, hi, n)
+
     def test_pow_int_needs_a_positive_exponent(self):
         root = nth_root_pos(RealAlg.from_rational(2), 2)
         for x in (root, RealAlg.from_rational(3)):
@@ -291,6 +303,12 @@ class TestRefineAndFloat:
 
     def test_float_of_sqrt2(self):
         assert sqrt2().to_float() == pytest.approx(2**0.5, abs=5e-16)
+
+    def test_repr(self):
+        # scripts/fuzz_sympy.py prints numbers this way in its failure messages
+        assert repr(RealAlg.from_rational(F(-3, 2))) == "RealAlg(-3/2)"
+        root = RealAlg(P(-2, 0, 1), F(4, 3), F(3, 2))
+        assert repr(root) == "RealAlg(UniPoly(t^2 - 2) on (4/3, 3/2))"
 
 
 def refined_float(a):
@@ -488,6 +506,7 @@ class TestSignBisection:
         assert compare(wide, RealAlg.from_rational(F(1, 2))) == -1
 
     def test_count_real_roots_matches_oracle(self):
+        # the zero count read off the critical data against an exact grid scan
         rng = random.Random(108)
         t = UniPoly((0, 1))
         for k in range(60):
@@ -498,13 +517,24 @@ class TestSignBisection:
                 a = F(rng.randint(-6, 6), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3)):
                     p = p * (t - UniPoly.constant(a))  # rational root, maybe repeated
-            assert count_real_roots(p) == brute_force_real_root_count(p)
+            if p.degree >= 1:
+                assert critical_data(p).zero_count == brute_force_real_root_count(p), p
 
     def test_count_real_roots_edge_cases(self):
-        assert count_real_roots(P(5)) == 0
-        assert count_real_roots(P(-1, 0, 1) * P(-1, 0, 1) * P(-1, 0, 1)) == 2
-        with pytest.raises(ValueError):
-            count_real_roots(UniPoly.zero())
+        cases = (
+            (P(-1, 0, 1) * P(-1, 0, 1) * P(-1, 0, 1), 2),
+            (P(0, 0, 0, 1), 1),  # t^3: critical value 0, no sign change
+            (P(1, 0, -2, 0, 1), 2),  # (t^2 - 1)^2: two critical values 0
+            (P(-1, 0, 1, 0, -1), 0),  # -(t^4 - t^2 + 1): negative leading
+            (P(0, 3, 0, -1), 3),  # 3t - t^3: negative leading, odd degree
+            (P(3, -2), 1),  # degree 1: no critical points
+            (P(1, 0, 1), 0),
+        )
+        for p, want in cases:
+            assert critical_data(p).zero_count == want == brute_force_real_root_count(p), p
+        for constant in (P(5), UniPoly.zero()):
+            with pytest.raises(ValueError):
+                critical_data(constant)
 
     def test_to_float_makes_at_most_one_sturm_count(self, monkeypatch):
         root = isolate_real_roots(P(1, -3, 0, 1))[0]
