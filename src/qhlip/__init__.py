@@ -8,7 +8,6 @@ variables, with certificates and executable bi-Lipschitz witness maps.
 from .lipclass import (
     CritData,
     CSet,
-    MultSymbol,
     Orientation,
     Pairing1D,
     Reason1D,
@@ -16,7 +15,6 @@ from .lipclass import (
     classify_pair,
     critical_data,
     similar,
-    symbol_of,
 )
 from .polyalg import BiPoly, UniPoly, is_cxd, resultant, x_multiplicity, y_divides
 from .qhdecide import (
@@ -36,9 +34,9 @@ from .qhdecide import (
 )
 from .realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
 from .witness import (
-    GridSpec,
     InverseBetaTransform,
     VerificationReport,
+    verify,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,

@@ -31,13 +31,7 @@ from .qhdecide import (
     infer_beta,
     validate_qh,
 )
-from .witness import (
-    GridSpec,
-    InverseBetaTransform,
-    verify_asymptotic,
-    verify_conjugacy,
-    verify_lipschitz,
-)
+from .witness import verify
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -182,14 +176,7 @@ def cmd_classify2(args) -> int:
 def cmd_witness(args) -> int:
     F, G, verdict, out = _classify2(args)
     if verdict.kind == VerdictKind.EQUIVALENT:
-        T = InverseBetaTransform(verdict.certificate.zygothety, F.r, F.s)
-        x_count = max(1, args.samples // (2 * 100))
-        grid = GridSpec(x_count=x_count, t_count=100, delta=args.delta)
-        rep = verify_conjugacy(F, G, T, grid, tol=args.tol)
-        rmin, rmax = verify_lipschitz(T, samples=2000, delta=args.delta)
-        rep.lipschitz_ratio_min = rmin
-        rep.lipschitz_ratio_max = rmax
-        rep.asymptotic = verify_asymptotic(verdict.certificate.zygothety.phi1)
+        rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
         out["report"] = jsonio.report_json(rep)
         _emit(out)
         return EXIT_EQUIVALENT if rep.conjugacy_pass else EXIT_ERROR

@@ -149,18 +149,14 @@ def verdict2_json(v: Verdict2D) -> dict:
 
 
 def report_json(rep: VerificationReport) -> dict:
-    out: dict = {}
-    if rep.max_rel_residual is not None:
-        out["max_rel_residual"] = rep.max_rel_residual
-        out["tol"] = rep.tol
-        out["conjugacy_pass"] = rep.conjugacy_pass
-    if rep.lipschitz_ratio_min is not None:
-        out["lipschitz_ratio_min"] = rep.lipschitz_ratio_min
-        out["lipschitz_ratio_max"] = rep.lipschitz_ratio_max
-    if rep.asymptotic is not None:
-        keys = ("lambda_est", "k_est", "alpha_tail_max", "shell_1e4", "shell_1e6")
-        out["asymptotic"] = dict(zip(keys, rep.asymptotic))
-    out["samples"] = rep.samples
-    if rep.delta is not None:
-        out["delta"] = rep.delta
-    return out
+    keys = ("lambda_est", "k_est", "alpha_tail_max", "shell_1e4", "shell_1e6")
+    return {
+        "max_rel_residual": rep.max_rel_residual,
+        "tol": rep.tol,
+        "conjugacy_pass": rep.conjugacy_pass,
+        "lipschitz_ratio_min": rep.lipschitz_ratio_min,
+        "lipschitz_ratio_max": rep.lipschitz_ratio_max,
+        "asymptotic": dict(zip(keys, rep.asymptotic)),
+        "samples": rep.samples,
+        "delta": rep.delta,
+    }

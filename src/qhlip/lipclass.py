@@ -38,15 +38,9 @@ class CSet:
 
     c: Optional[RealAlg]  # None means any positive constant works
 
-    @staticmethod
-    def any_positive() -> "CSet":
-        return CSet(None)
-
-    @staticmethod
-    def unique(c: RealAlg) -> "CSet":
-        if c.sign() <= 0:
+    def __post_init__(self):
+        if self.c is not None and self.c.sign() <= 0:
             raise ArithmeticError("scaling constant is not positive; internal bug")
-        return CSet(c)
 
     @property
     def is_unique(self) -> bool:
@@ -111,14 +105,6 @@ class CritData:
         return signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
 
 
-@dataclass(frozen=True)
-class MultSymbol:
-    """The ordered pair (critical values, multiplicities), defined for p >= 2."""
-
-    values: tuple[RealAlg, ...]
-    mults: tuple[int, ...]
-
-
 def multiplicity_at(f: UniPoly, point: RealAlg) -> int:
     """Smallest k >= 1 with the k-th derivative nonzero at the point."""
     if f.is_constant:
@@ -148,25 +134,6 @@ def critical_data(f: UniPoly) -> CritData:
     return CritData(points, mults, values, f.degree, sign(f.leading))
 
 
-def symbol_of(f: UniPoly) -> MultSymbol:
-    data = critical_data(f)
-    if data.count < 2:
-        raise ValueError("multiplicity symbol needs at least two critical points")
-    return MultSymbol(data.values, data.mults)
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """Outcome of the symbol similarity test; None entries mean 'not that way'."""
-
-    direct: Optional[CSet]
-    reverse: Optional[CSet]
-
-    @property
-    def is_similar(self) -> bool:
-        return self.direct is not None or self.reverse is not None
-
-
 def _proportional(avals: tuple[RealAlg, ...], bvals: tuple[RealAlg, ...]) -> Optional[CSet]:
     """CSet with b = c*a for some c > 0, or None.
 
@@ -179,19 +146,21 @@ def _proportional(avals: tuple[RealAlg, ...], bvals: tuple[RealAlg, ...]) -> Opt
     ratios = (b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0)
     c = next(ratios, None)
     if c is None:
-        return CSet.any_positive()
+        return CSet(None)
     if any(compare(r, c) != 0 for r in ratios):
         return None
-    return CSet.unique(c)
+    return CSet(c)
 
 
-def similar(A: MultSymbol, B: MultSymbol) -> Similarity:
-    """Direct/reverse similarity of two multiplicity symbols of equal length."""
+def similar(A: CritData, B: CritData) -> tuple[Optional[CSet], Optional[CSet]]:
+    """Direct and reverse similarity of two multiplicity symbols (critical
+    values with multiplicities) of equal length: the constants of each way,
+    or None where the symbols are not similar that way."""
     if len(A.values) != len(B.values):
         raise ValueError("multiplicity symbols must have the same length")
     direct = _proportional(A.values, B.values) if A.mults == B.mults else None
     reverse = _proportional(A.values[::-1], B.values) if A.mults[::-1] == B.mults else None
-    return Similarity(direct, reverse)
+    return direct, reverse
 
 
 def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
@@ -201,7 +170,7 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
             return Verdict1D(False, reason=Reason1D.DEGREE_MISMATCH)
         if sign(f.coeff(0)) != sign(g.coeff(0)):
             return Verdict1D(False, reason=Reason1D.CONSTANT_SIGN_MISMATCH)
-        free = CSet.any_positive()
+        free = CSet(None)
         return Verdict1D(
             True,
             (Pairing1D(Orientation.INCREASING, free), Pairing1D(Orientation.DECREASING, free)),
@@ -224,7 +193,7 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
         # both are monotone homeomorphisms of the line (d is necessarily odd)
         if d % 2 == 0:
             raise ArithmeticError("even-degree polynomial without critical points; internal bug")
-        return Verdict1D(True, (Pairing1D(orient, CSet.any_positive()),))
+        return Verdict1D(True, (Pairing1D(orient, CSet(None)),))
 
     if p == 1:
         if df.mults[0] != dg.mults[0]:
@@ -248,12 +217,12 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
             ),
         )
 
-    sim = similar(MultSymbol(df.values, df.mults), MultSymbol(dg.values, dg.mults))
+    direct, reverse = similar(df, dg)
     pairings = []
-    if sim.direct is not None:
-        pairings.append(Pairing1D(Orientation.INCREASING, sim.direct))
-    if sim.reverse is not None:
-        pairings.append(Pairing1D(Orientation.DECREASING, sim.reverse))
+    if direct is not None:
+        pairings.append(Pairing1D(Orientation.INCREASING, direct))
+    if reverse is not None:
+        pairings.append(Pairing1D(Orientation.DECREASING, reverse))
     if not pairings:
         return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR, symbols=(df, dg))
     return Verdict1D(True, tuple(pairings))

@@ -9,7 +9,9 @@ inputs are exact by contract.
 Every literal and every value built while parsing stays within MAX_DEGREE,
 MAX_TERMS and MAX_COEFF_BITS, and a product or power whose degree would exceed
 MAX_DEGREE is refused before it is expanded, so a huge input fails at once
-with InputTooLargeError instead of running for minutes.
+with InputTooLargeError instead of running for minutes.  Parentheses and
+prefix minus signs nest at most MAX_DEPTH deep: the recursive descent takes
+six frames per parenthesis, 600 in all, within Python's default limit of 1000.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ MAX_DEGREE = 100
 MAX_TERMS = MAX_DEGREE + 1
 #: largest bit length of a numerator or denominator of any coefficient
 MAX_COEFF_BITS = 4096
+#: most parentheses and prefix minus signs open at any point of the input
+MAX_DEPTH = 100
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
@@ -40,7 +44,8 @@ class ParseError(ValueError):
 
 
 class InputTooLargeError(ParseError):
-    """The input would build a polynomial beyond MAX_DEGREE, MAX_TERMS or MAX_COEFF_BITS."""
+    """The input would build a polynomial beyond MAX_DEGREE, MAX_TERMS or
+    MAX_COEFF_BITS, or nests deeper than MAX_DEPTH."""
 
 
 def _int_literal(digits: str, position: int) -> int:
@@ -115,6 +120,7 @@ class _Parser:
         self.variables = variables
         self.one = one
         self.bindings = bindings
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -129,6 +135,15 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
+
+    def nested(self, parse, pos: int) -> Poly:
+        """parse() one level deeper, inside a parenthesis or a prefix minus."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise InputTooLargeError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> Poly:
         value = self.expr()
@@ -166,10 +181,10 @@ class _Parser:
                 return value
 
     def unary(self) -> Poly:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return -self.unary()
+            return -self.nested(self.unary, pos)
         return self.power()
 
     def power(self) -> Poly:
@@ -226,7 +241,7 @@ class _Parser:
                 return self.one * self.bindings[val]
             raise ParseError(f"unbound identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
@@ -236,8 +251,8 @@ def parse_uni(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> U
     """Parse a univariate polynomial in t."""
     p = _Parser(
         text,
-        variables={"t": UniPoly.var()},
-        one=UniPoly.one(),
+        variables={"t": UniPoly((0, 1))},
+        one=UniPoly((1,)),
         bindings=bindings or {},
     )
     return p.parse()

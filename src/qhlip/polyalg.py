@@ -55,23 +55,6 @@ class UniPoly:
         # filled by _zx
         self._int: tuple[int, ...] | None = None
 
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly((1,))
-
-    @staticmethod
-    def var() -> "UniPoly":
-        """The polynomial t."""
-        return UniPoly((0, 1))
-
-    @staticmethod
-    def constant(c: RatLike) -> "UniPoly":
-        return UniPoly((Fraction(c),))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -194,19 +177,11 @@ class UniPoly:
             return self
         return self.scale(1 / self.leading)
 
-    def primitive(self) -> "UniPoly":
-        """Scale by a positive rational so coefficients are coprime integers.
-
-        Positive scaling preserves signs everywhere, which is what Sturm
-        chains rely on.
-        """
-        return UniPoly(_zx(self))
-
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(t)), exact."""
         acc = UniPoly()
         for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c)
+            acc = acc * inner + UniPoly((c,))
         return acc
 
     def stretch(self, n: int) -> "UniPoly":
@@ -363,7 +338,7 @@ def square_free_part(p: UniPoly) -> UniPoly:
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
-        return UniPoly.one()
+        return UniPoly((1,))
     a = list(_zx(p))
     g = _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0])
     return UniPoly(_zx_quotient(a, g)).monic()

@@ -109,9 +109,6 @@ class RealAlg:
     def is_rational(self) -> bool:
         return self.lo == self.hi
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return self.lo, self.hi
-
     def __repr__(self) -> str:
         if self.is_rational:
             return f"RealAlg({self.lo})"
@@ -183,7 +180,7 @@ class RealAlg:
         return mul(self, _coerce(other))
 
     def __truediv__(self, other) -> "RealAlg":
-        return div(self, _coerce(other))
+        return mul(self, inverse(_coerce(other)))
 
     def __neg__(self) -> "RealAlg":
         return neg(self)
@@ -515,10 +512,6 @@ def inverse(b: RealAlg) -> RealAlg:
     D = b.defpoly.reversed_coeffs().monic()
     lo, hi = sorted((1 / b.hi, 1 / b.lo))
     return RealAlg(D, lo, hi)
-
-
-def div(a: RealAlg, b: RealAlg) -> RealAlg:
-    return mul(a, inverse(b))
 
 
 def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:

@@ -13,42 +13,34 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .qhdecide import QHPoly
 from .zygothety import PLMap, Zygothety, is_beta_regular
 
-#: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW]
+#: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW];
+#: the conjugacy grid takes T_COUNT evenly spaced values of t, and |x| from X_MIN up
 T_WINDOW = 2.0
-#: the smallest |x| of the conjugacy grid, and the seed of verify_lipschitz's point pairs
+T_COUNT = 100
 X_MIN = 1e-6
+#: the number and seed of verify_lipschitz's random point pairs
+LIPSCHITZ_SAMPLES = 2000
 LIPSCHITZ_SEED = 20240901
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Sampling grid for conjugacy checks: log-spaced in |x|, linear in t."""
-
-    x_count: int = 50
-    t_count: int = 100
-    delta: float = 1.0
+class VerificationReport:
+    max_rel_residual: float
+    tol: float
+    lipschitz_ratio_min: float
+    lipschitz_ratio_max: float
+    # (lambda_est, k_est, alpha_tail_max, shell_1e4, shell_1e6)
+    asymptotic: tuple[float, float, float, float, float]
+    samples: int
+    delta: float
 
     @property
-    def total_samples(self) -> int:
-        return 2 * self.x_count * self.t_count + self.t_count
-
-
-@dataclass
-class VerificationReport:
-    max_rel_residual: Optional[float] = None
-    tol: Optional[float] = None
-    conjugacy_pass: Optional[bool] = None
-    lipschitz_ratio_min: Optional[float] = None
-    lipschitz_ratio_max: Optional[float] = None
-    # (lambda_est, k_est, alpha_tail_max, shell_1e4, shell_1e6)
-    asymptotic: Optional[tuple[float, float, float, float, float]] = None
-    samples: int = 0
-    delta: Optional[float] = None
+    def conjugacy_pass(self) -> bool:
+        return self.max_rel_residual <= self.tol
 
 
 class InverseBetaTransform:
@@ -86,6 +78,19 @@ class InverseBetaTransform:
         return self.on_fiber(x, ax_b, phi.eval_float(y / ax_b))
 
 
+def verify(
+    F: QHPoly, G: QHPoly, z: Zygothety, samples: int, delta: float, tol: float
+) -> VerificationReport:
+    """The whole witness check of G o Phi = F for the inverse beta-transform
+    Phi of z: the conjugacy residual over a grid of about `samples` points
+    in the strip |x| <= delta, the Lipschitz ratios, and the asymptotic
+    shape of phi1."""
+    T = InverseBetaTransform(z, F.r, F.s)
+    residual, count = verify_conjugacy(F, G, T, max(1, samples // (2 * T_COUNT)), delta)
+    rmin, rmax = verify_lipschitz(T, delta)
+    return VerificationReport(residual, tol, rmin, rmax, verify_asymptotic(z.phi1), count, delta)
+
+
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     if count == 1:
         return [hi]
@@ -93,28 +98,19 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [lo * math.exp(ratio * k / (count - 1)) for k in range(count)]
 
 
-def _linear(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * k for k in range(count)]
-
-
 def verify_conjugacy(
-    F: QHPoly,
-    G: QHPoly,
-    T: InverseBetaTransform,
-    grid: GridSpec = GridSpec(),
-    tol: float = 1e-8,
-) -> VerificationReport:
-    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid."""
+    F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float
+) -> tuple[float, int]:
+    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid,
+    log-spaced in |x| in [X_MIN, delta] and linear in t; returns the largest
+    residual and the number of samples."""
     beta = T.beta
     fp = F.poly
     gp = G.poly
-    xs = _log_spaced(X_MIN, grid.delta, grid.x_count)
-    ts = _linear(-T_WINDOW, T_WINDOW, grid.t_count)
+    xs = _log_spaced(X_MIN, delta, x_count)
+    step = 2 * T_WINDOW / (T_COUNT - 1)
+    ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     worst = 0.0
-    count = 0
     for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
         phi_vals = [phi.eval_float(t) for t in ts]
         for xi in xs:
@@ -126,27 +122,15 @@ def verify_conjugacy(
                 gv = gp.eval_float(px, py)
                 err = abs(gv - fv) / max(1.0, abs(fv))
                 worst = max(worst, err)
-                count += 1
     for y in ts:
         px, py = T.eval((0.0, y))
         fv = fp.eval_float(0.0, y)
         gv = gp.eval_float(px, py)
         worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
-        count += 1
-    return VerificationReport(
-        max_rel_residual=worst,
-        tol=tol,
-        conjugacy_pass=worst <= tol,
-        samples=count,
-        delta=grid.delta,
-    )
+    return worst, (2 * len(xs) + 1) * T_COUNT
 
 
-def verify_lipschitz(
-    T: InverseBetaTransform,
-    samples: int = 2000,
-    delta: float = 1.0,
-) -> tuple[float, float]:
+def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
     """Empirical bi-Lipschitz ratios over random point pairs in the strip."""
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -162,7 +146,7 @@ def verify_lipschitz(
 
     ratio_min = float("inf")
     ratio_max = 0.0
-    for _ in range(samples):
+    for _ in range(LIPSCHITZ_SAMPLES):
         p = sample_point()
         q = sample_point()
         dx, dy = p[0] - q[0], p[1] - q[1]

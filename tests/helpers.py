@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qhlip.polyalg import BiPoly, UniPoly, _prem, cauchy_root_bound, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, _prem, _zx, cauchy_root_bound, square_free_part
 from qhlip.qhdecide import QHPoly, validate_qh
 
 
@@ -109,7 +109,7 @@ def brute_force_real_root_count(p: UniPoly) -> int:
     passes agree.  Grid evaluation is exact (integers after clearing
     denominators), and grid points that hit roots exactly are counted once.
     """
-    q = square_free_part(p).primitive()
+    q = UniPoly(_zx(square_free_part(p)))
     if q.degree == 0:
         return 0
     bound = cauchy_root_bound(q)
@@ -205,7 +205,7 @@ def frac_square_free_part(p: UniPoly) -> UniPoly:
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
-        return UniPoly.one()
+        return UniPoly((1,))
     q, r = frac_divmod(p, frac_gcd(p, p.derivative()))
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division")

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhlip.lipclass import (
-    MultSymbol,
+    CritData,
     Orientation,
     Reason1D,
     classify_pair,
     critical_data,
     multiplicity_at,
     similar,
-    symbol_of,
 )
 from qhlip.polyalg import UniPoly
 from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
@@ -26,6 +25,12 @@ def P(*coeffs):
 
 def ra(x):
     return RealAlg.from_rational(x)
+
+
+def symbol(values, mults):
+    """Critical data with the given multiplicity symbol; similar reads only
+    the values and multiplicities, so the other fields are placeholders."""
+    return CritData((), tuple(mults), tuple(values), 0, 0)
 
 
 def hp_height(lam):
@@ -63,36 +68,35 @@ class TestCriticalData:
 
 class TestSimilar:
     def test_not_similar(self):
-        A = MultSymbol((ra(3), ra(-1)), (2, 2))
-        B = MultSymbol((ra(17), ra(-15)), (2, 2))
-        out = similar(A, B)
-        assert not out.is_similar
+        A = symbol((ra(3), ra(-1)), (2, 2))
+        B = symbol((ra(17), ra(-15)), (2, 2))
+        assert similar(A, B) == (None, None)
 
     def test_directly_similar_with_constant(self):
-        A = MultSymbol((ra(3), ra(-1)), (2, 2))
-        B = MultSymbol((ra(6), ra(-2)), (2, 2))
-        out = similar(A, B)
-        assert out.direct is not None
-        assert out.direct.c == ra(2)
-        assert out.reverse is None
+        A = symbol((ra(3), ra(-1)), (2, 2))
+        B = symbol((ra(6), ra(-2)), (2, 2))
+        direct, reverse = similar(A, B)
+        assert direct is not None
+        assert direct.c == ra(2)
+        assert reverse is None
 
     def test_zero_symbols(self):
-        A = MultSymbol((ra(0), ra(0)), (2, 3))
-        out = similar(A, A)
-        assert out.direct is not None and not out.direct.is_unique
-        assert out.reverse is None  # reversed multiplicities (3, 2) differ
+        A = symbol((ra(0), ra(0)), (2, 3))
+        direct, reverse = similar(A, A)
+        assert direct is not None and not direct.is_unique
+        assert reverse is None  # reversed multiplicities (3, 2) differ
 
     def test_reverse_similarity(self):
-        A = MultSymbol((ra(1), ra(-2)), (2, 3))
-        B = MultSymbol((ra(-4), ra(2)), (3, 2))
-        out = similar(A, B)
-        assert out.direct is None
-        assert out.reverse is not None
-        assert out.reverse.c == ra(2)
+        A = symbol((ra(1), ra(-2)), (2, 3))
+        B = symbol((ra(-4), ra(2)), (3, 2))
+        direct, reverse = similar(A, B)
+        assert direct is None
+        assert reverse is not None
+        assert reverse.c == ra(2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            similar(MultSymbol((ra(1),), (2,)), MultSymbol((ra(1), ra(2)), (2, 2)))
+            similar(symbol((ra(1),), (2,)), symbol((ra(1), ra(2)), (2, 2)))
 
 
 def cross_products_agree(A, B):
@@ -104,7 +108,7 @@ def cross_products_agree(A, B):
 class TestSimilarIrrationalConstant:
     """B = c*A for an irrational c: the ratios b_j / a_j all equal c."""
 
-    A = MultSymbol(
+    A = symbol(
         (ra(3), nth_root_pos(ra(3), 2), ra(0), ra(F(-1, 2))),
         (2, 3, 2, 2),  # not a palindrome, so only direct similarity can hold
     )
@@ -119,25 +123,25 @@ class TestSimilarIrrationalConstant:
     )
     def test_direct_constant_and_perturbations(self, c):
         assert not c.is_rational
-        B = MultSymbol(tuple(mul(c, a) for a in self.A.values), self.A.mults)
-        out = similar(self.A, B)
-        assert out.direct is not None and out.direct.c == c
-        assert out.reverse is None
+        B = symbol(tuple(mul(c, a) for a in self.A.values), self.A.mults)
+        direct, reverse = similar(self.A, B)
+        assert direct is not None and direct.c == c
+        assert reverse is None
         assert cross_products_agree(self.A, B)
         for j, a in enumerate(self.A.values):
             if a.sign() == 0:
                 continue
             values = list(B.values)
             values[j] = mul(values[j], ra(F(1001, 1000)))
-            bent = MultSymbol(tuple(values), B.mults)
-            assert similar(self.A, bent).direct is None
+            bent = symbol(tuple(values), B.mults)
+            assert similar(self.A, bent)[0] is None
             assert not cross_products_agree(self.A, bent)
 
     def test_zero_entries_must_match(self):
         c = nth_root_pos(ra(2), 2)
         values = [mul(c, a) for a in self.A.values]
         values[2] = ra(1)
-        assert similar(self.A, MultSymbol(tuple(values), self.A.mults)).direct is None
+        assert similar(self.A, symbol(tuple(values), self.A.mults))[0] is None
 
 
 def small_polys(degree):
@@ -150,6 +154,14 @@ def small_polys(degree):
 
 
 degrees = st.integers(0, 4)
+
+
+#: the slope a, shift b and scale c > 0 of one affine conjugation
+conjugations = st.tuples(
+    st.fractions(-3, 3, max_denominator=3).filter(bool),
+    st.fractions(-3, 3, max_denominator=3),
+    st.fractions(F(1, 3), 3, max_denominator=3),
+)
 
 
 law_examples = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -236,6 +248,17 @@ class TestClassifyPair:
         f, g = pair
         assert verdict_of(classify_pair(f, g)) == verdict_of(classify_pair(g, f))
 
+    @law_examples
+    @given(degrees.flatmap(small_polys), conjugations, conjugations)
+    def test_transitive_law(self, f, first, second):
+        # h(phi2(phi1(t))) = c2 c1 f(t), with slope a1 a2
+        g = affine_conjugate(f, *first)
+        h = affine_conjugate(g, *second)
+        for left, right in ((f, g), (g, h), (f, h)):
+            assert classify_pair(left, right).equivalent
+        want = Orientation.INCREASING if first[0] * second[0] > 0 else Orientation.DECREASING
+        assert want in {p.orientation for p in classify_pair(f, h).pairings}
+
     def test_symmetric_with_reciprocal_constant(self):
         rng = random.Random(201)
         for _ in range(10):
@@ -290,9 +313,3 @@ class TestClassifyPair:
         p = v.pairings[0]
         assert p.orientation is Orientation.DECREASING
         assert p.c_set.is_unique and p.c_set.c == ra(1)
-
-    def test_symbol_of_requires_two_crits(self):
-        with pytest.raises(ValueError):
-            symbol_of(P(1, 3, 0, 1))
-        s = symbol_of(hp_height(1))
-        assert s.mults == (2, 2)

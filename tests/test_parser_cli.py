@@ -277,6 +277,8 @@ class TestCli:
             ["classify2", HP, HP, "--beta", "2/1", "--let", "l=" + "7" * 5000],
             ["classify2", "(X+Y+1)^100", "X^100", "--beta", "2/1"],
             ["classify2", "(X+Y+1)^50*(X+Y+1)^50", "X^100", "--beta", "2/1"],
+            ["classify1", "(" * 200 + "t" + ")" * 200, "t"],
+            ["classify1", "--", "-" * 2000 + "t", "t"],
         ],
         ids=[
             "power_degree",
@@ -287,6 +289,8 @@ class TestCli:
             "long_binding",
             "dense_power",
             "dense_product",
+            "deep_parentheses",
+            "deep_minus",
         ],
     )
     def test_huge_input_fails_fast(self, capsys, argv):
@@ -309,6 +313,14 @@ class TestCli:
         assert len(parse_bi("(X^2 + Y)^50").terms) == 51
         with pytest.raises(InputTooLargeError):
             parse_bi("(X + Y + 1)^13")
+        # each parenthesis and each prefix minus is one level of nesting
+        assert parse_uni("(" * 100 + "t" + ")" * 100) == UniPoly([0, 1])
+        assert parse_uni("-" * 100 + "t") == UniPoly([0, 1])
+        assert parse_uni("-(" * 50 + "t" + ")" * 50) == UniPoly([0, 1])
+        assert parse_uni("(t)+" * 500 + "t") == UniPoly([0, 501])
+        for deep in ("(" * 101 + "t" + ")" * 101, "-" * 101 + "t", "-(" * 50 + "-t" + ")" * 50):
+            with pytest.raises(InputTooLargeError):
+                parse_uni(deep)
 
     @pytest.mark.parametrize(
         "argv",

@@ -84,7 +84,7 @@ class TestIsolation:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            isolate_real_roots(UniPoly.zero())
+            isolate_real_roots(UniPoly())
 
 
 class TestCompare:
@@ -490,7 +490,7 @@ class TestSignBisection:
                     want = sturm_sign_minus(root, r)
                     assert compare(root, RealAlg.from_rational(r)) == want
                     assert compare(RealAlg.from_rational(r), root) == -want
-                    assert sign_at(t - UniPoly.constant(r), root) == want
+                    assert sign_at(t - UniPoly((r,)), root) == want
                     checked += 1
         assert checked >= 200
 
@@ -516,7 +516,7 @@ class TestSignBisection:
             elif k % 3 == 2:
                 a = F(rng.randint(-6, 6), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3)):
-                    p = p * (t - UniPoly.constant(a))  # rational root, maybe repeated
+                    p = p * (t - UniPoly((a,)))  # rational root, maybe repeated
             if p.degree >= 1:
                 assert critical_data(p).zero_count == brute_force_real_root_count(p), p
 
@@ -532,7 +532,7 @@ class TestSignBisection:
         )
         for p, want in cases:
             assert critical_data(p).zero_count == want == brute_force_real_root_count(p), p
-        for constant in (P(5), UniPoly.zero()):
+        for constant in (P(5), UniPoly()):
             with pytest.raises(ValueError):
                 critical_data(constant)
 
@@ -596,10 +596,10 @@ def test_invariants_hold_under_python_O():
         option = pairing_search(F, F).options[0]
         # c = 2 maps the middle branch of t^3 - 3t + 1 past its image
         wrong_c = dataclasses.replace(
-            option, plus=dataclasses.replace(option.plus, c_set=CSet.unique(RealAlg.from_rational(2)))
+            option, plus=dataclasses.replace(option.plus, c_set=CSet(RealAlg.from_rational(2)))
         )
         for build in (
-            lambda: CSet.unique(RealAlg.from_rational(-1)),
+            lambda: CSet(RealAlg.from_rational(-1)),
             lambda: Verdict1D(True),
             lambda: Zygothety(one, -one, ident, ident),
             lambda: BranchMap(one, True, cubic, square, (), ()).limit_slope(),
@@ -641,7 +641,7 @@ def test_invariants_hold_under_python_O():
 
 
 def from_roots(roots):
-    out = UniPoly.one()
+    out = UniPoly((1,))
     for r in roots:
         out = out * UniPoly((-r, 1))
     return out
@@ -709,7 +709,7 @@ class TestSignAtProperty:
         assume(roots)
         a = roots[k % len(roots)]
         assume(not a.is_rational)
-        p = (UniPoly(coeffs) * q1 if share else UniPoly(coeffs)) + UniPoly.constant(eps)
+        p = (UniPoly(coeffs) * q1 if share else UniPoly(coeffs)) + UniPoly((eps,))
         assert sign_at(p, a) == eval_alg(p, a).sign()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,9 +10,11 @@ from qhlip.cli import main
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import decide, validate_qh
 from qhlip.realalg import RealAlg
+from qhlip.jsonio import report_json
 from qhlip.witness import (
-    GridSpec,
+    T_COUNT,
     InverseBetaTransform,
+    verify,
     verify_asymptotic,
     verify_conjugacy,
     verify_lipschitz,
@@ -96,6 +99,8 @@ class TestEvalTransform:
         bad = Zygothety(ra(1), ra(2), Affine(F(1), F(0)), Affine(F(1), F(0)))
         with pytest.raises(ValueError):
             InverseBetaTransform(bad, 2, 1)
+        with pytest.raises(ValueError):
+            verify(hp(-1), hp(-1), bad, 4000, 1.0, 1e-8)
 
 
 class TestVerifyConjugacy:
@@ -103,45 +108,78 @@ class TestVerifyConjugacy:
         q = hp(1)
         v = decide(q, q)
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
-        rep = verify_conjugacy(q, q, T, GridSpec(), tol=1e-12)
-        assert rep.conjugacy_pass
-        assert rep.samples == GridSpec().total_samples
+        residual, samples = verify_conjugacy(q, q, T, 50, 1.0)
+        assert residual <= 1e-12
+        assert samples == 2 * 50 * T_COUNT + T_COUNT
 
     def test_hp_negative_pair(self):
         a, b = hp(-1), hp(-2)
         v = decide(a, b)
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
-        rep = verify_conjugacy(a, b, T, GridSpec(), tol=1e-8)
-        assert rep.conjugacy_pass
-        assert rep.max_rel_residual <= 1e-8
+        residual, _ = verify_conjugacy(a, b, T, 50, 1.0)
+        assert residual <= 1e-8
 
     def test_corrupted_scale_is_detected(self):
         a, b = hp(-1), hp(-2)
         v = decide(a, b)
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
         T.lam1 *= 1.01
-        rep = verify_conjugacy(a, b, T, GridSpec(), tol=1e-8)
-        assert not rep.conjugacy_pass
-        assert rep.max_rel_residual > 1e-3
+        residual, _ = verify_conjugacy(a, b, T, 50, 1.0)
+        assert residual > 1e-3
+
+
+class TestVerify:
+    def test_report_json_of_verify(self, capsys):
+        a, b = hp(-1), hp(-2)
+        z = decide(a, b).certificate.zygothety
+        rep = verify(a, b, z, 4000, 1.0, 1e-8)
+        out = report_json(rep)
+        assert list(out) == [
+            "max_rel_residual",
+            "tol",
+            "conjugacy_pass",
+            "lipschitz_ratio_min",
+            "lipschitz_ratio_max",
+            "asymptotic",
+            "samples",
+            "delta",
+        ]
+        assert list(out["asymptotic"]) == ["lambda_est", "k_est", "alpha_tail_max", "shell_1e4", "shell_1e6"]
+        assert out["conjugacy_pass"] is True
+        assert out["conjugacy_pass"] == (rep.max_rel_residual <= rep.tol)
+        assert 0 < rep.max_rel_residual
+        assert not dataclasses.replace(rep, tol=rep.max_rel_residual / 2).conjugacy_pass
+        # 4000 samples give x_count = 4000 // (2 * T_COUNT) = 20
+        assert out["samples"] == 2 * 20 * T_COUNT + T_COUNT
+        assert out["delta"] == 1.0 and out["tol"] == 1e-8
+        # the CLI renders exactly this report
+        code = main(["witness", str(a.poly), str(b.poly), "--beta", "2/1", "--samples", "4000"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["report"] == out
+
+    def test_small_sample_counts_keep_one_x(self):
+        a, b = hp(-1), hp(-2)
+        rep = verify(a, b, decide(a, b).certificate.zygothety, 1, 0.5, 1e-8)
+        assert rep.samples == 3 * T_COUNT and rep.delta == 0.5
 
 
 class TestVerifyLipschitz:
     def test_identity_ratios(self):
         T = InverseBetaTransform(identity(), 2, 1)
-        rmin, rmax = verify_lipschitz(T, samples=500)
+        rmin, rmax = verify_lipschitz(T, 1.0)
         assert rmin == pytest.approx(1.0, abs=1e-9)
         assert rmax == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_scaling_envelope(self):
         # (x, y) -> (2x, 4y): singular values 2 and 4
-        rmin, rmax = verify_lipschitz(scaling_transform(), samples=4000)
+        rmin, rmax = verify_lipschitz(scaling_transform(), 1.0)
         assert 1.8 <= rmin <= 2.3
         assert 3.5 <= rmax <= 4.2
 
     def test_certificate_transform_bounded(self):
         v = decide(hp(-1), hp(-3))
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
-        rmin, rmax = verify_lipschitz(T, samples=1500)
+        rmin, rmax = verify_lipschitz(T, 1.0)
         assert 0 < rmin <= rmax < float("inf")
 
 
@@ -187,8 +225,8 @@ class TestReverseOrientationWitness:
         v = decide(a, b)
         assert v.kind == "equivalent"
         T = InverseBetaTransform(v.certificate.zygothety, 2, 1)
-        rep = verify_conjugacy(a, b, T, GridSpec(), tol=1e-8)
-        assert rep.conjugacy_pass, rep.max_rel_residual
+        residual, _ = verify_conjugacy(a, b, T, 50, 1.0)
+        assert residual <= 1e-8, residual
 
 
 class TestRandomWitnesses:
@@ -209,8 +247,8 @@ class TestRandomWitnesses:
             if v.kind != "equivalent":
                 continue
             T = InverseBetaTransform(v.certificate.zygothety, q.r, q.s)
-            rep = verify_conjugacy(q, g, T, GridSpec(x_count=20, t_count=40), tol=1e-8)
-            assert rep.conjugacy_pass, (q, g, rep.max_rel_residual)
+            residual, _ = verify_conjugacy(q, g, T, 20, 1.0)
+            assert residual <= 1e-8, (q, g, residual)
             done += 1
 
 

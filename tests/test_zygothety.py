@@ -10,7 +10,7 @@ from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import VerdictKind, decide, heights, pairing_search, validate_qh
 from qhlip.realalg import RealAlg, compare
-from qhlip.witness import GridSpec, InverseBetaTransform, verify_conjugacy
+from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
     Affine,
     BranchMap,
@@ -257,7 +257,7 @@ class TestNegConstruction:
         assert is_beta_regular(z, 3, 2)
         assert action_residual(z, Fq.d, option.sides) <= 1e-6
         T = InverseBetaTransform(z, 3, 2)
-        assert verify_conjugacy(Fq, Gq, T, GridSpec(x_count=5, t_count=10)).conjugacy_pass
+        assert verify_conjugacy(Fq, Gq, T, 5, 1.0)[0] <= 1e-8
         assert map_json(z.phi2)["kind"] == "neg"
 
     def test_missing_common_constant_is_refused(self):
@@ -300,7 +300,7 @@ class TestNegativeScaleProperty:
         else:
             assert option.sides == ((hf.f_plus, hg.f_plus), (hf.f_minus, hg.f_minus))
         T = InverseBetaTransform(z, q.r, q.s)
-        assert verify_conjugacy(q, g, T, GridSpec(x_count=5, t_count=10)).conjugacy_pass
+        assert verify_conjugacy(q, g, T, 5, 1.0)[0] <= 1e-8
 
     def test_negative_scale_occurs(self):
         pair = find(negative_x_scale_pairs(), lambda pair: lambda_sign(pair) < 0, settings=few_pairs)
