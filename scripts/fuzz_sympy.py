@@ -37,7 +37,8 @@ Compares, on seeded random inputs:
   rounding bound gamma_2n * sum |c_i| |u|^i (exact); the last line counts
   these ill-conditioned inversions.
 
-Not part of the test suite; needs sympy.  Run from the repository root:
+Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
+installed; run more from the repository root:
 
     PYTHONPATH=src python3 scripts/fuzz_sympy.py --cases 200 --seed 1
 

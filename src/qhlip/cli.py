@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -37,6 +38,12 @@ EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
+
+#: most samples `witness --samples` takes; each costs about one float
+#: evaluation of the witness maps
+MAX_SAMPLES = 1_000_000
+#: most values `scan --values` takes; n values cost n(n-1)/2 decisions
+MAX_SCAN_VALUES = 64
 
 _VERDICT_EXIT = {
     VerdictKind.EQUIVALENT: EXIT_EQUIVALENT,
@@ -68,6 +75,21 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise CliError(f"{self.prog}: {message}", "usage_error")
+
+
+def _checked(cast, ok, want: str):
+    """An argparse type: cast(raw), refused unless ok holds for the value."""
+
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {raw!r}")
+
+    return parse
 
 
 def _emit(obj: dict) -> None:
@@ -174,6 +196,8 @@ def cmd_classify2(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise CliError(f"--samples above {MAX_SAMPLES}", "input_too_large")
     F, G, verdict, out = _classify2(args)
     if verdict.kind == VerdictKind.EQUIVALENT:
         rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
@@ -185,8 +209,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    raw_values = args.values.split(",")
+    if len(raw_values) > MAX_SCAN_VALUES:
+        raise CliError(f"--values holds more than {MAX_SCAN_VALUES} values", "input_too_large")
     base_bindings = _parse_lets(args.let)
-    values = [parse_rational(v) for v in args.values.split(",")]
+    values = [parse_rational(v) for v in raw_values]
     polys: list[QHPoly] = []
     for v in values:
         bindings = dict(base_bindings)
@@ -274,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("G")
     _add_beta_flags(sp)
     _add_lets(sp)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--delta", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=10000)
+    sp.add_argument("--tol", type=_checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0"), default=1e-8)
+    sp.add_argument("--delta", type=_checked(float, lambda x: 0 < x < math.inf, "a finite number > 0"), default=1.0)
+    sp.add_argument("--samples", type=_checked(int, lambda n: n >= 1, "an integer >= 1"), default=10000)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("scan", help="pairwise classification over a parameter family")

@@ -262,8 +262,8 @@ def parse_bi(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> Bi
     """Parse a bivariate polynomial in X, Y."""
     p = _Parser(
         text,
-        variables={"X": BiPoly.monomial(1, 0), "Y": BiPoly.monomial(0, 1)},
-        one=BiPoly.monomial(0, 0),
+        variables={"X": BiPoly({(1, 0): 1}), "Y": BiPoly({(0, 1): 1})},
+        one=BiPoly({(0, 0): 1}),
         bindings=bindings or {},
     )
     return p.parse()

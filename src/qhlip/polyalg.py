@@ -3,217 +3,210 @@
 Univariate polynomials are dense (the degrees in play stay small), bivariate
 polynomials are sparse (quasihomogeneous supports are thin).  Everything is
 immutable and every operation is a pure function, so values can be shared and
-cached freely.  Signs at rational points are found in integers
-(`UniPoly.sign_at`), which is all that Sturm counting and bisection need.
+cached freely.
 
-Remainders, gcds and exact divisions run in Z[x] on primitive integer
-multiples (`_zx`).  Gcds are heuristic, proved by exact division; Sturm chains
-take pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14,
-1967), positive multiples of the remainders over Q.  Resultants are computed
-in Z at integer points and interpolated in Z, one Fraction per coefficient.
+A `UniPoly` is stored once, as primitive integer coefficients times a positive
+rational content (as FLINT's fmpq_poly keeps one integer polynomial and one
+denominator), so its arithmetic, evaluation, gcds and exact divisions all run
+in Z[x].  Gcds are heuristic, proved by exact division; Sturm chains take
+pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14, 1967).
+Resultants are computed in Z at integer points and interpolated in Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RatLike = Union[Fraction, int]
 _HEU_ROUNDS = 6  # evaluation points _zx_gcd tries before its fallback
+_ONE = Fraction(1)
 
 
 def sign(x: RatLike) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
 class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over Q, the product content * ints.
 
-    ``coeffs[i]`` is the coefficient of the i-th power; trailing zeros are
-    trimmed, so the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    ``ints`` holds coprime integer coefficients, lowest power first, with a
+    nonzero last entry; ``content`` is a positive Fraction.  Both are unique
+    to the polynomial, so equality and hashing read them.  The zero
+    polynomial has no ints, content 1 and degree -1.  ``coeffs``,
+    ``coeff(i)`` and ``leading`` build Fractions on read, for printing and
+    JSON.
     """
 
-    __slots__ = ("coeffs", "_flt", "_int")
+    __slots__ = ("ints", "content", "_flt")
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        # float coefficients, highest power first; filled by eval_float,
-        # never here, so exact work on coefficients beyond the float range
-        # does not raise OverflowError
-        self._flt: tuple[float, ...] | None = None
-        # the coefficients scaled to coprime integers, lowest power first;
-        # filled by _zx
-        self._int: tuple[int, ...] | None = None
+    def __new__(cls, coeffs: Iterable[RatLike] = ()) -> "UniPoly":
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = _int_lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * c for c in self.ints)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.content * self.ints[i] if 0 <= i < len(self.ints) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.ints == other.ints and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.content.numerator, self.content.denominator))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # over the common denominator den of the two contents
+        (a, b), (c, d) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        den = _int_lcm(b, d)
+        x, y = a * (den // b), c * (den // d)
+        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
+        return _poly([x * u + y * v for u, v in pairs], Fraction(1, den))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.ints), self.content)
 
     def __mul__(self, other: Union["UniPoly", RatLike]) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.ints or not other.ints:
             return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    out[i + j] += ci * cj
-        return UniPoly(out)
+        # a product of primitive polynomials is primitive (Gauss's lemma)
+        return _raw(tuple(_zx_mul(self.ints, other.ints)), self.content * other.content)
 
     def scale(self, c: RatLike) -> "UniPoly":
-        c = Fraction(c)
-        if c == 0:
+        if not c or not self.ints:
             return UniPoly()
-        return UniPoly(tuple(c * a for a in self.coeffs))
+        ints = self.ints if c > 0 else tuple(-v for v in self.ints)
+        return _raw(ints, self.content * abs(c))
 
     def __call__(self, x: RatLike) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact evaluation: integer Horner on b**n * self(a/b)."""
+        b = x.denominator
+        val = _horner(self.ints, x.numerator, b)
+        return Fraction(self.content.numerator * val, self.content.denominator * b ** max(self.degree, 0))
 
     def sign_at(self, x: RatLike) -> int:
         """sign(self(x)) for a rational x, with no Fraction built."""
         return self.sign_at_ratio(x.numerator, x.denominator)
 
     def sign_at_ratio(self, a: int, b: int) -> int:
-        """sign(self(a/b)) for integers a and b > 0, not necessarily coprime.
-
-        b**n * self(a/b) = sum c_i a**i b**(n-i) has the sign of self(a/b);
-        over integer coefficients Horner's rule on that sum is
-        acc = acc*a + c_i*b**(n-i), highest power first (Yap, Fundamental
-        Problems of Algorithmic Algebra, ch. 3).
-        """
-        ints = _zx(self)
-        if not ints:
-            return 0
-        acc = ints[-1]
-        if b == 1:
-            for c in ints[-2::-1]:
-                acc = acc * a + c
-        else:
-            bk = 1
-            for c in ints[-2::-1]:
-                bk *= b
-                acc = acc * a + c * bk
-        return (acc > 0) - (acc < 0)
+        """sign(self(a/b)) for integers a and b > 0, not necessarily coprime."""
+        return sign(_horner(self.ints, a, b))
 
     def eval_float(self, x: float) -> float:
-        flt = self._flt
-        if flt is None:
-            flt = self._flt = tuple(float(c) for c in reversed(self.coeffs))
         acc = 0.0
-        for c in flt:
+        for c in self._flt or self._floats():
             acc = acc * x + c
         return acc
 
     def eval_float_d(self, x: float) -> tuple[float, float]:
         """(p(x), p'(x)) in one Horner pass; p(x) has eval_float's bits."""
-        flt = self._flt
-        if flt is None:
-            flt = self._flt = tuple(float(c) for c in reversed(self.coeffs))
         v = d = 0.0
-        for c in flt:
+        for c in self._flt or self._floats():
             d = d * x + v
             v = v * x + c
         return v, d
 
+    def _floats(self) -> tuple[float, ...]:
+        """The coefficients as floats, highest power first, each rounded once
+        as float() of the Fraction coefficient is; kept in _flt on first use,
+        so exact work beyond the float range never raises OverflowError."""
+        num, den = self.content.as_integer_ratio()
+        self._flt = tuple(num * c / den for c in reversed(self.ints))
+        return self._flt
+
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return _poly([i * c for i, c in enumerate(self.ints)][1:], self.content)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        if not self.ints:
             return self
-        return self.scale(1 / self.leading)
+        lc = self.ints[-1]
+        return _raw(self.ints if lc > 0 else tuple(-c for c in self.ints), Fraction(1, abs(lc)))
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(t)), exact."""
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly((c,))
-        return acc
+        """self(inner(t)), exact.  With b * inner = J in Z[t] and n the
+        degree, b**n * self(inner) = sum c_i J**i b**(n-i), by Horner in Z[t]."""
+        if not self.ints:
+            return self
+        a, b = inner.content.as_integer_ratio()
+        J = [a * c for c in inner.ints] or [0]
+        acc, bk = [self.ints[-1]], 1
+        for c in self.ints[-2::-1]:
+            bk *= b
+            acc = _zx_mul(acc, J)
+            acc[0] += c * bk
+        return _poly(acc, self.content / bk)
 
     def stretch(self, n: int) -> "UniPoly":
         """self(t**n)."""
         if n < 1:
             raise ValueError("stretch exponent must be >= 1")
-        if self.is_zero:
-            return self
-        out = [Fraction(0)] * (self.degree * n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * n] = c
-        return UniPoly(out)
-
-    def reversed_coeffs(self) -> "UniPoly":
-        """t**deg * self(1/t); constant term must be nonzero."""
-        if self.is_zero or self.coeffs[0] == 0:
-            raise ValueError("reversal needs a nonzero constant term")
-        return UniPoly(tuple(reversed(self.coeffs)))
+        out = [0] * (self.degree * n + 1)
+        out[::n] = self.ints
+        return _raw(tuple(out), self.content)
 
     def __str__(self) -> str:
         """The polynomial as text in t that parse_uni reads back."""
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            parts.append(_coeff_prefix(c, mono))
+        for i, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                mono = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
+                parts.append(_coeff_prefix(c, mono))
         return _join_signed(parts)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
+
+
+def _raw(ints: tuple[int, ...], content: Fraction) -> UniPoly:
+    """content * ints, for primitive ints with a nonzero last entry and content > 0."""
+    p = object.__new__(UniPoly)
+    p.ints, p.content, p._flt = ints, content, None
+    return p
+
+
+def _poly(cs: list[int], content: Fraction = _ONE) -> UniPoly:
+    """The polynomial content * cs, for integers cs, lowest power first, and
+    a rational content > 0.  Trims cs in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        return _raw((), _ONE)
+    cs, g = _primitive(cs)
+    return _raw(tuple(cs), content * g)
 
 
 def _coeff_prefix(c: Fraction, monomial: str) -> str:
@@ -245,17 +238,33 @@ def _primitive(cs: list[int]) -> tuple[list[int], int]:
     return (cs if g <= 1 else [c // g for c in cs]), g
 
 
-def _zx(p: UniPoly) -> tuple[int, ...]:
-    """p's coefficients, lowest power first, scaled by a positive rational
-    to coprime integers; kept in p's slot."""
-    ints = p._int
-    if ints is None:
-        den = _int_lcm(*(c.denominator for c in p.coeffs))
-        # den == 1 (a Sturm polynomial, say): the numerators' int objects
-        # are shared, not copied
-        cs = [c.numerator if den == 1 else c.numerator * (den // c.denominator) for c in p.coeffs]
-        ints = p._int = tuple(_primitive(cs)[0])
-    return ints
+def _zx_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[x] for nonempty coefficient lists, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _horner(cs: Sequence[int], a: int, b: int = 1) -> int:
+    """b**n * p(a/b) for p of degree n with integer coefficients cs, lowest
+    power first, and b > 0: sum c_i a**i b**(n-i), whose sign is that of
+    p(a/b).  Horner's rule on it is acc = acc*a + c_i*b**(n-i), highest
+    power first (Yap, Fundamental Problems of Algorithmic Algebra, ch. 3)."""
+    if not cs:
+        return 0
+    acc = cs[-1]
+    if b == 1:
+        for c in cs[-2::-1]:
+            acc = acc * a + c
+    else:
+        bk = 1
+        for c in cs[-2::-1]:
+            bk *= b
+            acc = acc * a + c * bk
+    return acc
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int, int]:
@@ -312,7 +321,7 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor; both-zero input is an error."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return UniPoly(_zx_gcd(_zx(p), _zx(q))).monic()
+    return _poly(list(_zx_gcd(p.ints, q.ints))).monic()
 
 
 def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
@@ -332,6 +341,12 @@ def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
     return quo
 
 
+def exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p / q for a nonzero q dividing p, by division of the primitive parts
+    in Z[x] (Gauss's lemma); raises ArithmeticError when q does not divide p."""
+    return _poly(_zx_quotient(list(p.ints), q.ints), p.content / q.content)
+
+
 def square_free_part(p: UniPoly) -> UniPoly:
     """p / gcd(p, p'), monic; the primitive gcd divides p's primitive
     integer multiple exactly over Z (Gauss's lemma)."""
@@ -339,9 +354,9 @@ def square_free_part(p: UniPoly) -> UniPoly:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return UniPoly((1,))
-    a = list(_zx(p))
+    a = list(p.ints)
     g = _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0])
-    return UniPoly(_zx_quotient(a, g)).monic()
+    return _poly(_zx_quotient(a, g)).monic()
 
 
 @lru_cache(maxsize=None)
@@ -354,27 +369,20 @@ def sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
     if p.is_zero:
         raise ValueError("Sturm sequence of the zero polynomial")
     chain = [p, p.derivative()]
-    a, b = _zx(p), _zx(chain[1])
+    a, b = p.ints, chain[1].ints
     while b:
         r = _prem(a, b)[0]
         if not r:
             break
-        a, b = b, [-c for c in r]
-        chain.append(UniPoly(b))
+        a, b = b, tuple(-c for c in r)
+        chain.append(_raw(b, _ONE))
     return tuple(chain)
 
 
 def sign_variations(signs: Iterable[int]) -> int:
     """Sign changes along a sequence of signs (-1, 0, 1), zeros skipped."""
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 def count_roots_between(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
@@ -398,18 +406,29 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     """B with every real root of p strictly inside (-B, B)."""
     if p.is_zero:
         raise ValueError("root bound of the zero polynomial")
-    lc = abs(p.leading)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lc
+    *rest, lc = p.ints
+    return 1 + Fraction(max(map(abs, rest), default=0), abs(lc))
 
 
 def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval extension of p over [lo, hi] by interval Horner."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p.coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    """Interval extension of p over [lo, hi] by interval Horner.
+
+    It runs on p's integers with lo = a/m and hi = c/m: after the k-th
+    coefficient the bounds are m**k / content times those of interval
+    Horner over Q, and scaling by a positive number keeps min and max.
+    """
+    if not p.ints:
+        return Fraction(0), Fraction(0)
+    m = _int_lcm(lo.denominator, hi.denominator)
+    a, c = lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator)
+    alo = ahi = p.ints[-1]
+    mk = 1
+    for coef in p.ints[-2::-1]:
+        mk *= m
+        cands = (alo * a, alo * c, ahi * a, ahi * c)
+        alo, ahi = min(cands) + coef * mk, max(cands) + coef * mk
+    num, den = p.content.as_integer_ratio()
+    return Fraction(num * alo, den * mk), Fraction(num * ahi, den * mk)
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +442,17 @@ class BiPoly:
     __slots__ = ("terms", "_key", "_flt")
 
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] = ()):
-        clean: dict[tuple[int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (i, j), c in items:
+        sums: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in terms.items() if isinstance(terms, Mapping) else terms:
             if i < 0 or j < 0:
                 raise ValueError("negative exponent in BiPoly")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            key = (int(i), int(j))
-            c = clean.get(key, Fraction(0)) + c if key in clean else c
-            if c == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = c
+            key, c = (int(i), int(j)), Fraction(c)
+            sums[key] = sums[key] + c if key in sums else c
+        clean = {k: c for k, c in sums.items() if c}
         self.terms: dict[tuple[int, int], Fraction] = clean
         self._key = tuple(sorted(clean.items()))
         # (float(c), i, j) in _key order; filled lazily as in UniPoly
         self._flt: tuple[tuple[float, int, int], ...] | None = None
-
-    @staticmethod
-    def monomial(i: int, j: int, c: RatLike = 1) -> "BiPoly":
-        return BiPoly({(i, j): c})
 
     @property
     def is_zero(self) -> bool:
@@ -564,19 +572,16 @@ def is_cxd(F: BiPoly) -> tuple[Fraction, int] | None:
 def _zx_rows(p: UniPoly | Sequence[UniPoly]) -> tuple[list[list[int]], int]:
     """(rows, den): p's coefficients in t, each a polynomial in x (constant
     for a UniPoly p), scaled by the lcm den of all their denominators to
-    integer lists, lowest power first."""
-    rows = [(c,) for c in p.coeffs] if isinstance(p, UniPoly) else [c.coeffs for c in p]
-    while rows and not rows[-1]:
+    integer lists, lowest power first.  The coefficients of content * ints,
+    with the ints coprime, have the content's denominator as their lcm."""
+    if isinstance(p, UniPoly):
+        num, den = p.content.as_integer_ratio()
+        return [[num * c] for c in p.ints], den
+    rows = list(p)
+    while rows and not rows[-1].ints:
         rows.pop()
-    den = _int_lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in rows], den
-
-
-def _horner(cs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+    den = _int_lcm(*(r.content.denominator for r in rows))
+    return [[c * (r.content.numerator * (den // r.content.denominator)) for c in r.ints] for r in rows], den
 
 
 def _resultant_q(P: list[int], Q: list[int]) -> int:
@@ -635,7 +640,7 @@ def resultant(p: UniPoly | Sequence[UniPoly], q: UniPoly | Sequence[UniPoly]) ->
     coefficient in t vanishes, so that taking the resultant commutes with
     evaluation there (Collins, JACM 18, 1971); the integer values at
     deg_t A * deg_x B + deg_t B * deg_x A + 1 such points determine it.
-    Interpolation runs in Z, and one Fraction is built per coefficient.
+    Interpolation runs in Z, and one Fraction is built, for the content.
     """
     (A, da), (B, db) = _zx_rows(p), _zx_rows(q)
     if not A or not B:
@@ -652,4 +657,4 @@ def resultant(p: UniPoly | Sequence[UniPoly], q: UniPoly | Sequence[UniPoly]) ->
             values.append(_resultant_q(a, b))
         x += 1
     den = da**n * db**m
-    return UniPoly(Fraction(c, den) for c in _interpolate(xs, values))
+    return _poly(_interpolate(xs, values), Fraction(1, den))

@@ -14,13 +14,10 @@ interval extension of p once bisection has narrowed the box so that the
 extension excludes 0.
 
 Because the defpoly is square-free with one root in the box, it takes
-opposite signs at the two endpoints, so every bisection of an isolating
-box decides by the sign of the defpoly at the midpoint: one evaluation per
-step, no Sturm chain.  `refine` checks the invariant (one Sturm count and
-the endpoint signs) once on entry and raises ArithmeticError when it fails,
-then bisects in integers over a common denominator.  Every sign or zero
-test at a rational point is `UniPoly.sign_at`, integer Horner with no
-Fraction built.
+opposite signs at the two endpoints, so bisection decides by its sign at the
+midpoint (`UniPoly.sign_at`, integer Horner): no Sturm chain.  `refine`
+checks that invariant once on entry and raises ArithmeticError when it
+fails.  New defpolys are built from the integer coefficients `UniPoly.ints`.
 
 `to_float` refines a copy of the box below 2**-80 and rounds its midpoint
 once per number; the float is kept in a lazily filled slot, and lo and hi
@@ -37,10 +34,9 @@ from typing import Callable, Optional
 from .polyalg import (
     RatLike,
     UniPoly,
-    _zx,
-    _zx_quotient,
     cauchy_root_bound,
     count_roots_between,
+    exact_quotient,
     interval_eval,
     poly_gcd,
     resultant,
@@ -212,12 +208,10 @@ def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
 
 def _strip_endpoint_roots(D: UniPoly, lo: Fraction, hi: Fraction) -> UniPoly:
     # The target value is strictly interior, so rational roots sitting on the
-    # enclosure endpoints belong to other conjugates and can be divided out:
-    # b*t - a, for an endpoint a/b, divides D's primitive integer multiple
-    # exactly over Z (Gauss's lemma).
+    # enclosure endpoints belong to other conjugates and can be divided out.
     for r in (lo, hi):
         while D.sign_at(r) == 0:
-            D = UniPoly(_zx_quotient(list(_zx(D)), (-r.numerator, r.denominator))).monic()
+            D = exact_quotient(D, UniPoly((-r.numerator, r.denominator))).monic()
     return D
 
 
@@ -400,10 +394,11 @@ def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
 @lru_cache(maxsize=None)
 def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a+b: Res_t(A(t), B(x - t))."""
-    n = B.degree
-    # coefficient of t^k in B(x - t) is sum_i (-1)^k C(k+i, k) b_(k+i) x^i
+    b, n = B.ints, B.degree
+    # coefficient of t^k in B(x - t) is sum_i (-1)^k C(k+i, k) b_(k+i) x^i,
+    # up to B's content, which scales the resultant only
     comp = [
-        UniPoly((-1) ** k * comb(k + i, k) * B.coeff(k + i) for i in range(n - k + 1))
+        UniPoly((-1) ** k * comb(k + i, k) * b[k + i] for i in range(n - k + 1))
         for k in range(n + 1)
     ]
     return square_free_part(resultant(A, comp))
@@ -412,34 +407,31 @@ def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
 @lru_cache(maxsize=None)
 def _product_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a*b: Res_t(A(t), t^n B(x/t)), B(0) != 0."""
-    n = B.degree
-    coeffs = []
-    for k in range(n + 1):
-        # coefficient of t^(n-k) is b_k x^k
-        b = B.coeff(k)
-        coeffs.append(UniPoly((0,) * k + (b,)) if b else UniPoly())
+    # coefficient of t^(n-k) is b_k x^k, up to B's content
+    coeffs = [UniPoly((0,) * k + (b,)) if b else UniPoly() for k, b in enumerate(B.ints)]
     return square_free_part(resultant(A, coeffs[::-1]))
 
 
 @lru_cache(maxsize=None)
 def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
-    """Polynomial vanishing at P(a): Res_t(A(t), x - P(t))."""
-    coeffs = [UniPoly((-c,)) for c in P.coeffs]
-    coeffs[0] = UniPoly((-P.coeff(0), 1))
+    """Polynomial vanishing at P(a): Res_t(A(t), x - P(t)), taken as
+    Res_t(A(t), d*x - n*Q(t)) for P = (n/d) * Q with Q in Z[t]."""
+    n, d = P.content.as_integer_ratio()
+    coeffs = [UniPoly((-n * c,)) for c in P.ints]
+    coeffs[0] = UniPoly((-n * P.ints[0], d))
     return square_free_part(resultant(A, coeffs))
 
 
-def _avoid_zero(a: RealAlg) -> RealAlg:
+def _avoid_zero(r: RealAlg) -> RealAlg:
     """Refine a nonzero number until 0 is outside its closed interval, and
     drop a spurious zero root from its defining polynomial."""
-    r = a
     while r.lo <= 0 <= r.hi:
         if r.is_rational:
             raise ZeroDivisionError("value is zero")
         r = r.refine((r.hi - r.lo) / 2)
     D = r.defpoly
-    if not r.is_rational and D.coeff(0) == 0:
-        r = RealAlg(UniPoly(D.coeffs[1:]), r.lo, r.hi)
+    if not r.is_rational and D.ints[0] == 0:
+        r = RealAlg(UniPoly(D.ints[1:]).monic(), r.lo, r.hi)
     return r
 
 
@@ -451,7 +443,7 @@ def _avoid_zero(a: RealAlg) -> RealAlg:
 def neg(a: RealAlg) -> "RealAlg":
     if a.is_rational:
         return RealAlg.from_rational(-a.lo)
-    D = UniPoly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(a.defpoly.coeffs)))
+    D = UniPoly(-c if i % 2 else c for i, c in enumerate(a.defpoly.ints))  # D(-t)
     return RealAlg(D.monic(), -a.hi, -a.lo)
 
 
@@ -465,10 +457,8 @@ def add(a: RealAlg, b: RealAlg) -> RealAlg:
     if a.is_rational:
         return add(b, a)
     if b.is_rational:
-        r = b.lo
-        shift = UniPoly((-r, 1))  # t - r
-        D = a.defpoly.compose(shift)  # roots move by +r
-        return RealAlg(D.monic(), a.lo + r, a.hi + r)
+        r = b.lo  # roots move by +r: D(t - r)
+        return RealAlg(a.defpoly.compose(UniPoly((-r, 1))).monic(), a.lo + r, a.hi + r)
     D = _sum_defpoly(a.defpoly, b.defpoly)
     return _certified_image(D, lambda ra, rb: (ra.lo + rb.lo, ra.hi + rb.hi), add, a, b)
 
@@ -482,9 +472,10 @@ def mul(a: RealAlg, b: RealAlg) -> RealAlg:
         r = b.lo
         if r == 0:
             return RealAlg.from_rational(0)
-        # roots scale by r: substitute t/r and clear denominators
+        # roots scale by r = u/v: u**n * D(t/r), in integers
+        u, v = r.as_integer_ratio()
         n = a.defpoly.degree
-        D = UniPoly(tuple(c * r ** (n - i) for i, c in enumerate(a.defpoly.coeffs)))
+        D = UniPoly(c * u ** (n - i) * v**i for i, c in enumerate(a.defpoly.ints))
         lo, hi = sorted((a.lo * r, a.hi * r))
         return RealAlg(D.monic(), lo, hi)
     a = _avoid_zero(a) if a.lo <= 0 <= a.hi else a
@@ -509,7 +500,7 @@ def inverse(b: RealAlg) -> RealAlg:
     b = _avoid_zero(b)
     if b.is_rational:
         return inverse(b)
-    D = b.defpoly.reversed_coeffs().monic()
+    D = UniPoly(b.defpoly.ints[::-1]).monic()  # t**n * D(1/t); D(0) != 0
     lo, hi = sorted((1 / b.hi, 1 / b.lo))
     return RealAlg(D, lo, hi)
 
@@ -519,7 +510,7 @@ def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:
     if a.is_rational:
         return RealAlg.from_rational(p(a.lo))
     if p.is_constant:
-        return RealAlg.from_rational(p.coeff(0))
+        return RealAlg.from_rational(p(0))
     D = _eval_defpoly(a.defpoly, p)
     return _certified_image(D, lambda r: interval_eval(p, r.lo, r.hi), partial(eval_alg, p), a)
 

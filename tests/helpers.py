@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qhlip.polyalg import BiPoly, UniPoly, _prem, _zx, cauchy_root_bound, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, _prem, cauchy_root_bound, square_free_part
 from qhlip.qhdecide import QHPoly, validate_qh
 
 
@@ -109,7 +109,7 @@ def brute_force_real_root_count(p: UniPoly) -> int:
     passes agree.  Grid evaluation is exact (integers after clearing
     denominators), and grid points that hit roots exactly are counted once.
     """
-    q = UniPoly(_zx(square_free_part(p)))
+    q = UniPoly(square_free_part(p).ints)
     if q.degree == 0:
         return 0
     bound = cauchy_root_bound(q)
@@ -279,3 +279,79 @@ def frac_root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fra
         else:
             break
     return l, u
+
+
+# ---------------------------------------------------------------------------
+# Reference UniPoly arithmetic on Fraction tuples, lowest power first
+# ---------------------------------------------------------------------------
+
+
+def ref_trim(cs) -> tuple[Fraction, ...]:
+    """The coefficients as Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_add(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    return ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_sub(a, b) -> tuple[Fraction, ...]:
+    return ref_add(a, [-c for c in b])
+
+
+def ref_mul(a, b) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_scale(a, c) -> tuple[Fraction, ...]:
+    return ref_trim(c * x for x in a)
+
+
+def ref_derivative(a) -> tuple[Fraction, ...]:
+    return ref_trim(i * x for i, x in enumerate(a) if i >= 1)
+
+
+def ref_monic(a) -> tuple[Fraction, ...]:
+    return ref_scale(a, 1 / a[-1]) if a else ()
+
+
+def ref_compose(a, b) -> tuple[Fraction, ...]:
+    """a(b(t)) by Horner's rule on polynomials."""
+    acc: tuple[Fraction, ...] = ()
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, b), (c,))
+    return acc
+
+
+def ref_stretch(a, n: int) -> tuple[Fraction, ...]:
+    """a(t**n)."""
+    out = [Fraction(0)] * ((len(a) - 1) * n + 1) if a else []
+    for i, c in enumerate(a):
+        out[i * n] = c
+    return ref_trim(out)
+
+
+def ref_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_interval_eval(a, lo, hi) -> tuple[Fraction, Fraction]:
+    """Interval Horner over Q on [lo, hi]."""
+    alo = ahi = Fraction(0)
+    for c in reversed(a):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhlip import cli
 from qhlip.cli import main
 from qhlip.parser import (
     InputTooLargeError,
@@ -97,6 +98,17 @@ def run_cli_capture(capsys, *argv):
 
 
 HP = "X^6 - 3*l*X^4*Y + Y^3"
+WITNESS = ["witness", "X^6+3*X^4*Y+Y^3", "X^6+6*X^4*Y+Y^3"]
+
+
+def refuse_work(monkeypatch):
+    """Make the CLI fail at its first decision or witness check."""
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "decide", refuse)
+    monkeypatch.setattr(cli, "verify", refuse)
 
 
 class TestCli:
@@ -337,6 +349,58 @@ class TestCli:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"]["code"] == "usage_error"
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "--delta=0",
+            "--delta=-1",
+            "--delta=nan",
+            "--delta=inf",
+            "--samples=0",
+            "--samples=-5",
+            "--samples=1.5",
+            "--tol=-1",
+            "--tol=nan",
+            "--tol=inf",
+        ],
+    )
+    def test_bad_witness_option_is_a_usage_error(self, capsys, monkeypatch, option):
+        refuse_work(monkeypatch)
+        code, out, err = run_cli_capture(capsys, *WITNESS, option)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "usage_error"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*WITNESS, f"--samples={cli.MAX_SAMPLES + 1}"],
+            ["scan", HP, "--param", "l", "--values=" + ",".join(["1"] * (cli.MAX_SCAN_VALUES + 1))],
+        ],
+        ids=["samples", "scan_values"],
+    )
+    def test_too_much_work_is_refused_before_it_starts(self, capsys, monkeypatch, argv):
+        refuse_work(monkeypatch)
+        code, out, err = run_cli_capture(capsys, *argv, "--beta", "2/1")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "input_too_large"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*WITNESS, f"--samples={cli.MAX_SAMPLES}"],
+            ["scan", HP, "--param", "l", "--values=" + ",".join(["1"] * cli.MAX_SCAN_VALUES)],
+        ],
+        ids=["samples", "scan_values"],
+    )
+    def test_work_limits_are_inclusive(self, capsys, monkeypatch, argv):
+        # at each limit the command gets as far as its first decision
+        refuse_work(monkeypatch)
+        code, out, err = run_cli_capture(capsys, *argv, "--beta", "2/1")
+        assert code == 3
+        assert json.loads(err)["error"] == {"code": "internal", "message": "AssertionError: work started"}
 
     def test_leading_minus_after_double_dash(self, capsys):
         code, out, _ = run_cli_capture(capsys, "classify1", "--", "-t^3", "t^3")

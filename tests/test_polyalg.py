@@ -1,10 +1,17 @@
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qhlip
 from qhlip import polyalg
 from qhlip.polyalg import (
     BiPoly,
@@ -31,6 +38,17 @@ from helpers import (
     prs_gcd,
     rand_tpoly,
     rand_unipoly,
+    ref_add,
+    ref_compose,
+    ref_derivative,
+    ref_eval,
+    ref_interval_eval,
+    ref_monic,
+    ref_mul,
+    ref_scale,
+    ref_stretch,
+    ref_sub,
+    ref_trim,
     sylvester_resultant,
 )
 
@@ -298,6 +316,99 @@ class TestStructureQueries:
         assert x_multiplicity(H) == 4
         assert not y_divides(H)
         assert is_cxd(H) == (F(2), 4)
+
+
+#: rationals of every size the kernel meets: small integers, small
+#: fractions, and numerators and denominators of up to 200 bits
+ref_coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+)
+#: coefficient lists, lowest power first: empty (the zero polynomial),
+#: constants, trailing zeros, and leading coefficients of either sign
+ref_lists = st.lists(ref_coeffs, max_size=6)
+ref_examples = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def assert_stores(p, ref):
+    """p is the polynomial with Fraction coefficients ref, stored as content
+    times primitive integers, and equal, hash included, to UniPoly(ref)."""
+    assert p.coeffs == ref
+    assert all(type(c) is int for c in p.ints)
+    assert type(p.content) is F and p.content > 0
+    if p.ints:
+        assert p.ints[-1] != 0 and math.gcd(*p.ints) == 1
+    else:
+        assert p.content == 1
+    q = UniPoly(ref)
+    assert p == q and hash(p) == hash(q)
+
+
+class TestFractionReference:
+    """Each UniPoly operation on content and integers gives what the same
+    operation on Fraction coefficients gives."""
+
+    @ref_examples
+    @given(ref_lists, ref_lists)
+    def test_ring_operations(self, a, b):
+        p, q = UniPoly(a), UniPoly(b)
+        a, b = ref_trim(a), ref_trim(b)
+        assert_stores(p, a)
+        assert_stores(p + q, ref_add(a, b))
+        assert_stores(p - q, ref_sub(a, b))
+        assert_stores(-p, ref_scale(a, -1))
+        assert_stores(p * q, ref_mul(a, b))
+
+    @ref_examples
+    @given(ref_lists, ref_coeffs, st.integers(1, 3))
+    def test_unary_operations(self, a, c, n):
+        p, a = UniPoly(a), ref_trim(a)
+        assert_stores(p.scale(c), ref_scale(a, c))
+        assert_stores(p * c, ref_scale(a, c))
+        assert_stores(p.derivative(), ref_derivative(a))
+        assert_stores(p.monic(), ref_monic(a))
+        assert_stores(p.stretch(n), ref_stretch(a, n))
+
+    @ref_examples
+    @given(st.lists(ref_coeffs, max_size=4), st.lists(ref_coeffs, max_size=3))
+    def test_compose(self, a, b):
+        assert_stores(UniPoly(a).compose(UniPoly(b)), ref_compose(ref_trim(a), ref_trim(b)))
+
+    @ref_examples
+    @given(ref_lists, ref_coeffs, ref_coeffs)
+    def test_evaluation(self, a, x, y):
+        p, a = UniPoly(a), ref_trim(a)
+        assert p(x) == ref_eval(a, x)
+        assert p.sign_at(F(x)) == sign(ref_eval(a, x))
+        lo, hi = sorted((F(x), F(y)))
+        assert interval_eval(p, lo, hi) == ref_interval_eval(a, lo, hi)
+
+    @ref_examples
+    @given(ref_lists, ref_coeffs.filter(bool))
+    def test_equality_does_not_depend_on_the_route(self, a, c):
+        p = UniPoly(a)
+        assert_stores(p.scale(c).scale(1 / F(c)), ref_trim(a))
+        assert_stores((p + UniPoly([c])) - UniPoly([c]), ref_trim(a))
+        assert_stores(p.compose(UniPoly([0, 1])), ref_trim(a))
+
+    def test_equal_polynomials_built_apart(self):
+        assert UniPoly([2, 4]) == UniPoly([1, 2]).scale(2)
+        assert hash(UniPoly([2, 4])) == hash(UniPoly([1, 2]).scale(2))
+        assert UniPoly([F(1, 2), 1]) == UniPoly([1, 2]).scale(F(1, 2))
+        assert UniPoly([-3, -6]) == -UniPoly([3, 6]) == UniPoly([1, 2]) * UniPoly([-3])
+        assert UniPoly([2, 4]).ints == (1, 2) and UniPoly([2, 4]).content == 2
+        assert UniPoly([-1, F(-1, 2)]).ints == (-2, -1) and UniPoly([-1, F(-1, 2)]).content == F(1, 2)
+        assert UniPoly([0, 0]) == UniPoly() == UniPoly([3]) - UniPoly([3])
+        assert UniPoly().ints == () and UniPoly().content == 1
+
+    @pytest.mark.parametrize("p", [UniPoly(), UniPoly([F(1, 2), -3])], ids=["zero", "nonzero"])
+    def test_copies_are_equal_and_leave_the_original(self, p):
+        # copy and pickle rebuild through UniPoly.__new__ with no arguments
+        before = (p.ints, p.content)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and (q.ints, q.content) == before
+        assert (p.ints, p.content) == before and UniPoly().ints == ()
 
 
 class TestIntervalEval:
@@ -571,13 +682,13 @@ class TestHeuristicGcd:
     @example(UniPoly([-3, 0, 2]), UniPoly([7]), UniPoly([1, 0, 1]))  # a divides b
     def test_matches_remainder_sequence(self, g, u, v):
         p, q = g * u, g * v
-        a, b = polyalg._zx(p), polyalg._zx(q)
+        a, b = p.ints, q.ints
         want = prs_gcd(a, b)
         assert same_up_to_sign(polyalg._zx_gcd(a, b), want)
         assert same_up_to_sign(polyalg._zx_gcd(b, a), want)
         assert poly_gcd(p, q) == UniPoly(want).monic()
         r = g * g * u  # g is a repeated factor
-        c = polyalg._zx(r)
+        c = r.ints
         d = prs_gcd(c, polyalg._primitive([i * x for i, x in enumerate(c)][1:])[0])
         assert square_free_part(r) == UniPoly(polyalg._zx_quotient(list(c), d)).monic()
 
@@ -616,3 +727,16 @@ class TestHeuristicGcd:
         a, b = [-8, -10, -9, -8, -10, -4], [-2, -9, -11, 2, 12, 8]
         assert same_up_to_sign(polyalg._zx_gcd(a, b), [2, 3, 2])
         assert poly_gcd(UniPoly(a), UniPoly(b)) == P(1, F(3, 2), 1)
+
+
+def test_differential_check_against_sympy():
+    """scripts/fuzz_sympy.py, on 20 seeded cases: the kernel agrees with an
+    independent implementation."""
+    pytest.importorskip("sympy")
+    src = Path(qhlip.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "fuzz_sympy.py"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, str(script), "--cases", "20", "--seed", "1"], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

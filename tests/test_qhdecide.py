@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhlip import qhdecide
 from qhlip.lipclass import Reason1D, critical_data
@@ -24,6 +25,18 @@ from qhlip.qhdecide import (
 from qhlip.zygothety import is_beta_regular
 
 from helpers import rand_qhpoly
+
+
+#: a random valid quasihomogeneous polynomial, drawn by rand_qhpoly from a seed
+qh_polys = st.integers(0, 2**32).map(lambda seed: rand_qhpoly(random.Random(seed)))
+#: nonzero rationals a and b for the substitution F(aX, bY)
+scalings = st.tuples(*[st.fractions(-4, 4, max_denominator=3).filter(bool)] * 2)
+law_examples = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def scaled(q, a, b):
+    """F(aX, bY), which has F's weights and degree."""
+    return validate_qh(q.poly.scale_vars(a, b), q.r, q.s)
 
 
 def hp(lam) -> "QHPoly":
@@ -224,6 +237,28 @@ class TestDecide:
             pairs.append((a, validate_qh(b_poly, a.r, a.s)))
         for a, b in pairs:
             assert decide(a, b).kind == decide(b, a).kind
+
+    @law_examples
+    @given(qh_polys)
+    def test_reflexive_law(self, q):
+        assert decide(q, q).kind is VerdictKind.EQUIVALENT
+
+    @law_examples
+    @given(qh_polys, scalings)
+    def test_symmetric_law(self, q, ab):
+        g = scaled(q, *ab)
+        kind = decide(q, g).kind
+        assert kind is not VerdictKind.NOT_EQUIVALENT
+        assert decide(g, q).kind is kind
+
+    @law_examples
+    @given(qh_polys, scalings, scalings)
+    def test_transitive_law(self, q, ab, ab2):
+        g, h = scaled(q, *ab), scaled(q, *ab2)
+        kinds = [decide(x, y).kind for x, y in ((q, g), (g, h), (q, h))]
+        assert VerdictKind.NOT_EQUIVALENT not in kinds
+        if kinds[0] is kinds[1] is VerdictKind.EQUIVALENT:
+            assert kinds[2] is VerdictKind.EQUIVALENT
 
     def test_oracle_soundness_sample(self):
         rng = random.Random(302)
