@@ -23,6 +23,15 @@ Compares, on seeded random inputs:
   among sympy's sorted real roots of the square-free part of the product
   (sympy 1.14 canonicalises shared factors, so
   ``CRootOf((t**2 - 2)*(t**2 - 3), 2) == CRootOf(t**2 - 2, 1)``);
+* the certified images ``a * b``, ``eval_alg(p, a)`` and
+  ``nth_root_pos(abs(a), n)`` for real roots a and b of integer
+  polynomials of degree at most 3 and an integer polynomial p, which
+  shares a's polynomial as a factor about half the time: each box holds
+  the exact value's ``evalf(50)`` and exactly one real root of its
+  defpoly by sympy's count, and each defpoly is divisible by sympy's
+  ``minimal_polynomial`` of the value, unless the value is stored as that
+  rational; and ``realalg.sign_at(p, a)`` against the exact sign, zero
+  exactly when the minimal polynomial of a divides p;
 * ``UniPoly.sign_at`` at seeded rationals (zero, integers, small
   fractions, denominators above 2**200, and the polynomial's own rational
   roots) against the sign of sympy's exact value;
@@ -58,7 +67,7 @@ from fractions import Fraction
 
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
-from qhlip.realalg import compare, isolate_real_roots
+from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
 from qhlip.zygothety import _invert_on_branch
 
 X, T = sympy.symbols("x t")
@@ -234,6 +243,50 @@ def check_compare(p: UniPoly, q: UniPoly) -> str | None:
     return None
 
 
+def real_roots(p: UniPoly) -> list[tuple[RealAlg, sympy.Expr]]:
+    """p's real roots, each with sympy's exact value, in increasing order."""
+    return list(zip(isolate_real_roots(p), sympy.Poly(uni_expr(p, T), T).sqf_part().real_roots()))
+
+
+def check_value(what: str, v: RealAlg, exact: sympy.Expr) -> str | None:
+    minpoly = sympy.Poly(sympy.minimal_polynomial(exact, T), T)
+    if v.is_rational:
+        if minpoly.degree() != 1 or minpoly.eval(sympy.Rational(str(v.lo))) != 0:
+            return f"{what} = {v}, sympy's minimal polynomial {minpoly.as_expr()}"
+        return None
+    lo, hi = sympy.Rational(str(v.lo)), sympy.Rational(str(v.hi))
+    if not lo < exact.evalf(50) < hi:
+        return f"{what} = {v} misses {exact.evalf(50)}"
+    D = sympy.Poly(uni_expr(v.defpoly, T), T)
+    if D.count_roots(lo, hi) != 1:
+        return f"{what} = {v}: the box holds {D.count_roots(lo, hi)} roots of the defpoly"
+    if not D.rem(minpoly).is_zero:
+        return f"{what} = {v}: the defpoly is not divisible by {minpoly.as_expr()}"
+    return None
+
+
+def check_images(rng: random.Random) -> str | None:
+    pa, pb, p = rand_uni(rng, 3), rand_uni(rng, 3), rand_uni(rng, 3)
+    if rng.random() < 0.5:
+        p = p * pa
+    pe = uni_expr(p, T)
+    for a, ae in real_roots(pa):
+        minpoly = sympy.Poly(sympy.minimal_polynomial(ae, T), T)
+        want = 0 if sympy.Poly(pe, T).rem(minpoly).is_zero else sympy.sign(pe.subs(T, ae).evalf(50))
+        if sign_at(p, a) != want:
+            return f"sign_at({p}, {a}) = {sign_at(p, a)}, sympy {want}"
+        values = [(f"eval_alg({p}, {a})", eval_alg(p, a), pe.subs(T, ae))]
+        if a.sign():
+            n = rng.randint(2, 3)
+            values.append((f"nth_root_pos(|{a}|, {n})", nth_root_pos(abs(a), n), sympy.root(abs(ae), n)))
+        values += [(f"{a} * {b}", a * b, ae * be) for b, be in real_roots(pb)]
+        for what, v, exact in values:
+            problem = check_value(what, v, exact)
+            if problem:
+                return problem
+    return None
+
+
 def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
     crits = [c.to_float() for c in critical_data(g).points]
     p = len(crits)
@@ -293,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_compare(*rand_pair(rng))
             or check_inversion(rng, p, flat)
             or check_big_gcd(*rand_big_pair(rng))
+            or check_images(rng)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

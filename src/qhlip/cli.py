@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lets(sp)
     sp.add_argument("--tol", type=_checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0"), default=1e-8)
     sp.add_argument("--delta", type=_checked(float, lambda x: 0 < x < math.inf, "a finite number > 0"), default=1.0)
-    sp.add_argument("--samples", type=_checked(int, lambda n: n >= 1, "an integer >= 1"), default=10000)
+    at_least = "sample at least this many points of the conjugacy grid"
+    sp.add_argument("--samples", type=_checked(int, lambda n: n >= 1, "an integer >= 1"), default=10000, help=at_least)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("scan", help="pairwise classification over a parameter family")

@@ -341,12 +341,6 @@ def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
     return quo
 
 
-def exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
-    """p / q for a nonzero q dividing p, by division of the primitive parts
-    in Z[x] (Gauss's lemma); raises ArithmeticError when q does not divide p."""
-    return _poly(_zx_quotient(list(p.ints), q.ints), p.content / q.content)
-
-
 def square_free_part(p: UniPoly) -> UniPoly:
     """p / gcd(p, p'), monic; the primitive gcd divides p's primitive
     integer multiple exactly over Z (Gauss's lemma)."""

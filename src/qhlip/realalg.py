@@ -2,22 +2,28 @@
 
 A number is stored as a square-free monic defining polynomial together with
 an isolating rational interval: either lo == hi and the number is the
-rational lo (with defpoly t - lo), or the defpoly has exactly one real root
-in (lo, hi) and neither endpoint is a root.  Intervals are refined on
-demand.
+rational lo (with defpoly t - lo), or the defpoly has degree at least 2 and
+exactly one real root in (lo, hi), and neither endpoint is a root.
+Intervals are refined on demand, always from a number's own box.
 
-Equality and sign tests are exact.  Two irrationals with overlapping boxes
-are equal exactly when the gcd of their defpolys has a root on the
-overlap: one gcd and one Sturm count.  p(a) is zero exactly when
-gcd(defpoly, p) has a root in a's box; otherwise its sign is read from the
-interval extension of p once bisection has narrowed the box so that the
-extension excludes 0.
+Equality and sign tests are exact and count no roots.  A divisor of the
+defpoly has at most one root in the box, a simple one, and none at the
+endpoints, so it has one exactly when it changes sign across the box: p(a)
+is zero exactly when gcd(defpoly, p) changes sign across a's box, and two
+irrationals are equal exactly when the gcd of their defpolys changes sign
+across the overlap of their boxes.  A nonzero p(a) takes its sign from p's
+interval extension over a box narrow enough that it excludes 0.
 
-Because the defpoly is square-free with one root in the box, it takes
-opposite signs at the two endpoints, so bisection decides by its sign at the
-midpoint (`UniPoly.sign_at`, integer Horner): no Sturm chain.  `refine`
-checks that invariant once on entry and raises ArithmeticError when it
-fails.  New defpolys are built from the integer coefficients `UniPoly.ints`.
+A sum, product, polynomial image or n-th root is certified once its
+resultant defpoly D changes sign across an enclosure built from the source
+boxes and the interval extension of D' there excludes 0: D is then strictly
+monotone on the enclosure, so the value is its only root there.
+
+The defpoly takes opposite signs at the two endpoints, so bisection decides
+by its sign at the midpoint (`UniPoly.sign_at`, integer Horner).  `refine`
+checks the invariant once on entry, by a Sturm count cached per box, and
+raises ArithmeticError when it fails; the only other Sturm counts isolate
+roots.  New defpolys are built from the integer coefficients `UniPoly.ints`.
 
 `to_float` refines a copy of the box below 2**-80 and rounds its midpoint
 once per number; the float is kept in a lazily filled slot, and lo and hi
@@ -29,14 +35,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm as _int_lcm
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .polyalg import (
     RatLike,
     UniPoly,
     cauchy_root_bound,
     count_roots_between,
-    exact_quotient,
     interval_eval,
     poly_gcd,
     resultant,
@@ -206,28 +211,25 @@ def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _strip_endpoint_roots(D: UniPoly, lo: Fraction, hi: Fraction) -> UniPoly:
-    # The target value is strictly interior, so rational roots sitting on the
-    # enclosure endpoints belong to other conjugates and can be divided out.
-    for r in (lo, hi):
-        while D.sign_at(r) == 0:
-            D = exact_quotient(D, UniPoly((-r.numerator, r.denominator))).monic()
-    return D
-
-
 def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
-    """Certify (D, (lo, hi)) as a RealAlg holding the unique interior root.
+    """Certify the enclosure (lo, hi) of a root of the square-free D, or None.
 
-    Returns None when the enclosure still contains more than one root of D;
-    the caller then refines its sources and retries with a smaller enclosure.
+    When D changes sign across the box and the interval extension of D'
+    excludes 0, D is strictly monotone on [lo, hi] (the monotonicity test of
+    interval analysis), so the root the enclosure holds is D's only root
+    there.  Otherwise the caller narrows its sources and retries.
     """
-    D = _strip_endpoint_roots(D, lo, hi)
-    n = _count_pair(D, lo, hi)
-    if n == 0:
-        raise ArithmeticError("enclosure lost the root; internal bug")
-    if n > 1:
+    if D.sign_at(lo) * D.sign_at(hi) >= 0:
         return None
-    # exactly one root: hunt for a small rational before settling
+    d_lo, d_hi = interval_eval(D.derivative(), lo, hi)
+    if d_lo <= 0 <= d_hi:
+        return None
+    return _probe(D, lo, hi)
+
+
+def _probe(D: UniPoly, lo: Fraction, hi: Fraction) -> RealAlg:
+    """The one root of D in (lo, hi), where D changes sign: a small rational
+    when one of a few probes hits it, else D on the box the probes leave."""
     s_lo = D.sign_at(lo)
     for _ in range(_RATIONAL_PROBE_ROUNDS):
         cand = simplest_between(lo, hi)
@@ -238,7 +240,25 @@ def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
             lo = cand
         else:
             hi = cand
-    return RealAlg(D, lo, hi)
+    return _root_in(D, lo, hi)
+
+
+def _root_in(D: UniPoly, lo: Fraction, hi: Fraction) -> RealAlg:
+    """The one root of D in (lo, hi); a linear D gives it as a rational."""
+    if D.degree == 1:
+        return RealAlg.from_rational(Fraction(-D.ints[0], D.ints[1]))
+    return RealAlg(D.monic(), lo, hi)
+
+
+def _narrowed(*nums: RealAlg) -> Iterator[tuple[RealAlg, ...]]:
+    """nums, then nums refined to widths w/2**k for k = 1, 3, 7, ..., each
+    from its own box of width w, so that refine's entry count is one cached
+    lookup per number.  The numbers must be irrational."""
+    yield nums
+    k = 1
+    while True:
+        yield tuple(a.refine((a.hi - a.lo) / 2**k) for a in nums)
+        k = 2 * k + 1
 
 
 def _certified_image(
@@ -249,17 +269,16 @@ def _certified_image(
 ) -> RealAlg:
     """The root of D inside enclose(*sources), certified by _try_make.
 
-    Every source box is halved until the enclosure isolates one root of D;
-    once a source refines to a rational, fallback(*sources) computes the
-    value instead.
+    The source boxes shrink until _try_make accepts the enclosure; once a
+    source refines to a rational, fallback(*sources) computes the value
+    instead.
     """
-    while True:
-        made = _try_make(D, *enclose(*sources))
+    for srcs in _narrowed(*sources):
+        if any(s.is_rational for s in srcs):
+            return fallback(*srcs)
+        made = _try_make(D, *enclose(*srcs))
         if made is not None:
             return made
-        sources = tuple(s.refine((s.hi - s.lo) / 2) for s in sources)
-        if any(s.is_rational for s in sources):
-            return fallback(*sources)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +301,7 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
         if n == 0:
             return
         if n == 1:
-            made = _try_make(q, lo, hi)
-            if made is None:
-                raise ArithmeticError("one-root interval failed to certify; internal bug")
-            roots.append(made)
+            roots.append(_probe(q, lo, hi))
             return
         mid = (lo + hi) / 2
         if q.sign_at(mid) == 0:
@@ -319,29 +335,21 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
         return 0
     if a.is_rational:
         return p.sign_at(a.lo)
-    # roots of g lie among the roots of defpoly, so the interval endpoints
-    # are never roots of g and the count below is well-posed
+    # g divides the square-free defpoly, so it has at most one root in the
+    # box, a simple one, and none at its endpoints: p(a) = g(a) = 0 exactly
+    # when g changes sign across the box
     g = poly_gcd(a.defpoly, p)
-    if g.degree >= 1 and _count_pair(g, a.lo, a.hi) == 1:
+    if g.sign_at(a.lo) != g.sign_at(a.hi):
         return 0
-    # p(a) != 0: bisect by the defpoly's sign until p's interval extension
-    # over the box excludes 0
-    D, lo, hi = a.defpoly, a.lo, a.hi
-    s_lo = D.sign_at(lo)
-    while True:
-        p_lo, p_hi = interval_eval(p, lo, hi)
+    # p(a) != 0: narrow the box until p's interval extension excludes 0
+    for (r,) in _narrowed(a):
+        if r.is_rational:
+            return p.sign_at(r.lo)
+        p_lo, p_hi = interval_eval(p, r.lo, r.hi)
         if p_lo > 0:
             return 1
         if p_hi < 0:
             return -1
-        mid = (lo + hi) / 2
-        s_mid = D.sign_at(mid)
-        if s_mid == 0:
-            return p.sign_at(mid)  # a turned out to be the rational mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
 
 
 def compare(a: RealAlg, b: RealAlg) -> int:
@@ -352,25 +360,21 @@ def compare(a: RealAlg, b: RealAlg) -> int:
         return _compare_with_rational(b.lo, a)
     if a.is_rational:
         return -_compare_with_rational(a.lo, b)
-    # both irrational
-    if a.hi <= b.lo:
-        return -1
-    if b.hi <= a.lo:
-        return 1
-    # a == b exactly when gcd(Da, Db) has a root on the overlap of the boxes;
-    # its endpoints are box endpoints, so never roots of the gcd
-    g = poly_gcd(a.defpoly, b.defpoly)
-    if g.degree >= 1 and _count_pair(g, max(a.lo, b.lo), min(a.hi, b.hi)) == 1:
-        return 0
-    # distinct: separate the intervals
-    while True:
-        a = a.refine((a.hi - a.lo) / 2)
-        b = b.refine((b.hi - b.lo) / 2)
-        if a.is_rational or b.is_rational:
-            return compare(a, b)
-        if a.hi <= b.lo:
+    # both irrational.  On the overlap of the boxes gcd(Da, Db) has at most
+    # one root, a simple one, and none at the endpoints, which are box
+    # endpoints: a == b exactly when it changes sign across the overlap
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo < hi:
+        g = poly_gcd(a.defpoly, b.defpoly)
+        if g.sign_at(lo) != g.sign_at(hi):
+            return 0
+    # distinct: separate the boxes
+    for ra, rb in _narrowed(a, b):
+        if ra.is_rational or rb.is_rational:
+            return compare(ra, rb)
+        if ra.hi <= rb.lo:
             return -1
-        if b.hi <= a.lo:
+        if rb.hi <= ra.lo:
             return 1
 
 
@@ -422,17 +426,16 @@ def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
     return square_free_part(resultant(A, coeffs))
 
 
-def _avoid_zero(r: RealAlg) -> RealAlg:
-    """Refine a nonzero number until 0 is outside its closed interval, and
-    drop a spurious zero root from its defining polynomial."""
-    while r.lo <= 0 <= r.hi:
-        if r.is_rational:
-            raise ZeroDivisionError("value is zero")
-        r = r.refine((r.hi - r.lo) / 2)
+def _avoid_zero(a: RealAlg) -> RealAlg:
+    """a with 0 outside its closed box and no zero root in its defining
+    polynomial, or a as a rational, which is 0 exactly when a is."""
+    if a.lo < 0 < a.hi and not a.defpoly.ints[0]:
+        return _ZERO  # 0 is the defpoly's one root in the box
+    r = a
+    if a.lo <= 0 <= a.hi:
+        r = next(r for (r,) in _narrowed(a) if r.is_rational or not r.lo <= 0 <= r.hi)
     D = r.defpoly
-    if not r.is_rational and D.ints[0] == 0:
-        r = RealAlg(UniPoly(D.ints[1:]).monic(), r.lo, r.hi)
-    return r
+    return r if r.is_rational or D.ints[0] else _root_in(UniPoly(D.ints[1:]), r.lo, r.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +546,8 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
         dp_ = _exact_int_nth_root(v.denominator, n)
         if np_ is not None and dp_ is not None:
             return RealAlg.from_rational(Fraction(np_, dp_))
-        D = UniPoly((-v,) + (0,) * (n - 1) + (1,))  # x**n - v
-        made = _try_make(D, *_root_bracket(v, v, n))
-        if made is None:
-            raise ArithmeticError("x**n - v has two roots in its bracket; internal bug")
-        return made
+        # x**n - v increases for x > 0, so the positive bracket isolates its root
+        return _probe(UniPoly((-v,) + (0,) * (n - 1) + (1,)), *_root_bracket(v, v, n))
     ra = _avoid_zero(a)  # positive interval, defpoly nonzero at 0
     if ra.is_rational:
         return nth_root_pos(ra, n)

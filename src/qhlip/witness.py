@@ -82,11 +82,12 @@ def verify(
     F: QHPoly, G: QHPoly, z: Zygothety, samples: int, delta: float, tol: float
 ) -> VerificationReport:
     """The whole witness check of G o Phi = F for the inverse beta-transform
-    Phi of z: the conjugacy residual over a grid of about `samples` points
-    in the strip |x| <= delta, the Lipschitz ratios, and the asymptotic
-    shape of phi1."""
+    Phi of z: the conjugacy residual over the smallest grid of at least
+    `samples` points in the strip |x| <= delta, the Lipschitz ratios, and
+    the asymptotic shape of phi1."""
     T = InverseBetaTransform(z, F.r, F.s)
-    residual, count = verify_conjugacy(F, G, T, max(1, samples // (2 * T_COUNT)), delta)
+    x_count = max(1, -(-(samples - T_COUNT) // (2 * T_COUNT)))  # (2 * x_count + 1) * T_COUNT points
+    residual, count = verify_conjugacy(F, G, T, x_count, delta)
     rmin, rmax = verify_lipschitz(T, delta)
     return VerificationReport(residual, tol, rmin, rmax, verify_asymptotic(z.phi1), count, delta)
 

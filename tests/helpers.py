@@ -7,8 +7,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qhlip.polyalg import BiPoly, UniPoly, _prem, cauchy_root_bound, square_free_part
+from qhlip.polyalg import (
+    BiPoly,
+    UniPoly,
+    _prem,
+    cauchy_root_bound,
+    count_roots_between,
+    interval_eval,
+    poly_gcd,
+    square_free_part,
+)
 from qhlip.qhdecide import QHPoly, validate_qh
+from qhlip.realalg import RealAlg
 
 
 def rand_unipoly(rng: random.Random, max_deg: int = 6, coeff_bound: int = 5) -> UniPoly:
@@ -146,6 +156,57 @@ def brute_force_real_root_count(p: UniPoly) -> int:
         if cur == last:
             return cur
         last = cur
+
+
+# ---------------------------------------------------------------------------
+# Reference zero and equality tests: a Sturm count of a gcd on a box
+# ---------------------------------------------------------------------------
+
+
+def _halved(a: RealAlg) -> RealAlg:
+    """The half of an irrational a's box that holds it, or a itself as the
+    rational midpoint."""
+    D, mid = a.defpoly, (a.lo + a.hi) / 2
+    s = D.sign_at(mid)
+    if s == 0:
+        return RealAlg.from_rational(mid)
+    return RealAlg(D, mid, a.hi) if s == D.sign_at(a.lo) else RealAlg(D, a.lo, mid)
+
+
+def gcd_count_sign_at(p: UniPoly, a: RealAlg) -> int:
+    """sign(p(a)): zero when gcd(defpoly, p) has one root in a's box by a
+    Sturm count, else read from p's interval extension over a's box halved
+    until it excludes 0."""
+    if a.is_rational:
+        return p.sign_at(a.lo)
+    g = poly_gcd(a.defpoly, p)
+    if g.degree >= 1 and count_roots_between(g, a.lo, a.hi) == 1:
+        return 0
+    while not a.is_rational:
+        p_lo, p_hi = interval_eval(p, a.lo, a.hi)
+        if p_lo > 0 or p_hi < 0:
+            return 1 if p_lo > 0 else -1
+        a = _halved(a)
+    return p.sign_at(a.lo)
+
+
+def gcd_count_compare(a: RealAlg, b: RealAlg) -> int:
+    """sign(a - b): equal when gcd(Da, Db) has one root on the overlap of the
+    boxes by a Sturm count, else ordered by halving both boxes until they
+    part."""
+    if a.is_rational or b.is_rational:
+        if a.is_rational:
+            return -gcd_count_sign_at(UniPoly((-a.lo, 1)), b)
+        return gcd_count_sign_at(UniPoly((-b.lo, 1)), a)
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    g = poly_gcd(a.defpoly, b.defpoly)
+    if lo < hi and g.degree >= 1 and count_roots_between(g, lo, hi) == 1:
+        return 0
+    while a.hi > b.lo and b.hi > a.lo:
+        a, b = _halved(a), _halved(b)
+        if a.is_rational or b.is_rational:
+            return gcd_count_compare(a, b)
+    return -1 if a.hi <= b.lo else 1
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ def _cache_entries() -> list[tuple[str, str]]:
 
 #: ops of one traced pass per gated workload at seed 1; each count reaches
 #: every layer in run.py's EXPECTED_LAYERS (the generated cases depend on the
-#: count, so a nearby count may miss one, as 5 ops of oracle1d miss refine)
-TRACE_OPS = {"oracle1d": 8, "decide2d": 6, "hpscan": 1, "hpwitness": 1}
+#: count, so a nearby count may miss one, as 5 ops of oracle1d and 6 ops of
+#: decide2d miss refine)
+TRACE_OPS = {"oracle1d": 8, "decide2d": 7, "hpscan": 1, "hpwitness": 1}
 
 
 spans = _load_spans()

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhlip import polyalg, realalg
 from qhlip.lipclass import (
     CritData,
     Orientation,
@@ -13,6 +14,7 @@ from qhlip.lipclass import (
     multiplicity_at,
     similar,
 )
+from qhlip.parser import parse_uni
 from qhlip.polyalg import UniPoly
 from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
 
@@ -313,3 +315,37 @@ class TestClassifyPair:
         p = v.pairings[0]
         assert p.orientation is Orientation.DECREASING
         assert p.c_set.is_unique and p.c_set.c == ra(1)
+
+
+class TestPinnedPairs:
+    def test_complex_critical_values_do_not_scale(self):
+        # real critical values +-4 and +-14, so c = 7/2; the complex ones,
+        # +-4i and +-48i, are not in ratio c, so a test on all roots of
+        # Res_t(f'(t), y - f(t)) would refute this pair
+        v = classify_pair(P(0, -5, 0, 0, 0, 1), P(0, -20, 0, 5, 0, 1))
+        assert v.equivalent
+        (p,) = v.pairings
+        assert p.orientation is Orientation.INCREASING
+        assert p.c_set.is_unique and p.c_set.c == ra(F(7, 2))
+
+    def test_shared_defpoly_self_pair_builds_no_large_sturm_chain(self, monkeypatch):
+        # the five critical values share one defpoly of degree 7, so the
+        # ratios' product defpoly has degree 43; certifying a ratio needs no
+        # Sturm chain of it
+        f = parse_uni("t^8 + 3*t^7 - 12345*t^5 + 67890*t^3 - 4321*t + 17")
+        degrees = []
+        chain = polyalg.sturm_sequence
+
+        def counted(p):
+            degrees.append(p.degree)
+            return chain(p)
+
+        for cache in (chain, realalg._count_pair, critical_data):
+            cache.cache_clear()
+        monkeypatch.setattr(polyalg, "sturm_sequence", counted)
+        v = classify_pair(f, f)
+        assert v.equivalent
+        (p,) = v.pairings
+        assert p.orientation is Orientation.INCREASING
+        assert p.c_set.is_unique and p.c_set.c == ra(1)
+        assert degrees and max(degrees) <= 7

@@ -29,6 +29,8 @@ from helpers import (
     brute_force_real_root_count,
     frac_root_bracket,
     frac_simplest_between,
+    gcd_count_compare,
+    gcd_count_sign_at,
     rand_nonzero_rational,
     rand_unipoly,
 )
@@ -85,6 +87,25 @@ class TestIsolation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             isolate_real_roots(UniPoly())
+
+    def test_root_of_a_linear_defpoly_is_rational(self):
+        # the probes stop at 3 on (-7, 7), so the box (3, 7) is left
+        (six,) = isolate_real_roots(P(-6, 1))
+        assert six.is_rational and six.lo == 6
+
+    def test_stripping_a_zero_root_to_a_linear_defpoly_gives_a_rational(self):
+        six = realalg._avoid_zero(RealAlg(P(0, -6, 1), F(3), F(7)))
+        assert six.is_rational and six.lo == 6
+
+    @pytest.mark.parametrize("lo, hi", [(F(-1), F(2)), (F(-1, 3), F(2, 3))])
+    def test_zero_in_interval_form(self, lo, hi):
+        # bisection from these boxes never lands on 0
+        zero = RealAlg(P(0, -5, 1), lo, hi)
+        assert zero.sign() == 0
+        product = zero * sqrt2()
+        assert product.is_rational and product.lo == 0
+        with pytest.raises(ZeroDivisionError):
+            sqrt2() / zero
 
 
 class TestCompare:
@@ -168,8 +189,8 @@ class TestSignAt:
         realalg._count_pair.cache_clear()
         assert sign_at(P(-3, 1), a) == -1  # gcd 1: no count at all
         assert calls == []
-        assert sign_at(P(-2, 0, 1) * P(-17, 10), a) == 1  # the gcd's one count
-        assert len(calls) == 1
+        assert sign_at(P(-2, 0, 1) * P(-17, 10), a) == 1  # the gcd keeps its sign
+        assert calls == []
 
 
 class TestEvalAlg:
@@ -711,6 +732,54 @@ class TestSignAtProperty:
         assume(not a.is_rational)
         p = (UniPoly(coeffs) * q1 if share else UniPoly(coeffs)) + UniPoly((eps,))
         assert sign_at(p, a) == eval_alg(p, a).sign()
+
+
+@st.composite
+def int_polys(draw, max_degree):
+    """An integer polynomial of degree 1 to max_degree."""
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=max_degree + 1))
+    assume(coeffs[-1] != 0)
+    return UniPoly(coeffs)
+
+
+class TestCertification:
+    def test_sign_change_over_three_roots_is_refused(self):
+        D = P(-1, 1) * P(-2, 1) * P(-3, 1)  # D(0) < 0 < D(4), D' has two roots inside
+        assert realalg._try_make(D, F(0), F(4)) is None
+        assert realalg._try_make(D, F(29, 10), F(31, 10)).lo == 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        int_polys(6),
+        st.fractions(-5, 5, max_denominator=8),
+        st.fractions(F(1, 8), 6, max_denominator=8),
+    )
+    def test_accepted_box_holds_one_root(self, p, lo, width):
+        # the Sturm count is the reference for the monotonicity test
+        D, hi = square_free_part(p), lo + width
+        made = realalg._try_make(D, lo, hi)
+        if made is None:
+            return
+        assert count_roots_between(D, lo, hi) == 1
+        assert lo <= made.lo <= made.hi <= hi and (made.is_rational or made.lo < made.hi)
+        assert sign_at(D, made) == 0
+
+
+class TestGcdSignChangeProperty:
+    """sign_at and compare decide zero and equality by a sign change of a
+    gcd; the reference counts the gcd's roots in the box."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(int_polys(3), int_polys(3), int_polys(2), st.booleans())
+    def test_sign_at_and_compare_match_gcd_count(self, p, q, shared, share):
+        if share:
+            p, q = p * shared, q * shared
+        roots_q = isolate_real_roots(q)
+        for a in isolate_real_roots(p):
+            assert sign_at(q, a) == gcd_count_sign_at(q, a)
+            for b in roots_q:
+                assert compare(a, b) == gcd_count_compare(a, b)
+                assert compare(b, a) == gcd_count_compare(b, a)
 
 
 class TestFieldLawsProperty:

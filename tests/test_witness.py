@@ -149,7 +149,7 @@ class TestVerify:
         assert out["conjugacy_pass"] == (rep.max_rel_residual <= rep.tol)
         assert 0 < rep.max_rel_residual
         assert not dataclasses.replace(rep, tol=rep.max_rel_residual / 2).conjugacy_pass
-        # 4000 samples give x_count = 4000 // (2 * T_COUNT) = 20
+        # 4000 samples give x_count = ceil((4000 - T_COUNT) / (2 * T_COUNT)) = 20
         assert out["samples"] == 2 * 20 * T_COUNT + T_COUNT
         assert out["delta"] == 1.0 and out["tol"] == 1e-8
         # the CLI renders exactly this report
@@ -161,6 +161,15 @@ class TestVerify:
         a, b = hp(-1), hp(-2)
         rep = verify(a, b, decide(a, b).certificate.zygothety, 1, 0.5, 1e-8)
         assert rep.samples == 3 * T_COUNT and rep.delta == 0.5
+
+    @pytest.mark.parametrize("asked", [1, 300, 301, 10000, 10101])
+    def test_grid_is_the_smallest_holding_the_asked_count(self, asked):
+        a, b = hp(-1), hp(-2)
+        got = verify(a, b, decide(a, b).certificate.zygothety, asked, 1.0, 1e-8).samples
+        # the grid holds (2 * x_count + 1) * T_COUNT points
+        x_count, rest = divmod(got - T_COUNT, 2 * T_COUNT)
+        assert rest == 0 and got >= asked
+        assert x_count == 1 or got - 2 * T_COUNT < asked
 
 
 class TestVerifyLipschitz:
