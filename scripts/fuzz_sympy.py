@@ -44,7 +44,10 @@ Compares, on seeded random inputs:
   to 30 digits.  Where g is so flat that float evaluation cannot tell g
   from y over a wider interval, |g(u) - y| must instead be within Horner's
   rounding bound gamma_2n * sum |c_i| |u|^i (exact); the last line counts
-  these ill-conditioned inversions.
+  these ill-conditioned inversions;
+* the batch path ``BranchMap.eval_floats`` on three values of one branch of
+  g, sorted and then shuffled with a repeat (each preimage starts from the
+  one before it): every preimage by the same criterion as above.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -57,6 +60,7 @@ Exits 1 on the first mismatch, 0 when every case agrees.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -68,7 +72,7 @@ from fractions import Fraction
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
-from qhlip.zygothety import _invert_on_branch
+from qhlip.zygothety import BranchMap, _invert_on_branch
 
 X, T = sympy.symbols("x t")
 
@@ -287,26 +291,32 @@ def check_images(rng: random.Random) -> str | None:
     return None
 
 
-def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
-    crits = [c.to_float() for c in critical_data(g).points]
-    p = len(crits)
-    j = rng.randint(0, p)
-    s = rng.randint(1, 63) / 64
-    lo = crits[j - 1] if j >= 1 else -math.inf
-    hi = crits[j] if j < p else math.inf
+def branch_point(rng: random.Random, crits: list[float], j: int) -> float:
+    """A float inside the j-th branch between the critical points."""
+    p, s = len(crits), rng.randint(1, 63) / 64
     if p == 0:
-        u0 = 16 * s - 8
-    elif j == 0:
-        u0 = hi - 8 * s
-    elif j == p:
-        u0 = lo + 8 * s
-    else:
-        u0 = lo + s * (hi - lo)
-    y = float(g(Fraction(u0)))
-    u = _invert_on_branch(g, crits, j, y)
+        return 16 * s - 8
+    if j == 0:
+        return crits[0] - 8 * s
+    if j == p:
+        return crits[-1] + 8 * s
+    return crits[j - 1] + s * (crits[j] - crits[j - 1])
+
+
+@functools.lru_cache(maxsize=None)
+def roots_between(g: UniPoly, lo: float, hi: float, y: float) -> tuple[sympy.Float, ...]:
+    """sympy's real roots of g - y in [lo, hi], to 30 digits."""
     Y = Fraction(y)
     roots = sympy.real_roots(uni_expr(g, T) - sympy.Rational(Y.numerator, Y.denominator))
-    inside = [r.evalf(30) for r in roots if lo <= r.evalf(30) <= hi]
+    return tuple(r.evalf(30) for r in roots if lo <= r.evalf(30) <= hi)
+
+
+def check_preimage(g: UniPoly, crits: list[float], j: int, y: float, u: float, flat: list[int]) -> str | None:
+    """u against the root of g - y that sympy puts in the j-th branch."""
+    lo = crits[j - 1] if j >= 1 else -math.inf
+    hi = crits[j] if j < len(crits) else math.inf
+    Y = Fraction(y)
+    inside = roots_between(g, lo, hi, y)
     if len(set(inside)) != 1:
         return f"g = {g}, y = {y!r}: sympy finds {inside} on branch {j} ({lo}, {hi})"
     if abs(sympy.Float(u, 30) - inside[0]) <= 2e-15 * max(1.0, abs(u)):
@@ -316,7 +326,34 @@ def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | No
     if abs(g(U) - Y) <= gamma * sum(abs(c) * abs(U) ** i for i, c in enumerate(g.coeffs)):
         flat.append(1)
         return None
-    return f"_invert_on_branch({g}, {crits}, {j}, {y!r}) = {u!r}, sympy {inside[0]}"
+    return f"preimage of {y!r} under {g} on branch {j} of {crits}: {u!r}, sympy {inside[0]}"
+
+
+def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
+    crits = [c.to_float() for c in critical_data(g).points]
+    j = rng.randint(0, len(crits))
+    y = float(g(Fraction(branch_point(rng, crits, j))))
+    return check_preimage(g, crits, j, y, _invert_on_branch(g, crits, j, y), flat)
+
+
+def check_batch_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
+    """BranchMap.eval_floats on values of one branch of g, sorted and then
+    shuffled with a repeat: a BranchMap whose f is t itself and whose cut
+    points for f put every value on branch j inverts g there."""
+    points = critical_data(g).points
+    crits = [c.to_float() for c in points]
+    j = rng.randint(0, len(crits))
+    ys = sorted(float(g(Fraction(branch_point(rng, crits, j)))) for _ in range(3))
+    far = [RealAlg.from_rational(-(10**30))] * j + [RealAlg.from_rational(10**30)] * (len(crits) - j)
+    inverse = BranchMap(RealAlg.from_rational(1), True, UniPoly([0, 1]), g, far, points)
+    shuffled = ys + [ys[0]]
+    rng.shuffle(shuffled)
+    for batch in (ys, shuffled):
+        for y, u in zip(batch, inverse.eval_floats(batch)):
+            problem = check_preimage(g, crits, j, y, u, flat)
+            if problem:
+                return problem
+    return None
 
 
 def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
@@ -334,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
+    # the batch check draws from its own generator, so that the other
+    # checks see the inputs they saw before it was added
+    batch_rng = random.Random(f"batch {args.seed}")
     flat: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
@@ -345,6 +385,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_floats(p)
             or check_compare(*rand_pair(rng))
             or check_inversion(rng, p, flat)
+            or check_batch_inversion(batch_rng, p, flat)
             or check_big_gcd(*rand_big_pair(rng))
             or check_images(rng)
         )

@@ -200,7 +200,10 @@ def cmd_witness(args) -> int:
         raise CliError(f"--samples above {MAX_SAMPLES}", "input_too_large")
     F, G, verdict, out = _classify2(args)
     if verdict.kind == VerdictKind.EQUIVALENT:
-        rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
+        try:
+            rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
+        except OverflowError as exc:
+            raise CliError(f"--delta {args.delta!r} overflows the float witness check: {exc}", "input_too_large")
         out["report"] = jsonio.report_json(rep)
         _emit(out)
         return EXIT_EQUIVALENT if rep.conjugacy_pass else EXIT_ERROR

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 from .qhdecide import QHPoly
@@ -45,10 +46,10 @@ class VerificationReport:
 
 class InverseBetaTransform:
     """The plane map built fiberwise from a beta-regular zygothety; beta,
-    lam1, lam2 and axis_slope (|lam_i|^beta * L_i, the slope the vertical
-    axis moves by) are floats."""
+    lam1, lam2, lam1_beta, lam2_beta (|lam_i|^beta) and axis_slope
+    (|lam_i|^beta * L_i, the slope the vertical axis moves by) are floats."""
 
-    __slots__ = ("z", "beta", "lam1", "lam2", "axis_slope")
+    __slots__ = ("z", "beta", "lam1", "lam2", "lam1_beta", "lam2_beta", "axis_slope")
 
     def __init__(self, z: Zygothety, r: int, s: int):
         if not is_beta_regular(z, r, s):
@@ -57,17 +58,20 @@ class InverseBetaTransform:
         self.beta = r / s
         self.lam1 = z.lam1.to_float()
         self.lam2 = z.lam2.to_float()
+        self.lam1_beta = abs(self.lam1) ** self.beta
+        self.lam2_beta = abs(self.lam2) ** self.beta
         # |lam1|^beta * L1 == |lam2|^beta * L2; float both sides and average
         # out the last-bit disagreement for the axis slope
-        v1 = abs(self.lam1) ** self.beta * z.phi1.limit_slope().to_float()
-        v2 = abs(self.lam2) ** self.beta * z.phi2.limit_slope().to_float()
+        v1 = self.lam1_beta * z.phi1.limit_slope().to_float()
+        v2 = self.lam2_beta * z.phi2.limit_slope().to_float()
         self.axis_slope = 0.5 * (v1 + v2)
 
     def on_fiber(self, x: float, ax_b: float, phi_t: float) -> tuple[float, float]:
         """The image of a point (x, t * ax_b) with x != 0 and ax_b = |x|^beta,
         given phi_t, the fiber parameter t pushed through x's map."""
-        lam = self.lam1 if x > 0.0 else self.lam2
-        return (lam * x, abs(lam) ** self.beta * phi_t * ax_b)
+        if x > 0.0:
+            return (self.lam1 * x, self.lam1_beta * phi_t * ax_b)
+        return (self.lam2 * x, self.lam2_beta * phi_t * ax_b)
 
     def eval(self, point: tuple[float, float]) -> tuple[float, float]:
         x, y = point
@@ -120,45 +124,59 @@ def verify_conjugacy(
             for t, phi_t in zip(ts, phi_vals):
                 px, py = T.on_fiber(x, ax_b, phi_t)
                 fv = fp.eval_float(x, t * ax_b)
-                gv = gp.eval_float(px, py)
-                err = abs(gv - fv) / max(1.0, abs(fv))
-                worst = max(worst, err)
+                afv = abs(fv)
+                err = abs(gp.eval_float(px, py) - fv) / (afv if afv > 1.0 else 1.0)
+                if not err <= worst:
+                    worst = _finite(err, (x, t * ax_b))
     for y in ts:
         px, py = T.eval((0.0, y))
         fv = fp.eval_float(0.0, y)
-        gv = gp.eval_float(px, py)
-        worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
+        err = abs(gp.eval_float(px, py) - fv) / max(1.0, abs(fv))
+        if not err <= worst:
+            worst = _finite(err, (0.0, y))
     return worst, (2 * len(xs) + 1) * T_COUNT
 
 
+def _finite(v: float, point: tuple[float, float]) -> float:
+    """A residual or ratio v of the sample at point; an infinity or a NaN,
+    which no comparison would keep, raises OverflowError."""
+    if not math.isfinite(v):
+        raise OverflowError(f"the float witness check reached {v!r} at {point!r}")
+    return v
+
+
 def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
-    """Empirical bi-Lipschitz ratios over random point pairs in the strip."""
+    """Empirical bi-Lipschitz ratios over random point pairs in the strip.
+    All pairs are drawn first; each map then takes the fiber parameters of
+    its half-plane in one eval_floats call, and the ratios go in draw order."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = random.Random(LIPSCHITZ_SEED)
     beta = T.beta
-
-    def sample_point() -> tuple[float, float]:
+    n = 2 * LIPSCHITZ_SAMPLES
+    xs, ys = array("d"), array("d")
+    for _ in range(n):
         x = 0.0
         while abs(x) < 1e-9:
             x = rng.uniform(-delta, delta)
-        t = rng.uniform(-T_WINDOW, T_WINDOW)
-        return (x, t * abs(x) ** beta)
-
+        xs.append(x)
+        ys.append(rng.uniform(-T_WINDOW, T_WINDOW) * abs(x) ** beta)
+    ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
+    for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):
+        side = array("l", (k for k in range(n) if (xs[k] > 0.0) == upper))
+        # each fiber parameter and |x|^beta as T.eval computes them
+        ts = array("d", (ys[k] / abs(xs[k]) ** beta for k in side))
+        for k, u in zip(side, phi.eval_floats(ts)):
+            ix[k], iy[k] = T.on_fiber(xs[k], abs(xs[k]) ** beta, u)
     ratio_min = float("inf")
     ratio_max = 0.0
-    for _ in range(LIPSCHITZ_SAMPLES):
-        p = sample_point()
-        q = sample_point()
-        dx, dy = p[0] - q[0], p[1] - q[1]
+    for k in range(0, n, 2):
+        dx, dy = xs[k] - xs[k + 1], ys[k] - ys[k + 1]
         dist = (dx * dx + dy * dy) ** 0.5
         if dist < 1e-12:
             continue
-        ip = T.eval(p)
-        iq = T.eval(q)
-        dix, diy = ip[0] - iq[0], ip[1] - iq[1]
-        idist = (dix * dix + diy * diy) ** 0.5
-        ratio = idist / dist
+        dix, diy = ix[k] - ix[k + 1], iy[k] - iy[k + 1]
+        ratio = _finite((dix * dix + diy * diy) ** 0.5 / dist, (xs[k], ys[k]))
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
     return (ratio_min, ratio_max)
@@ -182,8 +200,9 @@ def verify_asymptotic(m: PLMap) -> tuple[float, float, float, float, float]:
         (m.eval_float(_SHELL_OUTER) - lam * _SHELL_OUTER)
         + (m.eval_float(-_SHELL_OUTER) + lam * _SHELL_OUTER)
     )
+    pts = _log_spaced(_SHELL_INNER, _SHELL_OUTER, _SHELL_POINTS)
     tail = 0.0
-    for t in _shell_points(_SHELL_INNER, _SHELL_OUTER):
+    for t in pts + [-t for t in pts]:
         tail = max(tail, abs(m.eval_float(t) - lam * t - k_est))
     return (lam, k_est, tail, *asymptotic_shell_decay(m, lam, k_est))
 
@@ -200,8 +219,3 @@ def asymptotic_shell_decay(m: PLMap, lam: float, k_est: float) -> tuple[float, f
         return worst
 
     return (shell_max(_SHELL_INNER), shell_max(_SHELL_OUTER))
-
-
-def _shell_points(inner: float, outer: float) -> list[float]:
-    pts = _log_spaced(inner, outer, _SHELL_POINTS)
-    return pts + [-t for t in pts]

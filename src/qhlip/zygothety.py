@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from .lipclass import Orientation, critical_data
@@ -30,6 +32,9 @@ class PLMap:
 
     def eval_float(self, t: float) -> float:
         raise NotImplementedError
+
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        return [self.eval_float(t) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,34 @@ class BranchMap(PLMap):
         y = cflt * self.f.eval_float(t)
         return _invert_on_branch(self.g, cg, j, y)
 
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        """eval_float at each of ts: the values of one branch are inverted in
+        the order of their preimages, each from the one before (near)."""
+        cflt, cf, cg = self._floats()
+        p, g, cs = len(cf), self.g, self.crits_g
+        js = [bisect.bisect_left(cf, t) for t in ts]
+        js = js if self.increasing else [p - i for i in js]
+        ys = array("d", (cflt * self.f.eval_float(t) for t in ts))
+        # g rises on a branch where g' > 0 at a rational inside it: between the
+        # isolating boxes of its critical ends, or one past the outer box
+        inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
+        rising = [g.derivative().sign_at(q) > 0 for q in inner]
+        keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
+        out, near = [0.0] * len(ts), [None] * (p + 1)
+        for k in sorted(range(len(ts)), key=keys.__getitem__):
+            out[k] = near[js[k]] = _invert_on_branch(g, cg, js[k], ys[k], near[js[k]])
+        return out
 
-def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
+
+def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
     """Solve g(u) = y for u in the j-th branch interval.
 
     Brackets the root by signs, then iterates Newton safeguarded by
     bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
-    section 9.4), with g and g' from one Horner pass per iterate.
+    section 9.4), with g and g' from one Horner pass per iterate.  A point
+    `near` of the branch at or below the preimage (that of a value before y
+    in the branch's order) is the bracket's lower end, and Newton's step
+    from it is the first iterate.
     """
     p = len(crit_floats)
     if p == 0:
@@ -129,7 +155,14 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
         hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
         unbounded_lo = j == 0
         unbounded_hi = j == p
-    flo = g.eval_float(lo) - y
+    d_lo = 0.0
+    if near is None:
+        flo = g.eval_float(lo) - y
+    else:
+        lo, unbounded_lo = near, False
+        hi = max(hi, near + 1.0) if unbounded_hi else hi
+        flo, d_lo = g.eval_float_d(lo)
+        flo -= y
     fhi = g.eval_float(hi) - y
     step = max(1.0, abs(lo), abs(hi))
     for _ in range(600):
@@ -161,6 +194,8 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) ->
     # and would keep the wrong half
     lo_negative = flo < 0.0
     x = 0.5 * (lo + hi)
+    if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
+        x = lo - flo / d_lo
     last_dx = hi - lo
     for _ in range(200):
         v, d = g.eval_float_d(x)
@@ -208,6 +243,9 @@ class Neg(PLMap):
     def eval_float(self, t: float) -> float:
         return -self.inner.eval_float(t)
 
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        return [-u for u in self.inner.eval_floats(ts)]
+
 
 @dataclass(frozen=True)
 class NegConj(PLMap):
@@ -223,6 +261,9 @@ class NegConj(PLMap):
 
     def eval_float(self, t: float) -> float:
         return -self.inner.eval_float(-t)
+
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        return [-u for u in self.inner.eval_floats([-t for t in ts])]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,15 @@ from qhlip.polyalg import (
 )
 from qhlip.qhdecide import QHPoly, validate_qh
 from qhlip.realalg import RealAlg
+from qhlip.witness import (
+    LIPSCHITZ_SAMPLES,
+    LIPSCHITZ_SEED,
+    T_COUNT,
+    T_WINDOW,
+    X_MIN,
+    InverseBetaTransform,
+    _log_spaced,
+)
 
 
 def rand_unipoly(rng: random.Random, max_deg: int = 6, coeff_bound: int = 5) -> UniPoly:
@@ -416,3 +425,77 @@ def ref_interval_eval(a, lo, hi) -> tuple[Fraction, Fraction]:
         cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(cands) + c, max(cands) + c
     return alo, ahi
+
+
+def ref_on_fiber(T: InverseBetaTransform, x: float, ax_b: float, phi_t: float) -> tuple[float, float]:
+    """The fiber formula with |lam|^beta taken at each point."""
+    lam = T.lam1 if x > 0.0 else T.lam2
+    return (lam * x, abs(lam) ** T.beta * phi_t * ax_b)
+
+
+def ref_eval_transform(T: InverseBetaTransform, point: tuple[float, float]) -> tuple[float, float]:
+    """The inverse beta-transform at one point, through ref_on_fiber."""
+    x, y = point
+    if x == 0.0:
+        return (0.0, T.axis_slope * y)
+    phi = T.z.phi1 if x > 0.0 else T.z.phi2
+    ax_b = abs(x) ** T.beta
+    return ref_on_fiber(T, x, ax_b, phi.eval_float(y / ax_b))
+
+
+def ref_verify_conjugacy(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float) -> float:
+    """The conjugacy residual as the point-by-point loop with a running max()
+    computes it: the reference for witness.verify_conjugacy."""
+    fp, gp = F.poly, G.poly
+    xs = _log_spaced(X_MIN, delta, x_count)
+    step = 2 * T_WINDOW / (T_COUNT - 1)
+    ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
+    worst = 0.0
+    for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
+        phi_vals = [phi.eval_float(t) for t in ts]
+        for xi in xs:
+            x = sgn * xi
+            ax_b = xi**T.beta
+            for t, phi_t in zip(ts, phi_vals):
+                px, py = ref_on_fiber(T, x, ax_b, phi_t)
+                fv = fp.eval_float(x, t * ax_b)
+                gv = gp.eval_float(px, py)
+                worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
+    for y in ts:
+        px, py = ref_eval_transform(T, (0.0, y))
+        fv = fp.eval_float(0.0, y)
+        gv = gp.eval_float(px, py)
+        worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
+    return worst
+
+
+def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
+    """The Lipschitz ratios with each pair drawn and mapped one point at a
+    time (scalar eval_float, cold inversions): the reference for
+    witness.verify_lipschitz, which draws the same pairs."""
+    rng = random.Random(LIPSCHITZ_SEED)
+
+    def sample_point() -> tuple[float, float]:
+        x = 0.0
+        while abs(x) < 1e-9:
+            x = rng.uniform(-delta, delta)
+        t = rng.uniform(-T_WINDOW, T_WINDOW)
+        return (x, t * abs(x) ** T.beta)
+
+    ratio_min = float("inf")
+    ratio_max = 0.0
+    for _ in range(LIPSCHITZ_SAMPLES):
+        p = sample_point()
+        q = sample_point()
+        dx, dy = p[0] - q[0], p[1] - q[1]
+        dist = (dx * dx + dy * dy) ** 0.5
+        if dist < 1e-12:
+            continue
+        ip = ref_eval_transform(T, p)
+        iq = ref_eval_transform(T, q)
+        dix, diy = ip[0] - iq[0], ip[1] - iq[1]
+        idist = (dix * dix + diy * diy) ** 0.5
+        ratio = idist / dist
+        ratio_min = min(ratio_min, ratio)
+        ratio_max = max(ratio_max, ratio)
+    return (ratio_min, ratio_max)

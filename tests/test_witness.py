@@ -1,18 +1,24 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from qhlip import cli
 from qhlip.cli import main
+from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import decide, validate_qh
 from qhlip.realalg import RealAlg
 from qhlip.jsonio import report_json
 from qhlip.witness import (
+    LIPSCHITZ_SEED,
     T_COUNT,
+    T_WINDOW,
     InverseBetaTransform,
     verify,
     verify_asymptotic,
@@ -21,7 +27,10 @@ from qhlip.witness import (
 )
 from qhlip.zygothety import Affine, BranchMap, Zygothety, identity, inverse
 
-from helpers import rand_qhpoly
+from helpers import rand_qhpoly, ref_verify_conjugacy, ref_verify_lipschitz
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def ra(x):
@@ -278,3 +287,105 @@ class TestBranchInversionAtCriticalEnd:
         assert code == 0
         assert report["conjugacy_pass"]
         assert report["max_rel_residual"] < 1e-12
+
+
+def hpwitness_pairs(n: int) -> list[tuple]:
+    """The first n pairs of the benchmark's hpwitness workload (seed 20240904)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = gen.stream("hpwitness", 20240904)
+    return [tuple(validate_qh(parse_bi(text), 2, 1) for text in gen.hpwitness_case(rng)) for _ in range(n)]
+
+
+def reference_pairs() -> list[tuple]:
+    """The equivalent pairs this file verifies, and six hpwitness pairs."""
+    a = hp(1)
+    pairs = [(hp(-1), hp(-2)), (hp(-1), hp(-3)), (a, a), (a, validate_qh(a.poly.scale_vars(F(1), F(-1)), 2, 1))]
+    return pairs + hpwitness_pairs(6)
+
+
+class TestAgainstReferenceLoops:
+    """verify_conjugacy and verify_lipschitz against the point-by-point loops
+    in tests/helpers.py: the hoisted constants keep every residual bit, and
+    the batch inversion moves the ratios by rounding only."""
+
+    @pytest.fixture(scope="class")
+    def transforms(self):
+        out = []
+        for a, b in reference_pairs():
+            v = decide(a, b)
+            assert v.kind == "equivalent"
+            out.append((a, b, InverseBetaTransform(v.certificate.zygothety, 2, 1)))
+        return out
+
+    def test_residual_is_the_reference_residual(self, transforms):
+        for a, b, T in transforms:
+            assert verify_conjugacy(a, b, T, 20, 1.0)[0] == ref_verify_conjugacy(a, b, T, 20, 1.0)
+
+    def test_ratios_match_the_reference_ratios(self, transforms):
+        for _, _, T in transforms:
+            for got, want in zip(verify_lipschitz(T, 1.0), ref_verify_lipschitz(T, 1.0)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class BadAt(Affine):
+    """t -> t, except the value `bad` at the fiber parameter `at`."""
+
+    at: float = -T_WINDOW
+    bad: float = math.nan
+
+    def eval_float(self, t: float) -> float:
+        return self.bad if t == self.at else super().eval_float(t)
+
+
+def bad_zygothety(**kw) -> Zygothety:
+    m = BadAt(F(1), F(0), **kw)
+    return Zygothety(ra(1), ra(1), m, m)
+
+
+def first_lipschitz_parameter(delta: float, beta: float) -> float:
+    """The fiber parameter of the first point verify_lipschitz draws."""
+    rng = random.Random(LIPSCHITZ_SEED)
+    x = 0.0
+    while abs(x) < 1e-9:
+        x = rng.uniform(-delta, delta)
+    ax_b = abs(x) ** beta
+    return rng.uniform(-T_WINDOW, T_WINDOW) * ax_b / ax_b
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteSamples:
+    """A NaN or an infinity in one sample must not be dropped by a
+    comparison, nor reach the JSON report."""
+
+    def test_conjugacy_sample_raises(self, bad):
+        with pytest.raises(OverflowError):
+            verify(hp(1), hp(1), bad_zygothety(bad=bad), 300, 1.0, 1e-8)
+
+    def test_lipschitz_sample_raises(self, bad):
+        z = bad_zygothety(at=first_lipschitz_parameter(1.0, 2.0), bad=bad)
+        T = InverseBetaTransform(z, 2, 1)
+        assert verify_conjugacy(hp(1), hp(1), T, 1, 1.0)[0] == 0.0
+        with pytest.raises(OverflowError):
+            verify_lipschitz(T, 1.0)
+
+    def test_cli_reports_input_too_large(self, bad, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify", lambda F, G, z, *rest: verify(F, G, bad_zygothety(bad=bad), *rest))
+        q = str(hp(1).poly)
+        assert main(["witness", q, q, "--beta", "2/1", "--samples", "300"]) == 3
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["code"] == "input_too_large"
+        assert "--delta" in err
+
+
+class TestHugeDelta:
+    def test_float_overflow_is_input_too_large(self, capsys):
+        args = ["witness", "X^6+3*X^4*Y+Y^3", "X^6+6*X^4*Y+Y^3", "--beta", "2/1", "--samples", "300"]
+        assert main(args + ["--delta", "1e51"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--delta", "3e51"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "input_too_large"
+        assert "--delta" in error["message"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -377,26 +378,55 @@ class TestInvertOnBranch:
 
 
 @st.composite
-def branch_inversions(draw):
-    """(g, critical point floats, branch j, y): an integer g of degree 1-7 and
-    y = g(u0) rounded to a float, for a float u0 inside the j-th branch."""
+def branch_polys(draw):
+    """(g, critical points, their floats, branch j): an integer g of degree
+    1-7 and one of the branches its critical points cut the line into."""
     deg = draw(st.integers(1, 7))
     coeffs = [draw(st.integers(-9, 9)) for _ in range(deg)]
     coeffs.append(draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1))))
     g = UniPoly(coeffs)
-    crits = [c.to_float() for c in critical_data(g).points]
+    points = critical_data(g).points
+    crits = [c.to_float() for c in points]
+    return g, points, crits, draw(st.integers(0, len(crits)))
+
+
+def point_on_branch(crits: list[float], j: int, s: float) -> float:
+    """The point a fraction s into the j-th branch, or 8 s past the critical
+    end of an unbounded branch (16 s - 8 when g has no critical point)."""
     p = len(crits)
-    j = draw(st.integers(0, p))
-    s = draw(st.integers(1, 63)) / 64
     if p == 0:
-        u0 = 16 * s - 8
-    elif j == 0:
-        u0 = crits[0] - 8 * s
-    elif j == p:
-        u0 = crits[-1] + 8 * s
-    else:
-        u0 = crits[j - 1] + s * (crits[j] - crits[j - 1])
+        return 16 * s - 8
+    if j == 0:
+        return crits[0] - 8 * s
+    if j == p:
+        return crits[-1] + 8 * s
+    return crits[j - 1] + s * (crits[j] - crits[j - 1])
+
+
+@st.composite
+def branch_inversions(draw):
+    """(g, critical point floats, branch j, y): y = g(u0) rounded to a float,
+    for a float u0 inside the j-th branch."""
+    g, _, crits, j = draw(branch_polys())
+    u0 = point_on_branch(crits, j, draw(st.integers(1, 63)) / 64)
     return g, crits, j, float(g(F(u0)))
+
+
+def assert_solves(g: UniPoly, crits: list[float], j: int, y: float, u: float) -> None:
+    """u is in the j-th branch, and g - y changes sign within the stopping
+    width of u (clipped to the branch, past whose ends g turns), or g(u) is
+    y up to Horner's rounding bound gamma_2n * sum |c_i| |u|^i; exact."""
+    lo = crits[j - 1] if j >= 1 else float("-inf")
+    hi = crits[j] if j < len(crits) else float("inf")
+    assert lo <= u <= hi
+    w = 2e-15 * max(1.0, abs(u))
+    U, Y = F(u), F(y)
+    a, b = F(max(u - w, lo)), F(min(u + w, hi))
+    changes_sign = (g(a) - Y) * (g(b) - Y) <= 0
+    unit = F(1, 2**53)
+    gamma = 2 * g.degree * unit / (1 - 2 * g.degree * unit)
+    bound = gamma * sum(abs(c) * abs(U) ** i for i, c in enumerate(g.coeffs))
+    assert changes_sign or abs(g(U) - Y) <= bound, (g, crits, j, y, u)
 
 
 class TestInvertOnBranchProperty:
@@ -404,18 +434,84 @@ class TestInvertOnBranchProperty:
     @given(branch_inversions())
     def test_solves_within_the_stopping_width_or_rounding(self, case):
         g, crits, j, y = case
-        u = _invert_on_branch(g, crits, j, y)
-        lo = crits[j - 1] if j >= 1 else float("-inf")
-        hi = crits[j] if j < len(crits) else float("inf")
-        assert lo <= u <= hi
-        # exact: g - y changes sign within the stopping width of u (clipped
-        # to the branch, past whose ends g turns), or g(u) is y up to
-        # Horner's rounding bound gamma_2n * sum |c_i| |u|^i
-        w = 2e-15 * max(1.0, abs(u))
-        U, Y = F(u), F(y)
-        a, b = F(max(u - w, lo)), F(min(u + w, hi))
-        changes_sign = (g(a) - Y) * (g(b) - Y) <= 0
-        unit = F(1, 2**53)
-        gamma = 2 * g.degree * unit / (1 - 2 * g.degree * unit)
-        bound = gamma * sum(abs(c) * abs(U) ** i for i, c in enumerate(g.coeffs))
-        assert changes_sign or abs(g(U) - Y) <= bound
+        assert_solves(g, crits, j, y, _invert_on_branch(g, crits, j, y))
+
+
+def branch_inverse(g: UniPoly, points, j: int) -> BranchMap:
+    """A BranchMap sending each value y (|y| < 1e30) to its preimage under g
+    on the j-th branch: f is t itself, and f's cut points put every value on
+    branch j."""
+    far = [ra(-(10**30))] * j + [ra(10**30)] * (len(points) - j)
+    return BranchMap(ra(1), True, UniPoly([0, 1]), g, far, points)
+
+
+@st.composite
+def branch_batches(draw):
+    """(g, critical point floats, branch j, values): values of g on its j-th
+    branch, in drawn order with repeats, with the values at the branch's
+    critical ends and a few ulps either side of them."""
+    g, points, crits, j = draw(branch_polys())
+    fracs = draw(st.lists(st.integers(0, 64), min_size=1, max_size=16))
+    ys = [float(g(F(point_on_branch(crits, j, s / 64)))) for s in fracs]
+    ends = [crits[k] for k in (j - 1, j) if 0 <= k < len(crits)]
+    for c in ends if draw(st.booleans()) else []:
+        y = float(g(F(c)))
+        ys += [y, math.nextafter(y, math.inf), math.nextafter(math.nextafter(y, -math.inf), -math.inf)]
+    return g, points, crits, j, draw(st.permutations(ys))
+
+
+class TestBatchInversionProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_batches())
+    def test_every_warm_started_preimage_solves(self, case):
+        g, points, crits, j, ys = case
+        us = branch_inverse(g, points, j).eval_floats(ys)
+        assert len(us) == len(ys)
+        for y, u in zip(ys, us):
+            assert_solves(g, crits, j, y, u)
+
+
+def negative_pair_maps() -> list:
+    """phi1 of the certificates of three negative-parameter pairs of the
+    paper's family, whose heights have no critical point."""
+    return [decide(hp(a), hp(b)).certificate.zygothety.phi1 for a, b in ((-1, -2), (-3, F(-1, 2)), (F(-5, 4), -2))]
+
+
+class TestEvalFloatsProperty:
+    @pytest.fixture(scope="class")
+    def maps(self):
+        inner = negative_pair_maps()
+        assert all(isinstance(m, BranchMap) for m in inner)
+        return [w for m in inner for w in (m, Neg(m), NegConj(m))]
+
+    def test_empty_batch(self, maps):
+        for m in maps:
+            assert m.eval_floats([]) == []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ts=st.lists(st.integers(-4000, 4000).map(lambda k: k / 1000), max_size=40))
+    def test_batch_is_the_scalar_map(self, maps, ts):
+        ts = ts + ts[: len(ts) // 3]
+        for m in maps:
+            got = m.eval_floats(ts)
+            assert got == pytest.approx([m.eval_float(t) for t in ts], rel=1e-12, abs=1e-12)
+
+
+class TestClosureProperty:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(
+            st.fractions(min_value=F(-5), max_value=F(-1, 5), max_denominator=6),
+            st.fractions(min_value=F(-5), max_value=F(-1, 5), max_denominator=6),
+        )
+    )
+    def test_compose_with_inverse_is_regular_and_fixes_points(self, params):
+        v = decide(hp(params[0]), hp(params[1]))
+        assert v.kind == VerdictKind.EQUIVALENT
+        z = v.certificate.zygothety
+        w = compose(z, inverse(z))
+        assert is_beta_regular(w, 2, 1) and is_beta_regular(compose(inverse(z), z), 2, 1)
+        ts = [k / 8 for k in range(-40, 41, 3)]
+        for phi in (w.phi1, w.phi2):
+            for got in ([phi.eval_float(t) for t in ts], phi.eval_floats(ts)):
+                assert got == pytest.approx(ts, rel=1e-9, abs=1e-9)
