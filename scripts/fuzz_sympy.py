@@ -2,10 +2,10 @@
 
 Compares, on seeded random inputs:
 
-* ``polyalg.resultant`` on pairs of polynomials in t with integer or
-  rational coefficients in x against ``sympy.resultant`` (up to sign: for
-  example sympy gives ``resultant(t, t**3 + 1, t) == -1`` where the
-  Sylvester determinant, and qhlip, give 1);
+* ``polyalg.resultant`` on pairs of polynomials in t with integer
+  coefficients in x, given as integer rows, against ``sympy.resultant``
+  (up to sign: for example sympy gives ``resultant(t, t**3 + 1, t) == -1``
+  where the Sylvester determinant, and qhlip, give 1);
 * ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
   ``sympy.gcd`` and ``sympy.sqf_part``, both made monic, on pairs of
   rational polynomials that share a factor, sometimes a repeated one;
@@ -89,32 +89,29 @@ def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
     return p
 
 
-def rand_tpoly(rng: random.Random) -> tuple[UniPoly, ...]:
-    """Polynomial in t of degree 0-4, as its coefficients lowest power first,
-    each a polynomial in x of degree 0-2 whose coefficients are integers or,
-    a third of the time, fractions with denominators up to 6."""
+def rand_tpoly(rng: random.Random) -> tuple[list[int], ...]:
+    """Polynomial in t of degree 0-4, as the integer rows `resultant` takes:
+    its coefficients lowest power first, each a polynomial in x of degree
+    0-2 given by its integer coefficients, lowest power first."""
 
-    def value() -> Fraction:
-        return Fraction(rng.randint(-5, 5), 1 if rng.random() < 2 / 3 else rng.randint(2, 6))
+    def row() -> list[int]:
+        return [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
 
-    def coeff() -> UniPoly:
-        return UniPoly(value() for _ in range(rng.randint(1, 3)))
-
-    lead = coeff()
-    while lead.is_zero:
-        lead = coeff()
-    return tuple(coeff() for _ in range(rng.randint(0, 4))) + (lead,)
+    lead = row()
+    while not any(lead):
+        lead = row()
+    return tuple(row() for _ in range(rng.randint(0, 4))) + (lead,)
 
 
 def uni_expr(p: UniPoly, var: sympy.Symbol) -> sympy.Expr:
     return sum(sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(p.coeffs))
 
 
-def tpoly_expr(A: tuple[UniPoly, ...]) -> sympy.Expr:
-    return sum(uni_expr(c, X) * T**k for k, c in enumerate(A))
+def tpoly_expr(A: tuple[list[int], ...]) -> sympy.Expr:
+    return sum(c * X**i * T**k for k, row in enumerate(A) for i, c in enumerate(row))
 
 
-def check_resultant(A: tuple[UniPoly, ...], B: tuple[UniPoly, ...]) -> str | None:
+def check_resultant(A: tuple[list[int], ...], B: tuple[list[int], ...]) -> str | None:
     ours = uni_expr(resultant(A, B), X)
     theirs = sympy.resultant(tpoly_expr(A), tpoly_expr(B), T)
     if sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0:

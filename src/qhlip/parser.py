@@ -3,8 +3,12 @@
 Grammar: integers, rationals p/q, variables X and Y (bivariate) or t
 (univariate), operators + - * ^ with non-negative integer exponents, and
 parentheses.  Whitespace is ignored.  Other identifiers are parameters and
-must be bound to rationals before parsing.  Decimal literals are rejected;
-inputs are exact by contract.
+must be bound to rationals before parsing; binding a variable is an error.
+Decimal literals are rejected; inputs are exact by contract.
+
+Every input is built as a BiPoly.  parse_uni reads t as Y and returns the
+height F(1, t), by the substitution that qhdecide.heights makes, so both
+entry points share one set of limits.
 
 Every literal and every value built while parsing stays within MAX_DEGREE,
 MAX_TERMS and MAX_COEFF_BITS, and a product or power whose degree would exceed
@@ -18,15 +22,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from .polyalg import BiPoly, UniPoly
-
-Poly = Union[UniPoly, BiPoly]
+from .polyalg import BiPoly, RatLike, UniPoly
 
 #: largest (total) degree of any polynomial the parser builds
 MAX_DEGREE = 100
-#: most terms of any bivariate polynomial the parser builds; one that is
+#: most terms of any polynomial the parser builds; one in X, Y that is
 #: quasihomogeneous of degree at most MAX_DEGREE has at most this many
 MAX_TERMS = MAX_DEGREE + 1
 #: largest bit length of a numerator or denominator of any coefficient
@@ -55,21 +57,23 @@ def _int_literal(digits: str, position: int) -> int:
     return int(digits)
 
 
-def _degree(p: Poly) -> int:
-    if isinstance(p, UniPoly):
-        return p.degree
+def _degree(p: BiPoly) -> int:
     return max((i + j for i, j in p.terms), default=-1)
 
 
-def _coeff_bits(p: Poly) -> int:
-    coeffs = p.coeffs if isinstance(p, UniPoly) else p.terms.values()
-    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
+def _coeff_bits(p: BiPoly) -> int:
+    cs = p.terms.values()
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in cs), default=0)
 
 
-def _checked(p: Poly, position: int) -> Poly:
+def _const(c: RatLike) -> BiPoly:
+    return BiPoly({(0, 0): c})
+
+
+def _checked(p: BiPoly, position: int) -> BiPoly:
     if _degree(p) > MAX_DEGREE:
         raise InputTooLargeError(f"polynomial of degree above {MAX_DEGREE}", position)
-    if isinstance(p, BiPoly) and len(p.terms) > MAX_TERMS:
+    if len(p.terms) > MAX_TERMS:
         raise InputTooLargeError(f"polynomial of more than {MAX_TERMS} terms", position)
     if _coeff_bits(p) > MAX_COEFF_BITS:
         raise InputTooLargeError(f"coefficient above {MAX_COEFF_BITS} bits", position)
@@ -77,49 +81,39 @@ def _checked(p: Poly, position: int) -> Poly:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<dec>\d*\.)|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text))."""
     tokens = []
     pos = 0
     end = len(text.rstrip())
     while pos < end:
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if rest.startswith("."):
-                raise ParseError(
-                    "decimal literals are not supported; write an exact rational p/q",
-                    pos,
-                )
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            after = m.end()
-            if after < len(text) and text[after] == ".":
-                raise ParseError(
-                    "decimal literals are not supported; write an exact rational p/q",
-                    m.start("num"),
-                )
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "dec":
+            raise ParseError("decimal literals are not supported; write an exact rational p/q", at)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", at)
+        tokens.append((kind, m.group(kind), at))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Mapping[str, Poly], one: Poly,
-                 bindings: Mapping[str, Fraction]):
+    def __init__(self, text: str, variables: Mapping[str, BiPoly],
+                 bindings: Optional[Mapping[str, Fraction]]):
+        bindings = bindings or {}
+        for name in variables:
+            if name in bindings:
+                raise ParseError(f"cannot bind the variable {name!r}", 0)
         self.tokens = _tokenize(text)
         self.i = 0
-        self.variables = variables
-        self.one = one
-        self.bindings = bindings
+        self.names = {**{k: _const(v) for k, v in bindings.items()}, **variables}
         self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -136,7 +130,7 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
 
-    def nested(self, parse, pos: int) -> Poly:
+    def nested(self, parse, pos: int) -> BiPoly:
         """parse() one level deeper, inside a parenthesis or a prefix minus."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
@@ -145,14 +139,14 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def parse(self) -> Poly:
+    def parse(self) -> BiPoly:
         value = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return value
 
-    def expr(self) -> Poly:
+    def expr(self) -> BiPoly:
         value = self.term()
         while True:
             kind, val, pos = self.peek()
@@ -163,7 +157,7 @@ class _Parser:
             else:
                 return value
 
-    def term(self) -> Poly:
+    def term(self) -> BiPoly:
         value = self.unary()
         while True:
             kind, val, pos = self.peek()
@@ -180,14 +174,14 @@ class _Parser:
             else:
                 return value
 
-    def unary(self) -> Poly:
+    def unary(self) -> BiPoly:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
             return -self.nested(self.unary, pos)
         return self.power()
 
-    def power(self) -> Poly:
+    def power(self) -> BiPoly:
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -201,15 +195,9 @@ class _Parser:
             exp = _int_literal(val, pos)
             if _degree(base) * exp > MAX_DEGREE:
                 raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
-            out = self.one
-            if _degree(base) >= 1:
-                # at most MAX_DEGREE products, each by the (often sparse) base
-                for _ in range(exp):
-                    out = _checked(out * base, pos)
-                return out
-            # a constant, whose exponent can be large: square and multiply;
-            # each factor is a power of base of at most exp, so one above the
-            # limits means the result is too
+            # square and multiply; each factor is a power of base of at most
+            # exp, so one above the limits means the result is too
+            out = _const(1)
             while exp:
                 if exp & 1:
                     out = _checked(out * base, pos)
@@ -219,7 +207,7 @@ class _Parser:
             return out
         return base
 
-    def atom(self) -> Poly:
+    def atom(self) -> BiPoly:
         kind, val, pos = self.advance()
         if kind == "num":
             value = Fraction(_int_literal(val, pos))
@@ -233,12 +221,10 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", p3)
                 value /= den
-            return self.one * value
+            return _const(value)
         if kind == "ident":
-            if val in self.variables:
-                return self.variables[val]
-            if val in self.bindings:
-                return self.one * self.bindings[val]
+            if val in self.names:
+                return self.names[val]
             raise ParseError(f"unbound identifier {val!r}", pos)
         if kind == "op" and val == "(":
             value = self.nested(self.expr, pos)
@@ -248,25 +234,13 @@ class _Parser:
 
 
 def parse_uni(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> UniPoly:
-    """Parse a univariate polynomial in t."""
-    p = _Parser(
-        text,
-        variables={"t": UniPoly((0, 1))},
-        one=UniPoly((1,)),
-        bindings=bindings or {},
-    )
-    return p.parse()
+    """Parse a univariate polynomial in t, read as Y and then set at X = 1."""
+    return _Parser(text, {"t": BiPoly({(0, 1): 1})}, bindings).parse().substitute_y(1)
 
 
 def parse_bi(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> BiPoly:
     """Parse a bivariate polynomial in X, Y."""
-    p = _Parser(
-        text,
-        variables={"X": BiPoly({(1, 0): 1}), "Y": BiPoly({(0, 1): 1})},
-        one=BiPoly({(0, 0): 1}),
-        bindings=bindings or {},
-    )
-    return p.parse()
+    return _Parser(text, {"X": BiPoly({(1, 0): 1}), "Y": BiPoly({(0, 1): 1})}, bindings).parse()
 
 
 def parse_rational(text: str) -> Fraction:

@@ -563,19 +563,13 @@ def is_cxd(F: BiPoly) -> tuple[Fraction, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _zx_rows(p: UniPoly | Sequence[UniPoly]) -> tuple[list[list[int]], int]:
-    """(rows, den): p's coefficients in t, each a polynomial in x (constant
-    for a UniPoly p), scaled by the lcm den of all their denominators to
-    integer lists, lowest power first.  The coefficients of content * ints,
-    with the ints coprime, have the content's denominator as their lcm."""
-    if isinstance(p, UniPoly):
-        num, den = p.content.as_integer_ratio()
-        return [[num * c] for c in p.ints], den
-    rows = list(p)
-    while rows and not rows[-1].ints:
-        rows.pop()
-    den = _int_lcm(*(r.content.denominator for r in rows))
-    return [[c * (r.content.numerator * (den // r.content.denominator)) for c in r.ints] for r in rows], den
+def _zx_rows(p: UniPoly | Sequence[Sequence[int]]) -> tuple[Sequence[Sequence[int]], int]:
+    """(rows, den): integer rows as they are, with den = 1, or a UniPoly
+    content * ints as constant rows scaled by the content's denominator den."""
+    if not isinstance(p, UniPoly):
+        return p, 1
+    num, den = p.content.as_integer_ratio()
+    return [[num * c] for c in p.ints], den
 
 
 def _resultant_q(P: list[int], Q: list[int]) -> int:
@@ -621,15 +615,16 @@ def _interpolate(xs: Sequence[int], values: Sequence[int]) -> list[int]:
     return out
 
 
-def resultant(p: UniPoly | Sequence[UniPoly], q: UniPoly | Sequence[UniPoly]) -> UniPoly:
+def resultant(p: UniPoly | Sequence[Sequence[int]], q: UniPoly | Sequence[Sequence[int]]) -> UniPoly:
     """Resultant with respect to t, exact, by evaluation and interpolation.
 
-    Each operand is a polynomial in t: a sequence of UniPoly coefficients in
-    one extra variable x, lowest power of t first, or a UniPoly read as a
-    polynomial in t with constant coefficients.  The result is a UniPoly in
-    x, with the sign of the Sylvester determinant.
+    Each operand is a polynomial in t: rows of integer coefficients in one
+    extra variable x, both lowest power first (the row of t**k lists the
+    coefficients of x**0, x**1, ...), or a UniPoly read as a polynomial in t
+    with constant coefficients.  The last row must be nonzero.  The result
+    is a UniPoly in x, with the sign of the Sylvester determinant.
 
-    Each operand is scaled once to Z[x][t] by the lcm of its denominators.
+    A UniPoly operand is scaled once to Z[t] by its content's denominator.
     x runs over 0, 1, 2, ..., skipping every point where a leading
     coefficient in t vanishes, so that taking the resultant commutes with
     evaluation there (Collins, JACM 18, 1971); the integer values at
@@ -637,8 +632,8 @@ def resultant(p: UniPoly | Sequence[UniPoly], q: UniPoly | Sequence[UniPoly]) ->
     Interpolation runs in Z, and one Fraction is built, for the content.
     """
     (A, da), (B, db) = _zx_rows(p), _zx_rows(q)
-    if not A or not B:
-        raise ValueError("resultant of a zero polynomial")
+    if not (A and any(A[-1]) and B and any(B[-1])):
+        raise ValueError("resultant of a zero polynomial or of one whose last row is zero")
     m, n = len(A) - 1, len(B) - 1
     points = m * (max(map(len, B)) - 1) + n * (max(map(len, A)) - 1) + 1
     xs: list[int] = []

@@ -305,7 +305,6 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
             return
         mid = (lo + hi) / 2
         if q.sign_at(mid) == 0:
-            roots.append(RealAlg.from_rational(mid))
             eps = (hi - lo) / 4
             while (
                 q.sign_at(mid - eps) == 0
@@ -314,13 +313,14 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
             ):
                 eps /= 2
             split(lo, mid - eps)
+            roots.append(RealAlg.from_rational(mid))
             split(mid + eps, hi)
         else:
             split(lo, mid)
             split(mid, hi)
 
+    # left before right, so the roots come out in increasing order
     split(-bound, bound)
-    roots.sort(key=lambda r: (r.lo + r.hi) / 2)
     return roots
 
 
@@ -401,10 +401,7 @@ def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     b, n = B.ints, B.degree
     # coefficient of t^k in B(x - t) is sum_i (-1)^k C(k+i, k) b_(k+i) x^i,
     # up to B's content, which scales the resultant only
-    comp = [
-        UniPoly((-1) ** k * comb(k + i, k) * b[k + i] for i in range(n - k + 1))
-        for k in range(n + 1)
-    ]
+    comp = [[(-1) ** k * comb(k + i, k) * b[k + i] for i in range(n - k + 1)] for k in range(n + 1)]
     return square_free_part(resultant(A, comp))
 
 
@@ -412,8 +409,8 @@ def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
 def _product_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a*b: Res_t(A(t), t^n B(x/t)), B(0) != 0."""
     # coefficient of t^(n-k) is b_k x^k, up to B's content
-    coeffs = [UniPoly((0,) * k + (b,)) if b else UniPoly() for k, b in enumerate(B.ints)]
-    return square_free_part(resultant(A, coeffs[::-1]))
+    rows = [[0] * k + [b] for k, b in enumerate(B.ints)]
+    return square_free_part(resultant(A, rows[::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -421,9 +418,9 @@ def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
     """Polynomial vanishing at P(a): Res_t(A(t), x - P(t)), taken as
     Res_t(A(t), d*x - n*Q(t)) for P = (n/d) * Q with Q in Z[t]."""
     n, d = P.content.as_integer_ratio()
-    coeffs = [UniPoly((-n * c,)) for c in P.ints]
-    coeffs[0] = UniPoly((-n * P.ints[0], d))
-    return square_free_part(resultant(A, coeffs))
+    rows = [[-n * c] for c in P.ints]
+    rows[0].append(d)
+    return square_free_part(resultant(A, rows))
 
 
 def _avoid_zero(a: RealAlg) -> RealAlg:

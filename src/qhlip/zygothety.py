@@ -214,12 +214,14 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
         # slowly, so the bracket width, not the step, decides the stop
         if d != 0.0:
             nx = x - v / d
-            if nx == x:
-                return x
             if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
                 last_dx = nx - x
                 x = nx
                 continue
+            # a step of rounding size fails the halving test, and so would
+            # every later one: x is as near the root as floats tell
+            if abs(nx - x) <= 1e-15 * abs(x):
+                return x
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             return x

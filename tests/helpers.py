@@ -40,26 +40,22 @@ def rand_unipoly(rng: random.Random, max_deg: int = 6, coeff_bound: int = 5) -> 
 
 def rand_tpoly(
     rng: random.Random, max_t: int = 3, max_x: int = 2, bound: int = 4
-) -> tuple[UniPoly, ...]:
-    """Random polynomial in t, as its coefficients lowest power first, each
-    a polynomial in x whose coefficients are integers or, about half the
-    time, fractions with denominators up to 6.
+) -> tuple[list[int], ...]:
+    """Random polynomial in t, as the rows `resultant` takes: its
+    coefficients lowest power first, each a polynomial in x given by its
+    integer coefficients, lowest power first.
 
     The t-degree may be 0; the leading coefficient in t is a nonzero
     polynomial in x.
     """
 
-    def value() -> Fraction:
-        den = 1 if rng.random() < 0.5 else rng.randint(2, 6)
-        return Fraction(rng.randint(-bound, bound), den)
+    def row() -> list[int]:
+        return [rng.randint(-bound, bound) for _ in range(rng.randint(1, max_x + 1))]
 
-    def coeff() -> UniPoly:
-        return UniPoly(value() for _ in range(rng.randint(1, max_x + 1)))
-
-    lead = coeff()
-    while lead.is_zero:
-        lead = coeff()
-    return tuple(coeff() for _ in range(rng.randint(0, max_t))) + (lead,)
+    lead = row()
+    while not any(lead):
+        lead = row()
+    return tuple(row() for _ in range(rng.randint(0, max_t))) + (lead,)
 
 
 def sylvester_resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:

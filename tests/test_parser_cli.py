@@ -62,6 +62,24 @@ class TestParse:
         with pytest.raises(ParseError, match="unbound identifier"):
             parse_uni("X^2")
 
+    def test_bad_character_is_reported_where_it_is(self):
+        for text, position, message in (
+            ("t $", 2, "unexpected character '\\$'"),
+            ("t +  .5", 5, "p/q"),
+            ("t + 0.5", 4, "p/q"),
+            ("t.", 1, "p/q"),
+        ):
+            with pytest.raises(ParseError, match=message) as err:
+                parse_uni(text)
+            assert err.value.position == position
+
+    def test_binding_a_variable_is_an_error(self):
+        for parse, text, name in ((parse_bi, "X + Y", "X"), (parse_bi, "X + Y", "Y"), (parse_uni, "t", "t")):
+            with pytest.raises(ParseError, match="cannot bind the variable"):
+                parse(text, {name: F(1)})
+        # a name that is not a variable of the kind is a parameter
+        assert parse_uni("X*t + Y", {"X": F(2), "Y": F(3)}) == UniPoly([3, 2])
+
     def test_parse_rational(self):
         assert parse_rational("5/2") == F(5, 2)
         assert parse_rational("-3") == F(-3)
@@ -270,6 +288,21 @@ class TestCli:
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == "beta_out_of_range"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", HP, "--param", "X", "--values", "1,2,3", "--let", "l=-1", "--beta", "2/1"],
+            ["classify2", HP, HP, "--beta", "2/1", "--let", "l=1", "--let", "X=1"],
+            ["classify1", "t^3", "t", "--let", "t=3"],
+        ],
+        ids=["scan_param", "let_bivariate", "let_univariate"],
+    )
+    def test_binding_a_variable_is_a_parse_error(self, capsys, argv):
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "parse_error"
 
     def test_decimal_binding_rejected(self, capsys):
         code, _, err = run_cli_capture(

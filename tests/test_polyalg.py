@@ -192,23 +192,23 @@ class TestSturm:
 
 
 def x_degree(A):
-    """Degree in x of a polynomial in t given by its coefficients in x."""
-    return max(c.degree for c in A)
+    """Degree in x of a polynomial in t given by its rows in x."""
+    return max(UniPoly(r).degree for r in A)
 
 
 class TestResultant:
-    X_MINUS_T = (UniPoly((0, 1)), UniPoly((-1,)))
+    X_MINUS_T = ([0, 1], [-1])
 
     def test_identity_map(self):
         assert resultant(P(-2, 0, 1), self.X_MINUS_T) == P(-2, 0, 1)
 
     def test_square_map(self):
-        q = (UniPoly((0, 1)), UniPoly(), UniPoly((-1,)))
+        q = ([0, 1], [], [-1])
         assert resultant(P(-2, 0, 1), q) == P(4, -4, 1)
 
     def test_critical_values_of_cubic(self):
         # image of the critical points of t^3 - 3t + 1 under the cubic
-        q = (UniPoly((-1, 1)), UniPoly((3,)), UniPoly(), UniPoly((-1,)))
+        q = ([-1, 1], [3], [], [-1])
         res = resultant(P(-3, 0, 3), q)
         assert res == P(-81, -54, 27)
         assert square_free_part(res) == P(-3, -2, 1)  # (x - 3)(x + 1)
@@ -227,11 +227,11 @@ class TestResultant:
         with pytest.raises(ValueError):
             resultant(UniPoly(), P(1, 1))
         with pytest.raises(ValueError):
-            resultant(P(1, 1), (UniPoly(), UniPoly()))
+            resultant(P(1, 1), ([], [0]))
 
     @staticmethod
     def sylvester_at(A, B, x0):
-        return sylvester_resultant([c(x0) for c in A], [c(x0) for c in B])
+        return sylvester_resultant([UniPoly(r)(x0) for r in A], [UniPoly(r)(x0) for r in B])
 
     def test_matches_sylvester_at_rational_points(self):
         rng = random.Random(48)
@@ -247,8 +247,8 @@ class TestResultant:
         # which must be skipped; the formal Sylvester determinant still holds
         # there
         rng = random.Random(49)
-        lead_a = P(0, 2, -3, 1)
-        lead_b = P(-3, 3)
+        lead_a = [0, 2, -3, 1]
+        lead_b = [-3, 3]
         for _ in range(30):
             A = rand_tpoly(rng, max_t=2) + (lead_a,)
             B = rand_tpoly(rng, max_t=2) + (rng.choice((lead_a, lead_b)),)
@@ -259,11 +259,11 @@ class TestResultant:
     def test_degree_zero_operands(self):
         rng = random.Random(50)
         for _ in range(20):
-            a = (P(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, -2))),)
+            a = ([rng.randint(-4, 4), rng.randint(-4, 4), rng.choice((1, -2))],)
             B = rand_tpoly(rng)
             power = P(1)
             for _ in range(len(B) - 1):
-                power = power * a[0]
+                power = power * UniPoly(a[0])
             assert resultant(a, B) == power
             assert resultant(B, a) == power
             for x0 in (F(0), F(1), F(7, 2)):
@@ -271,7 +271,7 @@ class TestResultant:
         assert resultant(P(3), P(5)) == P(1)
         assert resultant(P(3), P(1, 1, 1)) == P(9)
         assert resultant(P(1, 1, 1), P(-3)) == P(9)
-        assert resultant((P(0, 1),), P(-1, 0, 1)) == P(0, 0, 1)
+        assert resultant(([0, 1],), P(-1, 0, 1)) == P(0, 0, 1)
 
     def test_sign_convention(self):
         # the Sylvester determinant: Res(t, t^3 + 1) = 1, and swapping the

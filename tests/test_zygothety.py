@@ -372,6 +372,30 @@ class TestInvertOnBranch:
         u = _invert_on_branch(g, [0.0], 1, 1e-170)
         assert abs(u - 1e-170 ** (1 / 11)) <= 1e-15
 
+    def test_rounding_size_step_ends_the_search(self):
+        # a warm inversion from the paper's family (hpwitness): Newton from
+        # `near` is within rounding of the root after a few steps, and the
+        # next step, rounding noise, fails the halving test; that must end
+        # the search, not start bisecting down to the 1e-15 width (56
+        # evaluations of g and g' in all)
+        class Counting:
+            def __init__(self, g):
+                self.g, self.calls = g, 0
+
+            def eval_float(self, x):
+                return self.g.eval_float(x)
+
+            def eval_float_d(self, x):
+                self.calls += 1
+                return self.g.eval_float_d(x)
+
+        g = UniPoly([1, F(3, 4), 0, 1])
+        y = -7.261018070178803
+        counting = Counting(g)
+        u = _invert_on_branch(counting, [], 0, y, -1.8993063661093725)
+        assert counting.calls <= 6
+        assert abs(g.eval_float(u) - y) <= 1e-14
+
     def test_no_preimage_raises(self):
         with pytest.raises(ArithmeticError):
             _invert_on_branch(UniPoly([1]), [], 0, 5.0)
