@@ -47,7 +47,16 @@ Compares, on seeded random inputs:
   these ill-conditioned inversions;
 * the batch path ``BranchMap.eval_floats`` on three values of one branch of
   g, sorted and then shuffled with a repeat (each preimage starts from the
-  one before it): every preimage by the same criterion as above.
+  one before it): every preimage by the same criterion as above;
+* ``lipclass.similar`` on the critical data of f and g, for f of degree 3
+  to 5 with two or more critical points and g = c * f((u - b) / a)
+  (planted) or that g moved by a small constant or a small multiple of a
+  power of u (perturbed), against sympy's exact critical values: each way
+  (direct, reverse) is similar exactly when the multiplicities match, the
+  zeros match and sympy's ratios b_j / a_j of the nonzero values are one
+  number.  Every ratio is a root of one resultant in y, and two ratios are
+  one root when a box around both holds one root of it by sympy's exact
+  count; the constant qhlip reports must be that root.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -69,7 +78,7 @@ import sympy
 
 from fractions import Fraction
 
-from qhlip.lipclass import critical_data
+from qhlip.lipclass import critical_data, similar
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
 from qhlip.zygothety import BranchMap, _invert_on_branch
@@ -353,6 +362,120 @@ def check_batch_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> st
     return None
 
 
+def rand_similar_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
+    """f of degree 3 to 5 with two or more critical points, and g planted as
+    c * f((u - b) / a) with c > 0, or that g perturbed (half the time)."""
+    while True:
+        f = UniPoly(rng.randint(-4, 4) for _ in range(rng.randint(4, 6)))
+        if f.degree >= 3 and critical_data(f).count >= 2:
+            break
+    a = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+    b, c = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    g = f.compose(UniPoly((-b / a, 1 / a))).scale(c)
+    if rng.random() < 0.5:
+        k = rng.randint(0, g.degree - 1)
+        bump = [0] * k + [Fraction(rng.choice((-1, 1)), rng.choice((1, 10, 1000)))]
+        g = g + UniPoly(bump)
+    return f, g
+
+
+Y = sympy.Symbol("y")
+
+
+def exact_symbol(p: UniPoly) -> tuple[sympy.Expr, list[tuple[sympy.Expr, bool]], list[int]]:
+    """(p's expression, the critical points in increasing order each with
+    whether p vanishes there, their multiplicities): sympy's real roots of
+    p', each counted once; a point's multiplicity is its multiplicity in
+    p' + 1, and p vanishes there exactly when it is a root of gcd(p, p')."""
+    pe = uni_expr(p, T)
+    dp = sympy.Poly(sympy.diff(pe, T), T)
+    points = dp.real_roots()
+    common = sympy.Poly(sympy.gcd(pe, dp.as_expr()), T)
+    zeros = set(common.real_roots()) if common.degree() > 0 else set()
+    distinct = sorted(set(points), key=lambda r: r.evalf(50))
+    return pe, [(r, r in zeros) for r in distinct], [points.count(r) + 1 for r in distinct]
+
+
+def ratio_poly(fe: sympy.Expr, ge: sympy.Expr) -> sympy.Poly:
+    """The square-free polynomial in y whose roots are the ratios g(s)/f(r)
+    over the critical points r of f and s of g where f and g are nonzero:
+    Res_r(f1(r), Res_s(g1(s), g(s) - y*f(r))), with f1 = sqf(f') over its
+    gcd with f, and g1 likewise."""
+
+    def nonzero_crit(e: sympy.Expr) -> sympy.Expr:
+        d = sympy.sqf_part(sympy.diff(e, T))
+        return sympy.quo(d, sympy.gcd(d, e), T)
+
+    R, S = sympy.symbols("r s")
+    inner = sympy.resultant(nonzero_crit(ge).subs(T, S), ge.subs(T, S) - Y * fe.subs(T, R), S)
+    return sympy.Poly(sympy.resultant(nonzero_crit(fe).subs(T, R), inner, R), Y).sqf_part()
+
+
+def root_box(P: sympy.Poly, value: sympy.Expr) -> tuple[sympy.Rational, sympy.Rational] | None:
+    """A rational box around value, a root of P, that holds exactly one root
+    of P by sympy's exact count, or None when 40 digits cannot tell it from
+    the other roots."""
+    mid = sympy.Rational(str(value.evalf(60)))
+    eps = sympy.Rational(1, 10**40) * max(1, abs(mid))
+    lo, hi = mid - eps, mid + eps
+    return (lo, hi) if P.count_roots(lo, hi) == 1 else None
+
+
+def exact_similar(fe, ge, fpts, gpts, P: sympy.Poly) -> tuple[bool, tuple | None] | str:
+    """(similar, box): whether g's critical values are c times f's (in the
+    given order) for one c > 0, zeros matching, with a box that isolates c
+    among the roots of P (None when every value is zero); a message when
+    sympy's numbers cannot be separated."""
+    box = None
+    for (r, rz), (s, sz) in zip(fpts, gpts):
+        if rz or sz:
+            if rz != sz:
+                return False, None
+            continue
+        ratio = ge.subs(T, s) / fe.subs(T, r)
+        this = root_box(P, ratio)
+        if this is None:
+            return f"cannot isolate the ratio {ratio} among the roots of {P.as_expr()}"
+        if box is None:
+            if this[1] < 0:
+                return False, None
+            box = this
+        elif P.count_roots(min(box[0], this[0]), max(box[1], this[1])) != 1:
+            return False, None
+    return True, box
+
+
+def check_similar(f: UniPoly, g: UniPoly) -> str | None:
+    A, B = critical_data(f), critical_data(g)
+    if A.count != B.count:
+        return None
+    (fe, fpts, ma), (ge, gpts, mb) = exact_symbol(f), exact_symbol(g)
+    if (ma, mb) != (list(A.mults), list(B.mults)):
+        return f"multiplicities of {f} and {g}: qhlip {A.mults} {B.mults}, sympy {ma} {mb}"
+    P = ratio_poly(fe, ge)
+    direct, reverse = similar(A, B)
+    for way, cset, pts, mults in (("direct", direct, fpts, ma), ("reverse", reverse, fpts[::-1], ma[::-1])):
+        got = exact_similar(fe, ge, pts, gpts, P) if mults == mb else (False, None)
+        if isinstance(got, str):
+            return f"similar({f}, {g}) {way}: {got}"
+        ok, box = got
+        if (cset is not None) != ok:
+            return f"similar({f}, {g}) {way}: qhlip {cset}, sympy {'similar' if ok else 'not similar'}"
+        if ok and (cset.c is None) != (box is None):
+            return f"similar({f}, {g}) {way}: qhlip constant {cset.c}, sympy box {box}"
+        if ok and box is not None:
+            # c is the one root of P in box; qhlip's c is the one root of its
+            # defpoly in its own box: equal when the gcd has a root on both
+            c = cset.c
+            D = sympy.Poly(uni_expr(c.defpoly, T).subs(T, Y), Y)
+            lo = max(box[0], sympy.Rational(str(c.lo)))
+            hi = min(box[1], sympy.Rational(str(c.hi)))
+            G = sympy.Poly(sympy.gcd(D.as_expr(), P.as_expr()), Y)
+            if not (lo <= hi and G.degree() > 0 and G.count_roots(lo, hi) == 1):
+                return f"similar({f}, {g}) {way}: qhlip constant {c}, sympy's in {box}"
+    return None
+
+
 def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     """Two polynomials that share a random factor about half the time."""
     p, q = rand_uni(rng, 5), rand_uni(rng, 5)
@@ -371,6 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     # the batch check draws from its own generator, so that the other
     # checks see the inputs they saw before it was added
     batch_rng = random.Random(f"batch {args.seed}")
+    similar_rng = random.Random(f"similar {args.seed}")
     flat: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
@@ -385,6 +509,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_batch_inversion(batch_rng, p, flat)
             or check_big_gcd(*rand_big_pair(rng))
             or check_images(rng)
+            or check_similar(*rand_similar_pair(similar_rng))
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

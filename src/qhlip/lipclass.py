@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -134,14 +135,26 @@ def critical_data(f: UniPoly) -> CritData:
     return CritData(points, mults, values, f.degree, sign(f.leading))
 
 
+def _ratio_hull(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
+    """An interval holding b / a, for a whose closed box excludes 0."""
+    ends = (b.lo / a.lo, b.lo / a.hi, b.hi / a.lo, b.hi / a.hi)
+    return min(ends), max(ends)
+
+
 def _proportional(avals: tuple[RealAlg, ...], bvals: tuple[RealAlg, ...]) -> Optional[CSet]:
     """CSet with b = c*a for some c > 0, or None.
 
     Zero entries must match; each nonzero entry gives one ratio b_j / a_j,
-    and every ratio must equal the first, which is c.
+    and every ratio must equal the first, which is c.  Before dividing, the
+    isolating boxes refute: where a_j's box excludes 0, b_j / a_j lies in the
+    hull of the four quotients of box ends, and two disjoint hulls hold two
+    different ratios (exact interval arithmetic; Moore, Interval Analysis).
     """
     signs_a = [v.sign() for v in avals]
     if signs_a != [v.sign() for v in bvals]:
+        return None
+    hulls = [_ratio_hull(a, b) for a, b, s in zip(avals, bvals, signs_a) if s != 0 and (a.lo > 0 or a.hi < 0)]
+    if hulls and max(lo for lo, _ in hulls) > min(hi for _, hi in hulls):
         return None
     ratios = (b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0)
     c = next(ratios, None)

@@ -442,11 +442,7 @@ class BiPoly:
                 raise ValueError("negative exponent in BiPoly")
             key, c = (int(i), int(j)), Fraction(c)
             sums[key] = sums[key] + c if key in sums else c
-        clean = {k: c for k, c in sums.items() if c}
-        self.terms: dict[tuple[int, int], Fraction] = clean
-        self._key = tuple(sorted(clean.items()))
-        # (float(c), i, j) in _key order; filled lazily as in UniPoly
-        self._flt: tuple[tuple[float, int, int], ...] | None = None
+        _bi_init(self, sums)
 
     @property
     def is_zero(self) -> bool:
@@ -461,14 +457,14 @@ class BiPoly:
     def __add__(self, other: "BiPoly") -> "BiPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BiPoly(out)
+            out[k] = out[k] + c if k in out else c
+        return _bi_raw(out)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return _bi_raw({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: Union["BiPoly", RatLike]) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -477,12 +473,12 @@ class BiPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return BiPoly(out)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        return _bi_raw(out)
 
     def scale(self, c: RatLike) -> "BiPoly":
         c = Fraction(c)
-        return BiPoly({k: c * v for k, v in self.terms.items()})
+        return _bi_raw({k: c * v for k, v in self.terms.items()})
 
     def __call__(self, x: RatLike, y: RatLike) -> Fraction:
         x, y = Fraction(x), Fraction(y)
@@ -530,6 +526,22 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
+
+
+def _bi_init(p: BiPoly, sums: dict[tuple[int, int], Fraction]) -> None:
+    clean = {k: c for k, c in sums.items() if c}
+    p.terms = clean
+    p._key = tuple(sorted(clean.items()))
+    # (float(c), i, j) in _key order; filled lazily as in UniPoly
+    p._flt = None
+
+
+def _bi_raw(sums: dict[tuple[int, int], Fraction]) -> BiPoly:
+    """The BiPoly of already summed terms: (int, int) keys and Fraction
+    values, zeros allowed."""
+    p = object.__new__(BiPoly)
+    _bi_init(p, sums)
+    return p
 
 
 def x_multiplicity(F: BiPoly) -> int:

@@ -185,19 +185,28 @@ def _require_same_family(F: QHPoly, G: QHPoly) -> None:
 def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
     """Enumerate height pairings, straight-sign options first.
 
-    Each height pair is classified at most once; when no option exists the
-    verdicts explain, per scale sign, why.
+    Each distinct (F height, G height) pair is classified at most once, so
+    heights with F(-1, t) = F(1, t) cost one classification a side; when no
+    option exists the verdicts explain, per scale sign, why.
     """
     _require_same_family(F, G)
     hf, hg = heights(F), heights(G)
+    verdicts: dict[tuple[UniPoly, UniPoly], Verdict1D] = {}
+
+    def classify(f: UniPoly, g: UniPoly) -> Verdict1D:
+        v = verdicts.get((f, g))
+        if v is None:
+            v = verdicts[f, g] = classify_pair(f, g)
+        return v
+
     options: list[PairingOption] = []
     trials = []
     for lam_sign, g_for_plus, g_for_minus in (
         (1, hg.f_plus, hg.f_minus),
         (-1, hg.f_minus, hg.f_plus),
     ):
-        v_plus = classify_pair(hf.f_plus, g_for_plus)
-        v_minus = classify_pair(hf.f_minus, g_for_minus) if v_plus.equivalent else None
+        v_plus = classify(hf.f_plus, g_for_plus)
+        v_minus = classify(hf.f_minus, g_for_minus) if v_plus.equivalent else None
         trials.append((lam_sign, g_for_plus, g_for_minus, v_plus, v_minus))
         if v_minus is not None and v_minus.equivalent:
             sides = ((hf.f_plus, g_for_plus), (hf.f_minus, g_for_minus))
@@ -211,7 +220,7 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
     failures = []
     for lam_sign, g_for_plus, g_for_minus, v_plus, v_minus in trials:
         if v_minus is None:
-            v_minus = classify_pair(hf.f_minus, g_for_minus)
+            v_minus = classify(hf.f_minus, g_for_minus)
         failures.append(PairingFailure(lam_sign, v_plus, v_minus))
     return PairingSearch((), tuple(failures))
 

@@ -349,8 +349,13 @@ def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
     """Exact test of |lam1|^beta * L1 == |lam2|^beta * L2 with beta = r/s.
 
     Both sides are raised to the s-th power so the comparison stays inside
-    real algebraic arithmetic; signs are compared separately.
+    real algebraic arithmetic; signs are compared separately.  When lam2 is
+    lam1 and phi2 is phi1 or its NegConj, which keeps the limit slope, both
+    sides are one number, and the test is that L1 is nonzero.
     """
+    same_slope = z.phi2 is z.phi1 or (isinstance(z.phi2, NegConj) and z.phi2.inner is z.phi1)
+    if z.lam2 is z.lam1 and same_slope:
+        return z.phi1.limit_slope().sign() != 0
     L1 = z.phi1.limit_slope()
     L2 = z.phi2.limit_slope()
     s1, s2 = L1.sign(), L2.sign()
@@ -431,12 +436,16 @@ def action_residual(z: Zygothety, d: int, sides: tuple[tuple[UniPoly, UniPoly], 
 
     `sides` holds the (f_i, g_i) height pair of each component, as a
     pairing option carries it; returns the maximum relative float residual
-    over the sample set.
+    over the sample set.  A second component with the first one's scale,
+    map and heights would repeat its floats, so it is checked once.
     """
     rng = random.Random(RESIDUAL_SEED)
     pts = [rng.randint(-300, 300) / 100 for _ in range(RESIDUAL_SAMPLES)]
+    components = list(zip((z.lam1, z.lam2), (z.phi1, z.phi2), sides))
+    if z.lam2 is z.lam1 and z.phi2 is z.phi1 and sides[1] == sides[0]:
+        components = components[:1]
     worst = 0.0
-    for lam, phi, (ff, gg) in zip((z.lam1, z.lam2), (z.phi1, z.phi2), sides):
+    for lam, phi, (ff, gg) in components:
         scale = abs(lam.to_float()) ** d
         for t in pts:
             lhs = scale * gg.eval_float(phi.eval_float(t))

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from qhlip.lipclass import CSet
 from qhlip.polyalg import (
     BiPoly,
     UniPoly,
@@ -18,7 +19,7 @@ from qhlip.polyalg import (
     square_free_part,
 )
 from qhlip.qhdecide import QHPoly, validate_qh
-from qhlip.realalg import RealAlg
+from qhlip.realalg import RealAlg, compare
 from qhlip.witness import (
     LIPSCHITZ_SAMPLES,
     LIPSCHITZ_SEED,
@@ -161,6 +162,21 @@ def brute_force_real_root_count(p: UniPoly) -> int:
         if cur == last:
             return cur
         last = cur
+
+
+def ref_proportional(avals: Sequence[RealAlg], bvals: Sequence[RealAlg]) -> CSet | None:
+    """CSet with b = c*a for some c > 0, or None, by exact division and
+    comparison of every ratio with the first: the reference for
+    lipclass._proportional, which refutes from the boxes first."""
+    signs_a = [v.sign() for v in avals]
+    if signs_a != [v.sign() for v in bvals]:
+        return None
+    ratios = [b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0]
+    if not ratios:
+        return CSet(None)
+    if any(compare(r, ratios[0]) != 0 for r in ratios[1:]):
+        return None
+    return CSet(ratios[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from qhlip.lipclass import (
     CritData,
     Orientation,
     Reason1D,
+    _proportional,
     classify_pair,
     critical_data,
     multiplicity_at,
@@ -18,7 +19,7 @@ from qhlip.parser import parse_uni
 from qhlip.polyalg import UniPoly
 from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
 
-from helpers import affine_conjugate, rand_nonzero_rational, rand_unipoly
+from helpers import affine_conjugate, rand_nonzero_rational, rand_unipoly, ref_proportional
 
 
 def P(*coeffs):
@@ -144,6 +145,84 @@ class TestSimilarIrrationalConstant:
         values = [mul(c, a) for a in self.A.values]
         values[2] = ra(1)
         assert similar(self.A, symbol(tuple(values), self.A.mults))[0] is None
+
+
+#: the roots of t^3 - 3t + 1, about -1.88, 0.35 and 1.53
+CUBIC_ROOTS = tuple(isolate_real_roots(P(1, -3, 0, 1)))
+
+#: a critical value: zero, a rational, a signed square root or a cubic root
+crit_values = st.one_of(
+    st.just(ra(0)),
+    st.fractions(-3, 3, max_denominator=4).filter(bool).map(ra),
+    st.tuples(st.integers(2, 7), st.sampled_from((1, -1))).map(
+        lambda t: nth_root_pos(ra(t[0]), 2) * t[1]
+    ),
+    st.sampled_from(CUBIC_ROOTS),
+)
+#: a positive constant c, rational or irrational
+constants = st.one_of(
+    st.fractions(F(1, 4), 4, max_denominator=4).filter(bool).map(ra),
+    st.sampled_from((2, 3, 5)).map(lambda n: nth_root_pos(ra(n), 2)),
+    st.just(CUBIC_ROOTS[2]),
+)
+
+
+@st.composite
+def value_tuples(draw):
+    """(a, c*a), or (a, c*a) with one nonzero entry of c*a moved: scaled by
+    1 + 1/k, shifted by 1/k, or made c'*a_j for another constant c'."""
+    avals = tuple(draw(st.lists(crit_values, min_size=1, max_size=4)))
+    c = draw(constants)
+    bvals = [mul(c, a) for a in avals]
+    nonzero = [j for j, a in enumerate(avals) if a.sign() != 0]
+    how = draw(st.sampled_from(("planted", "scale", "shift", "other_c")))
+    if nonzero and how != "planted":
+        j = draw(st.sampled_from(nonzero))
+        k = draw(st.sampled_from((3, 1000, 10**6)))
+        if how == "scale":
+            bvals[j] = mul(bvals[j], ra(1 + F(1, k)))
+        elif how == "shift":
+            bvals[j] = bvals[j] + ra(F(1, k))
+        else:
+            bvals[j] = mul(draw(constants), avals[j])
+    return avals, tuple(bvals)
+
+
+def same_cset(x, y) -> bool:
+    if x is None or y is None:
+        return x is y
+    if x.c is None or y.c is None:
+        return x.c is y.c
+    return compare(x.c, y.c) == 0
+
+
+class TestProportionalBoxFilter:
+    """_proportional refutes from the isolating boxes before it divides;
+    every answer must be the one exact division and comparison give."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(value_tuples())
+    def test_agrees_with_divide_and_compare(self, pair):
+        avals, bvals = pair
+        assert same_cset(_proportional(avals, bvals), ref_proportional(avals, bvals))
+
+    def test_disjoint_ratio_boxes_refute_without_dividing(self, monkeypatch):
+        # critical values (3, -1) of t^3 - 3t + 1 and (17, -15) of
+        # t^3 - 12t + 1: ratios 17/3 and 15
+        A, B = critical_data(hp_height(1)), critical_data(hp_height(4))
+
+        def no_division(a, b):
+            raise AssertionError("divided although the boxes refute")
+
+        monkeypatch.setattr(RealAlg, "__truediv__", no_division)
+        assert similar(A, B) == (None, None)
+
+    def test_overlapping_boxes_fall_through_to_division(self):
+        r2 = nth_root_pos(ra(2), 2)
+        avals = (r2, ra(1))
+        bvals = (ra(2), r2)  # ratios sqrt 2 and sqrt 2
+        got = _proportional(avals, bvals)
+        assert got is not None and got.c == r2
 
 
 def small_polys(degree):

@@ -149,7 +149,8 @@ class TestDecide:
             entry.plus.reason is Reason1D.SYMBOL_NOT_SIMILAR for entry in failures
         )
 
-    def test_not_equivalent_classifies_each_height_pair_once(self, monkeypatch):
+    @staticmethod
+    def _counted_decide(monkeypatch, a, b):
         calls = []
         real = qhdecide.classify_pair
 
@@ -158,10 +159,25 @@ class TestDecide:
             return real(f, g)
 
         monkeypatch.setattr(qhdecide, "classify_pair", counting)
-        v = decide(hp(1), hp(4))
+        return decide(a, b), calls
+
+    def test_not_equivalent_classifies_each_height_pair_once(self, monkeypatch):
+        # the family has F(-1, t) = F(1, t), so all four sides are one pair
+        v, calls = self._counted_decide(monkeypatch, hp(1), hp(4))
         assert v.kind == "not_equivalent"
+        assert len(calls) == 1
+
+    def test_not_equivalent_classifies_distinct_height_pairs(self, monkeypatch):
+        # heights 2t^2 -+ t - 1 against -2t^2 -+ t - 2: four distinct pairs,
         # (+,+) and (+,-) in the search, then the two (-) sides it skipped
-        assert len(calls) == 4
+        a = validate_qh(BiPoly({(6, 0): -1, (3, 1): -1, (0, 2): 2}), 3, 1)
+        b = validate_qh(BiPoly({(6, 0): -2, (3, 1): 1, (0, 2): -2}), 3, 1)
+        ha, hb = heights(a), heights(b)
+        assert ha.f_plus != ha.f_minus and hb.f_plus != hb.f_minus
+        v, calls = self._counted_decide(monkeypatch, a, b)
+        assert v.kind == "not_equivalent"
+        assert v.reason.kind is NEKind.HEIGHTS_NOT_PAIRABLE
+        assert len(calls) == 4 and len(set(calls)) == 4
 
     def test_necessity_counts_zeros_of_unclassified_heights(self):
         # heights 1 + t^2 against 1 + t: both sides fail with DegreeMismatch,

@@ -5,14 +5,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
+from qhlip import zygothety
 from qhlip.jsonio import map_json
 from qhlip.lipclass import Orientation, critical_data
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
-from qhlip.qhdecide import VerdictKind, decide, heights, pairing_search, validate_qh
-from qhlip.realalg import RealAlg, compare
+from qhlip.qhdecide import OptionTrace, VerdictKind, decide, heights, pairing_search, validate_qh
+from qhlip.realalg import RealAlg, compare, nth_root_pos
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
+    RESIDUAL_SAMPLES,
     Affine,
     BranchMap,
     Compose,
@@ -306,6 +308,95 @@ class TestNegativeScaleProperty:
     def test_negative_scale_occurs(self):
         pair = find(negative_x_scale_pairs(), lambda pair: lambda_sign(pair) < 0, settings=few_pairs)
         assert lambda_sign(pair) < 0
+
+
+def copied(m):
+    """A distinct map equal to m: a BranchMap or Affine rebuilt from its
+    fields, a NegConj around a copy of its inner map."""
+    if isinstance(m, BranchMap):
+        return BranchMap(m.c, m.increasing, m.f, m.g, m.crits_f, m.crits_g)
+    if isinstance(m, NegConj):
+        return NegConj(copied(m.inner))
+    if isinstance(m, Affine):
+        return Affine(m.a, m.b)
+    raise TypeError(f"no copy for {m!r}")
+
+
+def rebuilt(z: Zygothety) -> Zygothety:
+    """z with a distinct but equal lam2 and a copied phi2: no identity links
+    its components, so the checks take their full path."""
+    lam = z.lam2
+    return Zygothety(z.lam1, RealAlg(lam.defpoly, lam.lo, lam.hi), z.phi1, copied(z.phi2))
+
+
+def symmetric_certificates():
+    """(F, certificate) for Equivalent pairs (F, F(aX, bY)) whose zygothety
+    has lam2 is lam1 and phi2 is phi1 or NegConj(phi1)."""
+
+    def certify(args):
+        seed, (a, b) = args
+        q = rand_qhpoly(random.Random(seed), betas=((2, 1), (3, 1), (4, 1), (5, 3)))
+        g = validate_qh(q.poly.scale_vars(a, b), q.r, q.s)
+        v = decide(q, g)
+        return q, v.certificate
+
+    def symmetric(qc) -> bool:
+        q, cert = qc
+        z = cert.zygothety if cert is not None else None
+        return z is not None and z.lam2 is z.lam1 and (
+            z.phi2 is z.phi1 or (isinstance(z.phi2, NegConj) and z.phi2.inner is z.phi1)
+        )
+
+    scalings = st.tuples(*[st.fractions(-3, 3, max_denominator=2).filter(bool)] * 2)
+    return st.tuples(st.integers(0, 2**32), scalings).map(certify).filter(symmetric)
+
+
+def bits(x: float) -> str:
+    return x.hex()
+
+
+class TestSymmetricShortcuts:
+    """is_beta_regular and action_residual skip the second component of a
+    symmetric zygothety; the answer must be bit for bit the full path's."""
+
+    @few_pairs
+    @given(symmetric_certificates())
+    def test_symmetric_matches_rebuilt_copy(self, qc):
+        q, cert = qc
+        z, twin = cert.zygothety, rebuilt(cert.zygothety)
+        assert twin.lam2 is not twin.lam1 and twin.phi2 is not z.phi2
+        assert is_beta_regular(z, q.r, q.s) is is_beta_regular(twin, q.r, q.s) is True
+        if isinstance(cert.pairing_trace, OptionTrace):
+            sides = cert.pairing_trace.option.sides
+            assert bits(action_residual(z, q.d, sides)) == bits(action_residual(twin, q.d, sides))
+
+    def test_family_pair_checks_one_component(self, monkeypatch):
+        # the family's two heights are one polynomial, so the certificate of
+        # an r-even pair has equal sides and phi2 is phi1
+        Fq = hp(3)
+        Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
+        v = decide(Fq, Gq)
+        z, sides = v.certificate.zygothety, v.certificate.pairing_trace.option.sides
+        assert z.lam2 is z.lam1 and z.phi2 is z.phi1 and sides[1] == sides[0]
+        twin = rebuilt(z)
+        calls = []
+        real_eval, real_pow = BranchMap.eval_float, zygothety.pow_int
+        monkeypatch.setattr(BranchMap, "eval_float", lambda m, t: calls.append("eval") or real_eval(m, t))
+        monkeypatch.setattr(zygothety, "pow_int", lambda a, k: calls.append("pow") or real_pow(a, k))
+        short = action_residual(z, Fq.d, sides), is_beta_regular(z, 2, 1)
+        short_calls, calls[:] = list(calls), []
+        full = action_residual(twin, Fq.d, sides), is_beta_regular(twin, 2, 1)
+        assert (bits(short[0]), short[1]) == (bits(full[0]), full[1])
+        assert short_calls.count("eval") == RESIDUAL_SAMPLES and "pow" not in short_calls
+        assert calls.count("eval") == 2 * RESIDUAL_SAMPLES and calls.count("pow") == 4
+
+    @pytest.mark.parametrize("slope", [F(0), F(-2), F(3)])
+    def test_shortcut_reads_the_slope_sign(self, slope):
+        lam = nth_root_pos(ra(3), 2)
+        for phi in (Affine(slope, F(0)), NegConj(Affine(slope, F(1)))):
+            inner = phi.inner if isinstance(phi, NegConj) else phi
+            z = Zygothety(lam, lam, inner, phi)
+            assert is_beta_regular(z, 3, 1) is is_beta_regular(rebuilt(z), 3, 1) is (slope != 0)
 
 
 class TestClosureProperties:
