@@ -88,6 +88,7 @@ class CritData:
     points: tuple[RealAlg, ...]
     mults: tuple[int, ...]
     values: tuple[RealAlg, ...]
+    signs: tuple[int, ...]  # of the values
     degree: int
     leading_sign: int
 
@@ -101,9 +102,8 @@ class CritData:
         points, so each stretch between them (and out to -oo and +oo) holds
         one exactly when f changes sign strictly across it; each critical
         value 0 is one more."""
-        signs = [v.sign() for v in self.values]
-        ends = [self.leading_sign * (-1) ** self.degree, *signs, self.leading_sign]
-        return signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
+        ends = [self.leading_sign * (-1) ** self.degree, *self.signs, self.leading_sign]
+        return self.signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
 
 
 def multiplicity_at(f: UniPoly, point: RealAlg) -> int:
@@ -132,7 +132,7 @@ def critical_data(f: UniPoly) -> CritData:
     values = tuple(eval_alg(f, p) for p in points)
     if any(m < 2 for m in mults):
         raise ArithmeticError("critical point of multiplicity below 2; internal bug")
-    return CritData(points, mults, values, f.degree, sign(f.leading))
+    return CritData(points, mults, values, tuple(v.sign() for v in values), f.degree, sign(f.leading))
 
 
 def _ratio_hull(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
@@ -141,22 +141,24 @@ def _ratio_hull(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
     return min(ends), max(ends)
 
 
-def _proportional(avals: tuple[RealAlg, ...], bvals: tuple[RealAlg, ...]) -> Optional[CSet]:
-    """CSet with b = c*a for some c > 0, or None.
+def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:
+    """CSet with b = c*a for some c > 0, or None, where a is A's multiplicity
+    symbol read with the given step (1 or -1) and b is B's.
 
-    Zero entries must match; each nonzero entry gives one ratio b_j / a_j,
-    and every ratio must equal the first, which is c.  Before dividing, the
-    isolating boxes refute: where a_j's box excludes 0, b_j / a_j lies in the
-    hull of the four quotients of box ends, and two disjoint hulls hold two
-    different ratios (exact interval arithmetic; Moore, Interval Analysis).
+    Multiplicities and signs must match; each nonzero value gives one ratio
+    b_j / a_j, and every ratio must equal the first, which is c.  Before
+    dividing, the isolating boxes refute: where a_j's box excludes 0,
+    b_j / a_j lies in the hull of the four quotients of box ends, and two
+    disjoint hulls hold two different ratios (exact interval arithmetic;
+    Moore, Interval Analysis).
     """
-    signs_a = [v.sign() for v in avals]
-    if signs_a != [v.sign() for v in bvals]:
+    if A.mults[::step] != B.mults or A.signs[::step] != B.signs:
         return None
-    hulls = [_ratio_hull(a, b) for a, b, s in zip(avals, bvals, signs_a) if s != 0 and (a.lo > 0 or a.hi < 0)]
+    pairs = [(a, b) for a, b, s in zip(A.values[::step], B.values, B.signs) if s != 0]
+    hulls = [_ratio_hull(a, b) for a, b in pairs if a.lo > 0 or a.hi < 0]
     if hulls and max(lo for lo, _ in hulls) > min(hi for _, hi in hulls):
         return None
-    ratios = (b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0)
+    ratios = (b / a for a, b in pairs)
     c = next(ratios, None)
     if c is None:
         return CSet(None)
@@ -171,9 +173,7 @@ def similar(A: CritData, B: CritData) -> tuple[Optional[CSet], Optional[CSet]]:
     or None where the symbols are not similar that way."""
     if len(A.values) != len(B.values):
         raise ValueError("multiplicity symbols must have the same length")
-    direct = _proportional(A.values, B.values) if A.mults == B.mults else None
-    reverse = _proportional(A.values[::-1], B.values) if A.mults[::-1] == B.mults else None
-    return direct, reverse
+    return _proportional(A, B), _proportional(A, B, -1)
 
 
 def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
@@ -211,15 +211,14 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
     if p == 1:
         if df.mults[0] != dg.mults[0]:
             return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR)
-        sf, sg = df.values[0].sign(), dg.values[0].sign()
-        if sf != sg:
+        if df.signs != dg.signs:
             return Verdict1D(False, reason=Reason1D.SIGN_MISMATCH)
         if d % 2 == 0:
             # single critical point of an even-degree function is the global
             # extremum; its type is the sign of the leading coefficient
             if df.leading_sign != dg.leading_sign:
                 return Verdict1D(False, reason=Reason1D.EXTREMUM_TYPE_MISMATCH)
-        c_set = _proportional(df.values, dg.values)
+        c_set = _proportional(df, dg)
         if d % 2 == 1:
             return Verdict1D(True, (Pairing1D(orient, c_set),))
         return Verdict1D(

@@ -19,7 +19,7 @@ from .qhdecide import QHPoly
 from .zygothety import PLMap, Zygothety, is_beta_regular
 
 #: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW];
-#: the conjugacy grid takes T_COUNT evenly spaced values of t, and |x| from X_MIN up
+#: the conjugacy grid takes T_COUNT evenly spaced values of t, and |x| from min(X_MIN, delta) up
 T_WINDOW = 2.0
 T_COUNT = 100
 X_MIN = 1e-6
@@ -106,13 +106,13 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
 def verify_conjugacy(
     F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float
 ) -> tuple[float, int]:
-    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid,
-    log-spaced in |x| in [X_MIN, delta] and linear in t; returns the largest
-    residual and the number of samples."""
+    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid, linear
+    in t and log-spaced in |x| from min(X_MIN, delta) to delta (clamped where
+    rounding passes delta); returns the largest residual and the sample count."""
     beta = T.beta
     fp = F.poly
     gp = G.poly
-    xs = _log_spaced(X_MIN, delta, x_count)
+    xs = [min(x, delta) for x in _log_spaced(min(X_MIN, delta), delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     worst = 0.0
@@ -154,10 +154,11 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
     rng = random.Random(LIPSCHITZ_SEED)
     beta = T.beta
     n = 2 * LIPSCHITZ_SAMPLES
+    cutoff = min(1e-9, delta / 2)  # at least half of the draws pass it
     xs, ys = array("d"), array("d")
     for _ in range(n):
         x = 0.0
-        while abs(x) < 1e-9:
+        while abs(x) < cutoff:
             x = rng.uniform(-delta, delta)
         xs.append(x)
         ys.append(rng.uniform(-T_WINDOW, T_WINDOW) * abs(x) ** beta)

@@ -459,7 +459,7 @@ def ref_verify_conjugacy(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count:
     """The conjugacy residual as the point-by-point loop with a running max()
     computes it: the reference for witness.verify_conjugacy."""
     fp, gp = F.poly, G.poly
-    xs = _log_spaced(X_MIN, delta, x_count)
+    xs = [min(x, delta) for x in _log_spaced(min(X_MIN, delta), delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     worst = 0.0
@@ -489,7 +489,7 @@ def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, 
 
     def sample_point() -> tuple[float, float]:
         x = 0.0
-        while abs(x) < 1e-9:
+        while abs(x) < min(1e-9, delta / 2):
             x = rng.uniform(-delta, delta)
         t = rng.uniform(-T_WINDOW, T_WINDOW)
         return (x, t * abs(x) ** T.beta)

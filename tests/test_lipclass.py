@@ -1,10 +1,13 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhlip import polyalg, realalg
+from qhlip.cli import main
 from qhlip.lipclass import (
     CritData,
     Orientation,
@@ -32,8 +35,15 @@ def ra(x):
 
 def symbol(values, mults):
     """Critical data with the given multiplicity symbol; similar reads only
-    the values and multiplicities, so the other fields are placeholders."""
-    return CritData((), tuple(mults), tuple(values), 0, 0)
+    the values, their signs and the multiplicities, so the other fields are
+    placeholders."""
+    return CritData((), tuple(mults), tuple(values), tuple(v.sign() for v in values), 0, 0)
+
+
+def same_symbols(avals, bvals):
+    """The critical data of two value tuples of the same length, every
+    multiplicity 2."""
+    return symbol(avals, (2,) * len(avals)), symbol(bvals, (2,) * len(bvals))
 
 
 def hp_height(lam):
@@ -67,6 +77,31 @@ class TestCriticalData:
     def test_multiplicity_at(self):
         assert multiplicity_at(P(0, 0, 0, 0, 1), ra(0)) == 4
         assert multiplicity_at(P(0, 1), ra(7)) == 1
+
+    def test_scan_signs_each_critical_value_once(self, monkeypatch, capsys):
+        """Over one scan of the paper's family X^6 - 3*l*X^4*Y + Y^3, the sign
+        of each critical value of each distinct height is computed once, by
+        critical_data; the zero counts of the necessity conditions and the
+        symbol tests read it from there."""
+        signed = []  # every receiver, kept alive so that its id stays unique
+        real_sign = RealAlg.sign
+
+        def counting_sign(self):
+            signed.append(self)
+            return real_sign(self)
+
+        monkeypatch.setattr(RealAlg, "sign", counting_sign)
+        critical_data.cache_clear()
+        lams = (F(1, 4), F(1, 2), F(1), F(2), F(4), F(-1), F(-2))
+        argv = ["scan", "X^6 - 3*l*X^4*Y + Y^3", "--param", "l", "--beta", "2/1"]
+        assert main(argv + ["--values=" + ",".join(map(str, lams))]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["partition"]) == 6  # the negative pair is the one equivalence
+        calls = Counter(map(id, signed))
+        # both heights of a member are t^3 - 3*l*t + 1, since X appears to even powers only
+        values = [v for lam in lams for v in critical_data(hp_height(lam)).values]
+        assert len(values) == 10
+        assert [calls[id(v)] for v in values] == [1] * len(values)
 
 
 class TestSimilar:
@@ -204,7 +239,7 @@ class TestProportionalBoxFilter:
     @given(value_tuples())
     def test_agrees_with_divide_and_compare(self, pair):
         avals, bvals = pair
-        assert same_cset(_proportional(avals, bvals), ref_proportional(avals, bvals))
+        assert same_cset(_proportional(*same_symbols(avals, bvals)), ref_proportional(avals, bvals))
 
     def test_disjoint_ratio_boxes_refute_without_dividing(self, monkeypatch):
         # critical values (3, -1) of t^3 - 3t + 1 and (17, -15) of
@@ -221,7 +256,7 @@ class TestProportionalBoxFilter:
         r2 = nth_root_pos(ra(2), 2)
         avals = (r2, ra(1))
         bvals = (ra(2), r2)  # ratios sqrt 2 and sqrt 2
-        got = _proportional(avals, bvals)
+        got = _proportional(*same_symbols(avals, bvals))
         assert got is not None and got.c == r2
 
 

@@ -3,6 +3,9 @@ import importlib.util
 import json
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -349,7 +352,7 @@ def first_lipschitz_parameter(delta: float, beta: float) -> float:
     """The fiber parameter of the first point verify_lipschitz draws."""
     rng = random.Random(LIPSCHITZ_SEED)
     x = 0.0
-    while abs(x) < 1e-9:
+    while abs(x) < min(1e-9, delta / 2):
         x = rng.uniform(-delta, delta)
     ax_b = abs(x) ** beta
     return rng.uniform(-T_WINDOW, T_WINDOW) * ax_b / ax_b
@@ -389,3 +392,32 @@ class TestHugeDelta:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == "input_too_large"
         assert "--delta" in error["message"]
+
+
+class TestTinyDelta:
+    """A strip narrower than X_MIN or than the Lipschitz draws' 1e-9 cutoff."""
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-8, 3e-6, 0.7, 1.0])
+    def test_conjugacy_grid_stays_in_the_strip(self, delta, monkeypatch):
+        a, b = hp(-1), hp(-2)
+        T = InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1)
+        seen = []
+        real_eval = BiPoly.eval_float
+
+        def recording_eval(poly, x, y):
+            if poly is a.poly:
+                seen.append(abs(x))
+            return real_eval(poly, x, y)
+
+        monkeypatch.setattr(BiPoly, "eval_float", recording_eval)
+        verify_conjugacy(a, b, T, 5, delta)
+        assert len(seen) == 11 * T_COUNT
+        assert max(seen) <= delta
+
+    def test_cli_returns_below_the_draw_cutoff(self):
+        cmd = [sys.executable, "-m", "qhlip.cli", "witness", "X^6 + 3*X^4*Y + Y^3", "X^6 + 6*X^4*Y + Y^3"]
+        start = time.perf_counter()
+        done = subprocess.run(cmd + ["--beta", "2/1", "--delta", "1e-12"], capture_output=True, timeout=60)
+        assert time.perf_counter() - start < 5.0
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["report"]["delta"] == 1e-12
