@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import jsonio
 from .lipclass import classify_pair
@@ -276,6 +277,7 @@ def cmd_infer_beta(args) -> int:
     return 0
 
 
+@cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="qhlip",

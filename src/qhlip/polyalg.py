@@ -484,14 +484,17 @@ class BiPoly:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
 
+    def float_terms(self) -> tuple[tuple[float, int, int], ...]:
+        """(float(c), i, j) for each term c*X^i*Y^j, in _key order."""
+        if self._flt is None:
+            self._flt = tuple((float(c), i, j) for (i, j), c in self._key)
+        return self._flt
+
     def eval_float(self, x: float, y: float) -> float:
-        flt = self._flt
-        if flt is None:
-            flt = self._flt = tuple((float(c), i, j) for (i, j), c in self._key)
         # left to right, uncompensated: the bits do not depend on how a
         # Python version's sum() adds floats
         acc = 0.0
-        for c, i, j in flt:
+        for c, i, j in self._flt or self.float_terms():
             acc += c * x**i * y**j
         return acc
 
@@ -532,8 +535,7 @@ def _bi_init(p: BiPoly, sums: dict[tuple[int, int], Fraction]) -> None:
     clean = {k: c for k, c in sums.items() if c}
     p.terms = clean
     p._key = tuple(sorted(clean.items()))
-    # (float(c), i, j) in _key order; filled lazily as in UniPoly
-    p._flt = None
+    p._flt = None  # float_terms() fills it
 
 
 def _bi_raw(sums: dict[tuple[int, int], Fraction]) -> BiPoly:

@@ -19,7 +19,7 @@ from .qhdecide import QHPoly
 from .zygothety import PLMap, Zygothety, is_beta_regular
 
 #: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW];
-#: the conjugacy grid takes T_COUNT evenly spaced values of t, and |x| from min(X_MIN, delta) up
+#: the conjugacy grid takes T_COUNT evenly spaced values of t, and |x| from X_MIN up
 T_WINDOW = 2.0
 T_COUNT = 100
 X_MIN = 1e-6
@@ -107,34 +107,49 @@ def verify_conjugacy(
     F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float
 ) -> tuple[float, int]:
     """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid, linear
-    in t and log-spaced in |x| from min(X_MIN, delta) to delta (clamped where
-    rounding passes delta); returns the largest residual and the sample count."""
-    beta = T.beta
-    fp = F.poly
-    gp = G.poly
-    xs = [min(x, delta) for x in _log_spaced(min(X_MIN, delta), delta, x_count)]
+    in t and log-spaced in |x| up to delta from X_MIN, or from X_MIN * delta
+    when delta <= X_MIN; returns the largest residual and the sample count."""
+    fterms, gterms = F.poly.float_terms(), G.poly.float_terms()
+    xs = [min(x, delta) for x in _log_spaced(X_MIN if delta > X_MIN else X_MIN * delta, delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
-    worst = 0.0
+    worst, phi_ts = 0.0, [T.z.phi1.eval_float(t) for t in ts]
     for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
-        phi_vals = [phi.eval_float(t) for t in ts]
+        if phi is not T.z.phi1:  # phi2 is phi1 itself when r is even
+            phi_ts = [phi.eval_float(t) for t in ts]
+        # from on_fiber: |lam|^beta * phi(t) at |x|^beta = 1 once per t, lam * x once per row
+        scaled = [T.on_fiber(sgn, 1.0, u)[1] for u in phi_ts]
         for xi in xs:
-            x = sgn * xi
-            ax_b = xi**beta
-            for t, phi_t in zip(ts, phi_vals):
-                px, py = T.on_fiber(x, ax_b, phi_t)
-                fv = fp.eval_float(x, t * ax_b)
-                afv = abs(fv)
-                err = abs(gp.eval_float(px, py) - fv) / (afv if afv > 1.0 else 1.0)
-                if not err <= worst:
-                    worst = _finite(err, (x, t * ax_b))
+            x, ax_b = sgn * xi, xi**T.beta
+            px = T.on_fiber(x, ax_b, 0.0)[0]
+            worst = max(worst, _row_residual(fterms, gterms, x, px, ax_b, ts, scaled))
     for y in ts:
         px, py = T.eval((0.0, y))
-        fv = fp.eval_float(0.0, y)
-        err = abs(gp.eval_float(px, py) - fv) / max(1.0, abs(fv))
+        fv = F.poly.eval_float(0.0, y)
+        err = abs(G.poly.eval_float(px, py) - fv) / max(1.0, abs(fv))
         if not err <= worst:
             worst = _finite(err, (0.0, y))
     return worst, (2 * len(xs) + 1) * T_COUNT
+
+
+def _row_residual(fterms, gterms, x, px, ax_b, ts, scaled) -> float:
+    """The largest residual of F at (x, t * ax_b) against G at (px, s * ax_b) over t, s
+    in ts, scaled; c * x**i is folded once per row, and BiPoly.eval_float's bits kept."""
+    fc = [(c * x**i, j) for c, i, j in fterms]
+    gc = [(c * px**i, j) for c, i, j in gterms]
+    worst = 0.0
+    for t, s in zip(ts, scaled):
+        y, py = t * ax_b, s * ax_b
+        fv = gv = 0.0
+        for c, j in fc:
+            fv += c * y**j
+        for c, j in gc:
+            gv += c * py**j
+        afv = abs(fv)
+        err = abs(gv - fv) / (afv if afv > 1.0 else 1.0)
+        if not err <= worst:
+            worst = _finite(err, (x, y))
+    return worst
 
 
 def _finite(v: float, point: tuple[float, float]) -> float:
@@ -155,20 +170,22 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
     beta = T.beta
     n = 2 * LIPSCHITZ_SAMPLES
     cutoff = min(1e-9, delta / 2)  # at least half of the draws pass it
-    xs, ys = array("d"), array("d")
+    xs, ys, ax_bs = array("d"), array("d"), array("d")
+    rnd = rng.random  # rng.uniform(a, b) is a + (b - a) * rng.random()
     for _ in range(n):
         x = 0.0
         while abs(x) < cutoff:
-            x = rng.uniform(-delta, delta)
+            x = -delta + (delta - -delta) * rnd()
         xs.append(x)
-        ys.append(rng.uniform(-T_WINDOW, T_WINDOW) * abs(x) ** beta)
+        ax_bs.append(abs(x) ** beta)
+        ys.append((-T_WINDOW + (T_WINDOW - -T_WINDOW) * rnd()) * ax_bs[-1])
     ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
     for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):
         side = array("l", (k for k in range(n) if (xs[k] > 0.0) == upper))
-        # each fiber parameter and |x|^beta as T.eval computes them
-        ts = array("d", (ys[k] / abs(xs[k]) ** beta for k in side))
+        # each fiber parameter as T.eval computes it
+        ts = array("d", (ys[k] / ax_bs[k] for k in side))
         for k, u in zip(side, phi.eval_floats(ts)):
-            ix[k], iy[k] = T.on_fiber(xs[k], abs(xs[k]) ** beta, u)
+            ix[k], iy[k] = T.on_fiber(xs[k], ax_bs[k], u)
     ratio_min = float("inf")
     ratio_max = 0.0
     for k in range(0, n, 2):

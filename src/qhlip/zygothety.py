@@ -144,90 +144,99 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
     section 9.4), with g and g' from one Horner pass per iterate.  A point
     `near` of the branch at or below the preimage (that of a value before y
     in the branch's order) is the bracket's lower end, and Newton's step
-    from it is the first iterate.
+    from it is the first iterate; g at an unbounded far end is then read
+    only when a bisection or a return still has it as an end (an iterate
+    past the preimage vouches for it, g being monotone on the branch).
     """
     p = len(crit_floats)
+    unbounded_lo, unbounded_hi = j == 0, j == p
     if p == 0:
         lo, hi = -1.0, 1.0
-        unbounded_lo = unbounded_hi = True
     else:
         lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0
         hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
-        unbounded_lo = j == 0
-        unbounded_hi = j == p
-    d_lo = 0.0
     if near is None:
-        flo = g.eval_float(lo) - y
+        flo, fhi, d_lo = g.eval_float(lo) - y, g.eval_float(hi) - y, 0.0
     else:
         lo, unbounded_lo = near, False
-        hi = max(hi, near + 1.0) if unbounded_hi else hi
+        hi = far = max(hi, near + 1.0) if unbounded_hi else hi
         flo, d_lo = g.eval_float_d(lo)
         flo -= y
-    fhi = g.eval_float(hi) - y
-    step = max(1.0, abs(lo), abs(hi))
-    for _ in range(600):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            break
-        # y can sit a rounding error outside the image of the branch; as g
-        # is monotone there, that shows as a critical (finite) end nearer to
-        # y than the other end, and that end is the answer
-        if not (unbounded_lo or unbounded_hi):
-            return lo if abs(flo) <= abs(fhi) else hi
-        if not unbounded_lo and abs(flo) < abs(fhi):
+        fhi = None if unbounded_hi else g.eval_float(hi) - y
+    while True:
+        if fhi is not None:
+            step = max(1.0, abs(lo), abs(hi))
+            for _ in range(600):
+                if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
+                    break
+                # y can sit a rounding error outside the image of the branch; as g
+                # is monotone there, that shows as a critical (finite) end nearer to
+                # y than the other end, and that end is the answer
+                if not (unbounded_lo or unbounded_hi):
+                    return lo if abs(flo) <= abs(fhi) else hi
+                if not unbounded_lo and abs(flo) < abs(fhi):
+                    return lo
+                if not unbounded_hi and abs(fhi) < abs(flo):
+                    return hi
+                if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
+                    lo -= step
+                    flo = g.eval_float(lo) - y
+                else:
+                    hi += step
+                    fhi = g.eval_float(hi) - y
+                step *= 2.0
+            else:
+                raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
+        if flo == 0.0:
             return lo
-        if not unbounded_hi and abs(fhi) < abs(flo):
+        if fhi == 0.0:
             return hi
-        if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
-            lo -= step
-            flo = g.eval_float(lo) - y
-        else:
-            hi += step
-            fhi = g.eval_float(hi) - y
-        step *= 2.0
-    else:
-        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    # decide by signs: the product of two tiny values underflows to -0.0
-    # and would keep the wrong half
-    lo_negative = flo < 0.0
-    x = 0.5 * (lo + hi)
-    if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
-        x = lo - flo / d_lo
-    last_dx = hi - lo
-    for _ in range(200):
-        v, d = g.eval_float_d(x)
-        v -= y
-        if v == 0.0:
-            return x
-        if (v < 0.0) == lo_negative:
-            lo = x
-        else:
-            hi = x
-        width = hi - lo
-        if width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi):
-            return 0.5 * (lo + hi)
-        # Newton's step only if it stays strictly inside the bracket and at
-        # least halves the previous step; near a multiple root it shrinks
-        # slowly, so the bracket width, not the step, decides the stop
-        if d != 0.0:
-            nx = x - v / d
-            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
-                last_dx = nx - x
-                x = nx
-                continue
+        # decide by signs: the product of two tiny values underflows to -0.0
+        # and would keep the wrong half
+        lo_negative = flo < 0.0
+        x = 0.5 * (lo + hi)
+        if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
+            x = lo - flo / d_lo
+        last_dx = hi - lo
+        for _ in range(200):
+            v, d = g.eval_float_d(x)
+            v -= y
+            if v != 0.0:
+                if (v < 0.0) == lo_negative:
+                    lo = x
+                else:
+                    hi = x
+                width = hi - lo
+                narrow = width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi)
+                # Newton's step only if it stays strictly inside the bracket and at
+                # least halves the previous step; near a multiple root it shrinks
+                # slowly, so the bracket width, not the step, decides the stop
+                if d != 0.0 and not narrow:
+                    nx = x - v / d
+                    if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
+                        last_dx = nx - x
+                        x = nx
+                        continue
+            if fhi is None and hi == far:  # a bisection or a return needs the far end
+                fhi = g.eval_float(hi) - y
+                if fhi == 0.0 or (fhi < 0.0) == lo_negative:
+                    break  # start over from near: the bracketing reads both ends
+            if v == 0.0:
+                return x
+            if narrow:
+                return 0.5 * (lo + hi)
             # a step of rounding size fails the halving test, and so would
             # every later one: x is as near the root as floats tell
-            if abs(nx - x) <= 1e-15 * abs(x):
+            if d != 0.0 and abs(nx - x) <= 1e-15 * abs(x):
                 return x
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+            mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                return x
+            last_dx = mid - x
+            x = mid
+        else:
             return x
-        last_dx = mid - x
-        x = mid
-    return x
+        lo = near  # hi is far, and flo is g(near) - y
 
 
 @dataclass(frozen=True)

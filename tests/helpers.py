@@ -459,7 +459,7 @@ def ref_verify_conjugacy(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count:
     """The conjugacy residual as the point-by-point loop with a running max()
     computes it: the reference for witness.verify_conjugacy."""
     fp, gp = F.poly, G.poly
-    xs = [min(x, delta) for x in _log_spaced(min(X_MIN, delta), delta, x_count)]
+    xs = [min(x, delta) for x in _log_spaced(X_MIN if delta > X_MIN else X_MIN * delta, delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     worst = 0.0
@@ -511,3 +511,99 @@ def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, 
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
     return (ratio_min, ratio_max)
+
+
+def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
+    """Solve g(u) = y for u in the j-th branch interval, evaluating g at
+    both ends of the bracket before any iterate: the reference for
+    zygothety._invert_on_branch, which gives every result these bits.
+
+    Brackets the root by signs, then iterates Newton safeguarded by
+    bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
+    section 9.4), with g and g' from one Horner pass per iterate.  A point
+    `near` of the branch at or below the preimage (that of a value before y
+    in the branch's order) is the bracket's lower end, and Newton's step
+    from it is the first iterate.
+    """
+    p = len(crit_floats)
+    if p == 0:
+        lo, hi = -1.0, 1.0
+        unbounded_lo = unbounded_hi = True
+    else:
+        lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0
+        hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
+        unbounded_lo = j == 0
+        unbounded_hi = j == p
+    d_lo = 0.0
+    if near is None:
+        flo = g.eval_float(lo) - y
+    else:
+        lo, unbounded_lo = near, False
+        hi = max(hi, near + 1.0) if unbounded_hi else hi
+        flo, d_lo = g.eval_float_d(lo)
+        flo -= y
+    fhi = g.eval_float(hi) - y
+    step = max(1.0, abs(lo), abs(hi))
+    for _ in range(600):
+        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
+            break
+        # y can sit a rounding error outside the image of the branch; as g
+        # is monotone there, that shows as a critical (finite) end nearer to
+        # y than the other end, and that end is the answer
+        if not (unbounded_lo or unbounded_hi):
+            return lo if abs(flo) <= abs(fhi) else hi
+        if not unbounded_lo and abs(flo) < abs(fhi):
+            return lo
+        if not unbounded_hi and abs(fhi) < abs(flo):
+            return hi
+        if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
+            lo -= step
+            flo = g.eval_float(lo) - y
+        else:
+            hi += step
+            fhi = g.eval_float(hi) - y
+        step *= 2.0
+    else:
+        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    # decide by signs: the product of two tiny values underflows to -0.0
+    # and would keep the wrong half
+    lo_negative = flo < 0.0
+    x = 0.5 * (lo + hi)
+    if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
+        x = lo - flo / d_lo
+    last_dx = hi - lo
+    for _ in range(200):
+        v, d = g.eval_float_d(x)
+        v -= y
+        if v == 0.0:
+            return x
+        if (v < 0.0) == lo_negative:
+            lo = x
+        else:
+            hi = x
+        width = hi - lo
+        if width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi):
+            return 0.5 * (lo + hi)
+        # Newton's step only if it stays strictly inside the bracket and at
+        # least halves the previous step; near a multiple root it shrinks
+        # slowly, so the bracket width, not the step, decides the stop
+        if d != 0.0:
+            nx = x - v / d
+            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
+                last_dx = nx - x
+                x = nx
+                continue
+            # a step of rounding size fails the halving test, and so would
+            # every later one: x is as near the root as floats tell
+            if abs(nx - x) <= 1e-15 * abs(x):
+                return x
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return x
+        last_dx = mid - x
+        x = mid
+    return x

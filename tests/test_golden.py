@@ -32,6 +32,15 @@ CASES = [
     ),
     # a 1-D verdict with an explicit pairing
     ("classify1_decreasing", 0, ["classify1", "t^3 - 3*t", "-t^3 + 3*t"]),
+    # witness reports: every residual, ratio and asymptotic estimate to the bit
+    ("witness_hp", 0, ["witness", "X^6+3*X^4*Y+Y^3", "X^6+6*X^4*Y+Y^3", "--beta", "2/1"]),
+    (
+        "witness_hp_narrow",
+        0,
+        ["witness", "X^6+3*X^4*Y+Y^3", "X^6+6*X^4*Y+Y^3", "--beta", "2/1", "--delta", "1e-3", "--samples", "4000"],
+    ),
+    # branches with critical points, so bounded brackets
+    ("witness_suffa_branch", 0, ["witness", "X^4-3*X^2*Y+Y^2", "16*X^4-12*X^2*Y+Y^2", "--beta", "2/1"]),
 ]
 
 

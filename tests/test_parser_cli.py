@@ -526,3 +526,22 @@ class TestCli:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_calls_in_one_process_match_fresh_calls(self, capsys):
+        # build_parser is built once per process: a --let, or a usage error
+        # raised halfway through parsing, must not carry over to the next call
+        calls = [
+            ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1", "--let", "l=-1", "--let", "m=-3"],
+            ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1"],
+            ["witness", "X^4", "X^4", "--beta", "2/1", "--samples", "many"],
+            ["classify1", "t^3 - 3*t", "-t^3 + 3*t"],
+        ]
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "qhlip.cli", *argv], capture_output=True)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out.encode(), captured.err.encode()) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            ), argv

@@ -10,8 +10,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qhlip import cli
+from qhlip import cli, witness
 from qhlip.cli import main
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
@@ -22,6 +23,7 @@ from qhlip.witness import (
     LIPSCHITZ_SEED,
     T_COUNT,
     T_WINDOW,
+    X_MIN,
     InverseBetaTransform,
     verify,
     verify_asymptotic,
@@ -332,6 +334,28 @@ class TestAgainstReferenceLoops:
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@st.composite
+def scaled_pairs(draw):
+    """(F, F(aX, bY), the inverse beta-transform of an Equivalent verdict's
+    certificate): F a random quasihomogeneous polynomial, a and b nonzero
+    rationals."""
+    Fq = rand_qhpoly(random.Random(draw(st.integers(0, 2**32))))
+    nonzero = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
+    a, b = (F(draw(nonzero), draw(st.integers(1, 3))) for _ in range(2))
+    Gq = validate_qh(Fq.poly.scale_vars(a, b), Fq.r, Fq.s)
+    v = decide(Fq, Gq)
+    assume(v.kind == "equivalent")
+    return Fq, Gq, InverseBetaTransform(v.certificate.zygothety, Fq.r, Fq.s)
+
+
+class TestConjugacyIsTheReference:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(scaled_pairs(), st.floats(1e-4, 2.0), st.integers(1, 6))
+    def test_every_bit_is_the_reference(self, pair, delta, x_count):
+        a, b, T = pair
+        assert verify_conjugacy(a, b, T, x_count, delta)[0] == ref_verify_conjugacy(a, b, T, x_count, delta)
+
+
 @dataclasses.dataclass(frozen=True)
 class BadAt(Affine):
     """t -> t, except the value `bad` at the fiber parameter `at`."""
@@ -397,22 +421,41 @@ class TestHugeDelta:
 class TestTinyDelta:
     """A strip narrower than X_MIN or than the Lipschitz draws' 1e-9 cutoff."""
 
-    @pytest.mark.parametrize("delta", [1e-12, 1e-8, 3e-6, 0.7, 1.0])
-    def test_conjugacy_grid_stays_in_the_strip(self, delta, monkeypatch):
+    @staticmethod
+    def grid_abs_x(delta, monkeypatch) -> list[float]:
+        """|x| of every sample of a 5-row grid: T_COUNT per row step, and
+        one per evaluation of F on the axis x = 0."""
         a, b = hp(-1), hp(-2)
         T = InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1)
         seen = []
-        real_eval = BiPoly.eval_float
+        real_row, real_eval = witness._row_residual, BiPoly.eval_float
+
+        def recording_row(fterms, gterms, x, px, ax_b, ts, scaled):
+            seen.extend([abs(x)] * len(ts))
+            return real_row(fterms, gterms, x, px, ax_b, ts, scaled)
 
         def recording_eval(poly, x, y):
             if poly is a.poly:
                 seen.append(abs(x))
             return real_eval(poly, x, y)
 
+        monkeypatch.setattr(witness, "_row_residual", recording_row)
         monkeypatch.setattr(BiPoly, "eval_float", recording_eval)
         verify_conjugacy(a, b, T, 5, delta)
+        return seen
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-8, 3e-6, 0.7, 1.0])
+    def test_conjugacy_grid_stays_in_the_strip(self, delta, monkeypatch):
+        seen = self.grid_abs_x(delta, monkeypatch)
         assert len(seen) == 11 * T_COUNT
         assert max(seen) <= delta
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-8])
+    def test_rows_below_x_min_stay_distinct(self, delta, monkeypatch):
+        # log-spaced from X_MIN * delta up, not five copies of delta
+        rows = set(self.grid_abs_x(delta, monkeypatch)) - {0.0}
+        assert len(rows) == 5
+        assert sorted(rows) == pytest.approx([delta * X_MIN ** (1 - k / 4) for k in range(5)], rel=1e-12, abs=0)
 
     def test_cli_returns_below_the_draw_cutoff(self):
         cmd = [sys.executable, "-m", "qhlip.cli", "witness", "X^6 + 3*X^4*Y + Y^3", "X^6 + 6*X^4*Y + Y^3"]

@@ -31,7 +31,7 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly
+from helpers import rand_qhpoly, ref_invert_on_branch
 
 
 def ra(x):
@@ -584,6 +584,55 @@ class TestBatchInversionProperty:
         assert len(us) == len(ys)
         for y, u in zip(ys, us):
             assert_solves(g, crits, j, y, u)
+
+
+def ref_warm_inversions(g: UniPoly, crits: list[float], j: int, ys: list[float]) -> list[float]:
+    """The preimages of ys on g's j-th branch, in the order eval_floats takes
+    them (ascending along the branch), each warm-started at the one before
+    by the reference inversion, which evaluates both bracket ends first."""
+    rising = g.derivative().sign_at(F(point_on_branch(crits, j, 0.5))) > 0
+    out, near = [0.0] * len(ys), None
+    for k in sorted(range(len(ys)), key=lambda k: ys[k] if rising else -ys[k]):
+        out[k] = near = ref_invert_on_branch(g, crits, j, ys[k], near)
+    return out
+
+
+class TestBatchInversionIsTheReference:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(branch_batches())
+    def test_every_bit_is_the_reference(self, case):
+        g, points, crits, j, ys = case
+        assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
+
+
+class TestFarEndHoldingThePreimage:
+    """A warm start on an unbounded branch reads g at the far end, near + 1,
+    only where a bisection or a return still has it as an end.  When y is
+    g there, up to rounding, the reference returns that end or finds no
+    sign change, and so must the lazy read: an iterate with g(x) == y before
+    the far end is not yet the answer."""
+
+    @pytest.mark.parametrize(
+        "coeffs,crits,j,y,near",
+        [
+            ([-9, 1], [], 0, -8.0, -6.5273628797011805),
+            ([7, 1], [], 0, 8.0, -0.6137542310473032),
+            ([-7, -9, 9, -4, -2, -1, -6], [-1.0], 1, -7.0, -1.0),
+        ],
+    )
+    def test_pinned(self, coeffs, crits, j, y, near):
+        g = UniPoly(coeffs)
+        assert _invert_on_branch(g, crits, j, y, near) == ref_invert_on_branch(g, crits, j, y, near)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_polys(), st.integers(0, 64), st.sampled_from((-1, 0, 1)))
+    def test_value_at_the_far_end(self, case, s, ulps):
+        g, _, crits, _ = case
+        j = len(crits)
+        near = point_on_branch(crits, j, s / 64)
+        y = float(g(F(max(crits[-1] + 1.0 if crits else 1.0, near + 1.0))))
+        y = math.nextafter(y, ulps * math.inf) if ulps else y
+        assert _invert_on_branch(g, crits, j, y, near) == ref_invert_on_branch(g, crits, j, y, near)
 
 
 def negative_pair_maps() -> list:
