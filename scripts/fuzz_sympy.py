@@ -56,7 +56,12 @@ Compares, on seeded random inputs:
   zeros match and sympy's ratios b_j / a_j of the nonzero values are one
   number.  Every ratio is a root of one resultant in y, and two ratios are
   one root when a box around both holds one root of it by sympy's exact
-  count; the constant qhlip reports must be that root.
+  count; the constant qhlip reports must be that root;
+* ``parser.parse_bi`` on seeded expression text (sums, differences,
+  products and powers of small rational polynomials in X and Y, some
+  behind a prefix minus) against ``sympy.expand`` of the same text, term
+  by term, and the heights ``BiPoly.height(1)`` and ``height(-1)`` against
+  ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -79,11 +84,13 @@ import sympy
 from fractions import Fraction
 
 from qhlip.lipclass import critical_data, similar
+from qhlip.parser import parse_bi
 from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
 from qhlip.zygothety import BranchMap, _invert_on_branch
 
 X, T = sympy.symbols("x t")
+BX, BY = sympy.symbols("X Y")
 
 
 def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
@@ -485,6 +492,37 @@ def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     return p, q
 
 
+def rand_bi_text(rng: random.Random, depth: int) -> str:
+    """Expression text in X and Y: a small rational polynomial at depth 0,
+    else a sum, difference, product or power of smaller expressions, in
+    parentheses, sometimes behind a prefix minus."""
+    if depth == 0 or rng.random() < 0.25:
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            c = f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}"
+            terms.append(f"{c}*X^{rng.randint(0, 2)}*Y^{rng.randint(0, 2)}")
+        return " + ".join(terms)
+    op = rng.choice("+-*^")
+    left = f"({rand_bi_text(rng, depth - 1)})"
+    if op == "^":
+        text = f"{left}^{rng.randint(0, 3)}"
+    else:
+        text = f"{left} {op} ({rand_bi_text(rng, depth - 1)})"
+    return f"-({text})" if rng.random() < 0.2 else text
+
+
+def check_parser(text: str) -> str | None:
+    ours = parse_bi(text)
+    expr = sympy.expand(sympy.sympify(text.replace("^", "**"), locals={"X": BX, "Y": BY}))
+    theirs = {k: v for k, v in sympy.Poly(expr, BX, BY).as_dict().items() if v}
+    if {k: sympy.Rational(c.numerator, c.denominator) for k, c in ours.terms.items()} != theirs:
+        return f"parse_bi({text!r}): qhlip {ours}, sympy {expr}"
+    for side in (1, -1):
+        if sympy.expand(uni_expr(ours.height(side), BY) - expr.subs(BX, side)) != 0:
+            return f"height({side}) of {text!r}: qhlip {ours.height(side)}, sympy {expr.subs(BX, side)}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200)
@@ -495,6 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     # checks see the inputs they saw before it was added
     batch_rng = random.Random(f"batch {args.seed}")
     similar_rng = random.Random(f"similar {args.seed}")
+    parse_rng = random.Random(f"parse {args.seed}")
     flat: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
@@ -510,6 +549,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_big_gcd(*rand_big_pair(rng))
             or check_images(rng)
             or check_similar(*rand_similar_pair(similar_rng))
+            or check_parser(rand_bi_text(parse_rng, 3))
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

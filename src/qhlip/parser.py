@@ -11,17 +11,19 @@ height F(1, t), by the substitution that qhdecide.heights makes, so both
 entry points share one set of limits.
 
 Every literal and every value built while parsing stays within MAX_DEGREE,
-MAX_TERMS and MAX_COEFF_BITS, and a product or power whose degree would exceed
-MAX_DEGREE is refused before it is expanded, so a huge input fails at once
-with InputTooLargeError instead of running for minutes.  Parentheses and
-prefix minus signs nest at most MAX_DEPTH deep: the recursive descent takes
-six frames per parenthesis, 600 in all, within Python's default limit of 1000.
+MAX_TERMS and MAX_COEFF_BITS (on each coefficient in lowest terms), and a
+product or power of degree above MAX_DEGREE is refused before it is expanded,
+so a huge input fails at once with InputTooLargeError instead of running for
+minutes.  Parentheses and prefix minus signs nest at most MAX_DEPTH deep: the
+recursive descent takes six frames per parenthesis, 600 in all, within
+Python's default limit of 1000.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional
 
 from .polyalg import BiPoly, RatLike, UniPoly
@@ -31,11 +33,12 @@ MAX_DEGREE = 100
 #: most terms of any polynomial the parser builds; one in X, Y that is
 #: quasihomogeneous of degree at most MAX_DEGREE has at most this many
 MAX_TERMS = MAX_DEGREE + 1
-#: largest bit length of a numerator or denominator of any coefficient
+#: largest bit length of a numerator or denominator of any lowest-terms coefficient
 MAX_COEFF_BITS = 4096
 #: most parentheses and prefix minus signs open at any point of the input
 MAX_DEPTH = 100
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
+_X, _Y, _ONE = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1}), BiPoly({(0, 0): 1})  # immutable, so shared
 
 
 class ParseError(ValueError):
@@ -58,12 +61,14 @@ def _int_literal(digits: str, position: int) -> int:
 
 
 def _degree(p: BiPoly) -> int:
-    return max((i + j for i, j in p.terms), default=-1)
+    return max((i + j for i, j in p.ints), default=-1)
 
 
 def _coeff_bits(p: BiPoly) -> int:
-    cs = p.terms.values()
-    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in cs), default=0)
+    # content * c is (num * c / g) / (den / g) in lowest terms, g = gcd(c, den)
+    num, den = p.content.as_integer_ratio()
+    return max((max((num * c // g).bit_length(), (den // g).bit_length())
+                for c in p.ints.values() for g in (gcd(c, den),)), default=0)
 
 
 def _const(c: RatLike) -> BiPoly:
@@ -73,7 +78,7 @@ def _const(c: RatLike) -> BiPoly:
 def _checked(p: BiPoly, position: int) -> BiPoly:
     if _degree(p) > MAX_DEGREE:
         raise InputTooLargeError(f"polynomial of degree above {MAX_DEGREE}", position)
-    if len(p.terms) > MAX_TERMS:
+    if len(p.ints) > MAX_TERMS:
         raise InputTooLargeError(f"polynomial of more than {MAX_TERMS} terms", position)
     if _coeff_bits(p) > MAX_COEFF_BITS:
         raise InputTooLargeError(f"coefficient above {MAX_COEFF_BITS} bits", position)
@@ -197,7 +202,7 @@ class _Parser:
                 raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
             # square and multiply; each factor is a power of base of at most
             # exp, so one above the limits means the result is too
-            out = _const(1)
+            out = _ONE
             while exp:
                 if exp & 1:
                     out = _checked(out * base, pos)
@@ -235,12 +240,12 @@ class _Parser:
 
 def parse_uni(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> UniPoly:
     """Parse a univariate polynomial in t, read as Y and then set at X = 1."""
-    return _Parser(text, {"t": BiPoly({(0, 1): 1})}, bindings).parse().substitute_y(1)
+    return _Parser(text, {"t": _Y}, bindings).parse().height(1)
 
 
 def parse_bi(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> BiPoly:
     """Parse a bivariate polynomial in X, Y."""
-    return _Parser(text, {"X": BiPoly({(1, 0): 1}), "Y": BiPoly({(0, 1): 1})}, bindings).parse()
+    return _Parser(text, {"X": _X, "Y": _Y}, bindings).parse()
 
 
 def parse_rational(text: str) -> Fraction:

@@ -5,10 +5,10 @@ polynomials are sparse (quasihomogeneous supports are thin).  Everything is
 immutable and every operation is a pure function, so values can be shared and
 cached freely.
 
-A `UniPoly` is stored once, as primitive integer coefficients times a positive
-rational content (as FLINT's fmpq_poly keeps one integer polynomial and one
-denominator), so its arithmetic, evaluation, gcds and exact divisions all run
-in Z[x].  Gcds are heuristic, proved by exact division; Sturm chains take
+A `UniPoly` and a `BiPoly` are each stored once, as primitive integer terms
+times a positive rational content (as FLINT's fmpq_poly and fmpq_mpoly store
+theirs), so their arithmetic and evaluation, and gcds and exact divisions, run
+over Z.  Gcds are heuristic, proved by exact division; Sturm chains take
 pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14, 1967).
 Resultants are computed in Z at integer points and interpolated in Z.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RatLike = Union[Fraction, int]
 _HEU_ROUNDS = 6  # evaluation points _zx_gcd tries before its fallback
@@ -431,63 +431,65 @@ def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
 
 
 class BiPoly:
-    """Sparse polynomial in X, Y; maps exponent pairs to nonzero Fractions."""
+    """Sparse polynomial in X, Y over Q, the product content * ints, stored
+    as a UniPoly is: ``ints`` maps exponent pairs, sorted, to coprime nonzero
+    integers, ``_key`` is its items, and ``content`` is a positive Fraction.
+    Equality and hashing read (_key, content).  The zero polynomial has no
+    ints and content 1.  ``terms`` builds {(i, j): Fraction} on read."""
 
-    __slots__ = ("terms", "_key", "_flt")
+    __slots__ = ("ints", "content", "_key", "_flt")
 
-    def __init__(self, terms: Mapping[tuple[int, int], RatLike] = ()):
-        sums: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in terms.items() if isinstance(terms, Mapping) else terms:
-            if i < 0 or j < 0:
-                raise ValueError("negative exponent in BiPoly")
-            key, c = (int(i), int(j)), Fraction(c)
-            sums[key] = sums[key] + c if key in sums else c
-        _bi_init(self, sums)
+    def __new__(cls, terms: Mapping[tuple[int, int], RatLike] = ()) -> "BiPoly":
+        cs = {(int(i), int(j)): Fraction(c) for (i, j), c in dict(terms).items()}
+        if any(i < 0 or j < 0 for i, j in cs):
+            raise ValueError("negative exponent in BiPoly")
+        den = _int_lcm(*(c.denominator for c in cs.values()))
+        return _bi({k: c.numerator * (den // c.denominator) for k, c in cs.items()}, 1, den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {k: self.content * c for k, c in self._key}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiPoly) and self._key == other._key
+        return isinstance(other, BiPoly) and self._key == other._key and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self._key, self.content.numerator, self.content.denominator))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return _bi_raw(out)
+        # over the common denominator den of the two contents
+        (a, b), (c, d) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        den = _int_lcm(b, d)
+        x, y = a * (den // b), c * (den // d)
+        out = {k: x * v for k, v in self._key}
+        for k, v in other._key:
+            out[k] = out.get(k, 0) + y * v
+        return _bi(out, 1, den)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
-        return _bi_raw({k: -c for k, c in self.terms.items()})
+        return _bi({k: -c for k, c in self._key}, *self.content.as_integer_ratio())
 
-    def __mul__(self, other: Union["BiPoly", RatLike]) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+    def __mul__(self, other: "BiPoly") -> "BiPoly":
+        (a, b), (c, d), out = self.content.as_integer_ratio(), other.content.as_integer_ratio(), {}
+        for (i1, j1), c1 in self._key:
+            for (i2, j2), c2 in other._key:
                 k = (i1 + i2, j1 + j2)
-                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-        return _bi_raw(out)
-
-    def scale(self, c: RatLike) -> "BiPoly":
-        c = Fraction(c)
-        return _bi_raw({k: c * v for k, v in self.terms.items()})
-
-    def __call__(self, x: RatLike, y: RatLike) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
+                out[k] = out.get(k, 0) + c1 * c2
+        # primitive by Gauss's lemma, so _bi's gcd is 1; it drops cancelled terms
+        return _bi(out, a * c, b * d)
 
     def float_terms(self) -> tuple[tuple[float, int, int], ...]:
         """(float(c), i, j) for each term c*X^i*Y^j, in _key order."""
         if self._flt is None:
-            self._flt = tuple((float(c), i, j) for (i, j), c in self._key)
+            num, den = self.content.as_integer_ratio()
+            self._flt = tuple((num * c / den, i, j) for (i, j), c in self._key)
         return self._flt
 
     def eval_float(self, x: float, y: float) -> float:
@@ -498,27 +500,21 @@ class BiPoly:
             acc += c * x**i * y**j
         return acc
 
-    def substitute_y(self, x_value: RatLike) -> UniPoly:
-        """F(x_value, t) as a univariate polynomial in t."""
-        x_value = Fraction(x_value)
-        deg = max((j for (_, j) in self.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            out[j] += c * x_value**i
-        return UniPoly(out)
+    def height(self, side: int) -> UniPoly:
+        """F(side, t) as a polynomial in t; the two heights are F(1, t) and F(-1, t)."""
+        out = [0] * (max((j for _, j in self.ints), default=-1) + 1)
+        for (i, j), c in self._key:
+            out[j] += c * side**i
+        return _poly(out, self.content)
 
     def scale_vars(self, a: RatLike, b: RatLike) -> "BiPoly":
         """F(aX, bY)."""
-        a, b = Fraction(a), Fraction(b)
         return BiPoly({(i, j): c * a**i * b**j for (i, j), c in self.terms.items()})
-
-    def monomials(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self._key)
 
     def __str__(self) -> str:
         """The polynomial as text in X, Y that parse_bi reads back."""
         parts = []
-        for (i, j), c in reversed(self._key):
+        for (i, j), c in reversed(self.terms.items()):
             factors = []
             if i:
                 factors.append("X" if i == 1 else f"X^{i}")
@@ -531,18 +527,14 @@ class BiPoly:
         return f"BiPoly({self})"
 
 
-def _bi_init(p: BiPoly, sums: dict[tuple[int, int], Fraction]) -> None:
-    clean = {k: c for k, c in sums.items() if c}
-    p.terms = clean
-    p._key = tuple(sorted(clean.items()))
-    p._flt = None  # float_terms() fills it
-
-
-def _bi_raw(sums: dict[tuple[int, int], Fraction]) -> BiPoly:
-    """The BiPoly of already summed terms: (int, int) keys and Fraction
-    values, zeros allowed."""
+def _bi(ints: Mapping[tuple[int, int], int], num: int, den: int) -> BiPoly:
+    """The BiPoly num/den * ints, for integer terms, zeros allowed, and
+    integers num, den > 0; its content is the one Fraction built."""
+    keys = sorted(k for k, c in ints.items() if c)
+    cs, g = _primitive([ints[k] for k in keys])
     p = object.__new__(BiPoly)
-    _bi_init(p, sums)
+    p.ints = dict(zip(keys, cs))
+    p.content, p._key, p._flt = Fraction(num * g, den) if keys else _ONE, tuple(p.ints.items()), None
     return p
 
 
@@ -550,26 +542,26 @@ def x_multiplicity(F: BiPoly) -> int:
     """Largest e with X**e dividing F."""
     if F.is_zero:
         raise ValueError("x_multiplicity of the zero polynomial")
-    return min(i for (i, _) in F.terms)
+    return min(i for (i, _) in F.ints)
 
 
 def y_divides(F: BiPoly) -> bool:
     """Whether Y divides F."""
     if F.is_zero:
         raise ValueError("y_divides of the zero polynomial")
-    return all(j >= 1 for (_, j) in F.terms)
+    return all(j >= 1 for (_, j) in F.ints)
 
 
 def is_cxd(F: BiPoly) -> tuple[Fraction, int] | None:
     """(c, d) when F = c*X**d, else None."""
     if F.is_zero:
         raise ValueError("is_cxd of the zero polynomial")
-    if len(F.terms) != 1:
+    if len(F.ints) != 1:
         return None
-    ((i, j), c), = F.terms.items()
+    ((i, j), c), = F.ints.items()
     if j != 0:
         return None
-    return c, i
+    return F.content * c, i
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
     if r <= s:
         raise BetaRangeError("beta = r/s must be greater than 1")
     d_times_s = None
-    for (i, j), _ in F.monomials():
+    for i, j in F.ints:
         val = i * s + j * r
         if d_times_s is None:
             d_times_s = val
@@ -86,7 +86,7 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
     d = d_times_s // s
     if d <= 0:
         raise NotQuasihomogeneousError("degree d must be a positive integer")
-    n = max(j // s for (_, j), _ in F.monomials())
+    n = max(j // s for _, j in F.ints)
     e = x_multiplicity(F)
     if e != d - r * n:
         raise ArithmeticError("X-multiplicity is not d - r*n; internal bug")
@@ -103,10 +103,9 @@ def infer_beta(F: BiPoly) -> BetaInference:
     """All coprime (r, s) with r > s > 0 and integer d > 0 that fit F."""
     if F.is_zero:
         raise NotQuasihomogeneousError("the zero polynomial is excluded")
-    support = [key for key, _ in F.monomials()]
-    if len(support) == 1:
+    if len(F.ints) == 1:
         return BetaInference((), True)
-    (i1, j1), (i2, j2) = support[0], support[1]
+    (i1, j1), (i2, j2), *_ = F.ints
     if j1 == j2:
         return BetaInference((), False)
     beta = Fraction(i2 - i1, j1 - j2)
@@ -122,7 +121,7 @@ def infer_beta(F: BiPoly) -> BetaInference:
 
 @lru_cache(maxsize=None)
 def _heights_cached(F: BiPoly) -> HeightPair:
-    return HeightPair(F.substitute_y(1), F.substitute_y(-1))
+    return HeightPair(F.height(1), F.height(-1))
 
 
 def heights(Q: QHPoly) -> HeightPair:

@@ -99,6 +99,8 @@ def verify(
 def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
     if count == 1:
         return [hi]
+    if not lo:  # X_MIN * delta for a delta near the float minimum
+        raise OverflowError(f"the grid's lowest |x| underflows to 0 below {hi!r}")
     ratio = math.log(hi / lo)
     return [lo * math.exp(ratio * k / (count - 1)) for k in range(count)]
 
@@ -178,6 +180,8 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
             x = -delta + (delta - -delta) * rnd()
         xs.append(x)
         ax_bs.append(abs(x) ** beta)
+        if not ax_bs[-1]:  # each fiber parameter divides by it
+            raise OverflowError(f"|x|^beta underflows to 0 at x = {x!r}")
         ys.append((-T_WINDOW + (T_WINDOW - -T_WINDOW) * rnd()) * ax_bs[-1])
     ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
     for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):

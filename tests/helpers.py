@@ -439,6 +439,39 @@ def ref_interval_eval(a, lo, hi) -> tuple[Fraction, Fraction]:
     return alo, ahi
 
 
+def ref_bi(terms) -> dict[tuple[int, int], Fraction]:
+    """The terms as Fractions, zeros dropped."""
+    return {k: Fraction(c) for k, c in terms.items() if c}
+
+
+def ref_bi_add(a, b) -> dict[tuple[int, int], Fraction]:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return ref_bi(out)
+
+
+def ref_bi_mul(a, b) -> dict[tuple[int, int], Fraction]:
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + x * y
+    return ref_bi(out)
+
+
+def ref_bi_height(a, x) -> tuple[Fraction, ...]:
+    """F(x, t) as coefficients in t, lowest power first."""
+    out = [Fraction(0)] * (max((j for _, j in a), default=-1) + 1)
+    for (i, j), c in a.items():
+        out[j] += c * Fraction(x) ** i
+    return ref_trim(out)
+
+
+def ref_bi_scale_vars(a, u, v) -> dict[tuple[int, int], Fraction]:
+    """F(uX, vY)."""
+    return ref_bi({(i, j): c * Fraction(u) ** i * Fraction(v) ** j for (i, j), c in a.items()})
+
+
 def ref_on_fiber(T: InverseBetaTransform, x: float, ax_b: float, phi_t: float) -> tuple[float, float]:
     """The fiber formula with |lam|^beta taken at each point."""
     lam = T.lam1 if x > 0.0 else T.lam2

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qhlip
-from qhlip import polyalg
+from qhlip import parser, polyalg
+from qhlip.parser import parse_bi
 from qhlip.polyalg import (
     BiPoly,
     UniPoly,
@@ -39,6 +40,11 @@ from helpers import (
     rand_tpoly,
     rand_unipoly,
     ref_add,
+    ref_bi,
+    ref_bi_add,
+    ref_bi_height,
+    ref_bi_mul,
+    ref_bi_scale_vars,
     ref_compose,
     ref_derivative,
     ref_eval,
@@ -68,7 +74,9 @@ class TestArith:
 
     def test_height_substitution_matches_family(self):
         F6 = BiPoly({(6, 0): 1, (4, 1): -3, (0, 3): 1})
-        assert F6.substitute_y(1) == P(1, -3, 0, 1)
+        assert F6.height(1) == P(1, -3, 0, 1)
+        assert F6.height(-1) == P(1, -3, 0, 1)  # X appears in even powers only
+        assert BiPoly({(3, 0): 2, (1, 1): 1}).height(-1) == P(-2, -1)
 
     def test_mul_scalar_and_neg(self):
         p = P(1, 2, 3)
@@ -77,8 +85,8 @@ class TestArith:
 
     def test_bipoly_eval(self):
         F6 = BiPoly({(6, 0): 1, (4, 1): -3, (0, 3): 1})
-        assert F6(1, 2) == 1 - 6 + 8
-        assert F6(F(1, 2), 1) == F(1, 64) - F(3, 16) + 1
+        assert F6.height(1)(2) == 1 - 6 + 8
+        assert F6.scale_vars(F(1, 2), 1).height(1)(1) == F(1, 64) - F(3, 16) + 1
 
     def test_ring_axioms_random(self):
         rng = random.Random(42)
@@ -411,6 +419,65 @@ class TestFractionReference:
         assert (p.ints, p.content) == before and UniPoly().ints == ()
 
 
+#: sparse terms with exponents up to 4: empty (the zero polynomial),
+#: zero coefficients, and the coefficients of ref_coeffs
+ref_terms = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), ref_coeffs, max_size=5)
+
+
+def assert_bi_stores(p, ref):
+    """p is the polynomial with Fraction terms ref, stored as content times
+    coprime nonzero integers in sorted order, and equal, hash included, to
+    BiPoly(ref); the parser's size check reads ref's bits from the integers."""
+    assert p.terms == ref and all(type(c) is F for c in p.terms.values())
+    bits = (max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in ref.values())
+    assert parser._coeff_bits(p) == max(bits, default=0)
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert list(p.ints) == sorted(ref)
+    assert type(p.content) is F and p.content > 0
+    if p.ints:
+        assert math.gcd(*p.ints.values()) == 1
+    else:
+        assert p.content == 1
+    q = BiPoly(ref)
+    assert p == q and hash(p) == hash(q)
+
+
+class TestBiPolyFractionReference:
+    """Each BiPoly operation on content and integers gives what the same
+    operation on a dict of Fraction terms gives."""
+
+    @ref_examples
+    @given(ref_terms, ref_terms)
+    def test_ring_operations(self, a, b):
+        p, q = BiPoly(a), BiPoly(b)
+        a, b = ref_bi(a), ref_bi(b)
+        assert_bi_stores(p, a)
+        assert_bi_stores(p + q, ref_bi_add(a, b))
+        assert_bi_stores(p - q, ref_bi_add(a, {k: -c for k, c in b.items()}))
+        assert_bi_stores(-p, {k: -c for k, c in a.items()})
+        assert_bi_stores(p * q, ref_bi_mul(a, b))
+
+    @ref_examples
+    @given(ref_terms, ref_coeffs, ref_coeffs)
+    def test_heights_and_scaling(self, a, u, v):
+        p, a = BiPoly(a), ref_bi(a)
+        assert_stores(p.height(1), ref_bi_height(a, 1))
+        assert_stores(p.height(-1), ref_bi_height(a, -1))
+        assert_bi_stores(p.scale_vars(u, v), ref_bi_scale_vars(a, u, v))
+
+    def test_equal_polynomials_built_apart(self):
+        for p, q in [
+            (BiPoly({(1, 0): 2}), parse_bi("X+X")),
+            (BiPoly({(2, 1): F(1, 2), (0, 3): F(-3, 4)}), parse_bi("1/2*X^2*Y - 3/4*Y^3")),
+            (BiPoly(), parse_bi("X*Y - Y*X")),
+            (BiPoly({(0, 2): -1, (2, 0): 1}), parse_bi("(X + Y)*(X - Y)")),
+        ]:
+            assert p == q and hash(p) == hash(q)
+            assert (p.ints, p.content, p.terms) == (q.ints, q.content, q.terms)
+        assert BiPoly({(1, 0): 2}).ints == {(1, 0): 1} and BiPoly({(1, 0): 2}).content == 2
+        assert BiPoly().ints == {} and BiPoly().content == 1
+
+
 class TestIntervalEval:
     def test_contains_endpoint_values(self):
         rng = random.Random(48)
@@ -454,7 +521,7 @@ class TestEvalFloat:
     )
     def test_bipoly_matches_per_call_conversion(self, terms, x, y):
         p = BiPoly(terms)
-        ref = sum(float(c) * x**i * y**j for (i, j), c in p.monomials())
+        ref = sum(float(c) * x**i * y**j for (i, j), c in sorted(p.terms.items()))
         assert same_float(p.eval_float(x, y), ref)
         assert same_float(p.eval_float(x, y), ref)
 
@@ -472,7 +539,7 @@ class TestEvalFloat:
         p = P(huge, 1)
         assert p(2) == huge + 2
         B = BiPoly({(3, 0): huge, (0, 1): 1})
-        assert B(1, 2) == huge + 2
+        assert B.height(1)(2) == huge + 2
         with pytest.raises(OverflowError):
             p.eval_float(2.0)
         with pytest.raises(OverflowError):

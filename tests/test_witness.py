@@ -416,6 +416,13 @@ class TestHugeDelta:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["code"] == "input_too_large"
         assert "--delta" in error["message"]
+        # so narrow that |x|^beta of a Lipschitz draw (1e-170, 1e-300) or
+        # the grid's lowest row X_MIN * delta (5e-324) underflows to 0
+        for delta in ("1e-170", "1e-300", "5e-324"):
+            assert main(args[:3] + ["--infer-beta", "--delta", delta]) == 3
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["code"] == "input_too_large"
+            assert "--delta" in error["message"] and "underflows to 0" in error["message"]
 
 
 class TestTinyDelta:
