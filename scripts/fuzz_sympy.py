@@ -61,7 +61,12 @@ Compares, on seeded random inputs:
   products and powers of small rational polynomials in X and Y, some
   behind a prefix minus) against ``sympy.expand`` of the same text, term
   by term, and the heights ``BiPoly.height(1)`` and ``height(-1)`` against
-  ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion.
+  ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion;
+* ``b / a`` for the real roots a != 0 of an integer polynomial A of degree
+  at most 3, and b each real root of c**n A(t/c) for a random rational
+  c != 0 (planted scaled conjugates, one of which is c*a) or of a random
+  polynomial: a rational quotient must be sympy's exact quotient, and
+  any other must hold it as ``a * b`` is held above.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -304,6 +309,29 @@ def check_images(rng: random.Random) -> str | None:
     return None
 
 
+def check_division(rng: random.Random, rational: list[int]) -> str | None:
+    """b / a for the real roots a != 0 of an integer polynomial A of degree
+    at most 3 and b each real root of c**n A(t/c), for a random rational
+    c != 0 (planted: one b is c*a), and of a random polynomial; rational
+    counts the irrational pairs whose quotient came out rational."""
+    pa = rand_uni(rng, 3)
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+    n = pa.degree
+    planted = UniPoly(x * c ** (n - i) for i, x in enumerate(pa.coeffs))
+    pairs = real_roots(planted) + real_roots(rand_uni(rng, 3))
+    for a, ae in real_roots(pa):
+        if not a.sign():
+            continue
+        for b, be in pairs:
+            q = b / a
+            problem = check_value(f"{b} / {a}", q, be / ae)
+            if problem:
+                return problem
+            if q.is_rational and not (a.is_rational or b.is_rational):
+                rational.append(1)
+    return None
+
+
 def branch_point(rng: random.Random, crits: list[float], j: int) -> float:
     """A float inside the j-th branch between the critical points."""
     p, s = len(crits), rng.randint(1, 63) / 64
@@ -534,7 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     batch_rng = random.Random(f"batch {args.seed}")
     similar_rng = random.Random(f"similar {args.seed}")
     parse_rng = random.Random(f"parse {args.seed}")
+    division_rng = random.Random(f"division {args.seed}")
     flat: list[int] = []
+    rational: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
@@ -550,13 +580,15 @@ def main(argv: list[str] | None = None) -> int:
             or check_images(rng)
             or check_similar(*rand_similar_pair(similar_rng))
             or check_parser(rand_bi_text(parse_rng, 3))
+            or check_division(division_rng, rational)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")
             return 1
     print(
         f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed}; "
-        f"{len(flat)} inversions within the rounding bound, not the width)"
+        f"{len(flat)} inversions within the rounding bound, not the width; "
+        f"{len(rational)} quotients of irrationals rational)"
     )
     return 0
 

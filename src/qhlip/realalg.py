@@ -19,6 +19,12 @@ resultant defpoly D changes sign across an enclosure built from the source
 boxes and the interval extension of D' there excludes 0: D is then strictly
 monotone on the enclosure, so the value is its only root there.
 
+Division b / a of irrationals whose defpolys A and B have one degree n first
+reads a candidate rational c off their coefficients, for B(x) = c**n A(x/c)
+(the critical values of an affine conjugate are such scaled conjugates), and
+returns c when one comparison certifies c*a == b; any other quotient is the
+product b * (1/a), through the product resultant.
+
 The defpoly takes opposite signs at the two endpoints, so bisection decides
 by its sign at the midpoint (`UniPoly.sign_at`, integer Horner).  `refine`
 checks the invariant once on entry, by a Sturm count cached per box, and
@@ -181,7 +187,7 @@ class RealAlg:
         return mul(self, _coerce(other))
 
     def __truediv__(self, other) -> "RealAlg":
-        return mul(self, inverse(_coerce(other)))
+        return div(self, _coerce(other))
 
     def __neg__(self) -> "RealAlg":
         return neg(self)
@@ -503,6 +509,35 @@ def inverse(b: RealAlg) -> RealAlg:
     D = UniPoly(b.defpoly.ints[::-1]).monic()  # t**n * D(1/t); D(0) != 0
     lo, hi = sorted((1 / b.hi, 1 / b.lo))
     return RealAlg(D, lo, hi)
+
+
+def div(b: RealAlg, a: RealAlg) -> RealAlg:
+    """b / a.  Irrationals whose defpolys have one degree may be scaled
+    conjugates, b = c*a for a rational c: that c is tried first, and taken
+    once one comparison certifies c*a == b."""
+    if not (a.is_rational or b.is_rational) and a.defpoly.degree == b.defpoly.degree:
+        c = _conjugate_scale(a, b)
+        if c is not None and compare(mul(a, c), b) == 0:
+            return c
+    return mul(b, inverse(a))
+
+
+def _conjugate_scale(a: RealAlg, b: RealAlg) -> Optional[RealAlg]:
+    """The one rational c with the sign of a*b that can give B(x) =
+    c**n A(x/c) for the monic defpolys A and B of degree n, or None.  At the
+    lowest k with A_k != 0 (k < n, as A is square-free), B_k = c**(n-k) A_k,
+    so c is an exact (n-k)-th root of B_k / A_k."""
+    A, B = a.defpoly.ints, b.defpoly.ints
+    n = len(A) - 1
+    k = next(k for k, x in enumerate(A) if x)
+    q = Fraction(B[k] * A[n], B[n] * A[k])  # the ints' last entries are positive
+    s, m = a.sign() * b.sign(), n - k
+    if not s or sign(q) != s**m:  # a zero operand takes mul's path
+        return None
+    root_num, root_den = _exact_int_nth_root(abs(q.numerator), m), _exact_int_nth_root(q.denominator, m)
+    if root_num is None or root_den is None:
+        return None
+    return RealAlg.from_rational(Fraction(s * root_num, root_den))
 
 
 def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:

@@ -192,15 +192,18 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
             ix[k], iy[k] = T.on_fiber(xs[k], ax_bs[k], u)
     ratio_min = float("inf")
     ratio_max = 0.0
+    too_close = min(1e-12, 1e-3 * delta)  # pair distances below it are skipped
     for k in range(0, n, 2):
         dx, dy = xs[k] - xs[k + 1], ys[k] - ys[k + 1]
         dist = (dx * dx + dy * dy) ** 0.5
-        if dist < 1e-12:
+        if dist < too_close:
             continue
         dix, diy = ix[k] - ix[k + 1], iy[k] - iy[k + 1]
         ratio = _finite((dix * dix + diy * diy) ** 0.5 / dist, (xs[k], ys[k]))
         ratio_min = min(ratio_min, ratio)
         ratio_max = max(ratio_max, ratio)
+    if ratio_min == float("inf"):  # no pair was kept, as kept ratios are finite
+        raise OverflowError(f"every drawn pair is closer than {too_close!r}, so no ratio is measured")
     return (ratio_min, ratio_max)
 
 

@@ -27,6 +27,10 @@ class PLMap:
         """The common two-sided limit of m(t)/t, exact."""
         raise NotImplementedError
 
+    def slope_sign(self) -> int:
+        """The sign of limit_slope()."""
+        return self.limit_slope().sign()
+
     def inverse(self) -> "PLMap":
         raise NotImplementedError
 
@@ -79,7 +83,9 @@ class BranchMap(PLMap):
         self.crits_g: tuple[RealAlg, ...] = tuple(crits_g)
         self._flt = None
 
-    def limit_slope(self) -> RealAlg:
+    def _slope_ratio(self) -> RealAlg:
+        """c*lc(f)/lc(g), whose |.|**(1/deg) is |limit_slope()|, after
+        checking that it fits the degrees and the orientation."""
         deg = self.f.degree
         if deg != self.g.degree or deg < 1:
             raise ArithmeticError("branch map between heights of different or zero degree; internal bug")
@@ -89,8 +95,17 @@ class BranchMap(PLMap):
                 raise ArithmeticError("odd branch map against the sign of c*lc(f)/lc(g); internal bug")
         elif ratio.sign() <= 0:
             raise ArithmeticError("even branch map with c*lc(f)/lc(g) not positive; internal bug")
-        mag = nth_root_pos(abs_alg(ratio), deg)
+        return ratio
+
+    def limit_slope(self) -> RealAlg:
+        mag = nth_root_pos(abs_alg(self._slope_ratio()), self.f.degree)
         return mag if self.increasing else -mag
+
+    def slope_sign(self) -> int:
+        """The orientation's sign, once the ratio passes limit_slope's
+        checks; the root is not taken."""
+        self._slope_ratio()
+        return 1 if self.increasing else -1
 
     def inverse(self) -> "PLMap":
         return BranchMap(
@@ -364,7 +379,7 @@ def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
     """
     same_slope = z.phi2 is z.phi1 or (isinstance(z.phi2, NegConj) and z.phi2.inner is z.phi1)
     if z.lam2 is z.lam1 and same_slope:
-        return z.phi1.limit_slope().sign() != 0
+        return z.phi1.slope_sign() != 0
     L1 = z.phi1.limit_slope()
     L2 = z.phi2.limit_slope()
     s1, s2 = L1.sign(), L2.sign()
@@ -438,6 +453,9 @@ def make_regular(option, F, common: RealAlg | None) -> Zygothety:
 #: sample points of the action spot-check, and the seed that draws them
 RESIDUAL_SAMPLES = 50
 RESIDUAL_SEED = 20240901
+_rng = random.Random(RESIDUAL_SEED)
+_RESIDUAL_POINTS = tuple(_rng.randint(-300, 300) / 100 for _ in range(RESIDUAL_SAMPLES))
+del _rng
 
 
 def action_residual(z: Zygothety, d: int, sides: tuple[tuple[UniPoly, UniPoly], ...]) -> float:
@@ -448,15 +466,13 @@ def action_residual(z: Zygothety, d: int, sides: tuple[tuple[UniPoly, UniPoly], 
     over the sample set.  A second component with the first one's scale,
     map and heights would repeat its floats, so it is checked once.
     """
-    rng = random.Random(RESIDUAL_SEED)
-    pts = [rng.randint(-300, 300) / 100 for _ in range(RESIDUAL_SAMPLES)]
     components = list(zip((z.lam1, z.lam2), (z.phi1, z.phi2), sides))
     if z.lam2 is z.lam1 and z.phi2 is z.phi1 and sides[1] == sides[0]:
         components = components[:1]
     worst = 0.0
     for lam, phi, (ff, gg) in components:
         scale = abs(lam.to_float()) ** d
-        for t in pts:
+        for t in _RESIDUAL_POINTS:
             lhs = scale * gg.eval_float(phi.eval_float(t))
             rhs = ff.eval_float(t)
             err = abs(lhs - rhs) / max(1.0, abs(rhs))

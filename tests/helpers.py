@@ -19,7 +19,7 @@ from qhlip.polyalg import (
     square_free_part,
 )
 from qhlip.qhdecide import QHPoly, validate_qh
-from qhlip.realalg import RealAlg, compare
+from qhlip.realalg import RealAlg, compare, inverse, mul
 from qhlip.witness import (
     LIPSCHITZ_SAMPLES,
     LIPSCHITZ_SEED,
@@ -165,13 +165,14 @@ def brute_force_real_root_count(p: UniPoly) -> int:
 
 
 def ref_proportional(avals: Sequence[RealAlg], bvals: Sequence[RealAlg]) -> CSet | None:
-    """CSet with b = c*a for some c > 0, or None, by exact division and
-    comparison of every ratio with the first: the reference for
-    lipclass._proportional, which refutes from the boxes first."""
+    """CSet with b = c*a for some c > 0, or None, by exact division through
+    the product resultant (no rational shortcut) and comparison of every
+    ratio with the first: the reference for lipclass._proportional, which
+    refutes from the boxes first."""
     signs_a = [v.sign() for v in avals]
     if signs_a != [v.sign() for v in bvals]:
         return None
-    ratios = [b / a for a, b, s in zip(avals, bvals, signs_a) if s != 0]
+    ratios = [mul(b, inverse(a)) for a, b, s in zip(avals, bvals, signs_a) if s != 0]
     if not ratios:
         return CSet(None)
     if any(compare(r, ratios[0]) != 0 for r in ratios[1:]):
@@ -534,7 +535,7 @@ def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, 
         q = sample_point()
         dx, dy = p[0] - q[0], p[1] - q[1]
         dist = (dx * dx + dy * dy) ** 0.5
-        if dist < 1e-12:
+        if dist < min(1e-12, 1e-3 * delta):
             continue
         ip = ref_eval_transform(T, p)
         iq = ref_eval_transform(T, q)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qhlip
-from qhlip import jsonio, realalg
+from qhlip import cli, jsonio, realalg
 from qhlip.lipclass import critical_data
 from qhlip.polyalg import UniPoly, count_roots_between, sign, square_free_part
 from qhlip.realalg import (
@@ -311,6 +312,80 @@ class TestFieldOps:
         s = sqrt2()
         assert abs(-s) == s
         assert (-s).sign() == -1
+
+
+#: an irrational real root of an integer polynomial of degree 2 to 5
+irrational_roots = (
+    st.lists(st.integers(-9, 9), min_size=3, max_size=6)
+    .filter(lambda cs: cs[-1] != 0)
+    .map(lambda cs: [r for r in isolate_real_roots(UniPoly(cs)) if not r.is_rational])
+    .filter(bool)
+    .flatmap(st.sampled_from)
+)
+
+
+class TestDivision:
+    """b / a reads a rational quotient of scaled conjugates off the
+    defpolys' coefficients and certifies it by one comparison; every other
+    quotient comes from the product resultant, as mul(b, inverse(a))."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(irrational_roots, st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool))
+    def test_scaled_conjugate_quotient_is_rational(self, a, c):
+        b = a * c
+        got = b / a
+        assert got.is_rational and got.lo == c
+        assert b / a.refine((a.hi - a.lo) / 7) == RealAlg.from_rational(c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(irrational_roots, irrational_roots)
+    def test_matches_the_product_resultant_quotient(self, a, b):
+        assume(a.sign() != 0)
+        assert compare(b / a, realalg.mul(b, realalg.inverse(a))) == 0
+
+    def test_scaled_conjugates_build_no_product_resultant(self, monkeypatch):
+        def refuse(A, B):
+            raise AssertionError("product resultant built")
+
+        a = isolate_real_roots(P(1, -3, 0, 1))[1]
+        monkeypatch.setattr(realalg, "_product_defpoly", refuse)
+        for c in (F(3), F(-2, 7), F(1)):
+            assert (a * c) / a == RealAlg.from_rational(c)
+        # conjugates that no rational scales into each other fall through
+        other = isolate_real_roots(P(1, -3, 0, 1))[2]
+        with pytest.raises(AssertionError, match="product resultant"):
+            other / a
+
+    def test_zero_in_interval_form(self):
+        # 0 as the root of t^2 - t in (-1/2, 1/2), a defpoly of sqrt(2)'s degree
+        zero = RealAlg(P(0, -1, 1), F(-1, 2), F(1, 2))
+        with pytest.raises(ZeroDivisionError):
+            sqrt2() / zero
+        assert zero / sqrt2() == RealAlg.from_rational(0)
+
+    @pytest.mark.parametrize(
+        "argv,path,rational",
+        [
+            (["classify1", "-3*t^3 + 2*t^2", "3/16*t^3 + 1/4*t^2"], ("pairings", 0, "c"), "1/2"),
+            (
+                [
+                    "classify2",
+                    "X^7 - 3*X^5*Y - X^3*Y^2 + 3*X*Y^3",
+                    "128*X^7 + 288*X^5*Y - 72*X^3*Y^2 - 162*X*Y^3",
+                    "--beta",
+                    "2/1",
+                ],
+                ("certificate", "zygothety", "phi1", "c"),
+                "128",
+            ),
+        ],
+    )
+    def test_cli_prints_rational_constants(self, capsys, argv, path, rational):
+        assert cli.main(argv) == 0
+        node = json.loads(capsys.readouterr().out)
+        for key in path:
+            node = node[key]
+        assert node == {"rational": rational, "approx": float(F(rational))}
 
 
 class TestRefineAndFloat:

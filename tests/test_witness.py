@@ -471,3 +471,28 @@ class TestTinyDelta:
         assert time.perf_counter() - start < 5.0
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["report"]["delta"] == 1e-12
+
+    @pytest.mark.parametrize("delta", ["1e-13", "1e-161"])
+    def test_cli_measures_ratios_below_the_pair_cutoff(self, delta):
+        # pairs closer than 1e-12 once made every ratio skipped, and the
+        # report printed Infinity, which strict JSON does not allow
+        cmd = [sys.executable, "-m", "qhlip.cli", "witness", "X^6 + 3*X^4*Y + Y^3", "X^6 + 6*X^4*Y + Y^3"]
+        done = subprocess.run(cmd + ["--beta", "2/1", "--delta", delta], capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        report = json.loads(done.stdout, parse_constant=refuse)["report"]
+        assert 0 < report["lipschitz_ratio_min"] <= report["lipschitz_ratio_max"] < math.inf
+
+    def test_no_pair_kept_is_overflow(self, monkeypatch):
+        # every draw the same point: no pair is apart, so no ratio is measured
+        class Constant(random.Random):
+            def random(self):
+                return 0.75
+
+        T = InverseBetaTransform(identity(), 2, 1)
+        monkeypatch.setattr(witness.random, "Random", Constant)
+        with pytest.raises(OverflowError, match="no ratio is measured"):
+            verify_lipschitz(T, 1.0)

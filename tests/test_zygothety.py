@@ -390,6 +390,21 @@ class TestSymmetricShortcuts:
         assert short_calls.count("eval") == RESIDUAL_SAMPLES and "pow" not in short_calls
         assert calls.count("eval") == 2 * RESIDUAL_SAMPLES and calls.count("pow") == 4
 
+    def test_branch_shortcut_takes_no_root(self, monkeypatch):
+        # a BranchMap's slope sign is its orientation once limit_slope's
+        # checks pass, so the symmetric shortcut takes no n-th root
+        Fq = hp(3)
+        z = decide(Fq, validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)).certificate.zygothety
+        assert isinstance(z.phi1, BranchMap) and z.phi2 is z.phi1
+        roots, real_root = [], zygothety.nth_root_pos
+        monkeypatch.setattr(zygothety, "nth_root_pos", lambda a, n: roots.append(n) or real_root(a, n))
+        assert is_beta_regular(z, 2, 1) and not roots
+        assert z.phi1.slope_sign() == z.phi1.limit_slope().sign() == (1 if z.phi1.increasing else -1)
+        assert roots
+        one, cubic, square = RealAlg.from_rational(1), UniPoly((0, 0, 0, 1)), UniPoly((0, 0, 1))
+        with pytest.raises(ArithmeticError, match="different or zero degree"):
+            BranchMap(one, True, cubic, square, (), ()).slope_sign()
+
     @pytest.mark.parametrize("slope", [F(0), F(-2), F(3)])
     def test_shortcut_reads_the_slope_sign(self, slope):
         lam = nth_root_pos(ra(3), 2)
