@@ -66,7 +66,12 @@ Compares, on seeded random inputs:
   at most 3, and b each real root of c**n A(t/c) for a random rational
   c != 0 (planted scaled conjugates, one of which is c*a) or of a random
   polynomial: a rational quotient must be sympy's exact quotient, and
-  any other must hold it as ``a * b`` is held above.
+  any other must hold it as ``a * b`` is held above;
+* the quasihomogeneous identity ``F(x, t |x|^beta) = |x|^d F(sgn x, t)``,
+  on which ``witness.verify_conjugacy`` takes its inner grid rows from the
+  heights: for seeded F with weights beta = r/s, sympy's expansion of F at
+  (sgn z, t z^beta), z a positive symbol, against z^d times qhlip's height
+  ``qhdecide.heights`` on that side, with qhlip's d.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -90,12 +95,14 @@ from fractions import Fraction
 
 from qhlip.lipclass import critical_data, similar
 from qhlip.parser import parse_bi
-from qhlip.polyalg import UniPoly, poly_gcd, resultant, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, poly_gcd, resultant, square_free_part
+from qhlip.qhdecide import QHPoly, heights, validate_qh
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
 from qhlip.zygothety import BranchMap, _invert_on_branch
 
 X, T = sympy.symbols("x t")
 BX, BY = sympy.symbols("X Y")
+Z = sympy.Symbol("z", positive=True)
 
 
 def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
@@ -551,6 +558,27 @@ def check_parser(text: str) -> str | None:
     return None
 
 
+def rand_qh(rng: random.Random) -> QHPoly:
+    """c_k X^(d - r k) Y^(s k) summed over k = 0..n, for coprime r > s and
+    d = r n + e: quasihomogeneous of weights (r, s) and degree d."""
+    r, s = rng.choice(((2, 1), (3, 1), (3, 2), (5, 2), (5, 3)))
+    n, e = rng.randint(1, 3), rng.randint(0, 2)
+    terms = {(e + r * (n - k), s * k): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in range(n)}
+    terms[(e, s * n)] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    return validate_qh(BiPoly(terms), r, s)
+
+
+def check_qh_identity(Q: QHPoly) -> str | None:
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * BX**i * BY**j for (i, j), c in Q.poly.terms.items())
+    pair = heights(Q)
+    for sgn, height in ((1, pair.f_plus), (-1, pair.f_minus)):
+        at = {BX: sgn * Z, BY: T * Z ** sympy.Rational(Q.r, Q.s)}
+        row = sympy.expand(expr.subs(at, simultaneous=True))
+        if sympy.expand(row - Z**Q.d * uni_expr(height, T)) != 0:
+            return f"F = {Q.poly}, beta = {Q.r}/{Q.s}: F(sgn z, t z^beta) = {row}, not z^{Q.d} ({height})"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200)
@@ -563,6 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     similar_rng = random.Random(f"similar {args.seed}")
     parse_rng = random.Random(f"parse {args.seed}")
     division_rng = random.Random(f"division {args.seed}")
+    qh_rng = random.Random(f"qh {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
     for i in range(args.cases):
@@ -581,6 +610,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_similar(*rand_similar_pair(similar_rng))
             or check_parser(rand_bi_text(parse_rng, 3))
             or check_division(division_rng, rational)
+            or check_qh_identity(rand_qh(qh_rng))
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

@@ -15,7 +15,7 @@ import random
 from array import array
 from dataclasses import dataclass
 
-from .qhdecide import QHPoly
+from .qhdecide import QHPoly, heights
 from .zygothety import PLMap, Zygothety, is_beta_regular
 
 #: both checks sample the fiber parameter t = y / |x|^beta in [-T_WINDOW, T_WINDOW];
@@ -108,23 +108,32 @@ def _log_spaced(lo: float, hi: float, count: int) -> list[float]:
 def verify_conjugacy(
     F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float
 ) -> tuple[float, int]:
-    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid, linear
-    in t and log-spaced in |x| up to delta from X_MIN, or from X_MIN * delta
-    when delta <= X_MIN; returns the largest residual and the sample count."""
-    fterms, gterms = F.poly.float_terms(), G.poly.float_terms()
+    """Sample |G(Phi(p)) - F(p)| / max(1, |F(p)|) over the fiber grid, linear in t and
+    log-spaced in |x| up to delta from X_MIN, or from X_MIN * delta when delta <= X_MIN;
+    returns the largest residual over all (2 * x_count + 1) * T_COUNT points, and that
+    count.  F and G are evaluated in the plane on the axis and each side's outermost and
+    innermost rows (at |x| = 1 a wrong beta would not show); on the row |x| = xi of the
+    others, F and G of one degree d give xi^d |D(t)| / max(1, xi^d |f(t)|), with
+    D = |lam|^d g o phi - f, f and g the heights at sgn x and sgn(lam x)."""
     xs = [min(x, delta) for x in _log_spaced(X_MIN if delta > X_MIN else X_MIN * delta, delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
+    hf, hg, xi_ds = heights(F), heights(G), [_power(xi, F.d, "|x|^d") for xi in xs]
     worst, phi_ts = 0.0, [T.z.phi1.eval_float(t) for t in ts]
-    for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
+    for sgn, phi, lam, f in ((1.0, T.z.phi1, T.lam1, hf.f_plus), (-1.0, T.z.phi2, T.lam2, hf.f_minus)):
         if phi is not T.z.phi1:  # phi2 is phi1 itself when r is even
             phi_ts = [phi.eval_float(t) for t in ts]
-        # from on_fiber: |lam|^beta * phi(t) at |x|^beta = 1 once per t, lam * x once per row
-        scaled = [T.on_fiber(sgn, 1.0, u)[1] for u in phi_ts]
-        for xi in xs:
-            x, ax_b = sgn * xi, xi**T.beta
-            px = T.on_fiber(x, ax_b, 0.0)[0]
-            worst = max(worst, _row_residual(fterms, gterms, x, px, ax_b, ts, scaled))
+        g, lam_d = hg.f_plus if lam * sgn > 0.0 else hg.f_minus, abs(lam) ** F.d
+        gaps = [(abs(lam_d * g.eval_float(u) - fv), abs(fv)) for u, fv in zip(phi_ts, map(f.eval_float, ts))]
+        for k, (xi, xi_d) in enumerate(zip(xs, xi_ds)):
+            x, ax_b = sgn * xi, _power(xi, T.beta, "|x|^beta")
+            if k == 0 or k == len(xs) - 1:
+                errs = _plane_residuals(F, G, T, x, ax_b, ts, phi_ts)
+            else:
+                errs = [xi_d * gap / (xi_d * af if xi_d * af > 1.0 else 1.0) for gap, af in gaps]
+            for t, err in zip(ts, errs):
+                if not err <= worst:
+                    worst = _finite(err, (x, t * ax_b))
     for y in ts:
         px, py = T.eval((0.0, y))
         fv = F.poly.eval_float(0.0, y)
@@ -134,24 +143,32 @@ def verify_conjugacy(
     return worst, (2 * len(xs) + 1) * T_COUNT
 
 
-def _row_residual(fterms, gterms, x, px, ax_b, ts, scaled) -> float:
-    """The largest residual of F at (x, t * ax_b) against G at (px, s * ax_b) over t, s
-    in ts, scaled; c * x**i is folded once per row, and BiPoly.eval_float's bits kept."""
-    fc = [(c * x**i, j) for c, i, j in fterms]
-    gc = [(c * px**i, j) for c, i, j in gterms]
-    worst = 0.0
-    for t, s in zip(ts, scaled):
-        y, py = t * ax_b, s * ax_b
-        fv = gv = 0.0
-        for c, j in fc:
-            fv += c * y**j
-        for c, j in gc:
-            gv += c * py**j
-        afv = abs(fv)
-        err = abs(gv - fv) / (afv if afv > 1.0 else 1.0)
-        if not err <= worst:
-            worst = _finite(err, (x, y))
-    return worst
+def _plane_residuals(F, G, T, x, ax_b, ts, phi_ts) -> list[float]:
+    """The residuals of F at (x, t * ax_b) against G at T.on_fiber(x, ax_b, phi(t)) for t
+    in ts; c * x**i is folded once per row, and BiPoly.eval_float's bits kept."""
+    px, errs = T.on_fiber(x, ax_b, 0.0)[0], []
+    try:
+        fc = [(c * x**i, j) for c, i, j in F.poly.float_terms()]
+        gc = [(c * px**i, j) for c, i, j in G.poly.float_terms()]
+        for t, u in zip(ts, phi_ts):
+            y, py = t * ax_b, T.on_fiber(x, ax_b, u)[1]
+            fv = gv = 0.0
+            for c, j in fc:
+                fv += c * y**j
+            for c, j in gc:
+                gv += c * py**j
+            afv = abs(fv)
+            errs.append(abs(gv - fv) / (afv if afv > 1.0 else 1.0))
+    except OverflowError:
+        raise OverflowError(f"a term of F or G leaves the float range on the row |x| = {abs(x)!r}") from None
+    return errs
+
+
+def _power(x: float, e: float, name: str) -> float:
+    try:
+        return x**e
+    except OverflowError:  # whose message is only "(34, 'Numerical result out of range')"
+        raise OverflowError(f"{name} leaves the float range at |x| = {x!r}") from None
 
 
 def _finite(v: float, point: tuple[float, float]) -> float:
@@ -172,6 +189,7 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
     beta = T.beta
     n = 2 * LIPSCHITZ_SAMPLES
     cutoff = min(1e-9, delta / 2)  # at least half of the draws pass it
+    _power(delta, beta, "|x|^beta")  # no |x| drawn is above delta
     xs, ys, ax_bs = array("d"), array("d"), array("d")
     rnd = rng.random  # rng.uniform(a, b) is a + (b - a) * rng.random()
     for _ in range(n):

@@ -145,13 +145,15 @@ class BranchMap(PLMap):
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
         rising = [g.derivative().sign_at(q) > 0 for q in inner]
         keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
-        out, near = [0.0] * len(ts), [None] * (p + 1)
+        out, near, memo = [0.0] * len(ts), [None] * (p + 1), [[None, None] for _ in range(p + 1)]
         for k in sorted(range(len(ts)), key=keys.__getitem__):
-            out[k] = near[js[k]] = _invert_on_branch(g, cg, js[k], ys[k], near[js[k]])
+            out[k] = near[js[k]] = _invert_on_branch(g, cg, js[k], ys[k], near[js[k]], memo[js[k]])
         return out
 
 
-def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
+def _invert_on_branch(
+    g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None, memo: list | None = None
+) -> float:
     """Solve g(u) = y for u in the j-th branch interval.
 
     Brackets the root by signs, then iterates Newton safeguarded by
@@ -162,6 +164,8 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
     from it is the first iterate; g at an unbounded far end is then read
     only when a bisection or a return still has it as an end (an iterate
     past the preimage vouches for it, g being monotone on the branch).
+    A batch passes each branch's `memo`, [u, (g(u), g'(u))] for the last u
+    a call took them at (near, or Newton's last iterate), read when near == u.
     """
     p = len(crit_floats)
     unbounded_lo, unbounded_hi = j == 0, j == p
@@ -175,7 +179,9 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
     else:
         lo, unbounded_lo = near, False
         hi = far = max(hi, near + 1.0) if unbounded_hi else hi
-        flo, d_lo = g.eval_float_d(lo)
+        if memo is not None and memo[0] != near:
+            memo[0], memo[1] = near, g.eval_float_d(lo)
+        flo, d_lo = g.eval_float_d(lo) if memo is None else memo[1]
         flo -= y
         fhi = None if unbounded_hi else g.eval_float(hi) - y
     while True:
@@ -214,7 +220,7 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
             x = lo - flo / d_lo
         last_dx = hi - lo
         for _ in range(200):
-            v, d = g.eval_float_d(x)
+            v, d = gd = g.eval_float_d(x)
             v -= y
             if v != 0.0:
                 if (v < 0.0) == lo_negative:
@@ -236,17 +242,13 @@ def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, ne
                 fhi = g.eval_float(hi) - y
                 if fhi == 0.0 or (fhi < 0.0) == lo_negative:
                     break  # start over from near: the bracketing reads both ends
-            if v == 0.0:
-                return x
-            if narrow:
-                return 0.5 * (lo + hi)
-            # a step of rounding size fails the halving test, and so would
-            # every later one: x is as near the root as floats tell
-            if d != 0.0 and abs(nx - x) <= 1e-15 * abs(x):
-                return x
             mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                return x
+            # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
+            # size fails the halving test, as every later one would; or when no midpoint is left
+            if v == 0.0 or narrow or (d != 0.0 and abs(nx - x) <= 1e-15 * abs(x)) or not (lo < mid < hi):
+                if memo is not None:
+                    memo[0], memo[1] = x, gd
+                return mid if v != 0.0 and narrow else x
             last_dx = mid - x
             x = mid
         else:

@@ -489,30 +489,40 @@ def ref_eval_transform(T: InverseBetaTransform, point: tuple[float, float]) -> t
     return ref_on_fiber(T, x, ax_b, phi.eval_float(y / ax_b))
 
 
-def ref_verify_conjugacy(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float) -> float:
-    """The conjugacy residual as the point-by-point loop with a running max()
-    computes it: the reference for witness.verify_conjugacy."""
+def ref_conjugacy_rows(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float) -> dict[float, float]:
+    """The largest conjugacy residual of each grid row, keyed by its x, and of
+    the axis, keyed by 0.0, each point evaluating F and G in the plane with a
+    running max(): the reference for witness.verify_conjugacy."""
     fp, gp = F.poly, G.poly
     xs = [min(x, delta) for x in _log_spaced(X_MIN if delta > X_MIN else X_MIN * delta, delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
-    worst = 0.0
+    rows = {}
     for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
         phi_vals = [phi.eval_float(t) for t in ts]
         for xi in xs:
             x = sgn * xi
             ax_b = xi**T.beta
+            worst = rows.get(x, 0.0)
             for t, phi_t in zip(ts, phi_vals):
                 px, py = ref_on_fiber(T, x, ax_b, phi_t)
                 fv = fp.eval_float(x, t * ax_b)
                 gv = gp.eval_float(px, py)
                 worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
+            rows[x] = worst
+    worst = 0.0
     for y in ts:
         px, py = ref_eval_transform(T, (0.0, y))
         fv = fp.eval_float(0.0, y)
         gv = gp.eval_float(px, py)
         worst = max(worst, abs(gv - fv) / max(1.0, abs(fv)))
-    return worst
+    rows[0.0] = worst
+    return rows
+
+
+def ref_verify_conjugacy(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float) -> float:
+    """The largest residual over the whole grid, every point evaluated in the plane."""
+    return max(ref_conjugacy_rows(F, G, T, x_count, delta).values())
 
 
 def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from qhlip import cli, witness
 from qhlip.cli import main
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
-from qhlip.qhdecide import decide, validate_qh
+from qhlip.qhdecide import decide, heights, validate_qh
 from qhlip.realalg import RealAlg
 from qhlip.jsonio import report_json
 from qhlip.witness import (
@@ -32,7 +32,7 @@ from qhlip.witness import (
 )
 from qhlip.zygothety import Affine, BranchMap, Zygothety, identity, inverse
 
-from helpers import rand_qhpoly, ref_verify_conjugacy, ref_verify_lipschitz
+from helpers import rand_qhpoly, ref_conjugacy_rows, ref_verify_conjugacy, ref_verify_lipschitz
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -349,11 +349,54 @@ def scaled_pairs(draw):
 
 
 class TestConjugacyIsTheReference:
+    """The rows between the innermost and the outermost follow from the
+    heights, so their residuals, and the maximum, move by rounding only; the
+    rows still evaluated in the plane keep the reference's bits."""
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(scaled_pairs(), st.floats(1e-4, 2.0), st.integers(1, 6))
-    def test_every_bit_is_the_reference(self, pair, delta, x_count):
+    def test_plane_rows_and_maximum_match_the_reference(self, pair, delta, x_count):
         a, b, T = pair
-        assert verify_conjugacy(a, b, T, x_count, delta)[0] == ref_verify_conjugacy(a, b, T, x_count, delta)
+        planar, real_row = {}, witness._plane_residuals
+
+        def recording_row(F, G, T, x, *rest):
+            errs = real_row(F, G, T, x, *rest)
+            planar[x] = max(errs)
+            return errs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness, "_plane_residuals", recording_row)
+            got = verify_conjugacy(a, b, T, x_count, delta)[0]
+        rows = ref_conjugacy_rows(a, b, T, x_count, delta)
+        want = max(rows.values())
+        assert (got <= 1e-8) == (want <= 1e-8)
+        assert abs(got - want) <= 1e-10
+        xs = sorted(x for x in rows if x > 0.0)
+        assert sorted(planar) == sorted({-xs[-1], -xs[0], xs[0], xs[-1]})
+        assert all(planar[x] == rows[x] for x in planar)
+
+
+class TestQuasihomogeneousIdentity:
+    """F(x, t |x|^beta) = |x|^d F(sgn x, t), the identity verify_conjugacy's
+    inner rows rest on, exactly at x = +-u^s, where |x|^beta = |u|^r."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 2**32),
+        st.fractions(F(-3), F(3), max_denominator=7).filter(bool),
+        st.sampled_from((-1, 1)),
+        st.fractions(F(-3), F(3), max_denominator=7),
+    )
+    def test_row_is_the_scaled_height(self, seed, u, sgn, t):
+        Fq = rand_qhpoly(random.Random(seed))
+        x, ax_b = sgn * abs(u) ** Fq.s, abs(u) ** Fq.r
+
+        def value(x, y):
+            return sum(c * x**i * y**j for (i, j), c in Fq.poly.terms.items())
+
+        assert value(x, t * ax_b) == abs(x) ** Fq.d * value(F(sgn), t)
+        pair = heights(Fq)
+        assert value(F(sgn), t) == (pair.f_plus if sgn > 0 else pair.f_minus)(t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,31 +467,62 @@ class TestHugeDelta:
             assert error["code"] == "input_too_large"
             assert "--delta" in error["message"] and "underflows to 0" in error["message"]
 
+    @pytest.mark.parametrize(
+        "delta,quantity",
+        [
+            ("1e300", "|x|^d leaves the float range at |x| = 1e+300"),
+            # |x|^6 fits, but Y^3 at y = -2 |x|^2 is 8 |x|^6
+            ("2e51", "a term of F or G leaves the float range on the row |x| = 2e+51"),
+        ],
+        ids=["power-of-x", "term-of-F"],
+    )
+    def test_overflow_message_names_the_quantity(self, delta, quantity, capsys):
+        # 300 samples make one row a side, at |x| = delta
+        args = ["witness", "X^6+Y^3", "X^6+Y^3", "--beta", "2/1", "--samples", "300", "--delta", delta]
+        assert main(args) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "input_too_large"
+        assert error["message"].endswith(quantity), error["message"]
+
+    def test_lipschitz_overflow_message_names_the_quantity(self):
+        with pytest.raises(OverflowError, match=r"\|x\|\^beta leaves the float range at \|x\| = 1e\+300"):
+            verify_lipschitz(InverseBetaTransform(identity(), 2, 1), 1e300)
+
 
 class TestTinyDelta:
     """A strip narrower than X_MIN or than the Lipschitz draws' 1e-9 cutoff."""
 
     @staticmethod
     def grid_abs_x(delta, monkeypatch) -> list[float]:
-        """|x| of every sample of a 5-row grid: T_COUNT per row step, and
-        one per evaluation of F on the axis x = 0."""
+        """|x| of every sample of a 5-row grid: T_COUNT for each row of a
+        side, which takes its |x|^beta once, and one per evaluation of F on
+        the axis x = 0; checks that the rows evaluated in the plane are each
+        side's innermost and outermost."""
         a, b = hp(-1), hp(-2)
         T = InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1)
-        seen = []
-        real_row, real_eval = witness._row_residual, BiPoly.eval_float
+        seen, planar = [], []
+        real_power, real_row, real_eval = witness._power, witness._plane_residuals, BiPoly.eval_float
 
-        def recording_row(fterms, gterms, x, px, ax_b, ts, scaled):
-            seen.extend([abs(x)] * len(ts))
-            return real_row(fterms, gterms, x, px, ax_b, ts, scaled)
+        def recording_power(x, e, name):
+            if e == T.beta:
+                seen.extend([x] * T_COUNT)
+            return real_power(x, e, name)
+
+        def recording_row(F, G, T, x, *rest):
+            planar.append(x)
+            return real_row(F, G, T, x, *rest)
 
         def recording_eval(poly, x, y):
             if poly is a.poly:
                 seen.append(abs(x))
             return real_eval(poly, x, y)
 
-        monkeypatch.setattr(witness, "_row_residual", recording_row)
+        monkeypatch.setattr(witness, "_power", recording_power)
+        monkeypatch.setattr(witness, "_plane_residuals", recording_row)
         monkeypatch.setattr(BiPoly, "eval_float", recording_eval)
-        verify_conjugacy(a, b, T, 5, delta)
+        assert verify_conjugacy(a, b, T, 5, delta)[1] == 11 * T_COUNT
+        rows = sorted(set(seen) - {0.0})
+        assert planar == [rows[0], rows[-1], -rows[0], -rows[-1]]
         return seen
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-8, 3e-6, 0.7, 1.0])

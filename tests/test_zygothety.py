@@ -620,6 +620,50 @@ class TestBatchInversionIsTheReference:
         assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
 
 
+class TestBatchInversionCarriesTheReturnedPoint:
+    """A warm start hands g and g' at near, or at the iterate it stopped at,
+    to the next inversion on the branch, which starts from the point
+    returned: no inversion of a batch takes g and g' (one eval_float_d
+    pass) at its near right after the pass before it did."""
+
+    @staticmethod
+    def repeats(m: BranchMap, ts) -> int:
+        seen, real, real_inv = [], UniPoly.eval_float_d, zygothety._invert_on_branch
+
+        def starting(g, crits, j, y, near, *memo):
+            seen.append(("start", near))
+            return real_inv(g, crits, j, y, near, *memo)
+
+        def recording(p, x):
+            if p is m.g:
+                seen.append(x)
+            return real(p, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(UniPoly, "eval_float_d", recording)
+            mp.setattr(zygothety, "_invert_on_branch", starting)
+            m.eval_floats(ts)
+        count, last = 0, None
+        for item, after in zip(seen, seen[1:]):
+            if isinstance(item, tuple):
+                count += item[1] is not None and after == item[1] == last
+            else:
+                last = item
+        return count
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_batches())
+    def test_drawn_batches(self, case):
+        g, points, _, j, ys = case
+        assert self.repeats(branch_inverse(g, points, j), ys) == 0
+
+    def test_certificate_batches(self):
+        rng = random.Random(5)
+        ts = [rng.uniform(-2.0, 2.0) for _ in range(2000)]
+        for m in negative_pair_maps():
+            assert self.repeats(m, ts) == 0
+
+
 class TestFarEndHoldingThePreimage:
     """A warm start on an unbounded branch reads g at the far end, near + 1,
     only where a bisection or a return still has it as an end.  When y is
