@@ -301,16 +301,23 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     q = square_free_part(p)
     bound = cauchy_root_bound(q)
     roots: list[RealAlg] = []
-
-    def split(lo: Fraction, hi: Fraction) -> None:
+    # boxes to split and rational roots found between two, each box's right part pushed first so that the
+    # roots come out in increasing order; a stack, as clustered roots can take a thousand halvings
+    stack: list = [(-bound, bound)]
+    while stack:
+        box = stack.pop()
+        if isinstance(box, RealAlg):
+            roots.append(box)
+            continue
+        lo, hi = box
         n = _count_pair(q, lo, hi)
-        if n == 0:
-            return
         if n == 1:
             roots.append(_probe(q, lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if q.sign_at(mid) == 0:
+        elif n > 1:
+            mid = (lo + hi) / 2
+            if q.sign_at(mid) != 0:
+                stack += [(mid, hi), (lo, mid)]
+                continue
             eps = (hi - lo) / 4
             while (
                 q.sign_at(mid - eps) == 0
@@ -318,15 +325,7 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
                 or _count_pair(q, mid - eps, mid + eps) != 1
             ):
                 eps /= 2
-            split(lo, mid - eps)
-            roots.append(RealAlg.from_rational(mid))
-            split(mid + eps, hi)
-        else:
-            split(lo, mid)
-            split(mid, hi)
-
-    # left before right, so the roots come out in increasing order
-    split(-bound, bound)
+            stack += [(mid + eps, hi), RealAlg.from_rational(mid), (lo, mid - eps)]
     return roots
 
 

@@ -181,46 +181,47 @@ def _finite(v: float, point: tuple[float, float]) -> float:
 
 def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
     """Empirical bi-Lipschitz ratios over random point pairs in the strip.
-    All pairs are drawn first; each map then takes the fiber parameters of
-    its half-plane in one eval_floats call, and the ratios go in draw order."""
+    All pairs are drawn first, each point filed with its half-plane; each map
+    then takes its half-plane's fiber parameters in one eval_floats call."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    rng = random.Random(LIPSCHITZ_SEED)
-    beta = T.beta
-    n = 2 * LIPSCHITZ_SAMPLES
+    beta, n = T.beta, 2 * LIPSCHITZ_SAMPLES
     cutoff = min(1e-9, delta / 2)  # at least half of the draws pass it
     _power(delta, beta, "|x|^beta")  # no |x| drawn is above delta
-    xs, ys, ax_bs = array("d"), array("d"), array("d")
-    rnd = rng.random  # rng.uniform(a, b) is a + (b - a) * rng.random()
-    for _ in range(n):
+    xs, ys, ax_bs, ix, iy = (array("d", bytes(8 * n)) for _ in range(5))
+    upper, lower = (array("l"), array("d")), (array("l"), array("d"))  # each side's indices, fiber parameters
+    rnd = random.Random(LIPSCHITZ_SEED).random  # rng.uniform(a, b) is a + (b - a) * rng.random()
+    span, t_lo, window = delta - -delta, -T_WINDOW, T_WINDOW - -T_WINDOW
+    for k in range(n):
         x = 0.0
-        while abs(x) < cutoff:
-            x = -delta + (delta - -delta) * rnd()
-        xs.append(x)
-        ax_bs.append(abs(x) ** beta)
-        if not ax_bs[-1]:  # each fiber parameter divides by it
+        while -cutoff < x < cutoff:
+            x = -delta + span * rnd()
+        ax_b = (x if x > 0.0 else -x) ** beta
+        if not ax_b:  # each fiber parameter divides by it
             raise OverflowError(f"|x|^beta underflows to 0 at x = {x!r}")
-        ys.append((-T_WINDOW + (T_WINDOW - -T_WINDOW) * rnd()) * ax_bs[-1])
-    ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
-    for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):
-        side = array("l", (k for k in range(n) if (xs[k] > 0.0) == upper))
-        # each fiber parameter as T.eval computes it
-        ts = array("d", (ys[k] / ax_bs[k] for k in side))
-        for k, u in zip(side, phi.eval_floats(ts)):
-            ix[k], iy[k] = T.on_fiber(xs[k], ax_bs[k], u)
-    ratio_min = float("inf")
-    ratio_max = 0.0
+        xs[k], ax_bs[k] = x, ax_b
+        ys[k] = y = (t_lo + window * rnd()) * ax_b
+        ks, ts = upper if x > 0.0 else lower
+        ks.append(k)
+        ts.append(y / ax_b)  # the fiber parameter as T.eval computes it
+    for (ks, ts), phi, lam, lam_b in ((upper, T.z.phi1, T.lam1, T.lam1_beta), (lower, T.z.phi2, T.lam2, T.lam2_beta)):
+        for k, u in zip(ks, phi.eval_floats(ts)):  # T.on_fiber's expressions
+            ix[k] = lam * xs[k]
+            iy[k] = lam_b * u * ax_bs[k]
+    ratio_min, ratio_max = math.inf, 0.0
     too_close = min(1e-12, 1e-3 * delta)  # pair distances below it are skipped
-    for k in range(0, n, 2):
-        dx, dy = xs[k] - xs[k + 1], ys[k] - ys[k + 1]
+    for x, x1, y, y1, u, u1, v, v1 in zip(xs[::2], xs[1::2], ys[::2], ys[1::2], ix[::2], ix[1::2], iy[::2], iy[1::2]):
+        dx, dy = x - x1, y - y1
         dist = (dx * dx + dy * dy) ** 0.5
         if dist < too_close:
             continue
-        dix, diy = ix[k] - ix[k + 1], iy[k] - iy[k + 1]
-        ratio = _finite((dix * dix + diy * diy) ** 0.5 / dist, (xs[k], ys[k]))
-        ratio_min = min(ratio_min, ratio)
-        ratio_max = max(ratio_max, ratio)
-    if ratio_min == float("inf"):  # no pair was kept, as kept ratios are finite
+        dix, diy = u - u1, v - v1
+        ratio = (dix * dix + diy * diy) ** 0.5 / dist
+        if not ratio_min <= ratio <= ratio_max:  # a new extreme, an infinity or a NaN
+            _finite(ratio, (x, y))
+            ratio_min = ratio if ratio < ratio_min else ratio_min
+            ratio_max = ratio if ratio > ratio_max else ratio_max
+    if ratio_min == math.inf:  # no pair was kept, as kept ratios are finite
         raise OverflowError(f"every drawn pair is closer than {too_close!r}, so no ratio is measured")
     return (ratio_min, ratio_max)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,18 +135,19 @@ class BranchMap(PLMap):
         """eval_float at each of ts: the values of one branch are inverted in
         the order of their preimages, each from the one before (near)."""
         cflt, cf, cg = self._floats()
-        p, g, cs = len(cf), self.g, self.crits_g
-        js = [bisect.bisect_left(cf, t) for t in ts]
-        js = js if self.increasing else [p - i for i in js]
-        ys = array("d", (cflt * self.f.eval_float(t) for t in ts))
+        g, cs, f_at = self.g, self.crits_g, self.f.eval_float
+        ys = [cflt * f_at(t) for t in ts]
+        js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
+        js = js if self.increasing else [len(cf) - i for i in js]
         # g rises on a branch where g' > 0 at a rational inside it: between the
         # isolating boxes of its critical ends, or one past the outer box
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
         rising = [g.derivative().sign_at(q) > 0 for q in inner]
-        keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
-        out, near, memo = [0.0] * len(ts), [None] * (p + 1), [[None, None] for _ in range(p + 1)]
+        keys = [y if rising[j] else -y for j, y in zip(js, ys)]
+        out, near, memo = [0.0] * len(ts), [None] * len(inner), [[None, None] for _ in inner]
         for k in sorted(range(len(ts)), key=keys.__getitem__):
-            out[k] = near[js[k]] = _invert_on_branch(g, cg, js[k], ys[k], near[js[k]], memo[js[k]])
+            j = js[k]
+            out[k] = near[j] = _invert_on_branch(g, cg, j, ys[k], near[j], memo[j])
         return out
 
 
@@ -169,21 +169,20 @@ def _invert_on_branch(
     """
     p = len(crit_floats)
     unbounded_lo, unbounded_hi = j == 0, j == p
-    if p == 0:
-        lo, hi = -1.0, 1.0
-    else:
-        lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0
-        hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
+    lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0 if p else -1.0
+    hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0 if p else 1.0
+    g_d = g.eval_float_d
     if near is None:
         flo, fhi, d_lo = g.eval_float(lo) - y, g.eval_float(hi) - y, 0.0
     else:
         lo, unbounded_lo = near, False
-        hi = far = max(hi, near + 1.0) if unbounded_hi else hi
+        hi = far = near + 1.0 if unbounded_hi and near + 1.0 > hi else hi
         if memo is not None and memo[0] != near:
-            memo[0], memo[1] = near, g.eval_float_d(lo)
-        flo, d_lo = g.eval_float_d(lo) if memo is None else memo[1]
+            memo[0], memo[1] = near, g_d(lo)
+        flo, d_lo = g_d(lo) if memo is None else memo[1]
         flo -= y
         fhi = None if unbounded_hi else g.eval_float(hi) - y
+    resume = None
     while True:
         if fhi is not None:
             step = max(1.0, abs(lo), abs(hi))
@@ -215,42 +214,51 @@ def _invert_on_branch(
         # decide by signs: the product of two tiny values underflows to -0.0
         # and would keep the wrong half
         lo_negative = flo < 0.0
-        x = 0.5 * (lo + hi)
-        if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
-            x = lo - flo / d_lo
-        last_dx = hi - lo
-        for _ in range(200):
-            v, d = gd = g.eval_float_d(x)
-            v -= y
-            if v != 0.0:
-                if (v < 0.0) == lo_negative:
+        x = lo - flo / d_lo if d_lo != 0.0 else lo  # Newton's step from lo, if inside
+        x, half, i0 = x if lo < x < hi else 0.5 * (lo + hi), 0.5 * (hi - lo), 0
+        if resume is not None and x == resume[0]:
+            # started over from near as the pass before did, so its iterates up to
+            # the far end's read come again: go on from the last with their state
+            _, i0, lo, x, v, d, gd, last_half = resume
+            half = last_half if i0 else half
+        else:
+            v, d = gd = g_d(x)
+        start = x
+        # v is g(x), compared with y: g(x) - y has the same sign and zeros
+        for i in range(i0, 200):
+            if v != y:
+                if (v < y) == lo_negative:
                     lo = x
                 else:
                     hi = x
                 width = hi - lo
-                narrow = width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi)
+                narrow = width <= 1e-15 or width <= 1e-15 * (hi if hi >= -lo else -lo)
                 # Newton's step only if it stays strictly inside the bracket and at
-                # least halves the previous step; near a multiple root it shrinks
+                # most half the previous step; near a multiple root it shrinks
                 # slowly, so the bracket width, not the step, decides the stop
                 if d != 0.0 and not narrow:
-                    nx = x - v / d
-                    if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
-                        last_dx = nx - x
+                    nx = x - (v - y) / d
+                    dx = nx - x
+                    if lo < nx < hi and -half <= dx <= half:
+                        half = 0.5 * dx if dx >= 0.0 else -0.5 * dx
                         x = nx
+                        v, d = gd = g_d(x)
                         continue
             if fhi is None and hi == far:  # a bisection or a return needs the far end
                 fhi = g.eval_float(hi) - y
                 if fhi == 0.0 or (fhi < 0.0) == lo_negative:
+                    resume = (start, i, lo, x, v, d, gd, half)
                     break  # start over from near: the bracketing reads both ends
             mid = 0.5 * (lo + hi)
             # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
             # size fails the halving test, as every later one would; or when no midpoint is left
-            if v == 0.0 or narrow or (d != 0.0 and abs(nx - x) <= 1e-15 * abs(x)) or not (lo < mid < hi):
+            if v == y or narrow or (d != 0.0 and abs(dx) <= 1e-15 * abs(x)) or not (lo < mid < hi):
                 if memo is not None:
                     memo[0], memo[1] = x, gd
-                return mid if v != 0.0 and narrow else x
-            last_dx = mid - x
+                return mid if v != y and narrow else x
+            half = 0.5 * abs(mid - x)
             x = mid
+            v, d = gd = g_d(x)
         else:
             return x
         lo = near  # hi is far, and flo is g(near) - y

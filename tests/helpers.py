@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -20,6 +23,7 @@ from qhlip.polyalg import (
 )
 from qhlip.qhdecide import QHPoly, validate_qh
 from qhlip.realalg import RealAlg, compare, inverse, mul
+from qhlip.zygothety import BranchMap, Neg, NegConj
 from qhlip.witness import (
     LIPSCHITZ_SAMPLES,
     LIPSCHITZ_SEED,
@@ -651,3 +655,67 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
         last_dx = mid - x
         x = mid
     return x
+
+
+def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
+    """BranchMap.eval_floats in its plainer earlier form (values and sort keys
+    through array("d"), every point's branch by bisect, a branch's values
+    sorted along it), each value inverted by ref_invert_on_branch from the
+    one before on its branch: the reference for the batch path's bits."""
+    cflt, cf, cg = m._floats()
+    p, g, cs = len(cf), m.g, m.crits_g
+    js = [bisect.bisect_left(cf, t) for t in ts]
+    js = js if m.increasing else [p - i for i in js]
+    ys = array("d", (cflt * m.f.eval_float(t) for t in ts))
+    inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
+    rising = [g.derivative().sign_at(q) > 0 for q in inner]
+    keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
+    out, near = [0.0] * len(ts), [None] * (p + 1)
+    for k in sorted(range(len(ts)), key=keys.__getitem__):
+        out[k] = near[js[k]] = ref_invert_on_branch(g, cg, js[k], ys[k], near[js[k]])
+    return out
+
+
+def ref_batch_map_floats(phi, ts: Sequence[float]) -> list[float]:
+    """phi.eval_floats(ts) with every BranchMap inside phi through ref_batch_eval_floats."""
+    if isinstance(phi, Neg):
+        return [-u for u in ref_batch_map_floats(phi.inner, ts)]
+    if isinstance(phi, NegConj):
+        return [-u for u in ref_batch_map_floats(phi.inner, [-t for t in ts])]
+    if isinstance(phi, BranchMap):
+        return ref_batch_eval_floats(phi, ts)
+    return [phi.eval_float(t) for t in ts]
+
+
+def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
+    """witness.verify_lipschitz in its plainer earlier form: the points drawn
+    into growing arrays, each half-plane picked out after the draw, images
+    through ref_on_fiber and the maps through ref_batch_map_floats, and every
+    ratio checked and folded by min() and max(): the reference for its bits."""
+    rng = random.Random(LIPSCHITZ_SEED)
+    n = 2 * LIPSCHITZ_SAMPLES
+    xs, ys, ax_bs = array("d"), array("d"), array("d")
+    for _ in range(n):
+        x = 0.0
+        while abs(x) < min(1e-9, delta / 2):
+            x = -delta + (delta - -delta) * rng.random()
+        xs.append(x)
+        ax_bs.append(abs(x) ** T.beta)
+        ys.append((-T_WINDOW + (T_WINDOW - -T_WINDOW) * rng.random()) * ax_bs[-1])
+    ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
+    for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):
+        side = [k for k in range(n) if (xs[k] > 0.0) == upper]
+        for k, u in zip(side, ref_batch_map_floats(phi, [ys[k] / ax_bs[k] for k in side])):
+            ix[k], iy[k] = ref_on_fiber(T, xs[k], ax_bs[k], u)
+    ratio_min, ratio_max = math.inf, 0.0
+    for k in range(0, n, 2):
+        dx, dy = xs[k] - xs[k + 1], ys[k] - ys[k + 1]
+        dist = (dx * dx + dy * dy) ** 0.5
+        if dist < min(1e-12, 1e-3 * delta):
+            continue
+        dix, diy = ix[k] - ix[k + 1], iy[k] - iy[k + 1]
+        ratio = (dix * dix + diy * diy) ** 0.5 / dist
+        if not math.isfinite(ratio):
+            raise OverflowError(f"the float witness check reached {ratio!r} at {(xs[k], ys[k])!r}")
+        ratio_min, ratio_max = min(ratio_min, ratio), max(ratio_max, ratio)
+    return (ratio_min, ratio_max)

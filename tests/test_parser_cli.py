@@ -130,6 +130,14 @@ def refuse_work(monkeypatch):
 
 
 class TestCli:
+    def test_clustered_critical_points_get_a_verdict(self, capsys):
+        # the critical points 1 +- 2^-1000.5 once took isolate_real_roots past
+        # Python's recursion limit: exit 3 with an internal RecursionError
+        f = "2^2001*(t-1)^3 - 3*t"
+        code, out, _ = run_cli_capture(capsys, "classify1", f, f + " + 1")
+        assert code == 1
+        assert json.loads(out)["reason"] == "SymbolNotSimilar"
+
     def test_classify2_not_equivalent_exit_code(self, capsys):
         code, out, _ = run_cli_capture(
             capsys,

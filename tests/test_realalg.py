@@ -85,6 +85,19 @@ class TestIsolation:
                     assert root.defpoly(root.lo) != 0
                     assert root.defpoly(root.hi) != 0
 
+    def test_rational_midpoint_root_comes_out_between_the_halves(self):
+        # t^3 - t: the first midpoint, 0, is a root
+        assert [r.to_float() for r in isolate_real_roots(P(0, -1, 0, 1))] == [-1.0, 0.0, 1.0]
+
+    def test_clustered_roots_take_no_recursion(self):
+        # 3 * 2^2001 (t - 1)^2 - 3 has its roots 1 +- 2^-1000.5 about a thousand
+        # halvings below the root bound, past Python's default recursion limit
+        c = 3 * 2**2001
+        low, high = isolate_real_roots(P(c - 3, -2 * c, c))
+        assert low.hi <= 1 <= high.lo
+        assert count_roots_between(low.defpoly, 1 - F(1, 2**1000), F(1)) == 1
+        assert count_roots_between(high.defpoly, F(1), 1 + F(1, 2**1000)) == 1
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             isolate_real_roots(UniPoly())

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,11 +16,13 @@ from hypothesis import assume, given, settings, strategies as st
 from qhlip import cli, witness
 from qhlip.cli import main
 from qhlip.parser import parse_bi
+from qhlip.lipclass import Orientation
 from qhlip.polyalg import BiPoly, UniPoly
-from qhlip.qhdecide import decide, heights, validate_qh
+from qhlip.qhdecide import decide, heights, pairing_search, validate_qh
 from qhlip.realalg import RealAlg
 from qhlip.jsonio import report_json
 from qhlip.witness import (
+    LIPSCHITZ_SAMPLES,
     LIPSCHITZ_SEED,
     T_COUNT,
     T_WINDOW,
@@ -30,9 +33,16 @@ from qhlip.witness import (
     verify_conjugacy,
     verify_lipschitz,
 )
-from qhlip.zygothety import Affine, BranchMap, Zygothety, identity, inverse
+from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, identity, inverse, make_regular
 
-from helpers import rand_qhpoly, ref_conjugacy_rows, ref_verify_conjugacy, ref_verify_lipschitz
+from helpers import (
+    rand_qhpoly,
+    ref_batch_map_floats,
+    ref_batch_verify_lipschitz,
+    ref_conjugacy_rows,
+    ref_verify_conjugacy,
+    ref_verify_lipschitz,
+)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -334,6 +344,52 @@ class TestAgainstReferenceLoops:
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def odd_r_transforms() -> list[InverseBetaTransform]:
+    """Two certificates with r odd, so that phi2 is not phi1: decide's on
+    F(-2X, Y) at beta = 3, whose phi2 is NegConj(phi1), and make_regular's on
+    the crossed orientations of a pair at beta = 3/2, whose phi2 is a Neg."""
+    a = validate_qh(parse_bi("-X^6 + X^3*Y + Y^2"), 3, 1)
+    b = validate_qh(a.poly.scale_vars(F(-2), F(1)), 3, 1)
+    out = [InverseBetaTransform(decide(a, b).certificate.zygothety, 3, 1)]
+    a, b = (validate_qh(parse_bi(t), 3, 2) for t in ("X^6 + Y^4", "2*X^6 + 3*Y^4"))
+    option = next(
+        o
+        for o in pairing_search(a, b).options
+        if o.plus.orientation is Orientation.INCREASING and o.minus.orientation is Orientation.DECREASING
+    )
+    return out + [InverseBetaTransform(make_regular(option, a, None), 3, 2)]
+
+
+class TestBatchLoopsAreTheReference:
+    """verify_lipschitz and BranchMap.eval_floats against the plainer loops
+    they were tightened from (ref_batch_* in tests/helpers.py): every ratio
+    and every preimage keeps its bits, at the default strip and narrow ones."""
+
+    @pytest.fixture(scope="class")
+    def transforms(self):
+        out = [InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1) for a, b in reference_pairs()]
+        # the SuffA pair of tests/golden/witness_suffa_branch.json: heights with critical points
+        a, b = (validate_qh(parse_bi(t), 2, 1) for t in ("X^4-3*X^2*Y+Y^2", "16*X^4-12*X^2*Y+Y^2"))
+        return out + [InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1)] + odd_r_transforms()
+
+    def test_the_cases_reach_every_kind_of_map(self, transforms):
+        phis = [phi for T in transforms for phi in (T.z.phi1, T.z.phi2)]
+        assert any(isinstance(phi, NegConj) for phi in phis) and any(isinstance(phi, Neg) for phi in phis)
+        assert any(isinstance(phi, BranchMap) and phi.crits_g for phi in phis)
+        assert sum(T.z.phi2 is not T.z.phi1 for T in transforms) == 2
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-13])
+    def test_ratios_are_the_reference(self, transforms, delta):
+        for T in transforms:
+            assert verify_lipschitz(T, delta) == ref_batch_verify_lipschitz(T, delta)
+
+    def test_preimages_are_the_reference(self, transforms):
+        ts = [k / 32 for k in range(-96, 97)] + [-1e3, 7.5, 1e3, 0.0, -0.0, 0.5]
+        for T in transforms:
+            for phi in (T.z.phi1, T.z.phi2):
+                assert phi.eval_floats(ts) == ref_batch_map_floats(phi, ts)
+
+
 @st.composite
 def scaled_pairs(draw):
     """(F, F(aX, bY), the inverse beta-transform of an Equivalent verdict's
@@ -415,14 +471,22 @@ def bad_zygothety(**kw) -> Zygothety:
     return Zygothety(ra(1), ra(1), m, m)
 
 
+def lipschitz_draws(delta: float, beta: float) -> list[tuple[float, float, float]]:
+    """(x, y, fiber parameter) of every point verify_lipschitz draws, in order."""
+    rng, out = random.Random(LIPSCHITZ_SEED), []
+    for _ in range(2 * LIPSCHITZ_SAMPLES):
+        x = 0.0
+        while abs(x) < min(1e-9, delta / 2):
+            x = rng.uniform(-delta, delta)
+        ax_b = abs(x) ** beta
+        y = rng.uniform(-T_WINDOW, T_WINDOW) * ax_b
+        out.append((x, y, y / ax_b))
+    return out
+
+
 def first_lipschitz_parameter(delta: float, beta: float) -> float:
     """The fiber parameter of the first point verify_lipschitz draws."""
-    rng = random.Random(LIPSCHITZ_SEED)
-    x = 0.0
-    while abs(x) < min(1e-9, delta / 2):
-        x = rng.uniform(-delta, delta)
-    ax_b = abs(x) ** beta
-    return rng.uniform(-T_WINDOW, T_WINDOW) * ax_b / ax_b
+    return lipschitz_draws(delta, beta)[0][2]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -440,6 +504,17 @@ class TestNonFiniteSamples:
         assert verify_conjugacy(hp(1), hp(1), T, 1, 1.0)[0] == 0.0
         with pytest.raises(OverflowError):
             verify_lipschitz(T, 1.0)
+
+    def test_lipschitz_ratio_after_finite_ones_names_its_pair(self, bad):
+        # the ratios are checked only when they leave [min, max]: an infinity or
+        # a NaN must still raise, at its own pair, after 700 finite pairs
+        draws = lipschitz_draws(1.0, 2.0)
+        x, y, t = draws[2 * 700]
+        assert [d[2] for d in draws].count(t) == 1
+        T = InverseBetaTransform(bad_zygothety(at=t, bad=bad), 2, 1)
+        for check in (verify_lipschitz, ref_batch_verify_lipschitz):
+            with pytest.raises(OverflowError, match=re.escape(f"reached {bad!r} at {(x, y)!r}")):
+                check(T, 1.0)
 
     def test_cli_reports_input_too_large(self, bad, monkeypatch, capsys):
         monkeypatch.setattr(cli, "verify", lambda F, G, z, *rest: verify(F, G, bad_zygothety(bad=bad), *rest))

@@ -694,6 +694,48 @@ class TestFarEndHoldingThePreimage:
         assert _invert_on_branch(g, crits, j, y, near) == ref_invert_on_branch(g, crits, j, y, near)
 
 
+class TestStartOverFromNear:
+    """A warm start whose read of the far end shows no sign change brackets
+    again from near, and Newton's first iterates from near come again: they
+    are taken up where the pass before broke off, so no inversion evaluates
+    g and g' twice at one point."""
+
+    @staticmethod
+    def passes(m: BranchMap, ts) -> list[list[float]]:
+        """The points of each inversion's eval_float_d passes, one list per inversion."""
+        calls, real, real_inv = [], UniPoly.eval_float_d, zygothety._invert_on_branch
+
+        def starting(*args):
+            calls.append([])
+            return real_inv(*args)
+
+        def recording(p, x):
+            if p is m.g:
+                calls[-1].append(x)
+            return real(p, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(UniPoly, "eval_float_d", recording)
+            mp.setattr(zygothety, "_invert_on_branch", starting)
+            m.eval_floats(ts)
+        return calls
+
+    def test_pinned_batch(self):
+        # the second inversion starts over: g(-4.2908840673575135) was taken twice
+        g, ys = UniPoly([0, 1, 0, 1]), [-520.0, 195.859375]
+        m = branch_inverse(g, [], 0)
+        calls = self.passes(m, ys)
+        assert calls[1][:2] == [-8.0, -4.2908840673575135]
+        assert all(len(c) == len(set(c)) for c in calls)
+        assert m.eval_floats(ys) == ref_warm_inversions(g, [], 0, ys)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_batches())
+    def test_drawn_batches(self, case):
+        g, points, _, j, ys = case
+        assert all(len(c) == len(set(c)) for c in self.passes(branch_inverse(g, points, j), ys))
+
+
 def negative_pair_maps() -> list:
     """phi1 of the certificates of three negative-parameter pairs of the
     paper's family, whose heights have no critical point."""
