@@ -10,7 +10,6 @@ classification commands encode the verdict: 0 equivalent, 1 not equivalent,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -116,22 +115,17 @@ def _parse_lets(items: list[str] | None) -> dict[str, Fraction]:
         name = name.strip()
         if not name.isidentifier():
             raise CliError(f"invalid parameter name {name!r}")
+        if name in bindings:
+            raise CliError(f"parameter {name!r} is bound twice by --let")
         bindings[name] = parse_rational(raw)
     return bindings
-
-
-def _parse_beta(raw: str) -> tuple[int, int]:
-    b = parse_rational(raw)
-    if b <= 1:
-        raise CliError("beta must be a rational greater than 1", "beta_out_of_range")
-    return b.numerator, b.denominator
 
 
 def _qh_from_args(text: str, args, bindings) -> QHPoly:
     F = parse_bi(text, bindings)
     if args.beta is not None:
-        r, s = _parse_beta(args.beta)
-        return validate_qh(F, r, s)
+        beta = parse_rational(args.beta)
+        return validate_qh(F, beta.numerator, beta.denominator)
     inf = infer_beta(F)
     if inf.ambiguous:
         raise CliError(
@@ -139,8 +133,7 @@ def _qh_from_args(text: str, args, bindings) -> QHPoly:
         )
     if not inf.matches:
         raise CliError("no admissible beta > 1 fits this polynomial", "beta_unavailable")
-    r, s, _ = inf.matches[0]
-    return validate_qh(F, r, s)
+    return inf.matches[0]
 
 
 def _add_beta_flags(sp) -> None:
@@ -217,6 +210,8 @@ def cmd_scan(args) -> int:
     if len(raw_values) > MAX_SCAN_VALUES:
         raise CliError(f"--values holds more than {MAX_SCAN_VALUES} values", "input_too_large")
     base_bindings = _parse_lets(args.let)
+    if args.param in base_bindings:
+        raise CliError(f"parameter {args.param!r} is the --param and cannot be bound by --let")
     values = [parse_rational(v) for v in raw_values]
     polys: list[QHPoly] = []
     for v in values:
@@ -229,26 +224,15 @@ def cmd_scan(args) -> int:
         for j in range(i + 1, n):
             verdicts[(i, j)] = decide(polys[i], polys[j]).kind
 
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # each value takes the label of the first earlier value it is Equivalent to;
+    # the all-pairs decisions then double as a transitivity check of the engine
+    label = list(range(n))
+    for j in range(n):
+        label[j] = next((label[i] for i in range(j) if verdicts[i, j] == VerdictKind.EQUIVALENT), j)
     for (i, j), kind in verdicts.items():
-        if kind == VerdictKind.EQUIVALENT:
-            parent[find(i)] = find(j)
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    partition = sorted((sorted(c) for c in classes.values()), key=lambda c: c[0])
-    # all-pairs decisions double as a transitivity check of the engine
-    for cls in partition:
-        for pair in itertools.combinations(cls, 2):
-            if verdicts[pair] != VerdictKind.EQUIVALENT:
-                raise ArithmeticError("equivalence relation from decide() is not transitive; internal bug")
+        if (kind == VerdictKind.EQUIVALENT) != (label[i] == label[j]):
+            raise ArithmeticError("equivalence relation from decide() is not transitive; internal bug")
+    partition = [[i for i in range(n) if label[i] == c] for c in range(n) if label[c] == c]
     unknown_pairs = sorted(k for k, v in verdicts.items() if v == VerdictKind.UNKNOWN)
     _emit(
         {
@@ -269,7 +253,7 @@ def cmd_infer_beta(args) -> int:
         {
             "F": str(F),
             "matches": [
-                {"beta": f"{r}/{s}", "degree": d} for (r, s, d) in inf.matches
+                {"beta": f"{q.r}/{q.s}", "degree": q.d} for q in inf.matches
             ],
             "ambiguous": inf.ambiguous,
         }

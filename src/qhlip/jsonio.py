@@ -14,7 +14,7 @@ from .qhdecide import (
     NecessityCondition,
     NEReason,
     PairingFailure,
-    UnknownReason,
+    UnknownKind,
     Verdict2D,
     VerdictKind,
 )
@@ -132,6 +132,15 @@ _VERDICT_NAMES = {
     VerdictKind.UNKNOWN: "Unknown",
 }
 
+#: the fixed sentence printed as the detail of each Unknown reason
+_UNKNOWN_DETAILS = {
+    UnknownKind.MIXED_CXD_CASE: "exactly one polynomial is a pure X-power; the necessity "
+        "theorem needs real zeros of the height functions",
+    UnknownKind.NECESSITY_CONDITIONS_UNAVAILABLE: "heights are not pairable but no quoted zero condition applies",
+    UnknownKind.SUFFICIENCY_GAP: "r odd, s even, X and Y divide the polynomials, every height has "
+        "two or more critical points, and the pairings force distinct constants",
+}
+
 
 def verdict2_json(v: Verdict2D) -> dict:
     out: dict = {"verdict": _VERDICT_NAMES[v.kind]}
@@ -143,8 +152,8 @@ def verdict2_json(v: Verdict2D) -> dict:
             "necessity_conditions": [_necessity_json(c) for c in v.reason.necessity],
             "pairing_failures": [_failure_json(f) for f in v.reason.pairing_failures],
         }
-    elif isinstance(v.reason, UnknownReason):
-        out["reason"] = {"kind": v.reason.kind.value, "detail": v.reason.detail}
+    elif isinstance(v.reason, UnknownKind):
+        out["reason"] = {"kind": v.reason.value, "detail": _UNKNOWN_DETAILS[v.reason]}
     return out
 
 

@@ -59,13 +59,13 @@ class HeightPair:
 
 
 def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
-    """Check the support condition and compute (d, e, n)."""
+    """Check beta = r/s, then the support condition; compute (d, e, n)."""
+    if r <= s:
+        raise BetaRangeError("beta must be a rational greater than 1")
+    if s <= 0 or math.gcd(r, s) != 1:
+        raise BetaRangeError("weights must be coprime positive integers")
     if F.is_zero:
         raise NotQuasihomogeneousError("the zero polynomial is excluded")
-    if r <= 0 or s <= 0 or math.gcd(r, s) != 1:
-        raise BetaRangeError("weights must be coprime positive integers")
-    if r <= s:
-        raise BetaRangeError("beta = r/s must be greater than 1")
     d_times_s = None
     for i, j in F.ints:
         val = i * s + j * r
@@ -95,7 +95,7 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
 
 @dataclass(frozen=True)
 class BetaInference:
-    matches: tuple[tuple[int, int, int], ...]  # (r, s, d)
+    matches: tuple[QHPoly, ...]  # F validated at each admissible beta
     ambiguous: bool  # single monomial: a parametric family of betas
 
 
@@ -109,14 +109,10 @@ def infer_beta(F: BiPoly) -> BetaInference:
     if j1 == j2:
         return BetaInference((), False)
     beta = Fraction(i2 - i1, j1 - j2)
-    if beta <= 1:
-        return BetaInference((), False)
-    r, s = beta.numerator, beta.denominator
     try:
-        qh = validate_qh(F, r, s)
+        return BetaInference((validate_qh(F, beta.numerator, beta.denominator),), False)
     except (NotQuasihomogeneousError, BetaRangeError):
         return BetaInference((), False)
-    return BetaInference(((qh.r, qh.s, qh.d),), False)
 
 
 @lru_cache(maxsize=None)
@@ -304,16 +300,10 @@ class NEReason:
 
 
 @dataclass(frozen=True)
-class UnknownReason:
-    kind: UnknownKind
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class Verdict2D:
     kind: VerdictKind
     certificate: Optional[Certificate] = None
-    reason: NEReason | UnknownReason | None = None
+    reason: NEReason | UnknownKind | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +365,7 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
             certificate=Certificate(TheoremTag.CXD_CASE, z, CxdTrace(a, b)),
         )
     if (cf is None) != (cg is None):
-        return Verdict2D(
-            VerdictKind.UNKNOWN,
-            reason=UnknownReason(
-                UnknownKind.MIXED_CXD_CASE,
-                "exactly one polynomial is a pure X-power; the necessity "
-                "theorem needs real zeros of the height functions",
-            ),
-        )
+        return Verdict2D(VerdictKind.UNKNOWN, reason=UnknownKind.MIXED_CXD_CASE)
 
     search = pairing_search(F, G)
     options = search.options
@@ -393,13 +376,7 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
                 VerdictKind.NOT_EQUIVALENT,
                 reason=NEReason(NEKind.HEIGHTS_NOT_PAIRABLE, necessity, search.failures),
             )
-        return Verdict2D(
-            VerdictKind.UNKNOWN,
-            reason=UnknownReason(
-                UnknownKind.NECESSITY_CONDITIONS_UNAVAILABLE,
-                "heights are not pairable but no quoted zero condition applies",
-            ),
-        )
+        return Verdict2D(VerdictKind.UNKNOWN, reason=UnknownKind.NECESSITY_CONDITIONS_UNAVAILABLE)
 
     r, s = F.r, F.s
     # every option's sides hold all four heights
@@ -430,12 +407,4 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
             return _certify(option, F, tag, common)
     if tag is not TheoremTag.SUFF_B_EQUAL_LAMBDA:
         raise ArithmeticError(f"{tag.value} found no option with a common constant; internal bug")
-    return Verdict2D(
-        VerdictKind.UNKNOWN,
-        reason=UnknownReason(
-            UnknownKind.SUFFICIENCY_GAP,
-            "r odd, s even, X and Y divide the polynomials, every height has "
-            "two or more critical points, and the pairings force distinct "
-            "constants",
-        ),
-    )
+    return Verdict2D(VerdictKind.UNKNOWN, reason=UnknownKind.SUFFICIENCY_GAP)

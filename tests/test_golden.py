@@ -41,6 +41,21 @@ CASES = [
     ),
     # branches with critical points, so bounded brackets
     ("witness_suffa_branch", 0, ["witness", "X^4-3*X^2*Y+Y^2", "16*X^4-12*X^2*Y+Y^2", "--beta", "2/1"]),
+    # the three Unknown reasons, each with its fixed detail string
+    ("unknown_mixed_cxd", 2, ["classify2", "X^4", "X^4+Y^2", "--beta", "2/1"]),
+    (
+        "unknown_necessity_unavailable",
+        2,
+        ["classify2", "X^6 - 2*X^4*Y + 2*X^2*Y^2", "-2*X^4*Y + X^2*Y^2 - 2*Y^3", "--beta", "2/1"],
+    ),
+    (
+        "unknown_sufficiency_gap",
+        2,
+        ["classify2", "-2*X^7*Y^2 + X^4*Y^4 + 3*X*Y^6", "3*X^7*Y^2 + 3*X^4*Y^4 - 3*X*Y^6", "--beta", "3/2"],
+    ),
+    # a scan with a repeated value and classes that are not contiguous
+    ("scan_hp", 0, ["scan", "X^6-3*l*X^4*Y+Y^3", "--param", "l", "--values=1,1,-1,-2,2,-1/2", "--beta", "2/1"]),
+    ("infer_beta", 0, ["infer-beta", "X^6+Y^3+X^2*Y^2"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from qhlip.parser import (
     parse_uni,
 )
 from qhlip.polyalg import BiPoly, UniPoly
+from qhlip.qhdecide import Verdict2D, VerdictKind
 
 from helpers import rand_unipoly
 
@@ -116,6 +118,7 @@ def run_cli_capture(capsys, *argv):
 
 
 HP = "X^6 - 3*l*X^4*Y + Y^3"
+BETA_ABOVE_1 = "beta must be a rational greater than 1"
 WITNESS = ["witness", "X^6+3*X^4*Y+Y^3", "X^6+6*X^4*Y+Y^3"]
 
 
@@ -296,6 +299,43 @@ class TestCli:
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == "beta_out_of_range"
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["classify2", "X^2 + Y", "X^2 + Y", "--beta", "1"], "beta_out_of_range", BETA_ABOVE_1),
+            (["classify2", "X^2 + Y", "X^2 + Y", "--beta", "-2"], "beta_out_of_range", BETA_ABOVE_1),
+            (["classify2", "X^2 + Y", "X^2 + Y", "--beta", "0"], "beta_out_of_range", BETA_ABOVE_1),
+            (["classify2", "X^2 + Y", "X^2 + Y", "--beta", "1/2"], "beta_out_of_range", BETA_ABOVE_1),
+            # beta is checked before the polynomial
+            (["classify2", "0", "X^6+Y^3", "--beta", "1"], "beta_out_of_range", BETA_ABOVE_1),
+            (["classify2", "0", "X^6+Y^3", "--beta", "2"], "not_quasihomogeneous", "the zero polynomial is excluded"),
+            (["infer-beta", "0"], "not_quasihomogeneous", "the zero polynomial is excluded"),
+        ],
+        ids=["beta_1", "beta_-2", "beta_0", "beta_1/2", "zero_beta_1", "zero_beta_2", "infer_zero"],
+    )
+    def test_error_protocol(self, capsys, argv, code, message):
+        exit_code, out, err = run_cli_capture(capsys, *argv)
+        assert exit_code == 3
+        assert out == ""
+        assert json.loads(err) == {"error": {"code": code, "message": message}}
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["classify1", "t^3 - 3*a*t", "t^3 - 3*t", "--let", "a=1", "--let", "a=2"], "'a'"),
+            (["scan", HP, "--param", "l", "--values=1,-1", "--let", "l=5", "--beta", "2/1"], "'l'"),
+        ],
+        ids=["bound_twice", "let_of_the_param"],
+    )
+    def test_let_that_would_drop_a_binding_is_refused(self, capsys, monkeypatch, argv, name):
+        refuse_work(monkeypatch)
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid_input"
+        assert name in error["message"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -553,3 +593,43 @@ class TestCli:
                 fresh.stdout,
                 fresh.stderr,
             ), argv
+
+
+def scan_outcome(capsys, monkeypatch, n, kinds):
+    """Scan n values with decide patched to answer kinds[(i, j)] for i < j."""
+
+    def patched(F, G):
+        # the family l*X^6 + Y^3 at l = 1..n: value i has X^6 coefficient i + 1
+        i, j = (int(Q.poly.terms[6, 0]) - 1 for Q in (F, G))
+        return Verdict2D(kinds[i, j])
+
+    monkeypatch.setattr(cli, "decide", patched)
+    values = ",".join(str(v) for v in range(1, n + 1))
+    return run_cli_capture(capsys, "scan", "l*X^6 + Y^3", "--param", "l", f"--values={values}", "--beta", "2/1")
+
+
+@pytest.mark.parametrize(
+    "n, choices",
+    [(3, list(VerdictKind)), (4, [VerdictKind.EQUIVALENT, VerdictKind.NOT_EQUIVALENT])],
+    ids=["3_values_3_kinds", "4_values_2_kinds"],
+)
+def test_scan_partition_against_brute_force(capsys, monkeypatch, n, choices):
+    pairs = list(itertools.combinations(range(n), 2))
+    for assignment in itertools.product(choices, repeat=len(pairs)):
+        kinds = dict(zip(pairs, assignment))
+        equivalent = {p for p, kind in kinds.items() if kind == VerdictKind.EQUIVALENT}
+        equivalent |= {(j, i) for i, j in equivalent} | {(i, i) for i in range(n)}
+        transitive = all((a, c) in equivalent for a, b in equivalent for b2, c in equivalent if b == b2)
+        code, out, err = scan_outcome(capsys, monkeypatch, n, kinds)
+        if transitive:
+            classes = {tuple(j for j in range(n) if (i, j) in equivalent) for i in range(n)}
+            assert code == 0, err
+            data = json.loads(out)
+            assert data["partition"] == [list(c) for c in sorted(classes)]
+            assert data["unknown_pairs"] == [list(p) for p in pairs if kinds[p] == VerdictKind.UNKNOWN]
+        else:
+            assert code == 3, assignment
+            assert out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "internal"
+            assert error["message"].startswith("ArithmeticError")
