@@ -19,7 +19,7 @@ from functools import cache
 
 from . import jsonio
 from .lipclass import classify_pair
-from .parser import InputTooLargeError, ParseError, parse_bi, parse_rational, parse_uni
+from .parser import InputTooLargeError, ParseError, identifiers, parse_bi, parse_rational, parse_uni
 from .qhdecide import (
     BetaMismatchError,
     BetaRangeError,
@@ -106,7 +106,10 @@ def _fail(message: str, code: str) -> int:
     return EXIT_ERROR
 
 
-def _parse_lets(items: list[str] | None) -> dict[str, Fraction]:
+def _parse_lets(items: list[str] | None, *texts: str) -> dict[str, Fraction]:
+    """The --let bindings, each of a parameter that one of texts names: a
+    mistyped name would bind nothing and silently change what is decided."""
+    named = set().union(*map(identifiers, texts))
     bindings: dict[str, Fraction] = {}
     for item in items or []:
         if "=" not in item:
@@ -117,6 +120,8 @@ def _parse_lets(items: list[str] | None) -> dict[str, Fraction]:
             raise CliError(f"invalid parameter name {name!r}")
         if name in bindings:
             raise CliError(f"parameter {name!r} is bound twice by --let")
+        if name not in named:
+            raise CliError(f"parameter {name!r} is bound by --let but no input names it")
         bindings[name] = parse_rational(raw)
     return bindings
 
@@ -154,7 +159,7 @@ def _add_lets(sp) -> None:
 
 
 def cmd_classify1(args) -> int:
-    bindings = _parse_lets(args.let)
+    bindings = _parse_lets(args.let, args.f, args.g)
     f = parse_uni(args.f, bindings)
     g = parse_uni(args.g, bindings)
     verdict = classify_pair(f, g)
@@ -169,7 +174,7 @@ def cmd_classify1(args) -> int:
 
 def _classify2(args) -> tuple[QHPoly, QHPoly, Verdict2D, dict]:
     """Decide the pair F, G; returns it with the verdict and its JSON view."""
-    bindings = _parse_lets(args.let)
+    bindings = _parse_lets(args.let, args.F, args.G)
     F = _qh_from_args(args.F, args, bindings)
     G = _qh_from_args(args.G, args, bindings)
     verdict = decide(F, G)
@@ -200,7 +205,9 @@ def cmd_witness(args) -> int:
             raise CliError(f"--delta {args.delta!r} overflows the float witness check: {exc}", "input_too_large")
         out["report"] = jsonio.report_json(rep)
         _emit(out)
-        return EXIT_EQUIVALENT if rep.conjugacy_pass else EXIT_ERROR
+        if rep.conjugacy_pass:
+            return EXIT_EQUIVALENT
+        return _fail(f"conjugacy residual {rep.max_rel_residual!r} above --tol {rep.tol!r}", "conjugacy_check_failed")
     _emit(out)
     return _VERDICT_EXIT[verdict.kind]
 
@@ -209,7 +216,7 @@ def cmd_scan(args) -> int:
     raw_values = args.values.split(",")
     if len(raw_values) > MAX_SCAN_VALUES:
         raise CliError(f"--values holds more than {MAX_SCAN_VALUES} values", "input_too_large")
-    base_bindings = _parse_lets(args.let)
+    base_bindings = _parse_lets(args.let, args.family)
     if args.param in base_bindings:
         raise CliError(f"parameter {args.param!r} is the --param and cannot be bound by --let")
     values = [parse_rational(v) for v in raw_values]
@@ -218,6 +225,8 @@ def cmd_scan(args) -> int:
         bindings = dict(base_bindings)
         bindings[args.param] = v
         polys.append(_qh_from_args(args.family, args, bindings))
+    if args.param not in identifiers(args.family):
+        raise CliError(f"parameter {args.param!r} is the --param but the family does not name it")
     n = len(polys)
     verdicts: dict[tuple[int, int], VerdictKind] = {}
     for i in range(n):
@@ -247,7 +256,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_infer_beta(args) -> int:
-    F = parse_bi(args.F, _parse_lets(args.let))
+    F = parse_bi(args.F, _parse_lets(args.let, args.F))
     inf = infer_beta(F)
     _emit(
         {

@@ -238,6 +238,11 @@ class _Parser:
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
 
 
+def identifiers(text: str) -> set[str]:
+    """The names text reads, variables and parameters alike."""
+    return {val for kind, val, _ in _tokenize(text) if kind == "ident"}
+
+
 def parse_uni(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> UniPoly:
     """Parse a univariate polynomial in t, read as Y and then set at X = 1."""
     return _Parser(text, {"t": _Y}, bindings).parse().height(1)

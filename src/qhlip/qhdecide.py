@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 from . import zygothety as zyg
@@ -59,11 +59,12 @@ class HeightPair:
 
 
 def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
-    """Check beta = r/s, then the support condition; compute (d, e, n)."""
-    if r <= s:
-        raise BetaRangeError("beta must be a rational greater than 1")
+    """Check the weights r, s and beta = r/s, then the support condition;
+    compute (d, e, n)."""
     if s <= 0 or math.gcd(r, s) != 1:
         raise BetaRangeError("weights must be coprime positive integers")
+    if r <= s:
+        raise BetaRangeError("beta must be a rational greater than 1")
     if F.is_zero:
         raise NotQuasihomogeneousError("the zero polynomial is excluded")
     d_times_s = None
@@ -181,43 +182,30 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
     """Enumerate height pairings, straight-sign options first.
 
     Each distinct (F height, G height) pair is classified at most once, so
-    heights with F(-1, t) = F(1, t) cost one classification a side; when no
-    option exists the verdicts explain, per scale sign, why.
+    heights with F(-1, t) = F(1, t) cost one classification a side.  A side
+    has pairings exactly when it is equivalent, so the (-) side is
+    classified only where the (+) side pairs; when no option exists the
+    verdicts explain, per scale sign, why.
     """
     _require_same_family(F, G)
     hf, hg = heights(F), heights(G)
-    verdicts: dict[tuple[UniPoly, UniPoly], Verdict1D] = {}
-
-    def classify(f: UniPoly, g: UniPoly) -> Verdict1D:
-        v = verdicts.get((f, g))
-        if v is None:
-            v = verdicts[f, g] = classify_pair(f, g)
-        return v
-
-    options: list[PairingOption] = []
-    trials = []
-    for lam_sign, g_for_plus, g_for_minus in (
-        (1, hg.f_plus, hg.f_minus),
-        (-1, hg.f_minus, hg.f_plus),
-    ):
-        v_plus = classify(hf.f_plus, g_for_plus)
-        v_minus = classify(hf.f_minus, g_for_minus) if v_plus.equivalent else None
-        trials.append((lam_sign, g_for_plus, g_for_minus, v_plus, v_minus))
-        if v_minus is not None and v_minus.equivalent:
-            sides = ((hf.f_plus, g_for_plus), (hf.f_minus, g_for_minus))
-            for p1 in v_plus.pairings:
-                for p2 in v_minus.pairings:
-                    options.append(PairingOption(lam_sign, p1, p2, sides))
+    classify = cache(classify_pair)
+    trials = ((1, hg.f_plus, hg.f_minus), (-1, hg.f_minus, hg.f_plus))
+    options = tuple(
+        PairingOption(lam_sign, p1, p2, ((hf.f_plus, g_plus), (hf.f_minus, g_minus)))
+        for lam_sign, g_plus, g_minus in trials
+        for p1 in classify(hf.f_plus, g_plus).pairings
+        for p2 in classify(hf.f_minus, g_minus).pairings
+    )
     if options:
         if F.e != G.e:
             raise ArithmeticError("pairable heights must share the X-multiplicity; internal bug")
-        return PairingSearch(tuple(options))
-    failures = []
-    for lam_sign, g_for_plus, g_for_minus, v_plus, v_minus in trials:
-        if v_minus is None:
-            v_minus = classify(hf.f_minus, g_for_minus)
-        failures.append(PairingFailure(lam_sign, v_plus, v_minus))
-    return PairingSearch((), tuple(failures))
+        return PairingSearch(options)
+    failures = tuple(
+        PairingFailure(lam_sign, classify(hf.f_plus, g_plus), classify(hf.f_minus, g_minus))
+        for lam_sign, g_plus, g_minus in trials
+    )
+    return PairingSearch((), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +322,7 @@ def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
     return zyg.Zygothety(lam, lam, zyg.identity_map(), zyg.identity_map())
 
 
-def _certify(option: PairingOption, F: QHPoly, tag: TheoremTag, common: Optional[RealAlg]) -> Verdict2D:
-    z = zyg.make_regular(option, F, common)
+def _certify(option: PairingOption, z: zyg.Zygothety, F: QHPoly, tag: TheoremTag) -> Verdict2D:
     residual = zyg.action_residual(z, F.d, option.sides)
     if not residual <= 1e-6:
         raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
@@ -381,8 +368,8 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
     r, s = F.r, F.s
     # every option's sides hold all four heights
     crit_counts = [critical_data(h).count for side in options[0].sides for h in side]
-    # with r odd and s even, the two sides share one constant unless X
-    # divides neither polynomial (pairable heights give F and G the same e)
+    # make_regular gives the two sides one constant when r is odd, s even and
+    # X divides the polynomials (pairable heights give F and G the same e)
     shared = r % 2 == 1 and s % 2 == 0 and F.e != 0
 
     if min(crit_counts) == 0:
@@ -399,12 +386,10 @@ def decide(F: QHPoly, G: QHPoly) -> Verdict2D:
         tag = TheoremTag.COR_R_ODD_S_EVEN_ONE_CRIT
     else:
         tag = TheoremTag.SUFF_B_EQUAL_LAMBDA
-    if not shared:
-        return _certify(options[0], F, tag, None)
     for option in options:
-        common = option.plus.c_set.compatible_common_value(option.minus.c_set)
-        if common is not None:
-            return _certify(option, F, tag, common)
+        z = zyg.make_regular(option, F)
+        if z is not None:
+            return _certify(option, z, F, tag)
     if tag is not TheoremTag.SUFF_B_EQUAL_LAMBDA:
         raise ArithmeticError(f"{tag.value} found no option with a common constant; internal bug")
     return Verdict2D(VerdictKind.UNKNOWN, reason=UnknownKind.SUFFICIENCY_GAP)

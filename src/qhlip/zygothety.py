@@ -182,7 +182,6 @@ def _invert_on_branch(
         flo, d_lo = g_d(lo) if memo is None else memo[1]
         flo -= y
         fhi = None if unbounded_hi else g.eval_float(hi) - y
-    resume = None
     while True:
         if fhi is not None:
             step = max(1.0, abs(lo), abs(hi))
@@ -215,17 +214,10 @@ def _invert_on_branch(
         # and would keep the wrong half
         lo_negative = flo < 0.0
         x = lo - flo / d_lo if d_lo != 0.0 else lo  # Newton's step from lo, if inside
-        x, half, i0 = x if lo < x < hi else 0.5 * (lo + hi), 0.5 * (hi - lo), 0
-        if resume is not None and x == resume[0]:
-            # started over from near as the pass before did, so its iterates up to
-            # the far end's read come again: go on from the last with their state
-            _, i0, lo, x, v, d, gd, last_half = resume
-            half = last_half if i0 else half
-        else:
-            v, d = gd = g_d(x)
-        start = x
+        x, half = x if lo < x < hi else 0.5 * (lo + hi), 0.5 * (hi - lo)
+        v, d = gd = g_d(x)
         # v is g(x), compared with y: g(x) - y has the same sign and zeros
-        for i in range(i0, 200):
+        for _ in range(200):
             if v != y:
                 if (v < y) == lo_negative:
                     lo = x
@@ -247,7 +239,6 @@ def _invert_on_branch(
             if fhi is None and hi == far:  # a bisection or a return needs the far end
                 fhi = g.eval_float(hi) - y
                 if fhi == 0.0 or (fhi < 0.0) == lo_negative:
-                    resume = (start, i, lo, x, v, d, gd, half)
                     break  # start over from near: the bracketing reads both ends
             mid = 0.5 * (lo + hi)
             # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
@@ -418,14 +409,14 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
     )
 
 
-def make_regular(option, F, common: RealAlg | None) -> Zygothety:
+def make_regular(option, F) -> Zygothety | None:
     """Build a beta-regular zygothety realizing a pairing option for (F, G).
 
     The pairing option supplies an admissible scale sign, the (F height,
     G height) pair of each side and one 1-D pairing per side; the parity of
-    (r, s) picks the construction.  `common` is the constant both sides
-    share, or None for each side to pick its own; with r odd, s even and X
-    dividing F, the construction needs it and raises ValueError without it.
+    (r, s) picks the construction.  With r odd, s even and X dividing F,
+    both sides take one common constant, and None is returned when their
+    constant sets share none; otherwise each side picks its own.
     """
     r, s, d, e = F.r, F.s, F.d, F.e
     sgn = option.lambda_sign
@@ -442,10 +433,10 @@ def make_regular(option, F, common: RealAlg | None) -> Zygothety:
         z = Zygothety(lam1, lam1, phi1, phi2)
     else:
         # r odd, s even: scales must agree unless X divides neither side
-        if common is not None:
-            c1 = c2 = common
-        elif e != 0:
-            raise ValueError("X divides the polynomials, so both sides need one common constant")
+        if e != 0:
+            c1 = c2 = p1.c_set.compatible_common_value(p2.c_set)
+            if c1 is None:
+                return None
         else:
             c1, c2 = p1.c_set.pick(), p2.c_set.pick()
         phi1 = _branch_map(c1, p1.orientation, f1, g1)

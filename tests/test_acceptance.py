@@ -208,7 +208,7 @@ def test_criterion_7_group_and_regularity():
     spot_failures = 0
     for a, b in pairs:
         option = pairing_search(a, b).options[0]
-        z = make_regular(option, a, None)
+        z = make_regular(option, a)
         if action_residual(z, a.d, option.sides) > 1e-6:
             spot_failures += 1
         pool.append(z)

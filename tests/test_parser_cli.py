@@ -2,10 +2,12 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +214,17 @@ class TestCli:
         assert report["lipschitz_ratio_min"] > 0
         assert "asymptotic" in report
 
+    def test_failed_witness_check_reports_an_error(self, capsys):
+        code, out, err = run_cli_capture(
+            capsys, "witness", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1",
+            "--let", "l=-1", "--let", "m=-2", "--tol", "0", "--samples", "400",
+        )
+        assert code == 3
+        assert not json.loads(out)["report"]["conjugacy_pass"]
+        error = json.loads(err)["error"]
+        assert error["code"] == "conjugacy_check_failed"
+        assert "--tol 0.0" in error["message"]
+
     def test_scan_single_class(self, capsys):
         code, out, _ = run_cli_capture(
             capsys,
@@ -325,8 +338,21 @@ class TestCli:
         [
             (["classify1", "t^3 - 3*a*t", "t^3 - 3*t", "--let", "a=1", "--let", "a=2"], "'a'"),
             (["scan", HP, "--param", "l", "--values=1,-1", "--let", "l=5", "--beta", "2/1"], "'l'"),
+            (["classify1", "t^3 - 3*a*t", "t^3-3*t", "--let", "a=1", "--let", "b=7"], "'b'"),
+            (["classify2", HP, HP, "--beta", "2/1", "--let", "l=1", "--let", "m=4"], "'m'"),
+            (["infer-beta", "X^6 + Y^3", "--let", "l=1"], "'l'"),
+            (["scan", HP, "--param", "m", "--values=1,2", "--let", "l=1", "--beta", "2/1"], "'m'"),
+            (["scan", HP, "--param", "l", "--values=1,2", "--let", "m=1", "--beta", "2/1"], "'m'"),
         ],
-        ids=["bound_twice", "let_of_the_param"],
+        ids=[
+            "bound_twice",
+            "let_of_the_param",
+            "let_unnamed_1d",
+            "let_unnamed_2d",
+            "let_unnamed_infer",
+            "param_unnamed",
+            "let_unnamed_scan",
+        ],
     )
     def test_let_that_would_drop_a_binding_is_refused(self, capsys, monkeypatch, argv, name):
         refuse_work(monkeypatch)
@@ -633,3 +659,20 @@ def test_scan_partition_against_brute_force(capsys, monkeypatch, n, choices):
             error = json.loads(err)["error"]
             assert error["code"] == "internal"
             assert error["message"].startswith("ArithmeticError")
+
+
+def readme_commands() -> list[list[str]]:
+    """The qhlip commands of README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qhlip ")]
+
+
+def test_readme_examples_run(capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["classify1", "classify2", "witness", "scan", "infer-beta"]
+    for argv in commands:
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert code in (0, 1, 2), (argv, err)
+        json.loads(out)

@@ -679,7 +679,7 @@ def test_invariants_hold_under_python_O():
         from qhlip.lipclass import CSet, Verdict1D
         from qhlip.qhdecide import QHPoly, TheoremTag, _certify, heights, pairing_search, validate_qh
         from qhlip.realalg import RealAlg
-        from qhlip.zygothety import BranchMap, Zygothety, identity_map
+        from qhlip.zygothety import BranchMap, Zygothety, identity_map, make_regular
         print("debug", __debug__)
         boxes = [
             RealAlg(UniPoly((-2, 0, 1)), Fraction(-2), Fraction(2)),  # two roots
@@ -715,7 +715,7 @@ def test_invariants_hold_under_python_O():
             lambda: heights(dataclasses.replace(F, n=2)),
             lambda: heights(QHPoly(BiPoly({(1, 1): 1, (0, 1): 1}), 2, 1, 3, 0, 1)),
             lambda: pairing_search(F, dataclasses.replace(F, e=F.e + 1)),
-            lambda: _certify(wrong_c, F, TheoremTag.SUFF_A_PARITY, None),
+            lambda: _certify(wrong_c, make_regular(wrong_c, F), F, TheoremTag.SUFF_A_PARITY),
         ):
             try:
                 build()

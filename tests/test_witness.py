@@ -357,7 +357,7 @@ def odd_r_transforms() -> list[InverseBetaTransform]:
         for o in pairing_search(a, b).options
         if o.plus.orientation is Orientation.INCREASING and o.minus.orientation is Orientation.DECREASING
     )
-    return out + [InverseBetaTransform(make_regular(option, a, None), 3, 2)]
+    return out + [InverseBetaTransform(make_regular(option, a), 3, 2)]
 
 
 class TestBatchLoopsAreTheReference:

@@ -186,7 +186,7 @@ class TestMakeRegular:
     def test_hp_negative_pair(self):
         Fq, Gq = hp(-1), hp(-2)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq, None)
+        z = make_regular(option, Fq)
         assert is_beta_regular(z, 2, 1)
         res = action_residual(z, 6, option.sides)
         assert res < 1e-9
@@ -194,7 +194,7 @@ class TestMakeRegular:
     def test_self_pair_is_identity_like(self):
         Fq = hp(2)
         option = pairing_search(Fq, Fq).options[0]
-        z = make_regular(option, Fq, None)
+        z = make_regular(option, Fq)
         assert z.lam1 == ra(1)
         for t in (-1.5, 0.0, 2.25):
             assert z.phi1.eval_float(t) == pytest.approx(t, abs=1e-9)
@@ -203,7 +203,7 @@ class TestMakeRegular:
         Fq = hp(3)
         Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
         option = pairing_search(Fq, Gq).options[0]
-        z = make_regular(option, Fq, None)
+        z = make_regular(option, Fq)
         assert compare(z.lam1, z.lam2) == 0
         assert z.phi1 is z.phi2
         assert is_beta_regular(z, 2, 1)
@@ -255,18 +255,25 @@ class TestNegConstruction:
         Fq, Gq = validate_qh(parse_bi(f_text), 3, 2), validate_qh(parse_bi(g_text), 3, 2)
         assert (Fq.e != 0) == shared
         option = crossed_orientation_option(Fq, Gq)
-        common = option.plus.c_set.compatible_common_value(option.minus.c_set) if shared else None
-        z = make_regular(option, Fq, common)
+        z = make_regular(option, Fq)
+        if shared:
+            assert compare(z.lam1, z.lam2) == 0
         assert is_beta_regular(z, 3, 2)
         assert action_residual(z, Fq.d, option.sides) <= 1e-6
         T = InverseBetaTransform(z, 3, 2)
         assert verify_conjugacy(Fq, Gq, T, 5, 1.0)[0] <= 1e-8
         assert map_json(z.phi2)["kind"] == "neg"
 
-    def test_missing_common_constant_is_refused(self):
-        Fq = validate_qh(parse_bi("X^2*Y^4 - X^8"), 3, 2)
-        with pytest.raises(ValueError):
-            make_regular(crossed_orientation_option(Fq, Fq), Fq, None)
+    def test_no_common_constant_builds_nothing(self):
+        # the pair of tests/golden/unknown_sufficiency_gap.json: X divides both,
+        # and every option's two sides force distinct constants
+        Fq, Gq = (
+            validate_qh(parse_bi(t), 3, 2)
+            for t in ("-2*X^7*Y^2 + X^4*Y^4 + 3*X*Y^6", "3*X^7*Y^2 + 3*X^4*Y^4 - 3*X*Y^6")
+        )
+        options = pairing_search(Fq, Gq).options
+        assert options and Fq.e != 0
+        assert all(make_regular(option, Fq) is None for option in options)
 
 
 @st.composite
@@ -696,9 +703,9 @@ class TestFarEndHoldingThePreimage:
 
 class TestStartOverFromNear:
     """A warm start whose read of the far end shows no sign change brackets
-    again from near, and Newton's first iterates from near come again: they
-    are taken up where the pass before broke off, so no inversion evaluates
-    g and g' twice at one point."""
+    again from near, and Newton's first iterates from near may come again.
+    An inversion starts over at most once, so it evaluates g and g' at no
+    point more than twice, and its bits are those of the reference."""
 
     @staticmethod
     def passes(m: BranchMap, ts) -> list[list[float]]:
@@ -726,14 +733,14 @@ class TestStartOverFromNear:
         m = branch_inverse(g, [], 0)
         calls = self.passes(m, ys)
         assert calls[1][:2] == [-8.0, -4.2908840673575135]
-        assert all(len(c) == len(set(c)) for c in calls)
+        assert all(c.count(x) <= 2 for c in calls for x in c)
         assert m.eval_floats(ys) == ref_warm_inversions(g, [], 0, ys)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_batches())
     def test_drawn_batches(self, case):
         g, points, _, j, ys = case
-        assert all(len(c) == len(set(c)) for c in self.passes(branch_inverse(g, points, j), ys))
+        assert all(c.count(x) <= 2 for c in self.passes(branch_inverse(g, points, j), ys) for x in c)
 
 
 def negative_pair_maps() -> list:
