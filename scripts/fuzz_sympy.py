@@ -385,13 +385,15 @@ def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | No
 
 
 def check_batch_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
-    """BranchMap.eval_floats on values of one branch of g, sorted and then
-    shuffled with a repeat: a BranchMap whose f is t itself and whose cut
-    points for f put every value on branch j inverts g there."""
+    """BranchMap.eval_floats on a dense batch of 40 values of one branch of g,
+    sorted and then shuffled with a repeat, so that Newton's carry from one
+    value to the next, its stop rule and its fallback meet sympy's roots: a
+    BranchMap whose f is t itself and whose cut points for f put every value
+    on branch j inverts g there."""
     points = critical_data(g).points
     crits = [c.to_float() for c in points]
     j = rng.randint(0, len(crits))
-    ys = sorted(float(g(Fraction(branch_point(rng, crits, j)))) for _ in range(3))
+    ys = sorted(float(g(Fraction(branch_point(rng, crits, j)))) for _ in range(40))
     far = [RealAlg.from_rational(-(10**30))] * j + [RealAlg.from_rational(10**30)] * (len(crits) - j)
     inverse = BranchMap(RealAlg.from_rational(1), True, UniPoly([0, 1]), g, far, points)
     shuffled = ys + [ys[0]]

@@ -120,7 +120,10 @@ def verify_conjugacy(
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     hf, hg, xi_ds = heights(F), heights(G), [_power(xi, F.d, "|x|^d") for xi in xs]
     worst, phi_ts = 0.0, [T.z.phi1.eval_float(t) for t in ts]
-    for sgn, phi, lam, f in ((1.0, T.z.phi1, T.lam1, hf.f_plus), (-1.0, T.z.phi2, T.lam2, hf.f_minus)):
+    sides = ((1.0, T.z.phi1, T.lam1, hf.f_plus), (-1.0, T.z.phi2, T.lam2, hf.f_minus))
+    # one phi and lam, and F and G even in X: the x < 0 rows repeat the x > 0 rows bit for bit
+    even = all(i % 2 == 0 for P in (F, G) for _, i, _ in P.poly.float_terms())
+    for sgn, phi, lam, f in sides[:1] if T.z.phi2 is T.z.phi1 and T.lam2 == T.lam1 and even else sides:
         if phi is not T.z.phi1:  # phi2 is phi1 itself when r is even
             phi_ts = [phi.eval_float(t) for t in ts]
         g, lam_d = hg.f_plus if lam * sgn > 0.0 else hg.f_minus, abs(lam) ** F.d

@@ -10,6 +10,7 @@ verdict, while numeric evaluation only feeds the witness harness.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -132,10 +133,11 @@ class BranchMap(PLMap):
         return _invert_on_branch(self.g, cg, j, y)
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
-        """eval_float at each of ts: the values of one branch are inverted in
-        the order of their preimages, each from the one before (near)."""
+        """eval_float at each of ts, a branch's values in preimage order, each by Newton from the
+        last (x, g, g') its branch evaluated, p the step to x, returning x + dx unevaluated once dx
+        or K dx^2 (K ~ |dx| / p^2) is below 1e-16 max(1, |x + dx|); _invert_on_branch falls back."""
         cflt, cf, cg = self._floats()
-        g, cs, f_at = self.g, self.crits_g, self.f.eval_float
+        g, cs, f_at, g_d = self.g, self.crits_g, self.f.eval_float, self.g.eval_float_d
         ys = [cflt * f_at(t) for t in ts]
         js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
         js = js if self.increasing else [len(cf) - i for i in js]
@@ -144,16 +146,27 @@ class BranchMap(PLMap):
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
         rising = [g.derivative().sign_at(q) > 0 for q in inner]
         keys = [y if rising[j] else -y for j, y in zip(js, ys)]
-        out, near, memo = [0.0] * len(ts), [None] * len(inner), [[None, None] for _ in inner]
+        out, near, ends = [0.0] * len(ts), [None] * len(inner), [-math.inf, *cg, math.inf]
+        carry = [(0.0, 0.0, 0.0, 0.0)] * len(inner)  # g' = 0: a branch's first value falls back
         for k in sorted(range(len(ts)), key=keys.__getitem__):
-            j = js[k]
-            out[k] = near[j] = _invert_on_branch(g, cg, j, ys[k], near[j], memo[j])
+            (x, v, d, p), j, y, u = carry[js[k]], js[k], ys[k], None
+            for n in range(6):
+                dx = (y - v) / d if d else math.nan
+                nx, a = x + dx, dx if dx >= 0.0 else -dx
+                if not ends[j] < nx < ends[j + 1] or n and a >= p:
+                    break
+                e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
+                if a <= e or a * a * a <= e * p * p or nx == x:
+                    u, carry[j] = nx, (x, v, d, p)
+                    break
+                x, p, (v, d) = nx, a, g_d(nx)
+            if u is None:  # a step that grows or leaves the branch, g' = 0, or a sixth step
+                carry[j] = (u := _invert_on_branch(g, cg, j, y, near[j]), *g_d(u), 0.0)
+            out[k] = near[j] = u
         return out
 
 
-def _invert_on_branch(
-    g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None, memo: list | None = None
-) -> float:
+def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
     """Solve g(u) = y for u in the j-th branch interval.
 
     Brackets the root by signs, then iterates Newton safeguarded by
@@ -164,8 +177,6 @@ def _invert_on_branch(
     from it is the first iterate; g at an unbounded far end is then read
     only when a bisection or a return still has it as an end (an iterate
     past the preimage vouches for it, g being monotone on the branch).
-    A batch passes each branch's `memo`, [u, (g(u), g'(u))] for the last u
-    a call took them at (near, or Newton's last iterate), read when near == u.
     """
     p = len(crit_floats)
     unbounded_lo, unbounded_hi = j == 0, j == p
@@ -177,9 +188,7 @@ def _invert_on_branch(
     else:
         lo, unbounded_lo = near, False
         hi = far = near + 1.0 if unbounded_hi and near + 1.0 > hi else hi
-        if memo is not None and memo[0] != near:
-            memo[0], memo[1] = near, g_d(lo)
-        flo, d_lo = g_d(lo) if memo is None else memo[1]
+        flo, d_lo = g_d(lo)
         flo -= y
         fhi = None if unbounded_hi else g.eval_float(hi) - y
     while True:
@@ -215,7 +224,7 @@ def _invert_on_branch(
         lo_negative = flo < 0.0
         x = lo - flo / d_lo if d_lo != 0.0 else lo  # Newton's step from lo, if inside
         x, half = x if lo < x < hi else 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v, d = gd = g_d(x)
+        v, d = g_d(x)
         # v is g(x), compared with y: g(x) - y has the same sign and zeros
         for _ in range(200):
             if v != y:
@@ -234,7 +243,7 @@ def _invert_on_branch(
                     if lo < nx < hi and -half <= dx <= half:
                         half = 0.5 * dx if dx >= 0.0 else -0.5 * dx
                         x = nx
-                        v, d = gd = g_d(x)
+                        v, d = g_d(x)
                         continue
             if fhi is None and hi == far:  # a bisection or a return needs the far end
                 fhi = g.eval_float(hi) - y
@@ -244,12 +253,10 @@ def _invert_on_branch(
             # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
             # size fails the halving test, as every later one would; or when no midpoint is left
             if v == y or narrow or (d != 0.0 and abs(dx) <= 1e-15 * abs(x)) or not (lo < mid < hi):
-                if memo is not None:
-                    memo[0], memo[1] = x, gd
                 return mid if v != y and narrow else x
             half = 0.5 * abs(mid - x)
             x = mid
-            v, d = gd = g_d(x)
+            v, d = g_d(x)
         else:
             return x
         lo = near  # hi is far, and flo is g(near) - y

@@ -657,11 +657,50 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
     return x
 
 
+def ref_carried_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequence[float]) -> list[float]:
+    """The preimages of ys on g's j-th branch, ys given in the order of their
+    preimages along it, by the batch rule: Newton from the last point the
+    branch evaluated g and g' at, where p is the step that led there (0.0 when
+    no step did); x + dx is returned unevaluated once |dx| <= tol or
+    |dx|**3 <= tol * p**2, tol = 1e-16 * max(1, |x + dx|), or once x + dx is x.
+    A value whose step after the first does not shrink, whose step leaves the
+    branch, which meets g' = 0 or needs a sixth step is inverted by
+    ref_invert_on_branch from the last preimage (cold for the branch's first
+    value), and g is evaluated at that result: the reference for the bits of
+    BranchMap.eval_floats."""
+    lo = crit_floats[j - 1] if j >= 1 else -math.inf
+    hi = crit_floats[j] if j < len(crit_floats) else math.inf
+    out, last = [], None  # (x, g(x), g'(x), p) at the last point evaluated
+    for y in ys:
+        u = None
+        if last is not None:
+            x, v, d, p = last
+            for step in range(1, 7):
+                if d == 0.0:
+                    break
+                dx = (y - v) / d
+                nx = x + dx
+                if step > 1 and abs(dx) >= p or not lo < nx < hi:
+                    break
+                tol = 1e-16 * max(1.0, abs(nx))
+                if abs(dx) <= tol or abs(dx) * abs(dx) * abs(dx) <= tol * p * p or nx == x:
+                    u = nx
+                    break
+                v, d = g.eval_float_d(nx)
+                x, p = nx, abs(dx)
+                last = (x, v, d, p)
+        if u is None:
+            u = ref_invert_on_branch(g, crit_floats, j, y, out[-1] if out else None)
+            last = (u, *g.eval_float_d(u), 0.0)
+        out.append(u)
+    return out
+
+
 def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
-    """BranchMap.eval_floats in its plainer earlier form (values and sort keys
-    through array("d"), every point's branch by bisect, a branch's values
-    sorted along it), each value inverted by ref_invert_on_branch from the
-    one before on its branch: the reference for the batch path's bits."""
+    """BranchMap.eval_floats in a plainer form (values and sort keys through
+    array("d"), every point's branch by bisect, a branch's values sorted along
+    it), each branch's values inverted by ref_carried_inversions: the
+    reference for the batch path's bits."""
     cflt, cf, cg = m._floats()
     p, g, cs = len(cf), m.g, m.crits_g
     js = [bisect.bisect_left(cf, t) for t in ts]
@@ -670,9 +709,12 @@ def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
     inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
     rising = [g.derivative().sign_at(q) > 0 for q in inner]
     keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
-    out, near = [0.0] * len(ts), [None] * (p + 1)
-    for k in sorted(range(len(ts)), key=keys.__getitem__):
-        out[k] = near[js[k]] = ref_invert_on_branch(g, cg, js[k], ys[k], near[js[k]])
+    order = sorted(range(len(ts)), key=keys.__getitem__)
+    out = [0.0] * len(ts)
+    for j in range(p + 1):
+        ks = [k for k in order if js[k] == j]
+        for k, u in zip(ks, ref_carried_inversions(g, cg, j, [ys[k] for k in ks])):
+            out[k] = u
     return out
 
 
@@ -688,10 +730,11 @@ def ref_batch_map_floats(phi, ts: Sequence[float]) -> list[float]:
 
 
 def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
-    """witness.verify_lipschitz in its plainer earlier form: the points drawn
-    into growing arrays, each half-plane picked out after the draw, images
-    through ref_on_fiber and the maps through ref_batch_map_floats, and every
-    ratio checked and folded by min() and max(): the reference for its bits."""
+    """witness.verify_lipschitz in a plainer form: the points drawn into
+    growing arrays, each half-plane picked out after the draw, images through
+    ref_on_fiber and the maps through ref_batch_map_floats (so each branch by
+    ref_carried_inversions), and every ratio checked and folded by min() and
+    max(): the reference for its bits."""
     rng = random.Random(LIPSCHITZ_SEED)
     n = 2 * LIPSCHITZ_SAMPLES
     xs, ys, ax_bs = array("d"), array("d"), array("d")

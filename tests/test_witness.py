@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -404,6 +405,55 @@ def scaled_pairs(draw):
     return Fq, Gq, InverseBetaTransform(v.certificate.zygothety, Fq.r, Fq.s)
 
 
+def mirrored(F, G, T) -> bool:
+    """Whether verify_conjugacy may take its x < 0 rows from its x > 0 rows:
+    one phi and one lam on both sides, and F and G even in X."""
+    even = all(i % 2 == 0 for P in (F, G) for _, i, _ in P.poly.float_terms())
+    return T.z.phi2 is T.z.phi1 and T.lam2 == T.lam1 and even
+
+
+def both_sides(F, G, T, x_count, delta) -> tuple[float, int]:
+    """verify_conjugacy with both sides computed: phi2 is replaced by a copy of
+    itself, equal in every bit it gives, so that the shortcut does not apply."""
+    z = T.z
+    whole = InverseBetaTransform(Zygothety(z.lam1, z.lam2, z.phi1, copy.copy(z.phi2)), F.r, F.s)
+    return verify_conjugacy(F, G, whole, x_count, delta)
+
+
+class TestMirroredSide:
+    """verify_conjugacy computes one side when the other repeats it bit for
+    bit, and returns what both sides give, with the same count."""
+
+    @staticmethod
+    def run(F, G, x_count, delta):
+        T = InverseBetaTransform(decide(F, G).certificate.zygothety, F.r, F.s)
+        planar, real_row = [], witness._plane_residuals
+
+        def recording_row(F, G, T, x, *rest):
+            planar.append(x)
+            return real_row(F, G, T, x, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness, "_plane_residuals", recording_row)
+            got = verify_conjugacy(F, G, T, x_count, delta)
+        assert got == both_sides(F, G, T, x_count, delta)
+        return T, planar
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-3])
+    def test_hp_pair_runs_one_side(self, delta):
+        a, b = hp(-1), hp(-2)
+        T, planar = self.run(a, b, 5, delta)
+        assert mirrored(a, b, T) and all(x > 0.0 for x in planar) and len(planar) == 2
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-3])
+    def test_odd_x_exponent_runs_both_sides(self, delta):
+        # X*(X^4 + ...) has odd X exponents: F(-x, y) = -F(x, y), so the x < 0 rows differ
+        a, b = (validate_qh(parse_bi(t), 2, 1) for t in ("X^5 + X^3*Y + X*Y^2", "X^5 + 2*X^3*Y + 4*X*Y^2"))
+        T, planar = self.run(a, b, 5, delta)
+        assert T.z.phi2 is T.z.phi1 and T.lam2 == T.lam1 and not mirrored(a, b, T)
+        assert sorted(planar) == sorted({-planar[0], -planar[1], planar[0], planar[1]})
+
+
 class TestConjugacyIsTheReference:
     """The rows between the innermost and the outermost follow from the
     heights, so their residuals, and the maximum, move by rounding only; the
@@ -428,8 +478,11 @@ class TestConjugacyIsTheReference:
         assert (got <= 1e-8) == (want <= 1e-8)
         assert abs(got - want) <= 1e-10
         xs = sorted(x for x in rows if x > 0.0)
-        assert sorted(planar) == sorted({-xs[-1], -xs[0], xs[0], xs[-1]})
+        # a mirrored pair evaluates the x > 0 side only, whose rows the x < 0 rows repeat
+        sides = (1.0,) if mirrored(a, b, T) else (1.0, -1.0)
+        assert sorted(planar) == sorted({sgn * x for sgn in sides for x in (xs[0], xs[-1])})
         assert all(planar[x] == rows[x] for x in planar)
+        assert len(sides) == 2 or all(rows[-x] == rows[x] for x in xs)
 
 
 class TestQuasihomogeneousIdentity:
@@ -569,10 +622,10 @@ class TestTinyDelta:
 
     @staticmethod
     def grid_abs_x(delta, monkeypatch) -> list[float]:
-        """|x| of every sample of a 5-row grid: T_COUNT for each row of a
-        side, which takes its |x|^beta once, and one per evaluation of F on
-        the axis x = 0; checks that the rows evaluated in the plane are each
-        side's innermost and outermost."""
+        """|x| of every sample of a 5-row grid: T_COUNT for each row of the
+        side computed, which takes its |x|^beta once, and one per evaluation
+        of F on the axis x = 0; checks that the rows evaluated in the plane
+        are that side's innermost and outermost."""
         a, b = hp(-1), hp(-2)
         T = InverseBetaTransform(decide(a, b).certificate.zygothety, 2, 1)
         seen, planar = [], []
@@ -597,13 +650,14 @@ class TestTinyDelta:
         monkeypatch.setattr(BiPoly, "eval_float", recording_eval)
         assert verify_conjugacy(a, b, T, 5, delta)[1] == 11 * T_COUNT
         rows = sorted(set(seen) - {0.0})
-        assert planar == [rows[0], rows[-1], -rows[0], -rows[-1]]
+        # the pair is mirrored: the x < 0 side repeats the x > 0 side, which alone is computed
+        assert planar == [rows[0], rows[-1]]
         return seen
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-8, 3e-6, 0.7, 1.0])
     def test_conjugacy_grid_stays_in_the_strip(self, delta, monkeypatch):
         seen = self.grid_abs_x(delta, monkeypatch)
-        assert len(seen) == 11 * T_COUNT
+        assert len(seen) == 6 * T_COUNT  # 5 rows of the x > 0 side and the axis
         assert max(seen) <= delta
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-8])

@@ -31,7 +31,7 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly, ref_invert_on_branch
+from helpers import rand_qhpoly, ref_carried_inversions, ref_invert_on_branch
 
 
 def ra(x):
@@ -609,13 +609,14 @@ class TestBatchInversionProperty:
 
 
 def ref_warm_inversions(g: UniPoly, crits: list[float], j: int, ys: list[float]) -> list[float]:
-    """The preimages of ys on g's j-th branch, in the order eval_floats takes
-    them (ascending along the branch), each warm-started at the one before
-    by the reference inversion, which evaluates both bracket ends first."""
+    """The preimages of ys on g's j-th branch, taken in the order eval_floats
+    takes them (ascending along the branch) by ref_carried_inversions, the
+    batch rule written out plainly."""
     rising = g.derivative().sign_at(F(point_on_branch(crits, j, 0.5))) > 0
-    out, near = [0.0] * len(ys), None
-    for k in sorted(range(len(ys)), key=lambda k: ys[k] if rising else -ys[k]):
-        out[k] = near = ref_invert_on_branch(g, crits, j, ys[k], near)
+    order = sorted(range(len(ys)), key=lambda k: ys[k] if rising else -ys[k])
+    out = [0.0] * len(ys)
+    for k, u in zip(order, ref_carried_inversions(g, crits, j, [ys[k] for k in order])):
+        out[k] = u
     return out
 
 
@@ -626,49 +627,74 @@ class TestBatchInversionIsTheReference:
         g, points, crits, j, ys = case
         assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
 
+    def test_pinned_batch_leaving_a_bounded_branch(self):
+        # g = t^3 - 3t falls on (-1, 1); the first value's preimage sits near
+        # -1, where g' is small, so Newton's step towards 0 leaves the branch
+        # and the value falls back to _invert_on_branch from that preimage
+        g, j, ys = UniPoly([0, -3, 0, 1]), 1, [1.9999, 0.0]
+        points = critical_data(g).points
+        crits = [c.to_float() for c in points]
+        nears, real_inv = [], zygothety._invert_on_branch
 
-class TestBatchInversionCarriesTheReturnedPoint:
-    """A warm start hands g and g' at near, or at the iterate it stopped at,
-    to the next inversion on the branch, which starts from the point
-    returned: no inversion of a batch takes g and g' (one eval_float_d
-    pass) at its near right after the pass before it did."""
+        def starting(g, crits, j, y, near=None):
+            nears.append(near)
+            return real_inv(g, crits, j, y, near)
+
+        m = branch_inverse(g, points, j)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zygothety, "_invert_on_branch", starting)
+            us = m.eval_floats(ys)
+        assert nears == [None, us[0]]
+        assert us == ref_warm_inversions(g, crits, j, ys)
+        for y, u in zip(ys, us):
+            assert_solves(g, crits, j, y, u)
+
+
+class TestBatchInversionCarriesTheLastEvaluatedPoint:
+    """Each value of a batch starts Newton from the last point its branch
+    evaluated g and g' at, not from the preimage returned before it, which
+    the stop rule leaves unevaluated: no pass of the carry takes g where the
+    pass before it did.  The one exception is the pass that restarts the
+    carry at the point a fallback to _invert_on_branch returns."""
 
     @staticmethod
     def repeats(m: BranchMap, ts) -> int:
         seen, real, real_inv = [], UniPoly.eval_float_d, zygothety._invert_on_branch
+        inside = []
 
-        def starting(g, crits, j, y, near, *memo):
-            seen.append(("start", near))
-            return real_inv(g, crits, j, y, near, *memo)
+        def falling_back(*args):
+            inside.append(True)
+            try:
+                return real_inv(*args)
+            finally:
+                inside.pop()
+                seen.append("restart")
 
         def recording(p, x):
-            if p is m.g:
+            if p is m.g and not inside:
                 seen.append(x)
             return real(p, x)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(UniPoly, "eval_float_d", recording)
-            mp.setattr(zygothety, "_invert_on_branch", starting)
+            mp.setattr(zygothety, "_invert_on_branch", falling_back)
             m.eval_floats(ts)
-        count, last = 0, None
-        for item, after in zip(seen, seen[1:]):
-            if isinstance(item, tuple):
-                count += item[1] is not None and after == item[1] == last
-            else:
-                last = item
-        return count
+        assert seen[0] == "restart"  # a branch's first value has no carry
+        return sum(a == b != "restart" for a, b in zip(seen, seen[1:])), seen.count("restart")
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_batches())
     def test_drawn_batches(self, case):
         g, points, _, j, ys = case
-        assert self.repeats(branch_inverse(g, points, j), ys) == 0
+        assert self.repeats(branch_inverse(g, points, j), ys)[0] == 0
 
     def test_certificate_batches(self):
+        # heights with no critical point: one branch, and every value after
+        # the first is Newton's from the carry
         rng = random.Random(5)
         ts = [rng.uniform(-2.0, 2.0) for _ in range(2000)]
         for m in negative_pair_maps():
-            assert self.repeats(m, ts) == 0
+            assert self.repeats(m, ts) == (0, 1)
 
 
 class TestFarEndHoldingThePreimage:
