@@ -45,9 +45,10 @@ Compares, on seeded random inputs:
   from y over a wider interval, |g(u) - y| must instead be within Horner's
   rounding bound gamma_2n * sum |c_i| |u|^i (exact); the last line counts
   these ill-conditioned inversions;
-* the batch path ``BranchMap.eval_floats`` on three values of one branch of
-  g, sorted and then shuffled with a repeat (each preimage starts from the
-  one before it): every preimage by the same criterion as above;
+* the batch path ``BranchMap.eval_floats`` on 40 values of one branch of
+  g, sorted and then shuffled with a repeat (each value's Newton starts
+  from the last point its branch evaluated): every preimage by the same
+  criterion as above;
 * ``lipclass.similar`` on the critical data of f and g, for f of degree 3
   to 5 with two or more critical points and g = c * f((u - b) / a)
   (planted) or that g moved by a small constant or a small multiple of a

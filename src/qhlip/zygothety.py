@@ -133,9 +133,8 @@ class BranchMap(PLMap):
         return _invert_on_branch(self.g, cg, j, y)
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
-        """eval_float at each of ts, a branch's values in preimage order, each by Newton from the
-        last (x, g, g') its branch evaluated, p the step to x, returning x + dx unevaluated once dx
-        or K dx^2 (K ~ |dx| / p^2) is below 1e-16 max(1, |x + dx|); _invert_on_branch falls back."""
+        """eval_float at each of ts, by Newton from the last (x, g, g') its branch evaluated, giving x + dx
+        once dx, or K dx^2 (K as |dx|/p^2 and from g' over the value's step p), is below 1e-16 max(1, |x+dx|)."""
         cflt, cf, cg = self._floats()
         g, cs, f_at, g_d = self.g, self.crits_g, self.f.eval_float, self.g.eval_float_d
         ys = [cflt * f_at(t) for t in ts]
@@ -147,21 +146,21 @@ class BranchMap(PLMap):
         rising = [g.derivative().sign_at(q) > 0 for q in inner]
         keys = [y if rising[j] else -y for j, y in zip(js, ys)]
         out, near, ends = [0.0] * len(ts), [None] * len(inner), [-math.inf, *cg, math.inf]
-        carry = [(0.0, 0.0, 0.0, 0.0)] * len(inner)  # g' = 0: a branch's first value falls back
+        carry = [(0.0, 0.0, 0.0)] * len(inner)  # g' = 0: a branch's first value falls back
         for k in sorted(range(len(ts)), key=keys.__getitem__):
-            (x, v, d, p), j, y, u = carry[js[k]], js[k], ys[k], None
+            (x, v, d), j, y, u, p = carry[js[k]], js[k], ys[k], None, 0.0  # p: no step of y's yet
             for n in range(6):
                 dx = (y - v) / d if d else math.nan
                 nx, a = x + dx, dx if dx >= 0.0 else -dx
                 if not ends[j] < nx < ends[j + 1] or n and a >= p:
                     break
                 e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
-                if a <= e or a * a * a <= e * p * p or nx == x:
-                    u, carry[j] = nx, (x, v, d, p)
+                if a <= e or nx == x or a * a * a <= e * p * p and abs(d - d0) * a * a <= 2.0 * e * p * abs(d):
+                    u, carry[j] = nx, (x, v, d)
                     break
-                x, p, (v, d) = nx, a, g_d(nx)
+                x, p, d0, (v, d) = nx, a, d, g_d(nx)
             if u is None:  # a step that grows or leaves the branch, g' = 0, or a sixth step
-                carry[j] = (u := _invert_on_branch(g, cg, j, y, near[j]), *g_d(u), 0.0)
+                carry[j] = (u := _invert_on_branch(g, cg, j, y, near[j]), *g_d(u))
             out[k] = near[j] = u
         return out
 

@@ -660,38 +660,45 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
 def ref_carried_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequence[float]) -> list[float]:
     """The preimages of ys on g's j-th branch, ys given in the order of their
     preimages along it, by the batch rule: Newton from the last point the
-    branch evaluated g and g' at, where p is the step that led there (0.0 when
-    no step did); x + dx is returned unevaluated once |dx| <= tol or
-    |dx|**3 <= tol * p**2, tol = 1e-16 * max(1, |x + dx|), or once x + dx is x.
-    A value whose step after the first does not shrink, whose step leaves the
-    branch, which meets g' = 0 or needs a sixth step is inverted by
-    ref_invert_on_branch from the last preimage (cold for the branch's first
-    value), and g is evaluated at that result: the reference for the bits of
-    BranchMap.eval_floats."""
+    branch evaluated g and g' at.  x + dx is returned unevaluated once
+    |dx| <= tol or x + dx is x, tol = 1e-16 * max(1, |x + dx|); or, once
+    this value has taken a step p to x, over which g' went from d0 to d,
+    when both estimates of the error K * dx**2 are below tol: K as
+    |dx| / p**2, and as |d - d0| / (2 |d| p).  A value whose step after the
+    first does not shrink, whose step leaves the branch, which meets g' = 0
+    or needs a sixth step is inverted by ref_invert_on_branch from the last
+    preimage (cold for the branch's first value), and g is evaluated at that
+    result: the reference for the bits of BranchMap.eval_floats."""
     lo = crit_floats[j - 1] if j >= 1 else -math.inf
     hi = crit_floats[j] if j < len(crit_floats) else math.inf
-    out, last = [], None  # (x, g(x), g'(x), p) at the last point evaluated
+    out, last = [], None  # (x, g(x), g'(x)) at the last point evaluated
     for y in ys:
         u = None
         if last is not None:
-            x, v, d, p = last
+            x, v, d = last
+            p = None  # this value's step to x, and g' before it
             for step in range(1, 7):
                 if d == 0.0:
                     break
                 dx = (y - v) / d
                 nx = x + dx
-                if step > 1 and abs(dx) >= p or not lo < nx < hi:
+                if p is not None and abs(dx) >= p or not lo < nx < hi:
                     break
                 tol = 1e-16 * max(1.0, abs(nx))
-                if abs(dx) <= tol or abs(dx) * abs(dx) * abs(dx) <= tol * p * p or nx == x:
+                if abs(dx) <= tol or nx == x:
                     u = nx
                     break
+                a = abs(dx)  # K * dx**2 <= tol for both K, multiplied out
+                if p is not None and a * a * a <= tol * p * p and abs(d - d0) * a * a <= 2.0 * tol * p * abs(d):
+                    u = nx
+                    break
+                d0 = d
                 v, d = g.eval_float_d(nx)
                 x, p = nx, abs(dx)
-                last = (x, v, d, p)
+                last = (x, v, d)
         if u is None:
             u = ref_invert_on_branch(g, crit_floats, j, y, out[-1] if out else None)
-            last = (u, *g.eval_float_d(u), 0.0)
+            last = (u, *g.eval_float_d(u))
         out.append(u)
     return out
 

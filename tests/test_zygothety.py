@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, find, given, settings, strategies as st
 
 from qhlip import zygothety
 from qhlip.jsonio import map_json
@@ -11,7 +11,7 @@ from qhlip.lipclass import Orientation, critical_data
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import OptionTrace, VerdictKind, decide, heights, pairing_search, validate_qh
-from qhlip.realalg import RealAlg, compare, nth_root_pos
+from qhlip.realalg import RealAlg, compare, isolate_real_roots, nth_root_pos
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
     RESIDUAL_SAMPLES,
@@ -608,6 +608,54 @@ class TestBatchInversionProperty:
             assert_solves(g, crits, j, y, u)
 
 
+@st.composite
+def lucky_landings(draw):
+    """(g, critical points, their floats, branch j, values): g's value at a
+    point x0 of its j-th branch, and its values at and 2e-6 past a point
+    near r, where r is a point of the branch past x0 that Newton's step
+    from x0 reaches exactly (g(r) = g(x0) + g'(x0) (r - x0); g(-t) in place
+    of g when r is below x0).  The step from x0 lands within rounding of the
+    second value's preimage, so its length says nothing of how fast Newton
+    contracts there."""
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(draw(st.integers(3, 7)))]
+    g = UniPoly([*coeffs, draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))])
+    points = critical_data(g).points
+    crits = [c.to_float() for c in points]
+    j = draw(st.integers(0, len(crits)))
+    x0 = F(point_on_branch(crits, j, draw(st.integers(1, 63)) / 64))
+    d0 = g.derivative()(x0)
+    ends = [-math.inf, *crits, math.inf]
+    rs = [r.to_float() for r in isolate_real_roots(g - UniPoly([g(x0) - d0 * x0, d0]))]
+    rs = [r for r in rs if ends[j] < r < ends[j + 1] and r != x0]
+    assume(rs)
+    r = draw(st.sampled_from(rs))
+    if r < x0:
+        g, x0, r = UniPoly([c * (-1) ** i for i, c in enumerate(g.coeffs)]), -x0, -r
+        points = critical_data(g).points
+        crits, j = [c.to_float() for c in points], len(points) - j
+        ends = [-math.inf, *crits, math.inf]
+    u = r + draw(st.sampled_from((0.0, 1e-13, -1e-10, 1e-8, -3e-6, 1e-4))) * max(1.0, abs(r))
+    v = u + 2e-6 * max(1.0, abs(u))
+    assume(ends[j] < u and v < ends[j + 1])
+    return g, points, crits, j, [float(g(x0)), float(g(F(u))), float(g(F(v)))]
+
+
+class TestLuckyLandingProperty:
+    # most drawn branches hold no such r, so most draws are filtered out
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(lucky_landings())
+    def test_every_preimage_solves(self, case):
+        g, points, crits, j, ys = case
+        for y, u in zip(ys, branch_inverse(g, points, j).eval_floats(ys)):
+            assert_solves(g, crits, j, y, u)
+
+
 def ref_warm_inversions(g: UniPoly, crits: list[float], j: int, ys: list[float]) -> list[float]:
     """The preimages of ys on g's j-th branch, taken in the order eval_floats
     takes them (ascending along the branch) by ref_carried_inversions, the
@@ -626,6 +674,28 @@ class TestBatchInversionIsTheReference:
     def test_every_bit_is_the_reference(self, case):
         g, points, crits, j, ys = case
         assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
+
+    def test_pinned_batch_landing_near_the_root_by_luck(self):
+        # the first value is solved cold at -0.5, and Newton's step from
+        # there to the second value's root lands within 2.6e-6 of it (from
+        # -0.5 it would reach 1 exactly): a step ratio of 1.1e-6 / 1.5^2
+        # alone would return the next iterate 5e-12 from the root, while g'
+        # over the step, 1.75 to 4, keeps Newton going
+        g, ys = UniPoly([0, 1, 0, 1]), [-0.625, float(UniPoly([0, 1, 0, 1])(F(1000002, 1000000)))]
+        us = branch_inverse(g, [], 0).eval_floats(ys)
+        assert us == ref_warm_inversions(g, [], 0, ys)
+        for y, u in zip(ys, us):
+            assert_solves(g, [], 0, y, u)
+
+    def test_pinned_batch_stepping_across_the_inflection(self):
+        # from -1, Newton's step to 6's preimage (about 1.63) reaches 1, where
+        # g' is 4 again: g' over the step shows no curvature, and only the
+        # step ratio, 1 / 2^2, keeps Newton going
+        g, ys = UniPoly([0, 1, 0, 1]), [-2.0, 6.0]
+        us = branch_inverse(g, [], 0).eval_floats(ys)
+        assert us == ref_warm_inversions(g, [], 0, ys)
+        for y, u in zip(ys, us):
+            assert_solves(g, [], 0, y, u)
 
     def test_pinned_batch_leaving_a_bounded_branch(self):
         # g = t^3 - 3t falls on (-1, 1); the first value's preimage sits near
