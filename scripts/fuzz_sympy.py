@@ -46,8 +46,8 @@ Compares, on seeded random inputs:
   rounding bound gamma_2n * sum |c_i| |u|^i (exact); the last line counts
   these ill-conditioned inversions;
 * the batch path ``BranchMap.eval_floats`` on 40 values of one branch of
-  g, sorted and then shuffled with a repeat (each value's Newton starts
-  from the last point its branch evaluated): every preimage by the same
+  g, sorted and then shuffled with a repeat (each value steps from the
+  last point its branch evaluated): every preimage by the same
   criterion as above;
 * ``lipclass.similar`` on the critical data of f and g, for f of degree 3
   to 5 with two or more critical points and g = c * f((u - b) / a)

@@ -139,6 +139,15 @@ class UniPoly:
             v = v * x + c
         return v, d
 
+    def eval_float_d2(self, x: float) -> tuple[float, float, float]:
+        """(p(x), p'(x), p''(x)) in one Horner pass; p and p' have eval_float_d's bits."""
+        v = d = h = 0.0
+        for c in self._flt or self._floats():
+            h = h * x + d
+            d = d * x + v
+            v = v * x + c
+        return v, d, 2.0 * h
+
     def _floats(self) -> tuple[float, ...]:
         """The coefficients as floats, highest power first, each rounded once
         as float() of the Fraction coefficient is; kept in _flt on first use,

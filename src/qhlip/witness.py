@@ -119,13 +119,13 @@ def verify_conjugacy(
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     hf, hg, xi_ds = heights(F), heights(G), [_power(xi, F.d, "|x|^d") for xi in xs]
-    worst, phi_ts = 0.0, [T.z.phi1.eval_float(t) for t in ts]
+    worst, phi_ts = 0.0, T.z.phi1.eval_floats(ts)
     sides = ((1.0, T.z.phi1, T.lam1, hf.f_plus), (-1.0, T.z.phi2, T.lam2, hf.f_minus))
     # one phi and lam, and F and G even in X: the x < 0 rows repeat the x > 0 rows bit for bit
     even = all(i % 2 == 0 for P in (F, G) for _, i, _ in P.poly.float_terms())
     for sgn, phi, lam, f in sides[:1] if T.z.phi2 is T.z.phi1 and T.lam2 == T.lam1 and even else sides:
         if phi is not T.z.phi1:  # phi2 is phi1 itself when r is even
-            phi_ts = [phi.eval_float(t) for t in ts]
+            phi_ts = phi.eval_floats(ts)
         g, lam_d = hg.f_plus if lam * sgn > 0.0 else hg.f_minus, abs(lam) ** F.d
         gaps = [(abs(lam_d * g.eval_float(u) - fv), abs(fv)) for u, fv in zip(phi_ts, map(f.eval_float, ts))]
         for k, (xi, xi_d) in enumerate(zip(xs, xi_ds)):
@@ -185,7 +185,8 @@ def _finite(v: float, point: tuple[float, float]) -> float:
 def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
     """Empirical bi-Lipschitz ratios over random point pairs in the strip.
     All pairs are drawn first, each point filed with its half-plane; each map
-    then takes its half-plane's fiber parameters in one eval_floats call."""
+    then takes its half-plane's fiber parameters in one eval_floats call, or
+    phi1 takes both half-planes' in one call when phi2 is phi1."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     beta, n = T.beta, 2 * LIPSCHITZ_SAMPLES
@@ -207,8 +208,11 @@ def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, floa
         ks, ts = upper if x > 0.0 else lower
         ks.append(k)
         ts.append(y / ax_b)  # the fiber parameter as T.eval computes it
-    for (ks, ts), phi, lam, lam_b in ((upper, T.z.phi1, T.lam1, T.lam1_beta), (lower, T.z.phi2, T.lam2, T.lam2_beta)):
-        for k, u in zip(ks, phi.eval_floats(ts)):  # T.on_fiber's expressions
+    phi1, phi2 = T.z.phi1, T.z.phi2  # one map: both half-planes make one batch
+    us = iter(phi1.eval_floats(upper[1] + lower[1]) if phi2 is phi1 else
+              phi1.eval_floats(upper[1]) + phi2.eval_floats(lower[1]))
+    for ks, lam, lam_b in ((upper[0], T.lam1, T.lam1_beta), (lower[0], T.lam2, T.lam2_beta)):
+        for k, u in zip(ks, us):  # T.on_fiber's expressions
             ix[k] = lam * xs[k]
             iy[k] = lam_b * u * ax_bs[k]
     ratio_min, ratio_max = math.inf, 0.0

@@ -133,10 +133,11 @@ class BranchMap(PLMap):
         return _invert_on_branch(self.g, cg, j, y)
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
-        """eval_float at each of ts, by Newton from the last (x, g, g') its branch evaluated, giving x + dx
-        once dx, or K dx^2 (K as |dx|/p^2 and from g' over the value's step p), is below 1e-16 max(1, |x+dx|)."""
+        """eval_float at each of ts: from the (x, g, g', g'') its branch last evaluated, a value steps to
+        x + q - g''q^2/2g' (q = (y - g)/g'), then returns x + q once q shrinks and |q| or K q^2 is <= 1e-16 s,
+        K = (the larger |g''| at the step's two ends) / 2|g'|."""
         cflt, cf, cg = self._floats()
-        g, cs, f_at, g_d = self.g, self.crits_g, self.f.eval_float, self.g.eval_float_d
+        g, cs, f_at, g_d2 = self.g, self.crits_g, self.f.eval_float, self.g.eval_float_d2
         ys = [cflt * f_at(t) for t in ts]
         js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
         js = js if self.increasing else [len(cf) - i for i in js]
@@ -145,120 +146,104 @@ class BranchMap(PLMap):
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
         rising = [g.derivative().sign_at(q) > 0 for q in inner]
         keys = [y if rising[j] else -y for j, y in zip(js, ys)]
-        out, near, ends = [0.0] * len(ts), [None] * len(inner), [-math.inf, *cg, math.inf]
-        carry = [(0.0, 0.0, 0.0)] * len(inner)  # g' = 0: a branch's first value falls back
-        for k in sorted(range(len(ts)), key=keys.__getitem__):
-            (x, v, d), j, y, u, p = carry[js[k]], js[k], ys[k], None, 0.0  # p: no step of y's yet
-            for n in range(6):
-                dx = (y - v) / d if d else math.nan
-                nx, a = x + dx, dx if dx >= 0.0 else -dx
-                if not ends[j] < nx < ends[j + 1] or n and a >= p:
-                    break
-                e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
-                if a <= e or nx == x or a * a * a <= e * p * p and abs(d - d0) * a * a <= 2.0 * e * p * abs(d):
-                    u, carry[j] = nx, (x, v, d)
-                    break
-                x, p, d0, (v, d) = nx, a, d, g_d(nx)
-            if u is None:  # a step that grows or leaves the branch, g' = 0, or a sixth step
-                carry[j] = (u := _invert_on_branch(g, cg, j, y, near[j]), *g_d(u))
-            out[k] = near[j] = u
+        out, ends = [0.0] * len(ts), [-math.inf, *cg, math.inf]
+        order = sorted(range(len(ts)), key=keys.__getitem__)
+        for j in range(len(inner)):  # (x, v, d, h) carries (x, g, g', g'') along branch j
+            lo, hi, d = ends[j], ends[j + 1], 0.0  # g' = 0: the branch's first value falls back
+            for k in [k for k in order if js[k] == j]:
+                y, u = ys[k], None
+                if d:
+                    q = (y - v) / d
+                    nx = x + q
+                    u = x if nx == x else None  # y is g(x) up to rounding
+                    nx -= h / (2.0 * d) * q * q
+                    p, n = nx - x, 0
+                    while u is None and lo < nx < hi and n < 5:
+                        c, x = h, nx
+                        v, d, h = g_d2(x)
+                        q = (y - v) / d if d else math.nan  # g' = 0: no step shrinks
+                        if not -p < q < p and not p < q < -p:
+                            break
+                        nx = x + q
+                        e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
+                        a, r = q * q, 2.0 * e * (d if d > 0.0 else -d)  # K q^2 <= e: |g''| q^2 at both ends <= r
+                        if nx == x or -e <= q <= e or -r <= c * a <= r and -r <= h * a <= r:
+                            u = nx
+                        p, n = q, n + 1
+                if u is None:  # a step that does not shrink or leaves the branch, g' = 0, or a sixth step
+                    x, v, d, h = (u := _invert_on_branch(g, cg, j, y)), *g_d2(u)
+                out[k] = u
         return out
 
 
-def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
+def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
     """Solve g(u) = y for u in the j-th branch interval.
 
     Brackets the root by signs, then iterates Newton safeguarded by
     bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
-    section 9.4), with g and g' from one Horner pass per iterate.  A point
-    `near` of the branch at or below the preimage (that of a value before y
-    in the branch's order) is the bracket's lower end, and Newton's step
-    from it is the first iterate; g at an unbounded far end is then read
-    only when a bisection or a return still has it as an end (an iterate
-    past the preimage vouches for it, g being monotone on the branch).
+    section 9.4), with g and g' from one Horner pass per iterate.
     """
     p = len(crit_floats)
     unbounded_lo, unbounded_hi = j == 0, j == p
     lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0 if p else -1.0
     hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0 if p else 1.0
-    g_d = g.eval_float_d
-    if near is None:
-        flo, fhi, d_lo = g.eval_float(lo) - y, g.eval_float(hi) - y, 0.0
-    else:
-        lo, unbounded_lo = near, False
-        hi = far = near + 1.0 if unbounded_hi and near + 1.0 > hi else hi
-        flo, d_lo = g_d(lo)
-        flo -= y
-        fhi = None if unbounded_hi else g.eval_float(hi) - y
-    while True:
-        if fhi is not None:
-            step = max(1.0, abs(lo), abs(hi))
-            for _ in range(600):
-                if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-                    break
-                # y can sit a rounding error outside the image of the branch; as g
-                # is monotone there, that shows as a critical (finite) end nearer to
-                # y than the other end, and that end is the answer
-                if not (unbounded_lo or unbounded_hi):
-                    return lo if abs(flo) <= abs(fhi) else hi
-                if not unbounded_lo and abs(flo) < abs(fhi):
-                    return lo
-                if not unbounded_hi and abs(fhi) < abs(flo):
-                    return hi
-                if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
-                    lo -= step
-                    flo = g.eval_float(lo) - y
-                else:
-                    hi += step
-                    fhi = g.eval_float(hi) - y
-                step *= 2.0
-            else:
-                raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
-        if flo == 0.0:
+    flo, fhi = g.eval_float(lo) - y, g.eval_float(hi) - y
+    step = max(1.0, abs(lo), abs(hi))
+    for _ in range(600):
+        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
+            break
+        # y can sit a rounding error outside the image of the branch; as g
+        # is monotone there, that shows as a critical (finite) end nearer to
+        # y than the other end, and that end is the answer
+        if not (unbounded_lo or unbounded_hi):
+            return lo if abs(flo) <= abs(fhi) else hi
+        if not unbounded_lo and abs(flo) < abs(fhi):
             return lo
-        if fhi == 0.0:
+        if not unbounded_hi and abs(fhi) < abs(flo):
             return hi
-        # decide by signs: the product of two tiny values underflows to -0.0
-        # and would keep the wrong half
-        lo_negative = flo < 0.0
-        x = lo - flo / d_lo if d_lo != 0.0 else lo  # Newton's step from lo, if inside
-        x, half = x if lo < x < hi else 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v, d = g_d(x)
-        # v is g(x), compared with y: g(x) - y has the same sign and zeros
-        for _ in range(200):
-            if v != y:
-                if (v < y) == lo_negative:
-                    lo = x
-                else:
-                    hi = x
-                width = hi - lo
-                narrow = width <= 1e-15 or width <= 1e-15 * (hi if hi >= -lo else -lo)
-                # Newton's step only if it stays strictly inside the bracket and at
-                # most half the previous step; near a multiple root it shrinks
-                # slowly, so the bracket width, not the step, decides the stop
-                if d != 0.0 and not narrow:
-                    nx = x - (v - y) / d
-                    dx = nx - x
-                    if lo < nx < hi and -half <= dx <= half:
-                        half = 0.5 * dx if dx >= 0.0 else -0.5 * dx
-                        x = nx
-                        v, d = g_d(x)
-                        continue
-            if fhi is None and hi == far:  # a bisection or a return needs the far end
-                fhi = g.eval_float(hi) - y
-                if fhi == 0.0 or (fhi < 0.0) == lo_negative:
-                    break  # start over from near: the bracketing reads both ends
-            mid = 0.5 * (lo + hi)
-            # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
-            # size fails the halving test, as every later one would; or when no midpoint is left
-            if v == y or narrow or (d != 0.0 and abs(dx) <= 1e-15 * abs(x)) or not (lo < mid < hi):
-                return mid if v != y and narrow else x
-            half = 0.5 * abs(mid - x)
-            x = mid
-            v, d = g_d(x)
+        if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
+            lo -= step
+            flo = g.eval_float(lo) - y
         else:
-            return x
-        lo = near  # hi is far, and flo is g(near) - y
+            hi += step
+            fhi = g.eval_float(hi) - y
+        step *= 2.0
+    else:
+        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    # decide by signs: the product of two tiny values underflows to -0.0
+    # and would keep the wrong half
+    lo_negative, g_d = flo < 0.0, g.eval_float_d
+    x, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    v, d = g_d(x)
+    # v is g(x), compared with y: g(x) - y has the same sign and zeros
+    for _ in range(200):
+        if v != y:
+            if (v < y) == lo_negative:
+                lo = x
+            else:
+                hi = x
+            width = hi - lo
+            narrow = width <= 1e-15 or width <= 1e-15 * (hi if hi >= -lo else -lo)
+            # Newton's step only if it stays strictly inside the bracket and at
+            # most half the previous step; near a multiple root it shrinks
+            # slowly, so the bracket width, not the step, decides the stop
+            if d != 0.0 and not narrow:
+                nx = x - (v - y) / d
+                dx = nx - x
+                if lo < nx < hi and -half <= dx <= half:
+                    half, x, (v, d) = 0.5 * dx if dx >= 0.0 else -0.5 * dx, nx, g_d(nx)
+                    continue
+        mid = 0.5 * (lo + hi)
+        # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
+        # size fails the halving test, as every later one would; or when no midpoint is left
+        if v == y or narrow or (d != 0.0 and abs(dx) <= 1e-15 * abs(x)) or not (lo < mid < hi):
+            return mid if v != y and narrow else x
+        half, x, (v, d) = 0.5 * abs(mid - x), mid, g_d(mid)
+    return x
 
 
 @dataclass(frozen=True)

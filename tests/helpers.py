@@ -496,14 +496,15 @@ def ref_eval_transform(T: InverseBetaTransform, point: tuple[float, float]) -> t
 def ref_conjugacy_rows(F: QHPoly, G: QHPoly, T: InverseBetaTransform, x_count: int, delta: float) -> dict[float, float]:
     """The largest conjugacy residual of each grid row, keyed by its x, and of
     the axis, keyed by 0.0, each point evaluating F and G in the plane with a
-    running max(): the reference for witness.verify_conjugacy."""
+    running max(), and each side's phi values through ref_batch_map_floats:
+    the reference for witness.verify_conjugacy."""
     fp, gp = F.poly, G.poly
     xs = [min(x, delta) for x in _log_spaced(X_MIN if delta > X_MIN else X_MIN * delta, delta, x_count)]
     step = 2 * T_WINDOW / (T_COUNT - 1)
     ts = [-T_WINDOW + step * k for k in range(T_COUNT)]
     rows = {}
     for sgn, phi in ((1.0, T.z.phi1), (-1.0, T.z.phi2)):
-        phi_vals = [phi.eval_float(t) for t in ts]
+        phi_vals = ref_batch_map_floats(phi, ts)
         for xi in xs:
             x = sgn * xi
             ax_b = xi**T.beta
@@ -561,17 +562,14 @@ def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, 
     return (ratio_min, ratio_max)
 
 
-def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float, near: float | None = None) -> float:
+def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
     """Solve g(u) = y for u in the j-th branch interval, evaluating g at
     both ends of the bracket before any iterate: the reference for
     zygothety._invert_on_branch, which gives every result these bits.
 
     Brackets the root by signs, then iterates Newton safeguarded by
     bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
-    section 9.4), with g and g' from one Horner pass per iterate.  A point
-    `near` of the branch at or below the preimage (that of a value before y
-    in the branch's order) is the bracket's lower end, and Newton's step
-    from it is the first iterate.
+    section 9.4), with g and g' from one Horner pass per iterate.
     """
     p = len(crit_floats)
     if p == 0:
@@ -582,14 +580,7 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
         hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
         unbounded_lo = j == 0
         unbounded_hi = j == p
-    d_lo = 0.0
-    if near is None:
-        flo = g.eval_float(lo) - y
-    else:
-        lo, unbounded_lo = near, False
-        hi = max(hi, near + 1.0) if unbounded_hi else hi
-        flo, d_lo = g.eval_float_d(lo)
-        flo -= y
+    flo = g.eval_float(lo) - y
     fhi = g.eval_float(hi) - y
     step = max(1.0, abs(lo), abs(hi))
     for _ in range(600):
@@ -621,8 +612,6 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
     # and would keep the wrong half
     lo_negative = flo < 0.0
     x = 0.5 * (lo + hi)
-    if d_lo != 0.0 and lo < lo - flo / d_lo < hi:
-        x = lo - flo / d_lo
     last_dx = hi - lo
     for _ in range(200):
         v, d = g.eval_float_d(x)
@@ -659,46 +648,54 @@ def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float,
 
 def ref_carried_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequence[float]) -> list[float]:
     """The preimages of ys on g's j-th branch, ys given in the order of their
-    preimages along it, by the batch rule: Newton from the last point the
-    branch evaluated g and g' at.  x + dx is returned unevaluated once
-    |dx| <= tol or x + dx is x, tol = 1e-16 * max(1, |x + dx|); or, once
-    this value has taken a step p to x, over which g' went from d0 to d,
-    when both estimates of the error K * dx**2 are below tol: K as
-    |dx| / p**2, and as |d - d0| / (2 |d| p).  A value whose step after the
-    first does not shrink, whose step leaves the branch, which meets g' = 0
-    or needs a sixth step is inverted by ref_invert_on_branch from the last
-    preimage (cold for the branch's first value), and g is evaluated at that
-    result: the reference for the bits of BranchMap.eval_floats."""
+    preimages along it, by the batch rule.  The branch carries g, g' and g''
+    at the last point x it evaluated.  With q = (y - g(x)) / g'(x), a value
+    returns x when x + q is x, and otherwise takes the second-order step to
+    x + q - g''(x) / (2 g'(x)) q**2 and evaluates g there.  From each point
+    x1 it evaluates, reached by a step from x0, Newton's step q1 must be
+    shorter than that step, and x1 + q1 is returned unevaluated when
+    |q1| <= tol, or x1 + q1 is x1, or K q1**2 <= tol, with
+    tol = 1e-16 * max(1, |x1 + q1|) and K = max(|g''(x0)|, |g''(x1)|) / (2 |g'(x1)|);
+    otherwise x1 + q1 is the next point.  A value whose step leaves the open
+    branch or does not shrink, which meets g' = 0 or is not returned by its
+    sixth step is inverted cold by ref_invert_on_branch, as is the branch's
+    first value, and the carry restarts at that preimage: the reference for
+    the bits of BranchMap.eval_floats."""
     lo = crit_floats[j - 1] if j >= 1 else -math.inf
     hi = crit_floats[j] if j < len(crit_floats) else math.inf
-    out, last = [], None  # (x, g(x), g'(x)) at the last point evaluated
+    out, last = [], None  # (x, g(x), g'(x), g''(x)) at the last point evaluated
     for y in ys:
         u = None
-        if last is not None:
-            x, v, d = last
-            p = None  # this value's step to x, and g' before it
-            for step in range(1, 7):
-                if d == 0.0:
-                    break
-                dx = (y - v) / d
-                nx = x + dx
-                if p is not None and abs(dx) >= p or not lo < nx < hi:
-                    break
-                tol = 1e-16 * max(1.0, abs(nx))
-                if abs(dx) <= tol or nx == x:
-                    u = nx
-                    break
-                a = abs(dx)  # K * dx**2 <= tol for both K, multiplied out
-                if p is not None and a * a * a <= tol * p * p and abs(d - d0) * a * a <= 2.0 * tol * p * abs(d):
-                    u = nx
-                    break
-                d0 = d
-                v, d = g.eval_float_d(nx)
-                x, p = nx, abs(dx)
-                last = (x, v, d)
+        if last is not None and last[2] != 0.0:
+            x, v, d, h = last
+            q = (y - v) / d
+            if x + q == x:
+                u = x
+            else:
+                nx = x + q - h / (2.0 * d) * q * q
+                step = nx - x
+                for _ in range(5):
+                    if not lo < nx < hi:
+                        break
+                    h0 = h
+                    v, d, h = g.eval_float_d2(nx)
+                    x = nx
+                    if d == 0.0:
+                        break
+                    q = (y - v) / d
+                    if abs(q) >= abs(step):
+                        break
+                    nx = x + q
+                    tol = 1e-16 * max(1.0, abs(nx))
+                    K = max(abs(h0), abs(h))  # times 1 / (2 |g'(x1)|), multiplied out
+                    if abs(q) <= tol or nx == x or K * (q * q) <= 2.0 * tol * abs(d):
+                        u = nx
+                        last = (x, v, d, h)
+                        break
+                    step = q
         if u is None:
-            u = ref_invert_on_branch(g, crit_floats, j, y, out[-1] if out else None)
-            last = (u, *g.eval_float_d(u))
+            u = ref_invert_on_branch(g, crit_floats, j, y)
+            last = (u, *g.eval_float_d2(u))
         out.append(u)
     return out
 
@@ -753,8 +750,10 @@ def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[f
         ax_bs.append(abs(x) ** T.beta)
         ys.append((-T_WINDOW + (T_WINDOW - -T_WINDOW) * rng.random()) * ax_bs[-1])
     ix, iy = array("d", bytes(8 * n)), array("d", bytes(8 * n))
-    for phi, upper in ((T.z.phi1, True), (T.z.phi2, False)):
-        side = [k for k in range(n) if (xs[k] > 0.0) == upper]
+    upper, lower = [k for k in range(n) if xs[k] > 0.0], [k for k in range(n) if xs[k] < 0.0]
+    # one map for both half-planes: one batch, the x > 0 values first
+    batches = [(T.z.phi1, upper + lower)] if T.z.phi2 is T.z.phi1 else [(T.z.phi1, upper), (T.z.phi2, lower)]
+    for phi, side in batches:
         for k, u in zip(side, ref_batch_map_floats(phi, [ys[k] / ax_bs[k] for k in side])):
             ix[k], iy[k] = ref_on_fiber(T, xs[k], ax_bs[k], u)
     ratio_min, ratio_max = math.inf, 0.0

@@ -486,11 +486,10 @@ class TestInvertOnBranch:
         assert abs(u - 1e-170 ** (1 / 11)) <= 1e-15
 
     def test_rounding_size_step_ends_the_search(self):
-        # a warm inversion from the paper's family (hpwitness): Newton from
-        # `near` is within rounding of the root after a few steps, and the
-        # next step, rounding noise, fails the halving test; that must end
-        # the search, not start bisecting down to the 1e-15 width (56
-        # evaluations of g and g' in all)
+        # Newton from the bracket's midpoint is within rounding of the root
+        # after a few steps, and the next step, rounding noise, fails the
+        # halving test; that must end the search, not start bisecting down
+        # to the 1e-15 width (53 evaluations of g and g' in all)
         class Counting:
             def __init__(self, g):
                 self.g, self.calls = g, 0
@@ -503,9 +502,9 @@ class TestInvertOnBranch:
                 return self.g.eval_float_d(x)
 
         g = UniPoly([1, F(3, 4), 0, 1])
-        y = -7.261018070178803
+        y = 28.872335113551316
         counting = Counting(g)
-        u = _invert_on_branch(counting, [], 0, y, -1.8993063661093725)
+        u = _invert_on_branch(counting, [], 0, y)
         assert counting.calls <= 6
         assert abs(g.eval_float(u) - y) <= 1e-14
 
@@ -572,6 +571,12 @@ class TestInvertOnBranchProperty:
     def test_solves_within_the_stopping_width_or_rounding(self, case):
         g, crits, j, y = case
         assert_solves(g, crits, j, y, _invert_on_branch(g, crits, j, y))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(branch_inversions())
+    def test_every_bit_is_the_reference(self, case):
+        g, crits, j, y = case
+        assert _invert_on_branch(g, crits, j, y) == ref_invert_on_branch(g, crits, j, y)
 
 
 def branch_inverse(g: UniPoly, points, j: int) -> BranchMap:
@@ -676,11 +681,10 @@ class TestBatchInversionIsTheReference:
         assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
 
     def test_pinned_batch_landing_near_the_root_by_luck(self):
-        # the first value is solved cold at -0.5, and Newton's step from
-        # there to the second value's root lands within 2.6e-6 of it (from
-        # -0.5 it would reach 1 exactly): a step ratio of 1.1e-6 / 1.5^2
-        # alone would return the next iterate 5e-12 from the root, while g'
-        # over the step, 1.75 to 4, keeps Newton going
+        # the first value is solved cold at -0.5; Newton's step from there to
+        # the second value's root would land within 2.6e-6 of it (it reaches 1
+        # exactly), so no stop may rest on how short a step was.  The
+        # second-order step overshoots to 2.93, and Newton comes down from there
         g, ys = UniPoly([0, 1, 0, 1]), [-0.625, float(UniPoly([0, 1, 0, 1])(F(1000002, 1000000)))]
         us = branch_inverse(g, [], 0).eval_floats(ys)
         assert us == ref_warm_inversions(g, [], 0, ys)
@@ -688,155 +692,108 @@ class TestBatchInversionIsTheReference:
             assert_solves(g, [], 0, y, u)
 
     def test_pinned_batch_stepping_across_the_inflection(self):
-        # from -1, Newton's step to 6's preimage (about 1.63) reaches 1, where
-        # g' is 4 again: g' over the step shows no curvature, and only the
-        # step ratio, 1 / 2^2, keeps Newton going
+        # from -1, Newton's step to 6's preimage (about 1.63) would reach 1,
+        # where g' is 4 again, so g' over the step shows no curvature; g''
+        # read at each point, -6 at -1, does
         g, ys = UniPoly([0, 1, 0, 1]), [-2.0, 6.0]
         us = branch_inverse(g, [], 0).eval_floats(ys)
         assert us == ref_warm_inversions(g, [], 0, ys)
         for y, u in zip(ys, us):
             assert_solves(g, [], 0, y, u)
 
+    def test_pinned_batch_landing_on_the_inflection(self):
+        # the first value is solved cold at -1, and the second-order step from
+        # there, -1 + q + 0.75 q^2 with q = 2/3, lands within 6e-17 of 0, the
+        # inflection of g: g'' read there alone (3e-16) would put K q^2 below
+        # 1e-16 and return 2/3 for a root near 0.523; g''(-1) = -6 keeps Newton going
+        g, ys = UniPoly([0, 1, 0, 1]), [-2.0, 0.6666666666666664]
+        points, real = [], UniPoly.eval_float_d2
+
+        def recording(p, x):
+            points.append(x)
+            return real(p, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(UniPoly, "eval_float_d2", recording)
+            us = branch_inverse(g, [], 0).eval_floats(ys)
+        assert points[0] == -1.0 and abs(points[1]) <= 6e-17
+        assert us == ref_warm_inversions(g, [], 0, ys)
+        for y, u in zip(ys, us):
+            assert_solves(g, [], 0, y, u)
+
     def test_pinned_batch_leaving_a_bounded_branch(self):
         # g = t^3 - 3t falls on (-1, 1); the first value's preimage sits near
-        # -1, where g' is small, so Newton's step towards 0 leaves the branch
-        # and the value falls back to _invert_on_branch from that preimage
+        # -1, where g' is small, so the step towards 0 leaves the branch and
+        # the value falls back to the cold _invert_on_branch
         g, j, ys = UniPoly([0, -3, 0, 1]), 1, [1.9999, 0.0]
         points = critical_data(g).points
         crits = [c.to_float() for c in points]
-        nears, real_inv = [], zygothety._invert_on_branch
+        cold, real_inv = [], zygothety._invert_on_branch
 
-        def starting(g, crits, j, y, near=None):
-            nears.append(near)
-            return real_inv(g, crits, j, y, near)
+        def inverting(g, crits, j, y):
+            cold.append(y)
+            return real_inv(g, crits, j, y)
 
         m = branch_inverse(g, points, j)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zygothety, "_invert_on_branch", starting)
+            mp.setattr(zygothety, "_invert_on_branch", inverting)
             us = m.eval_floats(ys)
-        assert nears == [None, us[0]]
+        assert cold == ys
         assert us == ref_warm_inversions(g, crits, j, ys)
         for y, u in zip(ys, us):
             assert_solves(g, crits, j, y, u)
 
 
 class TestBatchInversionCarriesTheLastEvaluatedPoint:
-    """Each value of a batch starts Newton from the last point its branch
-    evaluated g and g' at, not from the preimage returned before it, which
-    the stop rule leaves unevaluated: no pass of the carry takes g where the
+    """Each value of a batch steps from the last point its branch evaluated
+    g, g' and g'' at, not from the preimage returned before it, which the
+    stop rule leaves unevaluated: no pass of the carry takes g where the
     pass before it did.  The one exception is the pass that restarts the
     carry at the point a fallback to _invert_on_branch returns."""
 
     @staticmethod
-    def repeats(m: BranchMap, ts) -> int:
-        seen, real, real_inv = [], UniPoly.eval_float_d, zygothety._invert_on_branch
-        inside = []
+    def passes(m: BranchMap, ts) -> tuple[int, int, int]:
+        """(points the carry evaluated twice in a row, fallbacks, Horner passes over g)."""
+        seen, real_inv, count = [], zygothety._invert_on_branch, [0]
+        reals = {name: getattr(UniPoly, name) for name in ("eval_float", "eval_float_d", "eval_float_d2")}
 
         def falling_back(*args):
-            inside.append(True)
-            try:
-                return real_inv(*args)
-            finally:
-                inside.pop()
-                seen.append("restart")
+            u = real_inv(*args)  # cold: no eval_float_d2 pass
+            seen.append("restart")
+            return u
 
-        def recording(p, x):
-            if p is m.g and not inside:
-                seen.append(x)
-            return real(p, x)
+        def hook(name):
+            def recording(p, x):
+                if p is m.g:
+                    count[0] += 1
+                    if name == "eval_float_d2":
+                        seen.append(x)
+                return reals[name](p, x)
+
+            return recording
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(UniPoly, "eval_float_d", recording)
+            for name in reals:
+                mp.setattr(UniPoly, name, hook(name))
             mp.setattr(zygothety, "_invert_on_branch", falling_back)
             m.eval_floats(ts)
         assert seen[0] == "restart"  # a branch's first value has no carry
-        return sum(a == b != "restart" for a, b in zip(seen, seen[1:])), seen.count("restart")
+        return sum(a == b != "restart" for a, b in zip(seen, seen[1:])), seen.count("restart"), count[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_batches())
     def test_drawn_batches(self, case):
         g, points, _, j, ys = case
-        assert self.repeats(branch_inverse(g, points, j), ys)[0] == 0
+        assert self.passes(branch_inverse(g, points, j), ys)[0] == 0
 
     def test_certificate_batches(self):
-        # heights with no critical point: one branch, and every value after
-        # the first is Newton's from the carry
+        # heights with no critical point: one branch, every value after the
+        # first is stepped to from the carry, and about one pass inverts each
         rng = random.Random(5)
         ts = [rng.uniform(-2.0, 2.0) for _ in range(2000)]
         for m in negative_pair_maps():
-            assert self.repeats(m, ts) == (0, 1)
-
-
-class TestFarEndHoldingThePreimage:
-    """A warm start on an unbounded branch reads g at the far end, near + 1,
-    only where a bisection or a return still has it as an end.  When y is
-    g there, up to rounding, the reference returns that end or finds no
-    sign change, and so must the lazy read: an iterate with g(x) == y before
-    the far end is not yet the answer."""
-
-    @pytest.mark.parametrize(
-        "coeffs,crits,j,y,near",
-        [
-            ([-9, 1], [], 0, -8.0, -6.5273628797011805),
-            ([7, 1], [], 0, 8.0, -0.6137542310473032),
-            ([-7, -9, 9, -4, -2, -1, -6], [-1.0], 1, -7.0, -1.0),
-        ],
-    )
-    def test_pinned(self, coeffs, crits, j, y, near):
-        g = UniPoly(coeffs)
-        assert _invert_on_branch(g, crits, j, y, near) == ref_invert_on_branch(g, crits, j, y, near)
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(branch_polys(), st.integers(0, 64), st.sampled_from((-1, 0, 1)))
-    def test_value_at_the_far_end(self, case, s, ulps):
-        g, _, crits, _ = case
-        j = len(crits)
-        near = point_on_branch(crits, j, s / 64)
-        y = float(g(F(max(crits[-1] + 1.0 if crits else 1.0, near + 1.0))))
-        y = math.nextafter(y, ulps * math.inf) if ulps else y
-        assert _invert_on_branch(g, crits, j, y, near) == ref_invert_on_branch(g, crits, j, y, near)
-
-
-class TestStartOverFromNear:
-    """A warm start whose read of the far end shows no sign change brackets
-    again from near, and Newton's first iterates from near may come again.
-    An inversion starts over at most once, so it evaluates g and g' at no
-    point more than twice, and its bits are those of the reference."""
-
-    @staticmethod
-    def passes(m: BranchMap, ts) -> list[list[float]]:
-        """The points of each inversion's eval_float_d passes, one list per inversion."""
-        calls, real, real_inv = [], UniPoly.eval_float_d, zygothety._invert_on_branch
-
-        def starting(*args):
-            calls.append([])
-            return real_inv(*args)
-
-        def recording(p, x):
-            if p is m.g:
-                calls[-1].append(x)
-            return real(p, x)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(UniPoly, "eval_float_d", recording)
-            mp.setattr(zygothety, "_invert_on_branch", starting)
-            m.eval_floats(ts)
-        return calls
-
-    def test_pinned_batch(self):
-        # the second inversion starts over: g(-4.2908840673575135) was taken twice
-        g, ys = UniPoly([0, 1, 0, 1]), [-520.0, 195.859375]
-        m = branch_inverse(g, [], 0)
-        calls = self.passes(m, ys)
-        assert calls[1][:2] == [-8.0, -4.2908840673575135]
-        assert all(c.count(x) <= 2 for c in calls for x in c)
-        assert m.eval_floats(ys) == ref_warm_inversions(g, [], 0, ys)
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(branch_batches())
-    def test_drawn_batches(self, case):
-        g, points, _, j, ys = case
-        assert all(c.count(x) <= 2 for c in self.passes(branch_inverse(g, points, j), ys) for x in c)
+            repeats, restarts, passes = self.passes(m, ts)
+            assert (repeats, restarts) == (0, 1) and passes <= 1.25 * len(ts)
 
 
 def negative_pair_maps() -> list:
