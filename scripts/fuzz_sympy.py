@@ -37,7 +37,8 @@ Compares, on seeded random inputs:
   roots) against the sign of sympy's exact value;
 * ``RealAlg.to_float`` of every isolated root against
   ``CRootOf(...).evalf(40)``: at most one ulp apart;
-* ``zygothety._invert_on_branch(g, crits, j, y)`` for a float (so rational)
+* ``BranchMap.eval_float`` of a map that inverts g on its j-th branch
+  (built as for the batch check below), at a float (so rational)
   y = g(u0) rounded, with u0 inside the j-th branch of g between its
   critical points: within the stopping width 2e-15 * max(1, |u|) of the
   root of g - y that sympy's ``real_roots`` puts in that branch, evaluated
@@ -99,7 +100,7 @@ from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.qhdecide import QHPoly, heights, validate_qh
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
-from qhlip.zygothety import BranchMap, _invert_on_branch
+from qhlip.zygothety import BranchMap
 
 X, T = sympy.symbols("x t")
 BX, BY = sympy.symbols("X Y")
@@ -378,25 +379,29 @@ def check_preimage(g: UniPoly, crits: list[float], j: int, y: float, u: float, f
     return f"preimage of {y!r} under {g} on branch {j} of {crits}: {u!r}, sympy {inside[0]}"
 
 
+def branch_inverse(g: UniPoly, j: int) -> tuple[list[float], BranchMap]:
+    """g's critical points as floats, and a BranchMap inverting g on its j-th
+    branch: its f is t itself, and its cut points for f put every value on
+    branch j."""
+    points = critical_data(g).points
+    far = [RealAlg.from_rational(-(10**30))] * j + [RealAlg.from_rational(10**30)] * (len(points) - j)
+    return [c.to_float() for c in points], BranchMap(RealAlg.from_rational(1), True, UniPoly([0, 1]), g, far, points)
+
+
 def check_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
-    crits = [c.to_float() for c in critical_data(g).points]
-    j = rng.randint(0, len(crits))
+    j = rng.randint(0, critical_data(g).count)
+    crits, inverse = branch_inverse(g, j)
     y = float(g(Fraction(branch_point(rng, crits, j))))
-    return check_preimage(g, crits, j, y, _invert_on_branch(g, crits, j, y), flat)
+    return check_preimage(g, crits, j, y, inverse.eval_float(y), flat)
 
 
 def check_batch_inversion(rng: random.Random, g: UniPoly, flat: list[int]) -> str | None:
     """BranchMap.eval_floats on a dense batch of 40 values of one branch of g,
-    sorted and then shuffled with a repeat, so that Newton's carry from one
-    value to the next, its stop rule and its fallback meet sympy's roots: a
-    BranchMap whose f is t itself and whose cut points for f put every value
-    on branch j inverts g there."""
-    points = critical_data(g).points
-    crits = [c.to_float() for c in points]
-    j = rng.randint(0, len(crits))
+    sorted and then shuffled with a repeat, so that the carry from one value
+    to the next, its stop rule and its bisections meet sympy's roots."""
+    j = rng.randint(0, critical_data(g).count)
+    crits, inverse = branch_inverse(g, j)
     ys = sorted(float(g(Fraction(branch_point(rng, crits, j)))) for _ in range(40))
-    far = [RealAlg.from_rational(-(10**30))] * j + [RealAlg.from_rational(10**30)] * (len(crits) - j)
-    inverse = BranchMap(RealAlg.from_rational(1), True, UniPoly([0, 1]), g, far, points)
     shuffled = ys + [ys[0]]
     rng.shuffle(shuffled)
     for batch in (ys, shuffled):

@@ -4,7 +4,8 @@ A zygothety is a pair of nonzero scale factors with equal signs together
 with a pair of bi-Lipschitz self-maps of the line, composed with a twist
 when the scales are negative.  The maps are symbolic descriptors evaluated
 on demand; exact data (scales, limit slopes, the constants c) drives every
-verdict, while numeric evaluation only feeds the witness harness.
+verdict, while numeric evaluation only feeds the witness harness and the
+action spot-check, through one branch inversion routine, _invert_run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from .lipclass import Orientation, critical_data
@@ -68,8 +69,9 @@ class BranchMap(PLMap):
     The i-th interval cut out of the line by the critical points of f maps
     onto the matching interval of g: the i-th one for an increasing map, the
     mirror one for a decreasing map.  Inversion of g on a monotone branch is
-    numeric (bracketing, then Newton safeguarded by bisection) with exact
-    interval endpoints.
+    numeric (_invert_run: Newton inside a sign bracket, bisecting where a
+    step would leave it) with exact interval endpoints; a batch takes each
+    branch's values in one run, each stepping from the last point evaluated.
     """
 
     __slots__ = ("c", "increasing", "f", "g", "crits_f", "crits_g", "_flt")
@@ -118,132 +120,105 @@ class BranchMap(PLMap):
         )
 
     def _floats(self):
-        if self._flt is None:
-            cf = [x.to_float() for x in self.crits_f]
-            cg = [x.to_float() for x in self.crits_g]
-            self._flt = (self.c.to_float(), cf, cg)
-        return self._flt
-
-    def eval_float(self, t: float) -> float:
-        cflt, cf, cg = self._floats()
-        p = len(cf)
-        i = bisect.bisect_left(cf, t)
-        j = i if self.increasing else p - i
-        y = cflt * self.f.eval_float(t)
-        return _invert_on_branch(self.g, cg, j, y)
-
-    def eval_floats(self, ts: Sequence[float]) -> list[float]:
-        """eval_float at each of ts: from the (x, g, g', g'') its branch last evaluated, a value steps to
-        x + q - g''q^2/2g' (q = (y - g)/g'), then returns x + q once q shrinks and |q| or K q^2 is <= 1e-16 s,
-        K = (the larger |g''| at the step's two ends) / 2|g'|."""
-        cflt, cf, cg = self._floats()
-        g, cs, f_at, g_d2 = self.g, self.crits_g, self.f.eval_float, self.g.eval_float_d2
-        ys = [cflt * f_at(t) for t in ts]
-        js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
-        js = js if self.increasing else [len(cf) - i for i in js]
+        """f's critical points as floats, and for each branch of f the branch of g
+        it maps onto, as _invert_run takes it: (c * s, g * s, its float ends, g * s
+        at them), with s = 1 where g rises and -1 where it falls."""
+        g, cs = self.g, self.crits_g
+        ends = [-math.inf, *(x.to_float() for x in cs), math.inf]
         # g rises on a branch where g' > 0 at a rational inside it: between the
         # isolating boxes of its critical ends, or one past the outer box
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
-        rising = [g.derivative().sign_at(q) > 0 for q in inner]
-        keys = [y if rising[j] else -y for j, y in zip(js, ys)]
-        out, ends = [0.0] * len(ts), [-math.inf, *cg, math.inf]
-        order = sorted(range(len(ts)), key=keys.__getitem__)
-        for j in range(len(inner)):  # (x, v, d, h) carries (x, g, g', g'') along branch j
-            lo, hi, d = ends[j], ends[j + 1], 0.0  # g' = 0: the branch's first value falls back
-            for k in [k for k in order if js[k] == j]:
-                y, u = ys[k], None
-                if d:
-                    q = (y - v) / d
-                    nx = x + q
-                    u = x if nx == x else None  # y is g(x) up to rounding
-                    nx -= h / (2.0 * d) * q * q
-                    p, n = nx - x, 0
-                    while u is None and lo < nx < hi and n < 5:
-                        c, x = h, nx
-                        v, d, h = g_d2(x)
-                        q = (y - v) / d if d else math.nan  # g' = 0: no step shrinks
-                        if not -p < q < p and not p < q < -p:
-                            break
-                        nx = x + q
-                        e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
-                        a, r = q * q, 2.0 * e * (d if d > 0.0 else -d)  # K q^2 <= e: |g''| q^2 at both ends <= r
-                        if nx == x or -e <= q <= e or -r <= c * a <= r and -r <= h * a <= r:
-                            u = nx
-                        p, n = q, n + 1
-                if u is None:  # a step that does not shrink or leaves the branch, g' = 0, or a sixth step
-                    x, v, d, h = (u := _invert_on_branch(g, cg, j, y)), *g_d2(u)
+        cflt, branches = self.c.to_float(), []
+        for lo, hi, q in zip(ends, ends[1:], inner):
+            rise = g if g.derivative().sign_at(q) > 0 else -g  # -g's Horner passes give g's bits negated
+            at = [rise.eval_float(e) if math.isfinite(e) else e for e in (lo, hi)]
+            branches.append((cflt if rise is g else -cflt, rise, lo, hi, *at))
+        self._flt = ([x.to_float() for x in self.crits_f], branches if self.increasing else branches[::-1])
+        return self._flt
+
+    def eval_float(self, t: float) -> float:
+        cf, branches = self._flt or self._floats()
+        branch = branches[bisect.bisect_left(cf, t)]
+        return next(_invert_run(branch, (branch[0] * self.f.eval_float(t),)))
+
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        """eval_float at each of ts: each branch inverts its values in one
+        _invert_run, taken in the order of their preimages along it."""
+        cf, branches = self._flt or self._floats()
+        f_at, out = self.f.eval_float, [0.0] * len(ts)
+        js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
+        ys = [branches[j][0] * f_at(t) for j, t in zip(js, ts)]  # g * s rises: ascending ys
+        order = sorted(range(len(ts)), key=ys.__getitem__)
+        for j, branch in enumerate(branches):
+            ks = [k for k in order if js[k] == j] if cf else order
+            for k, u in zip(ks, _invert_run(branch, [ys[k] for k in ks])):
                 out[k] = u
         return out
 
 
-def _invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
-    """Solve g(u) = y for u in the j-th branch interval.
+def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
+    """The preimages of the ascending ys on one monotone branch, as
+    BranchMap._floats keeps it; g below is g * s, which rises there.
 
-    Brackets the root by signs, then iterates Newton safeguarded by
-    bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
-    section 9.4), with g and g' from one Horner pass per iterate.
+    An unbounded end is pushed out by doubling steps until it brackets every
+    y; a y at or past g at a critical end returns that end.  Each y keeps its
+    root in a bracket (a, b) narrowed by the signs of g - y at the points
+    evaluated (g, g' and g'' by one Horner pass), and steps from the last of
+    them, x: with q = (y - g)/g' and r = g''q/2g', to x + q - rq, or to x + q
+    when |r| > 1/2 or x + q - rq leaves the bracket.  When x + q leaves the
+    bracket or |q| is over half the step before, it bisects instead (rtsafe;
+    Press et al., Numerical Recipes, section 9.4), as a run's first y does.
+    At a point x stepped to from x0, it returns x + q unevaluated once
+    |q| <= 1e-16 s, s = max(1, |x + q|), or K q^2 <= 1e-16 s with
+    K = max(|g''(x0)|, |g''(x)|) / 2|g'(x)|: g''(x) alone is 0 at an
+    inflection, and a midpoint or the last y's point was not stepped to.  It
+    returns x when a step of rounding size (1e-15 |x|) fails the safeguard,
+    when no midpoint is left, or when g(x) is y.
     """
-    p = len(crit_floats)
-    unbounded_lo, unbounded_hi = j == 0, j == p
-    lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0 if p else -1.0
-    hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0 if p else 1.0
-    flo, fhi = g.eval_float(lo) - y, g.eval_float(hi) - y
-    step = max(1.0, abs(lo), abs(hi))
-    for _ in range(600):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            break
-        # y can sit a rounding error outside the image of the branch; as g
-        # is monotone there, that shows as a critical (finite) end nearer to
-        # y than the other end, and that end is the answer
-        if not (unbounded_lo or unbounded_hi):
-            return lo if abs(flo) <= abs(fhi) else hi
-        if not unbounded_lo and abs(flo) < abs(fhi):
-            return lo
-        if not unbounded_hi and abs(fhi) < abs(flo):
-            return hi
-        if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
-            lo -= step
-            flo = g.eval_float(lo) - y
-        else:
-            hi += step
-            fhi = g.eval_float(hi) - y
-        step *= 2.0
-    else:
-        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    # decide by signs: the product of two tiny values underflows to -0.0
-    # and would keep the wrong half
-    lo_negative, g_d = flo < 0.0, g.eval_float_d
-    x, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    v, d = g_d(x)
-    # v is g(x), compared with y: g(x) - y has the same sign and zeros
-    for _ in range(200):
-        if v != y:
-            if (v < y) == lo_negative:
-                lo = x
-            else:
-                hi = x
-            width = hi - lo
-            narrow = width <= 1e-15 or width <= 1e-15 * (hi if hi >= -lo else -lo)
-            # Newton's step only if it stays strictly inside the bracket and at
-            # most half the previous step; near a multiple root it shrinks
-            # slowly, so the bracket width, not the step, decides the stop
-            if d != 0.0 and not narrow:
-                nx = x - (v - y) / d
-                dx = nx - x
-                if lo < nx < hi and -half <= dx <= half:
-                    half, x, (v, d) = 0.5 * dx if dx >= 0.0 else -0.5 * dx, nx, g_d(nx)
-                    continue
-        mid = 0.5 * (lo + hi)
-        # stop at a root; at a narrow bracket, on its midpoint; at x when a step of rounding
-        # size fails the halving test, as every later one would; or when no midpoint is left
-        if v == y or narrow or (d != 0.0 and abs(dx) <= 1e-15 * abs(x)) or not (lo < mid < hi):
-            return mid if v != y and narrow else x
-        half, x, (v, d) = 0.5 * abs(mid - x), mid, g_d(mid)
-    return x
+    _, g, lo, hi, glo, ghi = branch
+    a = lo if lo > -math.inf else (hi if hi < math.inf else 0.0) - 1.0
+    b = hi if hi < math.inf else (lo if lo > -math.inf else 0.0) + 1.0
+    gb, sa, sb = ghi, max(1.0, abs(a)), max(1.0, abs(b))
+    while lo == -math.inf < a and g.eval_float(a) >= ys[0]:  # an unbounded end, not yet at -inf
+        a, sa = a - sa, 2.0 * sa
+    while hi == math.inf > b and (gb := g.eval_float(b)) <= ys[-1]:
+        b, sb = b + sb, 2.0 * sb
+    g_d2, top, gtop, nan, inf = g.eval_float_d2, b, gb, math.nan, math.inf
+    x = v = d = h = nan  # no point evaluated yet: the first step bisects
+    for y in ys:
+        if not glo < y < ghi:  # at or a rounding error past a critical end's value
+            yield lo if y <= glo else hi
+            continue
+        if gb <= y:  # the last value's upper end is below this one
+            a, b, gb = b, top, gtop
+        c, hh = nan, inf  # no K is read at the last y's point, nor at a midpoint
+        while True:  # c is |g''| where the step to x began; hh bounds the next step's square
+            q = (y - v) / d if d else inf
+            nx, qq = x + q, q * q
+            if a < nx < b and qq <= hh:
+                hk = h if h > 0.0 else -h
+                if c == c:  # K q^2 <= e: |g''| q^2 at both ends of the step to x <= 2 e |g'|
+                    e = 1e-16 * (nx if nx > 1.0 else -nx if nx < -1.0 else 1.0)
+                    if qq <= e * e or (c if c > hk else hk) * qq <= 2.0 * e * (d if d > 0.0 else -d):
+                        break
+                r = h / (2.0 * d) * q
+                if r * r <= 0.25 and a < (n2 := nx - r * q) < b:
+                    nx = n2
+                c, hh = hk, 0.25 * qq
+            elif -1e-15 * abs(x) <= q <= 1e-15 * abs(x) or not a < 0.5 * (a + b) < b:
+                nx = x  # a step of rounding size, or no midpoint left
+                break
+            else:  # no point yet, g' = 0 or a failed step: bisect; a midpoint's step is half the bracket
+                c, hh, nx = nan, 0.0625 * (b - a) * (b - a), 0.5 * (a + b)
+            x = nx
+            v, d, h = g_d2(x)
+            if v > y:
+                b, gb = x, v
+            else:  # below every later y's root, or this y's root
+                a = x
+                if v == y:
+                    break
+        yield nx
 
 
 @dataclass(frozen=True)

@@ -562,162 +562,108 @@ def ref_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, 
     return (ratio_min, ratio_max)
 
 
-def ref_invert_on_branch(g: UniPoly, crit_floats: list[float], j: int, y: float) -> float:
-    """Solve g(u) = y for u in the j-th branch interval, evaluating g at
-    both ends of the bracket before any iterate: the reference for
-    zygothety._invert_on_branch, which gives every result these bits.
+def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequence[float]) -> list[float]:
+    """The preimages of ys under g on its j-th branch, in the order of ys, by
+    the rule of zygothety._invert_run written out plainly: the reference for
+    the bits of BranchMap.eval_float (one value) and eval_floats.
 
-    Brackets the root by signs, then iterates Newton safeguarded by
-    bisection inside the bracket (rtsafe; Press et al., Numerical Recipes,
-    section 9.4), with g and g' from one Horner pass per iterate.
-    """
-    p = len(crit_floats)
-    if p == 0:
-        lo, hi = -1.0, 1.0
-        unbounded_lo = unbounded_hi = True
-    else:
-        lo = crit_floats[j - 1] if j >= 1 else crit_floats[0] - 1.0
-        hi = crit_floats[j] if j < p else crit_floats[p - 1] + 1.0
-        unbounded_lo = j == 0
-        unbounded_hi = j == p
-    flo = g.eval_float(lo) - y
-    fhi = g.eval_float(hi) - y
-    step = max(1.0, abs(lo), abs(hi))
-    for _ in range(600):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            break
-        # y can sit a rounding error outside the image of the branch; as g
-        # is monotone there, that shows as a critical (finite) end nearer to
-        # y than the other end, and that end is the answer
-        if not (unbounded_lo or unbounded_hi):
-            return lo if abs(flo) <= abs(fhi) else hi
-        if not unbounded_lo and abs(flo) < abs(fhi):
-            return lo
-        if not unbounded_hi and abs(fhi) < abs(flo):
-            return hi
-        if unbounded_lo and (not unbounded_hi or abs(flo) < abs(fhi)):
-            lo -= step
-            flo = g.eval_float(lo) - y
-        else:
-            hi += step
-            fhi = g.eval_float(hi) - y
-        step *= 2.0
-    else:
-        raise ArithmeticError(f"no preimage of {y!r} found on branch {j} of {g!r}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    # decide by signs: the product of two tiny values underflows to -0.0
-    # and would keep the wrong half
-    lo_negative = flo < 0.0
-    x = 0.5 * (lo + hi)
-    last_dx = hi - lo
-    for _ in range(200):
-        v, d = g.eval_float_d(x)
-        v -= y
-        if v == 0.0:
-            return x
-        if (v < 0.0) == lo_negative:
-            lo = x
-        else:
-            hi = x
-        width = hi - lo
-        if width <= 1e-15 or width <= 1e-15 * abs(lo) or width <= 1e-15 * abs(hi):
-            return 0.5 * (lo + hi)
-        # Newton's step only if it stays strictly inside the bracket and at
-        # least halves the previous step; near a multiple root it shrinks
-        # slowly, so the bracket width, not the step, decides the stop
-        if d != 0.0:
-            nx = x - v / d
-            if lo < nx < hi and abs(nx - x) <= 0.5 * abs(last_dx):
-                last_dx = nx - x
-                x = nx
-                continue
-            # a step of rounding size fails the halving test, and so would
-            # every later one: x is as near the root as floats tell
-            if abs(nx - x) <= 1e-15 * abs(x):
-                return x
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            return x
-        last_dx = mid - x
-        x = mid
-    return x
-
-
-def ref_carried_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequence[float]) -> list[float]:
-    """The preimages of ys on g's j-th branch, ys given in the order of their
-    preimages along it, by the batch rule.  The branch carries g, g' and g''
-    at the last point x it evaluated.  With q = (y - g(x)) / g'(x), a value
-    returns x when x + q is x, and otherwise takes the second-order step to
-    x + q - g''(x) / (2 g'(x)) q**2 and evaluates g there.  From each point
-    x1 it evaluates, reached by a step from x0, Newton's step q1 must be
-    shorter than that step, and x1 + q1 is returned unevaluated when
-    |q1| <= tol, or x1 + q1 is x1, or K q1**2 <= tol, with
-    tol = 1e-16 * max(1, |x1 + q1|) and K = max(|g''(x0)|, |g''(x1)|) / (2 |g'(x1)|);
-    otherwise x1 + q1 is the next point.  A value whose step leaves the open
-    branch or does not shrink, which meets g' = 0 or is not returned by its
-    sixth step is inverted cold by ref_invert_on_branch, as is the branch's
-    first value, and the carry restarts at that preimage: the reference for
-    the bits of BranchMap.eval_floats."""
+    With s the exact sign of g' inside the branch, s * g rises there and
+    stands for g below, and s * y for each y; the values are taken in
+    ascending order (a stable sort).  An unbounded end starts 1 past the
+    other end (at -1 or 1 when both are unbounded) and moves out by steps
+    max(1, |start|), doubling, until g there is past every value.  A value
+    at or past g at an end returns that end.  Each value keeps a bracket
+    (a, b) of points evaluated, g(a) <= y < g(b), b falling back to the
+    pushed upper end when it is no longer above y.  From the last point x
+    evaluated, with q = (y - g) / g' and r = g'' q / 2 g' there, a step is
+    taken when x + q lies inside the bracket and q**2 is at most a quarter
+    of the square of the step before (any step, for a value's first; half
+    the bracket for a midpoint's).  If x was reached by such a step from x0,
+    x + q is returned unevaluated when q**2 <= tol**2, or when
+    max(|g''(x0)|, |g''(x)|) q**2 <= 2 tol |g'(x)|, with
+    tol = 1e-16 * max(1, |x + q|); otherwise the step goes to x + q - r q,
+    or to x + q when r**2 > 1/4 or that point leaves the bracket.  A step
+    that fails returns x when |q| <= 1e-15 |x|; otherwise the bracket's
+    midpoint is next (x when no midpoint is left), as it is with no point
+    evaluated yet or g' = 0.  A point where g is y is returned."""
     lo = crit_floats[j - 1] if j >= 1 else -math.inf
     hi = crit_floats[j] if j < len(crit_floats) else math.inf
-    out, last = [], None  # (x, g(x), g'(x), g''(x)) at the last point evaluated
-    for y in ys:
-        u = None
-        if last is not None and last[2] != 0.0:
-            x, v, d, h = last
-            q = (y - v) / d
-            if x + q == x:
-                u = x
-            else:
-                nx = x + q - h / (2.0 * d) * q * q
-                step = nx - x
-                for _ in range(5):
-                    if not lo < nx < hi:
-                        break
-                    h0 = h
-                    v, d, h = g.eval_float_d2(nx)
-                    x = nx
-                    if d == 0.0:
-                        break
-                    q = (y - v) / d
-                    if abs(q) >= abs(step):
-                        break
-                    nx = x + q
+    inside = (Fraction(lo) + Fraction(hi)) / 2 if -math.inf < lo and hi < math.inf else (
+        Fraction(lo) + 1 if lo > -math.inf else Fraction(hi) - 1 if hi < math.inf else Fraction(0))
+    s = 1.0 if g.derivative().sign_at(inside) > 0 else -1.0
+    if s < 0:
+        g = -g
+    vals = [s * y for y in ys]
+    order = sorted(range(len(ys)), key=lambda k: vals[k])
+    a, b = lo, hi
+    if lo == -math.inf:
+        a = (hi if hi < math.inf else 0.0) - 1.0
+        step = max(1.0, abs(a))
+        while g.eval_float(a) >= vals[order[0]] and a > -math.inf:
+            a -= step
+            step *= 2.0
+    if hi == math.inf:
+        b = (lo if lo > -math.inf else 0.0) + 1.0
+        step = max(1.0, abs(b))
+        while g.eval_float(b) <= vals[order[-1]] and b < math.inf:
+            b += step
+            step *= 2.0
+    top, out, x = b, [0.0] * len(ys), None  # x, v, d, h: g, g', g'' at the last point evaluated
+    for k in order:
+        y = vals[k]
+        if lo > -math.inf and y <= g.eval_float(lo):
+            out[k] = lo
+            continue
+        if hi < math.inf and y >= g.eval_float(hi):
+            out[k] = hi
+            continue
+        if g.eval_float(b) <= y:
+            a, b = b, top
+        x0_h, bound = None, math.inf  # |g''| where the step to x began; the next step's square at most bound
+        while True:
+            q = (y - v) / d if x is not None and d != 0.0 else math.inf
+            nx = x + q if x is not None else math.nan
+            if a < nx < b and q * q <= bound:
+                if x0_h is not None:
                     tol = 1e-16 * max(1.0, abs(nx))
-                    K = max(abs(h0), abs(h))  # times 1 / (2 |g'(x1)|), multiplied out
-                    if abs(q) <= tol or nx == x or K * (q * q) <= 2.0 * tol * abs(d):
+                    if q * q <= tol * tol or max(x0_h, abs(h)) * (q * q) <= 2.0 * tol * abs(d):
                         u = nx
-                        last = (x, v, d, h)
                         break
-                    step = q
-        if u is None:
-            u = ref_invert_on_branch(g, crit_floats, j, y)
-            last = (u, *g.eval_float_d2(u))
-        out.append(u)
+                r = h / (2.0 * d) * q
+                if r * r <= 0.25 and a < nx - r * q < b:
+                    nx = nx - r * q
+                x0_h, bound = abs(h), 0.25 * (q * q)
+            elif x is not None and abs(q) <= 1e-15 * abs(x) or not a < (a + b) / 2 < b:
+                u = x
+                break
+            else:
+                x0_h, bound, nx = None, 0.0625 * (b - a) * (b - a), (a + b) / 2
+            x = nx
+            v, d, h = g.eval_float_d2(x)
+            if v > y:
+                b = x
+            else:
+                a = x
+                if v == y:
+                    u = x
+                    break
+        out[k] = u
     return out
 
 
 def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
-    """BranchMap.eval_floats in a plainer form (values and sort keys through
-    array("d"), every point's branch by bisect, a branch's values sorted along
-    it), each branch's values inverted by ref_carried_inversions: the
-    reference for the batch path's bits."""
-    cflt, cf, cg = m._floats()
-    p, g, cs = len(cf), m.g, m.crits_g
+    """BranchMap.eval_floats in a plainer form (values through array("d"),
+    every point's branch by bisect), each branch's values inverted by
+    ref_branch_inversions: the reference for the batch path's bits."""
+    cflt, cf, cg = m.c.to_float(), [x.to_float() for x in m.crits_f], [x.to_float() for x in m.crits_g]
+    p = len(cf)
     js = [bisect.bisect_left(cf, t) for t in ts]
     js = js if m.increasing else [p - i for i in js]
     ys = array("d", (cflt * m.f.eval_float(t) for t in ts))
-    inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
-    rising = [g.derivative().sign_at(q) > 0 for q in inner]
-    keys = array("d", (y if rising[j] else -y for j, y in zip(js, ys)))
-    order = sorted(range(len(ts)), key=keys.__getitem__)
     out = [0.0] * len(ts)
     for j in range(p + 1):
-        ks = [k for k in order if js[k] == j]
-        for k, u in zip(ks, ref_carried_inversions(g, cg, j, [ys[k] for k in ks])):
+        ks = [k for k in range(len(ts)) if js[k] == j]
+        for k, u in zip(ks, ref_branch_inversions(m.g, cg, j, [ys[k] for k in ks])):
             out[k] = u
     return out
 
@@ -737,7 +683,7 @@ def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[f
     """witness.verify_lipschitz in a plainer form: the points drawn into
     growing arrays, each half-plane picked out after the draw, images through
     ref_on_fiber and the maps through ref_batch_map_floats (so each branch by
-    ref_carried_inversions), and every ratio checked and folded by min() and
+    ref_branch_inversions), and every ratio checked and folded by min() and
     max(): the reference for its bits."""
     rng = random.Random(LIPSCHITZ_SEED)
     n = 2 * LIPSCHITZ_SAMPLES

@@ -24,6 +24,20 @@ CASES = [
         1,
         ["classify2", "X^6-3*X^4*Y+Y^3", "X^6-12*X^4*Y+Y^3", "--beta", "2/1"],
     ),
+    # necessity condition (b) at its boundary: two zeros per height of G, and
+    # nothing else makes the verdict NotEquivalent
+    (
+        "necessity_b_at_two_zeros",
+        1,
+        ["classify2", "-X^7 - 2*X^4*Y - 2*X*Y^2", "-2*X^7 - 2*X^4*Y + X*Y^2", "--beta", "3/1"],
+    ),
+    # condition (a) blocked only by X dividing the other side: F's heights have
+    # 1 and 3 zeros, but X^3 divides G, so no condition applies
+    (
+        "necessity_a_blocked_by_x_power",
+        2,
+        ["classify2", "-3*X^3*Y^2 - Y^4", "2*X^6 + X^3*Y^2", "--beta", "3/2"],
+    ),
     # a SuffA certificate whose maps are branch maps
     (
         "suffa_branch",

@@ -21,7 +21,6 @@ from qhlip.zygothety import (
     Neg,
     NegConj,
     Zygothety,
-    _invert_on_branch,
     action_residual,
     compose,
     identity,
@@ -31,7 +30,7 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly, ref_carried_inversions, ref_invert_on_branch
+from helpers import rand_qhpoly, ref_branch_inversions
 
 
 def ra(x):
@@ -468,49 +467,92 @@ class TestClosureProperties:
             )
 
 
+def branch_inverse(g: UniPoly, points, j: int) -> BranchMap:
+    """A BranchMap sending each value y (|y| < 1e30) to its preimage under g
+    on the j-th branch: f is t itself, and f's cut points put every value on
+    branch j."""
+    far = [ra(-(10**30))] * j + [ra(10**30)] * (len(points) - j)
+    return BranchMap(ra(1), True, UniPoly([0, 1]), g, far, points)
+
+
+def d2_points(g: UniPoly, run) -> list[float]:
+    """The points where run() has g's eval_float_d2 evaluate g, g' and g''
+    (or -g's, on a branch where g falls), in order."""
+    points, real = [], UniPoly.eval_float_d2
+
+    def recording(p, x):
+        if p.coeffs in (g.coeffs, (-g).coeffs):
+            points.append(x)
+        return real(p, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UniPoly, "eval_float_d2", recording)
+        run()
+    return points
+
+
 class TestInvertOnBranch:
     def test_value_past_the_extremum_clamps_to_the_critical_point(self):
         # g = t^2 has its minimum 0 at t = 0; y sits just below it
         g = UniPoly([0, 0, 1])
-        assert _invert_on_branch(g, [0.0], 1, -1e-17) == 0.0
-        assert _invert_on_branch(g, [0.0], 0, -1e-17) == 0.0
-        assert _invert_on_branch(g, [0.0], 1, 4.0) == pytest.approx(2.0)
-        assert _invert_on_branch(g, [0.0], 0, 4.0) == pytest.approx(-2.0)
+        points = critical_data(g).points
+        for j, root in ((1, 2.0), (0, -2.0)):
+            m = branch_inverse(g, points, j)
+            u = m.eval_float(4.0)
+            assert m.eval_float(-1e-17) == 0.0 and m.eval_floats([-1e-17, 4.0, -1e-17]) == [0.0, u, 0.0]
+            assert u == pytest.approx(root)
+            assert_solves(g, [0.0], j, 4.0, u)
 
     def test_tiny_value_bisects_by_sign(self):
         # near the root g(u) - y is of order 1e-170 on both sides, so the
-        # product of two such values underflows to -0.0 and cannot tell
-        # which half holds the root, about 3.5e-16
+        # product of two such values would underflow to -0.0 and could not
+        # tell which half holds the root, about 3.5e-16; the signs of g(x)
+        # against y can
         g = UniPoly([0] * 11 + [1])
-        u = _invert_on_branch(g, [0.0], 1, 1e-170)
-        assert abs(u - 1e-170 ** (1 / 11)) <= 1e-15
+        m = branch_inverse(g, critical_data(g).points, 1)
+        for u in (m.eval_float(1e-170), *m.eval_floats([1e-170, 1e-170])):
+            assert abs(u - 1e-170 ** (1 / 11)) <= 1e-15
+            assert_solves(g, [0.0], 1, 1e-170, u)
 
     def test_rounding_size_step_ends_the_search(self):
-        # Newton from the bracket's midpoint is within rounding of the root
-        # after a few steps, and the next step, rounding noise, fails the
-        # halving test; that must end the search, not start bisecting down
-        # to the 1e-15 width (53 evaluations of g and g' in all)
-        class Counting:
-            def __init__(self, g):
-                self.g, self.calls = g, 0
-
-            def eval_float(self, x):
-                return self.g.eval_float(x)
-
-            def eval_float_d(self, x):
-                self.calls += 1
-                return self.g.eval_float_d(x)
-
-        g = UniPoly([1, F(3, 4), 0, 1])
-        y = 28.872335113551316
-        counting = Counting(g)
-        u = _invert_on_branch(counting, [], 0, y)
-        assert counting.calls <= 6
-        assert abs(g.eval_float(u) - y) <= 1e-14
+        # Newton's steps reach rounding size within a few passes, and a step
+        # of rounding size that fails the halving test must end the search,
+        # not start bisecting down to the adjacent floats: with the stop,
+        # each of these takes at most 6 passes of g, g' and g'', and without
+        # it the last two take 54 and 55 (y drawn as g at points of the branch)
+        cases = [
+            (UniPoly([1, F(3, 4), 0, 1]), 0, 28.872335113551316),
+            (UniPoly([4, 8, -9]), 0, -3.2222222222222228),
+            (UniPoly([2, -8, -7, 3, 6, 3, 9, -7]), 0, 0.4202020397724543),
+        ]
+        for g, j, y in cases:
+            points = critical_data(g).points
+            crits = [c.to_float() for c in points]
+            m = branch_inverse(g, points, j)
+            m.eval_float(y)  # the map's floats, before counting
+            got = []
+            assert len(d2_points(g, lambda: got.append(m.eval_float(y)))) <= 6
+            assert_solves(g, crits, j, y, got[0])
 
     def test_no_preimage_raises(self):
-        with pytest.raises(ArithmeticError):
-            _invert_on_branch(UniPoly([1]), [], 0, 5.0)
+        # a constant g has no branch to invert on: critical_data refuses it,
+        # so no BranchMap onto it is ever built
+        with pytest.raises(ValueError, match="constant"):
+            zygothety._branch_map(ra(1), Orientation.INCREASING, UniPoly([0, 1]), UniPoly([1]))
+
+    def test_first_midpoint_on_the_inflection(self):
+        # g = t^3 - 3t + 1 falls on (-1, 1), and the first midpoint of a run
+        # there is 0, its inflection: g'' = 0 at that point, so K read there
+        # would stop Newton's first step at once, returning -0.4583 for
+        # -0.5; a midpoint was not stepped to, so its K is not read
+        g = UniPoly([1, -3, 0, 1])
+        m, crits = branch_identity(g), [-1.0, 1.0]
+        got = []
+        points = d2_points(g, lambda: got.extend([m.eval_float(-0.5), *m.eval_floats([-0.5])]))
+        assert points[0] == 0.0
+        for u in got:
+            assert_solves(g, crits, 1, 2.375, u)
+            assert u == pytest.approx(-0.5, abs=1e-15)
 
 
 @st.composite
@@ -541,11 +583,11 @@ def point_on_branch(crits: list[float], j: int, s: float) -> float:
 
 @st.composite
 def branch_inversions(draw):
-    """(g, critical point floats, branch j, y): y = g(u0) rounded to a float,
-    for a float u0 inside the j-th branch."""
-    g, _, crits, j = draw(branch_polys())
+    """(g, critical points, their floats, branch j, y): y = g(u0) rounded to
+    a float, for a float u0 inside the j-th branch."""
+    g, points, crits, j = draw(branch_polys())
     u0 = point_on_branch(crits, j, draw(st.integers(1, 63)) / 64)
-    return g, crits, j, float(g(F(u0)))
+    return g, points, crits, j, float(g(F(u0)))
 
 
 def assert_solves(g: UniPoly, crits: list[float], j: int, y: float, u: float) -> None:
@@ -566,25 +608,19 @@ def assert_solves(g: UniPoly, crits: list[float], j: int, y: float, u: float) ->
 
 
 class TestInvertOnBranchProperty:
+    """One value inverted by scalar eval_float: a run with no carry."""
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_inversions())
     def test_solves_within_the_stopping_width_or_rounding(self, case):
-        g, crits, j, y = case
-        assert_solves(g, crits, j, y, _invert_on_branch(g, crits, j, y))
+        g, points, crits, j, y = case
+        assert_solves(g, crits, j, y, branch_inverse(g, points, j).eval_float(y))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_inversions())
     def test_every_bit_is_the_reference(self, case):
-        g, crits, j, y = case
-        assert _invert_on_branch(g, crits, j, y) == ref_invert_on_branch(g, crits, j, y)
-
-
-def branch_inverse(g: UniPoly, points, j: int) -> BranchMap:
-    """A BranchMap sending each value y (|y| < 1e30) to its preimage under g
-    on the j-th branch: f is t itself, and f's cut points put every value on
-    branch j."""
-    far = [ra(-(10**30))] * j + [ra(10**30)] * (len(points) - j)
-    return BranchMap(ra(1), True, UniPoly([0, 1]), g, far, points)
+        g, points, crits, j, y = case
+        assert branch_inverse(g, points, j).eval_float(y) == ref_branch_inversions(g, crits, j, [y])[0]
 
 
 @st.composite
@@ -661,85 +697,72 @@ class TestLuckyLandingProperty:
             assert_solves(g, crits, j, y, u)
 
 
-def ref_warm_inversions(g: UniPoly, crits: list[float], j: int, ys: list[float]) -> list[float]:
-    """The preimages of ys on g's j-th branch, taken in the order eval_floats
-    takes them (ascending along the branch) by ref_carried_inversions, the
-    batch rule written out plainly."""
-    rising = g.derivative().sign_at(F(point_on_branch(crits, j, 0.5))) > 0
-    order = sorted(range(len(ys)), key=lambda k: ys[k] if rising else -ys[k])
-    out = [0.0] * len(ys)
-    for k, u in zip(order, ref_carried_inversions(g, crits, j, [ys[k] for k in order])):
-        out[k] = u
-    return out
-
-
 class TestBatchInversionIsTheReference:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(branch_batches())
     def test_every_bit_is_the_reference(self, case):
         g, points, crits, j, ys = case
-        assert branch_inverse(g, points, j).eval_floats(ys) == ref_warm_inversions(g, crits, j, ys)
+        assert branch_inverse(g, points, j).eval_floats(ys) == ref_branch_inversions(g, crits, j, ys)
 
     def test_pinned_batch_landing_near_the_root_by_luck(self):
-        # the first value is solved cold at -0.5; Newton's step from there to
-        # the second value's root would land within 2.6e-6 of it (it reaches 1
-        # exactly), so no stop may rest on how short a step was.  The
-        # second-order step overshoots to 2.93, and Newton comes down from there
-        g, ys = UniPoly([0, 1, 0, 1]), [-0.625, float(UniPoly([0, 1, 0, 1])(F(1000002, 1000000)))]
+        # the first value is solved at -0.5; Newton's step from there to the
+        # second value's root lands within 2.6e-6 of it, at 1.0000046, so no
+        # stop may rest on how short a step was: K read at both ends, with
+        # g'' = -3 and 6 over 2g' = 8, keeps Newton going
+        g = UniPoly([0, 1, 0, 1])
+        ys = [-0.625, float(g(F(1000002, 1000000)))]
+        points = d2_points(g, lambda: branch_inverse(g, [], 0).eval_floats(ys))
+        assert abs(points[points.index(-0.5) + 1] - 1.000002) <= 2.6e-6
         us = branch_inverse(g, [], 0).eval_floats(ys)
-        assert us == ref_warm_inversions(g, [], 0, ys)
+        assert us == ref_branch_inversions(g, [], 0, ys)
         for y, u in zip(ys, us):
             assert_solves(g, [], 0, y, u)
 
     def test_pinned_batch_stepping_across_the_inflection(self):
-        # from -1, Newton's step to 6's preimage (about 1.63) would reach 1,
+        # from -1, Newton's step to 6's preimage (about 1.63) reaches 1,
         # where g' is 4 again, so g' over the step shows no curvature; g''
-        # read at each point, -6 at -1, does
+        # read at each end, -6 at -1, does
         g, ys = UniPoly([0, 1, 0, 1]), [-2.0, 6.0]
+        points = d2_points(g, lambda: branch_inverse(g, [], 0).eval_floats(ys))
+        assert points[points.index(-1.0) + 1] == 1.0
         us = branch_inverse(g, [], 0).eval_floats(ys)
-        assert us == ref_warm_inversions(g, [], 0, ys)
+        assert us == ref_branch_inversions(g, [], 0, ys)
         for y, u in zip(ys, us):
             assert_solves(g, [], 0, y, u)
 
     def test_pinned_batch_landing_on_the_inflection(self):
-        # the first value is solved cold at -1, and the second-order step from
-        # there, -1 + q + 0.75 q^2 with q = 2/3, lands within 6e-17 of 0, the
-        # inflection of g: g'' read there alone (3e-16) would put K q^2 below
-        # 1e-16 and return 2/3 for a root near 0.523; g''(-1) = -6 keeps Newton going
-        g, ys = UniPoly([0, 1, 0, 1]), [-2.0, 0.6666666666666664]
-        points, real = [], UniPoly.eval_float_d2
-
-        def recording(p, x):
-            points.append(x)
-            return real(p, x)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(UniPoly, "eval_float_d2", recording)
+        # g = t^3 + at has g'' = 0 at its inflection 0, where the second-order
+        # step from the last value's point can land: K read there alone would
+        # end the search at once.  On t^3 + t the step from -1 towards the
+        # preimage of 2/3 (0.523) lands within 6e-17 of 0, and Newton's next
+        # step fails the halving test.  On t^3 + 10t the step from
+        # -1.0000000034 lands within 2e-16 of 0, Newton's next step (-0.0107)
+        # passes it, and only g'' = -6 at the step's other end keeps the
+        # search going: one end alone returns a point 1.2e-7 from the root
+        for g, ys, start, landing in (
+            (UniPoly([0, 1, 0, 1]), [-2.0, 0.6666666666666664], -1.0, 6e-17),
+            (UniPoly([0, 10, 0, 1]), [-11.0, -0.106527847152497], -1.000000003402027, 2e-16),
+        ):
+            points = d2_points(g, lambda: branch_inverse(g, [], 0).eval_floats(ys))
+            assert abs(points[points.index(start) + 1]) <= landing
             us = branch_inverse(g, [], 0).eval_floats(ys)
-        assert points[0] == -1.0 and abs(points[1]) <= 6e-17
-        assert us == ref_warm_inversions(g, [], 0, ys)
-        for y, u in zip(ys, us):
-            assert_solves(g, [], 0, y, u)
+            assert us == ref_branch_inversions(g, [], 0, ys)
+            for y, u in zip(ys, us):
+                assert_solves(g, [], 0, y, u)
 
     def test_pinned_batch_leaving_a_bounded_branch(self):
         # g = t^3 - 3t falls on (-1, 1); the first value's preimage sits near
         # -1, where g' is small, so the step towards 0 leaves the branch and
-        # the value falls back to the cold _invert_on_branch
+        # the second value bisects its bracket (the last point, 1) in place
         g, j, ys = UniPoly([0, -3, 0, 1]), 1, [1.9999, 0.0]
         points = critical_data(g).points
         crits = [c.to_float() for c in points]
-        cold, real_inv = [], zygothety._invert_on_branch
-
-        def inverting(g, crits, j, y):
-            cold.append(y)
-            return real_inv(g, crits, j, y)
-
         m = branch_inverse(g, points, j)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(zygothety, "_invert_on_branch", inverting)
-            us = m.eval_floats(ys)
-        assert cold == ys
-        assert us == ref_warm_inversions(g, crits, j, ys)
+        first = d2_points(g, lambda: branch_inverse(g, points, j).eval_floats(ys[:1]))
+        both = d2_points(g, lambda: m.eval_floats(ys))
+        assert both[: len(first)] == first and both[len(first)] == 0.5 * (first[-1] + 1.0)
+        us = m.eval_floats(ys)
+        assert us == ref_branch_inversions(g, crits, j, ys)
         for y, u in zip(ys, us):
             assert_solves(g, crits, j, y, u)
 
@@ -747,24 +770,19 @@ class TestBatchInversionIsTheReference:
 class TestBatchInversionCarriesTheLastEvaluatedPoint:
     """Each value of a batch steps from the last point its branch evaluated
     g, g' and g'' at, not from the preimage returned before it, which the
-    stop rule leaves unevaluated: no pass of the carry takes g where the
-    pass before it did.  The one exception is the pass that restarts the
-    carry at the point a fallback to _invert_on_branch returns."""
+    stop rule leaves unevaluated: no pass takes g where the pass before it
+    did, and nothing restarts cold."""
 
     @staticmethod
-    def passes(m: BranchMap, ts) -> tuple[int, int, int]:
-        """(points the carry evaluated twice in a row, fallbacks, Horner passes over g)."""
-        seen, real_inv, count = [], zygothety._invert_on_branch, [0]
+    def passes(m: BranchMap, ts) -> tuple[int, int]:
+        """(points evaluated twice in a row, Horner passes over g)."""
+        polys = {id(branch[1]) for branch in (m._flt or m._floats())[1]}
+        seen, count = [], [0]
         reals = {name: getattr(UniPoly, name) for name in ("eval_float", "eval_float_d", "eval_float_d2")}
-
-        def falling_back(*args):
-            u = real_inv(*args)  # cold: no eval_float_d2 pass
-            seen.append("restart")
-            return u
 
         def hook(name):
             def recording(p, x):
-                if p is m.g:
+                if id(p) in polys:
                     count[0] += 1
                     if name == "eval_float_d2":
                         seen.append(x)
@@ -775,10 +793,8 @@ class TestBatchInversionCarriesTheLastEvaluatedPoint:
         with pytest.MonkeyPatch.context() as mp:
             for name in reals:
                 mp.setattr(UniPoly, name, hook(name))
-            mp.setattr(zygothety, "_invert_on_branch", falling_back)
             m.eval_floats(ts)
-        assert seen[0] == "restart"  # a branch's first value has no carry
-        return sum(a == b != "restart" for a, b in zip(seen, seen[1:])), seen.count("restart"), count[0]
+        return sum(a == b for a, b in zip(seen, seen[1:])), count[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(branch_batches())
@@ -792,8 +808,8 @@ class TestBatchInversionCarriesTheLastEvaluatedPoint:
         rng = random.Random(5)
         ts = [rng.uniform(-2.0, 2.0) for _ in range(2000)]
         for m in negative_pair_maps():
-            repeats, restarts, passes = self.passes(m, ts)
-            assert (repeats, restarts) == (0, 1) and passes <= 1.25 * len(ts)
+            repeats, passes = self.passes(m, ts)
+            assert repeats == 0 and passes <= 1.25 * len(ts)
 
 
 def negative_pair_maps() -> list:
