@@ -73,7 +73,17 @@ Compares, on seeded random inputs:
   on which ``witness.verify_conjugacy`` takes its inner grid rows from the
   heights: for seeded F with weights beta = r/s, sympy's expansion of F at
   (sgn z, t z^beta), z a positive symbol, against z^d times qhlip's height
-  ``qhdecide.heights`` on that side, with qhlip's d.
+  ``qhdecide.heights`` on that side, with qhlip's d;
+* ``zygothety.is_beta_regular`` on the zygotheties that ``decide`` builds
+  (through ``make_regular``) for seeded F against F(aX, bY), on their
+  inverses, on one built with distinct scales, limit slopes and root
+  orders that balance, and on each with its second scale doubled, against
+  the regularity condition in sympy: L1 and L2 of one nonzero sign, and
+  |lam1|^beta L1 = |lam2|^beta L2 exactly, where each limit slope L is
+  read off the map's fields with sympy's ``Rational`` and ``root`` (at a
+  branch map, the orientation's sign times the deg f-th root of
+  |c lc(f) / lc(g)|) and equality is a minimal polynomial of the
+  difference equal to x.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -98,9 +108,9 @@ from fractions import Fraction
 from qhlip.lipclass import critical_data, similar
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly, poly_gcd, resultant, square_free_part
-from qhlip.qhdecide import QHPoly, heights, validate_qh
+from qhlip.qhdecide import QHPoly, decide, heights, validate_qh
 from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
-from qhlip.zygothety import BranchMap
+from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse, is_beta_regular
 
 X, T = sympy.symbols("x t")
 BX, BY = sympy.symbols("X Y")
@@ -587,6 +597,64 @@ def check_qh_identity(Q: QHPoly) -> str | None:
     return None
 
 
+def sym_number(a: RealAlg) -> sympy.Expr:
+    """a in sympy: a Rational, or the real root of a's defpoly in its box."""
+    if a.is_rational:
+        return sympy.Rational(str(a.lo))
+    lo, hi = sympy.Rational(str(a.lo)), sympy.Rational(str(a.hi))
+    return next(r for r in sympy.Poly(uni_expr(a.defpoly, T), T).real_roots() if lo < r < hi)
+
+
+def sym_slope(m) -> sympy.Expr:
+    """The limit slope of a line map, read off its fields in sympy."""
+    if isinstance(m, Affine):
+        return sympy.Rational(str(m.a))
+    if isinstance(m, BranchMap):
+        ratio = sym_number(m.c) * sympy.Rational(str(m.f.leading / m.g.leading))
+        return (1 if m.increasing else -1) * sympy.root(abs(ratio), m.f.degree)
+    if isinstance(m, Neg):
+        return -sym_slope(m.inner)
+    if isinstance(m, NegConj):
+        return sym_slope(m.inner)
+    return sym_slope(m.outer) * sym_slope(m.inner)
+
+
+def check_beta_regular(rng: random.Random, irrational: list[int]) -> str | None:
+    Q = rand_qh(rng)
+    a, b = (Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(2))
+    G = Q.poly.scale_vars(a, b)
+    cert = decide(Q, validate_qh(G, Q.r, Q.s)).certificate
+    if cert is None:
+        return None
+    z, beta = cert.zygothety, sympy.Rational(Q.r, Q.s)
+    irrational += [not z.lam1.is_rational]
+    # scales u^s and v^s, and maps t^n -> t^n scaled by (v^r w)^n1 and
+    # (u^r w)^n2, with limit slopes v^r w and u^r w: regular, with distinct
+    # scales, slopes and root orders
+    u, v, w = (Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3))
+    n1, n2 = rng.choices(range(1, 5), k=2)
+    t1, t2 = UniPoly([0] * n1 + [1]), UniPoly([0] * n2 + [1])
+    balanced = Zygothety(
+        RealAlg.from_rational(u**Q.s),
+        RealAlg.from_rational(v**Q.s),
+        BranchMap(RealAlg.from_rational((v**Q.r * w) ** n1), True, t1, t1, (), ()),
+        BranchMap(RealAlg.from_rational((u**Q.r * w) ** n2), True, t2, t2, (), ()),
+    )
+    for what, y, want in (
+        ("z", z, True),
+        ("z^-1", inverse(z), True),
+        ("z with lam2 doubled", Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2), False),
+        (f"balanced, u = {u}, v = {v}, n = {n1}, {n2}", balanced, True),
+        ("balanced, lam2 doubled", Zygothety(balanced.lam1, balanced.lam2 * 2, balanced.phi1, balanced.phi2), False),
+    ):
+        L1, L2 = sym_slope(y.phi1), sym_slope(y.phi2)
+        gap = abs(sym_number(y.lam1)) ** beta * L1 - abs(sym_number(y.lam2)) ** beta * L2
+        exact = sympy.sign(L1) == sympy.sign(L2) != 0 and sympy.minimal_polynomial(gap, X) == X
+        if is_beta_regular(y, Q.r, Q.s) is not exact or exact is not want:
+            return f"{what} for F = {Q.poly}, G = {G}, beta = {beta}: qhlip {not exact}, sympy {exact}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200)
@@ -600,8 +668,10 @@ def main(argv: list[str] | None = None) -> int:
     parse_rng = random.Random(f"parse {args.seed}")
     division_rng = random.Random(f"division {args.seed}")
     qh_rng = random.Random(f"qh {args.seed}")
+    beta_rng = random.Random(f"beta {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
+    irrational: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
@@ -619,6 +689,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_parser(rand_bi_text(parse_rng, 3))
             or check_division(division_rng, rational)
             or check_qh_identity(rand_qh(qh_rng))
+            or check_beta_regular(beta_rng, irrational)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")
@@ -626,7 +697,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed}; "
         f"{len(flat)} inversions within the rounding bound, not the width; "
-        f"{len(rational)} quotients of irrationals rational)"
+        f"{len(rational)} quotients of irrationals rational; "
+        f"{sum(irrational)} of {len(irrational)} regularity checks with an irrational scale)"
     )
     return 0
 

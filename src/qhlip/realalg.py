@@ -31,16 +31,17 @@ checks the invariant once on entry, by a Sturm count cached per box, and
 raises ArithmeticError when it fails; the only other Sturm counts isolate
 roots.  New defpolys are built from the integer coefficients `UniPoly.ints`.
 
-`to_float` refines a copy of the box below 2**-80 and rounds its midpoint
-once per number; the float is kept in a lazily filled slot, and lo and hi
-stay as they were, since the JSON renders the interval from them.
+`to_float` gives, once per number, the double that the midpoint of the box
+refined below 2**-80 rounds to, from a float root that two exact signs
+certify where they can (`_rounded`); it keeps the float in a slot and leaves
+lo and hi as they were, since the JSON renders the interval from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, lcm as _int_lcm
+from math import comb, inf, lcm as _int_lcm, nextafter
 from typing import Callable, Iterator, Optional
 
 from .polyalg import (
@@ -154,12 +155,10 @@ class RealAlg:
         return RealAlg(p, Fraction(a, m), Fraction(c, m))
 
     def to_float(self) -> float:
-        """Round to double after refining the interval below 2**-80, once."""
-        flt = self._flt
-        if flt is None:
-            r = self if self.is_rational else self.refine(_FLOAT_WIDTH)
-            flt = self._flt = float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
-        return flt
+        """The double that the box's midpoint, refined below 2**-80, rounds to."""
+        if self._flt is None:
+            self._flt = float(self.lo) if self.is_rational else _rounded(self)
+        return self._flt
 
     __float__ = to_float
 
@@ -210,6 +209,39 @@ def _coerce(value) -> RealAlg:
 @lru_cache(maxsize=None)
 def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
     return count_roots_between(defpoly, lo, hi)
+
+
+def _rounded(a: RealAlg) -> float:
+    """to_float of an irrational a: Newton's float root x in a's box halved
+    once by refine (rtsafe to a relative step of 1e-12, then one step with
+    the defpoly exact) when two exact signs put a strictly between
+    (prev + x)/2 + 2**-81 and (x + next)/2 - 2**-81, prev and next the
+    doubles beside x, so that every midpoint within 2**-81 of a rounds to x;
+    else the midpoint of a's box refined below 2**-80."""
+    r = a.refine((a.hi - a.lo) / 2)  # refine's entry check, and one halving
+    if r.is_rational:
+        return float(r.lo)
+    p, s_lo = r.defpoly, r.defpoly.sign_at(r.lo)
+    try:
+        x0, x1, x = float(r.lo), float(r.hi), float((r.lo + r.hi) / 2)
+        for _ in range(100):
+            v, d = p.eval_float_d(x)
+            x0, x1 = (x, x1) if v * s_lo > 0 else (x0, x)
+            q = v / d if d else inf
+            if abs(q) <= 1e-12 * abs(x):
+                break
+            x = x - q if x0 < x - q < x1 else 0.5 * x0 + 0.5 * x1
+        x -= float(p(Fraction(x))) / p.eval_float_d(x)[1]
+        ratios = [y.as_integer_ratio() for y in (nextafter(x, -inf), x, nextafter(x, inf))]
+        m = max(2**82, *(d for _, d in ratios))  # prev, x and next over m; the bounds over 2m
+        prev, xm, nxt = (n * (m // d) for n, d in ratios)
+        below, above, m = prev + xm + (m >> 80), nxt + xm - (m >> 80), 2 * m
+        if below < above and p.sign_at_ratio(below, m) == s_lo and p.sign_at_ratio(above, m) == -s_lo:
+            return x
+    except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan or a zero derivative
+        pass
+    r = a.refine(_FLOAT_WIDTH)  # from a's own box, as the bisection that the halving began
+    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
 
 
 # ---------------------------------------------------------------------------

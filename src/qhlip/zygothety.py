@@ -17,20 +17,22 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from .lipclass import Orientation, critical_data
-from .polyalg import UniPoly
+from .polyalg import UniPoly, sign
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
 
 
 class PLMap:
     """Monotone bijection of the reals, described symbolically."""
 
-    def limit_slope(self) -> RealAlg:
-        """The common two-sided limit of m(t)/t, exact."""
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        """(sign, R, n): the limit slope is sign * R**(1/n), R exact (0 iff sign is)."""
         raise NotImplementedError
 
-    def slope_sign(self) -> int:
-        """The sign of limit_slope()."""
-        return self.limit_slope().sign()
+    def limit_slope(self) -> RealAlg:
+        """The common two-sided limit of m(t)/t, exact."""
+        sgn, R, n = self.slope_power()
+        mag = nth_root_pos(R, n) if sgn else R
+        return mag if sgn > 0 else -mag
 
     def inverse(self) -> "PLMap":
         raise NotImplementedError
@@ -49,8 +51,8 @@ class Affine(PLMap):
     a: Fraction
     b: Fraction
 
-    def limit_slope(self) -> RealAlg:
-        return RealAlg.from_rational(self.a)
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        return sign(self.a), RealAlg.from_rational(abs(self.a)), 1
 
     def inverse(self) -> "PLMap":
         return Affine(1 / self.a, -self.b / self.a)
@@ -85,29 +87,16 @@ class BranchMap(PLMap):
         self.crits_g: tuple[RealAlg, ...] = tuple(crits_g)
         self._flt = None
 
-    def _slope_ratio(self) -> RealAlg:
-        """c*lc(f)/lc(g), whose |.|**(1/deg) is |limit_slope()|, after
-        checking that it fits the degrees and the orientation."""
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        """(orientation, |c*lc(f)/lc(g)|, deg f), once the ratio fits both."""
         deg = self.f.degree
         if deg != self.g.degree or deg < 1:
             raise ArithmeticError("branch map between heights of different or zero degree; internal bug")
         ratio = self.c * Fraction(self.f.leading, self.g.leading)
-        if deg % 2 == 1:
-            if (ratio.sign() > 0) != self.increasing:
-                raise ArithmeticError("odd branch map against the sign of c*lc(f)/lc(g); internal bug")
-        elif ratio.sign() <= 0:
-            raise ArithmeticError("even branch map with c*lc(f)/lc(g) not positive; internal bug")
-        return ratio
-
-    def limit_slope(self) -> RealAlg:
-        mag = nth_root_pos(abs_alg(self._slope_ratio()), self.f.degree)
-        return mag if self.increasing else -mag
-
-    def slope_sign(self) -> int:
-        """The orientation's sign, once the ratio passes limit_slope's
-        checks; the root is not taken."""
-        self._slope_ratio()
-        return 1 if self.increasing else -1
+        rs = ratio.sign()  # c*lc(f)/lc(g) > 0 for an even map, of the orientation's sign for an odd one
+        if (rs > 0) != (self.increasing or deg % 2 == 0):
+            raise ArithmeticError("branch map against the sign of c*lc(f)/lc(g); internal bug")
+        return (1 if self.increasing else -1), (ratio if rs > 0 else -ratio), deg
 
     def inverse(self) -> "PLMap":
         return BranchMap(
@@ -167,8 +156,10 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     them, x: with q = (y - g)/g' and r = g''q/2g', to x + q - rq, or to x + q
     when |r| > 1/2 or x + q - rq leaves the bracket.  When x + q leaves the
     bracket or |q| is over half the step before, it bisects instead (rtsafe;
-    Press et al., Numerical Recipes, section 9.4), as a run's first y does.
-    At a point x stepped to from x0, it returns x + q unevaluated once
+    Press et al., Numerical Recipes, section 9.4), as a run's first y does,
+    except that the run's first x + q past an end that the pushing set, g
+    there being y to 1e-15 |y|, goes to that end.  At a point x stepped to
+    from x0, it returns x + q unevaluated once
     |q| <= 1e-16 s, s = max(1, |x + q|), or K q^2 <= 1e-16 s with
     K = max(|g''(x0)|, |g''(x)|) / 2|g'(x)|: g''(x) alone is 0 at an
     inflection, and a midpoint or the last y's point was not stepped to.  It
@@ -178,13 +169,14 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     _, g, lo, hi, glo, ghi = branch
     a = lo if lo > -math.inf else (hi if hi < math.inf else 0.0) - 1.0
     b = hi if hi < math.inf else (lo if lo > -math.inf else 0.0) + 1.0
-    gb, sa, sb = ghi, max(1.0, abs(a)), max(1.0, abs(b))
-    while lo == -math.inf < a and g.eval_float(a) >= ys[0]:  # an unbounded end, not yet at -inf
+    ga, gb, sa, sb = glo, ghi, max(1.0, abs(a)), max(1.0, abs(b))
+    while lo == -math.inf < a and (ga := g.eval_float(a)) >= ys[0]:  # an unbounded end, not yet at -inf
         a, sa = a - sa, 2.0 * sa
     while hi == math.inf > b and (gb := g.eval_float(b)) <= ys[-1]:
         b, sb = b + sb, 2.0 * sb
     g_d2, top, gtop, nan, inf = g.eval_float_d2, b, gb, math.nan, math.inf
     x = v = d = h = nan  # no point evaluated yet: the first step bisects
+    pa, pb = (a if lo == -inf else nan), (b if hi == inf else nan)  # the pushed ends, until one is tried
     for y in ys:
         if not glo < y < ghi:  # at or a rounding error past a critical end's value
             yield lo if y <= glo else hi
@@ -209,7 +201,9 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
                 nx = x  # a step of rounding size, or no midpoint left
                 break
             else:  # no point yet, g' = 0 or a failed step: bisect; a midpoint's step is half the bracket
-                c, hh, nx = nan, 0.0625 * (b - a) * (b - a), 0.5 * (a + b)
+                c, hh, e = nan, 0.0625 * (b - a) * (b - a), 1e-15 * abs(y)
+                end = nx <= a == pa and y - ga <= e or nx >= b == pb and gb - y <= e  # try that end instead
+                nx, pa, pb = ((a if nx <= a else b), nan, nan) if end else (0.5 * (a + b), pa, pb)
             x = nx
             v, d, h = g_d2(x)
             if v > y:
@@ -227,8 +221,9 @@ class Neg(PLMap):
 
     inner: PLMap
 
-    def limit_slope(self) -> RealAlg:
-        return -self.inner.limit_slope()
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        sgn, R, n = self.inner.slope_power()
+        return -sgn, R, n
 
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), Affine(Fraction(-1), Fraction(0)))
@@ -246,8 +241,8 @@ class NegConj(PLMap):
 
     inner: PLMap
 
-    def limit_slope(self) -> RealAlg:
-        return self.inner.limit_slope()
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        return self.inner.slope_power()
 
     def inverse(self) -> "PLMap":
         return NegConj(self.inner.inverse())
@@ -266,8 +261,9 @@ class Compose(PLMap):
     outer: PLMap
     inner: PLMap
 
-    def limit_slope(self) -> RealAlg:
-        return self.outer.limit_slope() * self.inner.limit_slope()
+    def slope_power(self) -> tuple[int, RealAlg, int]:
+        (so, ro, no), (si, ri, ni) = self.outer.slope_power(), self.inner.slope_power()
+        return so * si, pow_int(ro, ni) * pow_int(ri, no), no * ni
 
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), self.outer.inverse())
@@ -339,21 +335,20 @@ def inverse(z: Zygothety) -> Zygothety:
 def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
     """Exact test of |lam1|^beta * L1 == |lam2|^beta * L2 with beta = r/s.
 
-    Both sides are raised to the s-th power so the comparison stays inside
-    real algebraic arithmetic; signs are compared separately.  When lam2 is
-    lam1 and phi2 is phi1 or its NegConj, which keeps the limit slope, both
-    sides are one number, and the test is that L1 is nonzero.
+    With L_i = sign_i * R_i**(1/n_i) and N = lcm(n1, n2), both sides are
+    raised to the power s*N, so no root is taken; signs are compared
+    separately.  When lam2 is lam1 and phi2 is phi1 or its NegConj, which
+    keeps the limit slope, both sides are one number: L1 must be nonzero.
     """
     same_slope = z.phi2 is z.phi1 or (isinstance(z.phi2, NegConj) and z.phi2.inner is z.phi1)
     if z.lam2 is z.lam1 and same_slope:
-        return z.phi1.slope_sign() != 0
-    L1 = z.phi1.limit_slope()
-    L2 = z.phi2.limit_slope()
-    s1, s2 = L1.sign(), L2.sign()
-    if s1 == 0 or s2 == 0 or s1 != s2:
+        return z.phi1.slope_power()[0] != 0
+    (s1, R1, n1), (s2, R2, n2) = z.phi1.slope_power(), z.phi2.slope_power()
+    if s1 == 0 or s1 != s2:
         return False
-    lhs = pow_int(abs_alg(z.lam1), r) * pow_int(abs_alg(L1), s)
-    rhs = pow_int(abs_alg(z.lam2), r) * pow_int(abs_alg(L2), s)
+    N = math.lcm(n1, n2)
+    lhs = pow_int(abs_alg(z.lam1), r * N) * pow_int(R1, s * N // n1)
+    rhs = pow_int(abs_alg(z.lam2), r * N) * pow_int(R2, s * N // n2)
     return compare(lhs, rhs) == 0
 
 

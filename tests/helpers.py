@@ -22,8 +22,8 @@ from qhlip.polyalg import (
     square_free_part,
 )
 from qhlip.qhdecide import QHPoly, validate_qh
-from qhlip.realalg import RealAlg, compare, inverse, mul
-from qhlip.zygothety import BranchMap, Neg, NegConj
+from qhlip.realalg import RealAlg, abs_alg, compare, inverse, mul, nth_root_pos, pow_int
+from qhlip.zygothety import Affine, BranchMap, Compose, Neg, NegConj, Zygothety
 from qhlip.witness import (
     LIPSCHITZ_SAMPLES,
     LIPSCHITZ_SEED,
@@ -182,6 +182,44 @@ def ref_proportional(avals: Sequence[RealAlg], bvals: Sequence[RealAlg]) -> CSet
     if any(compare(r, ratios[0]) != 0 for r in ratios[1:]):
         return None
     return CSet(ratios[0])
+
+
+def ref_to_float(a: RealAlg) -> float:
+    """RealAlg.to_float as refine-then-round, with nothing remembered: the
+    midpoint of a's box refined below 2**-80, rounded to double.  Raises
+    OverflowError beyond the float range."""
+    r = a if a.is_rational else a.refine(Fraction(1, 2**80))
+    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
+
+
+def ref_limit_slope(m) -> RealAlg:
+    """The limit slope of a line map, with the n-th root taken at each
+    BranchMap and slopes multiplied through Compose."""
+    if isinstance(m, Affine):
+        return RealAlg.from_rational(m.a)
+    if isinstance(m, BranchMap):
+        mag = nth_root_pos(abs_alg(m.c * Fraction(m.f.leading, m.g.leading)), m.f.degree)
+        return mag if m.increasing else -mag
+    if isinstance(m, Neg):
+        return -ref_limit_slope(m.inner)
+    if isinstance(m, NegConj):
+        return ref_limit_slope(m.inner)
+    if isinstance(m, Compose):
+        return ref_limit_slope(m.outer) * ref_limit_slope(m.inner)
+    raise TypeError(m)
+
+
+def ref_is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
+    """|lam1|^beta * L1 == |lam2|^beta * L2 with beta = r/s, both sides
+    raised to the s-th power, on the limit slopes of ref_limit_slope: the
+    reference for zygothety.is_beta_regular, which takes no root."""
+    L1, L2 = ref_limit_slope(z.phi1), ref_limit_slope(z.phi2)
+    s1, s2 = L1.sign(), L2.sign()
+    if s1 == 0 or s2 == 0 or s1 != s2:
+        return False
+    lhs = pow_int(abs_alg(z.lam1), r) * pow_int(abs_alg(L1), s)
+    rhs = pow_int(abs_alg(z.lam2), r) * pow_int(abs_alg(L2), s)
+    return compare(lhs, rhs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +623,9 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
     or to x + q when r**2 > 1/4 or that point leaves the bracket.  A step
     that fails returns x when |q| <= 1e-15 |x|; otherwise the bracket's
     midpoint is next (x when no midpoint is left), as it is with no point
-    evaluated yet or g' = 0.  A point where g is y is returned."""
+    evaluated yet or g' = 0, except that the run's first step past a
+    bracket end that the pushing set, where g is y up to 1e-15 |y|, goes to
+    that end instead.  A point where g is y is returned."""
     lo = crit_floats[j - 1] if j >= 1 else -math.inf
     hi = crit_floats[j] if j < len(crit_floats) else math.inf
     inside = (Fraction(lo) + Fraction(hi)) / 2 if -math.inf < lo and hi < math.inf else (
@@ -609,6 +649,7 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
             b += step
             step *= 2.0
     top, out, x = b, [0.0] * len(ys), None  # x, v, d, h: g, g', g'' at the last point evaluated
+    pushed = ({a} if lo == -math.inf else set()) | ({b} if hi == math.inf else set())
     for k in order:
         y = vals[k]
         if lo > -math.inf and y <= g.eval_float(lo):
@@ -637,7 +678,13 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
                 u = x
                 break
             else:
-                x0_h, bound, nx = None, 0.0625 * (b - a) * (b - a), (a + b) / 2
+                x0_h, bound = None, 0.0625 * (b - a) * (b - a)
+                end = None if x is None else a if nx <= a else b if nx >= b else None
+                if end in pushed and abs(g.eval_float(end) - y) <= 1e-15 * abs(y):
+                    pushed.clear()
+                    nx = end
+                else:
+                    nx = (a + b) / 2
             x = nx
             v, d, h = g.eval_float_d2(x)
             if v > y:

@@ -31,6 +31,13 @@ CASES = [
         1,
         ["classify2", "-X^7 - 2*X^4*Y - 2*X*Y^2", "-2*X^7 - 2*X^4*Y + X*Y^2", "--beta", "3/1"],
     ),
+    # necessity condition (a) at its boundary: one zero per height of G, X does
+    # not divide F, and nothing else makes the verdict NotEquivalent
+    (
+        "necessity_a_at_one_zero",
+        1,
+        ["classify2", "2*X^4 + 3*X^2*Y + 3*Y^2", "2*X^4 - X^2*Y", "--beta", "2/1"],
+    ),
     # condition (a) blocked only by X dividing the other side: F's heights have
     # 1 and 3 zeros, but X^3 divides G, so no condition applies
     (

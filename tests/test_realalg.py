@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -34,6 +35,7 @@ from helpers import (
     gcd_count_sign_at,
     rand_nonzero_rational,
     rand_unipoly,
+    ref_to_float,
 )
 
 
@@ -420,34 +422,40 @@ class TestRefineAndFloat:
         assert repr(root) == "RealAlg(UniPoly(t^2 - 2) on (4/3, 3/2))"
 
 
-def refined_float(a):
-    """to_float's rule on a fresh refinement, with nothing remembered."""
-    r = a.refine(F(1, 2**80))
-    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
-
-
 def count_refines(monkeypatch):
-    """Record the number each RealAlg.refine call is made on."""
-    calls = []
-    inner = RealAlg.refine
+    """Record the number each RealAlg.refine call is made on, and the box
+    of each Sturm count, with the count cache emptied first."""
+    calls, counts = [], []
+    inner, inner_count = RealAlg.refine, realalg.count_roots_between
 
     def counted(self, width):
         calls.append(self)
         return inner(self, width)
 
+    def counted_sturm(p, lo, hi):
+        counts.append((p, lo, hi))
+        return inner_count(p, lo, hi)
+
+    realalg._count_pair.cache_clear()
     monkeypatch.setattr(RealAlg, "refine", counted)
-    return calls
+    monkeypatch.setattr(realalg, "count_roots_between", counted_sturm)
+    return calls, counts
 
 
 class TestFloatMemo:
-    """to_float refines and rounds once per number and keeps lo and hi."""
+    """to_float rounds once per number, with at most one Sturm count, and
+    keeps lo and hi."""
 
     def test_two_calls_make_one_refine(self, monkeypatch):
+        # a certified rounding refines once, by one halving that makes
+        # refine's entry check; the box is Sturm-counted once, and the
+        # second call reads the kept float
         root = isolate_real_roots(P(1, -3, 0, 1))[0]
-        calls = count_refines(monkeypatch)
+        calls, counts = count_refines(monkeypatch)
         first = root.to_float()
+        assert [c is root for c in calls] == [True] and counts == [(root.defpoly, root.lo, root.hi)]
         assert float(root).hex() == first.hex() == root.to_float().hex()
-        assert calls == [root]
+        assert len(calls) == len(counts) == 1
 
     def test_memo_matches_a_fresh_number(self):
         rng = random.Random(109)
@@ -455,7 +463,7 @@ class TestFloatMemo:
         for _ in range(30):
             for root in isolate_real_roots(rand_squarefree(rng, 6)):
                 fresh = RealAlg(root.defpoly, root.lo, root.hi)
-                want = refined_float(root)
+                want = ref_to_float(root)
                 assert fresh.to_float().hex() == want.hex()
                 assert root.to_float().hex() == want.hex()
                 assert root.to_float().hex() == want.hex()
@@ -477,12 +485,88 @@ class TestFloatMemo:
         cf, cg = tuple(isolate_real_roots(f.derivative())), tuple(isolate_real_roots(g.derivative()))
         assert not any(x.is_rational for x in cf + cg)
         m = BranchMap(RealAlg.from_rational(1), True, f, g, cf, cg)
-        calls = count_refines(monkeypatch)
+        calls, counts = count_refines(monkeypatch)
         for t in (-2.0, 0.25, 3.0):
             m.eval_float(t)
             m.inverse().eval_float(t)
         for x in cf + cg:
             assert sum(c is x for c in calls) == 1
+            assert counts.count((x.defpoly, x.lo, x.hi)) == 1
+
+
+#: non-squares, for square roots that are irrational
+NON_SQUARES = (2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15)
+
+
+@st.composite
+def near_ties(draw):
+    """The root of (t - m)(t - m - 1) - e near m, about m - e, where
+    m = (x + next)/2 is the rounding boundary above a double x and
+    |e| = j * 2**-90 < 2**-75, on the box between m and m - 2e widened by up
+    to 2**-70 on each side, so that refining's midpoints fall anywhere
+    within 2**-81 of the root.  The root is simple, with slope about -1, so
+    Newton's float root is accurate, and its distance from m decides
+    whether rounding is certified."""
+    x = draw(st.floats(min_value=2.0**-20, max_value=2.0**40)) * draw(st.sampled_from((-1, 1)))
+    m = (F(x) + F(math.nextafter(x, math.inf))) / 2
+    e = F(draw(st.integers(1, 2**15 - 1)), 2**90) * draw(st.sampled_from((-1, 1)))
+    w1, w2 = (F(draw(st.integers(0, 2**20)), 2**90) for _ in range(2))
+    return RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), min(m, m - 2 * e) - w1, max(m, m - 2 * e) + w2)
+
+
+def scaled_root(c: int, k: int) -> RealAlg:
+    """sqrt(c) * 2**k on its box from nth_root_pos."""
+    return nth_root_pos(RealAlg.from_rational(F(c) * F(4) ** k), 2)
+
+
+class TestCertifiedRounding:
+    """to_float gives the bits of refine-then-round (helpers.ref_to_float) on
+    every number, whether the rounding is certified or falls back."""
+
+    @staticmethod
+    def assert_reference_bits(a: RealAlg):
+        fresh = RealAlg(a.defpoly, a.lo, a.hi)
+        assert fresh.to_float().hex() == ref_to_float(a).hex(), a
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=9), st.integers(0, 8))
+    def test_roots_of_drawn_polynomials(self, coeffs, j):
+        roots = [r for r in isolate_real_roots(P(*coeffs)) if not r.is_rational] if any(coeffs[1:]) else []
+        assume(roots)
+        self.assert_reference_bits(roots[j % len(roots)])
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(near_ties())
+    def test_near_ties(self, a):
+        self.assert_reference_bits(a)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(NON_SQUARES),
+        st.one_of(st.integers(990, 1010), st.integers(-1010, -990), st.integers(-1070, -1030)),
+    )
+    def test_extreme_magnitudes_and_subnormals(self, c, k):
+        # sqrt(c) * 2**k near 2**1000 and 2**-1000, and in the subnormal range;
+        # below 2**-28 no double is certified, and refining decides
+        self.assert_reference_bits(scaled_root(c, k))
+
+    def test_beyond_the_float_range_raises(self):
+        huge = scaled_root(2, 1030)
+        for f in (ref_to_float, lambda a: RealAlg(a.defpoly, a.lo, a.hi).to_float()):
+            with pytest.raises(OverflowError):
+                f(huge)
+
+    def test_a_tie_falls_back(self, monkeypatch):
+        # the root is about 2**-90 above the rounding boundary between 1 and
+        # its successor: no double is certified, and refining a's own box
+        # below 2**-80 decides, after the halving
+        m = 1 + F(1, 2**53)
+        e = -F(1, 2**90)
+        a = RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), m, m - 4 * e)
+        want = ref_to_float(RealAlg(a.defpoly, a.lo, a.hi))
+        calls, counts = count_refines(monkeypatch)
+        assert a.to_float() == want == 1.0000000000000002
+        assert [c is a for c in calls] == [True, True] and len(counts) == 1
 
 
 class TestSimplestBetween:

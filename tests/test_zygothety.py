@@ -30,7 +30,7 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly, ref_branch_inversions
+from helpers import rand_qhpoly, ref_branch_inversions, ref_is_beta_regular, ref_limit_slope
 
 
 def ra(x):
@@ -361,6 +361,77 @@ def bits(x: float) -> str:
     return x.hex()
 
 
+def scaled_pair_certificates():
+    """(F, certificate) for the Equivalent pairs (F, F(aX, bY)) of drawn
+    quasihomogeneous F: zygotheties that make_regular built."""
+
+    def certify(args):
+        seed, (a, b) = args
+        q = rand_qhpoly(random.Random(seed), betas=((2, 1), (3, 1), (4, 1), (5, 3), (3, 2)))
+        return q, decide(q, validate_qh(q.poly.scale_vars(a, b), q.r, q.s)).certificate
+
+    scalings = st.tuples(*[st.fractions(-3, 3, max_denominator=3).filter(bool)] * 2)
+    return st.tuples(st.integers(0, 2**32), scalings).map(certify).filter(lambda qc: qc[1] is not None)
+
+
+class TestBetaRegularOnRationalPowers:
+    """is_beta_regular, on integer powers of the slopes' radicands, answers
+    as the reference that takes each limit slope's root
+    (helpers.ref_is_beta_regular)."""
+
+    @few_pairs
+    @given(scaled_pair_certificates())
+    def test_matches_the_reference(self, qc):
+        q, cert = qc
+        z = cert.zygothety
+        for w in (z, rebuilt(z), inverse(z), compose(z, z), compose(inverse(z), z)):
+            assert is_beta_regular(w, q.r, q.s) is ref_is_beta_regular(w, q.r, q.s) is True
+        # mutants: the second scale doubled, and the second map negated
+        for w in (
+            Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2),
+            Zygothety(z.lam1, z.lam2, z.phi1, Neg(z.phi2)),
+        ):
+            assert is_beta_regular(w, q.r, q.s) is ref_is_beta_regular(w, q.r, q.s) is False
+
+    @few_pairs
+    @given(
+        st.sampled_from(((2, 1), (3, 2), (5, 2), (5, 3))),
+        *[st.fractions(F(1, 3), 3).filter(bool)] * 3,
+        *[st.integers(1, 4)] * 2,
+        st.sampled_from((-1, 1)),
+    )
+    def test_balanced_scales_and_slopes(self, rs, u, v, w, n1, n2, sgn):
+        # |lam_i|^beta = u^r and v^r, and L_i = (c_i)**(1/n_i) = v^r w and u^r w
+        # on maps t^n_i -> t^n_i scaled by c_i: regular with distinct scales,
+        # slopes and root orders
+        r, s = rs
+
+        def power_map(c, n):
+            t_n = UniPoly([0] * n + [1])
+            return BranchMap(ra(c), True, t_n, t_n, (), ())
+
+        z = Zygothety(ra(sgn * u**s), ra(sgn * v**s), power_map((v**r * w) ** n1, n1), power_map((u**r * w) ** n2, n2))
+        swapped = Zygothety(z.lam1, z.lam2, z.phi2, z.phi1)
+        assert is_beta_regular(z, r, s) is ref_is_beta_regular(z, r, s) is True
+        assert is_beta_regular(swapped, r, s) is ref_is_beta_regular(swapped, r, s) is (u == v)
+        for mutant in (Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2), Zygothety(z.lam1, z.lam2, z.phi1, Neg(z.phi2))):
+            assert is_beta_regular(mutant, r, s) is ref_is_beta_regular(mutant, r, s) is False
+
+    def test_slope_powers(self):
+        # the limit slope of each map is sign * R**(1/n)
+        m = BranchMap(ra(F(1, 2)), True, UniPoly([0, 0, 0, 2]), UniPoly([0, 0, 0, 1]), (), ())
+        assert [x if isinstance(x, int) else x.lo for x in m.slope_power()] == [1, 1, 3]
+        for w, (sgn, R, n) in (
+            (Affine(F(-3), F(1)), (-1, 3, 1)),
+            (Neg(m), (-1, 1, 3)),
+            (NegConj(Neg(m)), (-1, 1, 3)),
+            (Compose(Affine(F(4), F(0)), Compose(m, m)), (1, 4**9, 9)),
+        ):
+            got = w.slope_power()
+            assert (got[0], got[1].lo, got[2]) == (sgn, R, n) and got[1].is_rational
+            assert w.limit_slope() == ref_limit_slope(w)
+
+
 class TestSymmetricShortcuts:
     """is_beta_regular and action_residual skip the second component of a
     symmetric zygothety; the answer must be bit for bit the full path's."""
@@ -386,15 +457,19 @@ class TestSymmetricShortcuts:
         assert z.lam2 is z.lam1 and z.phi2 is z.phi1 and sides[1] == sides[0]
         twin = rebuilt(z)
         calls = []
-        real_eval, real_pow = BranchMap.eval_float, zygothety.pow_int
+        real_eval, real_pow, real_root = BranchMap.eval_float, zygothety.pow_int, zygothety.nth_root_pos
         monkeypatch.setattr(BranchMap, "eval_float", lambda m, t: calls.append("eval") or real_eval(m, t))
-        monkeypatch.setattr(zygothety, "pow_int", lambda a, k: calls.append("pow") or real_pow(a, k))
+        monkeypatch.setattr(zygothety, "pow_int", lambda a, k: calls.append(("pow", a.is_rational)) or real_pow(a, k))
+        monkeypatch.setattr(zygothety, "nth_root_pos", lambda a, n: calls.append("root") or real_root(a, n))
         short = action_residual(z, Fq.d, sides), is_beta_regular(z, 2, 1)
         short_calls, calls[:] = list(calls), []
         full = action_residual(twin, Fq.d, sides), is_beta_regular(twin, 2, 1)
         assert (bits(short[0]), short[1]) == (bits(full[0]), full[1])
-        assert short_calls.count("eval") == RESIDUAL_SAMPLES and "pow" not in short_calls
-        assert calls.count("eval") == 2 * RESIDUAL_SAMPLES and calls.count("pow") == 4
+        # the shortcut takes no power; the full path takes integer powers of
+        # the rational scale and slope ratio, and no root
+        assert short_calls == ["eval"] * RESIDUAL_SAMPLES
+        assert calls.count("eval") == 2 * RESIDUAL_SAMPLES and "root" not in calls
+        assert [c for c in calls if c != "eval"] == [("pow", True)] * 4
 
     def test_branch_shortcut_takes_no_root(self, monkeypatch):
         # a BranchMap's slope sign is its orientation once limit_slope's
@@ -405,11 +480,11 @@ class TestSymmetricShortcuts:
         roots, real_root = [], zygothety.nth_root_pos
         monkeypatch.setattr(zygothety, "nth_root_pos", lambda a, n: roots.append(n) or real_root(a, n))
         assert is_beta_regular(z, 2, 1) and not roots
-        assert z.phi1.slope_sign() == z.phi1.limit_slope().sign() == (1 if z.phi1.increasing else -1)
+        assert z.phi1.slope_power()[0] == z.phi1.limit_slope().sign() == (1 if z.phi1.increasing else -1)
         assert roots
         one, cubic, square = RealAlg.from_rational(1), UniPoly((0, 0, 0, 1)), UniPoly((0, 0, 1))
         with pytest.raises(ArithmeticError, match="different or zero degree"):
-            BranchMap(one, True, cubic, square, (), ()).slope_sign()
+            BranchMap(one, True, cubic, square, (), ()).slope_power()
 
     @pytest.mark.parametrize("slope", [F(0), F(-2), F(3)])
     def test_shortcut_reads_the_slope_sign(self, slope):
@@ -533,6 +608,23 @@ class TestInvertOnBranch:
             got = []
             assert len(d2_points(g, lambda: got.append(m.eval_float(y)))) <= 6
             assert_solves(g, crits, j, y, got[0])
+
+    def test_root_on_a_pushed_end_is_tried_there(self):
+        # the lower end pushed out from the critical point 1.435 stops at
+        # -2.5649272846569255, where g is y to one ulp; Newton's steps from
+        # inside overshoot that end, and bisecting down to it took 54 passes
+        g, y = UniPoly([-4, 9, -8, 8, -3]), -344.55325678723835
+        points = critical_data(g).points
+        m = branch_inverse(g, points, 0)
+        m.eval_float(y)  # the map's floats, before counting
+        got, count, reals = [], [0], {n: getattr(UniPoly, n) for n in ("eval_float", "eval_float_d2")}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, real in reals.items():
+                mp.setattr(UniPoly, name, lambda p, x, real=real: count.__setitem__(0, count[0] + 1) or real(p, x))
+            got.append(m.eval_float(y))
+        assert count[0] <= 12
+        assert_solves(g, [c.to_float() for c in points], 0, y, got[0])
+        assert got == ref_branch_inversions(g, [c.to_float() for c in points], 0, [y])
 
     def test_no_preimage_raises(self):
         # a constant g has no branch to invert on: critical_data refuses it,
