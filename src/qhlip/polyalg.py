@@ -218,6 +218,11 @@ def _poly(cs: list[int], content: Fraction = _ONE) -> UniPoly:
     return _raw(tuple(cs), content * g)
 
 
+def linear_root(v: Fraction) -> UniPoly:
+    """t - v, built directly as (1/d) (d t - n) for v = n/d in lowest terms."""
+    return _raw((-v.numerator, v.denominator), Fraction(1, v.denominator))
+
+
 def _coeff_prefix(c: Fraction, monomial: str) -> str:
     if monomial == "":
         return str(c)

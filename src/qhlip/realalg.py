@@ -31,10 +31,9 @@ checks the invariant once on entry, by a Sturm count cached per box, and
 raises ArithmeticError when it fails; the only other Sturm counts isolate
 roots.  New defpolys are built from the integer coefficients `UniPoly.ints`.
 
-`to_float` gives, once per number, the double that the midpoint of the box
-refined below 2**-80 rounds to, from a float root that two exact signs
-certify where they can (`_rounded`); it keeps the float in a slot and leaves
-lo and hi as they were, since the JSON renders the interval from them.
+`to_float` gives once the double that the box's midpoint, refined below
+2**-80, rounds to, certified by two exact signs where they can (`_rounded`);
+lo and hi stay as they were, since the JSON renders the interval from them.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .polyalg import (
     cauchy_root_bound,
     count_roots_between,
     interval_eval,
+    linear_root,
     poly_gcd,
     resultant,
     sign,
@@ -108,8 +108,8 @@ class RealAlg:
 
     @staticmethod
     def from_rational(value: RatLike) -> "RealAlg":
-        v = Fraction(value)
-        return RealAlg(UniPoly((-v, 1)), v, v)
+        v = value if type(value) is Fraction else Fraction(value)
+        return RealAlg(linear_root(v), v, v)
 
     # -- basic queries -----------------------------------------------------
 
@@ -213,15 +213,11 @@ def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
 
 def _rounded(a: RealAlg) -> float:
     """to_float of an irrational a: Newton's float root x in a's box halved
-    once by refine (rtsafe to a relative step of 1e-12, then one step with
-    the defpoly exact) when two exact signs put a strictly between
-    (prev + x)/2 + 2**-81 and (x + next)/2 - 2**-81, prev and next the
-    doubles beside x, so that every midpoint within 2**-81 of a rounds to x;
-    else the midpoint of a's box refined below 2**-80."""
+    once by refine (rtsafe to a relative step of 1e-12, then one exact step),
+    when two exact signs put a inside x's rounding interval shrunk by 2**-81
+    at each end, so that every 2**-80 box's midpoint rounds to x; else refine."""
     r = a.refine((a.hi - a.lo) / 2)  # refine's entry check, and one halving
-    if r.is_rational:
-        return float(r.lo)
-    p, s_lo = r.defpoly, r.defpoly.sign_at(r.lo)
+    p, s_lo = r.defpoly, r.defpoly.sign_at(r.lo)  # 0 if the halving hit a rational a: no sign matches
     try:
         x0, x1, x = float(r.lo), float(r.hi), float((r.lo + r.hi) / 2)
         for _ in range(100):
@@ -233,13 +229,14 @@ def _rounded(a: RealAlg) -> float:
             x = x - q if x0 < x - q < x1 else 0.5 * x0 + 0.5 * x1
         x -= float(p(Fraction(x))) / p.eval_float_d(x)[1]
         ratios = [y.as_integer_ratio() for y in (nextafter(x, -inf), x, nextafter(x, inf))]
+    except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan or a zero derivative
+        pass
+    else:
         m = max(2**82, *(d for _, d in ratios))  # prev, x and next over m; the bounds over 2m
         prev, xm, nxt = (n * (m // d) for n, d in ratios)
         below, above, m = prev + xm + (m >> 80), nxt + xm - (m >> 80), 2 * m
         if below < above and p.sign_at_ratio(below, m) == s_lo and p.sign_at_ratio(above, m) == -s_lo:
             return x
-    except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan or a zero derivative
-        pass
     r = a.refine(_FLOAT_WIDTH)  # from a's own box, as the bisection that the halving began
     return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
 

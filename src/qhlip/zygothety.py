@@ -159,8 +159,8 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     Press et al., Numerical Recipes, section 9.4), as a run's first y does,
     except that the run's first x + q past an end that the pushing set, g
     there being y to 1e-15 |y|, goes to that end.  At a point x stepped to
-    from x0, it returns x + q unevaluated once
-    |q| <= 1e-16 s, s = max(1, |x + q|), or K q^2 <= 1e-16 s with
+    from x0, it returns x + q unevaluated once |q| <= 1e-16 s, with
+    s = max(1, |x + q|), or K q^2 <= 1e-16 s, with
     K = max(|g''(x0)|, |g''(x)|) / 2|g'(x)|: g''(x) alone is 0 at an
     inflection, and a midpoint or the last y's point was not stepped to.  It
     returns x when a step of rounding size (1e-15 |x|) fails the safeguard,
@@ -202,7 +202,7 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
                 break
             else:  # no point yet, g' = 0 or a failed step: bisect; a midpoint's step is half the bracket
                 c, hh, e = nan, 0.0625 * (b - a) * (b - a), 1e-15 * abs(y)
-                end = nx <= a == pa and y - ga <= e or nx >= b == pb and gb - y <= e  # try that end instead
+                end = nx <= a == pa and y - ga <= e or nx >= b == pb and gb - y <= e  # past a pushed end where g is y
                 nx, pa, pb = ((a if nx <= a else b), nan, nan) if end else (0.5 * (a + b), pa, pb)
             x = nx
             v, d, h = g_d2(x)
