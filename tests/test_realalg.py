@@ -558,11 +558,11 @@ class TestCertifiedRounding:
 
     def test_a_tie_falls_back(self, monkeypatch):
         # the root is about 2**-90 above the rounding boundary between 1 and
-        # its successor: no double is certified, and refining a's own box
-        # below 2**-80 decides, after the halving
+        # its successor: no double is certified, and refining a's own box,
+        # 2**-70 wide, below 2**-80 decides, after the halving
         m = 1 + F(1, 2**53)
         e = -F(1, 2**90)
-        a = RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), m, m - 4 * e)
+        a = RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), m, m + F(1, 2**70))
         want = ref_to_float(RealAlg(a.defpoly, a.lo, a.hi))
         calls, counts = count_refines(monkeypatch)
         assert a.to_float() == want == 1.0000000000000002
