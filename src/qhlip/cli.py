@@ -219,14 +219,14 @@ def cmd_scan(args) -> int:
     base_bindings = _parse_lets(args.let, args.family)
     if args.param in base_bindings:
         raise CliError(f"parameter {args.param!r} is the --param and cannot be bound by --let")
+    if args.param not in identifiers(args.family):
+        raise CliError(f"parameter {args.param!r} is the --param but the family does not name it")
     values = [parse_rational(v) for v in raw_values]
     polys: list[QHPoly] = []
     for v in values:
         bindings = dict(base_bindings)
         bindings[args.param] = v
         polys.append(_qh_from_args(args.family, args, bindings))
-    if args.param not in identifiers(args.family):
-        raise CliError(f"parameter {args.param!r} is the --param but the family does not name it")
     n = len(polys)
     verdicts: dict[tuple[int, int], VerdictKind] = {}
     for i in range(n):

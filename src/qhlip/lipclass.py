@@ -10,10 +10,9 @@ similarity of the multiplicity symbols.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polyalg import UniPoly, sign
 from .realalg import RealAlg, compare, eval_alg, isolate_real_roots, sign_at
@@ -33,15 +32,8 @@ class Reason1D(enum.Enum):
     CONSTANT_SIGN_MISMATCH = "ConstantSignMismatch"
 
 
-@dataclass(frozen=True)
-class CSet:
-    """Admissible scaling constants: a forced value or all of (0, oo)."""
-
+class _CSet(NamedTuple):
     c: Optional[RealAlg]  # None means any positive constant works
-
-    def __post_init__(self):
-        if self.c is not None and self.c.sign() <= 0:
-            raise ArithmeticError("scaling constant is not positive; internal bug")
 
     @property
     def is_unique(self) -> bool:
@@ -62,27 +54,42 @@ class CSet:
         return None
 
 
-@dataclass(frozen=True)
-class Pairing1D:
+class CSet(_CSet):
+    """Admissible scaling constants: a forced value or all of (0, oo)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.c is not None and self.c.sign() <= 0:
+            raise ArithmeticError("scaling constant is not positive; internal bug")
+        return self
+
+
+class Pairing1D(NamedTuple):
     orientation: Orientation
     c_set: CSet
 
 
-@dataclass(frozen=True)
-class Verdict1D:
+class _Verdict1D(NamedTuple):
     equivalent: bool
     pairings: tuple[Pairing1D, ...] = ()
     reason: Optional[Reason1D] = None
     # the critical data of (f, g) when their multiplicity symbols refuted it
     symbols: Optional[tuple[CritData, CritData]] = None
 
-    def __post_init__(self):
+
+class Verdict1D(_Verdict1D):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.equivalent != bool(self.pairings):
             raise ArithmeticError("a verdict is equivalent exactly when it has pairings; internal bug")
+        return self
 
 
-@dataclass(frozen=True)
-class CritData:
+class CritData(NamedTuple):
     """Ordered critical points of a nonconstant polynomial function."""
 
     points: tuple[RealAlg, ...]

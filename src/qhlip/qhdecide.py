@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import zygothety as zyg
 from .lipclass import Pairing1D, Verdict1D, classify_pair, critical_data
@@ -40,8 +39,7 @@ class DegreeMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QHPoly:
+class QHPoly(NamedTuple):
     """A validated quasihomogeneous polynomial with its exact invariants."""
 
     poly: BiPoly
@@ -52,8 +50,7 @@ class QHPoly:
     n: int  # top index of the quasihomogeneous expansion
 
 
-@dataclass(frozen=True)
-class HeightPair:
+class HeightPair(NamedTuple):
     f_plus: UniPoly
     f_minus: UniPoly
 
@@ -94,8 +91,7 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
     return QHPoly(F, r, s, d, e, n)
 
 
-@dataclass(frozen=True)
-class BetaInference:
+class BetaInference(NamedTuple):
     matches: tuple[QHPoly, ...]  # F validated at each admissible beta
     ambiguous: bool  # single monomial: a parametric family of betas
 
@@ -139,8 +135,7 @@ def heights(Q: QHPoly) -> HeightPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingOption:
+class PairingOption(NamedTuple):
     """One way to pair the height functions through the group action.
 
     lambda_sign +1 pairs (+) with (+) and (-) with (-); -1 crosses them.
@@ -154,8 +149,7 @@ class PairingOption:
     sides: tuple[tuple[UniPoly, UniPoly], tuple[UniPoly, UniPoly]]
 
 
-@dataclass(frozen=True)
-class PairingFailure:
+class PairingFailure(NamedTuple):
     """Why one scale sign pairs no heights: the 1-D verdict of each side."""
 
     lambda_sign: int
@@ -163,8 +157,7 @@ class PairingFailure:
     minus: Verdict1D
 
 
-@dataclass(frozen=True)
-class PairingSearch:
+class PairingSearch(NamedTuple):
     """The pairing options of (F, G), or why each scale sign has none."""
 
     options: tuple[PairingOption, ...]
@@ -243,8 +236,7 @@ class UnknownKind(enum.Enum):
     SUFFICIENCY_GAP = "SufficiencyGap"
 
 
-@dataclass(frozen=True)
-class OptionTrace:
+class OptionTrace(NamedTuple):
     """The pairing a certificate realizes, with the float residual of the
     action spot-check."""
 
@@ -252,23 +244,20 @@ class OptionTrace:
     residual: float
 
 
-@dataclass(frozen=True)
-class CxdTrace:
+class CxdTrace(NamedTuple):
     """F = a X^d and G = b X^d, paired by x -> (a/b)^(1/d) x, y -> y."""
 
     a: Fraction
     b: Fraction
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     theorem_tag: TheoremTag
     zygothety: zyg.Zygothety
     pairing_trace: OptionTrace | CxdTrace
 
 
-@dataclass(frozen=True)
-class NecessityCondition:
+class NecessityCondition(NamedTuple):
     """A quoted zero condition that licenses non-equivalence.
 
     (a): both heights of `zero_side` have a real zero and X does not divide
@@ -280,15 +269,13 @@ class NecessityCondition:
     zeros: tuple[int, int]  # distinct real zeros of the (+) and (-) heights
 
 
-@dataclass(frozen=True)
-class NEReason:
+class NEReason(NamedTuple):
     kind: NEKind
     necessity: tuple[NecessityCondition, ...] = ()  # which conditions licensed it
     pairing_failures: tuple[PairingFailure, ...] = ()
 
 
-@dataclass(frozen=True)
-class Verdict2D:
+class Verdict2D(NamedTuple):
     kind: VerdictKind
     certificate: Optional[Certificate] = None
     reason: NEReason | UnknownKind | None = None

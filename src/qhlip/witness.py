@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qhdecide import QHPoly, heights
 from .zygothety import PLMap, Zygothety, is_beta_regular
@@ -28,8 +28,7 @@ LIPSCHITZ_SAMPLES = 2000
 LIPSCHITZ_SEED = 20240901
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_rel_residual: float
     tol: float
     lipschitz_ratio_min: float

@@ -14,15 +14,18 @@ import bisect
 import math
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
 from .lipclass import Orientation, critical_data
 from .polyalg import UniPoly, sign
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
 
 
 class PLMap:
-    """Monotone bijection of the reals, described symbolically."""
+    """Monotone bijection of the reals, described symbolically; compared by identity."""
+
+    __slots__ = ()
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         """(sign, R, n): the limit slope is sign * R**(1/n), R exact (0 iff sign is)."""
@@ -44,12 +47,13 @@ class PLMap:
         return [self.eval_float(t) for t in ts]
 
 
-@dataclass(frozen=True)
 class Affine(PLMap):
     """t -> a*t + b with rational a != 0, b."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self.a, self.b = a, b
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         return sign(self.a), RealAlg.from_rational(abs(self.a)), 1
@@ -215,11 +219,13 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
         yield nx
 
 
-@dataclass(frozen=True)
 class Neg(PLMap):
     """t -> -inner(t)."""
 
-    inner: PLMap
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: PLMap):
+        self.inner = inner
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         sgn, R, n = self.inner.slope_power()
@@ -235,11 +241,13 @@ class Neg(PLMap):
         return [-u for u in self.inner.eval_floats(ts)]
 
 
-@dataclass(frozen=True)
 class NegConj(PLMap):
     """t -> -inner(-t); preserves orientation and limit slope."""
 
-    inner: PLMap
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: PLMap):
+        self.inner = inner
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         return self.inner.slope_power()
@@ -254,12 +262,13 @@ class NegConj(PLMap):
         return [-u for u in self.inner.eval_floats([-t for t in ts])]
 
 
-@dataclass(frozen=True)
 class Compose(PLMap):
     """t -> outer(inner(t)); closure node for the group operation."""
 
-    outer: PLMap
-    inner: PLMap
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: PLMap, inner: PLMap):
+        self.outer, self.inner = outer, inner
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         (so, ro, no), (si, ri, ni) = self.outer.slope_power(), self.inner.slope_power()
@@ -277,20 +286,25 @@ class Compose(PLMap):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Zygothety:
+class _Zygothety(NamedTuple):
     lam1: RealAlg
     lam2: RealAlg
     phi1: PLMap
     phi2: PLMap
 
-    def __post_init__(self):
-        if self.lam1.sign() * self.lam2.sign() <= 0:
-            raise ArithmeticError("zygothety scales do not share a sign; internal bug")
-
     @property
     def lam_sign(self) -> int:
         return self.lam1.sign()
+
+
+class Zygothety(_Zygothety):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.lam1.sign() * self.lam2.sign() <= 0:
+            raise ArithmeticError("zygothety scales do not share a sign; internal bug")
+        return self
 
 
 def identity() -> Zygothety:

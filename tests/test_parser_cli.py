@@ -294,7 +294,8 @@ class TestCli:
         "F, error", [("X^4", "beta_ambiguous"), ("X^2 + Y^2", "beta_unavailable")], ids=["monomial", "no_beta"]
     )
     def test_infer_beta_flag_failures(self, capsys, command, F, error):
-        argv = [command, F, "--param", "l", "--values", "1,2"] if command == "scan" else [command, F, F]
+        # scan refuses a family that does not name its --param before parsing a member
+        argv = [command, f"l*({F})", "--param", "l", "--values", "1,2"] if command == "scan" else [command, F, F]
         code, out, err = run_cli_capture(capsys, *argv, "--infer-beta")
         assert code == 3
         assert out == ""
@@ -362,6 +363,17 @@ class TestCli:
         error = json.loads(err)["error"]
         assert error["code"] == "invalid_input"
         assert name in error["message"]
+
+    @pytest.mark.parametrize("values", ["1,2", "1,x"])
+    def test_scan_refuses_an_unnamed_param_before_parsing(self, capsys, monkeypatch, values):
+        calls = []
+        parse_member = cli._qh_from_args
+        monkeypatch.setattr(cli, "_qh_from_args", lambda *a: calls.append(a) or parse_member(*a))
+        argv = ["scan", HP, "--param", "m", f"--values={values}", "--let", "l=1", "--beta", "2/1"]
+        code, out, err = run_cli_capture(capsys, *argv)
+        assert (code, out, calls) == (3, "", [])
+        message = "parameter 'm' is the --param but the family does not name it"
+        assert json.loads(err) == {"error": {"code": "invalid_input", "message": message}}
 
     @pytest.mark.parametrize(
         "argv",
@@ -619,6 +631,19 @@ class TestCli:
                 fresh.stdout,
                 fresh.stderr,
             ), argv
+
+
+def test_start_up_loads_no_dataclasses():
+    # every CLI call is a fresh interpreter that pays for this import, and the
+    # dataclass machinery, with the inspect, ast and dis it loads, costs a third of it
+    src = Path(cli.__file__).resolve().parents[1]
+    script = "import sys, qhlip, qhlip.cli; print(qhlip.__file__); print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))  # this checkout's qhlip, not one installed or on a PYTHONPATH
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    path, loaded = out.stdout.splitlines()
+    assert Path(path).resolve().parents[1] == src
+    assert loaded == "False"
 
 
 def scan_outcome(capsys, monkeypatch, n, kinds):

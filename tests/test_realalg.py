@@ -754,7 +754,6 @@ def test_invariants_hold_under_python_O():
     script = textwrap.dedent(
         """
         import contextlib
-        import dataclasses
         import io
         from fractions import Fraction
         from qhlip import cli
@@ -788,17 +787,15 @@ def test_invariants_hold_under_python_O():
         F = validate_qh(parse_bi("X^6-3*X^4*Y+Y^3"), 2, 1)
         option = pairing_search(F, F).options[0]
         # c = 2 maps the middle branch of t^3 - 3t + 1 past its image
-        wrong_c = dataclasses.replace(
-            option, plus=dataclasses.replace(option.plus, c_set=CSet(RealAlg.from_rational(2)))
-        )
+        wrong_c = option._replace(plus=option.plus._replace(c_set=CSet(RealAlg.from_rational(2))))
         for build in (
             lambda: CSet(RealAlg.from_rational(-1)),
             lambda: Verdict1D(True),
             lambda: Zygothety(one, -one, ident, ident),
             lambda: BranchMap(one, True, cubic, square, (), ()).limit_slope(),
-            lambda: heights(dataclasses.replace(F, n=2)),
+            lambda: heights(F._replace(n=2)),
             lambda: heights(QHPoly(BiPoly({(1, 1): 1, (0, 1): 1}), 2, 1, 3, 0, 1)),
-            lambda: pairing_search(F, dataclasses.replace(F, e=F.e + 1)),
+            lambda: pairing_search(F, F._replace(e=F.e + 1)),
             lambda: _certify(wrong_c, make_regular(wrong_c, F), F, TheoremTag.SUFF_A_PARITY),
         ):
             try:

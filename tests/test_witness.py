@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import importlib.util
 import json
 import math
@@ -173,7 +172,7 @@ class TestVerify:
         assert out["conjugacy_pass"] is True
         assert out["conjugacy_pass"] == (rep.max_rel_residual <= rep.tol)
         assert 0 < rep.max_rel_residual
-        assert not dataclasses.replace(rep, tol=rep.max_rel_residual / 2).conjugacy_pass
+        assert not rep._replace(tol=rep.max_rel_residual / 2).conjugacy_pass
         # 4000 samples give x_count = ceil((4000 - T_COUNT) / (2 * T_COUNT)) = 20
         assert out["samples"] == 2 * 20 * T_COUNT + T_COUNT
         assert out["delta"] == 1.0 and out["tol"] == 1e-8
@@ -508,12 +507,12 @@ class TestQuasihomogeneousIdentity:
         assert value(F(sgn), t) == (pair.f_plus if sgn > 0 else pair.f_minus)(t)
 
 
-@dataclasses.dataclass(frozen=True)
 class BadAt(Affine):
     """t -> t, except the value `bad` at the fiber parameter `at`."""
 
-    at: float = -T_WINDOW
-    bad: float = math.nan
+    def __init__(self, a: F, b: F, at: float = -T_WINDOW, bad: float = math.nan):
+        super().__init__(a, b)
+        self.at, self.bad = at, bad
 
     def eval_float(self, t: float) -> float:
         return self.bad if t == self.at else super().eval_float(t)
