@@ -32,7 +32,7 @@ from .qhdecide import (
     infer_beta,
     validate_qh,
 )
-from .witness import verify
+from .witness import AsymptoticOverflowError, verify
 
 EXIT_EQUIVALENT = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -94,7 +94,7 @@ def _checked(cast, ok, want: str):
 
 def _emit(obj: dict) -> None:
     try:
-        print(json.dumps(obj, indent=2), flush=True)
+        print(json.dumps(obj, indent=2, allow_nan=False), flush=True)  # NaN and Infinity are not JSON
     except BrokenPipeError:
         # the reader has left: the rest, and the flush at exit, go to the null device
         with open(os.devnull, "w") as devnull:
@@ -201,6 +201,8 @@ def cmd_witness(args) -> int:
     if verdict.kind == VerdictKind.EQUIVALENT:
         try:
             rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
+        except AsymptoticOverflowError as exc:  # at an |t| that no flag moves
+            raise CliError(str(exc), "input_too_large")
         except OverflowError as exc:
             raise CliError(f"--delta {args.delta!r} overflows the float witness check: {exc}", "input_too_large")
         out["report"] = jsonio.report_json(rep)

@@ -131,16 +131,8 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float_d(self, x: float) -> tuple[float, float]:
-        """(p(x), p'(x)) in one Horner pass; p(x) has eval_float's bits."""
-        v = d = 0.0
-        for c in self._flt or self._floats():
-            d = d * x + v
-            v = v * x + c
-        return v, d
-
     def eval_float_d2(self, x: float) -> tuple[float, float, float]:
-        """(p(x), p'(x), p''(x)) in one Horner pass; p and p' have eval_float_d's bits."""
+        """(p(x), p'(x), p''(x)) in one Horner pass; p(x) has eval_float's bits."""
         v = d = h = 0.0
         for c in self._flt or self._floats():
             h = h * x + d

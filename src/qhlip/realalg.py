@@ -221,13 +221,13 @@ def _rounded(a: RealAlg) -> float:
     try:
         x0, x1, x = float(r.lo), float(r.hi), float((r.lo + r.hi) / 2)
         for _ in range(100):
-            v, d = p.eval_float_d(x)
+            v, d, _ = p.eval_float_d2(x)
             x0, x1 = (x, x1) if v * s_lo > 0 else (x0, x)
             q = v / d if d else inf
             if abs(q) <= 1e-12 * abs(x):
                 break
             x = x - q if x0 < x - q < x1 else 0.5 * x0 + 0.5 * x1
-        x -= float(p(Fraction(x))) / p.eval_float_d(x)[1]
+        x -= float(p(Fraction(x))) / p.eval_float_d2(x)[1]
         ratios = [y.as_integer_ratio() for y in (nextafter(x, -inf), x, nextafter(x, inf))]
     except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan or a zero derivative
         pass

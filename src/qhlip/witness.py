@@ -173,12 +173,15 @@ def _power(x: float, e: float, name: str) -> float:
         raise OverflowError(f"{name} leaves the float range at |x| = {x!r}") from None
 
 
-def _finite(v: float, point: tuple[float, float]) -> float:
-    """A residual or ratio v of the sample at point; an infinity or a NaN,
-    which no comparison would keep, raises OverflowError."""
-    if not math.isfinite(v):
+def _finite(v: float, point: tuple[float, float] | float) -> float:
+    """A residual or ratio v of the sample at point, or a deviation of the
+    asymptotic check at t; an infinity or a NaN, which no comparison would
+    keep, raises OverflowError (AsymptoticOverflowError at a t)."""
+    if math.isfinite(v):
+        return v
+    if isinstance(point, tuple):
         raise OverflowError(f"the float witness check reached {v!r} at {point!r}")
-    return v
+    raise AsymptoticOverflowError(f"the asymptotic check reached {v!r} at |t| = {abs(point)!r}")
 
 
 def verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
@@ -237,35 +240,32 @@ _SHELL_OUTER = 1e6
 _SHELL_POINTS = 25
 
 
+class AsymptoticOverflowError(OverflowError):
+    """An infinity or a NaN in the asymptotic check, at an |t| that no strip width moves."""
+
+
 def verify_asymptotic(m: PLMap) -> tuple[float, float, float, float, float]:
     """Estimate the straight-line shape of a map at infinity.
 
     Returns (lambda_est, k_est, alpha_tail_max, shell_1e4, shell_1e6): the
     exact limit slope rounded to a double, the offset estimated at
     |t| = 1e6, the largest deviation from the line over |t| in [1e4, 1e6],
-    and the deviations on the two shells (asymptotic_shell_decay).
+    and the deviations on the two shells (asymptotic_shell_decay).  Every
+    point, each |t| taken with both signs, is in one eval_floats batch; an
+    offset or deviation that is not finite raises AsymptoticOverflowError.
     """
     lam = m.limit_slope().to_float()
-    k_est = 0.5 * (
-        (m.eval_float(_SHELL_OUTER) - lam * _SHELL_OUTER)
-        + (m.eval_float(-_SHELL_OUTER) + lam * _SHELL_OUTER)
-    )
-    pts = _log_spaced(_SHELL_INNER, _SHELL_OUTER, _SHELL_POINTS)
-    tail = 0.0
-    for t in pts + [-t for t in pts]:
-        tail = max(tail, abs(m.eval_float(t) - lam * t - k_est))
-    return (lam, k_est, tail, *asymptotic_shell_decay(m, lam, k_est))
+    shells = [u * r for r in (_SHELL_INNER, _SHELL_OUTER) for u in (1.0, 1.25, 1.5)]
+    tail = _log_spaced(_SHELL_INNER, _SHELL_OUTER, _SHELL_POINTS)
+    ts = [t for u in (_SHELL_OUTER, *tail, *shells) for t in (u, -u)]
+    us = m.eval_floats(ts)
+    up, down = (_finite(u - lam * t, t) for t, u in zip(ts[:2], us))
+    k_est = 0.5 * (up + down)
+    devs = [_finite(abs(u - lam * t - k_est), t) for t, u in zip(ts[2:], us[2:])]
+    return (lam, k_est, max(devs[:-12]), *asymptotic_shell_decay(devs[-12:]))
 
 
-def asymptotic_shell_decay(m: PLMap, lam: float, k_est: float) -> tuple[float, float]:
-    """Max |phi(t) - lam t - k_est| on the |t|=1e4 and |t|=1e6 shells, for
-    the slope and offset that verify_asymptotic estimated."""
-
-    def shell_max(radius: float) -> float:
-        worst = 0.0
-        for u in (radius, 1.25 * radius, 1.5 * radius):
-            for t in (u, -u):
-                worst = max(worst, abs(m.eval_float(t) - lam * t - k_est))
-        return worst
-
-    return (shell_max(_SHELL_INNER), shell_max(_SHELL_OUTER))
+def asymptotic_shell_decay(devs: list[float]) -> tuple[float, float]:
+    """Max |phi(t) - lam t - k_est| on the |t|=1e4 and |t|=1e6 shells, from
+    the six deviations of each that verify_asymptotic measured."""
+    return (max(devs[:6]), max(devs[6:]))

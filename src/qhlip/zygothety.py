@@ -5,7 +5,10 @@ with a pair of bi-Lipschitz self-maps of the line, composed with a twist
 when the scales are negative.  The maps are symbolic descriptors evaluated
 on demand; exact data (scales, limit slopes, the constants c) drives every
 verdict, while numeric evaluation only feeds the witness harness and the
-action spot-check, through one branch inversion routine, _invert_run.
+action spot-check.  Each map evaluates floats by one method, eval_floats,
+and a branch map inverts through one routine, _invert_run; the scalar
+eval_float is a batch of one, except a branch map's own, a run of one value,
+which the spot-check calls.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ class PLMap:
         raise NotImplementedError
 
     def eval_float(self, t: float) -> float:
-        raise NotImplementedError
+        return self.eval_floats((t,))[0]
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
-        return [self.eval_float(t) for t in ts]
+        raise NotImplementedError
 
 
 class Affine(PLMap):
@@ -61,8 +64,9 @@ class Affine(PLMap):
     def inverse(self) -> "PLMap":
         return Affine(1 / self.a, -self.b / self.a)
 
-    def eval_float(self, t: float) -> float:
-        return float(self.a) * t + float(self.b)
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        a, b = float(self.a), float(self.b)
+        return [a * t + b for t in ts]
 
 
 def identity_map() -> Affine:
@@ -136,7 +140,10 @@ class BranchMap(PLMap):
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
         """eval_float at each of ts: each branch inverts its values in one
-        _invert_run, taken in the order of their preimages along it."""
+        _invert_run, taken in the order of their preimages along it; one
+        value (the spot-check's, through Neg or NegConj) is eval_float's run."""
+        if len(ts) == 1:
+            return [self.eval_float(ts[0])]
         cf, branches = self._flt or self._floats()
         f_at, out = self.f.eval_float, [0.0] * len(ts)
         js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
@@ -234,9 +241,6 @@ class Neg(PLMap):
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), Affine(Fraction(-1), Fraction(0)))
 
-    def eval_float(self, t: float) -> float:
-        return -self.inner.eval_float(t)
-
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
         return [-u for u in self.inner.eval_floats(ts)]
 
@@ -254,9 +258,6 @@ class NegConj(PLMap):
 
     def inverse(self) -> "PLMap":
         return NegConj(self.inner.inverse())
-
-    def eval_float(self, t: float) -> float:
-        return -self.inner.eval_float(-t)
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
         return [-u for u in self.inner.eval_floats([-t for t in ts])]
@@ -277,8 +278,8 @@ class Compose(PLMap):
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), self.outer.inverse())
 
-    def eval_float(self, t: float) -> float:
-        return self.outer.eval_float(self.inner.eval_float(t))
+    def eval_floats(self, ts: Sequence[float]) -> list[float]:
+        return self.outer.eval_floats(self.inner.eval_floats(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +316,16 @@ def identity() -> Zygothety:
 def compose(outer: Zygothety, inner: Zygothety) -> Zygothety:
     """Zygothetic product (outer after inner); swaps outer components when
     the inner scales are negative."""
-    if inner.lam_sign > 0:
-        return Zygothety(
-            inner.lam1 * outer.lam1,
-            inner.lam2 * outer.lam2,
-            Compose(outer.phi1, inner.phi1),
-            Compose(outer.phi2, inner.phi2),
-        )
-    return Zygothety(
-        inner.lam1 * outer.lam2,
-        inner.lam2 * outer.lam1,
-        Compose(outer.phi2, inner.phi1),
-        Compose(outer.phi1, inner.phi2),
-    )
+    k = inner.lam_sign  # a step of -1 reverses each pair
+    (mu1, mu2), (psi1, psi2) = (outer.lam1, outer.lam2)[::k], (outer.phi1, outer.phi2)[::k]
+    return Zygothety(inner.lam1 * mu1, inner.lam2 * mu2, Compose(psi1, inner.phi1), Compose(psi2, inner.phi2))
 
 
 def inverse(z: Zygothety) -> Zygothety:
-    if z.lam_sign > 0:
-        return Zygothety(
-            alg_inverse(z.lam1),
-            alg_inverse(z.lam2),
-            z.phi1.inverse(),
-            z.phi2.inverse(),
-        )
-    return Zygothety(
-        alg_inverse(z.lam2),
-        alg_inverse(z.lam1),
-        z.phi2.inverse(),
-        z.phi1.inverse(),
-    )
+    """The group inverse; swaps the components when the scales are negative."""
+    k = z.lam_sign  # a step of -1 reverses each pair
+    (lam1, lam2), (phi1, phi2) = (z.lam1, z.lam2)[::k], (z.phi1, z.phi2)[::k]
+    return Zygothety(alg_inverse(lam1), alg_inverse(lam2), phi1.inverse(), phi2.inverse())
 
 
 def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import random
 from array import array
@@ -723,7 +724,39 @@ def ref_batch_map_floats(phi, ts: Sequence[float]) -> list[float]:
         return [-u for u in ref_batch_map_floats(phi.inner, [-t for t in ts])]
     if isinstance(phi, BranchMap):
         return ref_batch_eval_floats(phi, ts)
-    return [phi.eval_float(t) for t in ts]
+    if type(phi) is Affine:
+        a, b = float(phi.a), float(phi.b)
+        return [a * t + b for t in ts]
+    if isinstance(phi, Compose):
+        return ref_batch_map_floats(phi.outer, ref_batch_map_floats(phi.inner, ts))
+    return phi.eval_floats(ts)  # a test's own map
+
+
+def ref_verify_asymptotic(m) -> tuple[float, float, float, float, float]:
+    """witness.verify_asymptotic written out plainly, over the same batch of
+    points in the same order, each |t| followed by -|t|: 1e6 (the offset), the
+    25 log-spaced |t| from 1e4 to 1e6 (the tail), then 1, 1.25 and 1.5 times
+    1e4 and 1e6 (the shells); the map's values through ref_batch_map_floats,
+    and every offset and deviation checked for finiteness."""
+    lam = m.limit_slope().to_float()
+    mags = [1e6, *_log_spaced(1e4, 1e6, 25), 1e4, 1.25e4, 1.5e4, 1e6, 1.25e6, 1.5e6]
+    ts = [s * u for u in mags for s in (1.0, -1.0)]
+    us = ref_batch_map_floats(m, ts)
+    k_est = ((us[0] - lam * 1e6) + (us[1] + lam * 1e6)) / 2
+    devs = [abs(u - lam * t - k_est) for t, u in zip(ts, us)]
+    if not all(math.isfinite(v) for v in [us[0] - lam * 1e6, us[1] + lam * 1e6, *devs]):
+        raise OverflowError("the asymptotic check is not finite")
+    tail, shells = devs[2:52], devs[52:]
+    return lam, k_est, max(tail), max(shells[:6]), max(shells[6:])
+
+
+def strict_json(text: str):
+    """json.loads(text), refusing the NaN and Infinity tokens that strict JSON does not allow."""
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:

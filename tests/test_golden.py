@@ -13,6 +13,8 @@ import pytest
 
 from qhlip.cli import main
 
+from helpers import strict_json
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = [
@@ -86,3 +88,4 @@ def test_output_matches_golden(capsys, name, exit_code, argv):
     out = capsys.readouterr().out
     assert code == exit_code
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    strict_json(out)

@@ -23,7 +23,7 @@ from qhlip.parser import (
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import Verdict2D, VerdictKind
 
-from helpers import rand_unipoly
+from helpers import rand_unipoly, strict_json
 
 
 class TestParse:
@@ -700,4 +700,4 @@ def test_readme_examples_run(capsys):
     for argv in commands:
         code, out, err = run_cli_capture(capsys, *argv)
         assert code in (0, 1, 2), (argv, err)
-        json.loads(out)
+        strict_json(out)

@@ -40,8 +40,10 @@ from helpers import (
     ref_batch_map_floats,
     ref_batch_verify_lipschitz,
     ref_conjugacy_rows,
+    ref_verify_asymptotic,
     ref_verify_conjugacy,
     ref_verify_lipschitz,
+    strict_json,
 )
 
 
@@ -247,6 +249,32 @@ class TestVerifyAsymptotic:
             for m in (v.certificate.zygothety.phi1, v.certificate.zygothety.phi2):
                 shell4, shell6 = verify_asymptotic(m)[3:]
                 assert shell6 <= shell4 / 10 or shell6 <= 1e-6
+
+    def test_one_batch_per_map(self, monkeypatch):
+        m = decide(hp(-1), hp(-2)).certificate.zygothety.phi1
+        batches, real = [], BranchMap.eval_floats
+        monkeypatch.setattr(BranchMap, "eval_floats", lambda m, ts: batches.append(len(ts)) or real(m, ts))
+        monkeypatch.setattr(BranchMap, "eval_float", None)  # no scalar call
+        verify_asymptotic(m)
+        assert batches == [64]
+
+    @pytest.mark.parametrize(
+        "F,G",
+        [
+            # c f(t) overflows at |t| = 1.5e6 alone, and shell_1e6 once read Infinity
+            ("Y^50 + X^75", "2*Y^50 + X^75"),
+            # f(t) overflows at |t| = 1e6, and k_est once read NaN
+            ("Y^52 + X^78", "2*Y^52 + X^78"),
+        ],
+        ids=["shell", "offset"],
+    )
+    def test_non_finite_shape_is_input_too_large(self, F, G, capsys):
+        assert main(["witness", F, G, "--beta", "3/2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input_too_large"
+        assert re.fullmatch(r"the asymptotic check reached (nan|inf) at \|t\| = \d+\.0", error["message"]), error
 
 
 class TestReverseOrientationWitness:
@@ -484,6 +512,15 @@ class TestConjugacyIsTheReference:
         assert len(sides) == 2 or all(rows[-x] == rows[x] for x in xs)
 
 
+class TestAsymptoticIsTheReference:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(scaled_pairs())
+    def test_every_bit_is_the_reference(self, case):
+        z = case[2].z
+        for m in (z.phi1, z.phi2, inverse(z).phi1, inverse(z).phi2):
+            assert [x.hex() for x in verify_asymptotic(m)] == [x.hex() for x in ref_verify_asymptotic(m)]
+
+
 class TestQuasihomogeneousIdentity:
     """F(x, t |x|^beta) = |x|^d F(sgn x, t), the identity verify_conjugacy's
     inner rows rest on, exactly at x = +-u^s, where |x|^beta = |u|^r."""
@@ -514,8 +551,8 @@ class BadAt(Affine):
         super().__init__(a, b)
         self.at, self.bad = at, bad
 
-    def eval_float(self, t: float) -> float:
-        return self.bad if t == self.at else super().eval_float(t)
+    def eval_floats(self, ts) -> list[float]:
+        return [self.bad if t == self.at else u for t, u in zip(ts, super().eval_floats(ts))]
 
 
 def bad_zygothety(**kw) -> Zygothety:
@@ -575,6 +612,15 @@ class TestNonFiniteSamples:
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["code"] == "input_too_large"
         assert "--delta" in err
+
+
+def test_non_finite_report_is_internal(monkeypatch, capsys):
+    # strict JSON has no NaN or Infinity: such a report is never printed
+    monkeypatch.setattr(cli, "verify", lambda *args: verify(*args)._replace(lipschitz_ratio_max=math.inf))
+    q = str(hp(1).poly)
+    assert main(["witness", q, q, "--beta", "2/1", "--samples", "300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["code"] == "internal"
 
 
 class TestHugeDelta:
@@ -682,10 +728,7 @@ class TestTinyDelta:
         done = subprocess.run(cmd + ["--beta", "2/1", "--delta", delta], capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
-        def refuse(name):
-            raise ValueError(f"not strict JSON: {name}")
-
-        report = json.loads(done.stdout, parse_constant=refuse)["report"]
+        report = strict_json(done.stdout)["report"]
         assert 0 < report["lipschitz_ratio_min"] <= report["lipschitz_ratio_max"] < math.inf
 
     def test_no_pair_kept_is_overflow(self, monkeypatch):

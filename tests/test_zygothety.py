@@ -859,7 +859,7 @@ class TestBatchInversionCarriesTheLastEvaluatedPoint:
         """(points evaluated twice in a row, Horner passes over g)."""
         polys = {id(branch[1]) for branch in (m._flt or m._floats())[1]}
         seen, count = [], [0]
-        reals = {name: getattr(UniPoly, name) for name in ("eval_float", "eval_float_d", "eval_float_d2")}
+        reals = {name: getattr(UniPoly, name) for name in ("eval_float", "eval_float_d2")}
 
         def hook(name):
             def recording(p, x):
@@ -937,3 +937,41 @@ class TestClosureProperty:
         for phi in (w.phi1, w.phi2):
             for got in ([phi.eval_float(t) for t in ts], phi.eval_floats(ts)):
                 assert got == pytest.approx(ts, rel=1e-9, abs=1e-9)
+
+
+def map_nodes(m) -> list:
+    """m and every map inside it."""
+    inner = [m.outer, m.inner] if isinstance(m, Compose) else [m.inner] if isinstance(m, (Neg, NegConj)) else []
+    return [m, *(n for sub in inner for n in map_nodes(sub))]
+
+
+class TestFloatPathsProperty:
+    """On the certificates decide builds for F against F(aX, bY), their
+    inverses and products: one float path per map, and the group laws."""
+
+    @few_pairs
+    @given(scaled_pair_certificates(), scaled_pair_certificates())
+    def test_float_paths_and_group_laws(self, first, second):
+        z, y = first[1].zygothety, second[1].zygothety
+        zi = inverse(z)
+        products = [compose(z, zi), compose(zi, z)]
+        maps = [n for w in (z, zi, y, *products, compose(y, identity())) for m in (w.phi1, w.phi2) for n in map_nodes(m)]
+        maps += [Neg(z.phi1), NegConj(z.phi2)]
+        assert {type(m) for m in maps} == {Affine, BranchMap, Compose, Neg, NegConj}
+        # a t within 1e-3 of a critical point (or its mirror) meets an inversion
+        # at a critical value, which takes about half the float digits
+        crits = [abs(x.to_float()) for m in maps if isinstance(m, BranchMap) for x in (*m.crits_f, *m.crits_g)]
+        ts = [k / 8 for k in range(-24, 25) if all(abs(abs(k / 8) - c) > 1e-3 for c in crits)]
+        for m in maps:
+            assert [m.eval_float(t).hex() for t in ts] == [m.eval_floats([t])[0].hex() for t in ts]
+            if isinstance(m, Compose):
+                assert m.eval_floats(ts) == m.outer.eval_floats(m.inner.eval_floats(ts))
+        for w in products:
+            assert compare(w.lam1, ra(1)) == 0 and compare(w.lam2, ra(1)) == 0
+            for phi in (w.phi1, w.phi2):
+                assert phi.eval_floats(ts) == pytest.approx(ts, rel=1e-9, abs=1e-9)
+        # one chain of batches either way: the same bits
+        left, right = compose(compose(z, y), zi), compose(z, compose(y, zi))
+        assert compare(left.lam1, right.lam1) == 0 and compare(left.lam2, right.lam2) == 0
+        for a, b in ((left.phi1, right.phi1), (left.phi2, right.phi2)):
+            assert a.eval_floats(ts) == b.eval_floats(ts)
