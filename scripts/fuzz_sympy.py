@@ -23,8 +23,8 @@ Compares, on seeded random inputs:
   among sympy's sorted real roots of the square-free part of the product
   (sympy 1.14 canonicalises shared factors, so
   ``CRootOf((t**2 - 2)*(t**2 - 3), 2) == CRootOf(t**2 - 2, 1)``);
-* the certified images ``a * b``, ``eval_alg(p, a)`` and
-  ``nth_root_pos(abs(a), n)`` for real roots a and b of integer
+* the certified images ``mul(a, b)``, ``eval_alg(p, a)`` and
+  ``nth_root_pos(abs_alg(a), n)`` for real roots a and b of integer
   polynomials of degree at most 3 and an integer polynomial p, which
   shares a's polynomial as a factor about half the time: each box holds
   the exact value's ``evalf(50)`` and exactly one real root of its
@@ -64,11 +64,11 @@ Compares, on seeded random inputs:
   behind a prefix minus) against ``sympy.expand`` of the same text, term
   by term, and the heights ``BiPoly.height(1)`` and ``height(-1)`` against
   ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion;
-* ``b / a`` for the real roots a != 0 of an integer polynomial A of degree
+* ``div(b, a)`` for the real roots a != 0 of an integer polynomial A of degree
   at most 3, and b each real root of c**n A(t/c) for a random rational
   c != 0 (planted scaled conjugates, one of which is c*a) or of a random
   polynomial: a rational quotient must be sympy's exact quotient, and
-  any other must hold it as ``a * b`` is held above;
+  any other must hold it as ``mul(a, b)`` is held above;
 * the quasihomogeneous identity ``F(x, t |x|^beta) = |x|^d F(sgn x, t)``,
   on which ``witness.verify_conjugacy`` takes its inner grid rows from the
   heights: for seeded F with weights beta = r/s, sympy's expansion of F at
@@ -109,7 +109,7 @@ from qhlip.lipclass import critical_data, similar
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly, poly_gcd, resultant, square_free_part
 from qhlip.qhdecide import QHPoly, decide, heights, validate_qh
-from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, nth_root_pos, sign_at
+from qhlip.realalg import RealAlg, abs_alg, compare, div, eval_alg, isolate_real_roots, mul, nth_root_pos, sign_at
 from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse, is_beta_regular
 
 X, T = sympy.symbols("x t")
@@ -319,8 +319,8 @@ def check_images(rng: random.Random) -> str | None:
         values = [(f"eval_alg({p}, {a})", eval_alg(p, a), pe.subs(T, ae))]
         if a.sign():
             n = rng.randint(2, 3)
-            values.append((f"nth_root_pos(|{a}|, {n})", nth_root_pos(abs(a), n), sympy.root(abs(ae), n)))
-        values += [(f"{a} * {b}", a * b, ae * be) for b, be in real_roots(pb)]
+            values.append((f"nth_root_pos(|{a}|, {n})", nth_root_pos(abs_alg(a), n), sympy.root(abs(ae), n)))
+        values += [(f"mul({a}, {b})", mul(a, b), ae * be) for b, be in real_roots(pb)]
         for what, v, exact in values:
             problem = check_value(what, v, exact)
             if problem:
@@ -329,7 +329,7 @@ def check_images(rng: random.Random) -> str | None:
 
 
 def check_division(rng: random.Random, rational: list[int]) -> str | None:
-    """b / a for the real roots a != 0 of an integer polynomial A of degree
+    """div(b, a) for the real roots a != 0 of an integer polynomial A of degree
     at most 3 and b each real root of c**n A(t/c), for a random rational
     c != 0 (planted: one b is c*a), and of a random polynomial; rational
     counts the irrational pairs whose quotient came out rational."""
@@ -342,8 +342,8 @@ def check_division(rng: random.Random, rational: list[int]) -> str | None:
         if not a.sign():
             continue
         for b, be in pairs:
-            q = b / a
-            problem = check_value(f"{b} / {a}", q, be / ae)
+            q = div(b, a)
+            problem = check_value(f"div({b}, {a})", q, be / ae)
             if problem:
                 return problem
             if q.is_rational and not (a.is_rational or b.is_rational):
@@ -640,12 +640,13 @@ def check_beta_regular(rng: random.Random, irrational: list[int]) -> str | None:
         BranchMap(RealAlg.from_rational((v**Q.r * w) ** n1), True, t1, t1, (), ()),
         BranchMap(RealAlg.from_rational((u**Q.r * w) ** n2), True, t2, t2, (), ()),
     )
+    two = RealAlg.from_rational(2)
     for what, y, want in (
         ("z", z, True),
         ("z^-1", inverse(z), True),
-        ("z with lam2 doubled", Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2), False),
+        ("z with lam2 doubled", Zygothety(z.lam1, mul(z.lam2, two), z.phi1, z.phi2), False),
         (f"balanced, u = {u}, v = {v}, n = {n1}, {n2}", balanced, True),
-        ("balanced, lam2 doubled", Zygothety(balanced.lam1, balanced.lam2 * 2, balanced.phi1, balanced.phi2), False),
+        ("balanced, lam2 doubled", Zygothety(balanced.lam1, mul(balanced.lam2, two), balanced.phi1, balanced.phi2), False),
     ):
         L1, L2 = sym_slope(y.phi1), sym_slope(y.phi2)
         gap = abs(sym_number(y.lam1)) ** beta * L1 - abs(sym_number(y.lam2)) ** beta * L2

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .polyalg import UniPoly, sign
-from .realalg import RealAlg, compare, eval_alg, isolate_real_roots, sign_at
+from .realalg import RealAlg, compare, div, eval_alg, isolate_real_roots, sign_at
 
 
 class Orientation(enum.Enum):
@@ -71,22 +71,15 @@ class Pairing1D(NamedTuple):
     c_set: CSet
 
 
-class _Verdict1D(NamedTuple):
-    equivalent: bool
+class Verdict1D(NamedTuple):
     pairings: tuple[Pairing1D, ...] = ()
     reason: Optional[Reason1D] = None
     # the critical data of (f, g) when their multiplicity symbols refuted it
     symbols: Optional[tuple[CritData, CritData]] = None
 
-
-class Verdict1D(_Verdict1D):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.equivalent != bool(self.pairings):
-            raise ArithmeticError("a verdict is equivalent exactly when it has pairings; internal bug")
-        return self
+    @property
+    def equivalent(self) -> bool:
+        return bool(self.pairings)
 
 
 class CritData(NamedTuple):
@@ -165,7 +158,7 @@ def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:
     hulls = [_ratio_hull(a, b) for a, b in pairs if a.lo > 0 or a.hi < 0]
     if hulls and max(lo for lo, _ in hulls) > min(hi for _, hi in hulls):
         return None
-    ratios = (b / a for a, b in pairs)
+    ratios = (div(b, a) for a, b in pairs)
     c = next(ratios, None)
     if c is None:
         return CSet(None)
@@ -187,19 +180,18 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
     """Full Lipschitz-equivalence decision for two polynomial functions."""
     if f.is_constant or g.is_constant:
         if not (f.is_constant and g.is_constant):
-            return Verdict1D(False, reason=Reason1D.DEGREE_MISMATCH)
+            return Verdict1D(reason=Reason1D.DEGREE_MISMATCH)
         if sign(f.coeff(0)) != sign(g.coeff(0)):
-            return Verdict1D(False, reason=Reason1D.CONSTANT_SIGN_MISMATCH)
+            return Verdict1D(reason=Reason1D.CONSTANT_SIGN_MISMATCH)
         free = CSet(None)
         return Verdict1D(
-            True,
             (Pairing1D(Orientation.INCREASING, free), Pairing1D(Orientation.DECREASING, free)),
         )
     if f.degree != g.degree:
-        return Verdict1D(False, reason=Reason1D.DEGREE_MISMATCH)
+        return Verdict1D(reason=Reason1D.DEGREE_MISMATCH)
     df, dg = critical_data(f), critical_data(g)
     if df.count != dg.count:
-        return Verdict1D(False, reason=Reason1D.CRIT_COUNT_MISMATCH)
+        return Verdict1D(reason=Reason1D.CRIT_COUNT_MISMATCH)
     p = df.count
     d = f.degree
     # the one orientation for odd d: increasing exactly when the leading signs agree
@@ -213,23 +205,22 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
         # both are monotone homeomorphisms of the line (d is necessarily odd)
         if d % 2 == 0:
             raise ArithmeticError("even-degree polynomial without critical points; internal bug")
-        return Verdict1D(True, (Pairing1D(orient, CSet(None)),))
+        return Verdict1D((Pairing1D(orient, CSet(None)),))
 
     if p == 1:
         if df.mults[0] != dg.mults[0]:
-            return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR)
+            return Verdict1D(reason=Reason1D.SYMBOL_NOT_SIMILAR)
         if df.signs != dg.signs:
-            return Verdict1D(False, reason=Reason1D.SIGN_MISMATCH)
+            return Verdict1D(reason=Reason1D.SIGN_MISMATCH)
         if d % 2 == 0:
             # single critical point of an even-degree function is the global
             # extremum; its type is the sign of the leading coefficient
             if df.leading_sign != dg.leading_sign:
-                return Verdict1D(False, reason=Reason1D.EXTREMUM_TYPE_MISMATCH)
+                return Verdict1D(reason=Reason1D.EXTREMUM_TYPE_MISMATCH)
         c_set = _proportional(df, dg)
         if d % 2 == 1:
-            return Verdict1D(True, (Pairing1D(orient, c_set),))
+            return Verdict1D((Pairing1D(orient, c_set),))
         return Verdict1D(
-            True,
             (
                 Pairing1D(Orientation.INCREASING, c_set),
                 Pairing1D(Orientation.DECREASING, c_set),
@@ -243,5 +234,5 @@ def classify_pair(f: UniPoly, g: UniPoly) -> Verdict1D:
     if reverse is not None:
         pairings.append(Pairing1D(Orientation.DECREASING, reverse))
     if not pairings:
-        return Verdict1D(False, reason=Reason1D.SYMBOL_NOT_SIMILAR, symbols=(df, dg))
-    return Verdict1D(True, tuple(pairings))
+        return Verdict1D(reason=Reason1D.SYMBOL_NOT_SIMILAR, symbols=(df, dg))
+    return Verdict1D(tuple(pairings))

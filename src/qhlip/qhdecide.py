@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from . import zygothety as zyg
 from .lipclass import Pairing1D, Verdict1D, classify_pair, critical_data
 from .polyalg import BiPoly, UniPoly, is_cxd, sign, x_multiplicity, y_divides
-from .realalg import RealAlg, nth_root_pos
+from .realalg import RealAlg, neg, nth_root_pos
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -305,7 +305,7 @@ def _necessity_conditions(F: QHPoly, G: QHPoly) -> tuple[NecessityCondition, ...
 def _cxd_zygothety(a: Fraction, b: Fraction, d: int) -> zyg.Zygothety:
     ratio = Fraction(a, b)
     mag = nth_root_pos(RealAlg.from_rational(abs(ratio)), d)
-    lam = mag if ratio > 0 else -mag
+    lam = mag if ratio > 0 else neg(mag)
     return zyg.Zygothety(lam, lam, zyg.identity_map(), zyg.identity_map())
 
 

@@ -4,7 +4,8 @@ A number is stored as a square-free monic defining polynomial together with
 an isolating rational interval: either lo == hi and the number is the
 rational lo (with defpoly t - lo), or the defpoly has degree at least 2 and
 exactly one real root in (lo, hi), and neither endpoint is a root.
-Intervals are refined on demand, always from a number's own box.
+Intervals are refined on demand, always from a number's own box.  Numbers
+combine only through this module's functions; RealAlg defines only ==.
 
 Equality and sign tests are exact and count no roots.  A divisor of the
 defpoly has at most one root in the box, a simple one, and none at the
@@ -19,11 +20,11 @@ resultant defpoly D changes sign across an enclosure built from the source
 boxes and the interval extension of D' there excludes 0: D is then strictly
 monotone on the enclosure, so the value is its only root there.
 
-Division b / a of irrationals whose defpolys A and B have one degree n first
+div(b, a) of irrationals whose defpolys A and B have one degree n first
 reads a candidate rational c off their coefficients, for B(x) = c**n A(x/c)
 (the critical values of an affine conjugate are such scaled conjugates), and
-returns c when one comparison certifies c*a == b; any other quotient is the
-product b * (1/a), through the product resultant.
+returns c when one comparison certifies c*a == b; any other quotient is
+mul(b, inverse(a)), through the product resultant.
 
 The defpoly takes opposite signs at the two endpoints, so bisection decides
 by its sign at the midpoint (`UniPoly.sign_at`, integer Horner).  `refine`
@@ -96,7 +97,7 @@ class RealAlg:
 
     def __init__(self, defpoly: UniPoly, lo: Fraction, hi: Fraction):
         # Internal constructor; use from_rational / isolate_real_roots /
-        # the arithmetic operations to build values.
+        # the field operations below to build values.
         self.defpoly = defpoly
         self.lo = lo
         self.hi = hi
@@ -160,8 +161,6 @@ class RealAlg:
             self._flt = float(self.lo) if self.is_rational else _rounded(self)
         return self._flt
 
-    __float__ = to_float
-
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
@@ -173,26 +172,6 @@ class RealAlg:
         return compare(self, _coerce(other)) == 0
 
     __hash__ = None  # semantic equality is not hash-compatible
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "RealAlg":
-        return add(self, _coerce(other))
-
-    def __sub__(self, other) -> "RealAlg":
-        return add(self, neg(_coerce(other)))
-
-    def __mul__(self, other) -> "RealAlg":
-        return mul(self, _coerce(other))
-
-    def __truediv__(self, other) -> "RealAlg":
-        return div(self, _coerce(other))
-
-    def __neg__(self) -> "RealAlg":
-        return neg(self)
-
-    def __abs__(self) -> "RealAlg":
-        return abs_alg(self)
 
 
 _ZERO = RealAlg.from_rational(0)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .lipclass import Orientation, critical_data
 from .polyalg import UniPoly, sign
-from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, nth_root_pos, pow_int
+from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, mul, neg, nth_root_pos, pow_int
 
 
 class PLMap:
@@ -38,7 +38,7 @@ class PLMap:
         """The common two-sided limit of m(t)/t, exact."""
         sgn, R, n = self.slope_power()
         mag = nth_root_pos(R, n) if sgn else R
-        return mag if sgn > 0 else -mag
+        return mag if sgn > 0 else neg(mag)
 
     def inverse(self) -> "PLMap":
         raise NotImplementedError
@@ -100,11 +100,11 @@ class BranchMap(PLMap):
         deg = self.f.degree
         if deg != self.g.degree or deg < 1:
             raise ArithmeticError("branch map between heights of different or zero degree; internal bug")
-        ratio = self.c * Fraction(self.f.leading, self.g.leading)
+        ratio = mul(self.c, RealAlg.from_rational(Fraction(self.f.leading, self.g.leading)))
         rs = ratio.sign()  # c*lc(f)/lc(g) > 0 for an even map, of the orientation's sign for an odd one
         if (rs > 0) != (self.increasing or deg % 2 == 0):
             raise ArithmeticError("branch map against the sign of c*lc(f)/lc(g); internal bug")
-        return (1 if self.increasing else -1), (ratio if rs > 0 else -ratio), deg
+        return (1 if self.increasing else -1), (ratio if rs > 0 else neg(ratio)), deg
 
     def inverse(self) -> "PLMap":
         return BranchMap(
@@ -141,14 +141,17 @@ class BranchMap(PLMap):
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
         """eval_float at each of ts: each branch inverts its values in one
         _invert_run, taken in the order of their preimages along it; one
-        value (the spot-check's, through Neg or NegConj) is eval_float's run."""
+        value (the spot-check's, through Neg or NegConj) is eval_float's run.
+        A value whose c * f is not finite is NaN, and stays out of its run."""
         if len(ts) == 1:
             return [self.eval_float(ts[0])]
         cf, branches = self._flt or self._floats()
-        f_at, out = self.f.eval_float, [0.0] * len(ts)
+        f_at, out, kept = self.f.eval_float, [math.nan] * len(ts), range(len(ts))
         js = [bisect.bisect_left(cf, t) for t in ts] if cf else [0] * len(ts)
         ys = [branches[j][0] * f_at(t) for j, t in zip(js, ts)]  # g * s rises: ascending ys
-        order = sorted(range(len(ts)), key=ys.__getitem__)
+        if not math.isfinite(sum(ys)):  # an infinite y would push its run's end to infinity
+            kept = [k for k in kept if math.isfinite(ys[k])]
+        order = sorted(kept, key=ys.__getitem__)
         for j, branch in enumerate(branches):
             ks = [k for k in order if js[k] == j] if cf else order
             for k, u in zip(ks, _invert_run(branch, [ys[k] for k in ks])):
@@ -273,7 +276,7 @@ class Compose(PLMap):
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         (so, ro, no), (si, ri, ni) = self.outer.slope_power(), self.inner.slope_power()
-        return so * si, pow_int(ro, ni) * pow_int(ri, no), no * ni
+        return so * si, mul(pow_int(ro, ni), pow_int(ri, no)), no * ni
 
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), self.outer.inverse())
@@ -318,7 +321,7 @@ def compose(outer: Zygothety, inner: Zygothety) -> Zygothety:
     the inner scales are negative."""
     k = inner.lam_sign  # a step of -1 reverses each pair
     (mu1, mu2), (psi1, psi2) = (outer.lam1, outer.lam2)[::k], (outer.phi1, outer.phi2)[::k]
-    return Zygothety(inner.lam1 * mu1, inner.lam2 * mu2, Compose(psi1, inner.phi1), Compose(psi2, inner.phi2))
+    return Zygothety(mul(inner.lam1, mu1), mul(inner.lam2, mu2), Compose(psi1, inner.phi1), Compose(psi2, inner.phi2))
 
 
 def inverse(z: Zygothety) -> Zygothety:
@@ -343,8 +346,8 @@ def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
     if s1 == 0 or s1 != s2:
         return False
     N = math.lcm(n1, n2)
-    lhs = pow_int(abs_alg(z.lam1), r * N) * pow_int(R1, s * N // n1)
-    rhs = pow_int(abs_alg(z.lam2), r * N) * pow_int(R2, s * N // n2)
+    lhs = mul(pow_int(abs_alg(z.lam1), r * N), pow_int(R1, s * N // n1))
+    rhs = mul(pow_int(abs_alg(z.lam2), r * N), pow_int(R2, s * N // n2))
     return compare(lhs, rhs) == 0
 
 
@@ -355,7 +358,7 @@ def is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
 
 def _lambda_from_c(c: RealAlg, d: int, lam_sign: int) -> RealAlg:
     lam = alg_inverse(nth_root_pos(c, d))
-    return lam if lam_sign > 0 else -lam
+    return lam if lam_sign > 0 else neg(lam)
 
 
 def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) -> PLMap:

@@ -23,7 +23,7 @@ from qhlip.polyalg import (
     square_free_part,
 )
 from qhlip.qhdecide import QHPoly, validate_qh
-from qhlip.realalg import RealAlg, abs_alg, compare, inverse, mul, nth_root_pos, pow_int
+from qhlip.realalg import RealAlg, abs_alg, compare, inverse, mul, neg, nth_root_pos, pow_int
 from qhlip.zygothety import Affine, BranchMap, Compose, Neg, NegConj, Zygothety
 from qhlip.witness import (
     LIPSCHITZ_SAMPLES,
@@ -199,14 +199,15 @@ def ref_limit_slope(m) -> RealAlg:
     if isinstance(m, Affine):
         return RealAlg.from_rational(m.a)
     if isinstance(m, BranchMap):
-        mag = nth_root_pos(abs_alg(m.c * Fraction(m.f.leading, m.g.leading)), m.f.degree)
-        return mag if m.increasing else -mag
+        ratio = mul(m.c, RealAlg.from_rational(Fraction(m.f.leading, m.g.leading)))
+        mag = nth_root_pos(abs_alg(ratio), m.f.degree)
+        return mag if m.increasing else neg(mag)
     if isinstance(m, Neg):
-        return -ref_limit_slope(m.inner)
+        return neg(ref_limit_slope(m.inner))
     if isinstance(m, NegConj):
         return ref_limit_slope(m.inner)
     if isinstance(m, Compose):
-        return ref_limit_slope(m.outer) * ref_limit_slope(m.inner)
+        return mul(ref_limit_slope(m.outer), ref_limit_slope(m.inner))
     raise TypeError(m)
 
 
@@ -218,8 +219,8 @@ def ref_is_beta_regular(z: Zygothety, r: int, s: int) -> bool:
     s1, s2 = L1.sign(), L2.sign()
     if s1 == 0 or s2 == 0 or s1 != s2:
         return False
-    lhs = pow_int(abs_alg(z.lam1), r) * pow_int(abs_alg(L1), s)
-    rhs = pow_int(abs_alg(z.lam2), r) * pow_int(abs_alg(L2), s)
+    lhs = mul(pow_int(abs_alg(z.lam1), r), pow_int(abs_alg(L1), s))
+    rhs = mul(pow_int(abs_alg(z.lam2), r), pow_int(abs_alg(L2), s))
     return compare(lhs, rhs) == 0
 
 

@@ -11,7 +11,7 @@ from qhlip.jsonio import verdict2_json
 from qhlip.lipclass import Orientation, Reason1D, classify_pair, critical_data, similar
 from qhlip.polyalg import BiPoly
 from qhlip.qhdecide import NEKind, TheoremTag, decide, heights, pairing_search, validate_qh
-from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots
+from qhlip.realalg import RealAlg, compare, eval_alg, isolate_real_roots, mul
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
     action_residual,
@@ -222,9 +222,7 @@ def test_criterion_7_group_and_regularity():
         if not is_beta_regular(inverse(z), 2, 1):
             closure_failures += 1
         for m in (z.phi1, z.phi2):
-            if compare(
-                m.limit_slope() * m.inverse().limit_slope(), RealAlg.from_rational(1)
-            ) != 0:
+            if compare(mul(m.limit_slope(), m.inverse().limit_slope()), RealAlg.from_rational(1)) != 0:
                 closure_failures += 1
     ok = spot_failures == 0 and closure_failures == 0
     report(

@@ -276,6 +276,24 @@ class TestDecide:
         if kinds[0] is kinds[1] is VerdictKind.EQUIVALENT:
             assert kinds[2] is VerdictKind.EQUIVALENT
 
+    def test_laws_on_independent_pairs(self):
+        # verdicts are class functions, on pairs drawn independently from one
+        # family, so that all three kinds occur: decide(G, F) has the kind of
+        # decide(F, G), and so has the pair with (aX, bY) put into one side
+        rng, kinds = random.Random(5), set()
+        for _ in range(300):
+            q = rand_qhpoly(rng)
+            while (g := rand_qhpoly(rng, betas=((q.r, q.s),))).d != q.d:
+                pass
+            kind = decide(q, g).kind
+            assert decide(g, q).kind is kind, (q.poly, g.poly)
+            a = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+            b = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            pair = (scaled(q, a, b), g) if rng.random() < 0.5 else (q, scaled(g, a, b))
+            assert decide(*pair).kind is kind, (q.poly, g.poly, a, b)
+            kinds.add(kind)
+        assert kinds == set(VerdictKind)
+
     def test_oracle_soundness_sample(self):
         rng = random.Random(302)
         for _ in range(15):

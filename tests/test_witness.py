@@ -259,22 +259,23 @@ class TestVerifyAsymptotic:
         assert batches == [64]
 
     @pytest.mark.parametrize(
-        "F,G",
+        "F,G,t",
         [
-            # c f(t) overflows at |t| = 1.5e6 alone, and shell_1e6 once read Infinity
-            ("Y^50 + X^75", "2*Y^50 + X^75"),
+            # c f(t) overflows at |t| = 1.5e6 alone, and shell_1e6 once read Infinity; the
+            # overflowed values once made their whole run NaN, so the message named 1e6
+            ("Y^50 + X^75", "2*Y^50 + X^75", "1500000.0"),
             # f(t) overflows at |t| = 1e6, and k_est once read NaN
-            ("Y^52 + X^78", "2*Y^52 + X^78"),
+            ("Y^52 + X^78", "2*Y^52 + X^78", "1000000.0"),
         ],
         ids=["shell", "offset"],
     )
-    def test_non_finite_shape_is_input_too_large(self, F, G, capsys):
+    def test_non_finite_shape_is_input_too_large(self, F, G, t, capsys):
         assert main(["witness", F, G, "--beta", "3/2"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "input_too_large"
-        assert re.fullmatch(r"the asymptotic check reached (nan|inf) at \|t\| = \d+\.0", error["message"]), error
+        assert re.fullmatch(rf"the asymptotic check reached (nan|inf) at \|t\| = {re.escape(t)}", error["message"]), error
 
 
 class TestReverseOrientationWitness:

@@ -11,7 +11,7 @@ from qhlip.lipclass import Orientation, critical_data
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import OptionTrace, VerdictKind, decide, heights, pairing_search, validate_qh
-from qhlip.realalg import RealAlg, compare, isolate_real_roots, nth_root_pos
+from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
     RESIDUAL_SAMPLES,
@@ -127,7 +127,7 @@ class TestLimitSlope:
         for m in (phi, Affine(F(-5, 3), F(2)), Compose(phi, Affine(F(2), F(0)))):
             s = m.limit_slope()
             si = m.inverse().limit_slope()
-            assert compare(s * si, ra(1)) == 0
+            assert compare(mul(s, si), ra(1)) == 0
 
 
 class TestWrapperInverse:
@@ -146,7 +146,7 @@ class TestWrapperInverse:
         for t in (-3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.5):
             assert mi.eval_float(m.eval_float(t)) == pytest.approx(t, abs=1e-9)
             assert m.eval_float(mi.eval_float(t)) == pytest.approx(t, abs=1e-9)
-        assert m.limit_slope() * mi.limit_slope() == ra(1)
+        assert mul(m.limit_slope(), mi.limit_slope()) == ra(1)
 
     def test_neg_inverse_renders_as_compose(self):
         # (-(2t + 1))^-1 = (s -> s/2 - 1/2) o (s -> -s)
@@ -377,7 +377,7 @@ class TestBetaRegularOnRationalPowers:
             assert is_beta_regular(w, q.r, q.s) is ref_is_beta_regular(w, q.r, q.s) is True
         # mutants: the second scale doubled, and the second map negated
         for w in (
-            Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2),
+            Zygothety(z.lam1, mul(z.lam2, ra(2)), z.phi1, z.phi2),
             Zygothety(z.lam1, z.lam2, z.phi1, Neg(z.phi2)),
         ):
             assert is_beta_regular(w, q.r, q.s) is ref_is_beta_regular(w, q.r, q.s) is False
@@ -403,7 +403,7 @@ class TestBetaRegularOnRationalPowers:
         swapped = Zygothety(z.lam1, z.lam2, z.phi2, z.phi1)
         assert is_beta_regular(z, r, s) is ref_is_beta_regular(z, r, s) is True
         assert is_beta_regular(swapped, r, s) is ref_is_beta_regular(swapped, r, s) is (u == v)
-        for mutant in (Zygothety(z.lam1, z.lam2 * 2, z.phi1, z.phi2), Zygothety(z.lam1, z.lam2, z.phi1, Neg(z.phi2))):
+        for mutant in (Zygothety(z.lam1, mul(z.lam2, ra(2)), z.phi1, z.phi2), Zygothety(z.lam1, z.lam2, z.phi1, Neg(z.phi2))):
             assert is_beta_regular(mutant, r, s) is ref_is_beta_regular(mutant, r, s) is False
 
     def test_slope_powers(self):
@@ -620,6 +620,15 @@ class TestInvertOnBranch:
         # so no BranchMap onto it is ever built
         with pytest.raises(ValueError, match="constant"):
             zygothety._branch_map(ra(1), Orientation.INCREASING, UniPoly([0, 1]), UniPoly([1]))
+
+    def test_an_overflowed_value_is_nan_alone(self):
+        # f(+-1e200) leaves the float range: those two values are NaN, and the
+        # others keep the bits of a batch without them; an infinite y once
+        # pushed its run's end to infinity, which made the whole run NaN
+        m = branch_identity(UniPoly([1, -3, 0, 1]))
+        got = m.eval_floats([2.0, 1e200, -0.5, -1e200, 3.0])
+        assert [bits(u) for u in got[::2]] == [bits(u) for u in m.eval_floats([2.0, -0.5, 3.0])]
+        assert all(map(math.isfinite, got[::2])) and all(map(math.isnan, got[1::2]))
 
     def test_first_midpoint_on_the_inflection(self):
         # g = t^3 - 3t + 1 falls on (-1, 1), and the first midpoint of a run
