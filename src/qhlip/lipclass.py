@@ -10,12 +10,11 @@ similarity of the multiplicity symbols.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .polyalg import UniPoly, sign
-from .realalg import RealAlg, compare, div, eval_alg, isolate_real_roots, sign_at
+from .realalg import RealAlg, compare, div, eval_alg, isolate_real_roots, ratios_apart, sign_at
 
 
 class Orientation(enum.Enum):
@@ -132,13 +131,7 @@ def critical_data(f: UniPoly) -> CritData:
     values = tuple(eval_alg(f, p) for p in points)
     if any(m < 2 for m in mults):
         raise ArithmeticError("critical point of multiplicity below 2; internal bug")
-    return CritData(points, mults, values, tuple(v.sign() for v in values), f.degree, sign(f.leading))
-
-
-def _ratio_hull(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
-    """An interval holding b / a, for a whose closed box excludes 0."""
-    ends = (b.lo / a.lo, b.lo / a.hi, b.hi / a.lo, b.hi / a.hi)
-    return min(ends), max(ends)
+    return CritData(points, mults, values, tuple(v.sign() for v in values), f.degree, sign(f.ints[-1]))
 
 
 def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:
@@ -147,16 +140,12 @@ def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:
 
     Multiplicities and signs must match; each nonzero value gives one ratio
     b_j / a_j, and every ratio must equal the first, which is c.  Before
-    dividing, the isolating boxes refute: where a_j's box excludes 0,
-    b_j / a_j lies in the hull of the four quotients of box ends, and two
-    disjoint hulls hold two different ratios (exact interval arithmetic;
-    Moore, Interval Analysis).
+    dividing, the isolating boxes refute (realalg.ratios_apart).
     """
     if A.mults[::step] != B.mults or A.signs[::step] != B.signs:
         return None
     pairs = [(a, b) for a, b, s in zip(A.values[::step], B.values, B.signs) if s != 0]
-    hulls = [_ratio_hull(a, b) for a, b in pairs if a.lo > 0 or a.hi < 0]
-    if hulls and max(lo for lo, _ in hulls) > min(hi for _, hi in hulls):
+    if ratios_apart(pairs):
         return None
     ratios = (div(b, a) for a, b in pairs)
     c = next(ratios, None)

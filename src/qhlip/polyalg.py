@@ -207,7 +207,7 @@ def _poly(cs: list[int], content: Fraction = _ONE) -> UniPoly:
     if not cs:
         return _raw((), _ONE)
     cs, g = _primitive(cs)
-    return _raw(tuple(cs), content * g)
+    return _raw(tuple(cs), content * g if g != 1 else content)
 
 
 def linear_root(v: Fraction) -> UniPoly:
@@ -390,13 +390,14 @@ def count_roots_between(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
 
     Requires p(lo) != 0 and p(hi) != 0.
     """
-    if lo > hi:
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if a * d > c * b:
         raise ValueError("empty interval")
-    if lo == hi:
+    if a * d == c * b:
         return 0
     chain = sturm_sequence(p)
-    at_lo = [q.sign_at(lo) for q in chain]
-    at_hi = [q.sign_at(hi) for q in chain]
+    at_lo = [q.sign_at_ratio(a, b) for q in chain]
+    at_hi = [q.sign_at_ratio(c, d) for q in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ArithmeticError("endpoint is a root; internal bug")
     return sign_variations(at_lo) - sign_variations(at_hi)
@@ -407,20 +408,17 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     if p.is_zero:
         raise ValueError("root bound of the zero polynomial")
     *rest, lc = p.ints
-    return 1 + Fraction(max(map(abs, rest), default=0), abs(lc))
+    return Fraction(abs(lc) + max(map(abs, rest), default=0), abs(lc))
 
 
-def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval extension of p over [lo, hi] by interval Horner.
-
-    It runs on p's integers with lo = a/m and hi = c/m: after the k-th
-    coefficient the bounds are m**k / content times those of interval
-    Horner over Q, and scaling by a positive number keeps min and max.
+def interval_eval_ratio(p: UniPoly, a: int, c: int, m: int) -> tuple[int, int, int]:
+    """(l, u, d), d > 0, with [l/d, u/d] the interval extension of p over
+    [a/m, c/m], m > 0, by interval Horner on p's integers: after the k-th
+    coefficient the bounds are m**k / content times those of interval Horner
+    over Q, and scaling by a positive number keeps min and max.
     """
     if not p.ints:
-        return Fraction(0), Fraction(0)
-    m = _int_lcm(lo.denominator, hi.denominator)
-    a, c = lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator)
+        return 0, 0, 1
     alo = ahi = p.ints[-1]
     mk = 1
     for coef in p.ints[-2::-1]:
@@ -428,7 +426,7 @@ def interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fra
         cands = (alo * a, alo * c, ahi * a, ahi * c)
         alo, ahi = min(cands) + coef * mk, max(cands) + coef * mk
     num, den = p.content.as_integer_ratio()
-    return Fraction(num * alo, den * mk), Fraction(num * ahi, den * mk)
+    return num * alo, num * ahi, den * mk
 
 
 # ---------------------------------------------------------------------------

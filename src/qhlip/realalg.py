@@ -1,11 +1,14 @@
 """Exact real algebraic numbers.
 
 A number is stored as a square-free monic defining polynomial together with
-an isolating rational interval: either lo == hi and the number is the
-rational lo (with defpoly t - lo), or the defpoly has degree at least 2 and
-exactly one real root in (lo, hi), and neither endpoint is a root.
-Intervals are refined on demand, always from a number's own box.  Numbers
-combine only through this module's functions; RealAlg defines only ==.
+an isolating box (a/m, c/m) of integers over one denominator m > 0, with
+gcd(a, c, m) = 1 so that a box has one form.  A rational is its Fraction q,
+with defpoly t - q and a = c; otherwise the defpoly has degree at least 2
+and exactly one real root in the box, and neither endpoint is a root.  The
+kernel works on the integers: Fractions are built where `lo` and `hi` are
+read, for a rational result, and on a Sturm count's cache miss.  Boxes
+refine on demand, from a number's own box.  Numbers combine only through
+this module's functions; RealAlg defines only ==.
 
 Equality and sign tests are exact and count no roots.  A divisor of the
 defpoly has at most one root in the box, a simple one, and none at the
@@ -27,29 +30,30 @@ returns c when one comparison certifies c*a == b; any other quotient is
 mul(b, inverse(a)), through the product resultant.
 
 The defpoly takes opposite signs at the two endpoints, so bisection decides
-by its sign at the midpoint (`UniPoly.sign_at`, integer Horner).  `refine`
-checks the invariant once on entry, by a Sturm count cached per box, and
-raises ArithmeticError when it fails; the only other Sturm counts isolate
-roots.  New defpolys are built from the integer coefficients `UniPoly.ints`.
+by its sign at the midpoint (a + c)/2m (`UniPoly.sign_at_ratio`, integer
+Horner).  `refine` checks the invariant once on entry, by a Sturm count
+cached per box, and raises ArithmeticError when it fails; the only other
+Sturm counts isolate roots.  New defpolys are built from the integer
+coefficients `UniPoly.ints`.
 
 `to_float` gives once the double that the box's midpoint, refined below
 2**-80, rounds to, certified by two exact signs where they can (`_rounded`);
-lo and hi stay as they were, since the JSON renders the interval from them.
+the box stays as it was, since the JSON renders the interval from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, inf, lcm as _int_lcm, nextafter
-from typing import Callable, Iterator, Optional
+from math import comb, gcd as _int_gcd, inf, lcm as _int_lcm, nextafter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .polyalg import (
     RatLike,
     UniPoly,
     cauchy_root_bound,
     count_roots_between,
-    interval_eval,
+    interval_eval_ratio,
     linear_root,
     poly_gcd,
     resultant,
@@ -66,43 +70,59 @@ _RATIONAL_PROBE_ROUNDS = 4
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in the open interval (lo, hi).
+    """The rational with the smallest denominator in the open interval (lo, hi)."""
+    return Fraction(*_simplest(*_ends(lo, hi)))
+
+
+def _ends(lo: RatLike, hi: RatLike) -> tuple[int, int, int]:
+    """(lo, hi) as a box over the least common denominator."""
+    m = _int_lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator), m
+
+
+def _simplest(a: int, c: int, m: int) -> tuple[int, int]:
+    """(h, k), coprime with k > 0, for the rational h/k with the smallest
+    denominator in (a/m, c/m).
 
     For 0 <= lo < hi it is floor(lo) + 1 when that is below hi, else
     floor(lo) + 1/x for x the answer on (1/(hi - floor lo), 1/(lo - floor lo)),
     whose upper end is infinite (d == 0) when lo is an integer.  The loop runs
     on the integers of lo = a/b and hi = c/d and folds the convergent h/k as
-    it goes; one Fraction is built.
+    it goes; on hi <= 0 it runs on (-hi, -lo) and negates.
     """
-    if lo >= hi:
+    if a >= c:
         raise ValueError("empty interval")
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a < 0 < c:
+        return 0, 1
+    s, a, c = (-1, -c, -a) if c <= 0 else (1, a, c)
+    b = d = m
     h, h_, k, k_ = 1, 0, 0, 1  # the convergent h/k so far, and the one before
     while True:
         fl = a // b
         if c > (fl + 1) * d:
-            return Fraction((fl + 1) * h + h_, (fl + 1) * k + k_)
+            return s * ((fl + 1) * h + h_), (fl + 1) * k + k_
         h, h_, k, k_ = fl * h + h_, h, fl * k + k_, k
         a, b, c, d = d, c - fl * d, b, a - fl * b
+
+
+def _norm(a: int, c: int, m: int) -> tuple[int, int, int]:
+    """The box (a/m, c/m) with gcd(a, c, m) = 1, its one form."""
+    g = _int_gcd(a, c, m)
+    return a // g, c // g, m // g
 
 
 class RealAlg:
     """A real algebraic number with a certified isolating interval."""
 
-    __slots__ = ("defpoly", "lo", "hi", "_flt")
+    __slots__ = ("defpoly", "_a", "_c", "_m", "_q", "_flt")
 
-    def __init__(self, defpoly: UniPoly, lo: Fraction, hi: Fraction):
-        # Internal constructor; use from_rational / isolate_real_roots /
-        # the field operations below to build values.
-        self.defpoly = defpoly
-        self.lo = lo
-        self.hi = hi
-        # the rounded value; filled by to_float, which leaves lo and hi as
-        # they are
+    def __init__(self, defpoly: UniPoly, lo: RatLike, hi: RatLike, m: int = 1):
+        # the one root of defpoly in (lo/m, hi/m), or the rational lo/m when
+        # lo == hi; the kernel passes integer ends
+        a, c, d = _ends(lo, hi)
+        self.defpoly, (self._a, self._c, self._m) = defpoly, _norm(a, c, d * m)
+        self._q = Fraction(self._a, self._m) if self._a == self._c else None
+        # the rounded value; filled by to_float, which leaves the box as it is
         self._flt: float | None = None
 
     # -- constructors ------------------------------------------------------
@@ -110,13 +130,24 @@ class RealAlg:
     @staticmethod
     def from_rational(value: RatLike) -> "RealAlg":
         v = value if type(value) is Fraction else Fraction(value)
-        return RealAlg(linear_root(v), v, v)
+        n, d = v.as_integer_ratio()
+        x = object.__new__(RealAlg)
+        x.defpoly, x._a, x._c, x._m, x._q, x._flt = linear_root(v), n, n, d, v, None
+        return x
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.lo == self.hi
+        return self._q is not None
+
+    @property
+    def lo(self) -> Fraction:  # built on read, as hi is
+        return Fraction(self._a, self._m) if self._q is None else self._q
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._c, self._m) if self._q is None else self._q
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -125,26 +156,27 @@ class RealAlg:
 
     # -- refinement --------------------------------------------------------
 
-    def refine(self, width: RatLike) -> "RealAlg":
-        """Same number with interval width at most `width`."""
-        width = Fraction(width)
-        if width <= 0:
-            raise ValueError("width must be positive")
-        if self.is_rational or self.hi - self.lo <= width:
+    def refine(self, width: Optional[RatLike] = None, halvings: int = 0) -> "RealAlg":
+        """The same number, its box (a/m, c/m) halved at (a + c)/2m `halvings`
+        times, or as often as makes it at most `width` wide, in integers; a
+        midpoint that is the root gives a rational, its one Fraction."""
+        if width is not None:
+            wn, wd = width.as_integer_ratio()
+            if wn <= 0:
+                raise ValueError("width must be positive")
+            # the box is x/y widths wide: the least k with x <= y * 2**k
+            x, y = (self._c - self._a) * wd, wn * self._m
+            halvings = max(0, x.bit_length() - y.bit_length())
+            halvings += (y << halvings) < x
+        if self.is_rational or not halvings:
             return self
-        p, lo, hi = self.defpoly, self.lo, self.hi
-        if _count_pair(p, lo, hi) != 1:
+        p, a, c, m = self.defpoly, self._a, self._c, self._m
+        if _count_pair(p, a, c, m) != 1:
             raise ArithmeticError("isolating interval does not hold exactly one root; internal bug")
-        s_lo = p.sign_at(lo)
-        if s_lo == p.sign_at(hi):
+        s_lo = p.sign_at_ratio(a, m)
+        if s_lo == p.sign_at_ratio(c, m):
             raise ArithmeticError("defpoly has no sign change on its isolating interval; internal bug")
-        # bisect over a common denominator, lo = a/m and hi = c/m, so that
-        # each step is integer work; Fractions are built only at the end
-        m = _int_lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (m // lo.denominator)
-        c = hi.numerator * (m // hi.denominator)
-        wn, wd = width.numerator, width.denominator
-        while (c - a) * wd > wn * m:
+        for _ in range(halvings):
             mid, m = a + c, 2 * m
             s_mid = p.sign_at_ratio(mid, m)
             if s_mid == 0:
@@ -153,12 +185,12 @@ class RealAlg:
                 a, c = mid, 2 * c
             else:
                 a, c = 2 * a, mid
-        return RealAlg(p, Fraction(a, m), Fraction(c, m))
+        return RealAlg(p, a, c, m)
 
     def to_float(self) -> float:
         """The double that the box's midpoint, refined below 2**-80, rounds to."""
         if self._flt is None:
-            self._flt = float(self.lo) if self.is_rational else _rounded(self)
+            self._flt = float(self._q) if self.is_rational else _rounded(self)
         return self._flt
 
     # -- comparisons -------------------------------------------------------
@@ -167,9 +199,9 @@ class RealAlg:
         return compare(self, _ZERO)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (RealAlg, int, Fraction)):
-            return NotImplemented
-        return compare(self, _coerce(other)) == 0
+        if isinstance(other, (int, Fraction)):
+            other = RealAlg.from_rational(other)
+        return compare(self, other) == 0 if isinstance(other, RealAlg) else NotImplemented
 
     __hash__ = None  # semantic equality is not hash-compatible
 
@@ -177,17 +209,10 @@ class RealAlg:
 _ZERO = RealAlg.from_rational(0)
 
 
-def _coerce(value) -> RealAlg:
-    if isinstance(value, RealAlg):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RealAlg.from_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as RealAlg")
-
-
 @lru_cache(maxsize=None)
-def _count_pair(defpoly: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    return count_roots_between(defpoly, lo, hi)
+def _count_pair(defpoly: UniPoly, a: int, c: int, m: int) -> int:
+    """Sturm's count on the box (a/m, c/m), given in its one form."""
+    return count_roots_between(defpoly, Fraction(a, m), Fraction(c, m))
 
 
 def _rounded(a: RealAlg) -> float:
@@ -195,10 +220,10 @@ def _rounded(a: RealAlg) -> float:
     once by refine (rtsafe to a relative step of 1e-12, then one exact step),
     when two exact signs put a inside x's rounding interval shrunk by 2**-81
     at each end, so that every 2**-80 box's midpoint rounds to x; else refine."""
-    r = a.refine((a.hi - a.lo) / 2)  # refine's entry check, and one halving
-    p, s_lo = r.defpoly, r.defpoly.sign_at(r.lo)  # 0 if the halving hit a rational a: no sign matches
+    r = a.refine(halvings=1)  # refine's entry check, and one halving
+    p, s_lo = r.defpoly, r.defpoly.sign_at_ratio(r._a, r._m)  # 0 if the halving hit a rational a: no sign matches
     try:
-        x0, x1, x = float(r.lo), float(r.hi), float((r.lo + r.hi) / 2)
+        x0, x1, x = r._a / r._m, r._c / r._m, (r._a + r._c) / (2 * r._m)
         for _ in range(100):
             v, d, _ = p.eval_float_d2(x)
             x0, x1 = (x, x1) if v * s_lo > 0 else (x0, x)
@@ -217,7 +242,7 @@ def _rounded(a: RealAlg) -> float:
         if below < above and p.sign_at_ratio(below, m) == s_lo and p.sign_at_ratio(above, m) == -s_lo:
             return x
     r = a.refine(_FLOAT_WIDTH)  # from a's own box, as the bisection that the halving began
-    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
+    return (r._a + r._c) / (2 * r._m)  # the midpoint, correctly rounded; a rational's a/m
 
 
 # ---------------------------------------------------------------------------
@@ -225,63 +250,65 @@ def _rounded(a: RealAlg) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _try_make(D: UniPoly, lo: Fraction, hi: Fraction) -> Optional[RealAlg]:
-    """Certify the enclosure (lo, hi) of a root of the square-free D, or None.
+def _try_make(D: UniPoly, a: int, c: int, m: int) -> Optional[RealAlg]:
+    """Certify the enclosure (a/m, c/m) of a root of the square-free D, or None.
 
     When D changes sign across the box and the interval extension of D'
-    excludes 0, D is strictly monotone on [lo, hi] (the monotonicity test of
-    interval analysis), so the root the enclosure holds is D's only root
-    there.  Otherwise the caller narrows its sources and retries.
+    excludes 0, D is strictly monotone on the closed box (the monotonicity
+    test of interval analysis), so the root the enclosure holds is D's only
+    root there.  Otherwise the caller narrows its sources and retries.  Only
+    the signs of the integer bounds are read.
     """
-    if D.sign_at(lo) * D.sign_at(hi) >= 0:
+    if D.sign_at_ratio(a, m) * D.sign_at_ratio(c, m) >= 0:
         return None
-    d_lo, d_hi = interval_eval(D.derivative(), lo, hi)
+    d_lo, d_hi, _ = interval_eval_ratio(D.derivative(), a, c, m)
     if d_lo <= 0 <= d_hi:
         return None
-    return _probe(D, lo, hi)
+    return _probe(D, a, c, m)
 
 
-def _probe(D: UniPoly, lo: Fraction, hi: Fraction) -> RealAlg:
-    """The one root of D in (lo, hi), where D changes sign: a small rational
-    when one of a few probes hits it, else D on the box the probes leave."""
-    s_lo = D.sign_at(lo)
+def _probe(D: UniPoly, a: int, c: int, m: int) -> RealAlg:
+    """The one root of D in (a/m, c/m), where D changes sign: a small
+    rational when one of a few probes hits it, else D on the box the probes
+    leave."""
+    s_lo = D.sign_at_ratio(a, m)
     for _ in range(_RATIONAL_PROBE_ROUNDS):
-        cand = simplest_between(lo, hi)
-        s_cand = D.sign_at(cand)
+        h, k = _simplest(a, c, m)
+        s_cand = D.sign_at_ratio(h, k)
         if s_cand == 0:
-            return RealAlg.from_rational(cand)
+            return RealAlg.from_rational(Fraction(h, k))
         if s_cand == s_lo:
-            lo = cand
+            a, c, m = h * m, c * k, m * k
         else:
-            hi = cand
-    return _root_in(D, lo, hi)
+            a, c, m = a * k, h * m, m * k
+    return _root_in(D, a, c, m)
 
 
-def _root_in(D: UniPoly, lo: Fraction, hi: Fraction) -> RealAlg:
-    """The one root of D in (lo, hi); a linear D gives it as a rational."""
+def _root_in(D: UniPoly, a: int, c: int, m: int) -> RealAlg:
+    """The one root of D in (a/m, c/m); a linear D gives it as a rational."""
     if D.degree == 1:
         return RealAlg.from_rational(Fraction(-D.ints[0], D.ints[1]))
-    return RealAlg(D.monic(), lo, hi)
+    return RealAlg(D.monic(), a, c, m)
 
 
 def _narrowed(*nums: RealAlg) -> Iterator[tuple[RealAlg, ...]]:
-    """nums, then nums refined to widths w/2**k for k = 1, 3, 7, ..., each
-    from its own box of width w, so that refine's entry count is one cached
-    lookup per number.  The numbers must be irrational."""
+    """nums, then nums refined by k = 1, 3, 7, ... halvings, each from its
+    own box, so that refine's entry count is one cached lookup per number.
+    The numbers must be irrational."""
     yield nums
     k = 1
     while True:
-        yield tuple(a.refine((a.hi - a.lo) / 2**k) for a in nums)
+        yield tuple(a.refine(halvings=k) for a in nums)
         k = 2 * k + 1
 
 
 def _certified_image(
     D: UniPoly,
-    enclose: Callable[..., tuple[Fraction, Fraction]],
+    enclose: Callable[..., tuple[int, int, int]],
     fallback: Callable[..., RealAlg],
     *sources: RealAlg,
 ) -> RealAlg:
-    """The root of D inside enclose(*sources), certified by _try_make.
+    """The root of D inside the box enclose(*sources), certified by _try_make.
 
     The source boxes shrink until _try_make accepts the enclosure; once a
     source refines to a rational, fallback(*sources) computes the value
@@ -307,33 +334,33 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
     if p.degree == 0:
         return []
     q = square_free_part(p)
-    bound = cauchy_root_bound(q)
+    b, d = cauchy_root_bound(q).as_integer_ratio()
     roots: list[RealAlg] = []
-    # boxes to split and rational roots found between two, each box's right part pushed first so that the
-    # roots come out in increasing order; a stack, as clustered roots can take a thousand halvings
-    stack: list = [(-bound, bound)]
+    # boxes, each in its one form, to split and rational roots found between two, each box's right part pushed
+    # first so that the roots come out in increasing order; a stack, as clustered roots can take a thousand halvings
+    stack: list = [(-b, b, d)]
     while stack:
         box = stack.pop()
         if isinstance(box, RealAlg):
             roots.append(box)
             continue
-        lo, hi = box
-        n = _count_pair(q, lo, hi)
+        a, c, m = box
+        n = _count_pair(q, a, c, m)
         if n == 1:
-            roots.append(_probe(q, lo, hi))
+            roots.append(_probe(q, a, c, m))
         elif n > 1:
-            mid = (lo + hi) / 2
-            if q.sign_at(mid) != 0:
-                stack += [(mid, hi), (lo, mid)]
+            if q.sign_at_ratio(a + c, 2 * m) != 0:
+                stack += [_norm(a + c, 2 * c, 2 * m), _norm(2 * a, a + c, 2 * m)]
                 continue
-            eps = (hi - lo) / 4
+            x, e, k = 2 * (a + c), c - a, 4 * m  # the midpoint x/k; eps = e/k, a quarter of the box, then halved
             while (
-                q.sign_at(mid - eps) == 0
-                or q.sign_at(mid + eps) == 0
-                or _count_pair(q, mid - eps, mid + eps) != 1
+                q.sign_at_ratio(x - e, k) == 0
+                or q.sign_at_ratio(x + e, k) == 0
+                or _count_pair(q, *_norm(x - e, x + e, k)) != 1
             ):
-                eps /= 2
-            stack += [(mid + eps, hi), RealAlg.from_rational(mid), (lo, mid - eps)]
+                x, k = 2 * x, 2 * k
+            s = k // m
+            stack += [_norm(x + e, c * s, k), RealAlg.from_rational(Fraction(a + c, 2 * m)), _norm(a * s, x - e, k)]
     return roots
 
 
@@ -347,18 +374,18 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
     if p.is_zero:
         return 0
     if a.is_rational:
-        return p.sign_at(a.lo)
+        return p.sign_at_ratio(a._a, a._m)
     # g divides the square-free defpoly, so it has at most one root in the
     # box, a simple one, and none at its endpoints: p(a) = g(a) = 0 exactly
     # when g changes sign across the box
     g = poly_gcd(a.defpoly, p)
-    if g.sign_at(a.lo) != g.sign_at(a.hi):
+    if g.sign_at_ratio(a._a, a._m) != g.sign_at_ratio(a._c, a._m):
         return 0
     # p(a) != 0: narrow the box until p's interval extension excludes 0
     for (r,) in _narrowed(a):
         if r.is_rational:
-            return p.sign_at(r.lo)
-        p_lo, p_hi = interval_eval(p, r.lo, r.hi)
+            return p.sign_at_ratio(r._a, r._m)
+        p_lo, p_hi, _ = interval_eval_ratio(p, r._a, r._c, r._m)
         if p_lo > 0:
             return 1
         if p_hi < 0:
@@ -368,39 +395,54 @@ def sign_at(p: UniPoly, a: RealAlg) -> int:
 def compare(a: RealAlg, b: RealAlg) -> int:
     """Exact total-order comparison: -1, 0 or +1."""
     if a.is_rational and b.is_rational:
-        return sign(a.lo - b.lo)
+        return sign(a._a * b._m - b._a * a._m)
     if b.is_rational:
-        return _compare_with_rational(b.lo, a)
+        return _compare_with_rational(b, a)
     if a.is_rational:
-        return -_compare_with_rational(a.lo, b)
-    # both irrational.  On the overlap of the boxes gcd(Da, Db) has at most
-    # one root, a simple one, and none at the endpoints, which are box
-    # endpoints: a == b exactly when it changes sign across the overlap
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        return -_compare_with_rational(a, b)
+    # both irrational.  On the overlap of the boxes, over the denominator
+    # m, gcd(Da, Db) has at most one root, a simple one, and none at the
+    # endpoints, which are box endpoints: a == b exactly when it changes
+    # sign across the overlap
+    lo, hi, m = max(a._a * b._m, b._a * a._m), min(a._c * b._m, b._c * a._m), a._m * b._m
     if lo < hi:
         g = poly_gcd(a.defpoly, b.defpoly)
-        if g.sign_at(lo) != g.sign_at(hi):
+        if g.sign_at_ratio(lo, m) != g.sign_at_ratio(hi, m):
             return 0
     # distinct: separate the boxes
     for ra, rb in _narrowed(a, b):
         if ra.is_rational or rb.is_rational:
             return compare(ra, rb)
-        if ra.hi <= rb.lo:
+        if ra._c * rb._m <= rb._a * ra._m:
             return -1
-        if rb.hi <= ra.lo:
+        if rb._c * ra._m <= ra._a * rb._m:
             return 1
 
 
-def _compare_with_rational(r: Fraction, b: RealAlg) -> int:
-    """sign(b - r) for an irrational b."""
-    if r <= b.lo:
+def _compare_with_rational(r: RealAlg, b: RealAlg) -> int:
+    """sign(b - r) for a rational r and an irrational b."""
+    n, d = r._a, r._m
+    if n * b._m <= b._a * d:
         return 1
-    if r >= b.hi:
+    if n * b._m >= b._c * d:
         return -1
-    s_r = b.defpoly.sign_at(r)
+    s_r = b.defpoly.sign_at_ratio(n, d)
     if s_r == 0:
         return 0
-    return 1 if s_r == b.defpoly.sign_at(b.lo) else -1
+    return 1 if s_r == b.defpoly.sign_at_ratio(b._a, b._m) else -1
+
+
+def ratios_apart(pairs: Iterable[tuple[RealAlg, RealAlg]]) -> bool:
+    """Whether the boxes show two of the quotients b / a to differ.  Where
+    a's closed box excludes 0, b / a lies in the hull of the four quotients
+    of box ends, and two disjoint hulls hold two different quotients (exact
+    interval arithmetic; Moore, Interval Analysis)."""
+    hulls = []  # (l, u, d): (b_x/b_m) / (a_y/a_m) over the positive denominator d = b_m a_a a_c
+    for a, b in pairs:
+        if not a._a <= 0 <= a._c:
+            ends = (b._a * a._c, b._a * a._a, b._c * a._c, b._c * a._a)
+            hulls.append((a._m * min(ends), a._m * max(ends), b._m * a._a * a._c))
+    return any(l * e > u * d for l, _, d in hulls for _, u, e in hulls)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +481,13 @@ def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
 def _avoid_zero(a: RealAlg) -> RealAlg:
     """a with 0 outside its closed box and no zero root in its defining
     polynomial, or a as a rational, which is 0 exactly when a is."""
-    if a.lo < 0 < a.hi and not a.defpoly.ints[0]:
+    if a._a < 0 < a._c and not a.defpoly.ints[0]:
         return _ZERO  # 0 is the defpoly's one root in the box
     r = a
-    if a.lo <= 0 <= a.hi:
-        r = next(r for (r,) in _narrowed(a) if r.is_rational or not r.lo <= 0 <= r.hi)
+    if a._a <= 0 <= a._c:
+        r = next(r for (r,) in _narrowed(a) if r.is_rational or not r._a <= 0 <= r._c)
     D = r.defpoly
-    return r if r.is_rational or D.ints[0] else _root_in(UniPoly(D.ints[1:]), r.lo, r.hi)
+    return r if r.is_rational or D.ints[0] else _root_in(UniPoly(D.ints[1:]), r._a, r._c, r._m)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +497,9 @@ def _avoid_zero(a: RealAlg) -> RealAlg:
 
 def neg(a: RealAlg) -> "RealAlg":
     if a.is_rational:
-        return RealAlg.from_rational(-a.lo)
+        return RealAlg.from_rational(-a._q)
     D = UniPoly(-c if i % 2 else c for i, c in enumerate(a.defpoly.ints))  # D(-t)
-    return RealAlg(D.monic(), -a.hi, -a.lo)
+    return RealAlg(D.monic(), -a._c, -a._a, a._m)
 
 
 def abs_alg(a: RealAlg) -> RealAlg:
@@ -466,32 +508,34 @@ def abs_alg(a: RealAlg) -> RealAlg:
 
 def add(a: RealAlg, b: RealAlg) -> RealAlg:
     if a.is_rational and b.is_rational:
-        return RealAlg.from_rational(a.lo + b.lo)
+        return RealAlg.from_rational(a._q + b._q)
     if a.is_rational:
         return add(b, a)
     if b.is_rational:
-        r = b.lo  # roots move by +r: D(t - r)
-        return RealAlg(a.defpoly.compose(UniPoly((-r, 1))).monic(), a.lo + r, a.hi + r)
+        u, v = b._a, b._m  # roots move by +u/v: D(t - u/v)
+        D = a.defpoly.compose(UniPoly((-b._q, 1))).monic()
+        return RealAlg(D, a._a * v + u * a._m, a._c * v + u * a._m, a._m * v)
     D = _sum_defpoly(a.defpoly, b.defpoly)
-    return _certified_image(D, lambda ra, rb: (ra.lo + rb.lo, ra.hi + rb.hi), add, a, b)
+    return _certified_image(
+        D, lambda ra, rb: (ra._a * rb._m + rb._a * ra._m, ra._c * rb._m + rb._c * ra._m, ra._m * rb._m), add, a, b
+    )
 
 
 def mul(a: RealAlg, b: RealAlg) -> RealAlg:
     if a.is_rational and b.is_rational:
-        return RealAlg.from_rational(a.lo * b.lo)
+        return RealAlg.from_rational(a._q * b._q)
     if a.is_rational:
         return mul(b, a)
     if b.is_rational:
-        r = b.lo
-        if r == 0:
+        # roots scale by u/v: u**n * D(t v/u), in integers
+        u, v = b._a, b._m
+        if u == 0:
             return RealAlg.from_rational(0)
-        # roots scale by r = u/v: u**n * D(t/r), in integers
-        u, v = r.as_integer_ratio()
         n = a.defpoly.degree
         D = UniPoly(c * u ** (n - i) * v**i for i, c in enumerate(a.defpoly.ints))
-        lo, hi = sorted((a.lo * r, a.hi * r))
-        return RealAlg(D.monic(), lo, hi)
-    a = _avoid_zero(a) if a.lo <= 0 <= a.hi else a
+        lo, hi = sorted((a._a * u, a._c * u))
+        return RealAlg(D.monic(), lo, hi, a._m * v)
+    a = _avoid_zero(a) if a._a <= 0 <= a._c else a
     if a.is_rational:
         return mul(a, b)
     b = _avoid_zero(b)
@@ -500,22 +544,22 @@ def mul(a: RealAlg, b: RealAlg) -> RealAlg:
     return _certified_image(_product_defpoly(a.defpoly, b.defpoly), _product_box, mul, a, b)
 
 
-def _product_box(a: RealAlg, b: RealAlg) -> tuple[Fraction, Fraction]:
-    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return min(cands), max(cands)
+def _product_box(a: RealAlg, b: RealAlg) -> tuple[int, int, int]:
+    cands = (a._a * b._a, a._a * b._c, a._c * b._a, a._c * b._c)
+    return min(cands), max(cands), a._m * b._m
 
 
 def inverse(b: RealAlg) -> RealAlg:
     if b.is_rational:
-        if b.lo == 0:
+        if b._a == 0:
             raise ZeroDivisionError("division by zero")
-        return RealAlg.from_rational(1 / b.lo)
+        return RealAlg.from_rational(1 / b._q)
     b = _avoid_zero(b)
     if b.is_rational:
         return inverse(b)
     D = UniPoly(b.defpoly.ints[::-1]).monic()  # t**n * D(1/t); D(0) != 0
-    lo, hi = sorted((1 / b.hi, 1 / b.lo))
-    return RealAlg(D, lo, hi)
+    # (m/c, m/a) over the positive denominator a*c: a and c have one sign
+    return RealAlg(D, b._m * b._a, b._m * b._c, b._a * b._c)
 
 
 def div(b: RealAlg, a: RealAlg) -> RealAlg:
@@ -550,11 +594,11 @@ def _conjugate_scale(a: RealAlg, b: RealAlg) -> Optional[RealAlg]:
 def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:
     """The algebraic number p(a)."""
     if a.is_rational:
-        return RealAlg.from_rational(p(a.lo))
+        return RealAlg.from_rational(p(a._q))
     if p.is_constant:
         return RealAlg.from_rational(p(0))
     D = _eval_defpoly(a.defpoly, p)
-    return _certified_image(D, lambda r: interval_eval(p, r.lo, r.hi), partial(eval_alg, p), a)
+    return _certified_image(D, lambda r: interval_eval_ratio(p, r._a, r._c, r._m), partial(eval_alg, p), a)
 
 
 def _exact_int_nth_root(n: int, k: int) -> Optional[int]:
@@ -580,46 +624,44 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
     if a.sign() <= 0:
         raise ValueError("nth_root_pos requires a positive radicand")
     if a.is_rational:
-        v = a.lo
-        np_ = _exact_int_nth_root(v.numerator, n)
-        dp_ = _exact_int_nth_root(v.denominator, n)
+        np_ = _exact_int_nth_root(a._a, n)
+        dp_ = _exact_int_nth_root(a._m, n)
         if np_ is not None and dp_ is not None:
             return RealAlg.from_rational(Fraction(np_, dp_))
         # x**n - v increases for x > 0, so the positive bracket isolates its root
-        return _probe(UniPoly((-v,) + (0,) * (n - 1) + (1,)), *_root_bracket(v, v, n))
+        return _probe(UniPoly((-a._q,) + (0,) * (n - 1) + (1,)), *_root_bracket(a._a, a._c, a._m, n))
     ra = _avoid_zero(a)  # positive interval, defpoly nonzero at 0
     if ra.is_rational:
         return nth_root_pos(ra, n)
     return _certified_image(
         ra.defpoly.stretch(n),
-        lambda r: _root_bracket(r.lo, r.hi, n),
+        lambda r: _root_bracket(r._a, r._c, r._m, n),
         lambda r: nth_root_pos(r, n),
         ra,
     )
 
 
-def _root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Positive rational bracket (l, u) with l**n < lo <= hi < u**n."""
-    l = min(Fraction(1), lo)
-    while l**n >= lo:
-        l /= 2
-    u = max(Fraction(1), hi)
-    while u**n <= hi:
-        u *= 2
-    # bisect in integers over a common denominator, l = a/m and u = c/m
-    m = _int_lcm(l.denominator, u.denominator)
-    a = l.numerator * (m // l.denominator)
-    c = u.numerator * (m // u.denominator)
+def _root_bracket(lo: int, hi: int, den: int, n: int) -> tuple[int, int, int]:
+    """A positive box (a/m, c/m) with (a/m)**n < lo/den <= hi/den < (c/m)**n,
+    for 0 < lo <= hi, bisected over one denominator 64 times at most."""
+    a, m = (lo, den) if lo < den else (1, 1)
+    while a**n * den >= lo * m**n:
+        m *= 2
+    c, k = (hi, den) if hi > den else (1, 1)
+    while c**n * den <= hi * k**n:
+        c *= 2
+    s = _int_lcm(m, k)
+    a, c, m = a * (s // m), c * (s // k), s
     for _ in range(64):
-        mid, den = a + c, 2 * m
-        mid_n, den_n = mid**n, den**n
-        if mid_n * lo.denominator < lo.numerator * den_n:
-            a, c, m = mid, 2 * c, den
-        elif mid_n * hi.denominator > hi.numerator * den_n:
-            a, c, m = 2 * a, mid, den
+        mid, m2 = a + c, 2 * m
+        mid_n, m2_n = mid**n * den, m2**n
+        if mid_n < lo * m2_n:
+            a, c, m = mid, 2 * c, m2
+        elif mid_n > hi * m2_n:
+            a, c, m = 2 * a, mid, m2
         else:
             break
-    return Fraction(a, m), Fraction(c, m)
+    return a, c, m
 
 
 def pow_int(a: RealAlg, k: int) -> RealAlg:
@@ -627,5 +669,5 @@ def pow_int(a: RealAlg, k: int) -> RealAlg:
     if k < 1:
         raise ValueError("pow_int needs an exponent k >= 1")
     if a.is_rational:
-        return RealAlg.from_rational(a.lo**k)
+        return RealAlg.from_rational(a._q**k)
     return eval_alg(UniPoly((0,) * k + (1,)), a)

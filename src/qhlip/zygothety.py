@@ -136,7 +136,8 @@ class BranchMap(PLMap):
     def eval_float(self, t: float) -> float:
         cf, branches = self._flt or self._floats()
         branch = branches[bisect.bisect_left(cf, t)]
-        return next(_invert_run(branch, (branch[0] * self.f.eval_float(t),)))
+        y = branch[0] * self.f.eval_float(t)
+        return next(_invert_run(branch, (y,))) if math.isfinite(y) else math.nan
 
     def eval_floats(self, ts: Sequence[float]) -> list[float]:
         """eval_float at each of ts: each branch inverts its values in one

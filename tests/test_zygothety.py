@@ -630,6 +630,16 @@ class TestInvertOnBranch:
         assert [bits(u) for u in got[::2]] == [bits(u) for u in m.eval_floats([2.0, -0.5, 3.0])]
         assert all(map(math.isfinite, got[::2])) and all(map(math.isnan, got[1::2]))
 
+    def test_an_overflowed_value_is_nan_in_every_path(self):
+        # c * f(1e200) is not finite: eval_float, a batch of one and a batch
+        # of two all answer NaN for it, where the first two once returned
+        # the run's end pushed to inf
+        m = branch_identity(UniPoly([1, -3, 0, 1]))
+        assert math.isnan(m.eval_float(1e200)) and math.isnan(m.eval_float(-1e200))
+        assert all(map(math.isnan, m.eval_floats([1e200])))
+        got = m.eval_floats([1e200, 2.0])
+        assert math.isnan(got[0]) and bits(got[1]) == bits(m.eval_float(2.0))
+
     def test_first_midpoint_on_the_inflection(self):
         # g = t^3 - 3t + 1 falls on (-1, 1), and the first midpoint of a run
         # there is 0, its inflection: g'' = 0 at that point, so K read there
