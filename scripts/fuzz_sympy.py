@@ -83,7 +83,13 @@ Compares, on seeded random inputs:
   read off the map's fields with sympy's ``Rational`` and ``root`` (at a
   branch map, the orientation's sign times the deg f-th root of
   |c lc(f) / lc(g)|) and equality is a minimal polynomial of the
-  difference equal to x.
+  difference equal to x;
+* ``polyalg.count_roots_between(p, a, c, m)`` on integer boxes (a/m, c/m)
+  for the square-free part of a seeded p, against sympy's ``count_roots``
+  of its ``sqf_part`` on the closed interval, with m = 1, 2, a power of
+  two, a small m or one above 2**60; a box with an end on p's rational
+  roots must raise ArithmeticError, and an empty one ValueError (a point
+  counts 0).
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -97,6 +103,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import random
 import sys
@@ -107,7 +114,7 @@ from fractions import Fraction
 
 from qhlip.lipclass import critical_data, similar
 from qhlip.parser import parse_bi
-from qhlip.polyalg import BiPoly, UniPoly, poly_gcd, resultant, square_free_part
+from qhlip.polyalg import BiPoly, UniPoly, count_roots_between, poly_gcd, resultant, square_free_part
 from qhlip.qhdecide import QHPoly, decide, heights, validate_qh
 from qhlip.realalg import RealAlg, abs_alg, compare, div, eval_alg, isolate_real_roots, mul, nth_root_pos, sign_at
 from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse, is_beta_regular
@@ -115,6 +122,18 @@ from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse,
 X, T = sympy.symbols("x t")
 BX, BY = sympy.symbols("X Y")
 Z = sympy.Symbol("z", positive=True)
+
+
+def product(*ps: UniPoly) -> UniPoly:
+    """The product of the polynomials, by convolution of their coefficients."""
+    out = [Fraction(1)]
+    for p in ps:
+        acc = [Fraction(0)] * (len(out) + p.degree)
+        for i, x in enumerate(out):
+            for j, y in enumerate(p.coeffs):
+                acc[i + j] += x * y
+        out = acc
+    return UniPoly(out)
 
 
 def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
@@ -125,7 +144,7 @@ def rand_uni(rng: random.Random, max_deg: int) -> UniPoly:
             break
     if rng.random() < 0.3:
         q = UniPoly((rng.randint(-3, 3), rng.choice((-1, 1, 2))))
-        p = p * q * q
+        p = product(p, q, q)
     return p
 
 
@@ -184,7 +203,7 @@ def rand_big_pair(rng: random.Random) -> tuple[UniPoly, UniPoly, UniPoly]:
         return UniPoly(cs + [rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2**bits)])
 
     shared = big_poly(5, 8, 110)
-    return big_poly(15, 23, 40) * shared, big_poly(15, 23, 40) * shared, shared
+    return product(big_poly(15, 23, 40), shared), product(big_poly(15, 23, 40), shared), shared
 
 
 def check_big_gcd(p: UniPoly, q: UniPoly, shared: UniPoly) -> str | None:
@@ -192,7 +211,7 @@ def check_big_gcd(p: UniPoly, q: UniPoly, shared: UniPoly) -> str | None:
     ours, theirs = poly_gcd(p, q), sympy.Poly(sympy.gcd(pe, qe), T)
     if theirs.degree() < shared.degree or sympy.expand(uni_expr(ours, T) - theirs.monic().as_expr()) != 0:
         return f"degree-{p.degree} poly_gcd: qhlip {ours}, sympy {theirs.as_expr()}"
-    f = p * shared  # shared is a repeated factor of f
+    f = product(p, shared)  # shared is a repeated factor of f
     ours, theirs = square_free_part(f), sympy.Poly(sympy.sqf_part(uni_expr(f, T)), T).monic()
     if sympy.expand(uni_expr(ours, T) - theirs.as_expr()) != 0:
         return f"degree-{f.degree} square_free_part: qhlip {ours}, sympy {theirs.as_expr()}"
@@ -210,8 +229,8 @@ def rand_rational_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
 
     shared = rat_poly(2)
     if rng.random() < 1 / 3:
-        shared = shared * shared
-    return rat_poly(4) * shared, rat_poly(3) * shared
+        shared = product(shared, shared)
+    return product(rat_poly(4), shared), product(rat_poly(3), shared)
 
 
 def check_roots(p: UniPoly) -> str | None:
@@ -232,6 +251,35 @@ def check_roots(p: UniPoly) -> str | None:
             return f"isolate_real_roots({p}): {r.lo} is not a root"
         if not r.is_rational and sqf.count_roots(lo, hi) != 1:
             return f"isolate_real_roots({p}): ({r.lo}, {r.hi}) does not isolate one root"
+    return None
+
+
+def check_count_roots(rng: random.Random, root_ends: list[int]) -> str | None:
+    """count_roots_between on integer boxes (a/m, c/m) against sympy's count
+    on the closed interval, over m = 1, 2, a power of two, a small m or a
+    huge one; some boxes are empty or a point, and some have an end on the
+    k/2 grid where rand_uni plants its rational roots: an end that is a
+    root must raise ArithmeticError, an empty box ValueError."""
+    p = rand_uni(rng, 6)
+    q, sqf = square_free_part(p), sympy.Poly(uni_expr(p, T), T).sqf_part()
+    for _ in range(6):
+        m = rng.choice((1, 2, 2 ** rng.randint(2, 40), rng.randint(3, 99), rng.randint(2**60, 2**70)))
+        a = rng.randint(-8 * m, 8 * m) if rng.random() < 0.7 else m * rng.randint(-8, 8) // 2
+        c = a + rng.randint(-m // 4, 8 * m)
+        lo, hi = sympy.Rational(a, m), sympy.Rational(c, m)
+        if a >= c:  # a point counts no root
+            want = "ValueError" if a > c else 0
+        elif sqf.eval(lo) == 0 or sqf.eval(hi) == 0:
+            want = "ArithmeticError"
+            root_ends.append(1)
+        else:
+            want = sqf.count_roots(lo, hi)
+        try:
+            got = count_roots_between(q, a, c, m)
+        except (ValueError, ArithmeticError) as exc:
+            got = type(exc).__name__
+        if got != want:
+            return f"count_roots_between({q}, {a}, {c}, {m}) = {got}, sympy {want}"
     return None
 
 
@@ -273,7 +321,7 @@ def check_compare(p: UniPoly, q: UniPoly) -> str | None:
         return sympy.Poly(uni_expr(f, T), T).sqf_part().real_roots()
 
     # position of each of p's and q's roots among the sorted roots of p*q
-    both = real_roots(p * q)
+    both = real_roots(product(p, q))
     at_p = [both.index(r) for r in real_roots(p)]
     at_q = [both.index(r) for r in real_roots(q)]
     for i, a in enumerate(isolate_real_roots(p)):
@@ -309,7 +357,7 @@ def check_value(what: str, v: RealAlg, exact: sympy.Expr) -> str | None:
 def check_images(rng: random.Random) -> str | None:
     pa, pb, p = rand_uni(rng, 3), rand_uni(rng, 3), rand_uni(rng, 3)
     if rng.random() < 0.5:
-        p = p * pa
+        p = product(p, pa)
     pe = uni_expr(p, T)
     for a, ae in real_roots(pa):
         minpoly = sympy.Poly(sympy.minimal_polynomial(ae, T), T)
@@ -435,7 +483,7 @@ def rand_similar_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     if rng.random() < 0.5:
         k = rng.randint(0, g.degree - 1)
         bump = [0] * k + [Fraction(rng.choice((-1, 1)), rng.choice((1, 10, 1000)))]
-        g = g + UniPoly(bump)
+        g = UniPoly(x + y for x, y in itertools.zip_longest(g.coeffs, bump, fillvalue=0))
     return f, g
 
 
@@ -541,7 +589,7 @@ def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     p, q = rand_uni(rng, 5), rand_uni(rng, 5)
     if rng.random() < 0.5:
         shared = rand_uni(rng, 3)
-        p, q = p * shared, q * shared
+        p, q = product(p, shared), product(q, shared)
     return p, q
 
 
@@ -670,9 +718,11 @@ def main(argv: list[str] | None = None) -> int:
     division_rng = random.Random(f"division {args.seed}")
     qh_rng = random.Random(f"qh {args.seed}")
     beta_rng = random.Random(f"beta {args.seed}")
+    count_rng = random.Random(f"count {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
     irrational: list[int] = []
+    root_ends: list[int] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
@@ -691,6 +741,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_division(division_rng, rational)
             or check_qh_identity(rand_qh(qh_rng))
             or check_beta_regular(beta_rng, irrational)
+            or check_count_roots(count_rng, root_ends)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")
@@ -699,7 +750,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.cases} cases agree with sympy {sympy.__version__} (seed {args.seed}; "
         f"{len(flat)} inversions within the rounding bound, not the width; "
         f"{len(rational)} quotients of irrationals rational; "
-        f"{sum(irrational)} of {len(irrational)} regularity checks with an irrational scale)"
+        f"{sum(irrational)} of {len(irrational)} regularity checks with an irrational scale; "
+        f"{len(root_ends)} Sturm boxes with a root at an end)"
     )
     return 0
 

@@ -9,15 +9,16 @@ A `UniPoly` and a `BiPoly` are each stored once, as primitive integer terms
 times a positive rational content (as FLINT's fmpq_poly and fmpq_mpoly store
 theirs), so their arithmetic and evaluation, and gcds and exact divisions, run
 over Z.  Gcds are heuristic, proved by exact division; Sturm chains take
-pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14, 1967).
-Resultants are computed in Z at integer points and interpolated in Z.
+pseudo-remainders scaled by |lc| > 0 only (`_prem`; Collins, JACM 14, 1967),
+and Sturm counts take integer boxes (a/m, c/m).  Resultants are computed in
+Z at integer points and interpolated in Z.  A UniPoly has no + - *: the
+kernel negates, scales, composes and stretches, and works on ``ints``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -79,31 +80,8 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash((self.ints, self.content.numerator, self.content.denominator))
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not other.ints:
-            return self
-        if not self.ints:
-            return other
-        # over the common denominator den of the two contents
-        (a, b), (c, d) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
-        den = _int_lcm(b, d)
-        x, y = a * (den // b), c * (den // d)
-        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
-        return _poly([x * u + y * v for u, v in pairs], Fraction(1, den))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __neg__(self) -> "UniPoly":
         return _raw(tuple(-c for c in self.ints), self.content)
-
-    def __mul__(self, other: Union["UniPoly", RatLike]) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not self.ints or not other.ints:
-            return UniPoly()
-        # a product of primitive polynomials is primitive (Gauss's lemma)
-        return _raw(tuple(_zx_mul(self.ints, other.ints)), self.content * other.content)
 
     def scale(self, c: RatLike) -> "UniPoly":
         if not c or not self.ints:
@@ -385,19 +363,19 @@ def sign_variations(signs: Iterable[int]) -> int:
     return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
-def count_roots_between(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of square-free p in (lo, hi).
+def count_roots_between(p: UniPoly, a: int, c: int, m: int) -> int:
+    """Number of distinct real roots of square-free p in the box (a/m, c/m),
+    for integers a <= c and m > 0.
 
-    Requires p(lo) != 0 and p(hi) != 0.
+    Requires p(a/m) != 0 and p(c/m) != 0.
     """
-    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    if a * d > c * b:
+    if a > c:
         raise ValueError("empty interval")
-    if a * d == c * b:
+    if a == c:
         return 0
     chain = sturm_sequence(p)
-    at_lo = [q.sign_at_ratio(a, b) for q in chain]
-    at_hi = [q.sign_at_ratio(c, d) for q in chain]
+    at_lo = [q.sign_at_ratio(a, m) for q in chain]
+    at_hi = [q.sign_at_ratio(c, m) for q in chain]
     if at_lo[0] == 0 or at_hi[0] == 0:
         raise ArithmeticError("endpoint is a root; internal bug")
     return sign_variations(at_lo) - sign_variations(at_hi)
@@ -444,9 +422,9 @@ class BiPoly:
     __slots__ = ("ints", "content", "_key", "_flt")
 
     def __new__(cls, terms: Mapping[tuple[int, int], RatLike] = ()) -> "BiPoly":
-        cs = {(int(i), int(j)): Fraction(c) for (i, j), c in dict(terms).items()}
-        if any(i < 0 or j < 0 for i, j in cs):
-            raise ValueError("negative exponent in BiPoly")
+        cs = {(i, j): Fraction(c) for (i, j), c in dict(terms).items()}
+        if any(type(i) is not int or type(j) is not int or i < 0 or j < 0 for i, j in cs):
+            raise ValueError("BiPoly exponents must be ints >= 0")
         den = _int_lcm(*(c.denominator for c in cs.values()))
         return _bi({k: c.numerator * (den // c.denominator) for k, c in cs.items()}, 1, den)
 

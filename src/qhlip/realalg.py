@@ -2,13 +2,14 @@
 
 A number is stored as a square-free monic defining polynomial together with
 an isolating box (a/m, c/m) of integers over one denominator m > 0, with
-gcd(a, c, m) = 1 so that a box has one form.  A rational is its Fraction q,
-with defpoly t - q and a = c; otherwise the defpoly has degree at least 2
-and exactly one real root in the box, and neither endpoint is a root.  The
-kernel works on the integers: Fractions are built where `lo` and `hi` are
-read, for a rational result, and on a Sturm count's cache miss.  Boxes
-refine on demand, from a number's own box.  Numbers combine only through
-this module's functions; RealAlg defines only ==.
+gcd(a, c, m) = 1 so that a box has one form.  `RealAlg(defpoly, a, c, m)`
+takes integers a < c: a defpoly of degree at least 2 with exactly one real
+root in the box, neither endpoint a root.  A rational comes from
+`from_rational` as its Fraction q, with defpoly t - q and a = c.  Sturm
+counts run on the integer box, so Fractions are built only where `lo` and
+`hi` are read, and for a rational result.  Boxes refine by halvings, from a
+number's own box.  Numbers combine only through this module's functions;
+RealAlg defines only ==.
 
 Equality and sign tests are exact and count no roots.  A divisor of the
 defpoly has at most one root in the box, a simple one, and none at the
@@ -61,23 +62,12 @@ from .polyalg import (
     square_free_part,
 )
 
-#: to_float refines the isolating interval below this width
-_FLOAT_WIDTH = Fraction(1, 2**80)
+#: to_float refines the isolating interval below 2**-_FLOAT_BITS
+_FLOAT_BITS = 80
 
 #: probe rounds spent looking for a small-denominator rational in a fresh
 #: isolating interval; catches every rational of modest height
 _RATIONAL_PROBE_ROUNDS = 4
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in the open interval (lo, hi)."""
-    return Fraction(*_simplest(*_ends(lo, hi)))
-
-
-def _ends(lo: RatLike, hi: RatLike) -> tuple[int, int, int]:
-    """(lo, hi) as a box over the least common denominator."""
-    m = _int_lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator), m
 
 
 def _simplest(a: int, c: int, m: int) -> tuple[int, int]:
@@ -116,14 +106,14 @@ class RealAlg:
 
     __slots__ = ("defpoly", "_a", "_c", "_m", "_q", "_flt")
 
-    def __init__(self, defpoly: UniPoly, lo: RatLike, hi: RatLike, m: int = 1):
-        # the one root of defpoly in (lo/m, hi/m), or the rational lo/m when
-        # lo == hi; the kernel passes integer ends
-        a, c, d = _ends(lo, hi)
-        self.defpoly, (self._a, self._c, self._m) = defpoly, _norm(a, c, d * m)
-        self._q = Fraction(self._a, self._m) if self._a == self._c else None
-        # the rounded value; filled by to_float, which leaves the box as it is
-        self._flt: float | None = None
+    def __init__(self, defpoly: UniPoly, a: int, c: int, m: int):
+        # the one root of defpoly in (a/m, c/m), for integers a < c and m > 0;
+        # a rational is built by from_rational
+        if a >= c:
+            raise ValueError("empty isolating interval")
+        self.defpoly, (self._a, self._c, self._m) = defpoly, _norm(a, c, m)
+        # _flt is the rounded value; filled by to_float, which leaves the box as it is
+        self._q = self._flt = None
 
     # -- constructors ------------------------------------------------------
 
@@ -156,18 +146,10 @@ class RealAlg:
 
     # -- refinement --------------------------------------------------------
 
-    def refine(self, width: Optional[RatLike] = None, halvings: int = 0) -> "RealAlg":
+    def refine(self, halvings: int) -> "RealAlg":
         """The same number, its box (a/m, c/m) halved at (a + c)/2m `halvings`
-        times, or as often as makes it at most `width` wide, in integers; a
-        midpoint that is the root gives a rational, its one Fraction."""
-        if width is not None:
-            wn, wd = width.as_integer_ratio()
-            if wn <= 0:
-                raise ValueError("width must be positive")
-            # the box is x/y widths wide: the least k with x <= y * 2**k
-            x, y = (self._c - self._a) * wd, wn * self._m
-            halvings = max(0, x.bit_length() - y.bit_length())
-            halvings += (y << halvings) < x
+        times, in integers; a midpoint that is the root gives a rational, its
+        one Fraction."""
         if self.is_rational or not halvings:
             return self
         p, a, c, m = self.defpoly, self._a, self._c, self._m
@@ -212,7 +194,7 @@ _ZERO = RealAlg.from_rational(0)
 @lru_cache(maxsize=None)
 def _count_pair(defpoly: UniPoly, a: int, c: int, m: int) -> int:
     """Sturm's count on the box (a/m, c/m), given in its one form."""
-    return count_roots_between(defpoly, Fraction(a, m), Fraction(c, m))
+    return count_roots_between(defpoly, a, c, m)
 
 
 def _rounded(a: RealAlg) -> float:
@@ -241,7 +223,9 @@ def _rounded(a: RealAlg) -> float:
         below, above, m = prev + xm + (m >> 80), nxt + xm - (m >> 80), 2 * m
         if below < above and p.sign_at_ratio(below, m) == s_lo and p.sign_at_ratio(above, m) == -s_lo:
             return x
-    r = a.refine(_FLOAT_WIDTH)  # from a's own box, as the bisection that the halving began
+    # a's own box, as the bisection that the halving began, halved the least k
+    # times that leave it at most 2**-80 wide: 2**k >= ceil((c - a) * 2**80 / m)
+    r = a.refine(((((a._c - a._a) << _FLOAT_BITS) - 1) // a._m).bit_length())
     return (r._a + r._c) / (2 * r._m)  # the midpoint, correctly rounded; a rational's a/m
 
 

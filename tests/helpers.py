@@ -187,10 +187,11 @@ def ref_proportional(avals: Sequence[RealAlg], bvals: Sequence[RealAlg]) -> CSet
 
 def ref_to_float(a: RealAlg) -> float:
     """RealAlg.to_float as refine-then-round, with nothing remembered: the
-    midpoint of a's box refined below 2**-80, rounded to double.  Raises
-    OverflowError beyond the float range."""
-    r = a if a.is_rational else a.refine(Fraction(1, 2**80))
-    return float(r.lo) if r.is_rational else float((r.lo + r.hi) / 2)
+    midpoint of a's box, halved on Fractions until at most 2**-80 wide,
+    rounded to double.  Raises OverflowError beyond the float range."""
+    while not a.is_rational and a.hi - a.lo > Fraction(1, 2**80):
+        a = _halved(a)
+    return float(a.lo) if a.is_rational else float((a.lo + a.hi) / 2)
 
 
 def ref_limit_slope(m) -> RealAlg:
@@ -236,7 +237,7 @@ def _halved(a: RealAlg) -> RealAlg:
     s = D.sign_at(mid)
     if s == 0:
         return RealAlg.from_rational(mid)
-    return RealAlg(D, mid, a.hi) if s == D.sign_at(a.lo) else RealAlg(D, a.lo, mid)
+    return RealAlg(D, *box(mid, a.hi)) if s == D.sign_at(a.lo) else RealAlg(D, *box(a.lo, mid))
 
 
 def gcd_count_sign_at(p: UniPoly, a: RealAlg) -> int:
@@ -246,7 +247,7 @@ def gcd_count_sign_at(p: UniPoly, a: RealAlg) -> int:
     if a.is_rational:
         return p.sign_at(a.lo)
     g = poly_gcd(a.defpoly, p)
-    if g.degree >= 1 and count_roots_between(g, a.lo, a.hi) == 1:
+    if g.degree >= 1 and count_roots_between(g, *box(a.lo, a.hi)) == 1:
         return 0
     while not a.is_rational:
         p_lo, p_hi = frac_interval_eval(p, a.lo, a.hi)
@@ -266,7 +267,7 @@ def gcd_count_compare(a: RealAlg, b: RealAlg) -> int:
         return gcd_count_sign_at(UniPoly((-b.lo, 1)), a)
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     g = poly_gcd(a.defpoly, b.defpoly)
-    if lo < hi and g.degree >= 1 and count_roots_between(g, lo, hi) == 1:
+    if lo < hi and g.degree >= 1 and count_roots_between(g, *box(lo, hi)) == 1:
         return 0
     while a.hi > b.lo and b.hi > a.lo:
         a, b = _halved(a), _halved(b)
@@ -440,6 +441,22 @@ def ref_mul(a, b) -> tuple[Fraction, ...]:
     return ref_trim(out)
 
 
+def uni_add(p: UniPoly, q: UniPoly) -> UniPoly:
+    return UniPoly(ref_add(p.coeffs, q.coeffs))
+
+
+def uni_sub(p: UniPoly, q: UniPoly) -> UniPoly:
+    return UniPoly(ref_sub(p.coeffs, q.coeffs))
+
+
+def uni_mul(*ps: UniPoly) -> UniPoly:
+    """The product of the polynomials, by ref_mul on their coefficients."""
+    out: tuple[Fraction, ...] = (Fraction(1),)
+    for p in ps:
+        out = ref_mul(out, p.coeffs)
+    return UniPoly(out)
+
+
 def ref_scale(a, c) -> tuple[Fraction, ...]:
     return ref_trim(c * x for x in a)
 
@@ -479,6 +496,12 @@ def box(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     """(lo, hi) as the kernel's integer box (a, c, m): lo = a/m and hi = c/m."""
     m = lcm(lo.denominator, hi.denominator)
     return lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator), m
+
+
+def rebuilt_alg(a: RealAlg) -> RealAlg:
+    """a built afresh, with nothing remembered: through the constructor on
+    a's box, or from_rational for a rational."""
+    return RealAlg.from_rational(a.lo) if a.is_rational else RealAlg(a.defpoly, *box(a.lo, a.hi))
 
 
 def frac_interval_eval(p, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

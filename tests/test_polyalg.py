@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import os
 import pickle
 import random
@@ -39,7 +40,6 @@ from helpers import (
     prs_gcd,
     rand_tpoly,
     rand_unipoly,
-    ref_add,
     ref_bi,
     ref_bi_add,
     ref_bi_height,
@@ -50,12 +50,13 @@ from helpers import (
     ref_eval,
     ref_interval_eval,
     ref_monic,
-    ref_mul,
     ref_scale,
     ref_stretch,
-    ref_sub,
     ref_trim,
     sylvester_resultant,
+    uni_add,
+    uni_mul,
+    uni_sub,
 )
 
 T = UniPoly((0, 1))
@@ -66,9 +67,6 @@ def P(*coeffs):
 
 
 class TestArith:
-    def test_add(self):
-        assert P(-1, 0, 1) + P(1) == P(0, 0, 1)
-
     def test_eval(self):
         assert P(1, -3, 0, 1)(0) == 1
 
@@ -87,15 +85,6 @@ class TestArith:
         F6 = BiPoly({(6, 0): 1, (4, 1): -3, (0, 3): 1})
         assert F6.height(1)(2) == 1 - 6 + 8
         assert F6.scale_vars(F(1, 2), 1).height(1)(1) == F(1, 64) - F(3, 16) + 1
-
-    def test_ring_axioms_random(self):
-        rng = random.Random(42)
-        for _ in range(30):
-            a, b, c = (rand_unipoly(rng, 4) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert (a * b) * c == a * (b * c)
-            assert a * b == b * a
 
     def test_bipoly_ring_axioms_random(self):
         rng = random.Random(43)
@@ -168,19 +157,19 @@ class TestSquareFree:
         rng = random.Random(45)
         for _ in range(40):
             p = rand_unipoly(rng, 6)
-            q = square_free_part(p * p)
+            q = square_free_part(uni_mul(p, p))
             assert poly_gcd(q, q.derivative()).degree == 0
 
 
 class TestSturm:
     def test_sqrt2_interval(self):
-        assert count_roots_between(P(-2, 0, 1), F(0), F(2)) == 1
+        assert count_roots_between(P(-2, 0, 1), 0, 2, 1) == 1
 
     def test_no_real_roots(self):
-        assert count_roots_between(P(1, 0, 1), F(-10), F(10)) == 0
+        assert count_roots_between(P(1, 0, 1), -10, 10, 1) == 0
 
     def test_three_roots(self):
-        assert count_roots_between(P(1, -3, 0, 1), F(-2), F(2)) == 3
+        assert count_roots_between(P(1, -3, 0, 1), -2, 2, 1) == 3
 
     def test_chain_shape(self):
         chain = sturm_sequence(P(-2, 0, 1))
@@ -194,9 +183,8 @@ class TestSturm:
             if p.degree == 0:
                 continue
             bound_counts = brute_force_real_root_count(p)
-            lo, hi = -F(10**6), F(10**6)
             # huge window holds every root (coefficients are small)
-            assert count_roots_between(p, lo, hi) == bound_counts
+            assert count_roots_between(p, -(10**6), 10**6, 1) == bound_counts
 
 
 def x_degree(A):
@@ -271,7 +259,7 @@ class TestResultant:
             B = rand_tpoly(rng)
             power = P(1)
             for _ in range(len(B) - 1):
-                power = power * UniPoly(a[0])
+                power = uni_mul(power, UniPoly(a[0]))
             assert resultant(a, B) == power
             assert resultant(B, a) == power
             for x0 in (F(0), F(1), F(7, 2)):
@@ -325,6 +313,13 @@ class TestStructureQueries:
         assert not y_divides(H)
         assert is_cxd(H) == (F(2), 4)
 
+    def test_exponents_must_be_ints(self):
+        # int() read (1.5, 0) as X and ('2', 0) as X^2
+        for key in ((1.5, 0), ("2", 0), (0, 2.0), (1, -1)):
+            with pytest.raises(ValueError):
+                BiPoly({key: 1})
+        assert BiPoly({(2, 0): 1}) == parse_bi("X^2")
+
 
 #: rationals of every size the kernel meets: small integers, small
 #: fractions, and numerators and denominators of up to 200 bits
@@ -360,20 +355,21 @@ class TestFractionReference:
     @ref_examples
     @given(ref_lists, ref_lists)
     def test_ring_operations(self, a, b):
+        # negation is the one operator: sums and products of UniPolys are
+        # built on their coefficients
         p, q = UniPoly(a), UniPoly(b)
-        a, b = ref_trim(a), ref_trim(b)
+        a = ref_trim(a)
         assert_stores(p, a)
-        assert_stores(p + q, ref_add(a, b))
-        assert_stores(p - q, ref_sub(a, b))
         assert_stores(-p, ref_scale(a, -1))
-        assert_stores(p * q, ref_mul(a, b))
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, q)
 
     @ref_examples
     @given(ref_lists, ref_coeffs, st.integers(1, 3))
     def test_unary_operations(self, a, c, n):
         p, a = UniPoly(a), ref_trim(a)
         assert_stores(p.scale(c), ref_scale(a, c))
-        assert_stores(p * c, ref_scale(a, c))
         assert_stores(p.derivative(), ref_derivative(a))
         assert_stores(p.monic(), ref_monic(a))
         assert_stores(p.stretch(n), ref_stretch(a, n))
@@ -397,17 +393,17 @@ class TestFractionReference:
     def test_equality_does_not_depend_on_the_route(self, a, c):
         p = UniPoly(a)
         assert_stores(p.scale(c).scale(1 / F(c)), ref_trim(a))
-        assert_stores((p + UniPoly([c])) - UniPoly([c]), ref_trim(a))
+        assert_stores(uni_sub(uni_add(p, UniPoly([c])), UniPoly([c])), ref_trim(a))
         assert_stores(p.compose(UniPoly([0, 1])), ref_trim(a))
 
     def test_equal_polynomials_built_apart(self):
         assert UniPoly([2, 4]) == UniPoly([1, 2]).scale(2)
         assert hash(UniPoly([2, 4])) == hash(UniPoly([1, 2]).scale(2))
         assert UniPoly([F(1, 2), 1]) == UniPoly([1, 2]).scale(F(1, 2))
-        assert UniPoly([-3, -6]) == -UniPoly([3, 6]) == UniPoly([1, 2]) * UniPoly([-3])
+        assert UniPoly([-3, -6]) == -UniPoly([3, 6]) == UniPoly([1, 2]).scale(-3)
         assert UniPoly([2, 4]).ints == (1, 2) and UniPoly([2, 4]).content == 2
         assert UniPoly([-1, F(-1, 2)]).ints == (-2, -1) and UniPoly([-1, F(-1, 2)]).content == F(1, 2)
-        assert UniPoly([0, 0]) == UniPoly() == UniPoly([3]) - UniPoly([3])
+        assert UniPoly([0, 0]) == UniPoly() == UniPoly([3]).scale(0)
         assert UniPoly().ints == () and UniPoly().content == 1
 
     @pytest.mark.parametrize("p", [UniPoly(), UniPoly([F(1, 2), -3])], ids=["zero", "nonzero"])
@@ -565,7 +561,7 @@ class TestSignAt:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(fractions_, min_size=1, max_size=6), fractions_)
     def test_zero_at_a_planted_root(self, coeffs, r):
-        p = UniPoly(coeffs) * P(-r, 1)
+        p = uni_mul(UniPoly(coeffs), P(-r, 1))
         assert p.sign_at(r) == 0
 
     def test_zero_and_constant_polynomials(self):
@@ -592,7 +588,7 @@ class TestSignAt:
 
     def test_large_denominator_next_to_a_root(self):
         r = F(3, 2**211 + 5)
-        p = P(-r, 1) * P(1, 0, 1)
+        p = uni_mul(P(-r, 1), P(1, 0, 1))
         eps = F(1, 2**300)
         assert p.sign_at(r) == 0
         assert p.sign_at(r + eps) == 1
@@ -640,7 +636,7 @@ class TestIntegerKernel:
     @kernel_examples
     @given(kernel_polys(), kernel_polys(), kernel_polys(max_size=3))
     def test_gcd_matches_fraction_reference(self, a, b, c):
-        p, q = a * c, b * c  # c is a common factor
+        p, q = uni_mul(a, c), uni_mul(b, c)  # c is a common factor
         if p.is_zero and q.is_zero:
             with pytest.raises(ValueError):
                 poly_gcd(p, q)
@@ -660,7 +656,7 @@ class TestIntegerKernel:
     def test_square_free_part_matches_fraction_reference(self, a, c, e):
         p = a
         for _ in range(e):
-            p = p * c  # c**e is a repeated factor when e >= 2
+            p = uni_mul(p, c)  # c**e is a repeated factor when e >= 2
         if p.is_zero:
             return
         assert square_free_part(p) == frac_square_free_part(p)
@@ -668,7 +664,7 @@ class TestIntegerKernel:
     @kernel_examples
     @given(nonzero_polys, kernel_polys(max_size=3), st.booleans())
     def test_sturm_chain_matches_fraction_reference(self, a, c, square):
-        p = a * c * c if square and not c.is_zero else a
+        p = uni_mul(a, c, c) if square and not c.is_zero else a
         assert sturm_sequence(p) == frac_sturm_sequence(p)
 
     def test_sturm_chain_with_odd_pseudo_remainder_steps(self):
@@ -684,7 +680,7 @@ class TestIntegerKernel:
     def test_resultant_matches_references(self, a, b, c):
         # a shared factor c makes the resultant 0 when c is not constant;
         # operands constant in x give a constant resultant
-        p, q = (a * c, b * c) if not c.is_zero else (a, b)
+        p, q = (uni_mul(a, c), uni_mul(b, c)) if not c.is_zero else (a, b)
         res = resultant(p, q)
         assert res.is_constant
         assert res.coeff(0) == frac_resultant(p, q)
@@ -700,12 +696,12 @@ class TestIntegerKernel:
 
     def test_coefficients_of_10_to_the_400(self):
         big = 10**400
-        p = P(-big, 0, 1) * P(1, 1)  # (t^2 - 10^400)(t + 1)
-        q = P(big, 1) * P(1, 1)
+        p = uni_mul(P(-big, 0, 1), P(1, 1))  # (t^2 - 10^400)(t + 1)
+        q = uni_mul(P(big, 1), P(1, 1))
         assert poly_gcd(p, q) == P(1, 1)
-        assert square_free_part(p * P(1, 1)) == p
+        assert square_free_part(uni_mul(p, P(1, 1))) == p
         assert sturm_sequence(p) == frac_sturm_sequence(p)
-        assert count_roots_between(p, F(-(10**201)), F(10**201)) == 3
+        assert count_roots_between(p, -(10**201), 10**201, 1) == 3
         assert resultant(P(-big, 0, 1), P(big, 1)) == P(big**2 - big)
 
     def test_inexact_division_raises(self, monkeypatch):
@@ -748,13 +744,13 @@ class TestHeuristicGcd:
     @example(UniPoly([1]), UniPoly([1, 1]), UniPoly([2, 1]))  # coprime operands
     @example(UniPoly([-3, 0, 2]), UniPoly([7]), UniPoly([1, 0, 1]))  # a divides b
     def test_matches_remainder_sequence(self, g, u, v):
-        p, q = g * u, g * v
+        p, q = uni_mul(g, u), uni_mul(g, v)
         a, b = p.ints, q.ints
         want = prs_gcd(a, b)
         assert same_up_to_sign(polyalg._zx_gcd(a, b), want)
         assert same_up_to_sign(polyalg._zx_gcd(b, a), want)
         assert poly_gcd(p, q) == UniPoly(want).monic()
-        r = g * g * u  # g is a repeated factor
+        r = uni_mul(g, g, u)  # g is a repeated factor
         c = r.ints
         d = prs_gcd(c, polyalg._primitive([i * x for i, x in enumerate(c)][1:])[0])
         assert square_free_part(r) == UniPoly(polyalg._zx_quotient(list(c), d)).monic()

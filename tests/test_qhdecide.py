@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -37,6 +38,22 @@ law_examples = settings(max_examples=30, deadline=None, derandomize=True, databa
 def scaled(q, a, b):
     """F(aX, bY), which has F's weights and degree."""
     return validate_qh(q.poly.scale_vars(a, b), q.r, q.s)
+
+
+def sheared(q, c):
+    """F(X, Y + cX^r) for s = 1, which has F's weights and degree."""
+    terms = {}
+    for (i, j), a in q.poly.terms.items():
+        for k in range(j + 1):  # a C(j, k) X^i Y^(j - k) (cX^r)^k
+            key = (i + q.r * k, j - k)
+            terms[key] = terms.get(key, 0) + a * math.comb(j, k) * c**k
+    return validate_qh(BiPoly(terms), q.r, q.s)
+
+
+def quoted(v):
+    """A NotEquivalent verdict's reason kind and necessity conditions, each
+    with its zero counts as an unordered pair (a flip of X swaps the heights)."""
+    return v.reason.kind, [(n.condition, n.zero_side, sorted(n.zeros)) for n in v.reason.necessity]
 
 
 def hp(lam) -> "QHPoly":
@@ -279,20 +296,30 @@ class TestDecide:
     def test_laws_on_independent_pairs(self):
         # verdicts are class functions, on pairs drawn independently from one
         # family, so that all three kinds occur: decide(G, F) has the kind of
-        # decide(F, G), and so has the pair with (aX, bY) put into one side
-        rng, kinds = random.Random(5), set()
+        # decide(F, G), and so has the pair with h put into one side, where h
+        # is (aX, bY), followed half the time when s = 1 by the shear
+        # (X, Y + cX^r); a NotEquivalent pair quotes the same necessity
+        # conditions after h
+        rng, kinds, sheared_kinds = random.Random(5), set(), set()
         for _ in range(300):
             q = rand_qhpoly(rng)
             while (g := rand_qhpoly(rng, betas=((q.r, q.s),))).d != q.d:
                 pass
-            kind = decide(q, g).kind
-            assert decide(g, q).kind is kind, (q.poly, g.poly)
+            v = decide(q, g)
+            assert decide(g, q).kind is v.kind, (q.poly, g.poly)
             a = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
             b = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-            pair = (scaled(q, a, b), g) if rng.random() < 0.5 else (q, scaled(g, a, b))
-            assert decide(*pair).kind is kind, (q.poly, g.poly, a, b)
-            kinds.add(kind)
-        assert kinds == set(VerdictKind)
+            c = F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)) if q.s == 1 and rng.random() < 0.5 else 0
+            h = (lambda p: sheared(scaled(p, a, b), c)) if c else (lambda p: scaled(p, a, b))
+            pair = (h(q), g) if rng.random() < 0.5 else (q, h(g))
+            w = decide(*pair)
+            assert w.kind is v.kind, (q.poly, g.poly, a, b, c)
+            if v.kind is VerdictKind.NOT_EQUIVALENT:
+                assert quoted(w) == quoted(v), (q.poly, g.poly, a, b, c)
+            kinds.add(v.kind)
+            if c:
+                sheared_kinds.add(v.kind)
+        assert kinds == sheared_kinds == set(VerdictKind)
 
     def test_oracle_soundness_sample(self):
         rng = random.Random(302)

@@ -29,7 +29,6 @@ from qhlip.realalg import (
     nth_root_pos,
     pow_int,
     sign_at,
-    simplest_between,
 )
 from qhlip.zygothety import BranchMap
 
@@ -43,7 +42,10 @@ from helpers import (
     gcd_count_sign_at,
     rand_nonzero_rational,
     rand_unipoly,
+    rebuilt_alg,
     ref_to_float,
+    uni_add,
+    uni_mul,
 )
 
 
@@ -91,7 +93,7 @@ class TestIsolation:
                 if root.is_rational:
                     assert root.defpoly(root.lo) == 0
                 else:
-                    assert count_roots_between(root.defpoly, root.lo, root.hi) == 1
+                    assert count_roots_between(root.defpoly, *box(root.lo, root.hi)) == 1
                     assert root.defpoly(root.lo) != 0
                     assert root.defpoly(root.hi) != 0
 
@@ -105,8 +107,8 @@ class TestIsolation:
         c = 3 * 2**2001
         low, high = isolate_real_roots(P(c - 3, -2 * c, c))
         assert low.hi <= 1 <= high.lo
-        assert count_roots_between(low.defpoly, 1 - F(1, 2**1000), F(1)) == 1
-        assert count_roots_between(high.defpoly, F(1), 1 + F(1, 2**1000)) == 1
+        assert count_roots_between(low.defpoly, *box(1 - F(1, 2**1000), F(1))) == 1
+        assert count_roots_between(high.defpoly, *box(F(1), 1 + F(1, 2**1000))) == 1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -118,13 +120,13 @@ class TestIsolation:
         assert six.is_rational and six.lo == 6
 
     def test_stripping_a_zero_root_to_a_linear_defpoly_gives_a_rational(self):
-        six = realalg._avoid_zero(RealAlg(P(0, -6, 1), F(3), F(7)))
+        six = realalg._avoid_zero(RealAlg(P(0, -6, 1), *box(F(3), F(7))))
         assert six.is_rational and six.lo == 6
 
     @pytest.mark.parametrize("lo, hi", [(F(-1), F(2)), (F(-1, 3), F(2, 3))])
     def test_zero_in_interval_form(self, lo, hi):
         # bisection from these boxes never lands on 0
-        zero = RealAlg(P(0, -5, 1), lo, hi)
+        zero = RealAlg(P(0, -5, 1), *box(lo, hi))
         assert zero.sign() == 0
         product = mul(zero, sqrt2())
         assert product.is_rational and product.lo == 0
@@ -169,8 +171,8 @@ class TestCompareOverlap:
     defpolys has a root on the overlap."""
 
     def test_equal_values_partly_overlapping_boxes(self):
-        a = RealAlg(P(-2, 0, 1), F(1), F(29, 20))  # sqrt2 on (1, 1.45)
-        b = RealAlg(P(6, 0, -5, 0, 1), F(13, 10), F(3, 2))  # (t^2-2)(t^2-3), sqrt2 on (1.3, 1.5)
+        a = RealAlg(P(-2, 0, 1), *box(F(1), F(29, 20)))  # sqrt2 on (1, 1.45)
+        b = RealAlg(P(6, 0, -5, 0, 1), *box(F(13, 10), F(3, 2)))  # (t^2-2)(t^2-3), sqrt2 on (1.3, 1.5)
         assert compare(a, b) == 0
         assert compare(b, a) == 0
         assert a == b
@@ -178,13 +180,13 @@ class TestCompareOverlap:
     def test_shared_root_outside_the_overlap(self):
         # gcd t^2 - 2 has the root sqrt2 in a's box (1, 1.5) but not on the
         # overlap (1.45, 1.5) with b's box around sqrt3
-        a = RealAlg(P(-2, 0, 1), F(1), F(3, 2))
-        b = RealAlg(P(6, 0, -5, 0, 1), F(29, 20), F(9, 5))
+        a = RealAlg(P(-2, 0, 1), *box(F(1), F(3, 2)))
+        b = RealAlg(P(6, 0, -5, 0, 1), *box(F(29, 20), F(9, 5)))
         assert compare(a, b) == -1
         assert compare(b, a) == 1
         # and the other way round: the shared root sqrt3 lies in b's box only
-        c = RealAlg(P(-3, 0, 1), F(3, 2), F(2))
-        d = RealAlg(P(6, 0, -5, 0, 1), F(13, 10), F(8, 5))
+        c = RealAlg(P(-3, 0, 1), *box(F(3, 2), F(2)))
+        d = RealAlg(P(6, 0, -5, 0, 1), *box(F(13, 10), F(8, 5)))
         assert compare(d, c) == -1
         assert compare(c, d) == 1
 
@@ -213,7 +215,7 @@ class TestSignAt:
         realalg._count_pair.cache_clear()
         assert sign_at(P(-3, 1), a) == -1  # gcd 1: no count at all
         assert calls == []
-        assert sign_at(P(-2, 0, 1) * P(-17, 10), a) == 1  # the gcd keeps its sign
+        assert sign_at(uni_mul(P(-2, 0, 1), P(-17, 10)), a) == 1  # the gcd keeps its sign
         assert calls == []
 
 
@@ -363,7 +365,7 @@ class TestDivision:
         b = mul(a, RealAlg.from_rational(c))
         got = div(b, a)
         assert got.is_rational and got.lo == c
-        assert div(b, a.refine((a.hi - a.lo) / 7)) == RealAlg.from_rational(c)
+        assert div(b, a.refine(3)) == RealAlg.from_rational(c)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(irrational_roots, irrational_roots)
@@ -386,7 +388,7 @@ class TestDivision:
 
     def test_zero_in_interval_form(self):
         # 0 as the root of t^2 - t in (-1/2, 1/2), a defpoly of sqrt(2)'s degree
-        zero = RealAlg(P(0, -1, 1), F(-1, 2), F(1, 2))
+        zero = RealAlg(P(0, -1, 1), *box(F(-1, 2), F(1, 2)))
         with pytest.raises(ZeroDivisionError):
             div(sqrt2(), zero)
         assert div(zero, sqrt2()) == RealAlg.from_rational(0)
@@ -418,9 +420,18 @@ class TestDivision:
 
 class TestRefineAndFloat:
     def test_refine_width(self):
-        r = sqrt2().refine(F(1, 1000))
-        assert r.hi - r.lo <= F(1, 1000)
+        s = sqrt2()
+        r = s.refine(10)
+        assert r.hi - r.lo == (s.hi - s.lo) / 2**10 <= F(1, 1000)
         assert F(1414, 1000) < r.lo and r.hi < F(1415, 1000)
+
+    def test_constructor_takes_an_integer_box(self):
+        assert RealAlg(P(-2, 0, 1), 8, 12, 8) == sqrt2()  # (1, 3/2), stored as (2/2, 3/2)
+        for a, c in ((3, 3), (3, 2)):
+            with pytest.raises(ValueError):
+                RealAlg(P(-2, 0, 1), a, c, 2)
+        with pytest.raises(TypeError):
+            RealAlg(P(-2, 0, 1), F(1), F(3, 2), 1)
 
     def test_float_of_rational(self):
         assert RealAlg.from_rational(2).to_float() == 2.0
@@ -431,7 +442,7 @@ class TestRefineAndFloat:
     def test_repr(self):
         # scripts/fuzz_sympy.py prints numbers this way in its failure messages
         assert repr(RealAlg.from_rational(F(-3, 2))) == "RealAlg(-3/2)"
-        root = RealAlg(P(-2, 0, 1), F(4, 3), F(3, 2))
+        root = RealAlg(P(-2, 0, 1), *box(F(4, 3), F(3, 2)))
         assert repr(root) == "RealAlg(UniPoly(t^2 - 2) on (4/3, 3/2))"
 
 
@@ -445,9 +456,9 @@ def count_refines(monkeypatch):
         calls.append(self)
         return inner(self, *args, **kwargs)
 
-    def counted_sturm(p, lo, hi):
-        counts.append((p, lo, hi))
-        return inner_count(p, lo, hi)
+    def counted_sturm(p, a, c, m):
+        counts.append((p, F(a, m), F(c, m)))
+        return inner_count(p, a, c, m)
 
     realalg._count_pair.cache_clear()
     monkeypatch.setattr(RealAlg, "refine", counted)
@@ -475,7 +486,7 @@ class TestFloatMemo:
         checked = 0
         for _ in range(30):
             for root in isolate_real_roots(rand_squarefree(rng, 6)):
-                fresh = RealAlg(root.defpoly, root.lo, root.hi)
+                fresh = rebuilt_alg(root)
                 want = ref_to_float(root)
                 assert fresh.to_float().hex() == want.hex()
                 assert root.to_float().hex() == want.hex()
@@ -524,7 +535,7 @@ def near_ties(draw):
     m = (F(x) + F(math.nextafter(x, math.inf))) / 2
     e = F(draw(st.integers(1, 2**15 - 1)), 2**90) * draw(st.sampled_from((-1, 1)))
     w1, w2 = (F(draw(st.integers(0, 2**20)), 2**90) for _ in range(2))
-    return RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), min(m, m - 2 * e) - w1, max(m, m - 2 * e) + w2)
+    return RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), *box(min(m, m - 2 * e) - w1, max(m, m - 2 * e) + w2))
 
 
 def scaled_root(c: int, k: int) -> RealAlg:
@@ -538,7 +549,7 @@ class TestCertifiedRounding:
 
     @staticmethod
     def assert_reference_bits(a: RealAlg):
-        fresh = RealAlg(a.defpoly, a.lo, a.hi)
+        fresh = rebuilt_alg(a)
         assert fresh.to_float().hex() == ref_to_float(a).hex(), a
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -565,7 +576,7 @@ class TestCertifiedRounding:
 
     def test_beyond_the_float_range_raises(self):
         huge = scaled_root(2, 1030)
-        for f in (ref_to_float, lambda a: RealAlg(a.defpoly, a.lo, a.hi).to_float()):
+        for f in (ref_to_float, lambda a: rebuilt_alg(a).to_float()):
             with pytest.raises(OverflowError):
                 f(huge)
 
@@ -575,11 +586,16 @@ class TestCertifiedRounding:
         # 2**-70 wide, below 2**-80 decides, after the halving
         m = 1 + F(1, 2**53)
         e = -F(1, 2**90)
-        a = RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), m, m + F(1, 2**70))
-        want = ref_to_float(RealAlg(a.defpoly, a.lo, a.hi))
+        a = RealAlg(P(m * (m + 1) - e, -2 * m - 1, 1), *box(m, m + F(1, 2**70)))
+        want = ref_to_float(rebuilt_alg(a))
         calls, counts = count_refines(monkeypatch)
         assert a.to_float() == want == 1.0000000000000002
         assert [c is a for c in calls] == [True, True] and len(counts) == 1
+
+
+def simplest_between(lo, hi):
+    """realalg._simplest on the box (lo, hi), as a Fraction."""
+    return F(*realalg._simplest(*box(lo, hi)))
 
 
 class TestSimplestBetween:
@@ -617,20 +633,21 @@ class TestSimplestBetween:
         if from_integer:
             lo = F(lo.numerator // lo.denominator)
         hi = lo + width
-        got = simplest_between(lo, hi)
-        assert type(got) is F
+        h, k = realalg._simplest(*box(lo, hi))
+        assert k > 0 and math.gcd(h, k) == 1
+        got = F(h, k)
         assert got == frac_simplest_between(lo, hi)
         assert lo < got < hi
 
 
-def sturm_refine(a, width):
+def sturm_refine(a, halvings):
     """Reference refinement: bisect a's box by Sturm counts on each half."""
     lo, hi = a.lo, a.hi
-    while hi - lo > width:
+    for _ in range(halvings):
         mid = (lo + hi) / 2
         if a.defpoly(mid) == 0:
             return mid, mid
-        if count_roots_between(a.defpoly, lo, mid) == 1:
+        if count_roots_between(a.defpoly, *box(lo, mid)) == 1:
             hi = mid
         else:
             lo = mid
@@ -645,7 +662,7 @@ def sturm_sign_minus(a, r):
         return -1
     if a.defpoly(r) == 0:
         return 0
-    return -1 if count_roots_between(a.defpoly, a.lo, r) == 1 else 1
+    return -1 if count_roots_between(a.defpoly, *box(a.lo, r)) == 1 else 1
 
 
 def rand_squarefree(rng, max_deg):
@@ -666,21 +683,19 @@ def probe_points(a):
 class TestSignBisection:
     def test_refine_matches_sturm_bisection(self):
         rng = random.Random(106)
-        width = F(1, 2**100)
         checked = 0
         for _ in range(40):
             for root in isolate_real_roots(rand_squarefree(rng, 7)):
                 if root.is_rational:
                     continue
-                got = root.refine(width)
-                assert (got.lo, got.hi) == sturm_refine(root, width)
+                got = root.refine(100)
+                assert (got.lo, got.hi) == sturm_refine(root, 100)
                 assert got.defpoly == root.defpoly
                 checked += 1
         assert checked >= 20
 
     def test_compare_and_sign_at_rational_points(self):
         rng = random.Random(107)
-        t = UniPoly((0, 1))
         checked = 0
         for _ in range(30):
             q = rand_squarefree(rng, 6)
@@ -696,7 +711,7 @@ class TestSignBisection:
                     want = sturm_sign_minus(root, r)
                     assert compare(root, RealAlg.from_rational(r)) == want
                     assert compare(RealAlg.from_rational(r), root) == -want
-                    assert sign_at(t - UniPoly((r,)), root) == want
+                    assert sign_at(P(-r, 1), root) == want
                     checked += 1
         assert checked >= 200
 
@@ -706,7 +721,7 @@ class TestSignBisection:
         roots = isolate_real_roots(p)
         assert [r.is_rational for r in roots] == [False, True, False]
         assert roots[1].lo == F(1, 3)
-        wide = RealAlg(p, F(0), F(1))
+        wide = RealAlg(p, *box(F(0), F(1)))
         assert compare(wide, RealAlg.from_rational(F(1, 3))) == 0
         assert compare(wide, RealAlg.from_rational(F(1, 4))) == 1
         assert compare(wide, RealAlg.from_rational(F(1, 2))) == -1
@@ -714,21 +729,20 @@ class TestSignBisection:
     def test_count_real_roots_matches_oracle(self):
         # the zero count read off the critical data against an exact grid scan
         rng = random.Random(108)
-        t = UniPoly((0, 1))
         for k in range(60):
             p = rand_unipoly(rng, 5)
             if k % 3 == 1:
-                p = p * p * rand_unipoly(rng, 2)  # repeated roots
+                p = uni_mul(p, p, rand_unipoly(rng, 2))  # repeated roots
             elif k % 3 == 2:
                 a = F(rng.randint(-6, 6), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3)):
-                    p = p * (t - UniPoly((a,)))  # rational root, maybe repeated
+                    p = uni_mul(p, P(-a, 1))  # rational root, maybe repeated
             if p.degree >= 1:
                 assert critical_data(p).zero_count == brute_force_real_root_count(p), p
 
     def test_count_real_roots_edge_cases(self):
         cases = (
-            (P(-1, 0, 1) * P(-1, 0, 1) * P(-1, 0, 1), 2),
+            (uni_mul(P(-1, 0, 1), P(-1, 0, 1), P(-1, 0, 1)), 2),
             (P(0, 0, 0, 1), 1),  # t^3: critical value 0, no sign change
             (P(1, 0, -2, 0, 1), 2),  # (t^2 - 1)^2: two critical values 0
             (P(-1, 0, 1, 0, -1), 0),  # -(t^4 - t^2 + 1): negative leading
@@ -778,18 +792,18 @@ def test_invariants_hold_under_python_O():
         from qhlip.zygothety import BranchMap, Zygothety, identity_map, make_regular
         print("debug", __debug__)
         boxes = [
-            RealAlg(UniPoly((-2, 0, 1)), Fraction(-2), Fraction(2)),  # two roots
-            RealAlg(UniPoly((1, -2, 1)), Fraction(0), Fraction(2)),  # double root
+            RealAlg(UniPoly((-2, 0, 1)), -2, 2, 1),  # two roots
+            RealAlg(UniPoly((1, -2, 1)), 0, 2, 1),  # double root
         ]
         for a in boxes:
             try:
-                a.refine(Fraction(1, 8))
+                a.refine(3)
             except ArithmeticError as exc:
                 print("raised", exc)
             else:
                 print("accepted", a)
         try:
-            count_roots_between(UniPoly((-1, 0, 1)), Fraction(-1), Fraction(2))
+            count_roots_between(UniPoly((-1, 0, 1)), -1, 2, 1)
         except ArithmeticError as exc:
             print("raised", exc)
         else:
@@ -843,10 +857,7 @@ def test_invariants_hold_under_python_O():
 
 
 def from_roots(roots):
-    out = UniPoly((1,))
-    for r in roots:
-        out = out * UniPoly((-r, 1))
-    return out
+    return uni_mul(*(UniPoly((-r, 1)) for r in roots))
 
 
 class TestResultantDefpolys:
@@ -907,11 +918,11 @@ class TestSignAtProperty:
         # with a's defpoly, whether or not a is a root of q1; the shift eps
         # turns a zero p(a) into a small nonzero one, which the bisection
         # must narrow the box to see
-        roots = isolate_real_roots(q1 * q2)
+        roots = isolate_real_roots(uni_mul(q1, q2))
         assume(roots)
         a = roots[k % len(roots)]
         assume(not a.is_rational)
-        p = (UniPoly(coeffs) * q1 if share else UniPoly(coeffs)) + UniPoly((eps,))
+        p = uni_add(uni_mul(UniPoly(coeffs), q1) if share else UniPoly(coeffs), UniPoly((eps,)))
         assert sign_at(p, a) == eval_alg(p, a).sign()
 
 
@@ -925,7 +936,7 @@ def int_polys(draw, max_degree):
 
 class TestCertification:
     def test_sign_change_over_three_roots_is_refused(self):
-        D = P(-1, 1) * P(-2, 1) * P(-3, 1)  # D(0) < 0 < D(4), D' has two roots inside
+        D = uni_mul(P(-1, 1), P(-2, 1), P(-3, 1))  # D(0) < 0 < D(4), D' has two roots inside
         assert realalg._try_make(D, *box(F(0), F(4))) is None
         assert realalg._try_make(D, *box(F(29, 10), F(31, 10))).lo == 3
 
@@ -941,7 +952,7 @@ class TestCertification:
         made = realalg._try_make(D, *box(lo, hi))
         if made is None:
             return
-        assert count_roots_between(D, lo, hi) == 1
+        assert count_roots_between(D, *box(lo, hi)) == 1
         assert lo <= made.lo <= made.hi <= hi and (made.is_rational or made.lo < made.hi)
         assert sign_at(D, made) == 0
 
@@ -954,7 +965,7 @@ class TestGcdSignChangeProperty:
     @given(int_polys(3), int_polys(3), int_polys(2), st.booleans())
     def test_sign_at_and_compare_match_gcd_count(self, p, q, shared, share):
         if share:
-            p, q = p * shared, q * shared
+            p, q = uni_mul(p, shared), uni_mul(q, shared)
         roots_q = isolate_real_roots(q)
         for a in isolate_real_roots(p):
             assert sign_at(q, a) == gcd_count_sign_at(q, a)
@@ -994,7 +1005,7 @@ def assert_box_invariant(x: RealAlg):
     else:
         assert lo < hi and not x.is_rational
         assert D.sign_at(lo) != 0 and D.sign_at(hi) != 0
-        assert count_roots_between(D, lo, hi) == 1
+        assert count_roots_between(D, *box(lo, hi)) == 1
 
 
 class TestBoxInvariantProperty:
@@ -1013,8 +1024,8 @@ class TestBoxInvariantProperty:
         assume(roots)
         a, rat = roots[k % len(roots)], RealAlg.from_rational(r)
         b = nth_root_pos(RealAlg.from_rational(k + 2), 2)  # irrational unless k + 2 is a square
-        made = [*roots, rat, b, RealAlg(a.defpoly, a.lo, a.hi), neg(a), mul(a, rat), mul(a, b), eval_alg(q, a)]
-        made += [pow_int(a, n), a.refine(F(1, 1000)), a.refine(halvings=5), realalg._avoid_zero(a)]
+        made = [*roots, rat, b, rebuilt_alg(a), neg(a), mul(a, rat), mul(a, b), eval_alg(q, a)]
+        made += [pow_int(a, n), a.refine(10), a.refine(halvings=5), realalg._avoid_zero(a)]
         if a.sign():
             made += [inverse(a), div(b, a), div(mul(a, RealAlg.from_rational(3)), a)]
         if a.sign() > 0:

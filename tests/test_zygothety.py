@@ -30,7 +30,7 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly, ref_branch_inversions, ref_is_beta_regular, ref_limit_slope
+from helpers import rand_qhpoly, rebuilt_alg, ref_branch_inversions, ref_is_beta_regular, ref_limit_slope, uni_sub
 
 
 def ra(x):
@@ -331,8 +331,7 @@ def copied(m):
 def rebuilt(z: Zygothety) -> Zygothety:
     """z with a distinct but equal lam2 and a copied phi2: no identity links
     its components, so the checks take their full path."""
-    lam = z.lam2
-    return Zygothety(z.lam1, RealAlg(lam.defpoly, lam.lo, lam.hi), z.phi1, copied(z.phi2))
+    return Zygothety(z.lam1, rebuilt_alg(z.lam2), z.phi1, copied(z.phi2))
 
 
 def scaled_pair_certificates(betas=((2, 1), (3, 1), (4, 1), (5, 3)), max_denominator=2):
@@ -766,7 +765,7 @@ def lucky_landings(draw):
     x0 = F(point_on_branch(crits, j, draw(st.integers(1, 63)) / 64))
     d0 = g.derivative()(x0)
     ends = [-math.inf, *crits, math.inf]
-    rs = [r.to_float() for r in isolate_real_roots(g - UniPoly([g(x0) - d0 * x0, d0]))]
+    rs = [r.to_float() for r in isolate_real_roots(uni_sub(g, UniPoly([g(x0) - d0 * x0, d0])))]
     rs = [r for r in rs if ends[j] < r < ends[j + 1] and r != x0]
     assume(rs)
     r = draw(st.sampled_from(rs))
