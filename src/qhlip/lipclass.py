@@ -119,7 +119,7 @@ def multiplicity_at(f: UniPoly, point: RealAlg) -> int:
     raise ArithmeticError("nonconstant polynomial with all derivatives zero; internal bug")
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def critical_data(f: UniPoly) -> CritData:
     """Critical points of f (roots of f'), their multiplicities and values."""
     if f.is_constant:

@@ -337,7 +337,7 @@ def square_free_part(p: UniPoly) -> UniPoly:
     return _poly(_zx_quotient(a, g)).monic()
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
     """Standard Sturm chain p, p', -rem, ... for a square-free p.
 

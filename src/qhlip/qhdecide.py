@@ -112,7 +112,7 @@ def infer_beta(F: BiPoly) -> BetaInference:
         return BetaInference((), False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _heights_cached(F: BiPoly) -> HeightPair:
     return HeightPair(F.height(1), F.height(-1))
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count
 from math import comb, gcd as _int_gcd, inf, lcm as _int_lcm, nextafter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -191,7 +192,7 @@ class RealAlg:
 _ZERO = RealAlg.from_rational(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _count_pair(defpoly: UniPoly, a: int, c: int, m: int) -> int:
     """Sturm's count on the box (a/m, c/m), given in its one form."""
     return count_roots_between(defpoly, a, c, m)
@@ -434,7 +435,7 @@ def ratios_apart(pairs: Iterable[tuple[RealAlg, RealAlg]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a+b: Res_t(A(t), B(x - t))."""
     b, n = B.ints, B.degree
@@ -444,7 +445,7 @@ def _sum_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     return square_free_part(resultant(A, comp))
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _product_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     """Polynomial vanishing at a*b: Res_t(A(t), t^n B(x/t)), B(0) != 0."""
     # coefficient of t^(n-k) is b_k x^k, up to B's content
@@ -452,7 +453,7 @@ def _product_defpoly(A: UniPoly, B: UniPoly) -> UniPoly:
     return square_free_part(resultant(A, rows[::-1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _eval_defpoly(A: UniPoly, P: UniPoly) -> UniPoly:
     """Polynomial vanishing at P(a): Res_t(A(t), x - P(t)), taken as
     Res_t(A(t), d*x - n*Q(t)) for P = (n/d) * Q with Q in Z[t]."""
@@ -627,7 +628,10 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
 
 def _root_bracket(lo: int, hi: int, den: int, n: int) -> tuple[int, int, int]:
     """A positive box (a/m, c/m) with (a/m)**n < lo/den <= hi/den < (c/m)**n,
-    for 0 < lo <= hi, bisected over one denominator 64 times at most."""
+    for 0 < lo <= hi, bisected over one denominator: 64 times at most for a
+    rational radicand, and for an interval until a midpoint's power lands in
+    it, so that the box narrows with the interval however far the root is
+    from the first guess."""
     a, m = (lo, den) if lo < den else (1, 1)
     while a**n * den >= lo * m**n:
         m *= 2
@@ -636,7 +640,7 @@ def _root_bracket(lo: int, hi: int, den: int, n: int) -> tuple[int, int, int]:
         c *= 2
     s = _int_lcm(m, k)
     a, c, m = a * (s // m), c * (s // k), s
-    for _ in range(64):
+    for _ in range(64) if lo == hi else count():
         mid, m2 = a + c, 2 * m
         mid_n, m2_n = mid**n * den, m2**n
         if mid_n < lo * m2_n:

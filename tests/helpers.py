@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 import random
@@ -391,14 +392,14 @@ def frac_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 def frac_root_bracket(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
     """Positive bracket (l, u) with l**n < lo <= hi < u**n: bisection on
-    Fractions, the same midpoints and 64-round limit as realalg._root_bracket."""
+    Fractions, the same midpoints and stopping rule as realalg._root_bracket."""
     l = min(Fraction(1), lo)
     while l**n >= lo:
         l /= 2
     u = max(Fraction(1), hi)
     while u**n <= hi:
         u *= 2
-    for _ in range(64):
+    for _ in range(64) if lo == hi else itertools.count():
         m = (l + u) / 2
         if m**n < lo:
             l = m

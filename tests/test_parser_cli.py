@@ -13,6 +13,7 @@ import pytest
 
 from qhlip import cli
 from qhlip.cli import main
+from qhlip.lipclass import critical_data
 from qhlip.parser import (
     InputTooLargeError,
     ParseError,
@@ -268,6 +269,17 @@ class TestCli:
             }
 
         assert classes_by_value("-1,-2,1,4") == classes_by_value("4,-2,1,-1")
+
+    def test_largest_scan_fits_the_critical_data_cache(self, capsys):
+        # MAX_SCAN_VALUES values give twice as many distinct heights, and
+        # the all-pairs loop computes each one's critical data once
+        values = ",".join(f"{k}/7" for k in range(1, cli.MAX_SCAN_VALUES + 1))
+        critical_data.cache_clear()
+        code, _, _ = run_cli_capture(
+            capsys, "scan", "X^6+l*X^3*Y^2+Y^4", "--param", "l", f"--values={values}", "--beta", "3/2"
+        )
+        assert code == 0
+        assert critical_data.cache_info().misses == 2 * cli.MAX_SCAN_VALUES
 
     def test_infer_beta(self, capsys):
         code, out, _ = run_cli_capture(capsys, "infer-beta", "X^6 - 3*X^4*Y + Y^3")

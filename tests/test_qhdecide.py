@@ -3,9 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qhlip import qhdecide
+from qhlip import lipclass, polyalg, qhdecide, realalg
 from qhlip.lipclass import Reason1D, critical_data
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import (
@@ -23,7 +23,8 @@ from qhlip.qhdecide import (
     pairing_search,
     validate_qh,
 )
-from qhlip.zygothety import is_beta_regular
+from qhlip.witness import InverseBetaTransform, verify_conjugacy
+from qhlip.zygothety import compose, is_beta_regular
 
 from helpers import rand_qhpoly
 
@@ -293,6 +294,25 @@ class TestDecide:
         if kinds[0] is kinds[1] is VerdictKind.EQUIVALENT:
             assert kinds[2] is VerdictKind.EQUIVALENT
 
+    @law_examples
+    @given(qh_polys, scalings, scalings)
+    def test_transitive_certificates(self, q, ab, ab2):
+        # G = F o h1 and H = G o h2: the product of the two certificates is
+        # beta-regular and conjugates F to H within the CLI's default --tol,
+        # or, where float rounding in H's larger coefficients already puts
+        # decide's own certificate for (F, H) above it, within twice that
+        g = scaled(q, *ab)
+        h = scaled(g, *ab2)
+        v, w = decide(q, g), decide(g, h)
+        assume(v.kind is w.kind is VerdictKind.EQUIVALENT)
+        z = compose(w.certificate.zygothety, v.certificate.zygothety)
+        assert is_beta_regular(z, q.r, q.s)
+        composite, direct = (
+            verify_conjugacy(q, h, InverseBetaTransform(y, q.r, q.s), 50, 1.0)[0]
+            for y in (z, decide(q, h).certificate.zygothety)
+        )
+        assert composite <= max(1e-8, 2 * direct), (composite, direct)
+
     def test_laws_on_independent_pairs(self):
         # verdicts are class functions, on pairs drawn independently from one
         # family, so that all three kinds occur: decide(G, F) has the kind of
@@ -352,3 +372,39 @@ class TestDecide:
             TheoremTag.SUFF_C_NO_X_FACTOR,
             TheoremTag.COR_NO_CRIT_POINTS,
         )
+
+
+#: the library's module-level caches
+CACHES = (
+    polyalg.sturm_sequence,
+    realalg._count_pair,
+    realalg._sum_defpoly,
+    realalg._product_defpoly,
+    realalg._eval_defpoly,
+    lipclass.critical_data,
+    qhdecide._heights_cached,
+)
+
+
+def test_caches_stay_bounded_over_a_long_run():
+    # one process deciding many distinct pairs, as a library scan does:
+    # planted F(aX, bY) pairs and independent same-family pairs
+    for cache in CACHES:
+        cache.cache_clear()
+    rng, seen = random.Random(1500), set()
+    while len(seen) < 1500:
+        q = rand_qhpoly(rng)
+        if rng.random() < 0.5:
+            a = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+            g = scaled(q, a, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        else:
+            while (g := rand_qhpoly(rng, betas=((q.r, q.s),))).d != q.d:
+                pass
+        if (q.poly, g.poly) not in seen:
+            seen.add((q.poly, g.poly))
+            decide(q, g)
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, (cache.__name__, info)
+    # the run overflowed the critical data cache, so its bound was exercised
+    assert critical_data.cache_info().misses > critical_data.cache_info().maxsize

@@ -282,6 +282,13 @@ class TestFieldOps:
         assert not root.is_rational
         assert pow_int(root, 3) == RealAlg.from_rational(10**400)
 
+    def test_nth_root_of_a_huge_irrational_beside_another_root(self):
+        # both roots of p are near 2**72 and their 16th roots near 22; 64
+        # halvings of (1, 2**72) leave a bracket 2**8 wide around both, so a
+        # bracket that stopped there never separated them
+        for r in isolate_real_roots(UniPoly([7 * 2**140, -6 * 2**70, 1])):
+            assert pow_int(nth_root_pos(r, 16), 16) == r
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         st.fractions(min_value=F(1, 10**6), max_value=10**6),
