@@ -63,7 +63,10 @@ Compares, on seeded random inputs:
   products and powers of small rational polynomials in X and Y, some
   behind a prefix minus) against ``sympy.expand`` of the same text, term
   by term, and the heights ``BiPoly.height(1)`` and ``height(-1)`` against
-  ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion;
+  ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion; and the same on
+  seeded families whose coefficients read a parameter l, each parsed at
+  three values of l in one process (so all but the first evaluate a cached
+  program) against sympy's expansion after substituting the value;
 * ``div(b, a)`` for the real roots a != 0 of an integer polynomial A of degree
   at most 3, and b each real root of c**n A(t/c) for a random rational
   c != 0 (planted scaled conjugates, one of which is c*a) or of a random
@@ -120,7 +123,7 @@ from qhlip.realalg import RealAlg, abs_alg, compare, div, eval_alg, isolate_real
 from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse, is_beta_regular
 
 X, T = sympy.symbols("x t")
-BX, BY = sympy.symbols("X Y")
+BX, BY, BL = sympy.symbols("X Y l")
 Z = sympy.Symbol("z", positive=True)
 
 
@@ -593,34 +596,49 @@ def rand_pair(rng: random.Random) -> tuple[UniPoly, UniPoly]:
     return p, q
 
 
-def rand_bi_text(rng: random.Random, depth: int) -> str:
+def rand_bi_text(rng: random.Random, depth: int, param: bool = False) -> str:
     """Expression text in X and Y: a small rational polynomial at depth 0,
     else a sum, difference, product or power of smaller expressions, in
-    parentheses, sometimes behind a prefix minus."""
+    parentheses, sometimes behind a prefix minus.  With param, a term's
+    coefficient sometimes reads the parameter l."""
     if depth == 0 or rng.random() < 0.25:
         terms = []
         for _ in range(rng.randint(1, 3)):
             c = f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}"
+            if param and rng.random() < 0.5:
+                c = f"{c}*l^{rng.randint(1, 2)}"
             terms.append(f"{c}*X^{rng.randint(0, 2)}*Y^{rng.randint(0, 2)}")
         return " + ".join(terms)
     op = rng.choice("+-*^")
-    left = f"({rand_bi_text(rng, depth - 1)})"
+    left = f"({rand_bi_text(rng, depth - 1, param)})"
     if op == "^":
         text = f"{left}^{rng.randint(0, 3)}"
     else:
-        text = f"{left} {op} ({rand_bi_text(rng, depth - 1)})"
+        text = f"{left} {op} ({rand_bi_text(rng, depth - 1, param)})"
     return f"-({text})" if rng.random() < 0.2 else text
 
 
-def check_parser(text: str) -> str | None:
-    ours = parse_bi(text)
-    expr = sympy.expand(sympy.sympify(text.replace("^", "**"), locals={"X": BX, "Y": BY}))
+def check_parser(text: str, l: Fraction | None = None) -> str | None:
+    """parse_bi(text) against sympy's expansion, with l bound to the value l if given."""
+    ours = parse_bi(text, None if l is None else {"l": l})
+    expr = sympy.sympify(text.replace("^", "**"), locals={"X": BX, "Y": BY, "l": BL})
+    expr = sympy.expand(expr if l is None else expr.subs(BL, sympy.Rational(l.numerator, l.denominator)))
     theirs = {k: v for k, v in sympy.Poly(expr, BX, BY).as_dict().items() if v}
     if {k: sympy.Rational(c.numerator, c.denominator) for k, c in ours.terms.items()} != theirs:
-        return f"parse_bi({text!r}): qhlip {ours}, sympy {expr}"
+        return f"parse_bi({text!r}) at l = {l}: qhlip {ours}, sympy {expr}"
     for side in (1, -1):
         if sympy.expand(uni_expr(ours.height(side), BY) - expr.subs(BX, side)) != 0:
             return f"height({side}) of {text!r}: qhlip {ours.height(side)}, sympy {expr.subs(BX, side)}"
+    return None
+
+
+def check_family(rng: random.Random) -> str | None:
+    """One family in l parsed at three values, zero and negatives included."""
+    text = rand_bi_text(rng, 3, param=True)
+    for l in (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)):
+        problem = check_parser(text, l)
+        if problem:
+            return problem
     return None
 
 
@@ -715,6 +733,7 @@ def main(argv: list[str] | None = None) -> int:
     batch_rng = random.Random(f"batch {args.seed}")
     similar_rng = random.Random(f"similar {args.seed}")
     parse_rng = random.Random(f"parse {args.seed}")
+    family_rng = random.Random(f"family {args.seed}")
     division_rng = random.Random(f"division {args.seed}")
     qh_rng = random.Random(f"qh {args.seed}")
     beta_rng = random.Random(f"beta {args.seed}")
@@ -738,6 +757,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_images(rng)
             or check_similar(*rand_similar_pair(similar_rng))
             or check_parser(rand_bi_text(parse_rng, 3))
+            or check_family(family_rng)
             or check_division(division_rng, rational)
             or check_qh_identity(rand_qh(qh_rng))
             or check_beta_regular(beta_rng, irrational)

@@ -224,11 +224,8 @@ def cmd_scan(args) -> int:
     if args.param not in identifiers(args.family):
         raise CliError(f"parameter {args.param!r} is the --param but the family does not name it")
     values = [parse_rational(v) for v in raw_values]
-    polys: list[QHPoly] = []
-    for v in values:
-        bindings = dict(base_bindings)
-        bindings[args.param] = v
-        polys.append(_qh_from_args(args.family, args, bindings))
+    # one parse per value, each evaluating the family's one compiled program
+    polys = [_qh_from_args(args.family, args, {**base_bindings, args.param: v}) for v in values]
     n = len(polys)
     verdicts: dict[tuple[int, int], VerdictKind] = {}
     for i in range(n):

@@ -90,19 +90,11 @@ class CritData(NamedTuple):
     signs: tuple[int, ...]  # of the values
     degree: int
     leading_sign: int
+    zero_count: int  # distinct real zeros of f
 
     @property
     def count(self) -> int:
         return len(self.points)
-
-    @property
-    def zero_count(self) -> int:
-        """Distinct real zeros of f: f is strictly monotone between critical
-        points, so each stretch between them (and out to -oo and +oo) holds
-        one exactly when f changes sign strictly across it; each critical
-        value 0 is one more."""
-        ends = [self.leading_sign * (-1) ** self.degree, *self.signs, self.leading_sign]
-        return self.signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
 
 
 def multiplicity_at(f: UniPoly, point: RealAlg) -> int:
@@ -131,7 +123,13 @@ def critical_data(f: UniPoly) -> CritData:
     values = tuple(eval_alg(f, p) for p in points)
     if any(m < 2 for m in mults):
         raise ArithmeticError("critical point of multiplicity below 2; internal bug")
-    return CritData(points, mults, values, tuple(v.sign() for v in values), f.degree, sign(f.ints[-1]))
+    # f is strictly monotone between critical points, so each stretch between
+    # them (and out to -oo and +oo) holds a zero exactly when f changes sign
+    # strictly across it; each critical value 0 is one more
+    signs, lead = tuple(v.sign() for v in values), sign(f.ints[-1])
+    ends = [lead * (-1) ** f.degree, *signs, lead]
+    zeros = signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
+    return CritData(points, mults, values, signs, f.degree, lead, zeros)
 
 
 def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:

@@ -8,7 +8,10 @@ Decimal literals are rejected; inputs are exact by contract.
 
 Every input is built as a BiPoly.  parse_uni reads t as Y and returns the
 height F(1, t), by the substitution that qhdecide.heights makes, so both
-entry points share one set of limits.
+entry points share one set of limits.  A text is compiled once per set of
+variables: a node that reads no parameter is built then, and each parse runs
+the other steps with the same checks in the same order, then raises the
+refusal that ended the compiling, if one did.
 
 Every literal and every value built while parsing stays within MAX_DEGREE,
 MAX_TERMS and MAX_COEFF_BITS (on each coefficient in lowest terms), and a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import gcd
 from typing import Mapping, Optional
 
@@ -39,6 +43,7 @@ MAX_COEFF_BITS = 4096
 MAX_DEPTH = 100
 _MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 _X, _Y, _ONE = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1}), BiPoly({(0, 0): 1})  # immutable, so shared
+_VARIABLES = {"X": _X, "Y": _Y, "t": _Y}
 
 
 class ParseError(ValueError):
@@ -93,10 +98,7 @@ _TOKEN_RE = re.compile(
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) of each token, then ("end", "", len(text))."""
     tokens = []
-    pos = 0
-    end = len(text.rstrip())
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos)
+    for m in _TOKEN_RE.finditer(text):  # each match starts where the last ended: \S always matches
         kind = m.lastgroup
         at = m.start(kind)
         if kind == "dec":
@@ -104,38 +106,55 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", at)
         tokens.append((kind, m.group(kind), at))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, variables: Mapping[str, BiPoly],
-                 bindings: Optional[Mapping[str, Fraction]]):
-        bindings = bindings or {}
-        for name in variables:
-            if name in bindings:
-                raise ParseError(f"cannot bind the variable {name!r}", 0)
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.names = {**{k: _const(v) for k, v in bindings.items()}, **variables}
-        self.depth = 0
+def _binary(op: str, pos: int, p: BiPoly, q: BiPoly) -> BiPoly:
+    if op == "*" and _degree(p) + _degree(q) > MAX_DEGREE:
+        raise InputTooLargeError(f"product of degree above {MAX_DEGREE}", pos)
+    return _checked(p * q if op == "*" else p + q if op == "+" else p - q, pos)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _power(exp: int, pos: int, base: BiPoly) -> BiPoly:
+    if _degree(base) * exp > MAX_DEGREE:
+        raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
+    # square and multiply; each factor is a power of base of at most exp, so
+    # one above the limits means the result is too
+    out = _ONE
+    while exp:
+        if exp & 1:
+            out = _checked(out * base, pos)
+        exp >>= 1
+        if exp:
+            base = _checked(base * base, pos)
+    return out
 
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
 
-    def nested(self, parse, pos: int) -> BiPoly:
+class _Program:
+    """A text compiled by recursive descent: the ``names`` it reads, its ``steps``,
+    its ``value`` if it reads no parameter and the ``error`` that ends it, if any."""
+
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.tokens = _tokenize(text)[::-1]  # the tokens left, the next one last
+        self.names = {val for kind, val, _ in self.tokens if kind == "ident"}
+        self.variables, self.steps, self.depth, self.value, self.error = variables, [], 0, None, None
+        try:
+            self.value = self.expr()
+            kind, val, pos = self.tokens[-1]
+            if kind != "end":
+                raise ParseError(f"unexpected trailing input {val!r}", pos)
+        except ParseError as exc:  # kept as a factory: a raise would grow its traceback
+            self.error = partial(type(exc), exc.message, exc.position)
+
+    def apply(self, fn, *operands: Optional[BiPoly]) -> Optional[BiPoly]:
+        """fn(*operands) now, or None and a step (fn, operands) if one reads a parameter."""
+        if None not in operands:
+            return fn(*operands)
+        self.steps.append((fn, operands))
+        return None
+
+    def nested(self, parse, pos: int) -> Optional[BiPoly]:
         """parse() one level deeper, inside a parenthesis or a prefix minus."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
@@ -144,82 +163,56 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def parse(self) -> BiPoly:
-        value = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return value
-
-    def expr(self) -> BiPoly:
+    def expr(self) -> Optional[BiPoly]:
         value = self.term()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, pos = self.tokens[-1]
             if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                value = _checked(value + rhs if val == "+" else value - rhs, pos)
+                self.tokens.pop()
+                value = self.apply(partial(_binary, val, pos), value, self.term())
             else:
                 return value
 
-    def term(self) -> BiPoly:
+    def term(self) -> Optional[BiPoly]:
         value = self.unary()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, pos = self.tokens[-1]
             if kind == "op" and val == "*":
-                self.advance()
-                rhs = self.unary()
-                if _degree(value) + _degree(rhs) > MAX_DEGREE:
-                    raise InputTooLargeError(f"product of degree above {MAX_DEGREE}", pos)
-                value = _checked(value * rhs, pos)
+                self.tokens.pop()
+                value = self.apply(partial(_binary, val, pos), value, self.unary())
             elif kind == "op" and val == "/":
-                raise ParseError(
-                    "'/' is only allowed between integer literals (rational p/q)", pos
-                )
+                raise ParseError("'/' is only allowed between integer literals (rational p/q)", pos)
             else:
                 return value
 
-    def unary(self) -> BiPoly:
-        kind, val, pos = self.peek()
+    def unary(self) -> Optional[BiPoly]:
+        kind, val, pos = self.tokens[-1]
         if kind == "op" and val == "-":
-            self.advance()
-            return -self.nested(self.unary, pos)
+            self.tokens.pop()
+            return self.apply(BiPoly.__neg__, self.nested(self.unary, pos))
         return self.power()
 
-    def power(self) -> BiPoly:
+    def power(self) -> Optional[BiPoly]:
         base = self.atom()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[-1]
         if kind == "op" and val == "^":
-            self.advance()
-            kind, val, pos = self.peek()
+            self.tokens.pop()
+            kind, val, pos = self.tokens.pop()
             if kind == "op" and val == "-":
                 raise ParseError("negative exponents are not allowed", pos)
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer", pos)
-            self.advance()
-            exp = _int_literal(val, pos)
-            if _degree(base) * exp > MAX_DEGREE:
-                raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
-            # square and multiply; each factor is a power of base of at most
-            # exp, so one above the limits means the result is too
-            out = _ONE
-            while exp:
-                if exp & 1:
-                    out = _checked(out * base, pos)
-                exp >>= 1
-                if exp:
-                    base = _checked(base * base, pos)
-            return out
+            return self.apply(partial(_power, _int_literal(val, pos), pos), base)
         return base
 
-    def atom(self) -> BiPoly:
-        kind, val, pos = self.advance()
+    def atom(self) -> Optional[BiPoly]:
+        kind, val, pos = self.tokens.pop()
         if kind == "num":
             value = Fraction(_int_literal(val, pos))
-            k2, v2, _ = self.peek()
+            k2, v2, _ = self.tokens[-1]
             if k2 == "op" and v2 == "/":
-                self.advance()
-                k3, v3, p3 = self.advance()
+                self.tokens.pop()
+                k3, v3, p3 = self.tokens.pop()
                 if k3 != "num":
                     raise ParseError("rational literal needs an integer denominator", p3)
                 den = _int_literal(v3, p3)
@@ -228,29 +221,56 @@ class _Parser:
                 value /= den
             return _const(value)
         if kind == "ident":
-            if val in self.names:
-                return self.names[val]
-            raise ParseError(f"unbound identifier {val!r}", pos)
+            if val in self.variables:
+                return _VARIABLES[val]
+            self.steps.append((None, (val, pos)))  # a parameter, read when evaluated
+            return None
         if kind == "op" and val == "(":
             value = self.nested(self.expr, pos)
-            self.expect_op(")")
+            kind, val, pos = self.tokens.pop()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", pos)
             return value
         raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
 
 
+_compile = lru_cache(_Program)  # one program per (text, variables)
+
+
+def _parse(text: str, variables: tuple[str, ...], bindings: Optional[Mapping[str, Fraction]]) -> BiPoly:
+    bindings = bindings or {}
+    for name in variables:
+        if name in bindings:
+            raise ParseError(f"cannot bind the variable {name!r}", 0)
+    program = _compile(text, variables)
+    stack: list[BiPoly] = []
+    for fn, operands in program.steps:
+        if fn is None:
+            name, pos = operands
+            if name not in bindings:
+                raise ParseError(f"unbound identifier {name!r}", pos)
+            stack.append(_const(bindings[name]))
+        else:
+            args = [stack.pop() if v is None else v for v in reversed(operands)]
+            stack.append(fn(*reversed(args)))
+    if program.error is not None:
+        raise program.error()
+    return stack.pop() if program.value is None else program.value
+
+
 def identifiers(text: str) -> set[str]:
     """The names text reads, variables and parameters alike."""
-    return {val for kind, val, _ in _tokenize(text) if kind == "ident"}
+    return set(_compile(text, ("X", "Y")).names)
 
 
 def parse_uni(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> UniPoly:
     """Parse a univariate polynomial in t, read as Y and then set at X = 1."""
-    return _Parser(text, {"t": _Y}, bindings).parse().height(1)
+    return _parse(text, ("t",), bindings).height(1)
 
 
 def parse_bi(text: str, bindings: Optional[Mapping[str, Fraction]] = None) -> BiPoly:
     """Parse a bivariate polynomial in X, Y."""
-    return _Parser(text, {"X": _X, "Y": _Y}, bindings).parse()
+    return _parse(text, ("X", "Y"), bindings)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -42,7 +42,7 @@ class UniPoly:
     JSON.
     """
 
-    __slots__ = ("ints", "content", "_flt")
+    __slots__ = ("ints", "content", "_flt", "_hash")
 
     def __new__(cls, coeffs: Iterable[RatLike] = ()) -> "UniPoly":
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -78,7 +78,9 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.ints == other.ints and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.content.numerator, self.content.denominator))
+        if self._hash is None:  # kept on first use, as _flt is
+            self._hash = hash((self.ints, self.content.numerator, self.content.denominator))
+        return self._hash
 
     def __neg__(self) -> "UniPoly":
         return _raw(tuple(-c for c in self.ints), self.content)
@@ -173,7 +175,8 @@ class UniPoly:
 def _raw(ints: tuple[int, ...], content: Fraction) -> UniPoly:
     """content * ints, for primitive ints with a nonzero last entry and content > 0."""
     p = object.__new__(UniPoly)
-    p.ints, p.content, p._flt = ints, content, None
+    p.ints, p.content = ints, content
+    p._flt = p._hash = None
     return p
 
 
@@ -419,7 +422,7 @@ class BiPoly:
     Equality and hashing read (_key, content).  The zero polynomial has no
     ints and content 1.  ``terms`` builds {(i, j): Fraction} on read."""
 
-    __slots__ = ("ints", "content", "_key", "_flt")
+    __slots__ = ("ints", "content", "_key", "_flt", "_hash")
 
     def __new__(cls, terms: Mapping[tuple[int, int], RatLike] = ()) -> "BiPoly":
         cs = {(i, j): Fraction(c) for (i, j), c in dict(terms).items()}
@@ -440,7 +443,9 @@ class BiPoly:
         return isinstance(other, BiPoly) and self._key == other._key and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash((self._key, self.content.numerator, self.content.denominator))
+        if self._hash is None:
+            self._hash = hash((self._key, self.content.numerator, self.content.denominator))
+        return self._hash
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         # over the common denominator den of the two contents
@@ -516,7 +521,8 @@ def _bi(ints: Mapping[tuple[int, int], int], num: int, den: int) -> BiPoly:
     cs, g = _primitive([ints[k] for k in keys])
     p = object.__new__(BiPoly)
     p.ints = dict(zip(keys, cs))
-    p.content, p._key, p._flt = Fraction(num * g, den) if keys else _ONE, tuple(p.ints.items()), None
+    p.content, p._key = Fraction(num * g, den) if keys else _ONE, tuple(p.ints.items())
+    p._flt = p._hash = None
     return p
 
 

@@ -113,12 +113,11 @@ def infer_beta(F: BiPoly) -> BetaInference:
 
 
 @lru_cache
-def _heights_cached(F: BiPoly) -> HeightPair:
-    return HeightPair(F.height(1), F.height(-1))
-
-
-def heights(Q: QHPoly) -> HeightPair:
-    pair = _heights_cached(Q.poly)
+def _heights_cached(Q: QHPoly) -> HeightPair:
+    """F(1, t) and F(-1, t), built and checked once per polynomial; one
+    object when they are equal, so lookups keyed by them match by identity."""
+    plus, minus = Q.poly.height(1), Q.poly.height(-1)
+    pair = HeightPair(plus, plus if minus == plus else minus)
     expected = Q.s * Q.n
     if not (pair.f_plus.degree == expected or (Q.n == 0 and pair.f_plus.is_constant)):
         raise ArithmeticError("right height degree is not s*n; internal bug")
@@ -128,6 +127,9 @@ def heights(Q: QHPoly) -> HeightPair:
     ):
         raise ArithmeticError("heights of different degree; internal bug")
     return pair
+
+
+heights = _heights_cached
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,17 @@ from math import gcd, lcm
 from typing import Sequence
 
 from qhlip.lipclass import CSet
+from qhlip.parser import (
+    MAX_DEGREE,
+    MAX_DEPTH,
+    InputTooLargeError,
+    ParseError,
+    _checked,
+    _const,
+    _degree,
+    _TOKEN_RE,
+    _int_literal,
+)
 from qhlip.polyalg import (
     BiPoly,
     UniPoly,
@@ -831,3 +842,163 @@ def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[f
             raise OverflowError(f"the float witness check reached {ratio!r} at {(xs[k], ys[k])!r}")
         ratio_min, ratio_max = min(ratio_min, ratio), max(ratio_max, ratio)
     return (ratio_min, ratio_max)
+
+
+_PX, _PY = BiPoly({(1, 0): 1}), BiPoly({(0, 1): 1})
+
+
+def ref_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text)),
+    by matching at each position in turn."""
+    tokens = []
+    pos = 0
+    end = len(text.rstrip())
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "dec":
+            raise ParseError("decimal literals are not supported; write an exact rational p/q", at)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", at)
+        tokens.append((kind, m.group(kind), at))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    """The parser as a plain recursive descent that builds every value as it
+    reads it, the reference for the compiled parser: same grammar, limits,
+    messages and positions, and refusals in the same order."""
+
+    def __init__(self, text: str, bindings, variables):
+        bindings = bindings or {}
+        for name in variables:
+            if name in bindings:
+                raise ParseError(f"cannot bind the variable {name!r}", 0)
+        self.tokens = ref_tokenize(text)
+        self.i = 0
+        self.names = {**{k: _const(v) for k, v in bindings.items()}, **variables}
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, val, pos = self.peek()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.advance()
+
+    def nested(self, parse, pos: int) -> BiPoly:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise InputTooLargeError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def parse(self) -> BiPoly:
+        value = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        return value
+
+    def expr(self) -> BiPoly:
+        value = self.term()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                rhs = self.term()
+                value = _checked(value + rhs if val == "+" else value - rhs, pos)
+            else:
+                return value
+
+    def term(self) -> BiPoly:
+        value = self.unary()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.advance()
+                rhs = self.unary()
+                if _degree(value) + _degree(rhs) > MAX_DEGREE:
+                    raise InputTooLargeError(f"product of degree above {MAX_DEGREE}", pos)
+                value = _checked(value * rhs, pos)
+            elif kind == "op" and val == "/":
+                raise ParseError("'/' is only allowed between integer literals (rational p/q)", pos)
+            else:
+                return value
+
+    def unary(self) -> BiPoly:
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return -self.nested(self.unary, pos)
+        return self.power()
+
+    def power(self) -> BiPoly:
+        base = self.atom()
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "-":
+                raise ParseError("negative exponents are not allowed", pos)
+            if kind != "num":
+                raise ParseError("exponent must be a non-negative integer", pos)
+            self.advance()
+            exp = _int_literal(val, pos)
+            if _degree(base) * exp > MAX_DEGREE:
+                raise InputTooLargeError(f"power of degree above {MAX_DEGREE}", pos)
+            out = BiPoly({(0, 0): 1})
+            while exp:
+                if exp & 1:
+                    out = _checked(out * base, pos)
+                exp >>= 1
+                if exp:
+                    base = _checked(base * base, pos)
+            return out
+        return base
+
+    def atom(self) -> BiPoly:
+        kind, val, pos = self.advance()
+        if kind == "num":
+            value = Fraction(_int_literal(val, pos))
+            k2, v2, _ = self.peek()
+            if k2 == "op" and v2 == "/":
+                self.advance()
+                k3, v3, p3 = self.advance()
+                if k3 != "num":
+                    raise ParseError("rational literal needs an integer denominator", p3)
+                den = _int_literal(v3, p3)
+                if den == 0:
+                    raise ParseError("zero denominator", p3)
+                value /= den
+            return _const(value)
+        if kind == "ident":
+            if val in self.names:
+                return self.names[val]
+            raise ParseError(f"unbound identifier {val!r}", pos)
+        if kind == "op" and val == "(":
+            value = self.nested(self.expr, pos)
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+
+
+def ref_parse_bi(text: str, bindings=None) -> BiPoly:
+    """parse_bi by the reference recursive descent."""
+    return _RefParser(text, bindings, {"X": _PX, "Y": _PY}).parse()
+
+
+def ref_parse_uni(text: str, bindings=None) -> UniPoly:
+    """parse_uni by the reference recursive descent: t read as Y, then X = 1."""
+    return _RefParser(text, bindings, {"t": _PY}).parse().height(1)

@@ -10,13 +10,19 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhlip import cli
+from qhlip import cli, parser, qhdecide
 from qhlip.cli import main
 from qhlip.lipclass import critical_data
 from qhlip.parser import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_TERMS,
     InputTooLargeError,
     ParseError,
+    identifiers,
     parse_bi,
     parse_rational,
     parse_uni,
@@ -24,7 +30,7 @@ from qhlip.parser import (
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import Verdict2D, VerdictKind
 
-from helpers import rand_unipoly, strict_json
+from helpers import rand_unipoly, ref_parse_bi, ref_parse_uni, ref_tokenize, strict_json
 
 
 class TestParse:
@@ -108,6 +114,99 @@ class TestParse:
             }
             p = BiPoly(terms)
             assert parse_bi(str(p)) == p
+
+
+def nest(inner: str, depth: int) -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+#: pieces of text at and just past each limit; (1 + X + Y)^k has
+#: (k + 1)(k + 2)/2 terms, so 12 is within MAX_TERMS and 13 is not, and
+#: with l = 0 the parameter's copy drops to k + 1 terms
+LIMIT_PIECES = (
+    f"X^{MAX_DEGREE}", f"X^{MAX_DEGREE + 1}", "Y^50*X^50", "Y^50*X^51", "l*X^60*X^60",
+    "(1 + X + Y)^12", "(1 + X + Y)^13", "(1 + l*X + Y)^13",
+    f"2^{MAX_COEFF_BITS - 1}", f"2^{MAX_COEFF_BITS}", f"l^{MAX_COEFF_BITS}",
+    str(2**MAX_COEFF_BITS - 1), str(2**MAX_COEFF_BITS), f"1/{2**MAX_COEFF_BITS}", "9" * 4300,
+    nest("X", MAX_DEPTH), nest("l", MAX_DEPTH + 1),
+    "-" * MAX_DEPTH + "m", "-(" * (MAX_DEPTH // 2) + "X" + ")" * (MAX_DEPTH // 2 + 1),
+)
+#: pieces that break the syntax or name nothing bound
+SYNTAX_PIECES = (")", "1.5", "$", "X^-1", "X^Y", "(X", "X X", "/2", "2/X", "1/0", "u", "")
+ATOMS = ("X", "Y", "l", "m", "0", "1", "3", "2/3", "-7/5")
+
+
+def _combine(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+        inner.map(lambda t: f"({t})"),
+        inner.map(lambda t: f"-{t}"),
+        st.tuples(inner, st.integers(0, 7)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+parser_parts = st.recursive(
+    st.sampled_from(ATOMS) | st.sampled_from(LIMIT_PIECES) | st.sampled_from(SYNTAX_PIECES), _combine, max_leaves=6
+)
+#: a few parts in a row, so refusals of several kinds meet in one text
+parser_texts = st.tuples(parser_parts, st.lists(st.tuples(st.sampled_from("+-*"), parser_parts), max_size=3)).map(
+    lambda t: t[0] + "".join(f" {op} {part}" for op, part in t[1])
+)
+parser_bindings = st.tuples(
+    st.fixed_dictionaries(
+        {"l": st.sampled_from((F(0), F(1), F(-2), F(3, 4), F(2**4000)))},
+        optional={"m": st.sampled_from((F(0), F(-1), F(5, 2)))},
+    ),
+    st.sampled_from((False,) * 9 + (True,)),
+).map(lambda t: {**t[0], "X": F(1)} if t[1] else t[0])  # binding a variable, now and then
+
+
+def parse_outcome(parse, text, bindings):
+    """The polynomial, or the refusal as (class, message, position)."""
+    try:
+        return parse(text, bindings)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.position
+
+
+class TestCompiledParser:
+    """parse_bi compiles each text once and evaluates the program per
+    binding; the plain recursive descent in helpers is its reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(parser_texts, st.lists(parser_bindings, min_size=2, max_size=3))
+    def test_matches_the_reference_parser(self, text, bindings_list):
+        for bindings in bindings_list:
+            want = parse_outcome(ref_parse_bi, text, bindings)
+            assert parse_outcome(parse_bi, text, bindings) == want, (text, bindings)
+            # the univariate program reads Y as t, and X as a parameter
+            uni = text.replace("Y", "t")
+            assert parse_outcome(parse_uni, uni, bindings) == parse_outcome(ref_parse_uni, uni, bindings), (uni, bindings)
+        want = parse_outcome(lambda t, _: {v for k, v, _ in ref_tokenize(t) if k == "ident"}, text, None)
+        assert parse_outcome(lambda t, _: identifiers(t), text, None) == want
+
+    @pytest.mark.parametrize("text, l, message, position", [
+        # the unbound name comes first, though the power past the limit reads no parameter
+        ("l + X^200", None, "unbound identifier 'l'", 0),
+        ("l + X^200", F(1), f"power of degree above {MAX_DEGREE}", 6),
+        # a parameter of value 0 drops terms and degree
+        ("(1 + l*X + Y)^13", F(0), None, None),
+        ("(1 + l*X + Y)^13", F(1), f"polynomial of more than {MAX_TERMS} terms", 14),
+        ("l*X^60*X^60", F(0), None, None),
+        ("l*X^60*X^60", F(1), f"product of degree above {MAX_DEGREE}", 6),
+        # a syntax error after a limit error, and one before it
+        ("l*X^101 + )", F(1), f"power of degree above {MAX_DEGREE}", 4),
+        ("l + ) + X^101", F(1), "unexpected token ')'", 4),
+        # the nesting is refused before the descent reaches the unbound name
+        (nest("l", MAX_DEPTH + 1), None, f"nesting deeper than {MAX_DEPTH} levels", MAX_DEPTH),
+        ("l + " + nest("1", MAX_DEPTH + 1), F(1), f"nesting deeper than {MAX_DEPTH} levels", 4 + MAX_DEPTH),
+    ])
+    def test_refusals_keep_their_order(self, text, l, message, position):
+        bindings = {} if l is None else {"l": l}
+        for _ in range(2):  # the second parse evaluates the cached program
+            got = parse_outcome(parse_bi, text, bindings)
+            assert got == parse_outcome(ref_parse_bi, text, bindings)
+            assert (message, position) == ((None, None) if isinstance(got, BiPoly) else got[1:])
 
 
 def run_cli(*argv):
@@ -272,14 +371,29 @@ class TestCli:
 
     def test_largest_scan_fits_the_critical_data_cache(self, capsys):
         # MAX_SCAN_VALUES values give twice as many distinct heights, and
-        # the all-pairs loop computes each one's critical data once
-        values = ",".join(f"{k}/7" for k in range(1, cli.MAX_SCAN_VALUES + 1))
-        critical_data.cache_clear()
-        code, _, _ = run_cli_capture(
-            capsys, "scan", "X^6+l*X^3*Y^2+Y^4", "--param", "l", f"--values={values}", "--beta", "3/2"
+        # the all-pairs loop computes each one's critical data once; the
+        # family compiles once, and each member's heights are built once
+        n = cli.MAX_SCAN_VALUES
+        values = [f"{k}/7" for k in range(1, n + 1)]
+        family = "X^6+l*X^3*Y^2+Y^4"
+        for cache in (critical_data, parser._compile, qhdecide._heights_cached):
+            cache.cache_clear()
+        code, out, _ = run_cli_capture(
+            capsys, "scan", family, "--param", "l", f"--values={','.join(values)}", "--beta", "3/2"
         )
         assert code == 0
-        assert critical_data.cache_info().misses == 2 * cli.MAX_SCAN_VALUES
+        assert critical_data.cache_info().misses == 2 * n
+        assert parser._compile.cache_info().misses == 1
+        assert qhdecide._heights_cached.cache_info().misses == n
+        # every member is alone in its class, and every pair is Unknown
+        want = {
+            "family": family,
+            "param": "l",
+            "values": [str(F(v)) for v in values],
+            "partition": [[i] for i in range(n)],
+            "unknown_pairs": [[i, j] for i in range(n) for j in range(i + 1, n)],
+        }
+        assert out == json.dumps(want, indent=2) + "\n"
 
     def test_infer_beta(self, capsys):
         code, out, _ = run_cli_capture(capsys, "infer-beta", "X^6 - 3*X^4*Y + Y^3")
@@ -627,12 +741,15 @@ class TestCli:
 
     def test_calls_in_one_process_match_fresh_calls(self, capsys):
         # build_parser is built once per process: a --let, or a usage error
-        # raised halfway through parsing, must not carry over to the next call
+        # raised halfway through parsing, must not carry over to the next call,
+        # and a warm compile cache must print what a cold one prints
         calls = [
             ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1", "--let", "l=-1", "--let", "m=-3"],
             ["classify2", HP, "X^6 - 3*m*X^4*Y + Y^3", "--beta", "2/1"],
             ["witness", "X^4", "X^4", "--beta", "2/1", "--samples", "many"],
             ["classify1", "t^3 - 3*t", "-t^3 + 3*t"],
+            # the family's program is cached by the classify2 calls above
+            ["scan", HP, "--param", "l", "--values=-1,-2,1,4,0", "--beta", "2/1"],
         ]
         for argv in calls:
             fresh = subprocess.run([sys.executable, "-m", "qhlip.cli", *argv], capture_output=True)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qhlip
 from qhlip import parser, polyalg
-from qhlip.parser import parse_bi
+from qhlip.parser import parse_bi, parse_uni
 from qhlip.polyalg import (
     BiPoly,
     UniPoly,
@@ -472,6 +472,22 @@ class TestBiPolyFractionReference:
             assert (p.ints, p.content, p.terms) == (q.ints, q.content, q.terms)
         assert BiPoly({(1, 0): 2}).ints == {(1, 0): 1} and BiPoly({(1, 0): 2}).content == 2
         assert BiPoly().ints == {} and BiPoly().content == 1
+
+    @ref_examples
+    @given(ref_terms, ref_terms)
+    def test_hashes_agree_across_routes(self, a, b):
+        # the hash is kept in a slot on first use; it is the hash of the
+        # stored integers and content, whichever route built the polynomial
+        p, q = BiPoly(a), BiPoly(b)
+        y_only = BiPoly({(0, j): c for (i, j), c in p.terms.items() if i == 0})
+        u = UniPoly([y_only.terms.get((0, j), 0) for j in range(5)])
+        bi_routes = [p, parse_bi(str(p)), (p + q) - q, -(-p), p * BiPoly({(0, 0): 1})]
+        uni_routes = [u, parse_uni(str(u)), y_only.height(1), y_only.height(-1).compose(UniPoly([0, 1])), -(-u)]
+        for routes, key in ((bi_routes, lambda r: r._key), (uni_routes, lambda r: r.ints)):
+            want = hash((key(routes[0]), routes[0].content.numerator, routes[0].content.denominator))
+            for r in routes:
+                assert r == routes[0] and hash(r) == want
+                assert hash(r) == want  # read again, from the slot
 
 
 class TestIntervalEval:
