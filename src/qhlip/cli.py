@@ -126,10 +126,10 @@ def _parse_lets(items: list[str] | None, *texts: str) -> dict[str, Fraction]:
     return bindings
 
 
-def _qh_from_args(text: str, args, bindings) -> QHPoly:
+def _qh_from_args(text: str, args, bindings, beta: Fraction | None = None) -> QHPoly:
     F = parse_bi(text, bindings)
     if args.beta is not None:
-        beta = parse_rational(args.beta)
+        beta = beta or parse_rational(args.beta)
         return validate_qh(F, beta.numerator, beta.denominator)
     inf = infer_beta(F)
     if inf.ambiguous:
@@ -224,8 +224,11 @@ def cmd_scan(args) -> int:
     if args.param not in identifiers(args.family):
         raise CliError(f"parameter {args.param!r} is the --param but the family does not name it")
     values = [parse_rational(v) for v in raw_values]
-    # one parse per value, each evaluating the family's one compiled program
-    polys = [_qh_from_args(args.family, args, {**base_bindings, args.param: v}) for v in values]
+    # one parse per value, each evaluating the family's one compiled program; --beta is
+    # parsed once, in the first member, after its family, and handed to the others
+    polys = [_qh_from_args(args.family, args, {**base_bindings, args.param: values[0]})]
+    beta = args.beta and Fraction(polys[0].r, polys[0].s)
+    polys += [_qh_from_args(args.family, args, {**base_bindings, args.param: v}, beta) for v in values[1:]]
     n = len(polys)
     verdicts: dict[tuple[int, int], VerdictKind] = {}
     for i in range(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import zygothety as zyg
@@ -184,7 +184,10 @@ def pairing_search(F: QHPoly, G: QHPoly) -> PairingSearch:
     """
     _require_same_family(F, G)
     hf, hg = heights(F), heights(G)
-    classify = cache(classify_pair)
+    memo: dict = {}
+
+    def classify(f: UniPoly, g: UniPoly) -> Verdict1D:  # reads the module's classify_pair at each call
+        return memo.get((f, g)) or memo.setdefault((f, g), classify_pair(f, g))
     trials = ((1, hg.f_plus, hg.f_minus), (-1, hg.f_minus, hg.f_plus))
     options = tuple(
         PairingOption(lam_sign, p1, p2, ((hf.f_plus, g_plus), (hf.f_minus, g_minus)))

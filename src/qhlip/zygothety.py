@@ -82,6 +82,8 @@ class BranchMap(PLMap):
     numeric (_invert_run: Newton inside a sign bracket, bisecting where a
     step would leave it) with exact interval endpoints; a batch takes each
     branch's values in one run, each stepping from the last point evaluated.
+    Each branch keeps what cold runs repeat (_invert_run); no bit returned
+    depends on it, and it dies with the map.
     """
 
     __slots__ = ("c", "increasing", "f", "g", "crits_f", "crits_g", "_flt")
@@ -119,17 +121,17 @@ class BranchMap(PLMap):
     def _floats(self):
         """f's critical points as floats, and for each branch of f the branch of g
         it maps onto, as _invert_run takes it: (c * s, g * s, its float ends, g * s
-        at them), with s = 1 where g rises and -1 where it falls."""
+        at them, its memo), with s = 1 where g rises and -1 where it falls."""
         g, cs = self.g, self.crits_g
         ends = [-math.inf, *(x.to_float() for x in cs), math.inf]
         # g rises on a branch where g' > 0 at a rational inside it: between the
         # isolating boxes of its critical ends, or one past the outer box
         inner = [cs[0].lo - 1, *((a.hi + b.lo) / 2 for a, b in zip(cs, cs[1:])), cs[-1].hi + 1] if cs else [0]
-        cflt, branches = self.c.to_float(), []
+        cflt, dg, branches = self.c.to_float(), g.derivative(), []
         for lo, hi, q in zip(ends, ends[1:], inner):
-            rise = g if g.derivative().sign_at(q) > 0 else -g  # -g's Horner passes give g's bits negated
+            rise = g if dg.sign_at(q) > 0 else -g  # -g's Horner passes give g's bits negated
             at = [rise.eval_float(e) if math.isfinite(e) else e for e in (lo, hi)]
-            branches.append((cflt if rise is g else -cflt, rise, lo, hi, *at))
+            branches.append((cflt if rise is g else -cflt, rise, lo, hi, *at, {}))
         self._flt = ([x.to_float() for x in self.crits_f], branches if self.increasing else branches[::-1])
         return self._flt
 
@@ -165,7 +167,10 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     BranchMap._floats keeps it; g below is g * s, which rises there.
 
     An unbounded end is pushed out by doubling steps until it brackets every
-    y; a y at or past g at a critical end returns that end.  Each y keeps its
+    y; a y at or past g at a critical end returns that end.  The branch's memo
+    keeps each end's walk, g at each point (_pushed, keys -inf and inf), and
+    g, g', g'' at each run's first point, a finite midpoint: g's own bits
+    there, evaluated once per branch.  Each y keeps its
     root in a bracket (a, b) narrowed by the signs of g - y at the points
     evaluated (g, g' and g'' by one Horner pass), and steps from the last of
     them, x: with q = (y - g)/g' and r = g''q/2g', to x + q - rq, or to x + q
@@ -181,14 +186,9 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     returns x when a step of rounding size (1e-15 |x|) fails the safeguard,
     when no midpoint is left, or when g(x) is y.
     """
-    _, g, lo, hi, glo, ghi = branch
-    a = lo if lo > -math.inf else (hi if hi < math.inf else 0.0) - 1.0
-    b = hi if hi < math.inf else (lo if lo > -math.inf else 0.0) + 1.0
-    ga, gb, sa, sb = glo, ghi, max(1.0, abs(a)), max(1.0, abs(b))
-    while lo == -math.inf < a and (ga := g.eval_float(a)) >= ys[0]:  # an unbounded end, not yet at -inf
-        a, sa = a - sa, 2.0 * sa
-    while hi == math.inf > b and (gb := g.eval_float(b)) <= ys[-1]:
-        b, sb = b + sb, 2.0 * sb
+    _, g, lo, hi, glo, ghi, memo = branch
+    a, ga = _pushed(memo, -1.0, g, (hi if hi < math.inf else 0.0) - 1.0, ys[0]) if lo == -math.inf else (lo, glo)
+    b, gb = _pushed(memo, 1.0, g, (lo if lo > -math.inf else 0.0) + 1.0, ys[-1]) if hi == math.inf else (hi, ghi)
     g_d2, top, gtop, nan, inf = g.eval_float_d2, b, gb, math.nan, math.inf
     x = v = d = h = nan  # no point evaluated yet: the first step bisects
     pa, pb = (a if lo == -inf else nan), (b if hi == inf else nan)  # the pushed ends, until one is tried
@@ -219,8 +219,9 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
                 c, hh, e = nan, 0.0625 * (b - a) * (b - a), 1e-15 * abs(y)
                 end = nx <= a == pa and y - ga <= e or nx >= b == pb and gb - y <= e  # past a pushed end where g is y
                 nx, pa, pb = ((a if nx <= a else b), nan, nan) if end else (0.5 * (a + b), pa, pb)
+            # a run's first point (x is NaN before it), a midpoint, is kept; Horner gives -0.0 and 0.0 one result
+            v, d, h = g_d2(nx) if x == x else memo.get(nx) or memo.setdefault(nx, g_d2(nx))
             x = nx
-            v, d, h = g_d2(x)
             if v > y:
                 b, gb = x, v
             else:  # below every later y's root, or this y's root
@@ -228,6 +229,23 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
                 if v == y:
                     break
         yield nx
+
+
+def _pushed(memo, s, g, start, y):
+    """An unbounded end pushed from start in the direction s by steps max(1, |start|),
+    doubling, to the first point where s * g > s * y, and g there; s * inf, with g at the
+    point before, when a step reaches it.  The points walked, g at each, are kept under
+    memo[s * inf] in a tuple grown by rebinding: at most the ~1,025 doublings of the float
+    range.  Two threads may walk a step twice; either keeps a prefix of the one walk."""
+    ladder, x, step = memo.get(s * math.inf) or ((), start, max(1.0, abs(start)))
+    for p, gp in ladder:
+        if not s * gp <= s * y:
+            return p, gp
+    while x != s * math.inf and (not ladder or s * ladder[-1][1] <= s * y):
+        ladder += ((x, g.eval_float(x)),)
+        x, step = x + s * step, 2.0 * step
+    memo[s * math.inf] = ladder, x, step
+    return ladder[-1] if not s * ladder[-1][1] <= s * y else (x, ladder[-1][1])
 
 
 class Neg(PLMap):

@@ -750,7 +750,8 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
 def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
     """BranchMap.eval_floats in a plainer form (values through array("d"),
     every point's branch by bisect), each branch's values inverted by
-    ref_branch_inversions: the reference for the batch path's bits."""
+    ref_branch_inversions, a branch with none not at all: the reference for
+    the batch path's bits."""
     cflt, cf, cg = m.c.to_float(), [x.to_float() for x in m.crits_f], [x.to_float() for x in m.crits_g]
     p = len(cf)
     js = [bisect.bisect_left(cf, t) for t in ts]
@@ -759,7 +760,7 @@ def ref_batch_eval_floats(m: BranchMap, ts: Sequence[float]) -> list[float]:
     out = [0.0] * len(ts)
     for j in range(p + 1):
         ks = [k for k in range(len(ts)) if js[k] == j]
-        for k, u in zip(ks, ref_branch_inversions(m.g, cg, j, [ys[k] for k in ks])):
+        for k, u in zip(ks, ref_branch_inversions(m.g, cg, j, [ys[k] for k in ks]) if ks else ()):
             out[k] = u
     return out
 

@@ -501,6 +501,38 @@ class TestCli:
         message = "parameter 'm' is the --param but the family does not name it"
         assert json.loads(err) == {"error": {"code": "invalid_input", "message": message}}
 
+    BAD_RATIONAL = "expected an exact rational like -3 or 5/2 (decimals are not supported) (at position 0)"
+
+    @pytest.mark.parametrize(
+        "family, values, beta, code, message",
+        [
+            (HP + ")", "1,2", "2/x", "parse_error", "unexpected trailing input ')' (at position 21)"),
+            (HP + ")", "1,2", "2/1", "parse_error", "unexpected trailing input ')' (at position 21)"),
+            (HP, "1,2", "2/x", "parse_error", BAD_RATIONAL),
+            # the second member breaks a limit or the support, after --beta is read
+            ("X^6 - 3*l^4096*X^4*Y + Y^3", "1,2", "2/x", "parse_error", BAD_RATIONAL),
+            ("X^6 - 3*l^4096*X^4*Y + Y^3", "1,2", "2/1", "input_too_large", "coefficient above 4096 bits (at position 10)"),
+            ("l*X^6 + l*Y^3", "1,0", "2/x", "parse_error", BAD_RATIONAL),
+            ("l*X^6 + l*Y^3", "1,0", "2/1", "not_quasihomogeneous", "the zero polynomial is excluded"),
+            ("l*X^6 + l*Y^3", "1,0", "1/2", "beta_out_of_range", BETA_ABOVE_1),
+        ],
+        ids=["both", "family", "beta", "limit_and_beta", "limit", "zero_and_beta", "zero", "beta_range"],
+    )
+    def test_scan_reads_beta_once_and_keeps_the_error_order(self, capsys, monkeypatch, family, values, beta, code, message):
+        # a member's refusal comes before --beta's only when it is the first member's
+        read = []
+        monkeypatch.setattr(cli, "parse_rational", lambda text: read.append(text) or parser.parse_rational(text))
+        exit_code, out, err = run_cli_capture(capsys, "scan", family, "--param", "l", f"--values={values}", "--beta", beta)
+        assert (exit_code, out) == (3, "")
+        assert json.loads(err) == {"error": {"code": code, "message": message}}
+        assert read.count(beta) <= 1
+
+    def test_scan_parses_beta_once(self, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "parse_rational", lambda text: read.append(text) or parser.parse_rational(text))
+        code, _, _ = run_cli_capture(capsys, "scan", HP, "--param", "l", "--values=1,2,3,4,5,6,7,8", "--beta", "2/1")
+        assert code == 0 and read == [*"12345678", "2/1"]
+
     @pytest.mark.parametrize(
         "argv",
         [

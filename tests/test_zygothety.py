@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +32,17 @@ from qhlip.zygothety import (
     make_regular,
 )
 
-from helpers import rand_qhpoly, rebuilt_alg, ref_branch_inversions, ref_is_beta_regular, ref_limit_slope, uni_sub
+from helpers import (
+    affine_conjugate,
+    rand_nonzero_rational,
+    rand_qhpoly,
+    rebuilt_alg,
+    ref_batch_eval_floats,
+    ref_branch_inversions,
+    ref_is_beta_regular,
+    ref_limit_slope,
+    uni_sub,
+)
 
 
 def ra(x):
@@ -993,3 +1005,119 @@ class TestFloatPathsProperty:
         assert compare(left.lam1, right.lam1) == 0 and compare(left.lam2, right.lam2) == 0
         for a, b in ((left.phi1, right.phi1), (left.phi2, right.phi2)):
             assert a.eval_floats(ts) == b.eval_floats(ts)
+
+
+class TestInversionIsHistoryFree:
+    """Each branch keeps the ladder of each pushed end and g, g', g'' at its
+    runs' first midpoints (BranchMap._floats): a map evaluates the same bits
+    fresh, after a batch that extended its ladders, in any order, and shared
+    by two threads, each the reference's."""
+
+    @staticmethod
+    def maps() -> list:
+        """Fresh maps: branch inverses of g with bounded and unbounded
+        branches (the pushed-end root case's g among them), identities, the
+        certificates' maps with no critical point, and seeded affine
+        conjugates c f(a t + b) with one or two critical points."""
+        rng = random.Random(20240904)
+        out = [copied(m) for m in negative_pair_maps()]
+        for g in (UniPoly([-4, 9, -8, 8, -3]), UniPoly([1, -3, 0, 1]), UniPoly([0, 1])):
+            points = critical_data(g).points
+            out += [branch_inverse(g, points, j) for j in range(len(points) + 1)] + [branch_identity(g)]
+        while len(out) < 24:
+            f = UniPoly([rng.randint(-5, 5) for _ in range(rng.randint(3, 5))] + [rng.choice((-2, -1, 1, 3))])
+            if not critical_data(f).points:
+                continue
+            a, b, c = rand_nonzero_rational(rng), F(rng.randint(-3, 3), 2), rand_nonzero_rational(rng)
+            g = affine_conjugate(f, a, b, c)
+            out.append(BranchMap(ra(c), a > 0, f, g, critical_data(f).points, critical_data(g).points))
+        return out
+
+    @staticmethod
+    def points(rng: random.Random) -> list[float]:
+        ts = [rng.uniform(-4.0, 4.0) for _ in range(24)] + [rng.uniform(-60.0, 60.0) for _ in range(6)]
+        return ts + [-344.55325678723835, 0.0, -0.0, 1e-300]  # the pushed-end root case among them
+
+    @staticmethod
+    def reference(m, ts) -> list[str]:
+        """ref_batch_eval_floats for one value each; NaN where the reference
+        evaluated no point (its None, for a bracket with no midpoint)."""
+        return [bits(math.nan if u is None else u) for t in ts for u in ref_batch_eval_floats(m, [t])]
+
+    def test_fresh_warmed_and_shuffled_maps_are_the_reference(self):
+        rng = random.Random(20251017)
+        for m in self.maps():
+            ts = self.points(rng)
+            want = self.reference(m, ts)
+            assert [bits(copied(m).eval_float(t)) for t in ts] == want  # each point on a fresh map
+            warmed = copied(m)
+            warm = [1e6, -1e6, 1e3, -1e3, 2.5]
+            assert warmed.eval_floats(warm) == ref_batch_eval_floats(m, warm)
+            assert [bits(warmed.eval_float(t)) for t in ts] == want
+            order = list(range(len(ts)))
+            rng.shuffle(order)
+            got = {k: bits(m.eval_float(ts[k])) for k in order}
+            assert [got[k] for k in range(len(ts))] == want
+            assert [bits(u) for u in m.eval_floats(ts)] == [bits(u) for u in ref_batch_eval_floats(m, ts)]
+
+    def test_a_ladder_that_reaches_infinity(self):
+        # on g = t every point down to -2^1023 has g above -max, so the lower
+        # end is pushed to -inf, with g from the point before: the bracket has
+        # no midpoint and the value is NaN, fresh or not; the values after it
+        # read the ladder that ends there
+        g, top = UniPoly([0, 1]), 1.7976931348623157e308
+        m = branch_inverse(g, [], 0)
+        ys = [-top, top, -3.0, 5e307, -2.5]
+        fresh = [bits(branch_inverse(g, [], 0).eval_float(y)) for y in ys]
+        assert fresh == [bits(m.eval_float(y)) for y in ys] == self.reference(m, ys)
+        assert math.isnan(m.eval_float(-top)) and math.isnan(m.eval_float(top))
+        memo = m._flt[1][0][-1]
+        assert memo[-math.inf][1] == -math.inf and memo[math.inf][1] == math.inf
+        assert [bits(u) for u in m.eval_floats(ys[2:])] == [bits(u) for u in ref_batch_eval_floats(m, ys[2:])]
+
+    def test_threads_share_one_map(self):
+        # more threads than most machines' cores, switching every microsecond,
+        # each in its own shuffled order over fresh shared maps: an entry two
+        # threads compute is computed to the same bits, and a ladder one
+        # thread rebinds shorter is still a prefix of the walk
+        rng = random.Random(7)
+        maps = self.maps()
+        cases = [(m, self.points(rng)) for m in maps]
+        wants = [self.reference(m, ts) for m, ts in cases]
+        shared, results = [copied(m) for m in maps], {}
+        barrier = threading.Barrier(4, timeout=60)
+
+        def run(slot: int) -> None:
+            order = random.Random(slot)
+            barrier.wait()
+            out = []
+            for m, (_, ts) in zip(shared, cases):
+                ks = list(range(len(ts)))
+                order.shuffle(ks)
+                got = {k: bits(m.eval_float(ts[k])) for k in ks}
+                out.append([got[k] for k in range(len(ts))])
+            results[slot] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(slot) for slot in range(4)] == [wants] * 4
+
+    def test_caches_are_bounded(self):
+        # a batch at |t| = 1e200: each ladder holds at most the doublings of
+        # the float range, and each branch one midpoint per run it made
+        ts = [s * 10.0**k for k in (0, 3, 6, 50, 100, 200) for s in (1.0, -1.0)]
+        for m in self.maps():
+            m.eval_floats(ts)
+            for branch in m._flt[1]:
+                memo = branch[-1]
+                assert all(len(memo[key][0]) <= 1025 for key in (-math.inf, math.inf) if key in memo)
+                assert sum(math.isfinite(key) for key in memo) <= 1
