@@ -133,9 +133,7 @@ def _qh_from_args(text: str, args, bindings, beta: Fraction | None = None) -> QH
         return validate_qh(F, beta.numerator, beta.denominator)
     inf = infer_beta(F)
     if inf.ambiguous:
-        raise CliError(
-            "beta is ambiguous for a monomial; pass --beta explicitly", "beta_ambiguous"
-        )
+        raise CliError("beta is ambiguous for a monomial; pass --beta explicitly", "beta_ambiguous")
     if not inf.matches:
         raise CliError("no admissible beta > 1 fits this polynomial", "beta_unavailable")
     return inf.matches[0]
@@ -144,18 +142,12 @@ def _qh_from_args(text: str, args, bindings, beta: Fraction | None = None) -> QH
 def _add_beta_flags(sp) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", help="weights r/s with r > s > 0, e.g. 2/1")
-    group.add_argument(
-        "--infer-beta", action="store_true", help="infer the unique admissible beta"
-    )
+    group.add_argument("--infer-beta", action="store_true", help="infer the unique admissible beta")
 
 
 def _add_lets(sp) -> None:
-    sp.add_argument(
-        "--let",
-        action="append",
-        metavar="NAME=RATIONAL",
-        help="bind a parameter before parsing (repeatable)",
-    )
+    doc = "bind a parameter before parsing (repeatable)"
+    sp.add_argument("--let", action="append", metavar="NAME=RATIONAL", help=doc)
 
 
 def cmd_classify1(args) -> int:
@@ -163,41 +155,28 @@ def cmd_classify1(args) -> int:
     f = parse_uni(args.f, bindings)
     g = parse_uni(args.g, bindings)
     verdict = classify_pair(f, g)
-    out = {
-        "f": str(f),
-        "g": str(g),
-    }
-    out.update(jsonio.verdict1_json(verdict))
-    _emit(out)
+    _emit(jsonio.classify1_json(f, g, verdict))
     return EXIT_EQUIVALENT if verdict.equivalent else EXIT_NOT_EQUIVALENT
 
 
-def _classify2(args) -> tuple[QHPoly, QHPoly, Verdict2D, dict]:
-    """Decide the pair F, G; returns it with the verdict and its JSON view."""
+def _classify2(args) -> tuple[QHPoly, QHPoly, Verdict2D]:
     bindings = _parse_lets(args.let, args.F, args.G)
     F = _qh_from_args(args.F, args, bindings)
     G = _qh_from_args(args.G, args, bindings)
-    verdict = decide(F, G)
-    out = {
-        "F": str(F.poly),
-        "G": str(G.poly),
-        "beta": f"{F.r}/{F.s}",
-        "degree": F.d,
-    }
-    out.update(jsonio.verdict2_json(verdict))
-    return F, G, verdict, out
+    return F, G, decide(F, G)
 
 
 def cmd_classify2(args) -> int:
-    _, _, verdict, out = _classify2(args)
-    _emit(out)
+    F, G, verdict = _classify2(args)
+    _emit(jsonio.classify2_json(F, G, verdict))
     return _VERDICT_EXIT[verdict.kind]
 
 
 def cmd_witness(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise CliError(f"--samples above {MAX_SAMPLES}", "input_too_large")
-    F, G, verdict, out = _classify2(args)
+    F, G, verdict = _classify2(args)
+    rep = None
     if verdict.kind == VerdictKind.EQUIVALENT:
         try:
             rep = verify(F, G, verdict.certificate.zygothety, args.samples, args.delta, args.tol)
@@ -205,12 +184,9 @@ def cmd_witness(args) -> int:
             raise CliError(str(exc), "input_too_large")
         except OverflowError as exc:
             raise CliError(f"--delta {args.delta!r} overflows the float witness check: {exc}", "input_too_large")
-        out["report"] = jsonio.report_json(rep)
-        _emit(out)
-        if rep.conjugacy_pass:
-            return EXIT_EQUIVALENT
+    _emit(jsonio.classify2_json(F, G, verdict, rep))
+    if rep is not None and not rep.conjugacy_pass:
         return _fail(f"conjugacy residual {rep.max_rel_residual!r} above --tol {rep.tol!r}", "conjugacy_check_failed")
-    _emit(out)
     return _VERDICT_EXIT[verdict.kind]
 
 
@@ -245,30 +221,13 @@ def cmd_scan(args) -> int:
             raise ArithmeticError("equivalence relation from decide() is not transitive; internal bug")
     partition = [[i for i in range(n) if label[i] == c] for c in range(n) if label[c] == c]
     unknown_pairs = sorted(k for k, v in verdicts.items() if v == VerdictKind.UNKNOWN)
-    _emit(
-        {
-            "family": args.family,
-            "param": args.param,
-            "values": [str(v) for v in values],
-            "partition": partition,
-            "unknown_pairs": [list(p) for p in unknown_pairs],
-        }
-    )
+    _emit(jsonio.scan_json(args.family, args.param, values, partition, unknown_pairs))
     return 0
 
 
 def cmd_infer_beta(args) -> int:
     F = parse_bi(args.F, _parse_lets(args.let, args.F))
-    inf = infer_beta(F)
-    _emit(
-        {
-            "F": str(F),
-            "matches": [
-                {"beta": f"{q.r}/{q.s}", "degree": q.d} for q in inf.matches
-            ],
-            "ambiguous": inf.ambiguous,
-        }
-    )
+    _emit(jsonio.infer_beta_json(F, infer_beta(F)))
     return 0
 
 

@@ -1,19 +1,25 @@
-"""JSON views of verdicts, certificates and reports.
+"""JSON views of verdicts, certificates, reports and the CLI's documents.
 
-This is the only module that knows the JSON format.  All dictionaries are
-built in a fixed key order and rationals are rendered as exact strings, so
-serialized output is byte-deterministic for fixed inputs.
+This is the only module that knows the output's JSON format (bar the CLI's
+error object on stderr): one function here builds each stdout document.
+All dictionaries are built in a fixed key order and rationals rendered as
+exact strings, so serialized output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .lipclass import CritData, Pairing1D, Verdict1D
+from .polyalg import BiPoly, UniPoly
 from .qhdecide import (
+    BetaInference,
     Certificate,
     CxdTrace,
     NecessityCondition,
     NEReason,
     PairingFailure,
+    QHPoly,
     UnknownKind,
     Verdict2D,
     VerdictKind,
@@ -169,3 +175,26 @@ def report_json(rep: VerificationReport) -> dict:
         "samples": rep.samples,
         "delta": rep.delta,
     }
+
+
+def classify1_json(f: UniPoly, g: UniPoly, v: Verdict1D) -> dict:
+    return {"f": str(f), "g": str(g), **verdict1_json(v)}
+
+
+def classify2_json(F: QHPoly, G: QHPoly, v: Verdict2D, report: VerificationReport | None = None) -> dict:
+    """classify2's document; witness's, with the report of its float check."""
+    out = {"F": str(F.poly), "G": str(G.poly), "beta": f"{F.r}/{F.s}", "degree": F.d, **verdict2_json(v)}
+    if report is not None:
+        out["report"] = report_json(report)
+    return out
+
+
+def scan_json(family: str, param: str, values: list[Fraction], partition: list[list[int]], unknown_pairs) -> dict:
+    """scan's document; partition and unknown_pairs hold indices into values."""
+    values, unknown = [str(v) for v in values], [list(p) for p in unknown_pairs]
+    return {"family": family, "param": param, "values": values, "partition": partition, "unknown_pairs": unknown}
+
+
+def infer_beta_json(F: BiPoly, inference: BetaInference) -> dict:
+    matches = [{"beta": f"{q.r}/{q.s}", "degree": q.d} for q in inference.matches]
+    return {"F": str(F), "matches": matches, "ambiguous": inference.ambiguous}

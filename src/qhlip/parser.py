@@ -81,8 +81,6 @@ def _const(c: RatLike) -> BiPoly:
 
 
 def _checked(p: BiPoly, position: int) -> BiPoly:
-    if _degree(p) > MAX_DEGREE:
-        raise InputTooLargeError(f"polynomial of degree above {MAX_DEGREE}", position)
     if len(p.ints) > MAX_TERMS:
         raise InputTooLargeError(f"polynomial of more than {MAX_TERMS} terms", position)
     if _coeff_bits(p) > MAX_COEFF_BITS:

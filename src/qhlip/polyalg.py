@@ -374,7 +374,7 @@ def count_roots_between(p: UniPoly, a: int, c: int, m: int) -> int:
     """
     if a > c:
         raise ValueError("empty interval")
-    if a == c:
+    if a == c:  # a point holds no root, even where p is 0 (scripts/fuzz_sympy.py counts it so)
         return 0
     chain = sturm_sequence(p)
     at_lo = [q.sign_at_ratio(a, m) for q in chain]
@@ -385,9 +385,7 @@ def count_roots_between(p: UniPoly, a: int, c: int, m: int) -> int:
 
 
 def cauchy_root_bound(p: UniPoly) -> Fraction:
-    """B with every real root of p strictly inside (-B, B)."""
-    if p.is_zero:
-        raise ValueError("root bound of the zero polynomial")
+    """B with every real root of p strictly inside (-B, B), for p != 0."""
     *rest, lc = p.ints
     return Fraction(abs(lc) + max(map(abs, rest), default=0), abs(lc))
 

@@ -79,8 +79,6 @@ def validate_qh(F: BiPoly, r: int, s: int) -> QHPoly:
             )
     if d_times_s is None:
         raise ArithmeticError("nonzero polynomial without monomials; internal bug")
-    if d_times_s % s != 0:
-        raise NotQuasihomogeneousError("degree d is not an integer")
     d = d_times_s // s
     if d <= 0:
         raise NotQuasihomogeneousError("degree d must be a positive integer")

@@ -356,8 +356,6 @@ def isolate_real_roots(p: UniPoly) -> list[RealAlg]:
 
 def sign_at(p: UniPoly, a: RealAlg) -> int:
     """Exact sign of p(a)."""
-    if p.is_zero:
-        return 0
     if a.is_rational:
         return p.sign_at_ratio(a._a, a._m)
     # g divides the square-free defpoly, so it has at most one root in the

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
@@ -167,10 +168,11 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     BranchMap._floats keeps it; g below is g * s, which rises there.
 
     An unbounded end is pushed out by doubling steps until it brackets every
-    y; a y at or past g at a critical end returns that end.  The branch's memo
-    keeps each end's walk, g at each point (_pushed, keys -inf and inf), and
-    g, g', g'' at each run's first point, a finite midpoint: g's own bits
-    there, evaluated once per branch.  Each y keeps its
+    y or reaches the float edge; a y at or past g at a critical end returns
+    that end, one at g at the edge that edge, and one past it NaN.  The
+    branch's memo keeps each end's walk, g at each point (_pushed, keys -inf
+    and inf), and g, g', g'' at each run's first point, a finite midpoint:
+    g's own bits there, evaluated once per branch.  Each y keeps its
     root in a bracket (a, b) narrowed by the signs of g - y at the points
     evaluated (g, g' and g'' by one Horner pass), and steps from the last of
     them, x: with q = (y - g)/g' and r = g''q/2g', to x + q - rq, or to x + q
@@ -189,12 +191,13 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
     _, g, lo, hi, glo, ghi, memo = branch
     a, ga = _pushed(memo, -1.0, g, (hi if hi < math.inf else 0.0) - 1.0, ys[0]) if lo == -math.inf else (lo, glo)
     b, gb = _pushed(memo, 1.0, g, (lo if lo > -math.inf else 0.0) + 1.0, ys[-1]) if hi == math.inf else (hi, ghi)
-    g_d2, top, gtop, nan, inf = g.eval_float_d2, b, gb, math.nan, math.inf
+    g_d2, bot, gbot, top, gtop, nan, inf = g.eval_float_d2, a, ga, b, gb, math.nan, math.inf
     x = v = d = h = nan  # no point evaluated yet: the first step bisects
     pa, pb = (a if lo == -inf else nan), (b if hi == inf else nan)  # the pushed ends, until one is tried
     for y in ys:
-        if not glo < y < ghi:  # at or a rounding error past a critical end's value
-            yield lo if y <= glo else hi
+        if not gbot < y < gtop:  # at or a rounding error past a critical end's value, or at or past the edge's
+            end, gend, critical = (bot, gbot, bot == lo) if y <= gbot else (top, gtop, top == hi)
+            yield end if critical or y == gend else nan  # no finite root past the edge
             continue
         if gb <= y:  # the last value's upper end is below this one
             a, b, gb = b, top, gtop
@@ -233,19 +236,20 @@ def _invert_run(branch, ys: Sequence[float]) -> Iterator[float]:
 
 def _pushed(memo, s, g, start, y):
     """An unbounded end pushed from start in the direction s by steps max(1, |start|),
-    doubling, to the first point where s * g > s * y, and g there; s * inf, with g at the
-    point before, when a step reaches it.  The points walked, g at each, are kept under
-    memo[s * inf] in a tuple grown by rebinding: at most the ~1,025 doublings of the float
-    range.  Two threads may walk a step twice; either keeps a prefix of the one walk."""
+    doubling, to the first point where s * g > s * y, or to the edge s * max where a step
+    leaves the float range; that point and g there.  The points walked, g at each, are kept
+    under memo[s * inf] in a tuple grown by rebinding: at most 1,025, the doublings of the
+    float range.  Two threads may walk a step twice; either keeps a prefix of the one walk."""
     ladder, x, step = memo.get(s * math.inf) or ((), start, max(1.0, abs(start)))
     for p, gp in ladder:
         if not s * gp <= s * y:
             return p, gp
-    while x != s * math.inf and (not ladder or s * ladder[-1][1] <= s * y):
+    edge = s * sys.float_info.max
+    while not ladder or ladder[-1][0] != edge and s * ladder[-1][1] <= s * y:
         ladder += ((x, g.eval_float(x)),)
-        x, step = x + s * step, 2.0 * step
+        x, step = x + s * step if x + s * step != s * math.inf else edge, 2.0 * step
     memo[s * math.inf] = ladder, x, step
-    return ladder[-1] if not s * ladder[-1][1] <= s * y else (x, ladder[-1][1])
+    return ladder[-1]
 
 
 class Neg(PLMap):

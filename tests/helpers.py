@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
@@ -658,8 +659,10 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
     stands for g below, and s * y for each y; the values are taken in
     ascending order (a stable sort).  An unbounded end starts 1 past the
     other end (at -1 or 1 when both are unbounded) and moves out by steps
-    max(1, |start|), doubling, until g there is past every value.  A value
-    at or past g at an end returns that end.  Each value keeps a bracket
+    max(1, |start|), doubling, until g there is past every value or it
+    stands on the float edge +-max, where a step out of the float range
+    goes.  A value at or past g at a critical end returns that end; one at
+    g at the edge returns the edge, and one past it NaN.  Each value keeps a bracket
     (a, b) of points evaluated, g(a) <= y < g(b), b falling back to the
     pushed upper end when it is no longer above y.  From the last point x
     evaluated, with q = (y - g) / g' and r = g'' q / 2 g' there, a step is
@@ -684,20 +687,20 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
         g = -g
     vals = [s * y for y in ys]
     order = sorted(range(len(ys)), key=lambda k: vals[k])
-    a, b = lo, hi
+    a, b, edge = lo, hi, sys.float_info.max
     if lo == -math.inf:
         a = (hi if hi < math.inf else 0.0) - 1.0
         step = max(1.0, abs(a))
-        while g.eval_float(a) >= vals[order[0]] and a > -math.inf:
-            a -= step
+        while g.eval_float(a) >= vals[order[0]] and a > -edge:
+            a = max(a - step, -edge)
             step *= 2.0
     if hi == math.inf:
         b = (lo if lo > -math.inf else 0.0) + 1.0
         step = max(1.0, abs(b))
-        while g.eval_float(b) <= vals[order[-1]] and b < math.inf:
-            b += step
+        while g.eval_float(b) <= vals[order[-1]] and b < edge:
+            b = min(b + step, edge)
             step *= 2.0
-    top, out, x = b, [0.0] * len(ys), None  # x, v, d, h: g, g', g'' at the last point evaluated
+    bottom, top, out, x = a, b, [0.0] * len(ys), None  # x, v, d, h: g, g', g'' at the last point evaluated
     pushed = ({a} if lo == -math.inf else set()) | ({b} if hi == math.inf else set())
     for k in order:
         y = vals[k]
@@ -706,6 +709,12 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
             continue
         if hi < math.inf and y >= g.eval_float(hi):
             out[k] = hi
+            continue
+        if lo == -math.inf and y <= g.eval_float(bottom):  # on the float edge
+            out[k] = bottom if y == g.eval_float(bottom) else math.nan
+            continue
+        if hi == math.inf and y >= g.eval_float(top):
+            out[k] = top if y == g.eval_float(top) else math.nan
             continue
         if g.eval_float(b) <= y:
             a, b = b, top

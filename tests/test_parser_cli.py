@@ -325,6 +325,17 @@ class TestCli:
         assert error["code"] == "conjugacy_check_failed"
         assert "--tol 0.0" in error["message"]
 
+    @pytest.mark.parametrize(
+        "F, G, code",
+        [("X^6 - 3*X^4*Y + Y^3", "X^6 + 3*X^4*Y + Y^3", 1), ("X^4", "X^4 + Y^2", 2)],
+        ids=["not_equivalent", "unknown"],
+    )
+    def test_witness_without_a_certificate_prints_classify2(self, capsys, F, G, code):
+        # no certificate, so no float check: the verdict's bytes and exit code, no report
+        witness = run_cli_capture(capsys, "witness", F, G, "--beta", "2/1")
+        assert witness == run_cli_capture(capsys, "classify2", F, G, "--beta", "2/1")
+        assert witness[0] == code and witness[2] == "" and "report" not in json.loads(witness[1])
+
     def test_scan_single_class(self, capsys):
         code, out, _ = run_cli_capture(
             capsys,
@@ -401,6 +412,12 @@ class TestCli:
         data = json.loads(out)
         assert data["matches"] == [{"beta": "2/1", "degree": 6}]
 
+    def test_infer_beta_without_a_match(self, capsys):
+        # X^3*Y and X*Y have one weighted degree only if 3s + r = s + r, so s = 0
+        code, out, err = run_cli_capture(capsys, "infer-beta", "X^3*Y + X*Y")
+        assert (code, err) == (0, "")
+        assert out == json.dumps({"F": "X^3*Y + X*Y", "matches": [], "ambiguous": False}, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -451,8 +468,17 @@ class TestCli:
             (["classify2", "0", "X^6+Y^3", "--beta", "1"], "beta_out_of_range", BETA_ABOVE_1),
             (["classify2", "0", "X^6+Y^3", "--beta", "2"], "not_quasihomogeneous", "the zero polynomial is excluded"),
             (["infer-beta", "0"], "not_quasihomogeneous", "the zero polynomial is excluded"),
+            (["classify2", "X*Y", "X*Y", "--beta", "3/2"], "not_quasihomogeneous",
+             "Y-exponent 1 is not a multiple of s=2"),
+            (["classify2", "5", "5", "--beta", "2/1"], "not_quasihomogeneous", "degree d must be a positive integer"),
+            (["classify1", "t", "t", "--let", "l"], "invalid_input", "--let expects name=rational, got 'l'"),
+            (["classify1", "t", "t", "--let", "2x=1"], "invalid_input", "invalid parameter name '2x'"),
+            (["classify1", "l*t", "t", "--let", "l=1/0"], "parse_error", "zero denominator (at position 0)"),
+            (["infer-beta", "X/2"], "parse_error",
+             "'/' is only allowed between integer literals (rational p/q) (at position 1)"),
         ],
-        ids=["beta_1", "beta_-2", "beta_0", "beta_1/2", "zero_beta_1", "zero_beta_2", "infer_zero"],
+        ids=["beta_1", "beta_-2", "beta_0", "beta_1/2", "zero_beta_1", "zero_beta_2", "infer_zero", "y_exponent",
+             "degree_0", "let_no_value", "let_bad_name", "let_zero_denominator", "slash_after_variable"],
     )
     def test_error_protocol(self, capsys, argv, code, message):
         exit_code, out, err = run_cli_capture(capsys, *argv)

@@ -1061,19 +1061,30 @@ class TestInversionIsHistoryFree:
             assert [bits(u) for u in m.eval_floats(ts)] == [bits(u) for u in ref_batch_eval_floats(m, ts)]
 
     def test_a_ladder_that_reaches_infinity(self):
-        # on g = t every point down to -2^1023 has g above -max, so the lower
-        # end is pushed to -inf, with g from the point before: the bracket has
-        # no midpoint and the value is NaN, fresh or not; the values after it
-        # read the ladder that ends there
+        # on g = t every point down to -2^1023 has g above -max, and the next
+        # step would leave the float range: the walk's last point is the edge
+        # -max, where g is -max, so every value inverts to itself, fresh or
+        # not, and the values after it read the ladder that ends there
         g, top = UniPoly([0, 1]), 1.7976931348623157e308
         m = branch_inverse(g, [], 0)
-        ys = [-top, top, -3.0, 5e307, -2.5]
+        edge = [2.0**1023, 9e307, 1.5e308, top]
+        ys = [-top, top, -3.0, 5e307, -2.5, *edge, *(-y for y in edge)]
         fresh = [bits(branch_inverse(g, [], 0).eval_float(y)) for y in ys]
-        assert fresh == [bits(m.eval_float(y)) for y in ys] == self.reference(m, ys)
-        assert math.isnan(m.eval_float(-top)) and math.isnan(m.eval_float(top))
+        assert fresh == [bits(m.eval_float(y)) for y in ys] == self.reference(m, ys) == [bits(y) for y in ys]
         memo = m._flt[1][0][-1]
-        assert memo[-math.inf][1] == -math.inf and memo[math.inf][1] == math.inf
-        assert [bits(u) for u in m.eval_floats(ys[2:])] == [bits(u) for u in ref_batch_eval_floats(m, ys[2:])]
+        assert memo[-math.inf][0][-1] == (-top, -top) and memo[math.inf][0][-1] == (top, top)
+        assert [bits(u) for u in m.eval_floats(ys)] == [bits(u) for u in ref_batch_eval_floats(m, ys)]
+
+    def test_a_value_past_g_at_the_float_edge_has_no_preimage(self):
+        # on g = t/2, g at the edge is max/2: that value inverts to the edge,
+        # and one past it has no finite preimage
+        g, top = UniPoly([0, F(1, 2)]), 1.7976931348623157e308
+        ys = [top / 2, -top / 2, 1e308, -1e308, top, 3.0]
+        want = [bits(u) for u in (top, -top, math.nan, math.nan, math.nan, 6.0)]
+        assert [bits(branch_inverse(g, [], 0).eval_float(y)) for y in ys] == want
+        m = branch_inverse(g, [], 0)
+        assert self.reference(m, ys) == want
+        assert [bits(u) for u in m.eval_floats(ys)] == [bits(u) for u in ref_batch_eval_floats(m, ys)] == want
 
     def test_threads_share_one_map(self):
         # more threads than most machines' cores, switching every microsecond,
