@@ -662,9 +662,9 @@ def ref_branch_inversions(g: UniPoly, crit_floats: list[float], j: int, ys: Sequ
     max(1, |start|), doubling, until g there is past every value or it
     stands on the float edge +-max, where a step out of the float range
     goes.  A value at or past g at a critical end returns that end; one at
-    g at the edge returns the edge, and one past it NaN.  Each value keeps a bracket
-    (a, b) of points evaluated, g(a) <= y < g(b), b falling back to the
-    pushed upper end when it is no longer above y.  From the last point x
+    g at the edge returns the edge, and one past it NaN.  Each value keeps
+    a bracket (a, b) of points evaluated, g(a) <= y < g(b), b falling back
+    to the pushed upper end when no longer above y.  From the last point x
     evaluated, with q = (y - g) / g' and r = g'' q / 2 g' there, a step is
     taken when x + q lies inside the bracket and q**2 is at most a quarter
     of the square of the step before (any step, for a value's first; half
