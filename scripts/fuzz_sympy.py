@@ -66,7 +66,10 @@ Compares, on seeded random inputs:
   ``subs(X, 1)`` and ``subs(X, -1)`` of the expansion; and the same on
   seeded families whose coefficients read a parameter l, each parsed at
   three values of l in one process (so all but the first evaluate a cached
-  program) against sympy's expansion after substituting the value;
+  program) against sympy's expansion after substituting the value.  A text
+  the parser refuses with InputTooLargeError passes only when sympy's
+  expansion breaks MAX_TERMS, MAX_DEGREE or MAX_COEFF_BITS; any other
+  refusal is a mismatch, and the last line counts the refusals;
 * ``div(b, a)`` for the real roots a != 0 of an integer polynomial A of degree
   at most 3, and b each real root of c**n A(t/c) for a random rational
   c != 0 (planted scaled conjugates, one of which is c*a) or of a random
@@ -91,8 +94,8 @@ Compares, on seeded random inputs:
   for the square-free part of a seeded p, against sympy's ``count_roots``
   of its ``sqf_part`` on the closed interval, with m = 1, 2, a power of
   two, a small m or one above 2**60; a box with an end on p's rational
-  roots must raise ArithmeticError, and an empty one ValueError (a point
-  counts 0).
+  roots must raise ArithmeticError, and an empty one, a point box
+  included, ValueError.
 
 Needs sympy.  The test suite runs 20 cases (seed 1) where sympy is
 installed; run more from the repository root:
@@ -116,7 +119,7 @@ import sympy
 from fractions import Fraction
 
 from qhlip.lipclass import critical_data, similar
-from qhlip.parser import parse_bi
+from qhlip.parser import MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InputTooLargeError, ParseError, parse_bi
 from qhlip.polyalg import BiPoly, UniPoly, count_roots_between, poly_gcd, resultant, square_free_part
 from qhlip.qhdecide import QHPoly, decide, heights, validate_qh
 from qhlip.realalg import RealAlg, abs_alg, compare, div, eval_alg, isolate_real_roots, mul, nth_root_pos, sign_at
@@ -262,7 +265,7 @@ def check_count_roots(rng: random.Random, root_ends: list[int]) -> str | None:
     on the closed interval, over m = 1, 2, a power of two, a small m or a
     huge one; some boxes are empty or a point, and some have an end on the
     k/2 grid where rand_uni plants its rational roots: an end that is a
-    root must raise ArithmeticError, an empty box ValueError."""
+    root must raise ArithmeticError, an empty box or a point ValueError."""
     p = rand_uni(rng, 6)
     q, sqf = square_free_part(p), sympy.Poly(uni_expr(p, T), T).sqf_part()
     for _ in range(6):
@@ -270,8 +273,8 @@ def check_count_roots(rng: random.Random, root_ends: list[int]) -> str | None:
         a = rng.randint(-8 * m, 8 * m) if rng.random() < 0.7 else m * rng.randint(-8, 8) // 2
         c = a + rng.randint(-m // 4, 8 * m)
         lo, hi = sympy.Rational(a, m), sympy.Rational(c, m)
-        if a >= c:  # a point counts no root
-            want = "ValueError" if a > c else 0
+        if a >= c:  # the open box is empty
+            want = "ValueError"
         elif sqf.eval(lo) == 0 or sqf.eval(hi) == 0:
             want = "ArithmeticError"
             root_ends.append(1)
@@ -618,12 +621,30 @@ def rand_bi_text(rng: random.Random, depth: int, param: bool = False) -> str:
     return f"-({text})" if rng.random() < 0.2 else text
 
 
-def check_parser(text: str, l: Fraction | None = None) -> str | None:
-    """parse_bi(text) against sympy's expansion, with l bound to the value l if given."""
-    ours = parse_bi(text, None if l is None else {"l": l})
+def beyond_limits(terms: dict) -> bool:
+    """Whether a polynomial, as sympy's nonzero terms, breaks one of the
+    parser's limits on terms, degree and coefficient bits."""
+    return (
+        len(terms) > MAX_TERMS
+        or max((i + j for i, j in terms), default=0) > MAX_DEGREE
+        or any(max(abs(c.p), c.q).bit_length() > MAX_COEFF_BITS for c in terms.values())
+    )
+
+
+def check_parser(text: str, refused: list[str], l: Fraction | None = None) -> str | None:
+    """parse_bi(text) against sympy's expansion, with l bound to the value l
+    if given; a refusal passes, and joins refused, only where the expansion
+    is beyond the parser's limits."""
     expr = sympy.sympify(text.replace("^", "**"), locals={"X": BX, "Y": BY, "l": BL})
     expr = sympy.expand(expr if l is None else expr.subs(BL, sympy.Rational(l.numerator, l.denominator)))
     theirs = {k: v for k, v in sympy.Poly(expr, BX, BY).as_dict().items() if v}
+    try:
+        ours = parse_bi(text, None if l is None else {"l": l})
+    except ParseError as exc:
+        if isinstance(exc, InputTooLargeError) and beyond_limits(theirs):
+            refused.append(text)
+            return None
+        return f"parse_bi({text!r}) at l = {l} refused ({exc}), sympy's expansion is within the limits"
     if {k: sympy.Rational(c.numerator, c.denominator) for k, c in ours.terms.items()} != theirs:
         return f"parse_bi({text!r}) at l = {l}: qhlip {ours}, sympy {expr}"
     for side in (1, -1):
@@ -632,11 +653,11 @@ def check_parser(text: str, l: Fraction | None = None) -> str | None:
     return None
 
 
-def check_family(rng: random.Random) -> str | None:
+def check_family(rng: random.Random, refused: list[str]) -> str | None:
     """One family in l parsed at three values, zero and negatives included."""
     text = rand_bi_text(rng, 3, param=True)
     for l in (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)):
-        problem = check_parser(text, l)
+        problem = check_parser(text, refused, l)
         if problem:
             return problem
     return None
@@ -742,6 +763,7 @@ def main(argv: list[str] | None = None) -> int:
     rational: list[int] = []
     irrational: list[int] = []
     root_ends: list[int] = []
+    refused: list[str] = []
     for i in range(args.cases):
         A, B, p = rand_tpoly(rng), rand_tpoly(rng), rand_uni(rng, 8)
         problem = (
@@ -756,8 +778,8 @@ def main(argv: list[str] | None = None) -> int:
             or check_big_gcd(*rand_big_pair(rng))
             or check_images(rng)
             or check_similar(*rand_similar_pair(similar_rng))
-            or check_parser(rand_bi_text(parse_rng, 3))
-            or check_family(family_rng)
+            or check_parser(rand_bi_text(parse_rng, 3), refused)
+            or check_family(family_rng, refused)
             or check_division(division_rng, rational)
             or check_qh_identity(rand_qh(qh_rng))
             or check_beta_regular(beta_rng, irrational)
@@ -771,7 +793,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(flat)} inversions within the rounding bound, not the width; "
         f"{len(rational)} quotients of irrationals rational; "
         f"{sum(irrational)} of {len(irrational)} regularity checks with an irrational scale; "
-        f"{len(root_ends)} Sturm boxes with a root at an end)"
+        f"{len(root_ends)} Sturm boxes with a root at an end; "
+        f"{len(refused)} parser texts refused beyond the limits)"
     )
     return 0
 

@@ -3,8 +3,9 @@
 Decides seeded pairs of quasihomogeneous polynomials of one family, drawn
 by the test suite's ``rand_qhpoly``, half of them planted as F against
 F(aX, bY) and half drawn independently, each pair once, and prints the wall
-time, the peak resident set after each quarter of the loop, and each
-module-level cache's size.  A cache that grows without bound shows as
+time, the peak resident set after each quarter of the loop, and the size
+of each functools cache that qhlip's modules define, found by walking them
+(``helpers.library_caches``).  A cache that grows without bound shows as
 growth in every quarter; bounded caches stop growing once they are full.
 
     PYTHONPATH=src:tests python3 scripts/soak_decide.py --decisions 2000 --seed 1
@@ -21,19 +22,8 @@ import resource
 import time
 from fractions import Fraction
 
-from helpers import rand_qhpoly
-from qhlip import lipclass, polyalg, qhdecide, realalg
+from helpers import library_caches, rand_qhpoly
 from qhlip.qhdecide import decide, validate_qh
-
-CACHES = (
-    polyalg.sturm_sequence,
-    realalg._count_pair,
-    realalg._sum_defpoly,
-    realalg._product_defpoly,
-    realalg._eval_defpoly,
-    lipclass.critical_data,
-    qhdecide._heights_cached,
-)
 
 
 def pairs(rng: random.Random):
@@ -71,9 +61,9 @@ def main() -> None:
     print(f"{len(seen)} decisions in {wall:.2f} s ({len(seen) / wall:.0f}/s)")
     print("peak RSS at 0, 1/4, 1/2, 3/4 and all of them:", " ".join(f"{kib / 1024:.1f}" for kib in peaks), "MiB")
     print(f"growth {(peaks[-1] - peaks[0]) / 1024:.1f} MiB over the loop")
-    for cache in CACHES:
+    for name, cache in library_caches().items():
         info = cache.cache_info()
-        print(f"{cache.__module__}.{cache.__name__}: {info.currsize} of {info.maxsize} entries, {info.hits} hits, {info.misses} misses")
+        print(f"{name}: {info.currsize} of {info.maxsize} entries, {info.hits} hits, {info.misses} misses")
 
 
 if __name__ == "__main__":

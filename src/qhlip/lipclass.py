@@ -88,7 +88,6 @@ class CritData(NamedTuple):
     mults: tuple[int, ...]
     values: tuple[RealAlg, ...]
     signs: tuple[int, ...]  # of the values
-    degree: int
     leading_sign: int
     zero_count: int  # distinct real zeros of f
 
@@ -121,15 +120,13 @@ def critical_data(f: UniPoly) -> CritData:
     # each point is a root of f', so its first nonzero derivative is f'' or later
     mults = tuple(1 + multiplicity_at(df, p) for p in points)
     values = tuple(eval_alg(f, p) for p in points)
-    if any(m < 2 for m in mults):
-        raise ArithmeticError("critical point of multiplicity below 2; internal bug")
     # f is strictly monotone between critical points, so each stretch between
     # them (and out to -oo and +oo) holds a zero exactly when f changes sign
     # strictly across it; each critical value 0 is one more
     signs, lead = tuple(v.sign() for v in values), sign(f.ints[-1])
     ends = [lead * (-1) ** f.degree, *signs, lead]
     zeros = signs.count(0) + sum(a * b < 0 for a, b in zip(ends, ends[1:]))
-    return CritData(points, mults, values, signs, f.degree, lead, zeros)
+    return CritData(points, mults, values, signs, lead, zeros)
 
 
 def _proportional(A: CritData, B: CritData, step: int = 1) -> Optional[CSet]:

@@ -367,15 +367,14 @@ def sign_variations(signs: Iterable[int]) -> int:
 
 
 def count_roots_between(p: UniPoly, a: int, c: int, m: int) -> int:
-    """Number of distinct real roots of square-free p in the box (a/m, c/m),
-    for integers a <= c and m > 0.
+    """Number of distinct real roots of square-free p in the open box
+    (a/m, c/m), for integers a < c and m > 0 (an empty box, a point too,
+    raises ValueError).
 
     Requires p(a/m) != 0 and p(c/m) != 0.
     """
-    if a > c:
+    if a >= c:
         raise ValueError("empty interval")
-    if a == c:  # a point holds no root, even where p is 0 (scripts/fuzz_sympy.py counts it so)
-        return 0
     chain = sturm_sequence(p)
     at_lo = [q.sign_at_ratio(a, m) for q in chain]
     at_hi = [q.sign_at_ratio(c, m) for q in chain]

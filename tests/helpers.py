@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import bisect
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import random
 import sys
 from array import array
@@ -13,6 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+import qhlip
 from qhlip.lipclass import CSet
 from qhlip.parser import (
     MAX_DEGREE,
@@ -115,6 +118,19 @@ def affine_conjugate(f: UniPoly, a: Fraction, b: Fraction, c: Fraction) -> UniPo
     """g(u) = c * f((u - b) / a); then g o phi = c f with phi(t) = a t + b."""
     inner = UniPoly([-b / a, Fraction(1) / a])
     return f.compose(inner).scale(c)
+
+
+def library_caches() -> dict[str, object]:
+    """Every functools cache that a module of qhlip defines, by dotted name;
+    a cache known by two names is listed under the first, and one a module
+    imports only under its own module."""
+    found: dict[str, object] = {}
+    for info in pkgutil.iter_modules(qhlip.__path__):
+        module = importlib.import_module(f"qhlip.{info.name}")
+        for name, v in vars(module).items():
+            if hasattr(v, "cache_parameters") and v.__module__ == module.__name__ and v not in found.values():
+                found[f"{module.__name__}.{name}"] = v
+    return found
 
 
 def rand_qhpoly(rng: random.Random, betas=((3, 2), (2, 1), (5, 2), (3, 1)), max_d: int = 12) -> QHPoly:

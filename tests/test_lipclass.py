@@ -37,7 +37,7 @@ def symbol(values, mults):
     """Critical data with the given multiplicity symbol; similar reads only
     the values, their signs and the multiplicities, so the other fields are
     placeholders."""
-    return CritData((), tuple(mults), tuple(values), tuple(v.sign() for v in values), 0, 0, 0)
+    return CritData((), tuple(mults), tuple(values), tuple(v.sign() for v in values), 0, 0)
 
 
 def same_symbols(avals, bvals):

@@ -171,6 +171,14 @@ class TestSturm:
     def test_three_roots(self):
         assert count_roots_between(P(1, -3, 0, 1), -2, 2, 1) == 3
 
+    @pytest.mark.parametrize("a, c, m", [(3, 2, 1), (1, 1, 1), (2, 2, 2), (5, 5, 3), (0, 0, 7)])
+    def test_empty_box_raises(self, a, c, m):
+        # the open box (a/m, c/m) is empty for a >= c, a point too, whether
+        # or not p vanishes there: t^2 - 1 at 1 and at 5/3, t at 0
+        for p in (P(-1, 0, 1), P(0, 1)):
+            with pytest.raises(ValueError, match="empty interval"):
+                count_roots_between(p, a, c, m)
+
     def test_chain_shape(self):
         chain = sturm_sequence(P(-2, 0, 1))
         assert chain[0] == P(-2, 0, 1)

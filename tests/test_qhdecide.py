@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhlip import lipclass, polyalg, qhdecide, realalg
+from qhlip import qhdecide
 from qhlip.lipclass import Reason1D, critical_data
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import (
@@ -26,7 +27,7 @@ from qhlip.qhdecide import (
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import compose, is_beta_regular
 
-from helpers import rand_qhpoly
+from helpers import library_caches, rand_qhpoly
 
 
 #: a random valid quasihomogeneous polynomial, drawn by rand_qhpoly from a seed
@@ -34,6 +35,18 @@ qh_polys = st.integers(0, 2**32).map(lambda seed: rand_qhpoly(random.Random(seed
 #: nonzero rationals a and b for the substitution F(aX, bY)
 scalings = st.tuples(*[st.fractions(-4, 4, max_denominator=3).filter(bool)] * 2)
 law_examples = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def qh_terms(draw):
+    """Sum of c_k X^(e + r(n - k)) Y^(sk) over k = 0..n with c_n != 0, for
+    coprime r > s; n = 0 gives a pure X-power."""
+    r, s = draw(st.sampled_from(((2, 1), (3, 1), (3, 2), (5, 2), (5, 3))))
+    n = draw(st.integers(0, 3))
+    e = draw(st.integers(0 if n else 1, 2))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    coeffs.append(draw(st.sampled_from((-2, -1, 1, 3))))
+    return validate_qh(BiPoly({(e + r * (n - k), s * k): c for k, c in enumerate(coeffs) if c}), r, s)
 
 
 def scaled(q, a, b):
@@ -88,6 +101,34 @@ class TestValidate:
     def test_zero_rejected(self):
         with pytest.raises(NotQuasihomogeneousError):
             validate_qh(BiPoly(), 2, 1)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # the first term sets the line, so it can fail only on its Y-exponent,
+            # and it does so before any later term is checked
+            ({(0, 3): 1, (5, 0): 1}, "Y-exponent 3 is not a multiple of s=2"),
+            ({(0, 3): 1, (3, 1): 1}, "Y-exponent 3 is not a multiple of s=2"),
+            # a later term off the line fails on the line, whatever its Y-exponent
+            ({(0, 2): 1, (5, 0): 1}, r"support is not on a single line: X\^5\*Y\^0"),
+            ({(0, 2): 1, (1, 3): 1}, r"support is not on a single line: X\^1\*Y\^3"),
+        ],
+    )
+    def test_refusal_order(self, terms, message):
+        with pytest.raises(NotQuasihomogeneousError, match=message):
+            validate_qh(BiPoly(terms), 3, 2)
+
+    @law_examples
+    @given(st.one_of(qh_polys, qh_terms()), scalings)
+    def test_invariants_of_validated_polys(self, q, ab):
+        # e = d - r*n, both heights of degree s*n, and every critical point of
+        # a height of multiplicity at least 2, on F and on F(aX, bY)
+        for p in (q, scaled(q, *ab)):
+            assert p.e == p.d - p.r * p.n
+            pair = heights(p)
+            assert pair.f_plus.degree == pair.f_minus.degree == p.s * p.n
+            for h in pair if p.n else ():
+                assert all(m >= 2 for m in critical_data(h).mults)
 
 
 class TestInferBeta:
@@ -234,6 +275,19 @@ class TestDecide:
         assert v.kind == "equivalent"
         assert v.certificate.theorem_tag is TheoremTag.CXD_CASE
 
+    @pytest.mark.parametrize(
+        "d, a, b, r, s",
+        [(4, 2, 3, 2, 1), (5, F(-1, 3), 7, 3, 2), (6, -5, F(-2, 9), 5, 3), (1, 1, 4, 3, 1), (3, 2, -3, 5, 2)],
+    )
+    def test_pure_power_certificate(self, d, a, b, r, s):
+        # odd degree, or even with one sign: Equivalent, by a certificate
+        # whose one scale (a/b)^(1/d), irrational but at d = 1 and 2, and
+        # identity maps make it beta-regular
+        v = decide(validate_qh(BiPoly({(d, 0): a}), r, s), validate_qh(BiPoly({(d, 0): b}), r, s))
+        assert v.kind == "equivalent"
+        assert v.certificate.theorem_tag is TheoremTag.CXD_CASE
+        assert is_beta_regular(v.certificate.zygothety, r, s)
+
     def test_mixed_pure_power_is_unknown(self):
         a = validate_qh(BiPoly({(4, 0): 2}), 2, 1)
         b = validate_qh(BiPoly({(4, 0): 1, (2, 1): 1}), 2, 1)
@@ -374,22 +428,24 @@ class TestDecide:
         )
 
 
-#: the library's module-level caches
-CACHES = (
-    polyalg.sturm_sequence,
-    realalg._count_pair,
-    realalg._sum_defpoly,
-    realalg._product_defpoly,
-    realalg._eval_defpoly,
-    lipclass.critical_data,
-    qhdecide._heights_cached,
-)
+def test_every_cache_is_bounded():
+    # found by walking the modules, so a new cache needs no list: each has a
+    # finite maxsize, but one around a function of no parameters holds one entry
+    caches = library_caches()
+    unbounded = [
+        name
+        for name, cache in caches.items()
+        if cache.cache_parameters()["maxsize"] is None and inspect.signature(cache.__wrapped__).parameters
+    ]
+    assert not unbounded
+    assert {"qhlip.parser._compile", "qhlip.qhdecide._heights_cached", "qhlip.cli.build_parser"} <= caches.keys()
 
 
 def test_caches_stay_bounded_over_a_long_run():
     # one process deciding many distinct pairs, as a library scan does:
     # planted F(aX, bY) pairs and independent same-family pairs
-    for cache in CACHES:
+    caches = library_caches().values()
+    for cache in caches:
         cache.cache_clear()
     rng, seen = random.Random(1500), set()
     while len(seen) < 1500:
@@ -403,8 +459,8 @@ def test_caches_stay_bounded_over_a_long_run():
         if (q.poly, g.poly) not in seen:
             seen.add((q.poly, g.poly))
             decide(q, g)
-    for cache in CACHES:
+    for cache in caches:
         info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize, (cache.__name__, info)
+        assert info.maxsize is None or info.currsize <= info.maxsize, (cache.__name__, info)
     # the run overflowed the critical data cache, so its bound was exercised
     assert critical_data.cache_info().misses > critical_data.cache_info().maxsize
