@@ -88,10 +88,9 @@ def certificate_json(cert: Certificate) -> dict:
         trace_json = {"map": "x -> (a/b)^(1/d) * x, y -> y", "a": str(trace.a), "b": str(trace.b)}
     else:
         trace_json = {
-            "lambda_sign": _sign_str(trace.option.lambda_sign),
-            "plus_side": pairing_json(trace.option.plus),
-            "minus_side": pairing_json(trace.option.minus),
-            "action_spot_check_residual": trace.residual,
+            "lambda_sign": _sign_str(trace.lambda_sign),
+            "plus_side": pairing_json(trace.plus),
+            "minus_side": pairing_json(trace.minus),
         }
     return {
         "theorem": cert.theorem_tag.value,

@@ -228,14 +228,6 @@ class UnknownKind(enum.Enum):
     SUFFICIENCY_GAP = "SufficiencyGap"
 
 
-class OptionTrace(NamedTuple):
-    """The pairing a certificate realizes, with the float residual of the
-    action spot-check."""
-
-    option: PairingOption
-    residual: float
-
-
 class CxdTrace(NamedTuple):
     """F = a X^d and G = b X^d, paired by x -> (a/b)^(1/d) x, y -> y."""
 
@@ -246,7 +238,7 @@ class CxdTrace(NamedTuple):
 class Certificate(NamedTuple):
     theorem_tag: TheoremTag
     zygothety: zyg.Zygothety
-    pairing_trace: OptionTrace | CxdTrace
+    pairing_trace: PairingOption | CxdTrace
 
 
 class NecessityCondition(NamedTuple):
@@ -305,8 +297,7 @@ def _certify(option: PairingOption, z: zyg.Zygothety, F: QHPoly, tag: TheoremTag
     residual = zyg.action_residual(z, F.d, option.sides)
     if not residual <= 1e-6:
         raise ArithmeticError(f"action spot-check failed: {residual}; internal bug")
-    trace = OptionTrace(option, residual)
-    return Verdict2D(VerdictKind.EQUIVALENT, certificate=Certificate(tag, z, trace))
+    return Verdict2D(VerdictKind.EQUIVALENT, certificate=Certificate(tag, z, option))
 
 
 def decide(F: QHPoly, G: QHPoly) -> Verdict2D:

@@ -833,6 +833,20 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def inexact_paths(doc, path: str = "") -> list[str]:
+    """The paths of the floats in a parsed CLI document that are not an
+    "approx" field (the double of the exact number beside it), outside
+    witness's "report", which is float by design."""
+    if isinstance(doc, float):
+        return [path]
+    if isinstance(doc, list):
+        return [p for i, v in enumerate(doc) for p in inexact_paths(v, f"{path}[{i}]")]
+    if isinstance(doc, dict):
+        skip = ("approx", "report") if path == "" else ("approx",)
+        return [p for k, v in doc.items() if k not in skip for p in inexact_paths(v, f"{path}.{k}")]
+    return []
+
+
 def ref_batch_verify_lipschitz(T: InverseBetaTransform, delta: float) -> tuple[float, float]:
     """witness.verify_lipschitz in a plainer form: the points drawn into
     growing arrays, each half-plane picked out after the draw, images through

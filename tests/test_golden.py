@@ -13,7 +13,7 @@ import pytest
 
 from qhlip.cli import main
 
-from helpers import strict_json
+from helpers import inexact_paths, strict_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -89,3 +89,10 @@ def test_output_matches_golden(capsys, name, exit_code, argv):
     assert code == exit_code
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
     strict_json(out)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_floats_are_approx_fields(path):
+    # every exact number prints its double under "approx"; any other float
+    # outside witness's report would be a tolerance in a certificate
+    assert inexact_paths(strict_json(path.read_text())) == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qhlip import qhdecide
+from qhlip.jsonio import classify2_json
 from qhlip.lipclass import Reason1D, critical_data
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import (
@@ -27,7 +28,7 @@ from qhlip.qhdecide import (
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import compose, is_beta_regular
 
-from helpers import library_caches, rand_qhpoly
+from helpers import inexact_paths, library_caches, rand_qhpoly
 
 
 #: a random valid quasihomogeneous polynomial, drawn by rand_qhpoly from a seed
@@ -47,6 +48,10 @@ def qh_terms(draw):
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     coeffs.append(draw(st.sampled_from((-2, -1, 1, 3))))
     return validate_qh(BiPoly({(e + r * (n - k), s * k): c for k, c in enumerate(coeffs) if c}), r, s)
+
+
+#: a random polynomial or a short sum of terms, which may be a pure X-power
+qh_polys_and_terms = st.one_of(qh_polys, qh_terms())
 
 
 def scaled(q, a, b):
@@ -119,7 +124,7 @@ class TestValidate:
             validate_qh(BiPoly(terms), 3, 2)
 
     @law_examples
-    @given(st.one_of(qh_polys, qh_terms()), scalings)
+    @given(qh_polys_and_terms, scalings)
     def test_invariants_of_validated_polys(self, q, ab):
         # e = d - r*n, both heights of degree s*n, and every critical point of
         # a height of multiplicity at least 2, on F and on F(aX, bY)
@@ -282,11 +287,13 @@ class TestDecide:
     def test_pure_power_certificate(self, d, a, b, r, s):
         # odd degree, or even with one sign: Equivalent, by a certificate
         # whose one scale (a/b)^(1/d), irrational but at d = 1 and 2, and
-        # identity maps make it beta-regular
-        v = decide(validate_qh(BiPoly({(d, 0): a}), r, s), validate_qh(BiPoly({(d, 0): b}), r, s))
+        # identity maps make it beta-regular and conjugate F to G
+        f, g = validate_qh(BiPoly({(d, 0): a}), r, s), validate_qh(BiPoly({(d, 0): b}), r, s)
+        v = decide(f, g)
         assert v.kind == "equivalent"
         assert v.certificate.theorem_tag is TheoremTag.CXD_CASE
         assert is_beta_regular(v.certificate.zygothety, r, s)
+        assert verify_conjugacy(f, g, InverseBetaTransform(v.certificate.zygothety, r, s), 5, 1.0)[0] <= 1e-8
 
     def test_mixed_pure_power_is_unknown(self):
         a = validate_qh(BiPoly({(4, 0): 2}), 2, 1)
@@ -327,12 +334,12 @@ class TestDecide:
             assert decide(a, b).kind == decide(b, a).kind
 
     @law_examples
-    @given(qh_polys)
+    @given(qh_polys_and_terms)
     def test_reflexive_law(self, q):
         assert decide(q, q).kind is VerdictKind.EQUIVALENT
 
     @law_examples
-    @given(qh_polys, scalings)
+    @given(qh_polys_and_terms, scalings)
     def test_symmetric_law(self, q, ab):
         g = scaled(q, *ab)
         kind = decide(q, g).kind
@@ -340,7 +347,7 @@ class TestDecide:
         assert decide(g, q).kind is kind
 
     @law_examples
-    @given(qh_polys, scalings, scalings)
+    @given(qh_polys_and_terms, scalings, scalings)
     def test_transitive_law(self, q, ab, ab2):
         g, h = scaled(q, *ab), scaled(q, *ab2)
         kinds = [decide(x, y).kind for x, y in ((q, g), (g, h), (q, h))]
@@ -349,7 +356,7 @@ class TestDecide:
             assert kinds[2] is VerdictKind.EQUIVALENT
 
     @law_examples
-    @given(qh_polys, scalings, scalings)
+    @given(qh_polys_and_terms, scalings, scalings)
     def test_transitive_certificates(self, q, ab, ab2):
         # G = F o h1 and H = G o h2: the product of the two certificates is
         # beta-regular and conjugates F to H within the CLI's default --tol,
@@ -366,6 +373,14 @@ class TestDecide:
             for y in (z, decide(q, h).certificate.zygothety)
         )
         assert composite <= max(1e-8, 2 * direct), (composite, direct)
+
+    @law_examples
+    @given(qh_polys_and_terms, scalings)
+    def test_planted_documents_are_exact(self, q, ab):
+        # F against F(aX, bY), whose scales are often irrational: every float
+        # in classify2's document is the "approx" of an exact number
+        g = scaled(q, *ab)
+        assert inexact_paths(classify2_json(q, g, decide(q, g))) == []
 
     def test_laws_on_independent_pairs(self):
         # verdicts are class functions, on pairs drawn independently from one

@@ -12,7 +12,7 @@ from qhlip.jsonio import map_json
 from qhlip.lipclass import Orientation, critical_data
 from qhlip.parser import parse_bi
 from qhlip.polyalg import BiPoly, UniPoly
-from qhlip.qhdecide import OptionTrace, VerdictKind, decide, heights, pairing_search, validate_qh
+from qhlip.qhdecide import PairingOption, VerdictKind, decide, heights, pairing_search, validate_qh
 from qhlip.realalg import RealAlg, compare, isolate_real_roots, mul, nth_root_pos
 from qhlip.witness import InverseBetaTransform, verify_conjugacy
 from qhlip.zygothety import (
@@ -236,7 +236,7 @@ class TestMakeRegular:
             if v.kind != "equivalent":
                 continue
             z = v.certificate.zygothety
-            res = action_residual(z, q.d, v.certificate.pairing_trace.option.sides)
+            res = action_residual(z, q.d, v.certificate.pairing_trace.sides)
             assert res < 1e-6
             checked += 1
 
@@ -312,9 +312,8 @@ class TestNegativeScaleProperty:
         q, g = pair
         v = decide(q, g)
         assert v.kind == VerdictKind.EQUIVALENT
-        z, trace = v.certificate.zygothety, v.certificate.pairing_trace
-        option = trace.option
-        assert trace.residual == action_residual(z, q.d, option.sides)
+        z, option = v.certificate.zygothety, v.certificate.pairing_trace
+        assert action_residual(z, q.d, option.sides) <= 1e-6
         hf, hg = heights(q), heights(g)
         if z.lam_sign < 0:
             assert option.sides == ((hf.f_plus, hg.f_minus), (hf.f_minus, hg.f_plus))
@@ -443,8 +442,8 @@ class TestSymmetricShortcuts:
         z, twin = cert.zygothety, rebuilt(cert.zygothety)
         assert twin.lam2 is not twin.lam1 and twin.phi2 is not z.phi2
         assert is_beta_regular(z, q.r, q.s) is is_beta_regular(twin, q.r, q.s) is True
-        if isinstance(cert.pairing_trace, OptionTrace):
-            sides = cert.pairing_trace.option.sides
+        if isinstance(cert.pairing_trace, PairingOption):
+            sides = cert.pairing_trace.sides
             assert bits(action_residual(z, q.d, sides)) == bits(action_residual(twin, q.d, sides))
 
     def test_family_pair_checks_one_component(self, monkeypatch):
@@ -453,7 +452,7 @@ class TestSymmetricShortcuts:
         Fq = hp(3)
         Gq = validate_qh(Fq.poly.scale_vars(F(2), F(1, 2)), 2, 1)
         v = decide(Fq, Gq)
-        z, sides = v.certificate.zygothety, v.certificate.pairing_trace.option.sides
+        z, sides = v.certificate.zygothety, v.certificate.pairing_trace.sides
         assert z.lam2 is z.lam1 and z.phi2 is z.phi1 and sides[1] == sides[0]
         twin = rebuilt(z)
         calls = []
