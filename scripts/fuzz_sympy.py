@@ -7,12 +7,14 @@ Compares, on seeded random inputs:
   (up to sign: for example sympy gives ``resultant(t, t**3 + 1, t) == -1``
   where the Sylvester determinant, and qhlip, give 1);
 * ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
-  ``sympy.gcd`` and ``sympy.sqf_part``, both made monic, on pairs of
+  ``sympy.gcd`` and ``sympy.sqf_part``, both made primitive in Z[t] with a
+  positive leading coefficient (qhlip's form, with content 1), on pairs of
   rational polynomials that share a factor, sometimes a repeated one;
 * ``polyalg.poly_gcd`` and ``polyalg.square_free_part`` against
-  ``sympy.gcd`` and ``sympy.sqf_part`` on integer polynomials of degree
-  20 to 31 with a shared factor of degree 5 to 8 and coefficients above
-  2**100, the sizes where the heuristic gcd's evaluation points are large;
+  ``sympy.gcd`` and ``sympy.sqf_part``, in the same form, on integer
+  polynomials of degree 20 to 31 with a shared factor of degree 5 to 8 and
+  coefficients above 2**100, the sizes where the heuristic gcd's evaluation
+  points are large;
 * ``lipclass.critical_data(p).zero_count``, read off the signs of the
   critical values, against the Sturm count of sympy's square-free part;
 * ``realalg.isolate_real_roots``: as many roots as sympy counts, strictly
@@ -184,18 +186,26 @@ def check_resultant(A: tuple[list[int], ...], B: tuple[list[int], ...]) -> str |
     return f"resultant of {A} and {B}: qhlip {ours}, sympy {theirs}"
 
 
-def monic_expr(p: sympy.Expr) -> sympy.Expr:
-    return sympy.Poly(p, T).monic().as_expr()
+def primitive_expr(p: sympy.Expr) -> sympy.Expr:
+    """p scaled by a nonzero rational to coprime integer coefficients with a
+    positive leading one."""
+    P = sympy.Poly(p, T).clear_denoms(convert=True)[1].primitive()[1]
+    return (P if P.LC() > 0 else -P).as_expr()
+
+
+def same_form(ours: UniPoly, theirs: sympy.Expr) -> bool:
+    """ours has content 1 and is primitive_expr(theirs), coefficient by coefficient."""
+    return ours.content == 1 and sympy.expand(uni_expr(ours, T) - primitive_expr(theirs)) == 0
 
 
 def check_gcd(p: UniPoly, q: UniPoly) -> str | None:
     pe, qe = uni_expr(p, T), uni_expr(q, T)
-    ours, theirs = uni_expr(poly_gcd(p, q), T), monic_expr(sympy.gcd(pe, qe))
-    if sympy.expand(ours - theirs) != 0:
+    ours, theirs = poly_gcd(p, q), sympy.gcd(pe, qe)
+    if not same_form(ours, theirs):
         return f"poly_gcd({p}, {q}) = {ours}, sympy {theirs}"
     for f, fe in ((p, pe), (q, qe)):
-        ours, theirs = uni_expr(square_free_part(f), T), monic_expr(sympy.sqf_part(fe))
-        if sympy.expand(ours - theirs) != 0:
+        ours, theirs = square_free_part(f), sympy.sqf_part(fe)
+        if not same_form(ours, theirs):
             return f"square_free_part({f}) = {ours}, sympy {theirs}"
     return None
 
@@ -214,13 +224,13 @@ def rand_big_pair(rng: random.Random) -> tuple[UniPoly, UniPoly, UniPoly]:
 
 def check_big_gcd(p: UniPoly, q: UniPoly, shared: UniPoly) -> str | None:
     pe, qe = uni_expr(p, T), uni_expr(q, T)
-    ours, theirs = poly_gcd(p, q), sympy.Poly(sympy.gcd(pe, qe), T)
-    if theirs.degree() < shared.degree or sympy.expand(uni_expr(ours, T) - theirs.monic().as_expr()) != 0:
-        return f"degree-{p.degree} poly_gcd: qhlip {ours}, sympy {theirs.as_expr()}"
+    ours, theirs = poly_gcd(p, q), sympy.gcd(pe, qe)
+    if sympy.Poly(theirs, T).degree() < shared.degree or not same_form(ours, theirs):
+        return f"degree-{p.degree} poly_gcd: qhlip {ours}, sympy {theirs}"
     f = product(p, shared)  # shared is a repeated factor of f
-    ours, theirs = square_free_part(f), sympy.Poly(sympy.sqf_part(uni_expr(f, T)), T).monic()
-    if sympy.expand(uni_expr(ours, T) - theirs.as_expr()) != 0:
-        return f"degree-{f.degree} square_free_part: qhlip {ours}, sympy {theirs.as_expr()}"
+    ours, theirs = square_free_part(f), sympy.sqf_part(uni_expr(f, T))
+    if not same_form(ours, theirs):
+        return f"degree-{f.degree} square_free_part: qhlip {ours}, sympy {theirs}"
     return None
 
 

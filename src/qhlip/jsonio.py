@@ -33,7 +33,7 @@ def alg_json(a: RealAlg) -> dict:
     if a.is_rational:
         return {"rational": str(a.lo), "approx": a.to_float()}
     return {
-        "defpoly": [str(c) for c in a.defpoly.coeffs],
+        "defpoly": [str(Fraction(c, a.defpoly.ints[-1])) for c in a.defpoly.ints],  # monic
         "interval": [str(a.lo), str(a.hi)],
         "approx": a.to_float(),
     }

@@ -131,12 +131,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return _poly([i * c for i, c in enumerate(self.ints)][1:], self.content)
 
-    def monic(self) -> "UniPoly":
-        if not self.ints:
-            return self
-        lc = self.ints[-1]
-        return _raw(self.ints if lc > 0 else tuple(-c for c in self.ints), Fraction(1, abs(lc)))
-
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner(t)), exact.  With b * inner = J in Z[t] and n the
         degree, b**n * self(inner) = sum c_i J**i b**(n-i), by Horner in Z[t]."""
@@ -192,8 +186,8 @@ def _poly(cs: list[int], content: Fraction = _ONE) -> UniPoly:
 
 
 def linear_root(v: Fraction) -> UniPoly:
-    """t - v, built directly as (1/d) (d t - n) for v = n/d in lowest terms."""
-    return _raw((-v.numerator, v.denominator), Fraction(1, v.denominator))
+    """d t - n, the primitive integer polynomial with root v = n/d, lc d > 0."""
+    return _raw((-v.numerator, v.denominator), _ONE)
 
 
 def _coeff_prefix(c: Fraction, monomial: str) -> str:
@@ -305,10 +299,11 @@ def _zx_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; both-zero input is an error."""
+    """The gcd, primitive in Z[t] with lc > 0; both-zero input is an error."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return _poly(list(_zx_gcd(p.ints, q.ints))).monic()
+    g = _zx_gcd(p.ints, q.ints)
+    return _raw(tuple(c if g[-1] > 0 else -c for c in g), _ONE)
 
 
 def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
@@ -329,15 +324,15 @@ def _zx_quotient(a: list[int], b: Sequence[int]) -> list[int]:
 
 
 def square_free_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p'), monic; the primitive gcd divides p's primitive
-    integer multiple exactly over Z (Gauss's lemma)."""
+    """p / gcd(p, p'), primitive in Z[t] with lc > 0: the primitive gcd
+    divides p's primitive integer multiple exactly over Z (Gauss's lemma)."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
         return UniPoly((1,))
     a = list(p.ints)
-    g = _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0])
-    return _poly(_zx_quotient(a, g)).monic()
+    q = _zx_quotient(a, _zx_gcd(a, _primitive([i * c for i, c in enumerate(a)][1:])[0]))
+    return _raw(tuple(c if q[-1] > 0 else -c for c in q), _ONE)
 
 
 @lru_cache

@@ -1,15 +1,17 @@
 """Exact real algebraic numbers.
 
-A number is stored as a square-free monic defining polynomial together with
-an isolating box (a/m, c/m) of integers over one denominator m > 0, with
-gcd(a, c, m) = 1 so that a box has one form.  `RealAlg(defpoly, a, c, m)`
-takes integers a < c: a defpoly of degree at least 2 with exactly one real
-root in the box, neither endpoint a root.  A rational comes from
-`from_rational` as its Fraction q, with defpoly t - q and a = c.  Sturm
-counts run on the integer box, so Fractions are built only where `lo` and
-`hi` are read, and for a rational result.  Boxes refine by halvings, from a
-number's own box.  Numbers combine only through this module's functions;
-RealAlg defines only ==.
+A number is stored as a square-free defining polynomial in one form, its
+primitive integer multiple with lc > 0 (content 1), and an isolating box
+(a/m, c/m) of integers over one denominator m > 0, with gcd(a, c, m) = 1 so
+that a box has one form too.  `RealAlg(defpoly, a, c, m)` takes integers
+a < c and any nonzero rational multiple of a defpoly of degree at least 2
+with exactly one real root in the box, neither endpoint a root, and makes
+the form; only the JSON prints a defpoly monic.  A rational comes from
+`from_rational` as its Fraction q = n/d, with defpoly d t - n and a = c.
+Sturm counts run on the integer box, so Fractions are built only where `lo`
+and `hi` are read, and for a rational result.  Boxes refine by halvings,
+from a number's own box.  Numbers combine only through this module's
+functions; RealAlg defines only ==.
 
 Equality and sign tests are exact and count no roots.  A divisor of the
 defpoly has at most one root in the box, a simple one, and none at the
@@ -108,10 +110,12 @@ class RealAlg:
     __slots__ = ("defpoly", "_a", "_c", "_m", "_q", "_flt")
 
     def __init__(self, defpoly: UniPoly, a: int, c: int, m: int):
-        # the one root of defpoly in (a/m, c/m), for integers a < c and m > 0;
-        # a rational is built by from_rational
+        # the one root of defpoly, given as any nonzero rational multiple, in (a/m, c/m)
+        # for integers a < c and m > 0; a rational is built by from_rational
         if a >= c:
             raise ValueError("empty isolating interval")
+        if defpoly.content != 1 or defpoly.ints[-1] < 0:  # to its one form
+            defpoly = UniPoly(k * sign(defpoly.ints[-1]) for k in defpoly.ints)
         self.defpoly, (self._a, self._c, self._m) = defpoly, _norm(a, c, m)
         # _flt is the rounded value; filled by to_float, which leaves the box as it is
         self._q = self._flt = None
@@ -273,7 +277,7 @@ def _root_in(D: UniPoly, a: int, c: int, m: int) -> RealAlg:
     """The one root of D in (a/m, c/m); a linear D gives it as a rational."""
     if D.degree == 1:
         return RealAlg.from_rational(Fraction(-D.ints[0], D.ints[1]))
-    return RealAlg(D.monic(), a, c, m)
+    return RealAlg(D, a, c, m)
 
 
 def _narrowed(*nums: RealAlg) -> Iterator[tuple[RealAlg, ...]]:
@@ -482,7 +486,7 @@ def neg(a: RealAlg) -> "RealAlg":
     if a.is_rational:
         return RealAlg.from_rational(-a._q)
     D = UniPoly(-c if i % 2 else c for i, c in enumerate(a.defpoly.ints))  # D(-t)
-    return RealAlg(D.monic(), -a._c, -a._a, a._m)
+    return RealAlg(D, -a._c, -a._a, a._m)
 
 
 def abs_alg(a: RealAlg) -> RealAlg:
@@ -496,8 +500,7 @@ def add(a: RealAlg, b: RealAlg) -> RealAlg:
         return add(b, a)
     if b.is_rational:
         u, v = b._a, b._m  # roots move by +u/v: D(t - u/v)
-        D = a.defpoly.compose(UniPoly((-b._q, 1))).monic()
-        return RealAlg(D, a._a * v + u * a._m, a._c * v + u * a._m, a._m * v)
+        return RealAlg(a.defpoly.compose(UniPoly((-b._q, 1))), a._a * v + u * a._m, a._c * v + u * a._m, a._m * v)
     D = _sum_defpoly(a.defpoly, b.defpoly)
     return _certified_image(
         D, lambda ra, rb: (ra._a * rb._m + rb._a * ra._m, ra._c * rb._m + rb._c * ra._m, ra._m * rb._m), add, a, b
@@ -516,8 +519,7 @@ def mul(a: RealAlg, b: RealAlg) -> RealAlg:
             return RealAlg.from_rational(0)
         n = a.defpoly.degree
         D = UniPoly(c * u ** (n - i) * v**i for i, c in enumerate(a.defpoly.ints))
-        lo, hi = sorted((a._a * u, a._c * u))
-        return RealAlg(D.monic(), lo, hi, a._m * v)
+        return RealAlg(D, *sorted((a._a * u, a._c * u)), a._m * v)
     a = _avoid_zero(a) if a._a <= 0 <= a._c else a
     if a.is_rational:
         return mul(a, b)
@@ -540,9 +542,8 @@ def inverse(b: RealAlg) -> RealAlg:
     b = _avoid_zero(b)
     if b.is_rational:
         return inverse(b)
-    D = UniPoly(b.defpoly.ints[::-1]).monic()  # t**n * D(1/t); D(0) != 0
-    # (m/c, m/a) over the positive denominator a*c: a and c have one sign
-    return RealAlg(D, b._m * b._a, b._m * b._c, b._a * b._c)
+    # t**n * D(1/t), D(0) != 0, on (m/c, m/a) over the positive denominator a*c: a and c have one sign
+    return RealAlg(UniPoly(b.defpoly.ints[::-1]), b._m * b._a, b._m * b._c, b._a * b._c)
 
 
 def div(b: RealAlg, a: RealAlg) -> RealAlg:
@@ -558,7 +559,7 @@ def div(b: RealAlg, a: RealAlg) -> RealAlg:
 
 def _conjugate_scale(a: RealAlg, b: RealAlg) -> Optional[RealAlg]:
     """The one rational c with the sign of a*b that can give B(x) =
-    c**n A(x/c) for the monic defpolys A and B of degree n, or None.  At the
+    c**n A(x/c) for the defpolys A and B of degree n, or None.  At the
     lowest k with A_k != 0 (k < n, as A is square-free), B_k = c**(n-k) A_k,
     so c is an exact (n-k)-th root of B_k / A_k."""
     A, B = a.defpoly.ints, b.defpoly.ints

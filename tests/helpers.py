@@ -337,8 +337,15 @@ def frac_primitive(p: UniPoly) -> UniPoly:
     return p.scale(Fraction(den, num))
 
 
+def frac_positive_primitive(p: UniPoly) -> UniPoly:
+    """p scaled by a nonzero rational to coprime integer coefficients with a
+    positive leading one: the form of a gcd, a square-free part and a defpoly."""
+    return frac_primitive(p if p.leading > 0 else -p)
+
+
 def frac_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm over Q."""
+    """Primitive gcd with a positive leading coefficient, by the Euclidean
+    algorithm over Q."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     a, b = p, q
@@ -346,7 +353,7 @@ def frac_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         a, b = b, frac_divmod(a, b)[1]
         if not b.is_zero:
             b = frac_primitive(b)
-    return a.monic()
+    return frac_positive_primitive(a)
 
 
 def prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
@@ -358,7 +365,7 @@ def prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
 
 
 def frac_square_free_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p') over Q, monic."""
+    """p / gcd(p, p') over Q, primitive with a positive leading coefficient."""
     if p.is_zero:
         raise ValueError("square-free part of the zero polynomial")
     if p.degree == 0:
@@ -366,7 +373,7 @@ def frac_square_free_part(p: UniPoly) -> UniPoly:
     q, r = frac_divmod(p, frac_gcd(p, p.derivative()))
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division")
-    return q.monic()
+    return frac_positive_primitive(q)
 
 
 def frac_sturm_sequence(p: UniPoly) -> tuple[UniPoly, ...]:
@@ -492,10 +499,6 @@ def ref_scale(a, c) -> tuple[Fraction, ...]:
 
 def ref_derivative(a) -> tuple[Fraction, ...]:
     return ref_trim(i * x for i, x in enumerate(a) if i >= 1)
-
-
-def ref_monic(a) -> tuple[Fraction, ...]:
-    return ref_scale(a, 1 / a[-1]) if a else ()
 
 
 def ref_compose(a, b) -> tuple[Fraction, ...]:

@@ -36,6 +36,7 @@ from helpers import (
     box,
     brute_force_real_root_count,
     frac_interval_eval,
+    frac_positive_primitive,
     frac_root_bracket,
     frac_simplest_between,
     gcd_count_compare,
@@ -128,8 +129,8 @@ class TestIsolation:
         # bisection from these boxes never lands on 0
         zero = RealAlg(P(0, -5, 1), *box(lo, hi))
         assert zero.sign() == 0
-        product = mul(zero, sqrt2())
-        assert product.is_rational and product.lo == 0
+        for product in (mul(zero, sqrt2()), mul(sqrt2(), zero)):  # 0 as either operand
+            assert product.is_rational and product.lo == 0
         with pytest.raises(ZeroDivisionError):
             div(sqrt2(), zero)
 
@@ -137,6 +138,7 @@ class TestIsolation:
 class TestCompare:
     def test_sqrt2_vs_decimal(self):
         assert compare(sqrt2(), RealAlg.from_rational(F(141, 100))) == 1
+        assert sqrt2() != F(141, 100) and sqrt2() != 1 and RealAlg.from_rational(F(3, 2)) == F(3, 2)
 
     def test_equal_independent_constructions(self):
         other = isolate_real_roots(P(-2, 0, 1))[1]
@@ -189,6 +191,11 @@ class TestCompareOverlap:
         d = RealAlg(P(6, 0, -5, 0, 1), *box(F(13, 10), F(8, 5)))
         assert compare(d, c) == -1
         assert compare(c, d) == 1
+        # no shared root on the overlap (0, 1), and the first halving lands
+        # 1/2, given in interval form, on its root: it is compared as a rational
+        half, inv_sqrt2 = RealAlg(P(-1, 0, 4), 0, 1, 1), RealAlg(P(-1, 0, 2), 0, 1, 1)
+        assert compare(half, inv_sqrt2) == -1
+        assert compare(inv_sqrt2, half) == 1
 
 
 class TestSignAt:
@@ -255,7 +262,7 @@ class TestEvalAlg:
 
 class TestFieldOps:
     def test_sqrt2_squared(self):
-        assert mul(sqrt2(), sqrt2()) == RealAlg.from_rational(2)
+        assert mul(sqrt2(), sqrt2()) == RealAlg.from_rational(2) == 2
 
     def test_rational_division(self):
         out = div(RealAlg.from_rational(17), RealAlg.from_rational(3))
@@ -440,6 +447,22 @@ class TestRefineAndFloat:
         with pytest.raises(TypeError):
             RealAlg(P(-2, 0, 1), F(1), F(3, 2), 1)
 
+    def test_constructor_keeps_one_form_of_the_defpoly(self):
+        # any nonzero rational multiple, with lc of either sign, gives the
+        # computed number's defpoly, primitive with lc > 0, and its JSON
+        s2, c = sqrt2(), nth_root_pos(RealAlg.from_rational(F(3, 2)), 3)
+        assert (s2.defpoly.ints, c.defpoly.ints) == ((-2, 0, 1), (-3, 0, 0, 2))
+        for x, multiples in (
+            (s2, [P(-4, 0, 2), P(2, 0, -1), P(F(-2, 3), 0, F(1, 3))]),
+            (c, [P(3, 0, 0, -2), P(-6, 0, 0, 4), P(F(-3, 2), 0, 0, 1), P(F(3, 7), 0, 0, F(-2, 7))]),
+        ):
+            assert x.defpoly.content == 1
+            for D in multiples:
+                y = RealAlg(D, *box(x.lo, x.hi))
+                assert y.defpoly == x.defpoly and hash(y.defpoly) == hash(x.defpoly)
+                assert json.dumps(jsonio.alg_json(y)) == json.dumps(jsonio.alg_json(x))
+        assert jsonio.alg_json(c)["defpoly"] == ["-3/2", "0", "0", "1"]
+
     def test_float_of_rational(self):
         assert RealAlg.from_rational(2).to_float() == 2.0
 
@@ -621,6 +644,10 @@ class TestSimplestBetween:
         got = simplest_between(lo, hi)
         assert got == expected
         assert lo < got < hi
+
+    def test_empty_box_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            realalg._simplest(3, 1, 1)
 
     #: integer, small rational and huge-denominator endpoints of either sign
     endpoints = st.one_of(
@@ -869,7 +896,8 @@ def from_roots(roots):
 
 class TestResultantDefpolys:
     """The sum, product and image defpolys of numbers with known rational
-    roots are the monic products of (x - value) over the distinct values."""
+    roots are the products of (x - value) over the distinct values, made
+    primitive with a positive leading coefficient."""
 
     def test_sum_product_and_image_defpolys(self):
         rng = random.Random(120)
@@ -878,9 +906,9 @@ class TestResultantDefpolys:
             rb = [rand_nonzero_rational(rng, 5, 3) for _ in range(rng.randint(1, 3))]
             A, B = from_roots(ra), from_roots(rb)
             p = rand_unipoly(rng, 3)
-            assert realalg._sum_defpoly(A, B) == from_roots({x + y for x in ra for y in rb})
-            assert realalg._product_defpoly(A, B) == from_roots({x * y for x in ra for y in rb})
-            assert realalg._eval_defpoly(A, p) == from_roots({p(x) for x in ra})
+            assert realalg._sum_defpoly(A, B) == frac_positive_primitive(from_roots({x + y for x in ra for y in rb}))
+            assert realalg._product_defpoly(A, B) == frac_positive_primitive(from_roots({x * y for x in ra for y in rb}))
+            assert realalg._eval_defpoly(A, p) == frac_positive_primitive(from_roots({p(x) for x in ra}))
 
     def test_sum_of_square_roots(self):
         s2, s3 = sqrt2(), nth_root_pos(RealAlg.from_rational(3), 2)
