@@ -92,6 +92,11 @@ Compares, on seeded random inputs:
   branch map, the orientation's sign times the deg f-th root of
   |c lc(f) / lc(g)|) and equality is a minimal polynomial of the
   difference equal to x;
+* ``qhlip classify2`` and ``qhlip witness``, run in-process through
+  ``cli.main``, on planted pairs F against F(2^k X, bY) drawn as the test
+  suite draws them (``helpers.planted_scaling``: F from ``rand_qhpoly``,
+  k in {0, 2, 4, 6, 8}, b in {1, 2, 3}): each must exit 0 with the
+  verdict Equivalent;
 * ``polyalg.count_roots_between(p, a, c, m)`` on integer boxes (a/m, c/m)
   for the square-free part of a seeded p, against sympy's ``count_roots``
   of its ``sqf_part`` on the closed interval, with m = 1, 2, a power of
@@ -110,22 +115,29 @@ Exits 1 on the first mismatch, 0 when every case agrees.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import random
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
-from fractions import Fraction
-
+from qhlip import cli
 from qhlip.lipclass import critical_data, similar
 from qhlip.parser import MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InputTooLargeError, ParseError, parse_bi
 from qhlip.polyalg import BiPoly, UniPoly, count_roots_between, poly_gcd, resultant, square_free_part
 from qhlip.qhdecide import QHPoly, decide, heights, validate_qh
 from qhlip.realalg import RealAlg, abs_alg, compare, div, eval_alg, isolate_real_roots, mul, nth_root_pos, sign_at
 from qhlip.zygothety import Affine, BranchMap, Neg, NegConj, Zygothety, inverse, is_beta_regular
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import planted_scaling  # noqa: E402  (the test suite's draw)
 
 X, T = sympy.symbols("x t")
 BX, BY, BL = sympy.symbols("X Y l")
@@ -753,6 +765,18 @@ def check_beta_regular(rng: random.Random, irrational: list[int]) -> str | None:
     return None
 
 
+def check_planted(rng: random.Random) -> str | None:
+    q, g = planted_scaling(rng)
+    args = ["--beta", f"{q.r}/{q.s}", "--", str(q.poly), str(g)]
+    for cmd in ("classify2", "witness"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([cmd, *args])
+        if code != 0 or json.loads(out.getvalue())["verdict"] != "Equivalent":
+            return f"qhlip {cmd} {' '.join(args)} exited {code}: {err.getvalue().strip()}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=200)
@@ -769,6 +793,7 @@ def main(argv: list[str] | None = None) -> int:
     qh_rng = random.Random(f"qh {args.seed}")
     beta_rng = random.Random(f"beta {args.seed}")
     count_rng = random.Random(f"count {args.seed}")
+    planted_rng = random.Random(f"planted {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
     irrational: list[int] = []
@@ -794,6 +819,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_qh_identity(rand_qh(qh_rng))
             or check_beta_regular(beta_rng, irrational)
             or check_count_roots(count_rng, root_ends)
+            or check_planted(planted_rng)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

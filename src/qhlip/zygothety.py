@@ -21,7 +21,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lipclass import Orientation, critical_data
+from .lipclass import CSet, Orientation, critical_data
 from .polyalg import UniPoly, sign
 from .realalg import RealAlg, abs_alg, compare, inverse as alg_inverse, mul, neg, nth_root_pos, pow_int
 
@@ -392,6 +392,21 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
     )
 
 
+def _pick(c_set: CSet, f: UniPoly, g: UniPoly) -> RealAlg:
+    """c_set's constant; from a free set, the C of g(u) = C f(k u) read off
+    f's lowest power m < n and highest power n, C**(n - m) = (g_m/f_m)**n /
+    (g_n/f_n)**m (so |g(0)/f(0)| when m = 0), when it is rational, else 1.
+    Any c > 0 is valid; C makes a planted pair's branch map t/k, so its
+    floats lose no bits to cancellation near f's roots."""
+    m, n = next(i for i, x in enumerate(f.ints) if x), f.degree
+    if c_set.c is None and m < n and g.coeff(m):
+        R = abs((g.coeff(m) / f.coeff(m)) ** n / (g.leading / f.leading) ** m)
+        c = nth_root_pos(RealAlg.from_rational(R), n - m)
+        if c.is_rational:
+            return c
+    return c_set.pick()
+
+
 def make_regular(option, F) -> Zygothety | None:
     """Build a beta-regular zygothety realizing a pairing option for (F, G).
 
@@ -409,7 +424,7 @@ def make_regular(option, F) -> Zygothety | None:
     if r % 2 == 0 or s % 2 == 1:
         # duplicate the (+)-side data; the (-)-side identity follows from
         # the parity relations between the height functions
-        c1 = p1.c_set.pick()
+        c1 = _pick(p1.c_set, f1, g1)
         phi1 = _branch_map(c1, p1.orientation, f1, g1)
         lam1 = _lambda_from_c(c1, d, sgn)
         phi2 = phi1 if r % 2 == 0 else NegConj(phi1)
@@ -417,11 +432,11 @@ def make_regular(option, F) -> Zygothety | None:
     else:
         # r odd, s even: scales must agree unless X divides neither side
         if e != 0:
-            c1 = c2 = p1.c_set.compatible_common_value(p2.c_set)
+            c1 = c2 = p1.c_set.compatible_common_value(p2.c_set) if p2.c_set.is_unique else _pick(p1.c_set, f1, g1)
             if c1 is None:
                 return None
         else:
-            c1, c2 = p1.c_set.pick(), p2.c_set.pick()
+            c1, c2 = _pick(p1.c_set, f1, g1), _pick(p2.c_set, f2, g2)
         phi1 = _branch_map(c1, p1.orientation, f1, g1)
         phi2 = _branch_map(c2, p2.orientation, f2, g2)
         if p1.orientation is not p2.orientation:

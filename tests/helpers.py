@@ -151,6 +151,14 @@ def rand_qhpoly(rng: random.Random, betas=((3, 2), (2, 1), (5, 2), (3, 1)), max_
         return validate_qh(BiPoly(terms), r, s)
 
 
+def planted_scaling(rng: random.Random) -> tuple[QHPoly, BiPoly]:
+    """F from rand_qhpoly and F(2^k X, bY) for k in {0, 2, 4, 6, 8} and b in
+    {1, 2, 3}, drawn in that order: an Equivalent pair whose heights satisfy
+    g(u) = C f(kappa u), with kappa up to 2^8."""
+    q = rand_qhpoly(rng)
+    return q, q.poly.scale_vars(2 ** rng.choice((0, 2, 4, 6, 8)), rng.choice((1, 2, 3)))
+
+
 def brute_force_real_root_count(p: UniPoly) -> int:
     """Distinct real roots of p by an exact sign scan over a refining grid.
 

@@ -30,7 +30,7 @@ from qhlip.parser import (
 from qhlip.polyalg import BiPoly, UniPoly
 from qhlip.qhdecide import Verdict2D, VerdictKind
 
-from helpers import rand_unipoly, ref_parse_bi, ref_parse_uni, ref_tokenize, strict_json
+from helpers import planted_scaling, rand_unipoly, ref_parse_bi, ref_parse_uni, ref_tokenize, strict_json
 
 
 class TestParse:
@@ -217,6 +217,20 @@ def run_cli_capture(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_planted_scalings_exit_zero(capsys, seed):
+    # F against F(2^k X, bY) is Equivalent; a free constant read off the
+    # heights keeps each branch map near affine, so neither the spot-check
+    # in classify2 nor witness's float check fails on these pairs
+    rng = random.Random(seed)
+    for _ in range(120):
+        q, g = planted_scaling(rng)
+        args = ["--beta", f"{q.r}/{q.s}", "--", str(q.poly), str(g)]
+        for cmd in ("classify2", "witness"):
+            code, out, err = run_cli_capture(capsys, cmd, *args)
+            assert code == 0 and json.loads(out)["verdict"] == "Equivalent", (cmd, args, err)
 
 
 HP = "X^6 - 3*l*X^4*Y + Y^3"
