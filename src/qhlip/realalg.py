@@ -559,9 +559,9 @@ def div(b: RealAlg, a: RealAlg) -> RealAlg:
 
 def _conjugate_scale(a: RealAlg, b: RealAlg) -> Optional[RealAlg]:
     """The one rational c with the sign of a*b that can give B(x) =
-    c**n A(x/c) for the defpolys A and B of degree n, or None.  At the
-    lowest k with A_k != 0 (k < n, as A is square-free), B_k = c**(n-k) A_k,
-    so c is an exact (n-k)-th root of B_k / A_k."""
+    c**n A(x/c) for the monic multiples A and B of the defpolys, of degree
+    n, or None.  At the lowest k with A_k != 0 (k < n, as A is square-free),
+    B_k = c**(n-k) A_k, so c is an exact (n-k)-th root of B_k / A_k."""
     A, B = a.defpoly.ints, b.defpoly.ints
     n = len(A) - 1
     k = next(k for k, x in enumerate(A) if x)

@@ -393,15 +393,15 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
 
 
 def _pick(c_set: CSet, f: UniPoly, g: UniPoly) -> RealAlg:
-    """c_set's constant; from a free set, the C of g(u) = C f(k u) read off
-    f's lowest power m < n and highest power n, C**(n - m) = (g_m/f_m)**n /
-    (g_n/f_n)**m (so |g(0)/f(0)| when m = 0), when it is rational, else 1.
-    Any c > 0 is valid; C makes a planted pair's branch map t/k, so its
-    floats lose no bits to cancellation near f's roots."""
+    """c_set's constant; from a free set, C when g(u) = C f(k u) for a rational
+    C, read off f(0) or off f's lowest power m > 0 and degree n, else 1: any
+    c > 0 is valid, and C makes a planted pair's branch map t/k, near affine."""
     m, n = next(i for i, x in enumerate(f.ints) if x), f.degree
-    if c_set.c is None and m < n and g.coeff(m):
-        R = abs((g.coeff(m) / f.coeff(m)) ** n / (g.leading / f.leading) ** m)
-        c = nth_root_pos(RealAlg.from_rational(R), n - m)
+    r = abs(g.coeff(m) / f.coeff(m)) if c_set.c is None and m < n else 0
+    if r and not m:
+        return RealAlg.from_rational(r)
+    if r:  # C**(n - m) = (g_m/f_m)**n / (g_n/f_n)**m
+        c = nth_root_pos(RealAlg.from_rational(r**n / abs(g.leading / f.leading) ** m), n - m)
         if c.is_rational:
             return c
     return c_set.pick()

@@ -34,6 +34,7 @@ from helpers import (
     frac_divmod,
     frac_interval_eval,
     frac_gcd,
+    frac_positive_primitive,
     frac_resultant,
     frac_square_free_part,
     frac_sturm_sequence,
@@ -752,13 +753,6 @@ def same_up_to_sign(g, h):
     return list(g) in (list(h), [-c for c in h])
 
 
-def positive(cs):
-    """The primitive integer polynomial cs, up to sign, with lc > 0 and content 1."""
-    p = UniPoly(cs if cs[-1] > 0 else [-c for c in cs])
-    assert p.content == 1
-    return p
-
-
 def refuse(*args):
     raise AssertionError("called")
 
@@ -778,11 +772,11 @@ class TestHeuristicGcd:
         want = prs_gcd(a, b)
         assert same_up_to_sign(polyalg._zx_gcd(a, b), want)
         assert same_up_to_sign(polyalg._zx_gcd(b, a), want)
-        assert poly_gcd(p, q) == positive(want)
+        assert poly_gcd(p, q) == frac_positive_primitive(UniPoly(want))
         r = uni_mul(g, g, u)  # g is a repeated factor
         c = r.ints
         d = prs_gcd(c, polyalg._primitive([i * x for i, x in enumerate(c)][1:])[0])
-        assert square_free_part(r) == positive(polyalg._zx_quotient(list(c), d))
+        assert square_free_part(r) == frac_positive_primitive(UniPoly(polyalg._zx_quotient(list(c), d)))
 
     def test_constant_operand_takes_no_remainder_step(self, monkeypatch):
         monkeypatch.setattr(polyalg, "_prem", refuse)
