@@ -38,7 +38,9 @@ Compares, on seeded random inputs:
   fractions, denominators above 2**200, and the polynomial's own rational
   roots) against the sign of sympy's exact value;
 * ``RealAlg.to_float`` of every isolated root against
-  ``CRootOf(...).evalf(40)``: at most one ulp apart;
+  ``CRootOf(...).evalf(40)``: at most one ulp apart; and the same for each
+  irrational root scaled exactly by 2**-k, k drawn from [-300, 300], so
+  that magnitudes far from 1 are checked against the exact value;
 * ``BranchMap.eval_float`` of a map that inverts g on its j-th branch
   (built as for the batch check below), at a float (so rational)
   y = g(u0) rounded, with u0 inside the j-th branch of g between its
@@ -93,10 +95,10 @@ Compares, on seeded random inputs:
   |c lc(f) / lc(g)|) and equality is a minimal polynomial of the
   difference equal to x;
 * ``qhlip classify2`` and ``qhlip witness``, run in-process through
-  ``cli.main``, on planted pairs F against F(2^k X, bY) drawn as the test
-  suite draws them (``helpers.planted_scaling``: F from ``rand_qhpoly``,
-  k in {0, 2, 4, 6, 8}, b in {1, 2, 3}): each must exit 0 with the
-  verdict Equivalent;
+  ``cli.main``, on planted pairs F against F(2^k X, bY), and G against F,
+  drawn as the test suite draws them (``helpers.planted_scaling``: F from
+  ``rand_qhpoly``, k in {0, 2, 4, 6, 8}, b in {1, 2, 3}): each must exit 0
+  with the verdict Equivalent;
 * ``polyalg.count_roots_between(p, a, c, m)`` on integer boxes (a/m, c/m)
   for the square-free part of a seeded p, against sympy's ``count_roots``
   of its ``sqf_part`` on the closed interval, with m = 1, 2, a power of
@@ -334,13 +336,14 @@ def check_sign_at(p: UniPoly, points: list[Fraction]) -> str | None:
     return None
 
 
-def check_floats(p: UniPoly) -> str | None:
+def check_floats(rng: random.Random, p: UniPoly) -> str | None:
     sqf = sympy.Poly(uni_expr(p, T), T).sqf_part()
     for i, r in enumerate(isolate_real_roots(p)):
-        ours = r.to_float()
-        exact = sympy.CRootOf(sqf.as_expr(), i).evalf(40)
-        if abs(sympy.Float(ours, 40) - exact) > math.ulp(ours):
-            return f"root {i} of {p}: to_float {ours!r}, sympy {exact}"
+        for k in (0,) if r.is_rational else (0, rng.randint(-300, 300)):
+            ours = (mul(r, RealAlg.from_rational(Fraction(2) ** -k)) if k else r).to_float()
+            exact = (sympy.CRootOf(sqf.as_expr(), i) * sympy.Integer(2) ** -k).evalf(40)
+            if abs(sympy.Float(ours, 40) - exact) > math.ulp(ours):
+                return f"root {i} of {p} times 2**{-k}: to_float {ours!r}, sympy {exact}"
     return None
 
 
@@ -767,13 +770,14 @@ def check_beta_regular(rng: random.Random, irrational: list[int]) -> str | None:
 
 def check_planted(rng: random.Random) -> str | None:
     q, g = planted_scaling(rng)
-    args = ["--beta", f"{q.r}/{q.s}", "--", str(q.poly), str(g)]
-    for cmd in ("classify2", "witness"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([cmd, *args])
-        if code != 0 or json.loads(out.getvalue())["verdict"] != "Equivalent":
-            return f"qhlip {cmd} {' '.join(args)} exited {code}: {err.getvalue().strip()}"
+    for pair in ((str(q.poly), str(g)), (str(g), str(q.poly))):
+        args = ["--beta", f"{q.r}/{q.s}", "--", *pair]
+        for cmd in ("classify2", "witness"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([cmd, *args])
+            if code != 0 or json.loads(out.getvalue())["verdict"] != "Equivalent":
+                return f"qhlip {cmd} {' '.join(args)} exited {code}: {err.getvalue().strip()}"
     return None
 
 
@@ -794,6 +798,7 @@ def main(argv: list[str] | None = None) -> int:
     beta_rng = random.Random(f"beta {args.seed}")
     count_rng = random.Random(f"count {args.seed}")
     planted_rng = random.Random(f"planted {args.seed}")
+    floats_rng = random.Random(f"floats {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
     irrational: list[int] = []
@@ -806,7 +811,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_gcd(*rand_rational_pair(rng))
             or check_roots(p)
             or check_sign_at(p, rand_points(rng, p))
-            or check_floats(p)
+            or check_floats(floats_rng, p)
             or check_compare(*rand_pair(rng))
             or check_inversion(rng, p, flat)
             or check_batch_inversion(batch_rng, p, flat)

@@ -38,20 +38,6 @@ class _CSet(NamedTuple):
     def is_unique(self) -> bool:
         return self.c is not None
 
-    def pick(self) -> RealAlg:
-        """A concrete admissible constant (1 when the set is free)."""
-        return self.c if self.c is not None else RealAlg.from_rational(1)
-
-    def compatible_common_value(self, other: "CSet") -> Optional[RealAlg]:
-        """A constant admissible for both sets, when one exists."""
-        if self.c is None:
-            return other.pick()
-        if other.c is None:
-            return self.c
-        if compare(self.c, other.c) == 0:
-            return self.c
-        return None
-
 
 class CSet(_CSet):
     """Admissible scaling constants: a forced value or all of (0, oo)."""

@@ -39,9 +39,9 @@ cached per box, and raises ArithmeticError when it fails; the only other
 Sturm counts isolate roots.  New defpolys are built from the integer
 coefficients `UniPoly.ints`.
 
-`to_float` gives once the double that the box's midpoint, refined below
-2**-80, rounds to, certified by two exact signs where they can (`_rounded`);
-the box stays as it was, since the JSON renders the interval from it.
+`to_float` gives once the double that the box's midpoint, refined to at most
+2**-80 * min(1, |a|) wide, rounds to, certified by two exact signs where they
+can (`_rounded`); the box stays as it was, since the JSON renders it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
-from math import comb, gcd as _int_gcd, inf, lcm as _int_lcm, nextafter
+from math import comb, frexp, gcd as _int_gcd, inf, lcm as _int_lcm, nextafter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .polyalg import (
@@ -175,7 +175,7 @@ class RealAlg:
         return RealAlg(p, a, c, m)
 
     def to_float(self) -> float:
-        """The double that the box's midpoint, refined below 2**-80, rounds to."""
+        """The double that the box's midpoint, at most 2**-80 * min(1, |a|) wide, rounds to."""
         if self._flt is None:
             self._flt = float(self._q) if self.is_rational else _rounded(self)
         return self._flt
@@ -205,8 +205,9 @@ def _count_pair(defpoly: UniPoly, a: int, c: int, m: int) -> int:
 def _rounded(a: RealAlg) -> float:
     """to_float of an irrational a: Newton's float root x in a's box halved
     once by refine (rtsafe to a relative step of 1e-12, then one exact step),
-    when two exact signs put a inside x's rounding interval shrunk by 2**-81
-    at each end, so that every 2**-80 box's midpoint rounds to x; else refine."""
+    when two exact signs put a inside x's rounding interval shrunk by 2**-81 *
+    min(1, 2**e) at each end, |x| < 2**e, so that the midpoint of every box at
+    most 2**-80 * min(1, |a|) wide rounds to x; else refine."""
     r = a.refine(halvings=1)  # refine's entry check, and one halving
     p, s_lo = r.defpoly, r.defpoly.sign_at_ratio(r._a, r._m)  # 0 if the halving hit a rational a: no sign matches
     try:
@@ -223,14 +224,19 @@ def _rounded(a: RealAlg) -> float:
     except (OverflowError, ValueError, ZeroDivisionError):  # inf, nan or a zero derivative
         pass
     else:
-        m = max(2**82, *(d for _, d in ratios))  # prev, x and next over m; the bounds over 2m
+        t = _FLOAT_BITS - min(0, frexp(x)[1])  # the shrink is 2**-(t + 1)
+        m = max(2 ** (t + 2), *(d for _, d in ratios))  # prev, x and next over m; the bounds over 2m
         prev, xm, nxt = (n * (m // d) for n, d in ratios)
-        below, above, m = prev + xm + (m >> 80), nxt + xm - (m >> 80), 2 * m
+        below, above, m = prev + xm + (m >> t), nxt + xm - (m >> t), 2 * m
         if below < above and p.sign_at_ratio(below, m) == s_lo and p.sign_at_ratio(above, m) == -s_lo:
             return x
     # a's own box, as the bisection that the halving began, halved the least k
-    # times that leave it at most 2**-80 wide: 2**k >= ceil((c - a) * 2**80 / m)
+    # times that leave it at most 2**-80 * min(1, d) wide, d its distance from 0
+    # (so at most 2**-80 * min(1, |a|)): first 2**k >= ceil((c - a) * 2**80 / m),
+    # then the halvings still short with d at most the box's far end from 0
     r = a.refine(((((a._c - a._a) << _FLOAT_BITS) - 1) // a._m).bit_length())
+    while (w := (r._c - r._a) << _FLOAT_BITS) > min(r._m, max(0, r._a, -r._c)):
+        r = r.refine(max(1, ((w - 1) // min(r._m, max(-r._a, r._c))).bit_length()))
     return (r._a + r._c) / (2 * r._m)  # the midpoint, correctly rounded; a rational's a/m
 
 

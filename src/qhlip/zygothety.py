@@ -299,7 +299,8 @@ class Compose(PLMap):
 
     def slope_power(self) -> tuple[int, RealAlg, int]:
         (so, ro, no), (si, ri, ni) = self.outer.slope_power(), self.inner.slope_power()
-        return so * si, mul(pow_int(ro, ni), pow_int(ri, no)), no * ni
+        n = math.lcm(no, ni)  # maps of one degree n compose to a root of order n, not n**2
+        return so * si, mul(pow_int(ro, n // no), pow_int(ri, n // ni)), n
 
     def inverse(self) -> "PLMap":
         return Compose(self.inner.inverse(), self.outer.inverse())
@@ -392,19 +393,23 @@ def _branch_map(c: RealAlg, orientation: Orientation, f: UniPoly, g: UniPoly) ->
     )
 
 
-def _pick(c_set: CSet, f: UniPoly, g: UniPoly) -> RealAlg:
-    """c_set's constant; from a free set, C when g(u) = C f(k u) for a rational
-    C, read off f(0) or off f's lowest power m > 0 and degree n, else 1: any
-    c > 0 is valid, and C makes a planted pair's branch map t/k, near affine."""
+def _pick(f: UniPoly, g: UniPoly, *c_sets: CSet) -> RealAlg | None:
+    """A constant in every set: the first forced one when the rest equal it,
+    None when two differ; with none forced, C when g(u) = C f(k u) for a
+    rational C, read off f(0) or off f's lowest power m > 0 and degree n, else
+    1: any c > 0 is valid, and C makes a planted pair's branch map t/k."""
+    forced = [s.c for s in c_sets if s.c is not None]
+    if forced:
+        return forced[0] if all(compare(c, forced[0]) == 0 for c in forced[1:]) else None
     m, n = next(i for i, x in enumerate(f.ints) if x), f.degree
-    r = abs(g.coeff(m) / f.coeff(m)) if c_set.c is None and m < n else 0
+    r = abs(g.coeff(m) / f.coeff(m)) if m < n else 0
     if r and not m:
         return RealAlg.from_rational(r)
     if r:  # C**(n - m) = (g_m/f_m)**n / (g_n/f_n)**m
         c = nth_root_pos(RealAlg.from_rational(r**n / abs(g.leading / f.leading) ** m), n - m)
         if c.is_rational:
             return c
-    return c_set.pick()
+    return RealAlg.from_rational(1)
 
 
 def make_regular(option, F) -> Zygothety | None:
@@ -424,7 +429,7 @@ def make_regular(option, F) -> Zygothety | None:
     if r % 2 == 0 or s % 2 == 1:
         # duplicate the (+)-side data; the (-)-side identity follows from
         # the parity relations between the height functions
-        c1 = _pick(p1.c_set, f1, g1)
+        c1 = _pick(f1, g1, p1.c_set)
         phi1 = _branch_map(c1, p1.orientation, f1, g1)
         lam1 = _lambda_from_c(c1, d, sgn)
         phi2 = phi1 if r % 2 == 0 else NegConj(phi1)
@@ -432,11 +437,11 @@ def make_regular(option, F) -> Zygothety | None:
     else:
         # r odd, s even: scales must agree unless X divides neither side
         if e != 0:
-            c1 = c2 = p1.c_set.compatible_common_value(p2.c_set) if p2.c_set.is_unique else _pick(p1.c_set, f1, g1)
+            c1 = c2 = _pick(f1, g1, p1.c_set, p2.c_set)
             if c1 is None:
                 return None
         else:
-            c1, c2 = _pick(p1.c_set, f1, g1), _pick(p2.c_set, f2, g2)
+            c1, c2 = _pick(f1, g1, p1.c_set), _pick(f2, g2, p2.c_set)
         phi1 = _branch_map(c1, p1.orientation, f1, g1)
         phi2 = _branch_map(c2, p2.orientation, f2, g2)
         if p1.orientation is not p2.orientation:

@@ -224,11 +224,18 @@ def ref_proportional(avals: Sequence[RealAlg], bvals: Sequence[RealAlg]) -> CSet
 
 def ref_to_float(a: RealAlg) -> float:
     """RealAlg.to_float as refine-then-round, with nothing remembered: the
-    midpoint of a's box, halved on Fractions until at most 2**-80 wide,
-    rounded to double.  Raises OverflowError beyond the float range."""
-    while not a.is_rational and a.hi - a.lo > Fraction(1, 2**80):
-        a = _halved(a)
-    return float(a.lo) if a.is_rational else float((a.lo + a.hi) / 2)
+    midpoint of a's box, halved on Fractions until at most 2**-80 * min(1, d)
+    wide, d the box's distance from 0, rounded to double.  Raises
+    OverflowError beyond the float range."""
+    D, lo, hi = a.defpoly, a.lo, a.hi
+    s_lo = D.sign_at(lo)
+    while not a.is_rational and (hi - lo) * 2**80 > min(1, max(0, lo, -hi)):
+        mid = (lo + hi) / 2
+        s = D.sign_at(mid)
+        if s == 0:
+            return float(mid)
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+    return float(lo) if a.is_rational else float((lo + hi) / 2)
 
 
 def ref_limit_slope(m) -> RealAlg:

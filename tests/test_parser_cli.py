@@ -221,16 +221,31 @@ def run_cli_capture(capsys, *argv):
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_planted_scalings_exit_zero(capsys, seed):
-    # F against F(2^k X, bY) is Equivalent; a free constant read off the
-    # heights keeps each branch map near affine, so neither the spot-check
-    # in classify2 nor witness's float check fails on these pairs
+    # F against F(2^k X, bY), and G against F, are Equivalent; a free
+    # constant read off the heights keeps each branch map near affine, and a
+    # constant or scale below 1 rounds to its own bits, so neither the
+    # spot-check in classify2 nor witness's float check fails on these pairs
     rng = random.Random(seed)
     for _ in range(120):
         q, g = planted_scaling(rng)
-        args = ["--beta", f"{q.r}/{q.s}", "--", str(q.poly), str(g)]
-        for cmd in ("classify2", "witness"):
-            code, out, err = run_cli_capture(capsys, cmd, *args)
-            assert code == 0 and json.loads(out)["verdict"] == "Equivalent", (cmd, args, err)
+        for pair in ((str(q.poly), str(g)), (str(g), str(q.poly))):
+            args = ["--beta", f"{q.r}/{q.s}", "--", *pair]
+            for cmd in ("classify2", "witness"):
+                code, out, err = run_cli_capture(capsys, cmd, *args)
+                assert code == 0 and json.loads(out)["verdict"] == "Equivalent", (cmd, args, err)
+
+
+@pytest.mark.parametrize("beta,f,g", [
+    ("3/1", "9444732965739290427392*X^9 + 134217728*X^3*Y^2 + 16*Y^3", "2*X^9 + 2*X^3*Y^2 + 2*Y^3"),
+    # G = F(-256X, Y/2) against F: the constant c = 2**-64
+    ("2/1", "-36893488147419103232*X^8 - 140737488355328*X^6*Y + 1073741824*X^4*Y^2 + 8192*X^2*Y^3",
+     "-2*X^8 - X^6*Y + X^4*Y^2 + X^2*Y^3"),
+])
+def test_small_constants_pass_the_spot_check(capsys, beta, f, g):
+    # a constant below 1 rounds on a box at most 2**-80 * |c| wide; on a box
+    # 2**-80 wide, c's float lost its low bits and the spot-check raised
+    code, out, err = run_cli_capture(capsys, "classify2", "--beta", beta, "--", f, g)
+    assert code == 0 and json.loads(out)["verdict"] == "Equivalent", err
 
 
 HP = "X^6 - 3*l*X^4*Y + Y^3"

@@ -601,8 +601,16 @@ class TestCertifiedRounding:
     )
     def test_extreme_magnitudes_and_subnormals(self, c, k):
         # sqrt(c) * 2**k near 2**1000 and 2**-1000, and in the subnormal range;
-        # below 2**-28 no double is certified, and refining decides
+        # the defpoly's floats overflow, no double is certified, and refining
+        # decides, on a box at most 2**-80 * min(1, |a|) wide
         self.assert_reference_bits(scaled_root(c, k))
+
+    @pytest.mark.parametrize("k", [-40, -1000])
+    def test_small_numbers_keep_their_bits(self, k):
+        # sqrt(2) * 2**k, certified at 2**-40 and refined at 2**-1000, is the
+        # correctly rounded sqrt(2) scaled exactly; a box 2**-80 wide, not
+        # relative to |a|, lost the low bits at 2**-40 and every bit at 2**-1000
+        assert scaled_root(2, k).to_float() == math.ldexp(math.sqrt(2), k)
 
     def test_beyond_the_float_range_raises(self):
         huge = scaled_root(2, 1030)
