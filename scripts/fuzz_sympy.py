@@ -34,6 +34,11 @@ Compares, on seeded random inputs:
   ``minimal_polynomial`` of the value, unless the value is stored as that
   rational; and ``realalg.sign_at(p, a)`` against the exact sign, zero
   exactly when the minimal polynomial of a divides p;
+* ``nth_root_pos`` of a rational p/q, each of p and q up to 300 bits and a
+  fifth of the time (u/v)**n, at an order n from 2 to 100: the box holds
+  (p/q)**(1/n) to 50 digits beyond its width and exactly one real root of its
+  defpoly by sympy's count, a rational result is that root exactly, and
+  ``to_float`` is at most one ulp from the root;
 * ``UniPoly.sign_at`` at seeded rationals (zero, integers, small
   fractions, denominators above 2**200, and the polynomial's own rational
   roots) against the sign of sympy's exact value;
@@ -404,6 +409,35 @@ def check_images(rng: random.Random) -> str | None:
             problem = check_value(what, v, exact)
             if problem:
                 return problem
+    return None
+
+
+def check_rational_root(rng: random.Random) -> str | None:
+    """nth_root_pos(p/q, n) against the unevaluated power (p/q)**(1/n): sympy.root
+    would first factor p and q, which takes seconds at 200 bits."""
+    n = rng.randint(2, 100)
+    if rng.random() < 0.2:
+        u, v = (rng.randint(1, 2 ** max(1, 300 // n)) for _ in range(2))
+        q = Fraction(u, v) ** n
+    else:
+        q = Fraction(*(rng.randint(1, 2 ** rng.randint(1, 300)) for _ in range(2)))
+    root, what = nth_root_pos(RealAlg.from_rational(q), n), f"nth_root_pos({q}, {n})"
+    radicand = sympy.Rational(q.numerator, q.denominator)
+    if root.is_rational:
+        return None if sympy.Rational(str(root.lo)) ** n == radicand else f"{what} = {root}"
+    # 50 digits beyond the box's relative width, which the probes can take far below 2**-62
+    width = root.lo / (root.hi - root.lo)
+    exact = sympy.Pow(radicand, sympy.Rational(1, n), evaluate=False).evalf(
+        50 + (width.numerator.bit_length() - width.denominator.bit_length()) * 3 // 10
+    )
+    lo, hi = sympy.Rational(str(root.lo)), sympy.Rational(str(root.hi))
+    if not lo < exact < hi:
+        return f"{what} = {root} misses {exact}"
+    if sympy.Poly(uni_expr(root.defpoly, T), T).count_roots(lo, hi) != 1:
+        return f"{what} = {root}: the box does not hold exactly one root of the defpoly"
+    ours = root.to_float()
+    if abs(sympy.Float(ours, 40) - exact) > math.ulp(ours):
+        return f"{what}: to_float {ours!r}, sympy {exact}"
     return None
 
 
@@ -799,6 +833,7 @@ def main(argv: list[str] | None = None) -> int:
     count_rng = random.Random(f"count {args.seed}")
     planted_rng = random.Random(f"planted {args.seed}")
     floats_rng = random.Random(f"floats {args.seed}")
+    roots_rng = random.Random(f"roots {args.seed}")
     flat: list[int] = []
     rational: list[int] = []
     irrational: list[int] = []
@@ -825,6 +860,7 @@ def main(argv: list[str] | None = None) -> int:
             or check_beta_regular(beta_rng, irrational)
             or check_count_roots(count_rng, root_ends)
             or check_planted(planted_rng)
+            or check_rational_root(roots_rng)
         )
         if problem:
             print(f"case {i}: MISMATCH {problem}")

@@ -24,7 +24,8 @@ interval extension over a box narrow enough that it excludes 0.
 A sum, product, polynomial image or n-th root is certified once its
 resultant defpoly D changes sign across an enclosure built from the source
 boxes and the interval extension of D' there excludes 0: D is then strictly
-monotone on the enclosure, so the value is its only root there.
+monotone on the enclosure, so the value is its only root there.  An n-th
+root's enclosure is one integer floor root (`_iroot`) per end on a grid 2**-k.
 
 div(b, a) of irrationals whose defpolys A and B have one degree n first
 reads a candidate rational c off their coefficients, for B(x) = c**n A(x/c)
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count
-from math import comb, frexp, gcd as _int_gcd, inf, lcm as _int_lcm, nextafter
+from math import comb, frexp, gcd as _int_gcd, inf, nextafter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .polyalg import (
@@ -575,10 +575,10 @@ def _conjugate_scale(a: RealAlg, b: RealAlg) -> Optional[RealAlg]:
     s, m = a.sign() * b.sign(), n - k
     if not s or sign(q) != s**m:  # a zero operand takes mul's path
         return None
-    root_num, root_den = _exact_int_nth_root(abs(q.numerator), m), _exact_int_nth_root(q.denominator, m)
-    if root_num is None or root_den is None:
+    u, v = _iroot(abs(q.numerator), m), _iroot(q.denominator, m)
+    if u**m != abs(q.numerator) or v**m != q.denominator:
         return None
-    return RealAlg.from_rational(Fraction(s * root_num, root_den))
+    return RealAlg.from_rational(Fraction(s * u, v))
 
 
 def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:
@@ -591,17 +591,17 @@ def eval_alg(p: UniPoly, a: RealAlg) -> RealAlg:
     return _certified_image(D, lambda r: interval_eval_ratio(p, r._a, r._c, r._m), partial(eval_alg, p), a)
 
 
-def _exact_int_nth_root(n: int, k: int) -> Optional[int]:
-    """Integer k-th root of n >= 0 when exact, else None."""
-    if n in (0, 1):
+def _iroot(n: int, k: int) -> int:
+    """floor(n**(1/k)) for integers n >= 0 and k >= 1, by Newton's method on
+    integers (Brent and Zimmermann, Modern Computer Arithmetic, section
+    1.5.2) from 2**ceil(bits/k) > n**(1/k) down to the floor, where it stops."""
+    if n < 2:
         return n
-    # Newton's method on integers, from 2**ceil(bits/k) > n**(1/k) down to
-    # floor(n**(1/k))
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            return x if x**k == n else None
+            return x
         x = y
 
 
@@ -614,10 +614,9 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
     if a.sign() <= 0:
         raise ValueError("nth_root_pos requires a positive radicand")
     if a.is_rational:
-        np_ = _exact_int_nth_root(a._a, n)
-        dp_ = _exact_int_nth_root(a._m, n)
-        if np_ is not None and dp_ is not None:
-            return RealAlg.from_rational(Fraction(np_, dp_))
+        u, v = _iroot(a._a, n), _iroot(a._m, n)
+        if u**n == a._a and v**n == a._m:
+            return RealAlg.from_rational(Fraction(u, v))
         # x**n - v increases for x > 0, so the positive bracket isolates its root
         return _probe(UniPoly((-a._q,) + (0,) * (n - 1) + (1,)), *_root_bracket(a._a, a._c, a._m, n))
     ra = _avoid_zero(a)  # positive interval, defpoly nonzero at 0
@@ -633,28 +632,16 @@ def nth_root_pos(a: RealAlg, n: int) -> RealAlg:
 
 def _root_bracket(lo: int, hi: int, den: int, n: int) -> tuple[int, int, int]:
     """A positive box (a/m, c/m) with (a/m)**n < lo/den <= hi/den < (c/m)**n,
-    for 0 < lo <= hi, bisected over one denominator: 64 times at most for a
-    rational radicand, and for an interval until a midpoint's power lands in
-    it, so that the box narrows with the interval however far the root is
-    from the first guess."""
-    a, m = (lo, den) if lo < den else (1, 1)
-    while a**n * den >= lo * m**n:
-        m *= 2
-    c, k = (hi, den) if hi > den else (1, 1)
-    while c**n * den <= hi * k**n:
-        c *= 2
-    s = _int_lcm(m, k)
-    a, c, m = a * (s // m), c * (s // k), s
-    for _ in range(64) if lo == hi else count():
-        mid, m2 = a + c, 2 * m
-        mid_n, m2_n = mid**n * den, m2**n
-        if mid_n < lo * m2_n:
-            a, c, m = mid, 2 * c, m2
-        elif mid_n > hi * m2_n:
-            a, c, m = 2 * a, mid, m2
-        else:
-            break
-    return a, c, m
+    for 0 < lo <= hi: the floor roots of both ends on the grid m = 2**k, k =
+    64 + ceil(bits(den)/n), so that a >= 2**64, the lower end stepped down when
+    it is exact.  The box of a rational radicand is two steps wide at most, and
+    that of an interval narrows with it, as den grows."""
+    k = 64 - (-den.bit_length() // n)
+    lo, hi = lo << n * k, hi << n * k
+    a = _iroot(lo // den, n)
+    if a**n * den == lo:
+        a -= 1
+    return a, _iroot(hi // den, n) + 1, 1 << k
 
 
 def pow_int(a: RealAlg, k: int) -> RealAlg:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -37,7 +38,6 @@ from helpers import (
     brute_force_real_root_count,
     frac_interval_eval,
     frac_positive_primitive,
-    frac_root_bracket,
     frac_simplest_between,
     gcd_count_compare,
     gcd_count_sign_at,
@@ -297,16 +297,44 @@ class TestFieldOps:
             assert pow_int(nth_root_pos(r, 16), 16) == r
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        st.fractions(min_value=F(1, 10**6), max_value=10**6),
-        st.fractions(min_value=0, max_value=1),
-        st.integers(2, 7),
-    )
-    def test_root_bracket_matches_fraction_bisection(self, lo, gap, n):
-        # a rational radicand (gap 0) and an interval of radicands
-        for hi in (lo, lo + gap):
-            a, c, m = realalg._root_bracket(*box(lo, hi), n)
-            assert (F(a, m), F(c, m)) == frac_root_bracket(lo, hi, n)
+    @given(st.integers(1, 2**300), st.integers(1, 2**300), st.integers(2, 100))
+    def test_root_bracket_of_a_rational(self, p, q, n):
+        # one floor root per end on the grid 2**-k: the box holds the root of
+        # p/q, exact or not, and is at most 2**-62 wide relative to it
+        lo = F(p, q)
+        a, c, m = realalg._root_bracket(*box(lo, lo), n)
+        assert F(a, m) ** n < lo < F(c, m) ** n
+        assert c - a <= F(a, 2**62)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-9, 9), min_size=3, max_size=7), st.integers(0, 8), st.integers(2, 9))
+    def test_root_bracket_narrows_with_its_radicand(self, coeffs, j, n):
+        # an interval radicand, refined by 1, 3, 7, ... halvings as
+        # _certified_image refines it: each box holds the roots of both ends,
+        # sits inside the one before, and is at most the source's width
+        # through the root's slope plus two grid steps wide, so it narrows
+        # with the source, as the certification needs
+        roots = [r for r in isolate_real_roots(P(*coeffs)) if r.sign() > 0] if any(coeffs[1:]) else []
+        assume(roots and not roots[j % len(roots)].is_rational)
+        widths, outer = [], None
+        for (r,) in itertools.islice(realalg._narrowed(roots[j % len(roots)]), 7):
+            a, c, m = realalg._root_bracket(r._a, r._c, r._m, n)
+            lo, hi = F(a, m), F(c, m)
+            assert lo**n < r.lo and r.hi < hi**n and m >= 2**64
+            assert c - a <= (r.hi - r.lo) * m / (n * lo ** (n - 1)) + 2
+            assert outer is None or outer[0] <= lo and hi <= outer[1]
+            outer = lo, hi
+            widths.append(hi - lo)
+        assert widths[-1] < widths[0]
+
+    def test_huge_rational_roots_are_narrow(self):
+        # one floor root per end, where doubling and 64 bisections left these
+        # boxes up to 6e276 times as wide as the root; to_float then rounds
+        # the narrow box as refine-then-round does
+        for q, n in ((F(3**630 + 1, 7), 81), (F(2**1000 + 3), 9), (F(5, 3**900), 7)):
+            root = nth_root_pos(RealAlg.from_rational(q), n)
+            assert not root.is_rational and root.hi - root.lo <= root.lo / 2**62
+            assert root.to_float() == ref_to_float(rebuilt_alg(root))
 
     def test_pow_int_needs_a_positive_exponent(self):
         root = nth_root_pos(RealAlg.from_rational(2), 2)
@@ -315,13 +343,13 @@ class TestFieldOps:
                 with pytest.raises(ValueError, match="k >= 1"):
                     pow_int(x, k)
 
-    def test_exact_int_nth_root(self):
+    def test_iroot_is_the_floor_root(self):
         for k in range(1, 6):
-            powers = {x**k: x for x in range(2000)}
             for n in range(2000):
-                assert realalg._exact_int_nth_root(n, k) == powers.get(n)
-        assert realalg._exact_int_nth_root(2**1000 + 1, 2) is None
-        assert realalg._exact_int_nth_root((10**300 + 7) ** 4, 4) == 10**300 + 7
+                r = realalg._iroot(n, k)
+                assert r**k <= n < (r + 1) ** k
+        assert realalg._iroot(2**1000 + 1, 2) == 2**500
+        assert realalg._iroot((10**300 + 7) ** 4, 4) == 10**300 + 7
 
     def test_nonpositive_radicand_rejected(self):
         with pytest.raises(ValueError):
